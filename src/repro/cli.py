@@ -350,7 +350,7 @@ def _cmd_cluster(args) -> int:
         recover_number=args.recover,
         max_iterations=args.max_iterations,
     )
-    from .errors import ConvergenceError
+    from .errors import ConvergenceError, ShapeError, WeightError
 
     if args.mode == "reference":
         for flag, name in (
@@ -382,6 +382,9 @@ def _cmd_cluster(args) -> int:
         except ConvergenceError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
+        except (ShapeError, WeightError) as exc:
+            print(f"error: {args.input}: {exc}", file=sys.stderr)
+            return 2
         extra = ""
     else:
         schedule = args.schedule or "sync"
@@ -450,6 +453,9 @@ def _cmd_cluster(args) -> int:
         except ConvergenceError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
+        except (ShapeError, WeightError) as exc:
+            print(f"error: {args.input}: {exc}", file=sys.stderr)
+            return 2
         if tracer is not None:
             from .trace import write_chrome_trace, write_metrics
 

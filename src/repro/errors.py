@@ -16,6 +16,10 @@ class ShapeError(ReproError, ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
+class WeightError(ReproError, ValueError):
+    """An edge weight is negative or not finite (NaN, ±inf)."""
+
+
 class FormatError(ReproError, ValueError):
     """A sparse matrix's internal arrays violate the format invariants."""
 

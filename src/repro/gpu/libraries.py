@@ -30,6 +30,7 @@ from ..errors import ShapeError
 from ..sparse import CSCMatrix
 from ..sparse import _compressed as _c
 from ..spgemm.esc import spgemm_esc
+from ..spgemm.metrics import flops_per_column
 from ..spgemm.symbolic import symbolic_nnz_per_column
 
 
@@ -52,12 +53,8 @@ def spgemm_nsparse(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
     products column-group by column-group so the flops-sized expansion is
     never held at once — nsparse's "memory-saving" property.
     """
-    if a.ncols != b.nrows:
-        raise ShapeError(
-            f"inner dimension mismatch: A is {a.shape}, B is {b.shape}"
-        )
-    shape = (a.nrows, b.ncols)
     counts = symbolic_nnz_per_column(a, b)  # phase 1: exact sizing
+    shape = (a.nrows, b.ncols)
     total = int(counts.sum())
     if total == 0:
         return CSCMatrix.empty(shape)
@@ -68,14 +65,7 @@ def spgemm_nsparse(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
     out_vals = np.empty(total, dtype=_c.VALUE_DTYPE)
     # Phase 2: process output columns in groups whose expansion stays
     # bounded, mimicking the per-threadblock tables of the original.
-    a_col_lens = a.column_lengths()
-    flops_per_col = np.zeros(b.ncols, dtype=np.int64)
-    lens_b = b.column_lengths()
-    nonempty = np.flatnonzero(lens_b)
-    if len(nonempty):
-        flops_per_col[nonempty] = np.add.reduceat(
-            a_col_lens[b.indices], b.indptr[nonempty]
-        )
+    flops_per_col = flops_per_column(a, b)
     budget = max(1 << 16, int(flops_per_col.max(initial=1)))
     j = 0
     while j < b.ncols:

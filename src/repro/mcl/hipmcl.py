@@ -36,7 +36,7 @@ from ..resilience.validators import InvariantChecker
 from ..sparse import CSCMatrix, csc_from_triples
 from ..sparse import _compressed as _c
 from ..spgemm.estimator import estimate_nnz
-from ..spgemm.metrics import flops as flops_of
+from ..spgemm.metrics import flops_per_entry
 from ..spgemm.symbolic import symbolic_nnz
 from ..summa.distmatrix import DistributedCSC
 from ..summa.engine import SummaConfig, summa_multiply
@@ -873,7 +873,11 @@ def _hipmcl_run(
     for it in range(start_iteration, options.max_iterations + 1):
         stage_before = _grouped_stage_seconds(comm)
         dist_a = DistributedCSC.from_global(work, grid)
-        total_flops = flops_of(work, work)
+        entry_flops = flops_per_entry(work, work)
+        total_flops = int(entry_flops.sum())
+
+        def exact_nnz() -> float:
+            return float(symbolic_nnz(work, work, entry_flops))
 
         # ---- memory requirement estimation (§V) -------------------------
         with maybe_span("estimate", "mcl", iteration=it) as est_sp:
@@ -887,7 +891,7 @@ def _hipmcl_run(
                     else "probabilistic"
                 )
             if scheme == "symbolic":
-                estimated = float(symbolic_nnz(work, work))
+                estimated = exact_nnz()
             else:
                 try:
                     estimated = estimate_nnz(
@@ -916,7 +920,7 @@ def _hipmcl_run(
                             iteration=it, scheme=scheme,
                         )
                     scheme = "symbolic"
-                    estimated = float(symbolic_nnz(work, work))
+                    estimated = exact_nnz()
             _charge_estimation(
                 comm, grid, dist_a, config, scheme, total_flops, work.nnz,
                 model=grid_model,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConvergenceError
+from ..errors import ConvergenceError, ShapeError, WeightError
 from ..sparse import (
     CSCMatrix,
     add_self_loops,
@@ -67,9 +67,13 @@ class MclResult:
 def prepare_matrix(matrix: CSCMatrix, options: MclOptions) -> CSCMatrix:
     """Canonical MCL input: optional self loops, column stochastic."""
     if matrix.nrows != matrix.ncols:
-        raise ValueError(f"MCL needs a square matrix, got {matrix.shape}")
+        raise ShapeError(f"MCL needs a square matrix, got {matrix.shape}")
+    # NaN compares false against everything, so test finiteness first: a
+    # NaN weight would otherwise normalize to a silently wrong clustering.
+    if not np.isfinite(matrix.data).all():
+        raise WeightError("MCL needs finite edge weights, got NaN or inf")
     if matrix.nnz and matrix.data.min() < 0:
-        raise ValueError("MCL needs non-negative edge weights")
+        raise WeightError("MCL needs non-negative edge weights")
     work = matrix.sum_duplicates().pruned_zeros()
     if options.add_self_loops:
         work = add_self_loops(work)

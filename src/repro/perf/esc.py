@@ -28,11 +28,21 @@ DENSE_CELL_LIMIT = 1 << 23
 DENSE_WASTE_FACTOR = 32
 
 
-def _expand(a: CSCMatrix, b: CSCMatrix, total: int, reps: np.ndarray,
-            ends: np.ndarray):
-    """Arena-backed expansion: flat coordinate key and product per flop."""
+def dense_pays(cells: int, total: int) -> bool:
+    """Price rule: scan ``cells`` of dense scratch, or sort ``total`` keys?"""
+    return cells <= DENSE_CELL_LIMIT and cells <= DENSE_WASTE_FACTOR * total
+
+
+def expand_keys(a: CSCMatrix, b_indptr, b_indices, reps, ends, total: int):
+    """Arena-backed pattern expansion of ``A·B`` over B's stored entries.
+
+    ``b_indptr``/``b_indices`` are B (or a rebased column slab of it),
+    ``reps`` the products each B entry generates and ``ends`` their
+    running sum.  Returns, per product in B-entry order, the flat output
+    coordinate ``col·nrows + row`` and the slot of its A operand.
+    """
     arena = global_arena()
-    starts = a.indptr[b.indices]
+    starts = a.indptr[b_indices]
     jump = starts - (ends - reps)
     a_slot = arena.buffer("esc:a_slot", total, np.int64)
     np.add(arena.arange(total), np.repeat(jump, reps), out=a_slot)
@@ -40,15 +50,22 @@ def _expand(a: CSCMatrix, b: CSCMatrix, total: int, reps: np.ndarray,
         a.indices, a_slot, mode="clip",
         out=arena.buffer("esc:rows", total, np.int64),
     )
-    prod = np.take(
-        a.data, a_slot, mode="clip",
-        out=arena.buffer("esc:prod", total, np.float64),
-    )
-    prod *= np.repeat(b.data, reps)
-    b_key = _c.expand_major(b.indptr, b.ncols)
+    b_key = _c.expand_major(b_indptr, len(b_indptr) - 1)
     b_key *= np.int64(a.nrows)
     key = np.repeat(b_key, reps)
     key += rows
+    return key, a_slot
+
+
+def _expand(a: CSCMatrix, b: CSCMatrix, total: int, reps: np.ndarray,
+            ends: np.ndarray):
+    """Flat coordinate key and numeric product per flop."""
+    key, a_slot = expand_keys(a, b.indptr, b.indices, reps, ends, total)
+    prod = np.take(
+        a.data, a_slot, mode="clip",
+        out=global_arena().buffer("esc:prod", total, np.float64),
+    )
+    prod *= np.repeat(b.data, reps)
     return key, prod
 
 
@@ -62,7 +79,7 @@ def spgemm_esc_fast(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
         return CSCMatrix.empty(shape)
     key, prod = _expand(a, b, total, reps, ends)
     n2 = a.nrows * b.ncols
-    if n2 <= DENSE_CELL_LIMIT and n2 <= DENSE_WASTE_FACTOR * total:
+    if dense_pays(n2, total):
         return _compress_dense(shape, key, prod, n2)
     return _compress_sorted(shape, key, prod)
 

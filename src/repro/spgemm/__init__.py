@@ -22,6 +22,7 @@ from .metrics import (
     compression_factor,
     flops,
     flops_per_column,
+    flops_per_entry,
     work_profile,
 )
 from .spa import spa_operation_count, spgemm_spa
@@ -48,6 +49,7 @@ __all__ = [
     "relative_error",
     "flops",
     "flops_per_column",
+    "flops_per_entry",
     "compression_factor",
     "work_profile",
     "WorkProfile",

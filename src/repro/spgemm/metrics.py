@@ -24,18 +24,23 @@ from ..sparse import CSCMatrix
 from ..sparse import _compressed as _c
 
 
+def flops_per_entry(a: CSCMatrix, b: CSCMatrix) -> np.ndarray:
+    """``nnz(A_{*k})`` for every stored entry ``b_kj``: the products it
+    generates.  Every other count here is a reduction of this gather."""
+    if a.ncols != b.nrows:
+        raise ShapeError(
+            f"inner dimension mismatch: A is {a.shape}, B is {b.shape}"
+        )
+    return a.column_lengths()[b.indices]
+
+
 def flops_per_column(a: CSCMatrix, b: CSCMatrix) -> np.ndarray:
     """``flops`` contributed by each output column of ``A·B``.
 
     For output column j this is the sum of ``nnz(A_{*k})`` over the row
     indices k of ``B_{*j}``.  One gather + one ``reduceat`` — no loops.
     """
-    if a.ncols != b.nrows:
-        raise ShapeError(
-            f"inner dimension mismatch: A is {a.shape}, B is {b.shape}"
-        )
-    a_col_lens = a.column_lengths()  # nnz(A_{*k}) for every k
-    per_entry = a_col_lens[b.indices]  # one term per nonzero of B
+    per_entry = flops_per_entry(a, b)
     out = np.zeros(b.ncols, dtype=np.int64)
     lens = b.column_lengths()
     nonempty = np.flatnonzero(lens)
@@ -46,12 +51,7 @@ def flops_per_column(a: CSCMatrix, b: CSCMatrix) -> np.ndarray:
 
 def flops(a: CSCMatrix, b: CSCMatrix) -> int:
     """Total ``flops(AB)`` (multiply-add pairs with both operands nonzero)."""
-    a_col_lens = a.column_lengths()
-    if a.ncols != b.nrows:
-        raise ShapeError(
-            f"inner dimension mismatch: A is {a.shape}, B is {b.shape}"
-        )
-    return int(a_col_lens[b.indices].sum())
+    return int(flops_per_entry(a, b).sum())
 
 
 def compression_factor(a: CSCMatrix, b: CSCMatrix, c_nnz: int) -> float:

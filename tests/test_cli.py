@@ -249,6 +249,22 @@ def test_cluster_resilience_flags_need_distributed_mode(tmp_path, capsys):
         assert "distributed --mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["reference", "optimized", "original"])
+def test_cluster_rejects_hostile_input(tmp_path, capsys, mode):
+    header = "%%MatrixMarket matrix coordinate real general\n"
+    for name, body, message in (
+        ("nan", "2 2 2\n1 2 nan\n2 1 1.0\n", "finite edge weights"),
+        ("inf", "2 2 2\n1 2 inf\n2 1 1.0\n", "finite edge weights"),
+        ("neg", "2 2 2\n1 2 -1.0\n2 1 1.0\n", "non-negative"),
+        ("rect", "2 3 2\n1 2 1.0\n2 1 1.0\n", "square matrix"),
+    ):
+        path = tmp_path / f"{name}.mtx"
+        path.write_text(header + body)
+        assert main(["cluster", str(path), "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+
 def test_experiment_list(capsys):
     assert main(["experiment", "list"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Tests for the distributed HipMCL driver."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,45 @@ class TestAccounting:
         res = hipmcl(net.matrix, opts, cfg)
         for h in res.history:
             assert h.estimation_error_pct == pytest.approx(0.0, abs=1e-9)
+
+    #: Recorded at the commit before the sort-free symbolic pass, on a
+    #: 6000-byte budget so the estimate decides real phase counts: the
+    #: symbolic total feeds ``plan_phases``, so an off-by-one there moves
+    #: every figure below.
+    RECORDED = {
+        "original": (
+            HipMCLConfig.original(nodes=16, memory_budget_bytes=6000),
+            "ssssssssssss",
+            [7432.0, 15633.0, 4286.0, 3715.0, 3594.0, 2436.0, 1066.0,
+             564.0, 392.0, 295.0, 272.0, 244.0],
+            [2, 4, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1],
+            "0x1.16807d251ed73p-8",
+        ),
+        "hybrid": (
+            HipMCLConfig.optimized(nodes=16, memory_budget_bytes=6000,
+                                   estimator_cf_threshold=4.0),
+            "psppppppssss",
+            [6676.6385309948055, 15633.0, 3255.6288429738543,
+             3868.897281024699, 4975.532469973141, 2317.6620519818443,
+             1010.1384347525216, 742.613233249284, 392.0, 295.0, 272.0,
+             244.0],
+            [2, 4, 1, 2, 2, 1, 1, 1, 1, 1, 1, 1],
+            "0x1.40f26f83af98cp-9",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_estimate_step_reproduces_recorded_run(self, net_and_opts, name):
+        net, opts = net_and_opts
+        cfg, schemes, estimated, phases, elapsed = self.RECORDED[name]
+        res = hipmcl(net.matrix, opts, cfg)
+        assert "".join(h.estimator_used[0] for h in res.history) == schemes
+        assert [h.estimated_nnz for h in res.history] == estimated
+        assert [h.phases for h in res.history] == phases
+        assert res.elapsed_seconds == float.fromhex(elapsed)
+        assert hashlib.sha1(
+            res.labels.astype(np.int64).tobytes()
+        ).hexdigest()[:16] == "57d8c8082ee7077a"
 
     def test_probabilistic_estimator_reasonable(self, net_and_opts):
         net, opts = net_and_opts

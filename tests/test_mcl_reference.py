@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConvergenceError
+from repro.errors import ConvergenceError, ReproError, ShapeError, WeightError
 from repro.mcl import MclOptions, expand, markov_cluster, prepare_matrix
+from repro.mcl.hipmcl import HipMCLConfig, hipmcl
 from repro.sparse import CSCMatrix, csc_from_triples, random_csc
 from repro.spgemm import spgemm_hash, spgemm_heap
 
@@ -26,13 +27,31 @@ class TestPrepare:
         assert np.all(np.diag(work.to_dense()) == 0)
 
     def test_rejects_rectangular(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             prepare_matrix(random_csc((3, 4), 0.5, 1), MclOptions())
 
     def test_rejects_negative_weights(self):
         mat = CSCMatrix.from_dense([[0.0, -1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(WeightError):
             prepare_matrix(mat, MclOptions())
+
+    @pytest.mark.parametrize("run", [
+        lambda m: markov_cluster(m, MclOptions()),
+        lambda m: hipmcl(m, MclOptions(), HipMCLConfig.optimized(nodes=4)),
+        lambda m: hipmcl(m, MclOptions(), HipMCLConfig.original(nodes=4)),
+    ], ids=["reference", "optimized", "original"])
+    def test_hostile_input_never_reaches_the_clustering(self, run):
+        with pytest.raises(ShapeError):
+            run(random_csc((3, 4), 0.5, 1))
+        # Two connected vertices.  A NaN weight used to pass the
+        # ``min() < 0`` test and come back as two singletons.
+        for bad in (-1.0, np.nan, np.inf):
+            mat = csc_from_triples((2, 2), [0, 1], [1, 0], [bad, 1.0])
+            with pytest.raises(WeightError):
+                run(mat)
+        # Typed, and still caught by pre-existing ``except ValueError``.
+        assert issubclass(WeightError, ReproError)
+        assert issubclass(WeightError, ValueError)
 
 
 class TestExpand:

@@ -331,6 +331,23 @@ class TestBaselineValidation:
         assert any("scaling/net/w2" in p for p in problems)
         assert validate_report([1, 2]) != []
 
+    def test_default_baseline_is_the_highest_numbered_report(self, tmp_path):
+        import importlib.util
+
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "run_perfbench", root / "tools" / "run_perfbench.py"
+        )
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        # Numeric, not lexicographic; stray names are ignored.
+        for name in ("BENCH_PR2.json", "BENCH_PR10.json", "BENCH_PR9.json",
+                     "BENCH_PRx.json", "BENCH_PR11.json.bak"):
+            (tmp_path / name).write_text("{}")
+        assert tool.latest_baseline(tmp_path).name == "BENCH_PR10.json"
+        # The repo's own default resolves to a committed report.
+        assert tool.latest_baseline().is_file()
+
     @pytest.mark.parametrize(
         "content,needle",
         [

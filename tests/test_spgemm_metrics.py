@@ -1,10 +1,16 @@
 """Tests for flops / cf metrics and the symbolic pass."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import repro.spgemm.symbolic as symbolic
 from repro.errors import ShapeError
-from repro.sparse import CSCMatrix, identity_csc, random_csc
+from repro.perf.arena import global_arena
+from repro.sparse import CSCMatrix, csc_from_triples, identity_csc, random_csc
 from repro.spgemm import (
     compression_factor,
     expansion_size,
@@ -19,6 +25,18 @@ from repro.spgemm import (
     symbolic_operation_count,
     work_profile,
 )
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes allocated while ``fn`` ran), arena emptied first
+    so its grow-only scratch is counted too."""
+    global_arena().release()
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def brute_force_flops(a, b):
@@ -63,6 +81,47 @@ class TestSymbolic:
     def test_symbolic_cost_is_flops(self, small_pair):
         a, b = small_pair
         assert symbolic_operation_count(a, b) == float(flops(a, b))
+
+    def test_symbolic_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            symbolic_nnz_per_column(
+                random_csc((3, 4), 0.5, 1), random_csc((5, 3), 0.5, 2)
+            )
+
+    def test_hypersparse_has_no_n_squared_term(self):
+        # n = 10^6, nnz ~ 10^3: n^2 cells would be a terabyte of flags.
+        n, nnz = 1_000_000, 1_000
+        rng = np.random.default_rng(7)
+        hubs = rng.integers(0, 40, nnz)  # shared inner indices: flops >> nnz
+        a = csc_from_triples((n, n), rng.integers(0, n, nnz), hubs,
+                             np.ones(nnz))
+        b = csc_from_triples((n, n), hubs, rng.integers(0, n, nnz),
+                             np.ones(nnz))
+        assert flops(a, b) > 10 * nnz
+        t0 = time.perf_counter()
+        counts, peak = traced_peak(symbolic_nnz_per_column, a, b)
+        elapsed = time.perf_counter() - t0
+        ones = [
+            sp.csc_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape)
+            for m in (a, b)
+        ]
+        assert np.array_equal(counts, (ones[0] @ ones[1]).getnnz(axis=0))
+        assert elapsed < 1.0  # ~0.1 s traced; n^2 work would take hours
+        assert peak < 16 * 8 * n  # a few O(n) index arrays, nothing near n^2
+
+    def test_transient_memory_follows_the_slab_not_the_flops(
+        self, monkeypatch
+    ):
+        a = random_csc((2000, 2000), 0.02, 3)
+        b = random_csc((2000, 2000), 0.02, 4)
+        one_flops_array = 8 * flops(a, b)  # the old pass held six of these
+        assert flops(a, b) > 40 * symbolic.SLAB_FLOPS
+        expected, peak = traced_peak(symbolic_nnz_per_column, a, b)
+        assert peak < one_flops_array / 3
+        monkeypatch.setattr(symbolic, "SLAB_FLOPS", symbolic.SLAB_FLOPS // 16)
+        got, small_peak = traced_peak(symbolic_nnz_per_column, a, b)
+        assert np.array_equal(got, expected)
+        assert small_peak < peak / 2
 
 
 class TestCompressionFactor:

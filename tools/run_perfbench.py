@@ -3,9 +3,10 @@
 
 Record a new baseline (writes BENCH_PR<k>.json at the repo root):
 
-    PYTHONPATH=src python tools/run_perfbench.py --pr 10
+    PYTHONPATH=src python tools/run_perfbench.py --pr <k>
 
-Gate a change against the committed baseline (exit 1 on >25 % slowdown):
+Gate a change against the newest committed baseline — the
+highest-numbered BENCH_PR*.json at the repo root (exit 1 on >25 % slowdown):
 
     PYTHONPATH=src python tools/run_perfbench.py --check
 
@@ -20,6 +21,7 @@ See src/repro/bench/perfbench.py for what is measured.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -40,19 +42,33 @@ from repro.bench.perfbench import (  # noqa: E402
 )
 
 
+def latest_baseline(root: Path = ROOT) -> Path:
+    """The highest-numbered ``BENCH_PR<k>.json`` under ``root``."""
+    numbered = [
+        (int(m.group(1)), path)
+        for path in root.glob("BENCH_PR*.json")
+        if (m := re.fullmatch(r"BENCH_PR(\d+)\.json", path.name))
+    ]
+    # With none recorded, name the first so ``--check`` fails with the
+    # usual "not found — record one" message.
+    return max(numbered)[1] if numbered else root / "BENCH_PR1.json"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--pr", type=int, default=10,
-        help="PR number k for the BENCH_PR<k>.json output name (default 10)",
+        "--pr", type=int, default=None,
+        help="PR number k for the BENCH_PR<k>.json output name "
+        "(required to record unless --output is given)",
     )
     parser.add_argument(
         "--output", type=Path, default=None,
         help="explicit output path (overrides --pr)",
     )
     parser.add_argument(
-        "--baseline", type=Path, default=ROOT / "BENCH_PR9.json",
-        help="baseline report to compare against (default BENCH_PR9.json)",
+        "--baseline", type=Path, default=latest_baseline(),
+        help="baseline report to compare against (default: the "
+        "highest-numbered BENCH_PR*.json at the repo root)",
     )
     parser.add_argument(
         "--workers", default=None, metavar="N",
@@ -109,6 +125,8 @@ def main(argv=None) -> int:
         "confirmed regressions (default: repo root)",
     )
     args = parser.parse_args(argv)
+    if not args.check and args.output is None and args.pr is None:
+        parser.error("recording a report needs --pr <k> or --output PATH")
 
     # Validate the baseline *before* spending minutes on benchmarks, so a
     # missing or stale file fails fast with a fix-it message.
