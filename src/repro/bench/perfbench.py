@@ -1,11 +1,11 @@
-"""Wall-clock perf-regression harness for the vectorized fast paths.
+"""Wall-clock perf-regression harness for the vectorized numeric kernels.
 
 Unlike :mod:`repro.bench.harness` — which reports *simulated* seconds from
 the machine model — this module times real Python wall-clock so speed
 regressions in the numeric kernels are caught in review.  It runs
 
 * end-to-end HipMCL on three catalog networks,
-* six microbenchmarks, one per fast-path kernel family
+* six microbenchmarks, one per numeric kernel family
   (esc, hash, merge, prune, estimator, components),
 * a parallel-SpKAdd merge sweep: :func:`repro.merge.spkadd.spkadd_merge`
   timed over list count × nnz skew × worker count,
@@ -160,7 +160,7 @@ def bench_end_to_end(
     layers: int = 0,
     transport: str | None = None,
 ) -> dict:
-    """Time one full fast-path HipMCL run on a catalog network.
+    """Time one full HipMCL run on a catalog network.
 
     ``trace`` (a :class:`repro.trace.Tracer`) records the timed runs —
     the gate's diagnostic mode: a benchmark that regressed is re-run
@@ -208,7 +208,7 @@ def bench_end_to_end(
 
 
 # ---------------------------------------------------------------------------
-# Microbenchmarks — one per fast-path kernel family
+# Microbenchmarks — one per numeric kernel family
 # ---------------------------------------------------------------------------
 
 
@@ -426,11 +426,9 @@ def run_perfbench(
     from ..merge.spkadd import resolve_merge_impl
     from ..mpi.grid import resolve_grid, resolve_layers
     from ..parallel import resolve_backend, resolve_overlap, resolve_workers
-    from ..perf import dispatch
 
     report = {
         "schema": SCHEMA_VERSION,
-        "fast_paths": dispatch.enabled(),
         "workers": resolve_workers(workers),
         "backend": resolve_backend(backend),
         "overlap": resolve_overlap(overlap),

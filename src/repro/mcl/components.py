@@ -1,24 +1,22 @@
 """Connected components of the converged matrix → cluster labels.
 
 MCL's output interpretation (Algorithm 1, line 6): the clusters are the
-connected components of the graph underlying the converged matrix.  The
-default numeric path is a fully vectorized min-label propagation
-(:mod:`repro.perf.components`); the from-scratch union-find (path
-halving, union by size) remains as the reference implementation and as
-the incremental structure the attractor-based interpretation needs on its
-small per-cluster edge sets.  Both canonicalize labels the same way —
-components numbered by their smallest member — so the two paths agree
-bit-for-bit.
+connected components of the graph underlying the converged matrix,
+computed by a fully vectorized min-label propagation
+(:mod:`repro.perf.components`).  The from-scratch union-find (path
+halving, union by size) is the incremental structure the attractor-based
+interpretation needs on its small per-cluster edge sets, and the tests'
+oracle for the propagation.  Both canonicalize labels the same way —
+components numbered by their smallest member — so they agree bit-for-bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..perf import dispatch
+from ..errors import ShapeError
 from ..perf.components import min_label_components
 from ..sparse import CSCMatrix
-from ..sparse import _compressed as _c
 
 
 def canonical_labels(raw: np.ndarray) -> np.ndarray:
@@ -77,15 +75,8 @@ def connected_components(mat: CSCMatrix) -> np.ndarray:
     matching mcl's interpretation of the converged flow matrix.
     """
     if mat.nrows != mat.ncols:
-        raise ValueError(f"components need a square matrix, got {mat.shape}")
-    if dispatch.enabled():
-        return canonical_labels(min_label_components(mat))
-    uf = UnionFind(mat.nrows)
-    cols = _c.expand_major(mat.indptr, mat.ncols)
-    for r, c in zip(mat.indices, cols):
-        if r != c:
-            uf.union(r, c)
-    return uf.labels()
+        raise ShapeError(f"components need a square matrix, got {mat.shape}")
+    return canonical_labels(min_label_components(mat))
 
 
 def clusters_from_labels(labels: np.ndarray) -> list[list[int]]:

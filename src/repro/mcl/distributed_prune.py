@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf import dispatch
+from ..errors import ShapeError
 from ..perf.topk import column_kth_largest
 from ..sparse import CSCMatrix
 from ..sparse import _compressed as _c
@@ -52,7 +52,7 @@ def local_topk_candidates(
     return sorted_cols[keep], block.data[order][keep]
 
 
-def _topk_threshold_fast(
+def _partition_thresholds(
     blocks: list[CSCMatrix], k: int, ncols: int
 ) -> np.ndarray | None:
     """Partition-based thresholds, bit-identical to the candidate protocol.
@@ -88,13 +88,13 @@ def distributed_topk_threshold(
     ncols = blocks[0].ncols
     for blk in blocks:
         if blk.ncols != ncols:
-            raise ValueError(
+            raise ShapeError(
                 f"block widths differ: {blk.ncols} vs {ncols}"
             )
-    if dispatch.enabled():
-        fast = _topk_threshold_fast(blocks, k, ncols)
-        if fast is not None:
-            return fast
+    thresholds = _partition_thresholds(blocks, k, ncols)
+    if thresholds is not None:
+        return thresholds
+    # Padding would be wasteful: run the per-rank candidate exchange.
     all_cols, all_vals = [], []
     for blk in blocks:
         cols, vals = local_topk_candidates(blk, k)
@@ -143,15 +143,9 @@ def filter_block_by_threshold(
     cols = _c.expand_major(block.indptr, block.ncols)
     bound = np.maximum(thresholds[cols], cutoff)
     keep = block.data >= bound
-    out_cols = cols[keep]
-    indptr = (
-        _c.compress_sorted_major(out_cols, block.ncols)
-        if dispatch.enabled()
-        else _c.compress_major(out_cols, block.ncols)
-    )
     return CSCMatrix(
         block.shape,
-        indptr,
+        _c.compress_major(cols[keep], block.ncols),
         block.indices[keep],
         block.data[keep],
         check=False,

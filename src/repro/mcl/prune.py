@@ -5,9 +5,10 @@ below a threshold, then keeping only the k largest entries of any column
 that is still too dense, and — the mcl binary's safety valve — recovering
 the largest pre-cutoff entries of columns the cutoff emptied too far.
 
-Everything is vectorized across columns: one global sort by
-(column, -value) yields each entry's rank within its column, and all three
-rules become boolean masks on that rank.
+Everything is vectorized across columns: selection keeps what lies above
+each column's k-th largest value (one padded partition), recovery ranks
+entries within their column with one global sort by (column, -value), and
+all three rules become boolean masks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..perf import dispatch
 from ..perf.topk import topk_select_mask
 from ..sparse import CSCMatrix
 from ..sparse import _compressed as _c
@@ -68,22 +68,20 @@ def prune_columns(
         return mat.copy(), PruneStats(0, 0, 0, 0, 0)
     cols = _c.expand_major(mat.indptr, mat.ncols)
     vals = mat.data
-    fast = dispatch.enabled()
 
     keep = vals >= options.prune_threshold
     cutoff_dropped = int(n_in - keep.sum())
 
     select_dropped = 0
     if options.select_number:
-        # Rank among *surviving* entries: rank on the survivors only, so
-        # cutoff casualties don't consume selection slots.  The fast path
-        # computes the identical keep-set from each column's k-th largest
-        # survivor (partition-based, no sort).
-        sel = None
-        if fast:
-            sel = topk_select_mask(
-                cols[keep], vals[keep], mat.ncols, options.select_number
-            )
+        # Select among *surviving* entries only, so cutoff casualties
+        # don't consume selection slots: everything above each column's
+        # k-th largest survivor (partition-based, no sort), or — when
+        # padding the columns for the partition would be wasteful — the
+        # same keep-set from a stable descending rank.
+        sel = topk_select_mask(
+            cols[keep], vals[keep], mat.ncols, options.select_number
+        )
         if sel is None:
             surv_rank = _rank_within_column(cols[keep], vals[keep])
             sel = surv_rank < options.select_number
@@ -104,15 +102,11 @@ def prune_columns(
             recovered = int((candidate & ~keep).sum())
             keep |= candidate
 
-    out_cols = cols[keep]
-    if fast:
-        indptr = _c.compress_sorted_major(out_cols, mat.ncols)
-    else:
-        indptr = _c.compress_major(out_cols, mat.ncols)
+    indptr = _c.compress_major(cols[keep], mat.ncols)
     pruned = CSCMatrix(
         mat.shape, indptr, mat.indices[keep], vals[keep], check=False
     )
-    if not (fast and pruned.has_sorted_indices()):
+    if not pruned.has_sorted_indices():
         pruned = pruned.sorted()
     return pruned, PruneStats(
         entries_in=n_in,

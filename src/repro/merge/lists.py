@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeError
-from ..perf import dispatch
-from ..perf.merge import merge_triples_fast
+from ..perf.merge import merge_triples
 from ..sparse import CSCMatrix
 from ..sparse import _compressed as _c
 
@@ -94,10 +93,9 @@ def merge_lists(lists: list[TripleList], copy: bool = True) -> TripleList:
     This is the *numeric engine* every merge schedule (two-way, multiway,
     binary) calls; the schedules differ in *when* they call it and on how
     many lists, which is what the operation/memory accounting captures.
-    Implemented as concatenate + lexsort + ordered group sum (vectorized
-    k-way merge), or the dense-scatter fast path when enabled — both sum
-    colliding coordinates in concatenation order, so the results are
-    bit-identical.  Exact zeros produced by cancellation are kept.
+    Colliding coordinates are summed in concatenation (list) order — see
+    :func:`repro.perf.merge.merge_triples` — and exact zeros produced by
+    cancellation are kept.
 
     ``copy=False`` lets the single-list short-circuit return a view-backed
     list sharing the input's arrays (the k >= 2 paths always build fresh
@@ -117,21 +115,4 @@ def merge_lists(lists: list[TripleList], copy: bool = True) -> TripleList:
         if copy:
             return TripleList(shape, t.cols.copy(), t.rows.copy(), t.vals.copy())
         return TripleList(shape, t.cols, t.rows, t.vals)
-    if dispatch.enabled():
-        return TripleList(shape, *merge_triples_fast(lists, shape))
-    cols = np.concatenate([t.cols for t in lists])
-    rows = np.concatenate([t.rows for t in lists])
-    vals = np.concatenate([t.vals for t in lists])
-    order = np.lexsort((rows, cols))
-    cols, rows, vals = cols[order], rows[order], vals[order]
-    n = len(vals)
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1])
-    starts = np.flatnonzero(boundary)
-    # Canonical left-to-right summation within each coordinate run — the
-    # stable lexsort keeps concatenation order inside a run, so this is
-    # exactly the accumulation order of the dense-scatter fast path.
-    return TripleList(
-        shape, cols[starts], rows[starts], _c.groupsum_ordered(vals, boundary)
-    )
+    return TripleList(shape, *merge_triples(lists, shape))

@@ -38,8 +38,7 @@ import os
 import numpy as np
 
 from ..errors import ShapeError
-from ..perf import dispatch
-from ..perf.merge import merge_keyed_range_fast, range_dense_eligible
+from ..perf.merge import merge_keyed_range_dense, range_dense_eligible
 from ..sparse import _compressed as _c
 from ..trace import maybe_span
 from .lists import BYTES_PER_TRIPLE, TripleList, merge_lists
@@ -187,8 +186,8 @@ def merge_range(strategy, shape, lo, hi, lists):
     if strategy == "hash":
         key = np.concatenate(keys)
         val = np.concatenate(vals)
-        if dispatch.enabled() and range_dense_eligible(nrows, lo, hi, len(key)):
-            cols, rows, out = merge_keyed_range_fast(key, val, nrows, lo, hi)
+        if range_dense_eligible(nrows, lo, hi, len(key)):
+            cols, rows, out = merge_keyed_range_dense(key, val, nrows, lo, hi)
             return cols, rows, out, n_in
         order = np.argsort(key, kind="stable")
         cols, rows, out = _collapse_sorted(key[order], val[order], nrows)

@@ -19,7 +19,7 @@ Both offer an asynchronous ``submit_batch``; the SUMMA engine's overlap
 scheduler (``overlap=True``) uses it to run the stage-k merge in the
 parent concurrently with the stage-(k+1) local multiplies in the pool.
 
-The determinism contract is the same one the fast-path engine and the
+The determinism contract is the same one the numeric kernels and the
 resilience layer pin: every ``(backend, workers, overlap)`` combination
 is **bit-identical** to serial.  Parallelism only relocates computation,
 never reorders a reduction — results are gathered and consumed in the

@@ -14,10 +14,8 @@ Three backends satisfy the protocol, selected by the ``backend`` axis
   pool sharing the parent's address space (zero-copy, no transport; the
   numpy kernels release the GIL in their hot sections);
 * :class:`ProcessExecutor` — a persistent ``concurrent.futures`` process
-  pool that re-establishes the process-global fast-path flag in every
-  worker per batch (so ``REPRO_PERF=0`` and ``set_fast_paths`` changes
-  after pool creation still propagate), and ships CSC blocks through the
-  shared-memory transport of :mod:`repro.parallel.shm`.
+  pool that ships CSC blocks through the shared-memory transport of
+  :mod:`repro.parallel.shm`.
 
 Every backend also offers :meth:`Executor.submit_batch` — the
 *asynchronous* half of the protocol: it returns a :class:`BatchHandle`
@@ -41,7 +39,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_all_start_methods, get_context
 
-from ..perf import dispatch
 from ..trace import current_tracer, spans_from_dicts
 from . import shm
 
@@ -222,24 +219,21 @@ class SerialExecutor:
         return "SerialExecutor()"
 
 
-def _worker_init(fast: bool) -> None:
+def _worker_init() -> None:
     global _IN_WORKER
     _IN_WORKER = True
     shm.reset_after_fork()  # segments stay owned by the parent
-    dispatch.set_fast_paths(fast)
 
 
 def _run_task(payload):
-    """Pool entry point: import args, sync global state, run, export.
+    """Pool entry point: import args, run, export.
 
     ``meta`` is ``None`` when the parent was not tracing at submit time;
     otherwise the worker records its own spans (task body, shm import and
     export) in a private tracer whose serialized spans travel back with
     the result and are stitched into the parent trace at gather.
     """
-    fn, args, fast, meta = payload
-    if dispatch.enabled() != fast:
-        dispatch.set_fast_paths(fast)
+    fn, args, meta = payload
     if meta is None:
         return shm.export_result(fn(*shm.import_value(args))), None
     from ..trace import Tracer, activate, worker_lane_name
@@ -376,7 +370,6 @@ class ProcessExecutor:
                 max_workers=self.workers,
                 mp_context=get_context(method),
                 initializer=_worker_init,
-                initargs=(dispatch.enabled(),),
             )
         return self._pool
 
@@ -402,13 +395,11 @@ class ProcessExecutor:
         happens *now*, in the caller; the returned handle only gathers.
         """
         tasks = list(tasks)
-        fast = dispatch.enabled()
         tracing = current_tracer() is not None
         payloads = [
             (
                 fn,
                 shm.export_value(task),
-                fast,
                 _task_meta(label, attrs, i) if tracing else None,
             )
             for i, task in enumerate(tasks)

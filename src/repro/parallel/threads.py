@@ -76,9 +76,9 @@ class ThreadExecutor:
 
     Mirrors :class:`~repro.parallel.executor.ProcessExecutor`'s lifecycle:
     the pool is created lazily on the first batch, reused across batches,
-    and restarts lazily after :meth:`close`.  Worker threads share every
-    process-global (the fast-path dispatch flag, matrix caches), so no
-    per-batch state synchronization is needed.
+    and restarts lazily after :meth:`close`.  Worker threads share the
+    parent's address space (matrix caches included), so tasks and results
+    pass by reference.
     """
 
     def __init__(self, workers: int):

@@ -126,14 +126,12 @@ def probe_state():
     import os
     import threading
 
-    from ..perf import dispatch
     from .executor import get_executor, in_worker
 
     return {
         "pid": os.getpid(),
         "thread": threading.get_ident(),
         "in_worker": in_worker(),
-        "fast_paths": dispatch.enabled(),
         "nested_executor": type(get_executor(4)).__name__,
         "nested_thread_executor": type(
             get_executor(4, backend="thread")

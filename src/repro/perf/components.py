@@ -1,12 +1,12 @@
-"""Batched-union connected components — the fast twin of the union-find.
+"""Batched-union connected components by min-label propagation.
 
 Min-label propagation: every vertex repeatedly takes the minimum label
 over itself and its neighbours (both edge directions, via the matrix and
 its transpose, each a gather + segmented ``minimum.reduceat``), with a
 pointer-jumping step (``labels = labels[labels]``) to collapse chains in
 O(log n) rounds.  At the fixpoint each vertex holds the minimum vertex id
-of its component, so after the shared first-occurrence canonicalization
-the labels are identical to the union-find reference.
+of its component, so after first-occurrence canonicalization the labels
+depend only on the partition — identical to what a union-find produces.
 """
 
 from __future__ import annotations

@@ -1,17 +1,18 @@
-"""Dense-scatter ESC SpGEMM — the fast numeric twin of ``spgemm_esc``.
+"""ESC SpGEMM — the numeric kernel behind ``spgemm_esc``.
 
-The faithful path expands, *sorts* by (column, row) and compresses runs
-with the canonical left-to-right group sum.  The fast path skips the sort
-entirely: output coordinates are encoded as ``col·nrows + row`` and the
-products are scattered into a dense accumulator with ``np.bincount``,
-which also sums strictly in element order — and the expansion enumerates
-coordinates in exactly the order the stable lexsort would leave within
-each output coordinate, so the sums are bit-identical to the slow path.
+Output coordinates are encoded as ``col·nrows + row`` and the products are
+scattered into a dense accumulator with ``np.bincount``, which sums
+strictly in element order.  The expansion enumerates products in B-entry
+order, i.e. by (output column, position of the B nonzero, row of A) — for
+one output coordinate that is the order in which the heap kernel pops its
+cursors and the hash kernel probes its table, so the three kernels produce
+bit-identical sums.  This left-to-right order is the library's canonical
+summation order.
 
-When the dense accumulator would be disproportionately large the kernel
-falls back to a single combined-key stable argsort (identical permutation
-to the slow path's two-key lexsort, roughly 2.7× faster) plus the same
-ordered group sum.
+When the dense accumulator would be disproportionately large
+(:func:`dense_pays`) the kernel instead sorts the combined key with one
+*stable* argsort, which keeps the same element order inside every run, and
+sums the runs with the same ordered group sum.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ def _expand(a: CSCMatrix, b: CSCMatrix, total: int, reps: np.ndarray,
     return key, prod
 
 
-def spgemm_esc_fast(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
-    """``C = A·B`` bit-identical to the faithful expand–sort–compress."""
+def expand_compress(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
+    """``C = A·B`` for non-empty operands of matching inner dimension."""
     shape = (a.nrows, b.ncols)
     reps = a.column_lengths()[b.indices]
     ends = np.cumsum(reps)

@@ -1,16 +1,16 @@
-"""Batched k-way triple-list merge — the fast twin of ``merge_lists``.
+"""Batched k-way triple-list merge — the kernel behind ``merge_lists``.
 
-The faithful merge concatenates the lists, lexsorts by (col, row) and
-sums runs left-to-right.  Because each input list is already sorted and
-duplicate-free, the merged coordinate multiset fits a dense accumulator:
-encode (col, row) as one flat key and ``np.bincount`` the values.  The
-stable lexsort keeps colliding entries in concatenation order, and
-bincount accumulates in exactly that order, so the sums are bit-identical.
-Cancellation zeros survive (occupancy is tracked by touch, not by value),
-matching the slow path.
+Each input list is sorted and duplicate-free, so the merged coordinate
+multiset fits a dense accumulator: encode (col, row) as one flat key and
+``np.bincount`` the values.  bincount accumulates in input order, i.e.
+colliding entries are summed in concatenation (list) order — the
+library's canonical left-to-right order, the same a sequential
+accumulator over the lists would use.  Cancellation zeros survive
+(occupancy is tracked by touch, not by value).
 
-Oversized outputs fall back to a combined-key stable argsort — the same
-permutation the lexsort would produce, on a single int64 key.
+Oversized outputs take a combined-key *stable* argsort instead, which
+keeps colliding entries in the same concatenation order, then the
+ordered group sum.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .arena import global_arena
 from .esc import DENSE_CELL_LIMIT, DENSE_WASTE_FACTOR
 
 
-def merge_triples_fast(lists, shape):
+def merge_triples(lists, shape):
     """Merge sorted, duplicate-free triple lists; returns (cols, rows, vals).
 
     ``lists`` must be non-empty lists (the caller strips empties), all of
@@ -70,15 +70,15 @@ def range_dense_eligible(nrows, lo, hi, n) -> bool:
     return n > 0 and cells <= DENSE_CELL_LIMIT and cells <= DENSE_WASTE_FACTOR * n
 
 
-def merge_keyed_range_fast(key, vals, nrows, lo, hi):
+def merge_keyed_range_dense(key, vals, nrows, lo, hi):
     """Dense-scatter accumulate flat keys restricted to columns [lo, hi).
 
     ``key`` holds ``col * nrows + row`` entries whose columns all fall in
     the range; the accumulator is offset by ``lo * nrows`` so only the
-    range's cells are materialized.  Same bit-identity argument as
-    :func:`merge_triples_fast`: bincount sums in input order, matching the
-    stable lexsort's left-to-right run accumulation.  The caller must have
-    checked :func:`range_dense_eligible`.
+    range's cells are materialized.  Same order argument as
+    :func:`merge_triples`: bincount sums in input order, matching a stable
+    sort's left-to-right run accumulation.  The caller must have checked
+    :func:`range_dense_eligible`.
     """
     base = np.int64(lo) * np.int64(nrows)
     cells = range_cells(nrows, lo, hi)

@@ -1,21 +1,24 @@
-"""Partition-based per-column top-k — the fast twin of the prune paths.
+"""Partition-based per-column top-k for the prune paths.
 
-The faithful selection ranks every entry inside its column with a global
-``lexsort((-vals, cols))`` and keeps ranks below k.  The fast path never
-sorts: it finds each column's k-th largest value with one segment-padded
-``np.partition`` call, keeps everything strictly above that threshold,
-and fills the remaining quota with threshold ties *in position order* —
-which is precisely the order the stable descending sort would have kept.
-The selected entry set (and therefore every downstream value) is
-identical; no new floating-point values are created.
+"Keep the k largest entries of each column, ties broken by position" is
+the keep-set a stable descending sort within each column would rank below
+k.  This module finds it without sorting: each column's k-th largest
+value comes from one segment-padded ``np.partition`` call, everything
+strictly above that threshold is kept, and the remaining quota is filled
+with threshold ties *in position order* — precisely the entries the
+stable sort would have kept.  No new floating-point values are created.
+
+When padding every column to the longest one would be wasteful
+(:data:`PAD_WASTE_FACTOR`, :data:`PAD_CELL_LIMIT`) the functions return
+``None`` and the caller ranks by sorting instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Fall back to the sort-based path when padding the columns to the
-#: longest one would blow the footprint up by more than this factor.
+#: Hand back to the caller's sort-based ranking when padding the columns
+#: to the longest one would blow the footprint up by more than this factor.
 PAD_WASTE_FACTOR = 64
 PAD_CELL_LIMIT = 1 << 24
 
@@ -26,7 +29,7 @@ def column_kth_largest(
     """Per-column k-th largest value; ``-inf`` where the column has < k
     entries.  ``cols`` must be sorted ascending (values in any order
     within a column).  Returns None when padding would be wasteful —
-    the caller then uses its sort-based reference path.
+    the caller then ranks by sorting.
     """
     n = len(cols)
     if n == 0:
@@ -55,7 +58,7 @@ def topk_select_mask(
     """Boolean keep-mask equal to "stable descending rank within column < k".
 
     ``cols`` must be sorted ascending with ties resolved by original
-    position (CSC entry order) — the order the stable reference sort uses.
+    position (CSC entry order) — the order a stable sort would keep.
     Returns None when the padded partition is not worthwhile.
     """
     n = len(cols)

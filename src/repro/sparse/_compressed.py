@@ -111,10 +111,7 @@ def sum_duplicates(indptr, indices, data, n_major: int):
     out_major = major[starts]
     out_minor = minor[starts]
     out_vals = np.add.reduceat(vals, starts)
-    out_indptr = np.zeros(n_major + 1, dtype=INDEX_DTYPE)
-    np.add.at(out_indptr, out_major + 1, 1)
-    np.cumsum(out_indptr, out=out_indptr)
-    return out_indptr, out_minor, out_vals
+    return compress_major(out_major, n_major), out_minor, out_vals
 
 
 def prune_explicit_zeros(indptr, indices, data, n_major: int):
@@ -123,11 +120,7 @@ def prune_explicit_zeros(indptr, indices, data, n_major: int):
     if keep.all():
         return indptr.copy(), indices.copy(), data.copy()
     major = np.repeat(np.arange(n_major, dtype=INDEX_DTYPE), np.diff(indptr))
-    major = major[keep]
-    out_indptr = np.zeros(n_major + 1, dtype=INDEX_DTYPE)
-    np.add.at(out_indptr, major + 1, 1)
-    np.cumsum(out_indptr, out=out_indptr)
-    return out_indptr, indices[keep], data[keep]
+    return compress_major(major[keep], n_major), indices[keep], data[keep]
 
 
 def groupsum_ordered(vals: np.ndarray, boundary: np.ndarray) -> np.ndarray:
@@ -137,7 +130,7 @@ def groupsum_ordered(vals: np.ndarray, boundary: np.ndarray) -> np.ndarray:
     canonical summation order for duplicate coordinates.  ``np.add.reduceat``
     is *not* used because it sums pairwise on long runs; ``np.bincount``
     matches the naive sequential loop bit-for-bit, which is what lets the
-    dense-scatter fast paths in :mod:`repro.perf` reproduce these sums
+    dense-scatter kernels in :mod:`repro.perf` reproduce these sums
     exactly.
     """
     if len(vals) == 0:
@@ -145,13 +138,6 @@ def groupsum_ordered(vals: np.ndarray, boundary: np.ndarray) -> np.ndarray:
     gid = np.cumsum(boundary)
     gid -= 1
     return np.bincount(gid, weights=vals, minlength=int(gid[-1]) + 1)
-
-
-def compress_sorted_major(major: np.ndarray, n_major: int) -> np.ndarray:
-    """Like :func:`compress_major` but via binary search — requires the
-    major indices to be sorted ascending (true for every kernel output)."""
-    bounds = np.arange(n_major + 1, dtype=INDEX_DTYPE)
-    return np.searchsorted(major, bounds, side="left").astype(INDEX_DTYPE)
 
 
 def major_lengths(indptr) -> np.ndarray:
@@ -165,10 +151,13 @@ def expand_major(indptr, n_major: int) -> np.ndarray:
 
 
 def compress_major(major: np.ndarray, n_major: int) -> np.ndarray:
-    """Build an indptr from a *sorted* array of major indices."""
+    """Build an indptr by counting the entries of each major index.
+
+    The count does not depend on the order of ``major``; the entries it
+    describes must of course be stored grouped by major index.
+    """
     indptr = np.zeros(n_major + 1, dtype=INDEX_DTYPE)
-    np.add.at(indptr, major + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(major, minlength=n_major), out=indptr[1:])
     return indptr
 
 
@@ -178,12 +167,9 @@ def swap_compression(indptr, indices, data, n_major: int, n_minor: int):
     A counting sort over minor indices: O(nnz + n_minor), fully vectorized.
     Output slices come out sorted by the old major index.
     """
-    nnz = len(indices)
-    new_indptr = np.zeros(n_minor + 1, dtype=INDEX_DTYPE)
-    if nnz == 0:
+    new_indptr = compress_major(indices, n_minor)
+    if len(indices) == 0:
         return new_indptr, indices[:0].copy(), data[:0].copy()
-    np.add.at(new_indptr, indices + 1, 1)
-    np.cumsum(new_indptr, out=new_indptr)
     major = expand_major(indptr, n_major)
     order = np.argsort(indices, kind="stable")
     return new_indptr, major[order], data[order]

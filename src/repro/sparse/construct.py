@@ -36,19 +36,11 @@ def csc_from_triples(shape, rows, cols, vals, *, sum_dup: bool = True) -> CSCMat
             raise ShapeError(f"row ids out of range [0, {nrows})")
         if cols.min() < 0 or cols.max() >= ncols:
             raise ShapeError(f"col ids out of range [0, {ncols})")
-    from ..perf import dispatch
-
-    if dispatch.enabled():
-        # Stable argsort of the fused key is the same permutation as the
-        # two-key lexsort (rows < nrows by the range check above).
-        order = np.argsort(cols * np.int64(nrows) + rows, kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        indptr = _c.compress_sorted_major(cols, ncols)
-    else:
-        order = np.lexsort((rows, cols))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        indptr = _c.compress_major(cols, ncols)
-    mat = CSCMatrix(shape, indptr, rows, vals, check=False)
+    # Stable sort of the fused (col, row) key (rows < nrows by the range
+    # check above): duplicate coordinates stay in input order.
+    order = np.argsort(cols * np.int64(nrows) + rows, kind="stable")
+    indptr = _c.compress_major(cols, ncols)
+    mat = CSCMatrix(shape, indptr, rows[order], vals[order], check=False)
     if sum_dup:
         mat = mat.sum_duplicates()
     return mat
@@ -157,19 +149,12 @@ def block_of_csc(
     Used by the 2-D distribution layer to carve the global matrix into
     per-rank submatrices.  O(nnz of the column slab).
     """
-    from ..perf import dispatch
-
     slab = mat.column_slab(col_lo, col_hi)
     keep = (slab.indices >= row_lo) & (slab.indices < row_hi)
     cols = _c.expand_major(slab.indptr, slab.ncols)[keep]
-    indptr = (
-        _c.compress_sorted_major(cols, slab.ncols)
-        if dispatch.enabled()
-        else _c.compress_major(cols, slab.ncols)
-    )
     return CSCMatrix(
         (row_hi - row_lo, col_hi - col_lo),
-        indptr,
+        _c.compress_major(cols, slab.ncols),
         slab.indices[keep] - row_lo,
         slab.data[keep],
         check=False,

@@ -77,30 +77,23 @@ class DCSCMatrix:
     def from_csc(cls, mat: CSCMatrix) -> "DCSCMatrix":
         """Compress a CSC matrix's column pointers (drops empty columns).
 
-        Under the fast-path dispatch the conversion is memoized on the
-        source matrix and shares ``ir``/``num`` with it *by reference* —
-        the zero-copy mirror of :meth:`to_csc` (the library's matrices
-        never mutate their arrays after construction; in-place surgery
-        must call ``invalidate_caches``, which also drops this memo).
+        The conversion is memoized on the source matrix and shares
+        ``ir``/``num`` with it *by reference* — the zero-copy mirror of
+        :meth:`to_csc` (the library's matrices never mutate their arrays
+        after construction; in-place surgery must call
+        ``invalidate_caches``, which also drops this memo).
         """
-        from ..perf import dispatch
-
-        if not dispatch.enabled():
-            return cls._from_csc(mat, copy=True)
         from ..perf.cache import memo
 
-        return memo(mat, "dcsc", lambda: cls._from_csc(mat, copy=False))
+        def build():
+            lens = mat.column_lengths()
+            jc = np.flatnonzero(lens).astype(_c.INDEX_DTYPE)
+            cp = np.concatenate(
+                ([0], np.cumsum(lens[jc], dtype=_c.INDEX_DTYPE))
+            )
+            return cls(mat.shape, jc, cp, mat.indices, mat.data, check=False)
 
-    @classmethod
-    def _from_csc(cls, mat: CSCMatrix, *, copy: bool) -> "DCSCMatrix":
-        lens = mat.column_lengths()
-        jc = np.flatnonzero(lens).astype(_c.INDEX_DTYPE)
-        cp = np.concatenate(
-            ([0], np.cumsum(lens[jc], dtype=_c.INDEX_DTYPE))
-        )
-        ir = mat.indices if not copy else mat.indices.copy()
-        num = mat.data if not copy else mat.data.copy()
-        return cls(mat.shape, jc, cp, ir, num, check=False)
+        return memo(mat, "dcsc", build)
 
     @classmethod
     def empty(cls, shape) -> "DCSCMatrix":

@@ -75,15 +75,9 @@ def hadamard_product(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
 
 def filter_threshold(mat: CSCMatrix, threshold: float) -> CSCMatrix:
     """Keep entries with value >= ``threshold`` (MCL's cutoff prune)."""
-    from ..perf import dispatch
-
     keep = mat.data >= threshold
     cols = _c.expand_major(mat.indptr, mat.ncols)[keep]
-    indptr = (
-        _c.compress_sorted_major(cols, mat.ncols)
-        if dispatch.enabled()
-        else _c.compress_major(cols, mat.ncols)
-    )
+    indptr = _c.compress_major(cols, mat.ncols)
     return CSCMatrix(
         mat.shape, indptr, mat.indices[keep], mat.data[keep], check=False
     )

@@ -9,19 +9,18 @@ numeric engine: the simulated GPU kernels and the distributed driver use it
 to produce real numeric results while the machine model charges the cost of
 whichever algorithm was *selected*.
 
-Complexity: O(flops · log flops) time, O(flops) transient memory — the
-memory profile that motivates HipMCL's phased execution in the first place.
+The kernel (:mod:`repro.perf.esc`) compresses without sorting whenever a
+dense accumulator over the output block is cheaper than sorting the
+products, and by one stable key sort otherwise.  Complexity: at most
+O(flops · log flops) time, O(flops) transient memory — the memory profile
+that motivates HipMCL's phased execution in the first place.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ShapeError
-from ..perf import dispatch
-from ..perf.esc import spgemm_esc_fast
+from ..perf.esc import expand_compress
 from ..sparse import CSCMatrix
-from ..sparse import _compressed as _c
 
 
 def spgemm_esc(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
@@ -30,8 +29,8 @@ def spgemm_esc(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
     Output has sorted row indices within each column, duplicates summed,
     and no explicitly-stored zeros introduced by the expansion (exact
     cancellations are kept, matching IEEE summation of the other kernels).
-    Routes to the dense-scatter fast path (:mod:`repro.perf.esc`) when
-    fast paths are enabled — bit-identical output either way.
+    Large products fan column slabs out over the executor; the numeric
+    kernel is :func:`repro.perf.esc.expand_compress`.
     """
     if a.ncols != b.nrows:
         raise ShapeError(
@@ -40,61 +39,22 @@ def spgemm_esc(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
     shape = (a.nrows, b.ncols)
     if a.nnz == 0 or b.nnz == 0:
         return CSCMatrix.empty(shape)
-    if dispatch.enabled():
-        from ..parallel import get_executor
+    from ..parallel import get_executor
 
-        ex = get_executor()
-        if ex.workers > 1 and b.ncols >= 2 * ex.workers:
-            from ..parallel.work import (
-                PARALLEL_MIN_FLOPS,
-                parallel_spgemm_columns,
-            )
+    ex = get_executor()
+    if ex.workers > 1 and b.ncols >= 2 * ex.workers:
+        from ..parallel.work import (
+            PARALLEL_MIN_FLOPS,
+            parallel_spgemm_columns,
+        )
 
-            if expansion_size(a, b) >= PARALLEL_MIN_FLOPS:
-                # Output columns are independent and each sums strictly
-                # within itself, so slab-wise fan-out is bit-identical
-                # (inside a pool worker get_executor is serial — no
-                # nested fan-out).
-                return parallel_spgemm_columns(ex, "esc", a, b)
-        return spgemm_esc_fast(a, b)
-
-    a_col_lens = a.column_lengths()
-    # Expansion: for every nonzero b_kj, replicate column k of A.
-    reps = a_col_lens[b.indices]  # products generated per B-nonzero
-    total = int(reps.sum())
-    if total == 0:
-        return CSCMatrix.empty(shape)
-
-    # Gather offsets into A's arrays for each expanded product: for the
-    # p-th B-nonzero we need A.indices[start_p : start_p + reps_p].  Build
-    # the flat gather index with the classic cumsum-of-resets trick.
-    starts = a.indptr[b.indices]  # first A slot per B-nonzero
-    ends = np.cumsum(reps)
-    flat = np.arange(total, dtype=np.int64)
-    # Subtract the start of each segment, then add A's slice offset.
-    seg_origin = np.repeat(ends - reps, reps)
-    a_slot = flat - seg_origin + np.repeat(starts, reps)
-
-    rows = a.indices[a_slot]
-    prod = a.data[a_slot] * np.repeat(b.data, reps)
-    out_col = np.repeat(
-        _c.expand_major(b.indptr, b.ncols), reps
-    )  # output column = B's column
-
-    # Sort by (column, row) then compress duplicate coordinates.
-    order = np.lexsort((rows, out_col))
-    rows, prod, out_col = rows[order], prod[order], out_col[order]
-    boundary = np.empty(total, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (rows[1:] != rows[:-1]) | (out_col[1:] != out_col[:-1])
-    group_starts = np.flatnonzero(boundary)
-    c_rows = rows[group_starts]
-    c_cols = out_col[group_starts]
-    # Canonical left-to-right summation (see groupsum_ordered): matches
-    # the dense-scatter fast path bit-for-bit.
-    c_vals = _c.groupsum_ordered(prod, boundary)
-    indptr = _c.compress_major(c_cols, b.ncols)
-    return CSCMatrix(shape, indptr, c_rows, c_vals, check=False)
+        if expansion_size(a, b) >= PARALLEL_MIN_FLOPS:
+            # Output columns are independent and each sums strictly
+            # within itself, so slab-wise fan-out is bit-identical
+            # (inside a pool worker get_executor is serial — no
+            # nested fan-out).
+            return parallel_spgemm_columns(ex, "esc", a, b)
+    return expand_compress(a, b)
 
 
 def expansion_size(a: CSCMatrix, b: CSCMatrix) -> int:

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EstimationError, ShapeError
-from ..perf import dispatch
-from ..perf.estimator import propagate_min_fast
+from ..perf.arena import global_arena
 from ..sparse import CSCMatrix
 from ..util.rng import as_generator
 
@@ -38,18 +37,18 @@ def _propagate_min(keys: np.ndarray, mat: CSCMatrix) -> np.ndarray:
 
     ``keys`` has shape (r, n_in); result has shape (r, ncols) with +inf for
     empty columns.  This is one layer hop of Cohen's propagation.  The
-    arena-backed fast path computes the same minima on the same draws —
-    minimum is order-insensitive, so estimates agree bit-for-bit.
+    (r × nnz) gather lands in a reusable arena buffer rather than a fresh
+    allocation per hop — estimation runs twice per MCL iteration.
     """
-    if dispatch.enabled():
-        return propagate_min_fast(keys, mat)
     r = keys.shape[0]
     out = np.full((r, mat.ncols), np.inf)
-    lens = mat.column_lengths()
-    nonempty = np.flatnonzero(lens)
+    nonempty = np.flatnonzero(mat.column_lengths())
     if len(nonempty) == 0:
         return out
-    gathered = keys[:, mat.indices]  # (r, nnz)
+    nnz = mat.nnz
+    gathered = global_arena().buffer("est:gather", r * nnz, np.float64)
+    gathered = gathered.reshape(r, nnz)
+    np.take(keys, mat.indices, axis=1, mode="clip", out=gathered)
     out[:, nonempty] = np.minimum.reduceat(
         gathered, mat.indptr[nonempty], axis=1
     )

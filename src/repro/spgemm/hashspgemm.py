@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from ..perf import dispatch
 from ..perf.arena import global_arena
 from ..sparse import CSCMatrix
 
@@ -92,55 +91,50 @@ def spgemm_hash(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
         return CSCMatrix.empty(shape)
     a_indptr, a_indices, a_data = a.indptr, a.indices, a.data
 
-    use_spa = dispatch.enabled()
-    layout = col_lo = col_hi = None
-    if use_spa:
-        a_col_lens = a.column_lengths()
-        from ..parallel import get_executor
+    a_col_lens = a.column_lengths()
+    from ..parallel import get_executor
 
-        ex = get_executor()
-        if ex.workers > 1 and b.ncols >= 2 * ex.workers:
-            from ..parallel.work import (
-                PARALLEL_MIN_FLOPS,
-                parallel_spgemm_columns,
+    ex = get_executor()
+    if ex.workers > 1 and b.ncols >= 2 * ex.workers:
+        from ..parallel.work import (
+            PARALLEL_MIN_FLOPS,
+            parallel_spgemm_columns,
+        )
+
+        if int(a_col_lens[b.indices].sum()) >= PARALLEL_MIN_FLOPS:
+            # Column-independent kernel: slab fan-out is bit-identical
+            # (workers run serially inside — no nested fan-out).
+            return parallel_spgemm_columns(ex, "hash", a, b)
+    from ..locality.layout import active_layout, column_windows
+
+    layout = active_layout()
+    slot_indices = col_lo = col_hi = None
+    if layout is not None and layout.n == a.nrows == a.ncols:
+        # Windowed SPA: accumulate at layout slots (one slot-mapped
+        # copy of A's index array, memoized per layout) so the dump
+        # scans each column's layout span instead of all nrows.
+        # Worth it only when the layout actually tightened the spans:
+        # a wide-window layout would pay the per-column slot→row
+        # re-sort without shrinking the scan, so gate on the
+        # aggregate profile being well under the dense scan area.
+        col_lo, col_hi = column_windows(a, layout)
+        profile = int(np.maximum(col_hi - col_lo + 1, 0).sum())
+        if profile * 4 <= a.nrows * a.ncols:
+            from ..perf.cache import memo
+
+            lay = layout
+            slot_indices = memo(
+                a, ("locality:slots", layout.token),
+                lambda: lay.position[a.indices],
             )
-
-            if int(a_col_lens[b.indices].sum()) >= PARALLEL_MIN_FLOPS:
-                # Column-independent kernel: slab fan-out is bit-identical
-                # (workers run serially inside — no nested fan-out).
-                return parallel_spgemm_columns(ex, "hash", a, b)
-        from ..locality.layout import active_layout, column_windows
-
-        layout = active_layout()
-        slot_indices = None
-        if layout is not None and layout.n == a.nrows == a.ncols:
-            # Windowed SPA: accumulate at layout slots (one slot-mapped
-            # copy of A's index array, memoized per layout) so the dump
-            # scans each column's layout span instead of all nrows.
-            # Worth it only when the layout actually tightened the spans:
-            # a wide-window layout would pay the per-column slot→row
-            # re-sort without shrinking the scan, so gate on the
-            # aggregate profile being well under the dense scan area.
-            col_lo, col_hi = column_windows(a, layout)
-            profile = int(
-                np.maximum(col_hi - col_lo + 1, 0).sum()
-            )
-            if profile * 4 <= a.nrows * a.ncols:
-                from ..perf.cache import memo
-
-                lay = layout
-                slot_indices = memo(
-                    a, ("locality:slots", layout.token),
-                    lambda: lay.position[a.indices],
-                )
-            else:
-                layout = None
         else:
             layout = None
-        arena = global_arena()
-        scratch = arena.buffer("hash:scratch", a.nrows, np.float64)
-        scratch[:] = 0.0
-        touched = arena.flags("hash:touched", a.nrows)
+    else:
+        layout = None
+    arena = global_arena()
+    scratch = arena.buffer("hash:scratch", a.nrows, np.float64)
+    scratch[:] = 0.0
+    touched = arena.flags("hash:touched", a.nrows)
 
     col_counts = np.zeros(b.ncols, dtype=np.int64)
     out_rows: list[np.ndarray] = []
@@ -151,7 +145,7 @@ def spgemm_hash(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
         if b_hi == b_lo:
             continue
         keys = b.indices[b_lo:b_hi]
-        if use_spa and int(a_col_lens[keys].sum()) > SPA_FLOPS_THRESHOLD:
+        if int(a_col_lens[keys].sum()) > SPA_FLOPS_THRESHOLD:
             window = None
             if layout is not None:
                 window = (

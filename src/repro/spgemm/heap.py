@@ -8,8 +8,10 @@ log factor is paid *per flop*, so the kernel degrades exactly when MCL's
 matrices densify (cf grows, ~1000 nonzeros/column) and hash tables win.
 
 This implementation is deliberately faithful (``heapq`` over per-column
-cursors) rather than maximally vectorized; it is the correctness baseline
-and the small-cf CPU path of the hybrid selector.
+cursors) rather than vectorized: it is the paper's *before* kernel, runs
+only where a caller asks for the real algorithm (``run_kernel``,
+``run_real_kernels``), and serves the tests as an independent oracle for
+the ESC kernel that produces the simulator's numbers.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import heapq
 import numpy as np
 
 from ..errors import ShapeError
-from ..perf import dispatch
 from ..sparse import CSCMatrix
 from ..sparse import _compressed as _c
 
@@ -27,12 +28,12 @@ from ..sparse import _compressed as _c
 def spgemm_heap(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
     """Multiply ``C = A·B`` (both CSC) with per-column k-way heap merges.
 
-    Routes to the dense-scatter ESC fast path when fast paths are enabled
-    — bit-identical output: the heap pops in ``(row, cursor)`` order, and
-    a cursor's id is its B-nonzero's position, so every output entry sums
-    its contributions in exactly the element order ESC's stable
-    expand–compress uses (a cursor's own duplicates pop in position order
-    because only one entry per cursor is in the heap at a time).
+    Bit-identical to :func:`~repro.spgemm.esc.spgemm_esc`: the heap pops
+    in ``(row, cursor)`` order, and a cursor's id is its B-nonzero's
+    position, so every output entry sums its contributions in exactly the
+    element order ESC's stable expand–compress uses (a cursor's own
+    duplicates pop in position order because only one entry per cursor is
+    in the heap at a time).
     """
     if a.ncols != b.nrows:
         raise ShapeError(
@@ -42,10 +43,6 @@ def spgemm_heap(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
     if a.nnz == 0 or b.nnz == 0:
         return CSCMatrix.empty(shape)
     a = a.sorted() if not a.has_sorted_indices() else a
-    if dispatch.enabled():
-        from ..perf.esc import spgemm_esc_fast
-
-        return spgemm_esc_fast(a, b)
     a_indptr, a_indices, a_data = a.indptr, a.indices, a.data
 
     out_cols: list[np.ndarray] = []

@@ -21,6 +21,24 @@ def assert_matrix_equals_dense(mat, expected, tol=1e-12):
         )
 
 
+def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Float arrays equal down to the bit pattern (NaN-safe, ±0-strict)."""
+    return len(a) == len(b) and bool(
+        np.array_equal(
+            np.ascontiguousarray(a).view(np.uint64),
+            np.ascontiguousarray(b).view(np.uint64),
+        )
+    )
+
+
+def assert_same_csc(got, want):
+    """Two CSC matrices with identical structure and bit-identical values."""
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert bits_equal(got.data, want.data)
+
+
 def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
     """Adjusted Rand index between two labelings (no sklearn offline)."""
     a = np.asarray(a)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ShapeError
 from repro.mcl import MclOptions
 from repro.mcl.distributed_prune import (
     distributed_prune_block_column,
@@ -61,7 +62,7 @@ class TestThreshold:
         assert np.all(np.isneginf(th))
 
     def test_width_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             distributed_topk_threshold(
                 [CSCMatrix.empty((5, 3)), CSCMatrix.empty((5, 4))], 2
             )

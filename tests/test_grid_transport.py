@@ -22,6 +22,8 @@ from repro.summa import (
 )
 from repro.trace import Tracer, activate
 
+from helpers import assert_same_csc
+
 
 # ---------------------------------------------------------------------------
 # The pure selector
@@ -259,12 +261,7 @@ class TestDemotionRung:
         assert res.transport_demotions == 1
         assert res.transport_selections.get("broadcast", 0) > 0
         for key, blk in ref.dist_c.blocks.items():
-            other = res.dist_c.blocks[key]
-            assert np.array_equal(blk.indptr, other.indptr)
-            assert np.array_equal(blk.indices, other.indices)
-            assert np.array_equal(
-                blk.data.view(np.uint64), other.data.view(np.uint64)
-            )
+            assert_same_csc(res.dist_c.blocks[key], blk)
 
 
 # ---------------------------------------------------------------------------

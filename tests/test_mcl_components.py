@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ShapeError
 from repro.mcl import (
     MclOptions,
     UnionFind,
@@ -183,7 +184,7 @@ class TestComponents:
         assert labels[0] != labels[1]
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             connected_components(random_csc((3, 4), 0.5, 1))
 
     def test_clusters_from_labels_largest_first(self):

@@ -26,8 +26,9 @@ from repro.parallel import (
 from repro.parallel import executor as executor_mod
 from repro.parallel import shm
 from repro.parallel.work import local_multiply, probe_state
-from repro.perf import dispatch
 from repro.sparse import random_csc
+
+from helpers import assert_same_csc
 
 
 @pytest.fixture(autouse=True)
@@ -193,16 +194,6 @@ class TestProcessExecutor:
         me = probe_state()
         assert me["in_worker"] is False
         assert me["nested_executor"] == "ProcessExecutor"
-
-    def test_fast_path_flag_propagates_per_batch(self):
-        ex = get_executor(2)
-        try:
-            dispatch.set_fast_paths(False)
-            assert not ex.run_batch(probe_state, [()])[0]["fast_paths"]
-            dispatch.set_fast_paths(True)
-            assert ex.run_batch(probe_state, [()])[0]["fast_paths"]
-        finally:
-            dispatch.set_fast_paths(True)
 
 
 # ---------------------------------------------------------------------------
@@ -375,24 +366,13 @@ class TestSubmitBatch:
 # ---------------------------------------------------------------------------
 
 
-def _same_csc(x, y):
-    return (
-        x.shape == y.shape
-        and np.array_equal(x.indptr, y.indptr)
-        and np.array_equal(x.indices, y.indices)
-        and np.array_equal(
-            x.data.view(np.uint64), y.data.view(np.uint64)
-        )
-    )
-
-
 class TestTransport:
     def test_small_blocks_pickle(self):
         mat = random_csc((8, 8), 0.2, seed=1)
         assert mat.memory_bytes() < SHM_MIN_BYTES
         handle = shm.export_csc(mat)
         assert handle[0] == "pkl"
-        assert _same_csc(shm.import_csc(handle), mat)
+        assert_same_csc(shm.import_csc(handle), mat)
 
     def test_large_blocks_use_shared_memory(self):
         mat = random_csc((400, 400), 0.1, seed=2)
@@ -400,7 +380,7 @@ class TestTransport:
         handle = shm.export_csc(mat)
         assert handle[0] == "shm"
         assert shm.export_csc(mat) is handle  # memoized per matrix
-        assert _same_csc(shm.import_csc(handle), mat)
+        assert_same_csc(shm.import_csc(handle), mat)
 
     def test_round_trip_through_a_real_worker(self):
         a = random_csc((300, 300), 0.08, seed=3)
@@ -410,7 +390,7 @@ class TestTransport:
         from repro.spgemm.esc import spgemm_esc
         from repro.summa.engine import _per_column_flops
 
-        assert _same_csc(product, spgemm_esc(a, b))
+        assert_same_csc(product, spgemm_esc(a, b))
         assert np.array_equal(
             per_col, _per_column_flops(a.column_lengths(), b)
         )
@@ -419,7 +399,7 @@ class TestTransport:
         mat = random_csc((10, 10), 0.3, seed=5)
         packed = shm.export_value(([mat], 7, "tag"))
         out = shm.import_value(packed)
-        assert _same_csc(out[0][0], mat)
+        assert_same_csc(out[0][0], mat)
         assert out[1:] == (7, "tag")
 
     def test_shutdown_unlinks_live_segments(self):

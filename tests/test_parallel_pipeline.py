@@ -1,6 +1,6 @@
 """Acceptance tests of the multicore layer: ``workers=N`` == ``workers=1``.
 
-The execution backend's contract is the same one the fast-path engine and
+The execution backend's contract is the same one the numeric kernels and
 the resilience layer pin: parallelism relocates computation across
 processes without reordering any reduction, so a run under any worker
 count reproduces the serial run bit-for-bit — labels, simulated clocks,
@@ -18,11 +18,12 @@ from repro.mcl.hipmcl import HipMCLConfig, hipmcl
 from repro.mcl.options import MclOptions
 from repro.parallel import get_executor
 from repro.parallel.work import parallel_spgemm_columns
-from repro.perf import fast_paths
 from repro.resilience import FaultPlan, divergence
 from repro.sparse import random_csc
 from repro.spgemm.esc import spgemm_esc
 from repro.spgemm.hashspgemm import spgemm_hash
+
+from helpers import assert_same_csc
 
 
 @pytest.fixture(scope="module")
@@ -80,15 +81,6 @@ class TestPipelineBitIdentity:
         assert par.faults_injected == ser.faults_injected
         assert_identical_runs(par, ser)
 
-    def test_slow_paths_under_workers(self, net, opts):
-        # REPRO_PERF=0 must propagate into the pool: the faithful kernels
-        # run in the workers and still match the serial faithful run.
-        cfg = HipMCLConfig(nodes=4)
-        with fast_paths(False):
-            ser = hipmcl(net, opts, cfg, workers=1)
-            par = hipmcl(net, opts, cfg, workers=4)
-        assert_identical_runs(par, ser)
-
     def test_checkpoint_resume_across_worker_counts(self, net, opts,
                                                     tmp_path):
         # A checkpoint written by a parallel run resumes serially (and
@@ -116,15 +108,6 @@ class TestPipelineBitIdentity:
 # ---------------------------------------------------------------------------
 
 
-def _assert_same(fast, slow):
-    assert fast.shape == slow.shape
-    assert np.array_equal(fast.indptr, slow.indptr)
-    assert np.array_equal(fast.indices, slow.indices)
-    assert np.array_equal(
-        fast.data.view(np.uint64), slow.data.view(np.uint64)
-    )
-
-
 class TestColumnFanOut:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), kind=st.sampled_from(["esc", "hash"]))
@@ -137,14 +120,14 @@ class TestColumnFanOut:
         b = random_csc((k, n), 0.2, seed=seed + 1)
         one_shot = {"esc": spgemm_esc, "hash": spgemm_hash}[kind](a, b)
         split = parallel_spgemm_columns(get_executor(1), kind, a, b)
-        _assert_same(split, one_shot)
+        assert_same_csc(split, one_shot)
 
     def test_slab_split_through_real_pool(self):
         a = random_csc((300, 300), 0.1, seed=42)
         b = random_csc((300, 300), 0.1, seed=43)
         ex = get_executor(2)
         for kind, fn in (("esc", spgemm_esc), ("hash", spgemm_hash)):
-            _assert_same(parallel_spgemm_columns(ex, kind, a, b), fn(a, b))
+            assert_same_csc(parallel_spgemm_columns(ex, kind, a, b), fn(a, b))
 
     def test_hook_triggers_above_threshold(self, monkeypatch):
         # Force the in-kernel hook (normally gated at PARALLEL_MIN_FLOPS)
@@ -159,5 +142,5 @@ class TestColumnFanOut:
         par_esc = spgemm_esc(a, b)
         par_hash = spgemm_hash(a, b)
         monkeypatch.delenv("REPRO_WORKERS")
-        _assert_same(par_esc, spgemm_esc(a, b))
-        _assert_same(par_hash, spgemm_hash(a, b))
+        assert_same_csc(par_esc, spgemm_esc(a, b))
+        assert_same_csc(par_hash, spgemm_hash(a, b))

@@ -1,4 +1,4 @@
-"""The perf subsystem's contracts: caches, arena, dispatch, bench compare."""
+"""The perf subsystem's contracts: caches, arena, bench compare."""
 
 import json
 import subprocess
@@ -16,10 +16,8 @@ from repro.bench.perfbench import (
     regressions,
     validate_report,
 )
-from repro.perf import fast_paths
 from repro.perf.arena import Arena
 from repro.perf.cache import memo
-from repro.perf import dispatch
 from repro.sparse import random_csc
 
 
@@ -178,21 +176,6 @@ def test_arena_release_drops_buffers():
     arena.release()
     fresh = arena.buffer("w", 10, np.float64)
     assert len(fresh) == 10
-
-
-# ---------------------------------------------------------------------------
-# Dispatch flag
-# ---------------------------------------------------------------------------
-
-
-def test_fast_paths_context_restores_state():
-    before = dispatch.enabled()
-    with fast_paths(False):
-        assert not dispatch.enabled()
-        with fast_paths(True):
-            assert dispatch.enabled()
-        assert not dispatch.enabled()
-    assert dispatch.enabled() == before
 
 
 # ---------------------------------------------------------------------------

@@ -1,58 +1,87 @@
-"""Property tests: every fast path is bit-identical to its faithful twin.
+"""Property tests: every numeric kernel against independent oracles.
 
-The fast kernels in :mod:`repro.perf` promise *bit* equality, not just
-``allclose`` — floating-point group sums are canonicalized to the same
-left-to-right order in both paths.  These tests flip the dispatch flag on
-identical inputs (including signed values, so cancellation is stressed)
-and compare the float results through their uint64 bit patterns.
+Each operation has one implementation in ``src/``; what defends it is code
+that shares nothing with it — the ``heapq`` and ``dict`` SpGEMM kernels,
+SciPy, or a few lines of sequential Python written here.  The kernels
+promise *bit* equality, not ``allclose`` (every group sum runs left to
+right), so floats are compared by bit pattern, on signed values so
+cancellation is stressed.  Where a kernel picks a strategy from the size of
+its input, the price constants are patched so every example runs both.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
+import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components as scipy_components
 
 from repro.merge.lists import TripleList, merge_lists
-from repro.mcl.components import connected_components
+from repro.merge.spkadd import spkadd_merge
+from repro.mcl.components import (
+    UnionFind, canonical_labels, connected_components,
+)
 from repro.mcl.distributed_prune import distributed_topk_threshold
 from repro.mcl.options import MclOptions
 from repro.mcl.prune import prune_columns
-from repro.perf import fast_paths
-from repro.sparse import csc_from_triples
+from repro.perf import esc as perf_esc
+from repro.perf import merge as perf_merge
+from repro.perf import topk as perf_topk
+from repro.sparse import (
+    CSCMatrix, DCSCMatrix, block_of_csc, csc_from_triples, filter_threshold,
+    hstack_csc, random_csc,
+)
+from repro.sparse import _compressed as _c
+from repro.spgemm import hashspgemm
 from repro.spgemm.esc import spgemm_esc
-from repro.spgemm.estimator import estimate_nnz
+from repro.spgemm.estimator import _propagate_min, estimate_nnz
 from repro.spgemm.hashspgemm import spgemm_hash
+from repro.spgemm.heap import spgemm_heap
+
+from helpers import assert_same_csc, bits_equal
+
+#: (limit, waste factor) pairs that force the dense-scatter side and the
+#: stable-key-sort side of ``dense_pays`` / ``range_dense_eligible``.
+DENSE, SORTED = (1 << 23, 1 << 30), (0, 32)
 
 
-def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """Float arrays equal down to the bit pattern (NaN-safe, ±0-strict)."""
-    return len(a) == len(b) and bool(
-        np.array_equal(
-            np.ascontiguousarray(a).view(np.uint64),
-            np.ascontiguousarray(b).view(np.uint64),
-        )
-    )
+@contextmanager
+def patched(module, **values):
+    """Module constants set for the duration of the ``with`` block."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in values.items():
+            mp.setattr(module, name, value)
+        yield
 
 
-def assert_same_csc(fast, slow):
-    assert fast.shape == slow.shape
-    assert np.array_equal(fast.indptr, slow.indptr)
-    assert np.array_equal(fast.indices, slow.indices)
-    assert bits_equal(fast.data, slow.data)
+def cols_of(mat):
+    return _c.expand_major(mat.indptr, mat.ncols)
+
+
+def scipy_product(a, b):
+    """``A @ B`` by SciPy, sorted.  SciPy drops entries that sum to zero."""
+    c = a.to_scipy() @ b.to_scipy()
+    c.sort_indices()
+    return CSCMatrix(c.shape, c.indptr, c.indices, c.data)
 
 
 @st.composite
-def signed_matrices(draw, max_dim=20, square=False):
-    """Sparse matrices with signed values and duplicate coordinates."""
+def signed_matrices(draw, max_dim=20, square=False, fill=2):
+    """Sparse matrices with signed values of mixed magnitude (so the order
+    of a three-term sum shows in its bits) and duplicate coordinates."""
     nrows = draw(st.integers(1, max_dim))
     ncols = nrows if square else draw(st.integers(1, max_dim))
-    nnz = draw(st.integers(0, 2 * max(nrows, ncols)))
+    nnz = draw(st.integers(0, fill * max(nrows, ncols)))
     rows = draw(st.lists(st.integers(0, nrows - 1), min_size=nnz, max_size=nnz))
     cols = draw(st.lists(st.integers(0, ncols - 1), min_size=nnz, max_size=nnz))
     vals = draw(
         st.lists(
-            st.floats(
-                min_value=-100.0, max_value=100.0,
-                allow_nan=False, allow_infinity=False,
+            st.builds(
+                lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+                st.floats(-100.0, 100.0, allow_nan=False),
+                st.integers(-4, 4),
             ),
             min_size=nnz, max_size=nnz,
         )
@@ -61,193 +90,238 @@ def signed_matrices(draw, max_dim=20, square=False):
 
 
 @st.composite
-def multipliable_pairs(draw, max_dim=18):
+def multipliable_pairs(draw, max_dim=10):
     m = draw(st.integers(1, max_dim))
     k = draw(st.integers(1, max_dim))
     n = draw(st.integers(1, max_dim))
-    a = draw(signed_matrices(max_dim=max_dim))
-    b = draw(signed_matrices(max_dim=max_dim))
+    # Small and half full: most output entries sum several products.
+    a = draw(signed_matrices(max_dim=max_dim, fill=5))
+    b = draw(signed_matrices(max_dim=max_dim, fill=5))
     # Reshape by rebuilding with the drawn inner dimension.
-    a = csc_from_triples(
-        (m, k), a.indices % m,
-        np.repeat(np.arange(a.ncols), np.diff(a.indptr)) % k, a.data,
-    )
-    b = csc_from_triples(
-        (k, n), b.indices % k,
-        np.repeat(np.arange(b.ncols), np.diff(b.indptr)) % n, b.data,
-    )
+    a = csc_from_triples((m, k), a.indices % m, cols_of(a) % k, a.data)
+    b = csc_from_triples((k, n), b.indices % k, cols_of(b) % n, b.data)
     return a, b
 
 
 @given(multipliable_pairs())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_esc_fast_bit_identical(pair):
     a, b = pair
-    with fast_paths(False):
-        slow = spgemm_esc(a, b)
-    with fast_paths(True):
-        fast = spgemm_esc(a, b)
-    assert_same_csc(fast, slow)
-
-
-@given(multipliable_pairs())
-@settings(max_examples=60, deadline=None)
-def test_hash_spa_bit_identical(pair):
-    a, b = pair
-    with fast_paths(False):
-        slow = spgemm_hash(a, b)
-    with fast_paths(True):
-        fast = spgemm_hash(a, b)
-    assert_same_csc(fast, slow)
+    heap, hashed = spgemm_heap(a, b), spgemm_hash(a, b)
+    for limit, waste in (DENSE, SORTED):
+        with patched(perf_esc, DENSE_CELL_LIMIT=limit,
+                     DENSE_WASTE_FACTOR=waste):
+            esc = spgemm_esc(a, b)
+        assert_same_csc(esc, heap)
+        assert_same_csc(esc, hashed)
+        assert_same_csc(esc.pruned_zeros(), scipy_product(a, b))
 
 
 @given(multipliable_pairs())
 @settings(max_examples=60, deadline=None)
 def test_heap_fast_bit_identical(pair):
-    # The heap kernel's fast twin is the sorted-A ESC fast path: the heap
-    # pops in (row, cursor) order, which is exactly ESC's stable
-    # expansion order, so the per-entry summation order coincides.
-    from repro.spgemm.heap import spgemm_heap
-
+    # The heap merges sorted cursors, so it sorts A's columns first (here
+    # stored in descending row order); the sums still run in B-entry
+    # order, which is what SciPy does too.
     a, b = pair
-    with fast_paths(False):
-        slow = spgemm_heap(a, b)
-    with fast_paths(True):
-        fast = spgemm_heap(a, b)
-    assert_same_csc(fast, slow)
+    order = np.lexsort((-a.indices, cols_of(a)))
+    flipped = CSCMatrix(a.shape, a.indptr, a.indices[order], a.data[order])
+    assert_same_csc(spgemm_heap(flipped, b).pruned_zeros(), scipy_product(a, b))
+
+
+@given(multipliable_pairs())
+@settings(max_examples=100, deadline=None)
+def test_hash_spa_bit_identical(pair):
+    # Both sides of SPA_FLOPS_THRESHOLD: every column through the dense
+    # scratch, then every column through the dict probe.
+    a, b = pair
+    with patched(hashspgemm, SPA_FLOPS_THRESHOLD=0):
+        spa = spgemm_hash(a, b)
+    with patched(hashspgemm, SPA_FLOPS_THRESHOLD=1 << 60):
+        probed = spgemm_hash(a, b)
+    assert_same_csc(spa, probed)
+    assert_same_csc(spa, spgemm_heap(a, b))
+
+
+def test_hash_spa_path_actually_engages(monkeypatch):
+    # At the shipped threshold one product uses both accumulators: heavy
+    # columns take the SPA, the thinned half stays on the dict.
+    a = random_csc((300, 300), 0.05, seed=3)
+    b = hstack_csc(
+        [a.column_slab(0, 150), random_csc((300, 150), 0.004, seed=4)]
+    )
+    spa_columns = []
+    real = hashspgemm._spa_column
+
+    def spy(*args, **kwargs):
+        spa_columns.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hashspgemm, "_spa_column", spy)
+    out = spgemm_hash(a, b)
+    assert 0 < len(spa_columns) < np.count_nonzero(b.column_lengths())
+    assert_same_csc(out, spgemm_esc(a, b))
 
 
 @given(signed_matrices(max_dim=24))
 @settings(max_examples=60, deadline=None)
 def test_dcsc_conversion_fast_bit_identical(mat):
-    from repro.sparse import DCSCMatrix
-
-    with fast_paths(False):
-        slow = DCSCMatrix.from_csc(mat)
-    with fast_paths(True):
-        fast = DCSCMatrix.from_csc(mat)
-        assert DCSCMatrix.from_csc(mat) is fast  # memoized on the source
-    assert fast.shape == slow.shape
-    assert np.array_equal(fast.jc, slow.jc)
-    assert np.array_equal(fast.cp, slow.cp)
-    assert np.array_equal(fast.ir, slow.ir)
-    assert bits_equal(fast.num, slow.num)
-    # Zero-copy direction: the fast twin shares the O(nnz) arrays.
-    assert fast.ir is mat.indices and fast.num is mat.data
-    assert slow.ir is not mat.indices
-
-
-def test_hash_spa_path_actually_engages():
-    # Dense enough that column flops exceed SPA_FLOPS_THRESHOLD.
-    from repro.sparse import random_csc
-    from repro.spgemm.hashspgemm import SPA_FLOPS_THRESHOLD
-
-    a = random_csc((300, 300), 0.05, seed=3)
-    assert int(a.column_lengths().sum()) > SPA_FLOPS_THRESHOLD
-    with fast_paths(False):
-        slow = spgemm_hash(a, a)
-    with fast_paths(True):
-        fast = spgemm_hash(a, a)
-    assert_same_csc(fast, slow)
+    d = DCSCMatrix.from_csc(mat)
+    assert_same_csc(d.to_csc(), mat)  # round trip
+    assert np.array_equal(d.jc, np.flatnonzero(mat.column_lengths()))
+    # Zero-copy and memoized on the source, until the source says its
+    # arrays were edited in place.
+    assert d.ir is mat.indices and d.num is mat.data
+    assert DCSCMatrix.from_csc(mat) is d
+    mat.invalidate_caches()
+    assert DCSCMatrix.from_csc(mat) is not d
 
 
 @given(st.lists(signed_matrices(max_dim=14), min_size=1, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_merge_fast_bit_identical(mats):
     shape = mats[0].shape
-    lists_a = [
-        TripleList.from_csc(
-            csc_from_triples(
-                shape,
-                m.indices % shape[0],
-                np.repeat(np.arange(m.ncols), np.diff(m.indptr)) % shape[1],
-                m.data,
-            )
-        )
+    # ``+ 0.0`` keeps -0.0 out: a lone list is returned untouched while a
+    # summed one starts from +0.0, like the accumulator below.
+    lists = [
+        TripleList.from_csc(csc_from_triples(
+            shape, m.indices % shape[0], cols_of(m) % shape[1], m.data + 0.0,
+        ))
         for m in mats
     ]
-    lists_b = [
-        TripleList(t.shape, t.cols.copy(), t.rows.copy(), t.vals.copy())
-        for t in lists_a
-    ]
-    with fast_paths(False):
-        slow = merge_lists(lists_a)
-    with fast_paths(True):
-        fast = merge_lists(lists_b)
-    assert fast.shape == slow.shape
-    assert np.array_equal(fast.cols, slow.cols)
-    assert np.array_equal(fast.rows, slow.rows)
-    assert bits_equal(fast.vals, slow.vals)
+    table = {}
+    for t in lists:  # left to right, one list after the other
+        for c, r, v in zip(t.cols.tolist(), t.rows.tolist(), t.vals.tolist()):
+            table[c, r] = table.get((c, r), 0.0) + v
+    coords = sorted(table)
+    want = np.array([table[cr] for cr in coords], dtype=np.float64)
+    for limit, waste in (DENSE, SORTED):
+        with patched(perf_merge, DENSE_CELL_LIMIT=limit,
+                     DENSE_WASTE_FACTOR=waste):
+            outs = [merge_lists(list(lists))] + [
+                spkadd_merge(list(lists), strategy=s, parts=2)
+                for s in ("tree", "hash")
+            ]
+        for out in outs:
+            assert list(zip(out.cols.tolist(), out.rows.tolist())) == coords
+            assert bits_equal(out.vals, want)
+
+
+def nonnegative(mat, ncols=None):
+    """Prune operates on non-negative flow matrices.  Nine value levels:
+    columns are full of ties, and the zeros fall to the cutoff."""
+    ncols = mat.ncols if ncols is None else ncols
+    return csc_from_triples(
+        (mat.nrows, ncols), mat.indices, cols_of(mat) % ncols,
+        np.round(np.abs(mat.data) % 8),
+    )
 
 
 @given(
-    signed_matrices(max_dim=20),
+    signed_matrices(max_dim=12, fill=6),
     st.integers(1, 6),
     st.integers(0, 4),
 )
 @settings(max_examples=80, deadline=None)
 def test_prune_fast_matches_reference(mat, select, recover):
-    # Prune operates on non-negative flow matrices.
-    mat = csc_from_triples(
-        mat.shape,
-        mat.indices,
-        np.repeat(np.arange(mat.ncols), np.diff(mat.indptr)),
-        np.abs(mat.data),
-    )
+    mat = nonnegative(mat)
     opts = MclOptions(
         select_number=select,
         recover_number=min(recover, select),  # validated: recover <= select
         prune_threshold=1e-3,
     )
-    with fast_paths(False):
-        slow, stats_slow = prune_columns(mat, opts)
-    with fast_paths(True):
-        fast, stats_fast = prune_columns(mat, opts)
-    assert_same_csc(fast, slow)
-    assert stats_fast == stats_slow
+    # Column by column: stable descending order, cutoff, top-k, recovery.
+    keep = np.zeros(mat.nnz, dtype=bool)
+    for lo, hi in zip(mat.indptr[:-1], mat.indptr[1:]):
+        order = lo + np.argsort(-mat.data[lo:hi], kind="stable")
+        alive = order[mat.data[order] >= opts.prune_threshold][:select]
+        keep[alive] = True
+        if len(alive) < opts.recover_number:
+            keep[order[: opts.recover_number]] = True
+    want = csc_from_triples(
+        mat.shape, mat.indices[keep], cols_of(mat)[keep], mat.data[keep]
+    )
+    partition, stats = prune_columns(mat, opts)
+    with patched(perf_topk, PAD_CELL_LIMIT=0):  # column_kth_largest → None
+        ranked, stats_ranked = prune_columns(mat, opts)
+    assert_same_csc(partition, want)
+    assert_same_csc(ranked, want)
+    assert stats == stats_ranked
+    assert stats.entries_out == int(keep.sum())
 
 
 @given(signed_matrices(max_dim=24, square=True))
 @settings(max_examples=80, deadline=None)
 def test_components_fast_matches_union_find(mat):
-    with fast_paths(False):
-        slow = connected_components(mat)
-    with fast_paths(True):
-        fast = connected_components(mat)
-    assert np.array_equal(fast, slow)
+    labels = connected_components(mat)
+    uf = UnionFind(mat.nrows)
+    for r, c in zip(mat.indices.tolist(), cols_of(mat).tolist()):
+        uf.union(r, c)
+    assert np.array_equal(labels, uf.labels())
+    pattern = sp.csc_matrix(
+        (np.ones(mat.nnz), mat.indices, mat.indptr), shape=mat.shape
+    )
+    _, raw = scipy_components(pattern, directed=False)
+    assert np.array_equal(labels, canonical_labels(raw))
 
 
 @given(
-    st.lists(signed_matrices(max_dim=16), min_size=1, max_size=4),
+    st.lists(signed_matrices(max_dim=12, fill=4), min_size=1, max_size=4),
     st.integers(1, 5),
 )
 @settings(max_examples=60, deadline=None)
 def test_distributed_topk_fast_matches(mats, k):
     ncols = mats[0].ncols
-    blocks = [
-        csc_from_triples(
-            (m.nrows, ncols),
-            m.indices,
-            np.repeat(np.arange(m.ncols), np.diff(m.indptr)) % ncols,
-            np.abs(m.data),
-        )
-        for m in mats
-    ]
-    with fast_paths(False):
-        slow = distributed_topk_threshold(blocks, k)
-    with fast_paths(True):
-        fast = distributed_topk_threshold(blocks, k)
-    assert bits_equal(fast, slow)
+    blocks = [nonnegative(m, ncols) for m in mats]
+    want = np.full(ncols, -np.inf)
+    for j in range(ncols):
+        column = np.sort(np.concatenate(
+            [blk.data[blk.indptr[j]:blk.indptr[j + 1]] for blk in blocks]
+        ))
+        if len(column) >= k:
+            want[j] = column[-k]
+    assert bits_equal(distributed_topk_threshold(blocks, k), want)
+    with patched(perf_topk, PAD_CELL_LIMIT=0):  # the candidate exchange
+        assert bits_equal(distributed_topk_threshold(blocks, k), want)
 
 
 @given(multipliable_pairs(), st.integers(2, 8))
 @settings(max_examples=40, deadline=None)
 def test_estimator_fixed_seed_identical(pair, keys):
     a, b = pair
-    with fast_paths(False):
-        slow = estimate_nnz(a, b, keys=keys, seed=42)
-    with fast_paths(True):
-        fast = estimate_nnz(a, b, keys=keys, seed=42)
-    assert bits_equal(fast.per_column, slow.per_column)
-    assert fast.total == slow.total
-    assert fast.operations == slow.operations
+    draws = np.random.default_rng(7).exponential(size=(keys, a.nrows))
+    stored = np.zeros(a.shape, dtype=bool)
+    stored[a.indices, cols_of(a)] = True
+    want = np.where(stored[None], draws[:, :, None], np.inf).min(axis=1)
+    assert bits_equal(_propagate_min(draws, a).ravel(), want.ravel())
+    # The shared arena buffer carries nothing from one call to the next.
+    first = estimate_nnz(a, b, keys=keys, seed=42)
+    again = estimate_nnz(a, b, keys=keys, seed=42)
+    assert bits_equal(first.per_column, again.per_column)
+    assert first.total == again.total
+
+
+@given(signed_matrices(max_dim=20), st.data())
+@settings(max_examples=60, deadline=None)
+def test_construct_and_filter_match_scipy(mat, data):
+    # Shuffled triples, the first half stored twice (a two-term sum is
+    # the same in either order, so the values compare bit for bit).
+    pick = np.asarray(data.draw(st.permutations(range(mat.nnz))), dtype=int)
+    pick = np.concatenate([pick, pick[: mat.nnz // 2]])
+    rows, cols, vals = mat.indices[pick], cols_of(mat)[pick], mat.data[pick]
+    ref = sp.coo_matrix((vals, (rows, cols)), shape=mat.shape).tocsc()
+    built = csc_from_triples(mat.shape, rows, cols, vals)
+    assert_same_csc(built, CSCMatrix.from_scipy(ref))
+    r0, r1 = sorted(data.draw(st.tuples(*[st.integers(0, mat.nrows)] * 2)))
+    c0, c1 = sorted(data.draw(st.tuples(*[st.integers(0, mat.ncols)] * 2)))
+    assert_same_csc(
+        block_of_csc(built, r0, r1, c0, c1),
+        CSCMatrix.from_scipy(ref[r0:r1, c0:c1]),
+    )
+    coo = ref.tocoo()
+    cut = np.sort(coo.data)[coo.nnz // 2] if coo.nnz else 0.5  # a stored value
+    above = coo.data >= cut
+    want = sp.coo_matrix(
+        (coo.data[above], (coo.row[above], coo.col[above])), shape=mat.shape
+    )
+    assert_same_csc(filter_threshold(built, cut), CSCMatrix.from_scipy(want))

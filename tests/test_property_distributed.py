@@ -10,6 +10,8 @@ from repro.mpi import ProcessGrid, VirtualComm
 from repro.sparse import csc_from_triples
 from repro.summa import DistributedCSC, SummaConfig, summa_multiply
 
+from helpers import assert_same_csc
+
 
 @st.composite
 def distributed_instances(draw):
@@ -96,12 +98,7 @@ def test_overlap_thread_backend_bit_identical(scale, edge_factor, seed, q,
     assert par.stage_flops == ser.stage_flops
     assert par.merge_operations == ser.merge_operations
     for key, blk in ser.dist_c.blocks.items():
-        other = par.dist_c.blocks[key]
-        assert np.array_equal(blk.indptr, other.indptr)
-        assert np.array_equal(blk.indices, other.indices)
-        assert np.array_equal(
-            blk.data.view(np.uint64), other.data.view(np.uint64)
-        )
+        assert_same_csc(par.dist_c.blocks[key], blk)
 
 
 @given(distributed_instances())

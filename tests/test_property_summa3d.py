@@ -20,6 +20,8 @@ from repro.summa import (
     summa_multiply,
 )
 
+from helpers import assert_same_csc
+
 #: Valid replication requests per grid side (c = r² with r | q).
 LAYER_CHOICES = {2: [0, 1, 4], 4: [0, 1, 4, 16]}
 
@@ -57,12 +59,7 @@ def _run(mat, q, phases, *, model=None, **kw):
 def _assert_blocks_identical(ref, cand):
     assert set(ref.dist_c.blocks) == set(cand.dist_c.blocks)
     for key, blk in ref.dist_c.blocks.items():
-        other = cand.dist_c.blocks[key]
-        assert np.array_equal(blk.indptr, other.indptr)
-        assert np.array_equal(blk.indices, other.indices)
-        assert np.array_equal(
-            blk.data.view(np.uint64), other.data.view(np.uint64)
-        )
+        assert_same_csc(cand.dist_c.blocks[key], blk)
 
 
 @given(grid3d_instances())

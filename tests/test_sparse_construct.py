@@ -13,7 +13,24 @@ from repro.sparse import (
     random_csc,
 )
 
+from repro.sparse import _compressed as _c
+
 from helpers import assert_matrix_equals_dense
+
+
+@pytest.mark.parametrize("major, n_major", [
+    ([0, 0, 2, 5, 5, 5], 7),  # sorted, empty slices at both ends
+    ([5, 0, 2, 5, 0, 5], 7),  # unsorted: the same counts
+    ([], 4),  # no entries
+    ([], 0),  # no major slices
+])
+def test_compress_major_counts_like_add_at(major, n_major):
+    major = np.asarray(major, dtype=np.int64)
+    want = np.zeros(n_major + 1, dtype=np.int64)
+    np.add.at(want, major + 1, 1)
+    np.cumsum(want, out=want)
+    got = _c.compress_major(major, n_major)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 class TestFromTriples:

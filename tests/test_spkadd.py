@@ -169,14 +169,15 @@ class TestSpkaddMerge:
         with pytest.raises(ValueError, match="unknown merge strategy"):
             spkadd_merge(_lists(k=2), strategy="bogus")
 
-    def test_slow_path_matches_fast_path(self):
-        # The dense hash scatter vs its stable-argsort fallback.
-        from repro.perf import dispatch
+    def test_slow_path_matches_fast_path(self, monkeypatch):
+        # Both sides of range_dense_eligible: the dense hash scatter vs
+        # the stable argsort it falls back to when the range is too wide.
+        from repro.perf import merge as perf_merge
 
         lists = _lists(shape=(300, 300), k=6)
         fast = spkadd_merge(list(lists), strategy="hash", parts=3)
-        with dispatch.fast_paths(False):
-            slow = spkadd_merge(list(lists), strategy="hash", parts=3)
+        monkeypatch.setattr(perf_merge, "DENSE_CELL_LIMIT", 0)
+        slow = spkadd_merge(list(lists), strategy="hash", parts=3)
         assert_triples_equal(slow, fast)
 
 

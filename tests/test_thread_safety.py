@@ -22,6 +22,8 @@ from repro.perf.arena import Arena, global_arena
 from repro.perf.cache import memo
 from repro.sparse import random_csc
 
+from helpers import assert_same_csc
+
 HAMMER_THREADS = 8
 HAMMER_ROUNDS = 40
 
@@ -213,12 +215,7 @@ class TestThreadLocalArena:
         finally:
             ex.close()
         for product, flops in outs:
-            assert np.array_equal(product.indptr, ref_product.indptr)
-            assert np.array_equal(product.indices, ref_product.indices)
-            assert np.array_equal(
-                product.data.view(np.uint64),
-                ref_product.data.view(np.uint64),
-            )
+            assert_same_csc(product, ref_product)
             assert np.array_equal(flops, ref_flops)
 
 
