@@ -32,11 +32,9 @@ def local_multiply(a: CSCMatrix, b: CSCMatrix):
     charges, fault draws, merge events) stays in the parent.
     """
     from ..spgemm.esc import spgemm_esc
-    from ..summa.engine import _per_column_flops
+    from ..spgemm.metrics import flops_per_column
 
-    product = spgemm_esc(a, b)
-    per_col = _per_column_flops(a.column_lengths(), b)
-    return product, per_col
+    return spgemm_esc(a, b), flops_per_column(a, b)
 
 
 def merge_partition(strategy: str, shape, lo: int, hi: int, lists):
@@ -91,15 +89,9 @@ def parallel_spgemm_columns(
 
     if active_layout() is not None:
         from ..locality.layout import balanced_slab_bounds
+        from ..spgemm.metrics import flops_per_column
 
-        per_entry = a.column_lengths()[b.indices]
-        per_col = np.zeros(b.ncols, dtype=np.int64)
-        lens = b.column_lengths()
-        nonempty = np.flatnonzero(lens)
-        if len(nonempty):
-            per_col[nonempty] = np.add.reduceat(
-                per_entry, b.indptr[nonempty]
-            )
+        per_col = flops_per_column(a, b)
         # The constant models the per-column fixed cost (slice loop, dict
         # setup) so a slab of many skinny columns is not mistaken for
         # free; without it the balancer starves one worker on hub-heavy

@@ -1,18 +1,33 @@
 """ESC SpGEMM — the numeric kernel behind ``spgemm_esc``.
 
-Output coordinates are encoded as ``col·nrows + row`` and the products are
-scattered into a dense accumulator with ``np.bincount``, which sums
-strictly in element order.  The expansion enumerates products in B-entry
-order, i.e. by (output column, position of the B nonzero, row of A) — for
-one output coordinate that is the order in which the heap kernel pops its
-cursors and the hash kernel probes its table, so the three kernels produce
-bit-identical sums.  This left-to-right order is the library's canonical
-summation order.
+The paper's CPU kernels are column-by-column Gustavson products, and its
+§III-B observes that a CSC matrix *is* its transpose stored in CSR (the
+identity :mod:`repro.sparse.convert` implements), so ``C = A·B`` with all
+three in CSC is ``Cᵀ = Bᵀ·Aᵀ`` in CSR on the very same arrays.
+:func:`expand_compress` therefore hands the operands' own CSC arrays, roles
+of A and B swapped, to SciPy's compiled row-wise two-pass product
+(``csr_matmat_maxnnz`` + ``csr_matmat``): one exact structural count, one
+numeric pass over a row accumulator, no conversion and no copy.
 
-When the dense accumulator would be disproportionately large
-(:func:`dense_pays`) the kernel instead sorts the combined key with one
-*stable* argsort, which keeps the same element order inside every run, and
-sums the runs with the same ordered group sum.
+That accumulator starts every output cell at 0.0 and adds one separately
+rounded product at a time in B-entry order, i.e. by (output column,
+position of the B nonzero, row of A) — for one output coordinate that is
+the order in which the heap kernel pops its cursors and the hash kernel
+probes its table, so the three kernels produce bit-identical sums.  This
+left-to-right order is the library's canonical summation order.
+
+SciPy drops cells whose sum is exactly 0.0 where this library keeps every
+structural entry.  The numeric pass reports how many cells it kept; when
+that differs from the structural count (cancellation, stored zeros,
+underflow — never on a positive MCL matrix) the product is recomputed by
+expand – stable key sort – ordered group sum, which keeps them.
+
+The compiled code does not bounds-check: operands must satisfy the CSC
+invariants :func:`repro.sparse._compressed.validate` enforces on every
+matrix built from outside input (``check=False`` callers vouch for them).
+
+``expand_keys`` and ``dense_pays`` are the expansion core and price rule of
+the values-free symbolic pass (:mod:`repro.spgemm.symbolic`).
 """
 
 from __future__ import annotations
@@ -23,8 +38,9 @@ from ..sparse import CSCMatrix
 from ..sparse import _compressed as _c
 from .arena import global_arena
 
-#: Use the dense accumulator only while ``nrows·ncols`` stays below this
-#: cap and within a reasonable multiple of the expansion size.
+#: Use dense ``nrows·ncols`` scratch (the symbolic pass's occupancy flags,
+#: the merge kernels' scatter) only while it stays below this cap and
+#: within a reasonable multiple of the element count.
 DENSE_CELL_LIMIT = 1 << 23
 DENSE_WASTE_FACTOR = 32
 
@@ -58,46 +74,44 @@ def expand_keys(a: CSCMatrix, b_indptr, b_indices, reps, ends, total: int):
     return key, a_slot
 
 
-def _expand(a: CSCMatrix, b: CSCMatrix, total: int, reps: np.ndarray,
-            ends: np.ndarray):
-    """Flat coordinate key and numeric product per flop."""
-    key, a_slot = expand_keys(a, b.indptr, b.indices, reps, ends, total)
-    prod = np.take(
-        a.data, a_slot, mode="clip",
-        out=global_arena().buffer("esc:prod", total, np.float64),
-    )
-    prod *= np.repeat(b.data, reps)
-    return key, prod
-
-
 def expand_compress(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
     """``C = A·B`` for non-empty operands of matching inner dimension."""
-    shape = (a.nrows, b.ncols)
+    # Imported at first use: ``import repro`` stays SciPy-free.
+    from scipy.sparse import _sparsetools
+
+    nrows, ncols = shape = (a.nrows, b.ncols)
+    structural = _sparsetools.csr_matmat_maxnnz(
+        ncols, nrows, b.indptr, b.indices, a.indptr, a.indices
+    )
+    indptr = np.empty(ncols + 1, dtype=_c.INDEX_DTYPE)
+    rows = np.empty(structural, dtype=_c.INDEX_DTYPE)
+    vals = np.empty(structural, dtype=_c.VALUE_DTYPE)
+    _sparsetools.csr_matmat(
+        ncols, nrows, b.indptr, b.indices, b.data,
+        a.indptr, a.indices, a.data, indptr, rows, vals,
+    )
+    if indptr[-1] != structural:
+        return _compress_sorted(shape, *_expand(a, b))
+    # The pass emits each column in reverse discovery order.  Transposing
+    # there and back is a counting sort, O(nnz(C) + nrows + ncols).
+    t_indptr = np.empty(nrows + 1, dtype=_c.INDEX_DTYPE)
+    t_cols = np.empty_like(rows)
+    t_vals = np.empty_like(vals)
+    _sparsetools.csr_tocsc(ncols, nrows, indptr, rows, vals,
+                           t_indptr, t_cols, t_vals)
+    _sparsetools.csr_tocsc(nrows, ncols, t_indptr, t_cols, t_vals,
+                           indptr, rows, vals)
+    return CSCMatrix(shape, indptr, rows, vals, check=False)
+
+
+def _expand(a: CSCMatrix, b: CSCMatrix):
+    """Flat coordinate key and numeric product per flop, B-entry order."""
     reps = a.column_lengths()[b.indices]
     ends = np.cumsum(reps)
-    total = int(ends[-1]) if len(ends) else 0
-    if total == 0:
-        return CSCMatrix.empty(shape)
-    key, prod = _expand(a, b, total, reps, ends)
-    n2 = a.nrows * b.ncols
-    if dense_pays(n2, total):
-        return _compress_dense(shape, key, prod, n2)
-    return _compress_sorted(shape, key, prod)
-
-
-def _compress_dense(shape, key, prod, n2: int) -> CSCMatrix:
-    arena = global_arena()
-    nrows = shape[0]
-    dense = np.bincount(key, weights=prod, minlength=n2)
-    flags = arena.flags("esc:occupied", n2)
-    flags[key] = True
-    pos = np.flatnonzero(flags)
-    flags[pos] = False  # restore the all-False invariant, O(nnz)
-    vals = dense[pos]
-    bounds = np.arange(shape[1] + 1, dtype=np.int64) * nrows
-    indptr = np.searchsorted(pos, bounds).astype(_c.INDEX_DTYPE)
-    rows = pos % nrows
-    return CSCMatrix(shape, indptr, rows, vals, check=False)
+    key, a_slot = expand_keys(
+        a, b.indptr, b.indices, reps, ends, int(ends[-1])
+    )
+    return key, a.data[a_slot] * np.repeat(b.data, reps)
 
 
 def _compress_sorted(shape, key, prod) -> CSCMatrix:

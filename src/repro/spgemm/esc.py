@@ -1,19 +1,22 @@
-"""Expand–Sort–Compress (ESC) SpGEMM.
+"""``spgemm_esc``: the library's numeric engine for ``C = A·B``.
 
-ESC (Bell, Dalton & Olson; also the backbone of ``bhsparse``-era GPU
-SpGEMM) materializes every intermediate product ``a_ik · b_kj``, sorts the
-triples by (column, row), and compresses runs by summation.  It is the one
-classical SpGEMM formulation that maps onto pure-NumPy primitives with *no*
-per-column Python loop, so this module doubles as the library's fast
-numeric engine: the simulated GPU kernels and the distributed driver use it
-to produce real numeric results while the machine model charges the cost of
-whichever algorithm was *selected*.
+The module keeps the name of the formulation it started from.  ESC (Bell,
+Dalton & Olson; also the backbone of ``bhsparse``-era GPU SpGEMM)
+materializes every intermediate product ``a_ik · b_kj``, sorts the triples
+by (column, row), and compresses runs by summation.  The main path here is
+instead one compiled column-by-column Gustavson pass — the formulation of
+the paper's own CPU kernels — run in the paper's §III-B form: a CSC matrix
+is its transpose in CSR (:mod:`repro.sparse.convert`), so SciPy's row-wise
+CSR product computes ``Cᵀ = Bᵀ·Aᵀ`` on the operands' own arrays with no
+conversion (:mod:`repro.perf.esc`).  Expand – stable sort – compress
+remains as the path for products in which an output cell sums to exactly
+0.0, which the compiled pass would drop.
 
-The kernel (:mod:`repro.perf.esc`) compresses without sorting whenever a
-dense accumulator over the output block is cheaper than sorting the
-products, and by one stable key sort otherwise.  Complexity: at most
-O(flops · log flops) time, O(flops) transient memory — the memory profile
-that motivates HipMCL's phased execution in the first place.
+The simulated GPU kernels and the distributed driver use this module to
+produce real numeric results while the machine model charges the cost of
+whichever algorithm was *selected*.  Complexity: O(flops + nrows) time and
+O(nnz(C) + nrows) memory; O(flops · log flops) time and O(flops)
+transient memory on the zero-sum path.
 """
 
 from __future__ import annotations
@@ -21,14 +24,18 @@ from __future__ import annotations
 from ..errors import ShapeError
 from ..perf.esc import expand_compress
 from ..sparse import CSCMatrix
+from .metrics import flops
+
+#: Transient triple count an expand–sort–compress materializes: ``flops``.
+expansion_size = flops
 
 
 def spgemm_esc(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
-    """Multiply ``C = A·B`` (both CSC) by expand–sort–compress.
+    """Multiply ``C = A·B`` (both CSC).
 
     Output has sorted row indices within each column, duplicates summed,
-    and no explicitly-stored zeros introduced by the expansion (exact
-    cancellations are kept, matching IEEE summation of the other kernels).
+    and one stored entry per structural nonzero (exact cancellations are
+    kept as explicit zeros, matching the heap and hash kernels).
     Large products fan column slabs out over the executor; the numeric
     kernel is :func:`repro.perf.esc.expand_compress`.
     """
@@ -48,19 +55,10 @@ def spgemm_esc(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
             parallel_spgemm_columns,
         )
 
-        if expansion_size(a, b) >= PARALLEL_MIN_FLOPS:
+        if flops(a, b) >= PARALLEL_MIN_FLOPS:
             # Output columns are independent and each sums strictly
             # within itself, so slab-wise fan-out is bit-identical
             # (inside a pool worker get_executor is serial — no
             # nested fan-out).
             return parallel_spgemm_columns(ex, "esc", a, b)
     return expand_compress(a, b)
-
-
-def expansion_size(a: CSCMatrix, b: CSCMatrix) -> int:
-    """Transient triple count ESC would materialize (equals ``flops``)."""
-    if a.ncols != b.nrows:
-        raise ShapeError(
-            f"inner dimension mismatch: A is {a.shape}, B is {b.shape}"
-        )
-    return int(a.column_lengths()[b.indices].sum())

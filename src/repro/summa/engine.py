@@ -49,20 +49,9 @@ from ..spgemm.esc import spgemm_esc
 from ..spgemm.hashspgemm import hash_operation_count
 from ..spgemm.heap import heap_operation_count
 from ..spgemm.hybrid import KernelKind, degrade_kernel, select_kernel
-from ..spgemm.metrics import WorkProfile
+from ..spgemm.metrics import WorkProfile, flops_per_column
 from ..trace import current_tracer, maybe_span
 from .distmatrix import DistributedCSC
-
-
-def _per_column_flops(a_col_lens: np.ndarray, b: CSCMatrix) -> np.ndarray:
-    """flops per output column given A's precomputed column lengths."""
-    per_entry = a_col_lens[b.indices]
-    out = np.zeros(b.ncols, dtype=np.int64)
-    lens = b.column_lengths()
-    nonempty = np.flatnonzero(lens)
-    if len(nonempty):
-        out[nonempty] = np.add.reduceat(per_entry, b.indptr[nonempty])
-    return out
 
 
 def _profile_from_per_col(
@@ -837,7 +826,6 @@ def summa_multiply(
             stage_available = 0.0
             for i in range(q):
                 a_blk = dist_a.block(i, k)
-                a_col_lens = a_blk.column_lengths()
                 for j in range(q):
                     rank = (
                         model.cell_rank(i, j, k)
@@ -860,7 +848,7 @@ def summa_multiply(
                         product, per_col = stage_products[(i, j)]
                     else:
                         product = spgemm_esc(a_blk, b_blk)
-                        per_col = _per_column_flops(a_col_lens, b_blk)
+                        per_col = flops_per_column(a_blk, b_blk)
                     profile = _profile_from_per_col(
                         per_col, a_blk, b_blk, product.nnz
                     )

@@ -388,12 +388,10 @@ class TestTransport:
         ex = get_executor(2)
         (product, per_col), = ex.run_batch(local_multiply, [(a, b)])
         from repro.spgemm.esc import spgemm_esc
-        from repro.summa.engine import _per_column_flops
+        from repro.spgemm.metrics import flops_per_column
 
         assert_same_csc(product, spgemm_esc(a, b))
-        assert np.array_equal(
-            per_col, _per_column_flops(a.column_lengths(), b)
-        )
+        assert np.array_equal(per_col, flops_per_column(a, b))
 
     def test_export_value_recurses(self):
         mat = random_csc((10, 10), 0.3, seed=5)

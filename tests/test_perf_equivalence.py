@@ -43,7 +43,7 @@ from repro.spgemm.heap import spgemm_heap
 from helpers import assert_same_csc, bits_equal
 
 #: (limit, waste factor) pairs that force the dense-scatter side and the
-#: stable-key-sort side of ``dense_pays`` / ``range_dense_eligible``.
+#: stable-key-sort side of ``range_dense_eligible``.
 DENSE, SORTED = (1 << 23, 1 << 30), (0, 32)
 
 
@@ -103,18 +103,178 @@ def multipliable_pairs(draw, max_dim=10):
     return a, b
 
 
+@contextmanager
+def esc_sorted_side():
+    """Collects one entry per ``_compress_sorted`` call: the side of
+    ``expand_compress`` that keeps cells summing to exactly 0.0."""
+    calls = []
+    real = perf_esc._compress_sorted
+
+    def spy(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    with patched(perf_esc, _compress_sorted=spy):
+        yield calls
+
+
+def assert_esc_matches_heap_and_hash(a, b, esc):
+    heap, hashed = spgemm_heap(a, b), spgemm_hash(a, b)
+    assert_same_csc(esc, heap)
+    assert_same_csc(esc, hashed)
+    return heap
+
+
 @given(multipliable_pairs())
 @settings(max_examples=100, deadline=None)
 def test_esc_fast_bit_identical(pair):
     a, b = pair
-    heap, hashed = spgemm_heap(a, b), spgemm_hash(a, b)
-    for limit, waste in (DENSE, SORTED):
-        with patched(perf_esc, DENSE_CELL_LIMIT=limit,
-                     DENSE_WASTE_FACTOR=waste):
+    with esc_sorted_side() as sorted_calls:
+        esc = spgemm_esc(a, b)
+    heap = assert_esc_matches_heap_and_hash(a, b, esc)
+    # The compiled result is returned unless some cell summed to 0.0.
+    assert len(sorted_calls) == bool(np.any(heap.data == 0.0))
+    assert_same_csc(esc.pruned_zeros(), scipy_product(a, b))
+    # Column slabs of B (what phases and pool workers multiply) stitch back.
+    cut = b.ncols // 2
+    slabs = [b.column_slab(0, cut), b.column_slab(cut, b.ncols)]
+    assert_same_csc(hstack_csc([spgemm_esc(a, s) for s in slabs]), esc)
+
+
+def raw(shape, indptr, indices, data):
+    """Unvalidated CSC: unsorted and duplicate row indices allowed."""
+    return CSCMatrix(shape, indptr, indices, data, check=False)
+
+
+NAN, INF = np.nan, np.inf
+
+#: name → (A, B, does some output cell sum to exactly 0.0?)
+ESC_EDGE_CASES = {
+    "plus-minus-one cancels": (
+        raw((2, 2), [0, 2, 4], [0, 1, 0, 1], [1.0, 2.0, -1.0, 3.0]),
+        raw((2, 1), [0, 2], [0, 1], [1.0, 1.0]),
+        True,
+    ),
+    "stored zero in A": (
+        raw((2, 2), [0, 1, 2], [0, 1], [0.0, 2.0]),
+        raw((2, 2), [0, 1, 2], [0, 1], [3.0, 4.0]),
+        True,
+    ),
+    "stored zero in B": (
+        raw((2, 2), [0, 1, 2], [0, 1], [3.0, 4.0]),
+        raw((2, 2), [0, 1, 2], [0, 1], [0.0, 2.0]),
+        True,
+    ),
+    "product underflows to zero": (
+        raw((2, 2), [0, 1, 2], [0, 1], [1e-200, 1.0]),
+        raw((2, 2), [0, 1, 2], [0, 1], [1e-200, 1.0]),
+        True,
+    ),
+    "negative zero product": (
+        raw((1, 1), [0, 1], [0], [-1.0]),
+        raw((1, 2), [0, 1, 2], [0, 0], [0.0, 5.0]),
+        True,
+    ),
+    "nan and inf, every sum nonzero": (
+        raw((3, 3), [0, 2, 3, 4], [0, 1, 2, 0], [1.0, INF, NAN, -INF]),
+        raw((3, 2), [0, 3, 4], [0, 1, 2, 0], [2.0, 3.0, INF, 1.0]),
+        False,
+    ),
+    "nan from inf times stored zero": (
+        raw((2, 2), [0, 1, 2], [0, 1], [INF, 1.0]),
+        raw((2, 2), [0, 1, 2], [0, 1], [0.0, 0.0]),
+        True,
+    ),
+    # Row 2 of A's first column is stored twice and out of order, B's first
+    # column names inner index 0 twice: 1e16 + 1 + 1 depends on the order.
+    "unsorted and duplicate indices": (
+        raw((4, 3), [0, 3, 5, 6], [2, 0, 2, 3, 1, 0],
+            [1e16, 1.0, 1.0, 3.0, 1e-3, 5.0]),
+        raw((3, 2), [0, 3, 5], [2, 0, 0, 1, 1], [1.0, 1.0, 1.0, 4.0, 1e-9]),
+        False,
+    ),
+    "duplicates that cancel": (
+        raw((2, 1), [0, 2], [1, 1], [1.0, -1.0]),
+        raw((1, 1), [0, 1], [0], [2.0]),
+        True,
+    ),
+    "no rows": (
+        raw((0, 3), [0, 0, 0, 0], [], []),
+        raw((3, 2), [0, 2, 3], [0, 2, 1], [1.0, 2.0, 3.0]),
+        False,
+    ),
+    "no inner dimension": (
+        raw((3, 0), [0], [], []), raw((0, 2), [0, 0, 0], [], []), False,
+    ),
+    "no columns": (
+        raw((3, 2), [0, 1, 2], [0, 2], [1.0, 2.0]),
+        raw((2, 0), [0], [], []),
+        False,
+    ),
+    # B only names A's empty columns, and has an empty column of its own.
+    "empty columns, structurally empty product": (
+        raw((3, 3), [0, 2, 2, 2], [0, 1], [1.0, 2.0]),
+        raw((3, 3), [0, 1, 1, 3], [1, 1, 2], [1.0, 2.0, 3.0]),
+        False,
+    ),
+    "empty columns": (
+        raw((3, 3), [0, 2, 2, 3], [0, 1, 2], [1.0, 2.0, 3.0]),
+        raw((3, 3), [0, 1, 1, 3], [0, 1, 2], [1.0, 2.0, 3.0]),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ESC_EDGE_CASES))
+def test_esc_edge_cases_run_the_side_they_should(case):
+    a, b, zero_sum = ESC_EDGE_CASES[case]
+    with np.errstate(invalid="ignore", under="ignore"):  # inf·0, 1e-400
+        with esc_sorted_side() as sorted_calls:
             esc = spgemm_esc(a, b)
-        assert_same_csc(esc, heap)
-        assert_same_csc(esc, hashed)
-        assert_same_csc(esc.pruned_zeros(), scipy_product(a, b))
+        assert_esc_matches_heap_and_hash(a, b, esc)
+    assert len(sorted_calls) == zero_sum
+    # Structural entries survive as explicit zeros on the sorted side.
+    assert bool(np.any(esc.data == 0.0)) == zero_sum
+
+
+def test_esc_private_sparsetools_call_matches_public_scipy():
+    # ``expand_compress`` calls SciPy's private compiled module directly;
+    # on positive operands its result is SciPy's own public product.
+    import scipy
+
+    a = random_csc((60, 45), 0.15, seed=1)
+    b = random_csc((45, 70), 0.15, seed=2)
+    broken = (
+        "repro.perf.esc calls scipy.sparse._sparsetools.csr_matmat_maxnnz / "
+        "csr_matmat / csr_tocsc directly (supported: SciPy 1.10 to 1.17); "
+        f"SciPy {scipy.__version__} no longer matches that private "
+        "signature or its public `A @ B`"
+    )
+    try:
+        with esc_sorted_side() as sorted_calls:
+            got = perf_esc.expand_compress(a, b)
+        assert not sorted_calls
+        assert_same_csc(got, scipy_product(a, b))
+    except (ImportError, AttributeError, TypeError, ValueError,
+            AssertionError) as exc:
+        pytest.fail(f"{broken}: {exc!r}")
+
+
+def test_esc_compiled_multiply_add_is_not_fused():
+    # (1 + 2^-30)(1 - 2^-30) = 1 - 2^-60 rounds to 1.0 as a product of its
+    # own; added to -(1 - 2^-53) that gives 2^-53, where a fused
+    # multiply-add would keep the 2^-60 and return 2^-53 - 2^-60.
+    a = raw((1, 2), [0, 1, 2], [0, 0], [-(1.0 - 2.0 ** -53), 1.0 + 2.0 ** -30])
+    b = raw((2, 1), [0, 2], [0, 1], [1.0, 1.0 - 2.0 ** -30])
+    with esc_sorted_side() as sorted_calls:
+        esc = spgemm_esc(a, b)
+    assert not sorted_calls
+    assert esc.data.tolist() == [2.0 ** -53], (
+        "SciPy's csr_matmat was built with FMA contraction (possible off "
+        "x86-64): its sums round differently from the heap and hash "
+        "kernels, so spgemm_esc cannot be bit-identical to them here"
+    )
+    assert_esc_matches_heap_and_hash(a, b, esc)
 
 
 @given(multipliable_pairs())
