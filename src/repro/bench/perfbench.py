@@ -7,8 +7,8 @@ regressions in the numeric kernels are caught in review.  It runs
 * end-to-end HipMCL on three catalog networks,
 * six microbenchmarks, one per numeric kernel family
   (esc, hash, merge, prune, estimator, components),
-* a parallel-SpKAdd merge sweep: :func:`repro.merge.spkadd.spkadd_merge`
-  timed over list count × nnz skew × worker count,
+* an SpKAdd merge sweep: :func:`repro.merge.spkadd.spkadd_merge` timed
+  over list count × nnz skew,
 * a pipeline sweep: end-to-end runs over network × SUMMA broadcast
   schedule (sync vs static) × worker count,
 * a grid sweep: end-to-end runs over network × process grid (2d vs the
@@ -39,8 +39,9 @@ fields and nested the scaling section per backend
 scaling, ``scaling/{net}/w{N}``) remain comparable: a schema-3 report
 flattens its process-backend scaling rows under the legacy names too.
 Version 4 added the ``merge_impl`` field and the ``merge_sweep``
-section — the parallel-SpKAdd micro-sweep over list count × nnz skew ×
-worker count.  Schema-3 baselines lack those rows, so a ``--check``
+section — the SpKAdd micro-sweep over list count × nnz skew (its ``w4``
+cells, which timed the merge fan-out, went with the fan-out).
+Schema-3 baselines lack those rows, so a ``--check``
 against one simply compares the shared names (the merge sweep is gated
 only once a schema-4 baseline is recorded).  Version 5 added the
 ``pipeline_sweep`` section — end-to-end runs over network × SUMMA
@@ -102,12 +103,13 @@ GRID_SWEEP_NETS = ("eukarya-xs", "isom100-3-xs")
 GRID_SWEEP_WORKERS = (1, 4)
 GRID_SWEEP_LAYERS = 4
 
-#: The merge micro-sweep: k partial lists × nnz skew × worker count.
+#: The merge micro-sweep: k partial lists × nnz skew, merged inline (the
+#: cells keep their ``-w1`` suffix so they pair with recorded baselines,
+#: whose ``-w4`` cells timed a fan-out that no longer exists).
 #: "skewed" gives list 0 ten times the density of the rest — the shape
 #: SUMMA produces when one broadcast slab dominates a stage batch.
 MERGE_SWEEP_K = (4, 16)
 MERGE_SWEEP_SKEWS = ("uniform", "skewed")
-MERGE_SWEEP_WORKERS = (1, 4)
 MERGE_SWEEP_SHAPE = (3000, 3000)
 
 #: The locality sweep: net × reordering strategy × worker count.  The
@@ -284,19 +286,14 @@ def _merge_sweep_lists(k: int, skew: str) -> list:
     ]
 
 
-def bench_merge_cell(
-    k: int, skew: str, workers: int, repeats: int = 5
-) -> dict:
-    """Time one parallel-SpKAdd cell: hash strategy, thread fan-out."""
+def bench_merge_cell(k: int, skew: str, repeats: int = 5) -> dict:
+    """Time one SpKAdd cell: k lists of the given skew, merged inline."""
     from ..merge.spkadd import spkadd_merge
-    from ..parallel import get_executor
 
     lists = _merge_sweep_lists(k, skew)
-    # get_executor caches pools per (count, backend); never close it here.
-    executor = get_executor(workers, "thread") if workers > 1 else None
 
     def run():
-        spkadd_merge(list(lists), strategy="hash", executor=executor)
+        spkadd_merge(list(lists), strategy="hash")
 
     return {"seconds": _best_of(run, repeats)}
 
@@ -363,9 +360,11 @@ def bench_locality_cell(
 def bench_delta_rerun(repeats: int = 1) -> dict:
     """Cold-vs-warm incremental re-clustering on the islands network.
 
-    Returns the two gated rows plus evidence keys on the warm row: the
-    measured ``speedup`` and the ``dirty_fraction`` of vertices the warm
-    start actually re-clustered.
+    Returns the two gated rows plus evidence keys: on both rows the exact
+    ``flops`` (summed over the iteration history) and simulated
+    ``sim_seconds`` of the run, on the warm row the measured ``speedup``
+    and the ``dirty_fraction`` of vertices the warm start actually
+    re-clustered.
     """
     from ..locality import (
         WarmStart, dirty_vertices, localized_delta, run_warm_start,
@@ -378,12 +377,18 @@ def bench_delta_rerun(repeats: int = 1) -> dict:
     patched = delta.apply(matrix)
     warm = WarmStart(np.asarray(base.labels, dtype=np.int64), delta)
 
-    cold = _best_of(lambda: hipmcl(patched, opts, cfg), repeats)
-    warm_s = _best_of(
-        lambda: run_warm_start(matrix, warm, opts, cfg), repeats
-    )
+    runs = {}
+
+    def cold_run():
+        runs["cold"] = hipmcl(patched, opts, cfg)
+
+    def warm_run():
+        runs["warm"] = run_warm_start(matrix, warm, opts, cfg)
+
+    cold = _best_of(cold_run, repeats)
+    warm_s = _best_of(warm_run, repeats)
     dirty = len(dirty_vertices(patched, delta))
-    return {
+    rows = {
         "cold": {"seconds": cold},
         "warm": {
             "seconds": warm_s,
@@ -391,6 +396,10 @@ def bench_delta_rerun(repeats: int = 1) -> dict:
             "dirty_fraction": dirty / max(1, matrix.ncols),
         },
     }
+    for kind, res in runs.items():
+        rows[kind]["flops"] = sum(h.flops for h in res.history)
+        rows[kind]["sim_seconds"] = float(res.elapsed_seconds)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +469,13 @@ def run_perfbench(
             log(f"micro {name}: {report['micro'][name]['seconds'] * 1e3:.1f}ms")
     for k in MERGE_SWEEP_K:
         for skew in MERGE_SWEEP_SKEWS:
-            for w in MERGE_SWEEP_WORKERS:
-                cell = f"k{k}-{skew}-w{w}"
-                report["merge_sweep"][cell] = bench_merge_cell(
-                    k, skew, w, repeats=repeats
-                )
-                if log:
-                    log(f"merge {cell}: "
-                        f"{report['merge_sweep'][cell]['seconds'] * 1e3:.1f}ms")
+            cell = f"k{k}-{skew}-w1"
+            report["merge_sweep"][cell] = bench_merge_cell(
+                k, skew, repeats=repeats
+            )
+            if log:
+                log(f"merge {cell}: "
+                    f"{report['merge_sweep'][cell]['seconds'] * 1e3:.1f}ms")
     if pipeline:
         for net in PIPELINE_SWEEP_NETS:
             for sched in PIPELINE_SWEEP_SCHEDULES:
@@ -646,10 +654,21 @@ def compare_reports(
 
     ``warn`` (a callable taking one message) hears about sections either
     report carries that this harness does not understand — a newer
-    baseline against an older harness skips them instead of crashing.
+    baseline against an older harness skips them instead of crashing —
+    and about baseline cells this harness no longer measures inside a
+    section it did run (a whole section absent from ``current`` was
+    switched off for the run and stays quiet).
     """
     cur = _flatten(current, warn=warn)
     base = _flatten(baseline, warn=warn)
+    if warn is not None:
+        measured = {name.split("/", 1)[0] for name in cur}
+        for name in base:
+            if name not in cur and name.split("/", 1)[0] in measured:
+                warn(
+                    f"baseline cell {name!r} is no longer measured by "
+                    "this harness; skipped"
+                )
     return [
         Comparison(name, base[name], cur[name])
         for name in base
@@ -713,9 +732,9 @@ def remeasure_into(
             sec = bench_micro(parts[1], repeats=repeats)["seconds"]
             row = report["micro"][parts[1]]
         elif parts[0] == "merge_sweep" and len(parts) == 2:
-            kk, skew, wk = parts[1].split("-")
+            kk, skew, _w1 = parts[1].split("-")
             sec = bench_merge_cell(
-                int(kk[1:]), skew, int(wk[1:]), repeats=repeats
+                int(kk[1:]), skew, repeats=repeats
             )["seconds"]
             row = report["merge_sweep"][parts[1]]
         elif parts[0] == "pipeline_sweep" and len(parts) == 2:

@@ -118,10 +118,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     clu.add_argument(
         "--merge-impl", choices=["serial", "tree", "hash", "auto"],
-        help="SpKAdd engine for the expansion's merges: serial, "
-        "column-partitioned tree or hash (fanned across --workers), or "
-        "auto (pick from the memory model); results are bit-identical "
-        "for every choice (default: REPRO_MERGE_IMPL or auto)",
+        help="SpKAdd plan label for the expansion's merges: serial, "
+        "tree or hash, or auto (pick from the memory model); one engine "
+        "runs behind every label, so results are bit-identical for "
+        "every choice (default: REPRO_MERGE_IMPL or auto)",
     )
     clu.add_argument(
         "--grid", choices=["2d", "3d"], default=None,

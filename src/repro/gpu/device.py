@@ -34,6 +34,8 @@ class GPUDevice:
     peak_bytes: int = 0
     kernel_launches: int = 0
     injector: object | None = None
+    #: Running sum of the live allocations (kept by allocate/free/free_all).
+    allocated_bytes: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.capacity_bytes is None:
@@ -42,10 +44,6 @@ class GPUDevice:
             raise ValueError(
                 f"device capacity must be positive: {self.capacity_bytes}"
             )
-
-    @property
-    def allocated_bytes(self) -> int:
-        return sum(self._allocated.values())
 
     @property
     def free_bytes(self) -> int:
@@ -75,18 +73,20 @@ class GPUDevice:
                 f"{self.capacity_bytes})"
             )
         self._allocated[tag] = nbytes
+        self.allocated_bytes += nbytes
         self.peak_bytes = max(self.peak_bytes, self.allocated_bytes)
 
     def free(self, tag: str) -> None:
         """Release the allocation held under ``tag``."""
         try:
-            del self._allocated[tag]
+            self.allocated_bytes -= self._allocated.pop(tag)
         except KeyError:
             raise ValueError(f"allocation tag {tag!r} not live") from None
 
     def free_all(self) -> None:
         """Release everything (end of a SUMMA stage)."""
         self._allocated.clear()
+        self.allocated_bytes = 0
 
     def fits(self, nbytes: int) -> bool:
         """Would an ``nbytes`` allocation succeed right now?"""

@@ -627,13 +627,12 @@ def hipmcl(
         results — parallelism relocates computation without reordering
         any reduction.
     merge_impl:
-        SpKAdd engine for the expansion's physical merges — ``"serial"``,
-        ``"tree"``, ``"hash"``, or ``"auto"`` (default
+        SpKAdd plan label for the expansion's physical merges —
+        ``"serial"``, ``"tree"``, ``"hash"``, or ``"auto"`` (default
         ``REPRO_MERGE_IMPL``, else auto: pick from the estimator's memory
         model and fall down the hash → tree → serial ladder when the
-        budget has no room).  Another wall-clock knob like ``backend``:
-        every choice is bit-identical, tree/hash merely fan the merge's
-        column partitions across the executor's workers.
+        budget has no room).  One engine runs behind every label, inline,
+        so every choice is bit-identical.
     trace:
         A :class:`repro.trace.Tracer` to record the run into.  The driver
         activates it for the duration of the call, installs the run's

@@ -3,10 +3,10 @@
 :class:`TripleList` is the sorted coordinate-list representation of one
 stage's partial result; the three merge *schedules* (multiway, immediate
 two-way, and the paper's binary merge) consume the per-stage stream and
-report exact memory peaks plus modeled operation counts.  The SpKAdd
-module adds column-partitioned tree/hash merge engines (arXiv:2112.10223)
-that fan the physical merge across executor workers while staying
-bit-identical to :func:`merge_lists`.
+report exact memory peaks plus modeled operation counts.  One compiled
+engine (:mod:`repro.perf.merge`, a left-to-right chain of sorted two-way
+additions) does every physical merge; the SpKAdd module (arXiv:2112.10223)
+holds the serial/tree/hash plan labels and their memory model.
 """
 
 from .lists import BYTES_PER_TRIPLE, TripleList, merge_lists
@@ -23,8 +23,6 @@ from .spkadd import (
     MERGE_IMPLS,
     SPKADD_MIN_ELEMENTS,
     STRATEGY_LADDER,
-    merge_range,
-    partition_bounds,
     resolve_merge_impl,
     spkadd_merge,
     strategy_peak_bytes,
@@ -46,7 +44,5 @@ __all__ = [
     "SPKADD_MIN_ELEMENTS",
     "resolve_merge_impl",
     "strategy_peak_bytes",
-    "partition_bounds",
-    "merge_range",
     "spkadd_merge",
 ]

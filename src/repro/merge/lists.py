@@ -3,14 +3,18 @@
 Each Sparse SUMMA stage k produces an intermediate product ``A_ik·B_kj``
 for the local output block; the summation ``C_ij = Σ_k A_ik·B_kj`` is a
 *merge* of k sorted lists of (col, row, value) triples, summing values on
-coordinate collisions.  :class:`TripleList` is that list: arrays sorted by
-(col, row), with an explicit element count so the merge-memory accounting
-of Table III is exact.
+coordinate collisions.  :class:`TripleList` is that list, with an explicit
+element count so the merge-memory accounting of Table III is exact.
+
+A list sorted by (col, row) *is* a CSC block, so the class is a thin view
+of the ``(indptr, rows, vals)`` triplet the local multiply produced: a
+stage product enters the merge schedule, is summed
+(:func:`repro.perf.merge.merge_triples`) and leaves as the output block
+without ever being expanded to coordinates.  ``cols`` is materialized only
+for callers that ask for it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,28 +28,57 @@ from ..sparse import _compressed as _c
 BYTES_PER_TRIPLE = 24
 
 
-@dataclass
 class TripleList:
-    """Sorted (col-major) coordinate triples of one output block."""
+    """Sorted (col-major) coordinate triples of one output block.
 
-    shape: tuple[int, int]
-    cols: np.ndarray
-    rows: np.ndarray
-    vals: np.ndarray
+    Built either from explicit coordinates (``TripleList(shape, cols, rows,
+    vals)``) or, without any O(nnz) work, around a CSC triplet
+    (:meth:`from_csc`); whichever of ``cols`` / ``indptr`` it was not given
+    is derived on first use.
+    """
 
-    def __post_init__(self):
-        if not (len(self.cols) == len(self.rows) == len(self.vals)):
+    def __init__(self, shape, cols, rows, vals):
+        if not (len(cols) == len(rows) == len(vals)):
             raise ShapeError(
                 f"triple arrays must have equal length: "
-                f"{len(self.cols)}/{len(self.rows)}/{len(self.vals)}"
+                f"{len(cols)}/{len(rows)}/{len(vals)}"
             )
-        self.cols = np.ascontiguousarray(self.cols, dtype=_c.INDEX_DTYPE)
-        self.rows = np.ascontiguousarray(self.rows, dtype=_c.INDEX_DTYPE)
-        self.vals = np.ascontiguousarray(self.vals, dtype=_c.VALUE_DTYPE)
-        self._memo = None  # per-instance cache slot (repro.perf.cache.memo)
+        self.shape = shape
+        self._cols = np.ascontiguousarray(cols, dtype=_c.INDEX_DTYPE)
+        self._indptr = None
+        self.rows = np.ascontiguousarray(rows, dtype=_c.INDEX_DTYPE)
+        self.vals = np.ascontiguousarray(vals, dtype=_c.VALUE_DTYPE)
+
+    @classmethod
+    def _of_compressed(cls, shape, indptr, rows, vals) -> "TripleList":
+        """Wrap canonical-dtype CSC arrays as they are."""
+        self = object.__new__(cls)
+        self.shape = shape
+        self._cols = None
+        self._indptr = indptr
+        self.rows = rows
+        self.vals = vals
+        return self
+
+    def __repr__(self) -> str:
+        return f"TripleList(shape={self.shape}, nnz={len(self)})"
 
     def __len__(self) -> int:
         return len(self.vals)
+
+    @property
+    def cols(self) -> np.ndarray:
+        """Column index per triple (expanded from ``indptr`` when needed)."""
+        if self._cols is None:
+            self._cols = _c.expand_major(self._indptr, self.shape[1])
+        return self._cols
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """CSC column pointers (assumes the triples are grouped by column)."""
+        if self._indptr is None:
+            self._indptr = _c.compress_major(self._cols, self.shape[1])
+        return self._indptr
 
     @property
     def nbytes(self) -> int:
@@ -53,31 +86,29 @@ class TripleList:
 
     @classmethod
     def from_csc(cls, mat: CSCMatrix, copy: bool = True) -> "TripleList":
-        """Flatten a CSC block into its sorted triple list.
+        """View a CSC block as its sorted triple list.
 
-        ``copy=False`` shares the CSC's index/data arrays instead of
-        copying them — safe whenever neither side mutates (both types
-        treat their arrays as frozen after construction), and it drops
-        two O(nnz) copies per SUMMA stage.
+        ``copy=False`` shares the CSC's arrays instead of copying them —
+        safe whenever neither side mutates (both types treat their arrays
+        as frozen after construction) — and is O(1).
         """
-        cols = _c.expand_major(mat.indptr, mat.ncols)
         if copy:
-            return cls(mat.shape, cols, mat.indices.copy(), mat.data.copy())
-        return cls(mat.shape, cols, mat.indices, mat.data)
+            return cls._of_compressed(
+                mat.shape, mat.indptr.copy(), mat.indices.copy(),
+                mat.data.copy(),
+            )
+        return cls._of_compressed(mat.shape, mat.indptr, mat.indices, mat.data)
 
     @classmethod
     def empty(cls, shape) -> "TripleList":
-        return cls(
-            shape,
-            np.empty(0, dtype=_c.INDEX_DTYPE),
-            np.empty(0, dtype=_c.INDEX_DTYPE),
-            np.empty(0, dtype=_c.VALUE_DTYPE),
-        )
+        return cls.from_csc(CSCMatrix.empty(shape), copy=False)
 
     def to_csc(self) -> CSCMatrix:
-        """Re-compress to CSC (assumes the list is sorted and compressed)."""
-        indptr = _c.compress_major(self.cols, self.shape[1])
-        return CSCMatrix(self.shape, indptr, self.rows, self.vals, check=False)
+        """The list as a CSC block sharing its arrays (assumes the list is
+        sorted and compressed)."""
+        return CSCMatrix(
+            self.shape, self.indptr, self.rows, self.vals, check=False
+        )
 
     def is_sorted(self) -> bool:
         """True when ordered by (col, row) with no duplicate coordinates."""
@@ -93,13 +124,14 @@ def merge_lists(lists: list[TripleList], copy: bool = True) -> TripleList:
     This is the *numeric engine* every merge schedule (two-way, multiway,
     binary) calls; the schedules differ in *when* they call it and on how
     many lists, which is what the operation/memory accounting captures.
-    Colliding coordinates are summed in concatenation (list) order — see
+    Colliding coordinates are summed left to right in list order — see
     :func:`repro.perf.merge.merge_triples` — and exact zeros produced by
-    cancellation are kept.
+    cancellation are kept.  Every list must be sorted and duplicate-free
+    within each column, which every producer in the library guarantees.
 
-    ``copy=False`` lets the single-list short-circuit return a view-backed
-    list sharing the input's arrays (the k >= 2 paths always build fresh
-    arrays); use it when the caller treats the inputs as frozen.
+    ``copy=False`` lets the single-list short-circuit return that list
+    itself (the k >= 2 paths always build fresh arrays); use it when the
+    caller treats the inputs as frozen.
     """
     if not lists:
         raise ValueError("merge_lists needs at least one (possibly empty) list")
@@ -111,8 +143,6 @@ def merge_lists(lists: list[TripleList], copy: bool = True) -> TripleList:
         if t.shape != shape:
             raise ShapeError(f"block shape mismatch: {t.shape} vs {shape}")
     if len(lists) == 1:
-        t = lists[0]
-        if copy:
-            return TripleList(shape, t.cols.copy(), t.rows.copy(), t.vals.copy())
-        return TripleList(shape, t.cols, t.rows, t.vals)
-    return TripleList(shape, *merge_triples(lists, shape))
+        only = lists[0]
+        return TripleList.from_csc(only.to_csc()) if copy else only
+    return TripleList._of_compressed(shape, *merge_triples(lists, shape))

@@ -76,8 +76,8 @@ class _ScheduleBase:
 
     ``merge_fn`` swaps the numeric engine (default :func:`merge_lists`)
     without touching the schedule's accounting — every replacement must be
-    bit-identical (the SpKAdd engines are), so events, operations, and
-    peaks stay the same whatever engine physically runs.
+    bit-identical (``spkadd_merge`` under any label is), so events,
+    operations, and peaks stay the same whatever engine physically runs.
     """
 
     def __init__(self, shape: tuple[int, int], merge_fn=None):

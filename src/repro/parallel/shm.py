@@ -33,7 +33,6 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..merge.lists import TripleList
 from ..sparse import CSCMatrix
 from ..sparse import _compressed as _c
 from ..trace import maybe_span
@@ -101,30 +100,6 @@ def _wrap(handle: tuple, seg: shared_memory.SharedMemory) -> CSCMatrix:
     return CSCMatrix(shape, indptr, indices, data, check=False)
 
 
-def _pack_triples(t: TripleList, seg_factory) -> tuple:
-    """Copy a triple list's arrays into a fresh segment (cols/rows/vals)."""
-    n = len(t)
-    total = t.cols.nbytes + t.rows.nbytes + t.vals.nbytes
-    seg = seg_factory(total)
-    o1 = t.cols.nbytes
-    o2 = o1 + t.rows.nbytes
-    np.ndarray(n, _c.INDEX_DTYPE, buffer=seg.buf)[:] = t.cols
-    np.ndarray(n, _c.INDEX_DTYPE, buffer=seg.buf, offset=o1)[:] = t.rows
-    np.ndarray(n, _c.VALUE_DTYPE, buffer=seg.buf, offset=o2)[:] = t.vals
-    return seg, ("tshm", seg.name, t.shape, n)
-
-
-def _wrap_triples(handle: tuple, seg: shared_memory.SharedMemory) -> TripleList:
-    """Zero-copy TripleList over a mapped segment's buffer."""
-    _, _, shape, n = handle
-    o1 = n * _c.INDEX_DTYPE().itemsize
-    o2 = 2 * o1
-    cols = np.ndarray(n, _c.INDEX_DTYPE, buffer=seg.buf)
-    rows = np.ndarray(n, _c.INDEX_DTYPE, buffer=seg.buf, offset=o1)
-    vals = np.ndarray(n, _c.VALUE_DTYPE, buffer=seg.buf, offset=o2)
-    return TripleList(shape, cols, rows, vals)
-
-
 # ---------------------------------------------------------------------------
 # Parent side: exporting inputs, importing results
 # ---------------------------------------------------------------------------
@@ -150,33 +125,6 @@ def export_csc(mat: CSCMatrix) -> tuple:
         return handle
 
     return memo(mat, "shm_export", build)
-
-
-def export_triples(t: TripleList) -> tuple:
-    """Descriptor for shipping a triple list to workers (memoized).
-
-    Same lifetime rules as :func:`export_csc`: one segment per list
-    however many partition tasks reference it, unlinked when the list is
-    garbage-collected.
-    """
-    total = t.cols.nbytes + t.rows.nbytes + t.vals.nbytes
-    if total < SHM_MIN_BYTES:
-        return ("tpl", t.shape, t.cols, t.rows, t.vals)
-    from ..perf.cache import memo
-
-    def build():
-        with maybe_span("shm_export", "shm", nbytes=total):
-            seg, handle = _pack_triples(
-                t,
-                lambda size: shared_memory.SharedMemory(
-                    create=True, size=size
-                ),
-            )
-        fin = weakref.finalize(t, _unlink, seg)
-        _live_exports.add(fin)
-        return handle
-
-    return memo(t, "shm_export", build)
 
 
 def _tag(value):
@@ -267,32 +215,6 @@ def import_csc(handle: tuple) -> CSCMatrix:
     return mat
 
 
-def import_triples(handle: tuple) -> TripleList:
-    """Materialize a parent-exported triple list inside a worker."""
-    if handle[0] == "tpl":
-        _, shape, cols, rows, vals = handle
-        return TripleList(shape, cols, rows, vals)
-    name = handle[1]
-    hit = _attached.get(name)
-    if hit is not None:
-        _attached.move_to_end(name)
-        return hit[1]
-    n = handle[3]
-    nbytes = n * (2 * _c.INDEX_DTYPE().itemsize + _c.VALUE_DTYPE().itemsize)
-    with maybe_span("shm_attach", "shm", nbytes=nbytes):
-        seg = _attach(name)
-        t = _wrap_triples(handle, seg)
-    _attached[name] = (seg, t)
-    while len(_attached) > ATTACH_CACHE_SEGMENTS:
-        old_seg, old_obj = _attached.popitem(last=False)[1]
-        del old_obj
-        try:
-            old_seg.close()
-        except BufferError:  # a view escaped; leave it to process exit
-            pass
-    return t
-
-
 def export_result(value):
     """Prepare a worker's return value for the trip back (recursive).
 
@@ -323,8 +245,6 @@ def import_value(value):
     """Materialize a parent-exported argument inside a worker (recursive)."""
     if _tag(value) in ("pkl", "shm"):
         return import_csc(value)
-    if _tag(value) in ("tpl", "tshm"):
-        return import_triples(value)
     if isinstance(value, tuple):
         return tuple(import_value(v) for v in value)
     if isinstance(value, list):
@@ -336,8 +256,6 @@ def export_value(value):
     """Prepare a parent-side argument for shipping (recursive)."""
     if isinstance(value, CSCMatrix):
         return export_csc(value)
-    if isinstance(value, TripleList):
-        return export_triples(value)
     if isinstance(value, tuple):
         return tuple(export_value(v) for v in value)
     if isinstance(value, list):

@@ -37,18 +37,6 @@ def local_multiply(a: CSCMatrix, b: CSCMatrix):
     return spgemm_esc(a, b), flops_per_column(a, b)
 
 
-def merge_partition(strategy: str, shape, lo: int, hi: int, lists):
-    """One SpKAdd column partition: merge [lo, hi) of the triple lists.
-
-    Returns the raw ``(cols, rows, vals, n_in)`` arrays — the parent
-    concatenates partitions in range order, which is bit-identical to the
-    serial merge (disjoint column ranges never share a coordinate run).
-    """
-    from ..merge.spkadd import merge_range
-
-    return merge_range(strategy, shape, lo, hi, lists)
-
-
 def prune_block_column(blocks: list, options):
     """Prune one processor column's blocks with the §II protocol."""
     from ..mcl.distributed_prune import distributed_prune_block_column

@@ -38,9 +38,9 @@ from ..sparse import CSCMatrix
 from ..sparse import _compressed as _c
 from .arena import global_arena
 
-#: Use dense ``nrows·ncols`` scratch (the symbolic pass's occupancy flags,
-#: the merge kernels' scatter) only while it stays below this cap and
-#: within a reasonable multiple of the element count.
+#: Use dense ``nrows·ncols`` scratch (the symbolic pass's occupancy flags)
+#: only while it stays below this cap and within a reasonable multiple of
+#: the element count.
 DENSE_CELL_LIMIT = 1 << 23
 DENSE_WASTE_FACTOR = 32
 

@@ -1,16 +1,30 @@
-"""Batched k-way triple-list merge — the kernel behind ``merge_lists``.
+"""SpKAdd — the numeric kernel behind ``merge_lists`` and ``spkadd_merge``.
 
-Each input list is sorted and duplicate-free, so the merged coordinate
-multiset fits a dense accumulator: encode (col, row) as one flat key and
-``np.bincount`` the values.  bincount accumulates in input order, i.e.
-colliding entries are summed in concatenation (list) order — the
-library's canonical left-to-right order, the same a sequential
-accumulator over the lists would use.  Cancellation zeros survive
-(occupancy is tracked by touch, not by value).
+The summation ``C_ij = Σ_k A_ik·B_kj`` adds k canonical CSC blocks (every
+column sorted by row, no duplicate coordinate — what ``spgemm_esc`` and
+this kernel itself produce).  :func:`merge_triples` adds them as a
+left-to-right chain ``((l₁ + l₂) + l₃) + …`` of SciPy's compiled sorted
+two-pointer addition ``csr_plus_csr``, called under the §III-B identity
+(a CSC matrix is its transpose in CSR) on the operands' own
+``(indptr, rows, vals)`` arrays: no expansion to coordinates, no key, no
+sort, no ``nrows·ncols`` accumulator.
 
-Oversized outputs take a combined-key *stable* argsort instead, which
-keeps colliding entries in the same concatenation order, then the
-ordered group sum.
+Left-to-right is not a style choice.  The library's canonical summation
+order for one coordinate is ``0.0 + v₁ + v₂ + …`` in list order (what a
+sequential accumulator over the lists computes), and ``0.0 + v₁`` is
+``v₁`` exactly, so the chain reproduces it bit for bit; a balanced
+pairing ``(l₁ + l₂) + (l₃ + l₄)`` rounds differently.
+
+``csr_plus_csr`` drops cells whose sum is exactly 0.0 where this library
+keeps every structural entry.  A sum of strictly positive values cannot
+be zero, so the chain runs only when every operand's values are > 0 (one
+pass per list; NaN, −0.0, stored zeros and negative weights all fail it
+— never an MCL iterate).  Otherwise the lists are concatenated, stably
+sorted by coordinate and group-summed in order, which keeps the zeros.
+
+Like the multiply, the compiled code does not bounds-check, and it takes
+the two-pointer pass only on canonical operands: callers vouch that every
+list is sorted and duplicate-free per column.
 """
 
 from __future__ import annotations
@@ -18,77 +32,53 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse import _compressed as _c
-from .arena import global_arena
-from .esc import DENSE_CELL_LIMIT, DENSE_WASTE_FACTOR
 
 
 def merge_triples(lists, shape):
-    """Merge sorted, duplicate-free triple lists; returns (cols, rows, vals).
+    """Add canonical CSC lists; returns the sum's ``(indptr, rows, vals)``.
 
     ``lists`` must be non-empty lists (the caller strips empties), all of
     the same block shape.
     """
+    if all(t.vals.min() > 0 for t in lists):
+        return _add_chain(lists, shape)
+    return _sort_and_sum(lists, shape)
+
+
+def _add_chain(lists, shape):
+    # Imported at first use: ``import repro`` stays SciPy-free.
+    from scipy.sparse import _sparsetools
+
     nrows, ncols = shape
-    cols = np.concatenate([t.cols for t in lists])
-    rows = np.concatenate([t.rows for t in lists])
+    first = lists[0]
+    indptr, rows, vals = first.indptr, first.rows, first.vals
+    for t in lists[1:]:
+        bound = len(vals) + len(t)
+        out_indptr = np.empty(ncols + 1, dtype=_c.INDEX_DTYPE)
+        out_rows = np.empty(bound, dtype=_c.INDEX_DTYPE)
+        out_vals = np.empty(bound, dtype=_c.VALUE_DTYPE)
+        _sparsetools.csr_plus_csr(
+            ncols, nrows, indptr, rows, vals, t.indptr, t.rows, t.vals,
+            out_indptr, out_rows, out_vals,
+        )
+        nnz = out_indptr[-1]
+        indptr, rows, vals = out_indptr, out_rows[:nnz], out_vals[:nnz]
+    return indptr, rows, vals
+
+
+def _sort_and_sum(lists, shape):
+    nrows, ncols = shape
+    key = np.concatenate([t.cols for t in lists])
+    key *= np.int64(nrows)
+    key += np.concatenate([t.rows for t in lists])
     vals = np.concatenate([t.vals for t in lists])
-    key = cols * np.int64(nrows)
-    key += rows
-    n = len(key)
-    n2 = nrows * ncols
-    if n2 <= DENSE_CELL_LIMIT and n2 <= DENSE_WASTE_FACTOR * n:
-        arena = global_arena()
-        dense = np.bincount(key, weights=vals, minlength=n2)
-        flags = arena.flags("merge:occupied", n2)
-        flags[key] = True
-        pos = np.flatnonzero(flags)
-        flags[pos] = False
-        out_vals = dense[pos]
-        out_cols, out_rows = np.divmod(pos, np.int64(nrows))
-        return out_cols, out_rows, out_vals
+    # A stable sort keeps colliding entries in concatenation (list) order.
     order = np.argsort(key, kind="stable")
     key = key[order]
     vals = vals[order]
-    boundary = np.empty(n, dtype=bool)
+    boundary = np.empty(len(key), dtype=bool)
     boundary[0] = True
     np.not_equal(key[1:], key[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    ukey = key[starts]
+    out_cols, out_rows = np.divmod(key[boundary], np.int64(nrows))
     out_vals = _c.groupsum_ordered(vals, boundary)
-    out_cols, out_rows = np.divmod(ukey, np.int64(nrows))
-    return out_cols, out_rows, out_vals
-
-
-def range_cells(nrows: int, lo: int, hi: int) -> int:
-    """Dense-accumulator cell count of column range [lo, hi)."""
-    return (int(hi) - int(lo)) * int(nrows)
-
-
-def range_dense_eligible(nrows, lo, hi, n) -> bool:
-    """Whether the partition's dense scatter stays within the ESC limits."""
-    cells = range_cells(nrows, lo, hi)
-    return n > 0 and cells <= DENSE_CELL_LIMIT and cells <= DENSE_WASTE_FACTOR * n
-
-
-def merge_keyed_range_dense(key, vals, nrows, lo, hi):
-    """Dense-scatter accumulate flat keys restricted to columns [lo, hi).
-
-    ``key`` holds ``col * nrows + row`` entries whose columns all fall in
-    the range; the accumulator is offset by ``lo * nrows`` so only the
-    range's cells are materialized.  Same order argument as
-    :func:`merge_triples`: bincount sums in input order, matching a stable
-    sort's left-to-right run accumulation.  The caller must have checked
-    :func:`range_dense_eligible`.
-    """
-    base = np.int64(lo) * np.int64(nrows)
-    cells = range_cells(nrows, lo, hi)
-    local = key - base
-    dense = np.bincount(local, weights=vals, minlength=cells)
-    arena = global_arena()
-    flags = arena.flags("spkadd:occupied", cells)
-    flags[local] = True
-    pos = np.flatnonzero(flags)
-    flags[pos] = False
-    out_vals = dense[pos]
-    out_cols, out_rows = np.divmod(pos + base, np.int64(nrows))
-    return out_cols, out_rows, out_vals
+    return _c.compress_major(out_cols, ncols), out_rows, out_vals

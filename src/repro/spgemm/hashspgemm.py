@@ -194,17 +194,22 @@ def spgemm_hash(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
     )
 
 
-def hash_operation_count(a: CSCMatrix, b: CSCMatrix, c_nnz: int) -> float:
+def hash_operation_count(
+    a: CSCMatrix, b: CSCMatrix, c_nnz: int, total_flops=None
+) -> float:
     """Modeled operation count: one probe/update per flop plus the final
     per-column sort, ``nnz(C) · log2(nnz(C)/ncols)`` amortized.
 
     Unlike the heap kernel the cost has *no* log factor on the flops term —
     this difference is what the machine model turns into the heap/hash
-    crossover of §VI.
+    crossover of §VI.  A caller that already holds ``flops(a, b)`` passes
+    it as ``total_flops``.
     """
-    from .metrics import flops
+    if total_flops is None:
+        from .metrics import flops
 
-    f = float(flops(a, b))
+        total_flops = flops(a, b)
+    f = float(total_flops)
     if c_nnz <= 0:
         return f
     used = max(1, int((b.column_lengths() > 0).sum()))

@@ -103,14 +103,19 @@ def spgemm_heap(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
     )
 
 
-def heap_operation_count(a: CSCMatrix, b: CSCMatrix) -> float:
+def heap_operation_count(
+    a: CSCMatrix, b: CSCMatrix, column_flops=None
+) -> float:
     """Modeled comparison count: ``Σ_j flops_j · log2(max(2, k_j))``.
 
     ``k_j = nnz(B_{*j})`` is the heap size for output column j.  This feeds
-    the machine model's time estimate for the heap kernel.
+    the machine model's time estimate for the heap kernel.  A caller that
+    already holds ``flops_per_column(a, b)`` passes it as ``column_flops``.
     """
-    from .metrics import flops_per_column
+    if column_flops is None:
+        from .metrics import flops_per_column
 
-    per_col = flops_per_column(a, b).astype(np.float64)
+        column_flops = flops_per_column(a, b)
+    per_col = column_flops.astype(np.float64)
     k = np.maximum(b.column_lengths(), 2).astype(np.float64)
     return float(np.sum(per_col * np.log2(k)))

@@ -37,7 +37,6 @@ from ..gpu.multigpu import split_columns
 from ..machine.spec import MachineSpec, SUMMIT_LIKE
 from ..merge import SCHEDULES, TripleList, merge_lists
 from ..merge.spkadd import (
-    MERGE_FANOUT_MIN_ELEMENTS,
     MERGE_IMPLS,
     STRATEGY_LADDER,
     resolve_merge_impl,
@@ -101,10 +100,10 @@ class SummaConfig:
     #: Record per-event (rank, phase, stage, kind, start, end) tuples in
     #: ``SummaResult.trace`` — used to regenerate Fig. 2's timeline.
     trace: bool = False
-    #: SpKAdd engine for the physical merges ("serial" | "tree" | "hash"
-    #: | "auto"); None defers to ``REPRO_MERGE_IMPL`` / "auto".  All four
-    #: are bit-identical — the knob only moves wall-clock work onto the
-    #: executor's workers and trades peak merge memory for speed.
+    #: SpKAdd plan label for the physical merges ("serial" | "tree" |
+    #: "hash" | "auto"); None defers to ``REPRO_MERGE_IMPL`` / "auto".  All
+    #: four are bit-identical — one engine runs behind every label; the
+    #: knob picks where on the memory-model ladder planning starts.
     merge_impl: str | None = None
     #: Broadcast schedule.  ``"sync"`` charges every broadcast as a
     #: blocking collective on the member CPUs (the PR4 behavior);
@@ -162,16 +161,12 @@ class SummaResult:
     merge_operations: float = 0.0
     #: Resolved ``merge_impl`` knob the run planned strategies under.
     merge_impl: str = "auto"
-    #: Physical merges per executed SpKAdd strategy.  Strategy planning is
+    #: Physical merges per planned SpKAdd strategy label.  Strategy planning is
     #: a pure function of the inputs and the budget, so these counts are
     #: identical across every (backend, workers, overlap) cell.
     merge_strategy_selections: Counter = field(default_factory=Counter)
     #: Injected merge-memory overruns absorbed by the recovery ladder.
     merge_demotions: int = 0
-    #: Largest single-partition input share any SpKAdd fan-out saw — a
-    #: wall-clock diagnostic (like ``prefetched_stages``, it varies with
-    #: the worker count and is excluded from cell-identity).
-    merge_peak_partition_elements: int = 0
     phases: int = 1
     h2d_bytes: int = 0
     d2h_bytes: int = 0
@@ -248,10 +243,12 @@ def _pick_kernel(
     return kind
 
 
-def _cpu_kernel_ops(kind: KernelKind, a, b, c_nnz: int) -> float:
+def _cpu_kernel_ops(
+    kind: KernelKind, a, b, c_nnz: int, per_col: np.ndarray, flops: int
+) -> float:
     if kind is KernelKind.CPU_HEAP:
-        return heap_operation_count(a, b)
-    return hash_operation_count(a, b, c_nnz)
+        return heap_operation_count(a, b, per_col)
+    return hash_operation_count(a, b, c_nnz, flops)
 
 
 def _gpu_stage_time(
@@ -396,8 +393,8 @@ def summa_multiply(
     change — only which kernel kind is charged.
 
     ``merge_impl`` (explicit > ``config.merge_impl`` > ``REPRO_MERGE_IMPL``
-    > auto) selects the SpKAdd engine the physical merges run with; all
-    options are bit-identical to the serial merge, so it composes freely
+    > auto) selects the SpKAdd plan label the physical merges are planned
+    under; one engine runs behind every label, so it composes freely
     with every backend/overlap combination.  ``merge_injector`` (defaults
     to ``injector``) arms the merge-memory-overrun fault site: an injected
     overrun charges the overrunning attempt's modeled time under the
@@ -532,11 +529,11 @@ def summa_multiply(
     merge_rung = [0]
 
     def engine_merge(lists):
-        """The schedules' numeric engine: plan a strategy, maybe fan out.
+        """The schedules' numeric engine, called under a planned label.
 
         Planning sees only the inputs, the budget, and the recovery rung —
         never the executor — so ``merge_strategy_selections`` is identical
-        across cells; only *where* the partitions physically run varies.
+        across cells.  The merge itself always runs inline, here.
         """
         total = sum(len(t) for t in lists)
         strategy = plan_merge_strategy(
@@ -552,20 +549,7 @@ def summa_multiply(
             tracer.count(f"merge.{strategy}")
         if strategy == "serial":
             return merge_lists(lists, copy=False)
-        stats: dict = {}
-        fan_executor = (
-            executor
-            if parallel_stages and total >= MERGE_FANOUT_MIN_ELEMENTS
-            else None
-        )
-        merged = spkadd_merge(
-            lists, strategy=strategy, executor=fan_executor, stats=stats
-        )
-        result.merge_peak_partition_elements = max(
-            result.merge_peak_partition_elements,
-            stats.get("peak_partition_elements", 0),
-        )
-        return merged
+        return spkadd_merge(lists, strategy=strategy)
 
     # Pre-slice B's blocks per phase (local column ranges align across a
     # block column because widths are identical within it).  Slabs are
@@ -901,7 +885,8 @@ def summa_multiply(
                         # Injected host hash-table overflow: charge the
                         # aborted hash attempt, demote to the heap.
                         ops = _cpu_kernel_ops(
-                            kind, a_blk, b_blk, product.nnz
+                            kind, a_blk, b_blk, product.nnz,
+                            per_col, profile.flops,
                         )
                         clock.cpu.schedule(
                             ready,
@@ -960,7 +945,10 @@ def summa_multiply(
                             clock.cpu.free_at = done
                         available = done
                     else:
-                        ops = _cpu_kernel_ops(kind, a_blk, b_blk, product.nnz)
+                        ops = _cpu_kernel_ops(
+                            kind, a_blk, b_blk, product.nnz,
+                            per_col, profile.flops,
+                        )
                         dur = spec.cpu_spgemm_time(kind, ops, config.threads)
                         available = clock.cpu.schedule(
                             ready, dur, "local_spgemm"

@@ -118,7 +118,6 @@ def summa3d_multiply(
     *,
     charge_redistribution: bool = True,
     merge_impl: str | None = None,
-    executor=None,
 ) -> Summa3DResult:
     """Compute ``C = A·B`` with ``layers`` layers on ``comm``'s processes.
 
@@ -129,8 +128,8 @@ def summa3d_multiply(
 
     The per-fiber combine runs through the SpKAdd engine: ``merge_impl``
     resolves like the 2-D engine's knob (explicit > ``REPRO_MERGE_IMPL``
-    > auto) and ``executor`` fans the partitioned merge out — SpKAdd is
-    pinned bit-identical to ``merge_lists``, so the product is unchanged.
+    > auto) and only labels the plan — one engine runs behind every
+    label, so the product is unchanged.
     """
     from ..merge.spkadd import resolve_merge_impl, spkadd_merge
     from .phases import plan_merge_strategy
@@ -191,9 +190,7 @@ def summa3d_multiply(
         strategy = plan_merge_strategy(
             impl, sum(len(t) for t in lists), lists[0].shape
         )
-        merged = spkadd_merge(
-            list(lists), strategy=strategy, executor=executor
-        )
+        merged = spkadd_merge(lists, strategy=strategy)
         ops = sum(len(t) for t in lists) * max(
             1.0, np.log2(max(2, layers))
         )

@@ -245,13 +245,13 @@ def plan_merge_strategy(
     budget_bytes: int | None = None,
     rung: int = 0,
 ) -> str:
-    """Pick the SpKAdd strategy one physical merge runs with.
+    """Pick the SpKAdd strategy label one physical merge is planned under.
 
     ``impl`` is the resolved ``merge_impl`` knob.  ``auto`` starts at the
     top of :data:`~repro.merge.spkadd.STRATEGY_LADDER` (hash) but plans
-    ``serial`` outright below ``SPKADD_MIN_ELEMENTS`` — partition
-    bookkeeping would dominate; an explicit tree/hash starts at its own
-    rung and is always honored on small inputs.  From the starting rung
+    ``serial`` outright below ``SPKADD_MIN_ELEMENTS``; an explicit
+    tree/hash starts at its own rung and is always honored on small
+    inputs.  From the starting rung
     the ladder walks down past any strategy whose
     :func:`~repro.merge.spkadd.strategy_peak_bytes` busts ``budget_bytes``
     (mirroring kernel demotion), and ``rung`` — the recovery ladder fed by

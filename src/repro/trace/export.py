@@ -156,30 +156,22 @@ def overlap_pairs(tracer: Tracer) -> list[tuple[Span, Span]]:
 
 
 def merge_report(tracer: Tracer) -> dict | None:
-    """Wall-clock share and parallel fraction of the merge phase.
+    """Wall-clock share of the merge phase.
 
     Returns ``None`` for traces without any merge span; otherwise a dict:
 
     * ``main_seconds`` — wall time inside main-lane ``merge`` /
-      ``finish_merge`` spans (the serial accounting pass);
-    * ``worker_seconds`` — wall time of ``merge_partition`` spans on
-      worker lanes (the fanned-out SpKAdd partitions);
+      ``finish_merge`` spans (the accounting pass and the merges it
+      triggers, which always run inline);
     * ``window_seconds`` — the trace's overall wall window;
-    * ``share`` — the main-lane merge spans' share of that window;
-    * ``parallel_fraction`` — worker-lane merge time over all merge time
-      (0.0 for a fully serial merge, approaching 1 as the partitions
-      absorb the work).
+    * ``share`` — the merge spans' share of that window.
     """
     main = [
         s for s in tracer.spans
         if s.cat == "summa" and s.name in ("merge", "finish_merge")
         and s.lane == MAIN_LANE
     ]
-    workers = [
-        s for s in tracer.spans
-        if s.name == "merge_partition" and s.lane != MAIN_LANE
-    ]
-    if not main and not workers:
+    if not main:
         return None
     timed = [s for s in tracer.spans if s.t1_wall > s.t0_wall]
     window = (
@@ -188,14 +180,10 @@ def merge_report(tracer: Tracer) -> dict | None:
         else 0.0
     )
     main_s = sum(s.wall_seconds for s in main)
-    worker_s = sum(s.wall_seconds for s in workers)
-    total = main_s + worker_s
     return {
         "main_seconds": main_s,
-        "worker_seconds": worker_s,
         "window_seconds": window,
         "share": main_s / window if window > 0 else 0.0,
-        "parallel_fraction": worker_s / total if total > 0 else 0.0,
     }
 
 
@@ -308,9 +296,7 @@ def summarize(tracer: Tracer) -> str:
         lines.append("")
         lines.append(
             f"merge phase: {merge['main_seconds'] * 1e3:.1f}ms main-lane "
-            f"({merge['share'] * 100:.1f}% of the wall window), "
-            f"{merge['worker_seconds'] * 1e3:.1f}ms on worker lanes "
-            f"(parallel fraction {merge['parallel_fraction'] * 100:.1f}%)"
+            f"({merge['share'] * 100:.1f}% of the wall window)"
         )
     if tracer.counters:
         lines.append("")

@@ -40,6 +40,43 @@ class TestTripleList:
         with pytest.raises(ShapeError):
             TripleList((2, 2), [0], [0, 1], [1.0])
 
+    def test_csc_view_shares_arrays_and_allocates_nothing(self):
+        import tracemalloc
+
+        mat = random_csc((2000, 2000), 0.01, seed=5)  # 40k entries, 1 MB
+        tracemalloc.start()
+        t = TripleList.from_csc(mat, copy=False)
+        back = t.to_csc()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 8 * 1024  # objects only; one O(nnz) array is 320 kB
+        for arr, src in ((t.indptr, mat.indptr), (t.rows, mat.indices),
+                         (t.vals, mat.data)):
+            assert arr is src
+        assert back.indptr is mat.indptr
+        assert back.indices is mat.indices and back.data is mat.data
+        # The default copies, so the list outlives edits to the matrix.
+        owned = TripleList.from_csc(mat)
+        assert not any(
+            np.shares_memory(a, b)
+            for a in (owned.indptr, owned.rows, owned.vals)
+            for b in (mat.indptr, mat.indices, mat.data)
+        )
+
+    def test_cols_and_indptr_are_two_views_of_one_list(self, square_matrix):
+        from repro.sparse import _compressed as _c
+
+        mat = square_matrix.sorted()
+        t = TripleList.from_csc(mat)
+        cols = t.cols  # expanded on demand
+        assert np.array_equal(cols, _c.expand_major(mat.indptr, mat.ncols))
+        assert t.cols is cols
+        assert np.array_equal(_c.compress_major(cols, mat.ncols), mat.indptr)
+        # Built from coordinates, the list derives the same indptr.
+        again = TripleList(mat.shape, cols, t.rows, t.vals)
+        assert np.array_equal(again.indptr, mat.indptr)
+        assert again.to_csc().same_pattern_and_values(mat)
+
 
 class TestMergeLists:
     def test_merge_two(self):

@@ -193,9 +193,19 @@ def _report(e2e, micro):
 def test_compare_reports_pairs_by_name():
     base = _report({"net": 1.0}, {"esc": 0.010, "hash": 0.020})
     cur = _report({"net": 1.1}, {"esc": 0.014, "gone": 0.5})
-    rows = {c.name: c for c in compare_reports(cur, base)}
+    # A section the current run did not measure at all stays quiet; a
+    # baseline cell gone from a measured section is skipped with a warning.
+    base["merge_sweep"] = {"k4-uniform-w4": {"seconds": 0.1}}
+    warnings = []
+    rows = {
+        c.name: c for c in compare_reports(cur, base, warn=warnings.append)
+    }
     assert set(rows) == {"end_to_end/net", "micro/esc"}
     assert rows["micro/esc"].ratio == pytest.approx(1.4)
+    assert len(warnings) == 1 and "'micro/hash'" in warnings[0]
+    cur["merge_sweep"] = {"k4-uniform-w1": {"seconds": 0.1}}
+    compare_reports(cur, base, warn=warnings.append)
+    assert "'merge_sweep/k4-uniform-w4'" in warnings[-1]
 
 
 def test_regressions_respect_tolerance():

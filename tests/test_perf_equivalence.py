@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components as scipy_components
 
+from repro.merge import SCHEDULES, run_schedule
 from repro.merge.lists import TripleList, merge_lists
-from repro.merge.spkadd import spkadd_merge
+from repro.merge.spkadd import STRATEGY_LADDER, spkadd_merge
 from repro.mcl.components import (
     UnionFind, canonical_labels, connected_components,
 )
@@ -41,11 +42,6 @@ from repro.spgemm.hashspgemm import spgemm_hash
 from repro.spgemm.heap import spgemm_heap
 
 from helpers import assert_same_csc, bits_equal
-
-#: (limit, waste factor) pairs that force the dense-scatter side and the
-#: stable-key-sort side of ``range_dense_eligible``.
-DENSE, SORTED = (1 << 23, 1 << 30), (0, 32)
-
 
 @contextmanager
 def patched(module, **values):
@@ -337,34 +333,231 @@ def test_dcsc_conversion_fast_bit_identical(mat):
     assert DCSCMatrix.from_csc(mat) is not d
 
 
-@given(st.lists(signed_matrices(max_dim=14), min_size=1, max_size=6))
-@settings(max_examples=60, deadline=None)
-def test_merge_fast_bit_identical(mats):
-    shape = mats[0].shape
-    # ``+ 0.0`` keeps -0.0 out: a lone list is returned untouched while a
-    # summed one starts from +0.0, like the accumulator below.
-    lists = [
-        TripleList.from_csc(csc_from_triples(
-            shape, m.indices % shape[0], cols_of(m) % shape[1], m.data + 0.0,
-        ))
-        for m in mats
-    ]
+@contextmanager
+def merge_sides():
+    """Counts the calls to each side of ``merge_triples``: the compiled
+    addition ``chain`` and the stable ``sort`` that keeps zero sums."""
+    calls = {"chain": 0, "sort": 0}
+
+    def spy(side, real):
+        def counted(*args):
+            calls[side] += 1
+            return real(*args)
+
+        return counted
+
+    with patched(
+        perf_merge,
+        _add_chain=spy("chain", perf_merge._add_chain),
+        _sort_and_sum=spy("sort", perf_merge._sort_and_sum),
+    ):
+        yield calls
+
+
+def accumulate(lists):
+    """Sorted coordinates and their sums, accumulated from 0.0 one list
+    after the other in sequential Python.  A lone non-empty list is handed
+    through as it is (so its -0.0 stays -0.0)."""
+    live = [t for t in lists if len(t)]
+    if len(live) == 1:
+        only = live[0]
+        return list(zip(only.cols.tolist(), only.rows.tolist())), only.vals
     table = {}
-    for t in lists:  # left to right, one list after the other
+    for t in live:
         for c, r, v in zip(t.cols.tolist(), t.rows.tolist(), t.vals.tolist()):
             table[c, r] = table.get((c, r), 0.0) + v
     coords = sorted(table)
-    want = np.array([table[cr] for cr in coords], dtype=np.float64)
-    for limit, waste in (DENSE, SORTED):
-        with patched(perf_merge, DENSE_CELL_LIMIT=limit,
-                     DENSE_WASTE_FACTOR=waste):
-            outs = [merge_lists(list(lists))] + [
-                spkadd_merge(list(lists), strategy=s, parts=2)
-                for s in ("tree", "hash")
-            ]
-        for out in outs:
+    return coords, np.array([table[cr] for cr in coords], dtype=np.float64)
+
+
+def assert_merges_match_accumulator(lists, shape):
+    """``merge_lists`` and ``spkadd_merge`` under every label, called
+    directly and as the engine of every schedule: each physical merge must
+    return the accumulator's coordinates and bits for *its* operands."""
+
+    def checked(engine):
+        def merge(group):
+            out = engine(list(group))
+            coords, want = accumulate(group)
+            assert out.shape == shape
             assert list(zip(out.cols.tolist(), out.rows.tolist())) == coords
             assert bits_equal(out.vals, want)
+            assert np.array_equal(
+                out.indptr, _c.compress_major(out.cols, shape[1])
+            )
+            return out
+
+        return merge
+
+    engines = [merge_lists] + [
+        (lambda group, s=s: spkadd_merge(group, strategy=s))
+        for s in STRATEGY_LADDER
+    ]
+    for engine in engines:
+        checked(engine)(lists)
+        for kind in SCHEDULES:
+            run_schedule(kind, lists, shape, merge_fn=checked(engine))
+
+
+@given(st.lists(signed_matrices(max_dim=14), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_merge_fast_bit_identical(mats):
+    shape = mats[0].shape
+
+    def lists_of(values):
+        return [
+            TripleList.from_csc(csc_from_triples(
+                shape, m.indices % shape[0], cols_of(m) % shape[1], values(m),
+            ))
+            for m in mats
+        ]
+
+    assert_merges_match_accumulator(lists_of(lambda m: m.data), shape)
+    # Strictly positive values of mixed magnitude: the chain, never the sort.
+    positive = lists_of(lambda m: np.abs(m.data) + 2.0 ** -20)
+    with merge_sides() as sides:
+        assert_merges_match_accumulator(positive, shape)
+    assert sides["sort"] == 0
+    assert bool(sides["chain"]) == (sum(1 for t in positive if len(t)) > 1)
+
+
+def triples(shape, indptr, rows, vals):
+    return TripleList.from_csc(raw(shape, indptr, rows, vals), copy=False)
+
+
+#: name → (shape, lists, side of the engine a k-way merge of them takes,
+#: does some output cell hold exactly ±0.0?)
+MERGE_EDGE_CASES = {
+    "positive": (
+        (3, 2),
+        [triples((3, 2), [0, 2, 3], [0, 2, 1], [1.0, 2.0, 3.0]),
+         triples((3, 2), [0, 1, 2], [2, 1], [0.5, 0.25]),
+         triples((3, 2), [0, 0, 1], [0], [INF])],
+        "chain", False,
+    ),
+    "plus-minus-one cancels": (
+        (2, 2),
+        [triples((2, 2), [0, 1, 2], [0, 1], [1.0, 2.0]),
+         triples((2, 2), [0, 1, 2], [0, 1], [-1.0, 3.0])],
+        "sort", True,
+    ),
+    "stored zero": (
+        (2, 2),
+        [triples((2, 2), [0, 1, 2], [0, 1], [0.0, 2.0]),
+         triples((2, 2), [0, 1, 1], [1], [4.0])],
+        "sort", True,
+    ),
+    "negative zero": (
+        (2, 1),
+        [triples((2, 1), [0, 2], [0, 1], [-0.0, 1.0]),
+         triples((2, 1), [0, 1], [1], [5.0])],
+        "sort", True,
+    ),
+    "nan and inf": (
+        (2, 2),
+        [triples((2, 2), [0, 2, 3], [0, 1, 0], [NAN, INF, 1.0]),
+         triples((2, 2), [0, 2, 3], [0, 1, 0], [1.0, -INF, INF])],
+        "sort", False,
+    ),
+    "empty lists between": (
+        (2, 2),
+        [TripleList.empty((2, 2)),
+         triples((2, 2), [0, 1, 2], [0, 1], [1.0, 2.0]),
+         TripleList.empty((2, 2)),
+         triples((2, 2), [0, 1, 2], [0, 0], [3.0, 4.0])],
+        "chain", False,
+    ),
+    "one live list": (
+        (2, 2),
+        [TripleList.empty((2, 2)),
+         triples((2, 2), [0, 1, 2], [0, 1], [-0.0, -2.0])],
+        None, True,
+    ),
+    "empty columns": (
+        (3, 4),
+        [triples((3, 4), [0, 0, 2, 2, 3], [0, 2, 1], [1.0, 2.0, 3.0]),
+         triples((3, 4), [0, 0, 1, 1, 1], [2], [4.0])],
+        "chain", False,
+    ),
+    "no rows": (
+        (0, 3), [TripleList.empty((0, 3)), TripleList.empty((0, 3))],
+        None, False,
+    ),
+    "no columns": (
+        (3, 0), [TripleList.empty((3, 0)), TripleList.empty((3, 0))],
+        None, False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MERGE_EDGE_CASES))
+def test_merge_edge_cases_run_the_side_they_should(case):
+    shape, lists, side, zero_sum = MERGE_EDGE_CASES[case]
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert_merges_match_accumulator(lists, shape)
+        with merge_sides() as sides:
+            out = merge_lists(list(lists))
+    assert sides == {
+        "chain": int(side == "chain"), "sort": int(side == "sort"),
+    }
+    # A cancelled (or stored-zero) cell survives as an explicit zero.
+    assert bool(np.any(out.vals == 0.0)) == zero_sum
+    assert len(out) == len({
+        (c, r) for t in lists for c, r in zip(t.cols.tolist(), t.rows.tolist())
+    })
+
+
+def test_merge_sums_left_to_right():
+    # 2^53 + 1 + 1 + 1: added one at a time every 1.0 is rounded away;
+    # any other bracketing adds (1 + 1) somewhere and keeps it.
+    big = 2.0 ** 53
+    cell = lambda v: triples((1, 1), [0, 1], [0], [v])  # noqa: E731
+    three = [cell(big), cell(1.0), cell(1.0)]
+    assert (big + 1.0) + 1.0 != big + (1.0 + 1.0)
+    four = three + [cell(1.0)]
+    assert ((big + 1.0) + 1.0) + 1.0 != (big + 1.0) + (1.0 + 1.0)
+    for lists in (three, four):
+        with merge_sides() as sides:
+            outs = [merge_lists(list(lists))] + [
+                spkadd_merge(list(lists), strategy=s) for s in STRATEGY_LADDER
+            ]
+        assert sides == {"chain": len(outs), "sort": 0}
+        for out in outs:
+            assert out.vals.tolist() == [big], (
+                "the chain must add ((l1 + l2) + l3) + ...: a balanced "
+                "pairing or a right-to-left fold rounds differently"
+            )
+
+
+def test_merge_private_sparsetools_call_matches_public_scipy():
+    # ``_add_chain`` calls SciPy's private compiled module directly; on
+    # positive operands its result is SciPy's own public sum.
+    import scipy
+
+    a = random_csc((60, 45), 0.15, seed=1)
+    b = random_csc((60, 45), 0.15, seed=2)
+    broken = (
+        "repro.perf.merge calls scipy.sparse._sparsetools.csr_plus_csr "
+        "directly (supported: SciPy 1.10 to 1.17); "
+        f"SciPy {scipy.__version__} no longer matches that private "
+        "signature or its public `A + B`"
+    )
+    try:
+        want = a.to_scipy() + b.to_scipy()
+        want.sort_indices()
+        with merge_sides() as sides:
+            got = merge_lists([
+                TripleList.from_csc(a, copy=False),
+                TripleList.from_csc(b, copy=False),
+            ])
+        assert sides == {"chain": 1, "sort": 0}
+        assert_same_csc(
+            got.to_csc(),
+            CSCMatrix(want.shape, want.indptr, want.indices, want.data),
+        )
+    except (ImportError, AttributeError, TypeError, ValueError,
+            AssertionError) as exc:
+        pytest.fail(f"{broken}: {exc!r}")
 
 
 def nonnegative(mat, ncols=None):

@@ -1,12 +1,11 @@
-"""Parallel SpKAdd: partitioning, strategies, planning, and the engine wiring.
+"""SpKAdd: the engine behind every plan label, planning, and the wiring.
 
 Unit coverage for :mod:`repro.merge.spkadd` plus the integration seams:
-the strategy planner in :mod:`repro.summa.phases`, the executor fan-out
-(worker-lane trace evidence), the merge-overrun recovery ladder, and the
-tier-2 wall-clock acceptance for the parallel merge itself.
+the strategy planner in :mod:`repro.summa.phases`, the engine's inline
+merge (trace evidence, input precondition) and the merge-overrun recovery
+ladder.  Bit-level oracles for the kernel itself live in
+``tests/test_perf_equivalence.py``.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -17,8 +16,6 @@ from repro.merge.spkadd import (
     MERGE_IMPLS,
     SPKADD_MIN_ELEMENTS,
     STRATEGY_LADDER,
-    merge_range,
-    partition_bounds,
     resolve_merge_impl,
     strategy_peak_bytes,
 )
@@ -35,21 +32,31 @@ def _lists(shape=(400, 400), k=6, density=0.01, seed0=30):
 
 def assert_triples_equal(out, ref):
     assert out.shape == ref.shape
+    assert np.array_equal(out.indptr, ref.indptr)
     assert np.array_equal(out.cols, ref.cols)
     assert np.array_equal(out.rows, ref.rows)
     assert np.array_equal(out.vals, ref.vals)
 
 
 # ---------------------------------------------------------------------------
-# Partitioning and the knob
+# The column splitter and the knob
 # ---------------------------------------------------------------------------
 
 
 class TestPartitionBounds:
+    """The near-even column splitter: the merge no longer partitions, the
+    prune fan-out still cuts block columns with it."""
+
+    @staticmethod
+    def bounds(ncols, parts):
+        from repro.parallel.work import _slab_bounds
+
+        return _slab_bounds(ncols, parts)
+
     @pytest.mark.parametrize("ncols,parts", [(1, 1), (7, 3), (16, 4),
                                              (5, 8), (100, 7)])
     def test_disjoint_and_covering(self, ncols, parts):
-        bounds = partition_bounds(ncols, parts)
+        bounds = self.bounds(ncols, parts)
         assert bounds[0][0] == 0
         assert bounds[-1][1] == ncols
         for (a0, a1), (b0, b1) in zip(bounds, bounds[1:]):
@@ -58,8 +65,7 @@ class TestPartitionBounds:
         assert len(bounds) == min(parts, ncols)
 
     def test_near_even(self):
-        bounds = partition_bounds(10, 3)
-        sizes = [hi - lo for lo, hi in bounds]
+        sizes = [hi - lo for lo, hi in self.bounds(10, 3)]
         assert max(sizes) - min(sizes) <= 1
 
 
@@ -88,48 +94,56 @@ class TestResolveMergeImpl:
 
 
 # ---------------------------------------------------------------------------
-# merge_range / spkadd_merge bit-identity
+# spkadd_merge: one engine behind every label
 # ---------------------------------------------------------------------------
 
 
+def _column_range(t, lo, hi):
+    return TripleList.from_csc(t.to_csc().column_slab(lo, hi))
+
+
 class TestMergeRange:
+    """Merging commutes with taking a column range — what lets phases and
+    the 3-D layers merge slabs of B's columns independently."""
+
     @pytest.mark.parametrize("strategy", ["tree", "hash"])
     def test_range_equals_reference_restriction(self, strategy):
         lists = _lists(shape=(120, 90), k=5)
         ref = merge_lists(list(lists))
         lo, hi = 30, 61
-        cols, rows, vals, n_in = merge_range(
-            strategy, (120, 90), lo, hi, lists
+        out = spkadd_merge(
+            [_column_range(t, lo, hi) for t in lists], strategy=strategy
         )
         mask = (ref.cols >= lo) & (ref.cols < hi)
-        assert np.array_equal(cols, ref.cols[mask])
-        assert np.array_equal(rows, ref.rows[mask])
-        assert np.array_equal(vals, ref.vals[mask])
-        assert n_in == sum(
-            int(np.count_nonzero((t.cols >= lo) & (t.cols < hi)))
-            for t in lists
-        )
+        assert out.shape == (120, hi - lo)
+        assert np.array_equal(out.cols, ref.cols[mask] - lo)
+        assert np.array_equal(out.rows, ref.rows[mask])
+        assert np.array_equal(out.vals, ref.vals[mask])
 
     def test_empty_range(self):
-        lists = _lists(k=2)
-        cols, rows, vals, n_in = merge_range("tree", (400, 400), 0, 0, lists)
-        assert len(cols) == len(rows) == len(vals) == 0
-        assert n_in == 0
+        lists = [_column_range(t, 7, 7) for t in _lists(k=2)]
+        out = spkadd_merge(lists, strategy="tree")
+        assert out.shape == (400, 0)
+        assert len(out) == len(out.cols) == 0
+        assert out.indptr.tolist() == [0]
 
     def test_unknown_strategy(self):
+        # Validated before the short-circuits: a lone list, or a list and
+        # an empty one, used to slip an unknown label through.
         lists = _lists(shape=(16, 16), k=1, density=0.5)
         assert len(lists[0]) > 0
-        with pytest.raises(ValueError, match="tree.*hash"):
-            merge_range("serial", (16, 16), 0, 16, lists)
+        for group in (lists, lists + [TripleList.empty((16, 16))]):
+            with pytest.raises(ValueError, match="unknown merge strategy"):
+                spkadd_merge(group, strategy="bogus")
 
 
 class TestSpkaddMerge:
     @pytest.mark.parametrize("strategy", ["serial", "tree", "hash"])
-    @pytest.mark.parametrize("parts", [1, 3, 7])
-    def test_inline_bit_identical(self, strategy, parts):
-        lists = _lists()
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_inline_bit_identical(self, strategy, k):
+        lists = _lists(k=k)
         ref = merge_lists(list(lists))
-        out = spkadd_merge(list(lists), strategy=strategy, parts=parts)
+        out = spkadd_merge(list(lists), strategy=strategy)
         assert_triples_equal(out, ref)
 
     @pytest.mark.parametrize("backend,workers", [
@@ -137,18 +151,28 @@ class TestSpkaddMerge:
     ])
     @pytest.mark.parametrize("strategy", ["tree", "hash"])
     def test_executor_fanout_bit_identical(self, backend, workers, strategy):
+        # What the pool fans out is the stage's multiplies; their products
+        # come back over the executor's transport and are merged inline.
+        # Merging those is merging the products computed in this process.
         from repro.parallel import get_executor
+        from repro.parallel.work import local_multiply
+        from repro.spgemm.esc import spgemm_esc
 
-        lists = _lists(shape=(600, 600), k=8, density=0.008)
-        ref = merge_lists(list(lists))
-        stats = {}
-        out = spkadd_merge(
-            list(lists), strategy=strategy,
-            executor=get_executor(workers, backend), stats=stats,
+        a_blocks = [random_csc((300, 300), 0.03, seed=60 + i) for i in range(4)]
+        b_blocks = [random_csc((300, 300), 0.03, seed=70 + i) for i in range(4)]
+        ref = merge_lists([
+            TripleList.from_csc(spgemm_esc(a, b), copy=False)
+            for a, b in zip(a_blocks, b_blocks)
+        ])
+        shipped = get_executor(workers, backend).run_batch(
+            local_multiply, list(zip(a_blocks, b_blocks))
         )
-        assert_triples_equal(out, ref)
-        assert stats["parts"] == workers
-        assert stats["peak_partition_elements"] > 0
+        lists = [
+            TripleList.from_csc(product, copy=False)
+            for product, _per_col in shipped
+        ]
+        assert all(t.is_sorted() for t in lists)
+        assert_triples_equal(spkadd_merge(lists, strategy=strategy), ref)
 
     def test_shape_mismatch_rejected(self):
         a = TripleList.from_csc(random_csc((8, 8), 0.2, seed=1))
@@ -162,23 +186,26 @@ class TestSpkaddMerge:
 
     def test_all_empty_lists(self):
         empty = TripleList.from_csc(random_csc((16, 16), 0.0, seed=3))
-        out = spkadd_merge([empty, empty], strategy="hash", parts=4)
+        out = spkadd_merge([empty, empty], strategy="hash")
         assert len(out) == 0
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown merge strategy"):
             spkadd_merge(_lists(k=2), strategy="bogus")
 
-    def test_slow_path_matches_fast_path(self, monkeypatch):
-        # Both sides of range_dense_eligible: the dense hash scatter vs
-        # the stable argsort it falls back to when the range is too wide.
+    def test_slow_path_matches_fast_path(self):
+        # Both sides of the engine's one selection: the compiled chain on
+        # positive operands vs the stable sort any other value sends it to.
         from repro.perf import merge as perf_merge
 
         lists = _lists(shape=(300, 300), k=6)
-        fast = spkadd_merge(list(lists), strategy="hash", parts=3)
-        monkeypatch.setattr(perf_merge, "DENSE_CELL_LIMIT", 0)
-        slow = spkadd_merge(list(lists), strategy="hash", parts=3)
-        assert_triples_equal(slow, fast)
+        shape = lists[0].shape
+        fast = perf_merge._add_chain(lists, shape)
+        slow = perf_merge._sort_and_sum(lists, shape)
+        for got, want in zip(slow, fast):
+            assert np.array_equal(got, want)
+        out = spkadd_merge(list(lists), strategy="hash")
+        assert np.array_equal(out.vals, fast[2])
 
 
 # ---------------------------------------------------------------------------
@@ -271,42 +298,58 @@ def _phased_engine_run(tracer=None, merge_impl="hash", workers=4):
         )
 
 
-@pytest.fixture
-def eager_fanout(monkeypatch):
-    """Drop the engine's fan-out floor so the planted test net (far
-    smaller than the catalog nets, which clear the real floor) exercises
-    the executor path.  Wall-clock-only: results never depend on it."""
-    import repro.summa.engine as engine
-
-    monkeypatch.setattr(engine, "MERGE_FANOUT_MIN_ELEMENTS", 1)
-
-
 class TestEngineWiring:
-    def test_merge_runs_on_worker_lanes(self, eager_fanout):
-        from repro.trace import MAIN_LANE, Tracer
+    def test_merge_runs_inline_on_the_main_lane(self):
+        from repro.trace import MAIN_LANE, Tracer, merge_report
 
         tracer = Tracer()
         res = _phased_engine_run(tracer)
         assert res.merge_impl == "hash"
         assert sum(res.merge_strategy_selections.values()) > 0
-        worker_merges = [
-            s for s in tracer.spans
-            if s.name == "merge_partition" and s.lane != MAIN_LANE
-        ]
-        assert worker_merges, "no merge_partition span on any worker lane"
-        partitions = tracer.find("merge.partition")
-        assert partitions
-        assert partitions[0].attrs["strategy"] in STRATEGY_LADDER
-
-    def test_merge_report_sees_the_fanout(self, eager_fanout):
-        from repro.trace import Tracer, merge_report
-
-        tracer = Tracer()
-        _phased_engine_run(tracer)
+        # Workers multiply; no merge work is ever shipped to them.
+        worker_spans = {
+            s.name for s in tracer.spans if s.lane != MAIN_LANE
+        }
+        assert "local_multiply" in worker_spans
+        assert not any("merge" in name for name in worker_spans)
         rep = merge_report(tracer)
-        assert rep is not None
-        assert rep["worker_seconds"] > 0
-        assert 0.0 < rep["parallel_fraction"] <= 1.0
+        assert rep["main_seconds"] > 0
+        assert 0.0 < rep["share"] <= 1.0
+
+    def test_every_list_entering_the_merge_is_canonical(self, monkeypatch):
+        # The compiled chain takes the two-pointer pass only on operands
+        # sorted and duplicate-free per column; every producer in src/
+        # guarantees that.  Checked on every list of a small hipmcl run.
+        import repro.summa.engine as engine
+        from repro.mcl.hipmcl import HipMCLConfig, hipmcl
+        from repro.mcl.options import MclOptions
+        from repro.nets import planted_network
+
+        seen = []
+
+        def checked(real):
+            def merge(lists, **kwargs):
+                for t in lists:
+                    assert t.is_sorted()
+                    assert t.indptr[-1] == len(t) == len(t.rows)
+                    assert t.rows.dtype == t.indptr.dtype == np.int64
+                    assert t.vals.dtype == np.float64
+                seen.append(len(lists))
+                return real(lists, **kwargs)
+
+            return merge
+
+        monkeypatch.setattr(engine, "merge_lists", checked(merge_lists))
+        monkeypatch.setattr(engine, "spkadd_merge", checked(spkadd_merge))
+        mat = planted_network(
+            240, intra_degree=14.0, inter_degree=2.0, seed=9
+        ).matrix
+        res = hipmcl(
+            mat, MclOptions(select_number=20),
+            HipMCLConfig(nodes=16, memory_budget_bytes=64 * 1024),
+        )
+        assert res.converged
+        assert len(seen) > 100 and max(seen) >= 2
 
     @pytest.mark.parametrize("merge_impl", ["serial", "tree", "hash", "auto"])
     def test_engine_results_identical_across_impls(self, merge_impl):
@@ -363,52 +406,3 @@ class TestMergeFaultLadder:
         )
         assert run.merge_demotions == 0
         assert run.faults_injected.get("merge", 0) == 0
-
-
-# ---------------------------------------------------------------------------
-# Wall-clock acceptance (tier2; needs real cores)
-# ---------------------------------------------------------------------------
-
-USABLE_CORES = len(os.sched_getaffinity(0))
-
-
-@pytest.mark.tier2_merge
-@pytest.mark.skipif(
-    USABLE_CORES < 4,
-    reason=f"needs >= 4 usable cores, have {USABLE_CORES}",
-)
-class TestMergeWallClock:
-    def test_parallel_hash_beats_serial_merge(self):
-        import time
-
-        from repro.parallel import get_executor
-
-        shape = (6000, 6000)
-        lists = [
-            TripleList.from_csc(random_csc(shape, 0.003, seed=50 + i))
-            for i in range(12)
-        ]
-        executor = get_executor(4, "thread")
-
-        def best_of(fn, n=3):
-            fn()  # warmup
-            best = float("inf")
-            for _ in range(n):
-                t0 = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        serial_s = best_of(lambda: merge_lists(list(lists)))
-        par_s = best_of(
-            lambda: spkadd_merge(
-                list(lists), strategy="hash", executor=executor
-            )
-        )
-        out = spkadd_merge(list(lists), strategy="hash", executor=executor)
-        assert_triples_equal(out, merge_lists(list(lists)))
-        ratio = serial_s / par_s
-        assert ratio >= 1.3, (
-            f"parallel merge speedup {ratio:.2f}x < 1.3x "
-            f"(serial {serial_s:.3f}s, parallel {par_s:.3f}s)"
-        )

@@ -13,10 +13,8 @@ The positional argument is a catalog network name (``archaea-xs``,
 script runs the optimized HipMCL configuration with tracing on, writes
 the requested artifacts, and prints the text summary (per-category span
 totals, worker lanes, overlap evidence, the merge phase's wall-clock
-share and parallel fraction, counters) so no viewer is needed for a
-first look.  Add ``--merge-impl tree|hash`` and compare the merge line
-against a ``--merge-impl serial`` run for this repo's before/after
-evidence in one command.  Load the JSON at https://ui.perfetto.dev for the full
+share, counters) so no viewer is needed for a first look.  Load the JSON
+at https://ui.perfetto.dev for the full
 timeline — worker lanes under pid "wall clock", the modeled machine's
 view under pid "simulated clock".
 
@@ -62,8 +60,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--merge-impl", choices=["serial", "tree", "hash", "auto"],
         default=None,
-        help="SpKAdd engine for the expansion's merges (bit-identical; "
-        "default: REPRO_MERGE_IMPL or auto)",
+        help="SpKAdd plan label for the expansion's merges (one engine "
+        "runs behind every label; default: REPRO_MERGE_IMPL or auto)",
     )
     parser.add_argument(
         "--trace", metavar="FILE",
