@@ -25,16 +25,17 @@ PER_COLUMN_OVERHEAD_FLOPS = 256
 
 
 def local_multiply(a: CSCMatrix, b: CSCMatrix):
-    """One SUMMA-stage local product: ``(A_ik · B_kj, per-column flops)``.
+    """One SUMMA-stage local product in the row-major form the merge takes:
+    ``((A_ik · B_kj)ᵀ, indptr of the product, per-column flops)``.
 
-    Exactly the two numeric quantities the engine's accounting pass needs
-    per ``(i, j)`` block — the pass itself (kernel selection, clock
-    charges, fault draws, merge events) stays in the parent.
+    Exactly what ``spgemm_esc(a, b, transposed=True)`` returns — the
+    numeric quantities the engine's accounting pass needs per ``(i, j)``
+    block.  The pass itself (kernel selection, clock charges, fault draws,
+    merge events) stays in the parent.
     """
     from ..spgemm.esc import spgemm_esc
-    from ..spgemm.metrics import flops_per_column
 
-    return spgemm_esc(a, b), flops_per_column(a, b)
+    return spgemm_esc(a, b, transposed=True)
 
 
 def prune_block_column(blocks: list, options):

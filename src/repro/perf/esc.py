@@ -5,9 +5,8 @@ The paper's CPU kernels are column-by-column Gustavson products, and its
 identity :mod:`repro.sparse.convert` implements), so ``C = A·B`` with all
 three in CSC is ``Cᵀ = Bᵀ·Aᵀ`` in CSR on the very same arrays.
 :func:`expand_compress` therefore hands the operands' own CSC arrays, roles
-of A and B swapped, to SciPy's compiled row-wise two-pass product
-(``csr_matmat_maxnnz`` + ``csr_matmat``): one exact structural count, one
-numeric pass over a row accumulator, no conversion and no copy.
+of A and B swapped, to SciPy's compiled row-wise product ``csr_matmat``:
+one numeric pass over a row accumulator, no conversion and no copy.
 
 That accumulator starts every output cell at 0.0 and adds one separately
 rounded product at a time in B-entry order, i.e. by (output column,
@@ -16,11 +15,26 @@ the order in which the heap kernel pops its cursors and the hash kernel
 probes its table, so the three kernels produce bit-identical sums.  This
 left-to-right order is the library's canonical summation order.
 
-SciPy drops cells whose sum is exactly 0.0 where this library keeps every
-structural entry.  The numeric pass reports how many cells it kept; when
-that differs from the structural count (cancellation, stored zeros,
-underflow — never on a positive MCL matrix) the product is recomputed by
-expand – stable key sort – ordered group sum, which keeps them.
+**Sizing the output.**  The pass writes into buffers it does not check.
+On positive operands (an MCL iterate) they are sized *one-phase*
+(Nagasaka et al., arXiv:1804.01698) from the flops bound
+``Σ_j min(flops_j, nrows)`` — computed here, from the operands, never
+taken from a caller — and only the ``indptr[-1]`` entries written are
+ever read.  SciPy drops cells whose sum is exactly 0.0 where this library
+keeps every structural entry; positive operands whose smallest product
+does not underflow cannot produce one, so the count the pass reports is
+the structural count.  Every other input (a value ≤ 0, −0.0, NaN, an
+underflowing minimum) takes the two-pass form: ``csr_matmat_maxnnz``
+counts the structure exactly, and when the numeric pass kept fewer cells
+than that the product is recomputed by expand – stable key sort – ordered
+group sum, which keeps them.
+
+**Row-major output.**  The pass emits each column in reverse discovery
+order.  One compiled transpose (``csr_tocsc``, a counting sort) yields
+``Cᵀ`` as a canonical CSC matrix, and that is what the kernel returns:
+the SUMMA stage loop merges its products in that orientation and
+transposes each merged block once (:func:`transpose`), so a block of k
+stage products pays k + 1 transposes instead of 2k.
 
 The compiled code does not bounds-check: operands must satisfy the CSC
 invariants :func:`repro.sparse._compressed.validate` enforces on every
@@ -74,34 +88,71 @@ def expand_keys(a: CSCMatrix, b_indptr, b_indices, reps, ends, total: int):
     return key, a_slot
 
 
-def expand_compress(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
-    """``C = A·B`` for non-empty operands of matching inner dimension."""
-    # Imported at first use: ``import repro`` stays SciPy-free.
+def expand_compress(a: CSCMatrix, b: CSCMatrix):
+    """``A·B`` for non-empty operands of matching inner dimension, row-major.
+
+    Returns ``(Cᵀ, indptr of C, flops per column of C)``: the product as
+    the canonical CSC matrix of its transpose (shape ``(b.ncols, a.nrows)``;
+    :func:`transpose` gives C), C's own column pointer, and the per-column
+    flops the output was sized from.
+    """
+    # Imported at first use: ``import repro`` stays SciPy-free, and
+    # ``repro.spgemm`` imports this module.
     from scipy.sparse import _sparsetools
 
-    nrows, ncols = shape = (a.nrows, b.ncols)
-    structural = _sparsetools.csr_matmat_maxnnz(
-        ncols, nrows, b.indptr, b.indices, a.indptr, a.indices
-    )
+    from ..spgemm.metrics import flops_per_column
+
+    nrows, ncols = a.nrows, b.ncols
+    per_col = flops_per_column(a, b)
+    a_min, b_min = a.min_value(), b.min_value()
+    # Positive operands whose smallest product does not underflow: every
+    # product is > 0, so is every sum, and the pass drops no cell.  The
+    # product of the minima alone is not the test: two negative minima
+    # pass it, and their operands can still cancel or underflow.
+    one_phase = a_min > 0 and b_min > 0 and a_min * b_min > 0.0
+    if one_phase:
+        # A column holds at most one cell per product and one per row —
+        # whatever the order or multiplicity of the operands' indices.
+        bound = int(np.minimum(per_col, nrows).sum())
+    else:
+        bound = _sparsetools.csr_matmat_maxnnz(
+            ncols, nrows, b.indptr, b.indices, a.indptr, a.indices
+        )
     indptr = np.empty(ncols + 1, dtype=_c.INDEX_DTYPE)
-    rows = np.empty(structural, dtype=_c.INDEX_DTYPE)
-    vals = np.empty(structural, dtype=_c.VALUE_DTYPE)
+    rows = np.empty(bound, dtype=_c.INDEX_DTYPE)
+    vals = np.empty(bound, dtype=_c.VALUE_DTYPE)
     _sparsetools.csr_matmat(
         ncols, nrows, b.indptr, b.indices, b.data,
         a.indptr, a.indices, a.data, indptr, rows, vals,
     )
-    if indptr[-1] != structural:
-        return _compress_sorted(shape, *_expand(a, b))
-    # The pass emits each column in reverse discovery order.  Transposing
-    # there and back is a counting sort, O(nnz(C) + nrows + ncols).
+    if not one_phase and indptr[-1] != bound:
+        c = _compress_sorted((nrows, ncols), *_expand(a, b))
+        indptr, rows, vals = c.indptr, c.indices, c.data
+    # The pass emits each column in reverse discovery order; transposing
+    # is a counting sort, O(nnz(C) + nrows + ncols), that reads only the
+    # ``indptr[-1]`` entries written.
+    return _tocsc((nrows, ncols), indptr, rows, vals), indptr, per_col
+
+
+def transpose(m: CSCMatrix) -> CSCMatrix:
+    """``Mᵀ`` by the compiled counting sort; canonical whenever ``m`` has
+    no duplicate coordinate (its columns need not be sorted)."""
+    return _tocsc(m.shape, m.indptr, m.indices, m.data)
+
+
+def _tocsc(shape, indptr, rows, vals) -> CSCMatrix:
+    """Transpose of the ``shape`` CSC triplet; ``rows``/``vals`` may be
+    longer than the ``indptr[-1]`` entries in use."""
+    from scipy.sparse import _sparsetools
+
+    nrows, ncols = shape
+    nnz = indptr[-1]
     t_indptr = np.empty(nrows + 1, dtype=_c.INDEX_DTYPE)
-    t_cols = np.empty_like(rows)
-    t_vals = np.empty_like(vals)
+    t_cols = np.empty(nnz, dtype=_c.INDEX_DTYPE)
+    t_vals = np.empty(nnz, dtype=_c.VALUE_DTYPE)
     _sparsetools.csr_tocsc(ncols, nrows, indptr, rows, vals,
                            t_indptr, t_cols, t_vals)
-    _sparsetools.csr_tocsc(nrows, ncols, t_indptr, t_cols, t_vals,
-                           indptr, rows, vals)
-    return CSCMatrix(shape, indptr, rows, vals, check=False)
+    return CSCMatrix((ncols, nrows), t_indptr, t_cols, t_vals, check=False)
 
 
 def _expand(a: CSCMatrix, b: CSCMatrix):

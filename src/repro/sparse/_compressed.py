@@ -78,30 +78,44 @@ def sort_within_major(indptr, indices, data):
     return indices[order], data[order]
 
 
+def _minor_steps(indptr, indices) -> np.ndarray:
+    """``np.diff(indices)`` with the steps that cross into a new major
+    slice (where the difference may legally drop) set to 1."""
+    steps = np.diff(indices)
+    starts = indptr[1:-1]
+    steps[starts[(starts > 0) & (starts < len(indices))] - 1] = 1
+    return steps
+
+
 def has_sorted_indices(indptr, indices) -> bool:
     """True if each major slice's minor indices are strictly increasing."""
     if len(indices) <= 1:
         return True
-    rising = np.diff(indices) > 0
-    # Positions where a new major slice begins (difference may legally drop).
-    boundaries = np.zeros(len(indices) - 1, dtype=bool)
-    starts = indptr[1:-1]
-    boundaries[starts[(starts > 0) & (starts < len(indices))] - 1] = True
-    return bool(np.all(rising | boundaries))
+    return bool(np.all(_minor_steps(indptr, indices) > 0))
 
 
 def sum_duplicates(indptr, indices, data, n_major: int):
     """Collapse duplicate (major, minor) entries by summation.
 
-    Returns a new sorted triplet.  Implemented with one lexsort plus
-    ``reduceat`` over group boundaries — no Python-level loop.
+    Returns a new sorted triplet (never sharing an array with the input).
+    One pass over the minor indices decides how much work that takes:
+    strictly rising within every slice is already canonical; merely
+    non-decreasing needs no sort (a stable sort of sorted input is the
+    identity, so duplicates keep their order and the sums their bits);
+    anything else is one lexsort.  Groups are summed by ``reduceat`` over
+    their boundaries — no Python-level loop.
     """
     nnz = len(indices)
     if nnz == 0:
         return indptr.copy(), indices.copy(), data.copy()
+    lowest_step = _minor_steps(indptr, indices).min(initial=1)
+    if lowest_step > 0:
+        return indptr.copy(), indices.copy(), data.copy()
     major = np.repeat(np.arange(n_major, dtype=INDEX_DTYPE), np.diff(indptr))
-    order = np.lexsort((indices, major))
-    major, minor, vals = major[order], indices[order], data[order]
+    minor, vals = indices, data
+    if lowest_step < 0:
+        order = np.lexsort((indices, major))
+        major, minor, vals = major[order], indices[order], data[order]
     new_group = np.empty(nnz, dtype=bool)
     new_group[0] = True
     np.not_equal(major[1:], major[:-1], out=new_group[1:])

@@ -27,7 +27,7 @@ class CSCMatrix:
     #: ``__weakref__`` lets the parallel layer's shared-memory transport
     #: tie a segment's lifetime to the matrix it exports (weakref.finalize).
     __slots__ = (
-        "shape", "indptr", "indices", "data", "_lens", "_memo",
+        "shape", "indptr", "indices", "data", "_lens", "_min", "_memo",
         "__weakref__",
     )
 
@@ -40,6 +40,7 @@ class CSCMatrix:
             indptr, indices, data
         )
         self._lens = None
+        self._min = None
         self._memo = None
         if check:
             _c.validate(self.indptr, self.indices, self.data, ncols, nrows)
@@ -105,6 +106,18 @@ class CSCMatrix:
             self._lens = lens
         return self._lens
 
+    def min_value(self) -> float:
+        """Smallest stored value (``inf`` when nothing is stored, NaN when
+        any value is NaN).
+
+        Cached like :meth:`column_lengths`: the compiled multiply reads it
+        once per product to decide whether any output cell could sum to
+        exactly 0.0, and a block serves as an operand of many products.
+        """
+        if self._min is None:
+            self._min = float(np.min(self.data, initial=np.inf))
+        return self._min
+
     def invalidate_caches(self) -> None:
         """Drop the derived-quantity caches (see the contract above).
 
@@ -115,6 +128,7 @@ class CSCMatrix:
         on the locality package.
         """
         self._lens = None
+        self._min = None
         self._memo = None
         import sys
 

@@ -8,21 +8,26 @@ instead one compiled column-by-column Gustavson pass — the formulation of
 the paper's own CPU kernels — run in the paper's §III-B form: a CSC matrix
 is its transpose in CSR (:mod:`repro.sparse.convert`), so SciPy's row-wise
 CSR product computes ``Cᵀ = Bᵀ·Aᵀ`` on the operands' own arrays with no
-conversion (:mod:`repro.perf.esc`).  Expand – stable sort – compress
+conversion (:mod:`repro.perf.esc`).  On positive operands the output is
+sized from the per-column flops and the pass runs once; otherwise a
+structural pass sizes it exactly, and expand – stable sort – compress
 remains as the path for products in which an output cell sums to exactly
 0.0, which the compiled pass would drop.
 
 The simulated GPU kernels and the distributed driver use this module to
 produce real numeric results while the machine model charges the cost of
 whichever algorithm was *selected*.  Complexity: O(flops + nrows) time and
-O(nnz(C) + nrows) memory; O(flops · log flops) time and O(flops)
-transient memory on the zero-sum path.
+O(Σ_j min(flops_j, nrows)) transient memory, of which only nnz(C) is
+touched; O(flops · log flops) time and O(flops) transient memory on the
+zero-sum path.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import ShapeError
-from ..perf.esc import expand_compress
+from ..perf.esc import expand_compress, transpose
 from ..sparse import CSCMatrix
 from .metrics import flops
 
@@ -30,7 +35,7 @@ from .metrics import flops
 expansion_size = flops
 
 
-def spgemm_esc(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
+def spgemm_esc(a: CSCMatrix, b: CSCMatrix, transposed: bool = False):
     """Multiply ``C = A·B`` (both CSC).
 
     Output has sorted row indices within each column, duplicates summed,
@@ -38,6 +43,12 @@ def spgemm_esc(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
     kept as explicit zeros, matching the heap and hash kernels).
     Large products fan column slabs out over the executor; the numeric
     kernel is :func:`repro.perf.esc.expand_compress`.
+
+    ``transposed=True`` returns the kernel's row-major form instead —
+    ``(Cᵀ, indptr of C, flops per column of C)``, Cᵀ canonical CSC of
+    shape ``(b.ncols, a.nrows)`` — which saves the transpose back and is
+    what the SUMMA stage loop merges.  That form is always computed
+    inline, never by the slab fan-out.
     """
     if a.ncols != b.nrows:
         raise ShapeError(
@@ -45,7 +56,15 @@ def spgemm_esc(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
         )
     shape = (a.nrows, b.ncols)
     if a.nnz == 0 or b.nnz == 0:
+        if transposed:
+            return (
+                CSCMatrix.empty(shape[::-1]),
+                np.zeros(b.ncols + 1, dtype=np.int64),
+                np.zeros(b.ncols, dtype=np.int64),
+            )
         return CSCMatrix.empty(shape)
+    if transposed:
+        return expand_compress(a, b)
     from ..parallel import get_executor
 
     ex = get_executor()
@@ -61,4 +80,6 @@ def spgemm_esc(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
             # (inside a pool worker get_executor is serial — no
             # nested fan-out).
             return parallel_spgemm_columns(ex, "esc", a, b)
-    return expand_compress(a, b)
+    # The kernel's oversized output buffers are gone by the time the
+    # transpose back allocates.
+    return transpose(expand_compress(a, b)[0])

@@ -43,12 +43,13 @@ from ..merge.spkadd import (
     spkadd_merge,
 )
 from ..mpi.comm import RESILIENCE_ACCOUNT, VirtualComm
+from ..perf.esc import transpose
 from ..sparse import CSCMatrix, hstack_csc
 from ..spgemm.esc import spgemm_esc
 from ..spgemm.hashspgemm import hash_operation_count
 from ..spgemm.heap import heap_operation_count
 from ..spgemm.hybrid import KernelKind, degrade_kernel, select_kernel
-from ..spgemm.metrics import WorkProfile, flops_per_column
+from ..spgemm.metrics import WorkProfile
 from ..trace import current_tracer, maybe_span
 from .distmatrix import DistributedCSC
 
@@ -256,7 +257,7 @@ def _gpu_stage_time(
     kind: KernelKind,
     a: CSCMatrix,
     b: CSCMatrix,
-    product: CSCMatrix,
+    c_indptr: np.ndarray,
     devices: list[GPUDevice],
     per_col_flops: np.ndarray,
 ) -> tuple[float, int, int]:
@@ -275,7 +276,7 @@ def _gpu_stage_time(
         b_bytes = (
             int(b.indptr[hi] - b.indptr[lo]) * 16 + (hi - lo + 1) * 8
         )
-        c_nnz = int(product.indptr[hi] - product.indptr[lo])
+        c_nnz = int(c_indptr[hi] - c_indptr[lo])
         c_bytes = c_nnz * 16 + (hi - lo + 1) * 8
         try:
             dev.allocate("A", a_bytes)
@@ -660,11 +661,13 @@ def summa_multiply(
             issue_node(1)
 
     for p in range(phases):
+        # Blocks are merged in the row-major form the multiply produces
+        # (shape transposed) and transposed back once, when finished.
         merge_states = {
             (i, j): _RankMergeState(
                 (
-                    dist_a.block(i, 0).nrows,
                     _phase_width(dist_b.block(0, j).ncols, phases, p),
+                    dist_a.block(i, 0).nrows,
                 ),
                 config.merge,
                 engine_merge,
@@ -818,7 +821,6 @@ def summa_multiply(
                     )
                     clock = comm.clocks[rank]
                     b_blk = slabs[j]
-                    state = merge_states[(i, j)]
                     if a_blk.nnz == 0 or b_blk.nnz == 0:
                         continue
                     # Under the static schedule a local multiply cannot
@@ -828,11 +830,15 @@ def summa_multiply(
                     ready = 0.0
                     if static_active:
                         ready = max(a_handles[i].end, b_handles[j].end)
+                    # Row-major: the canonical CSC of the product's
+                    # transpose, which the merge adds as it is, plus the
+                    # product's own column pointer for the device split.
                     if stage_products is not None:
-                        product, per_col = stage_products[(i, j)]
+                        product, c_indptr, per_col = stage_products[(i, j)]
                     else:
-                        product = spgemm_esc(a_blk, b_blk)
-                        per_col = flops_per_column(a_blk, b_blk)
+                        product, c_indptr, per_col = spgemm_esc(
+                            a_blk, b_blk, transposed=True
+                        )
                     profile = _profile_from_per_col(
                         per_col, a_blk, b_blk, product.nnz
                     )
@@ -843,10 +849,12 @@ def summa_multiply(
                         from ..spgemm.hybrid import run_kernel
 
                         product = run_kernel(kind, a_blk, b_blk)
+                        c_indptr = product.indptr
+                        product = transpose(product)
                     while kind.on_gpu:
                         try:
                             kern_s, h2d, d2h = _gpu_stage_time(
-                                spec, kind, a_blk, b_blk, product,
+                                spec, kind, a_blk, b_blk, c_indptr,
                                 devices[rank], per_col,
                             )
                             break
@@ -961,7 +969,9 @@ def summa_multiply(
                             )
                     stage_available = max(stage_available, available)
                     # -- merge events triggered by this arrival -----------------
-                    new_events = state.push(
+                    # (Looked up, not bound: a name left over from the
+                    # last block would outlive that block's release.)
+                    new_events = merge_states[(i, j)].push(
                         TripleList.from_csc(product, copy=False), available
                     )
                     for ev in new_events:
@@ -994,7 +1004,7 @@ def summa_multiply(
                             result.trace.append(
                                 (rank, p, k, "merge", end - dur, end)
                             )
-                    state.mark_charged()
+                    merge_states[(i, j)].mark_charged()
             merge_span.close()
             if static_active:
                 # This stage's slabs are consumed once every multiply has
@@ -1034,7 +1044,10 @@ def summa_multiply(
                 else grid.rank_of(i, j)
             )
             clock = comm.clocks[rank]
-            state = merge_states[(i, j)]
+            # Popped, not read: the accumulator and the output block are
+            # different arrays, so a state kept to the end of the phase
+            # would hold every block twice.
+            state = merge_states.pop((i, j))
             outcome, new_events = state.finish()
             for ev in new_events:
                 dur = spec.merge_time(ev.operations, config.threads)
@@ -1069,7 +1082,7 @@ def summa_multiply(
                 outcome.peak_resident_elements * 24
                 + int(input_bytes_peak[i, j]),
             )
-            return outcome.result.to_csc()
+            return transpose(outcome.result.to_csc())
 
         phase_blocks: dict[tuple[int, int], CSCMatrix] = {}
         if static_active and phase_column_callback is not None:
@@ -1149,7 +1162,7 @@ def summa_multiply(
                         config.threads,
                     )
             finish_span = maybe_span("finish_merge", "summa", phase=p)
-            for (i, j) in merge_states:
+            for (i, j) in list(merge_states):
                 phase_blocks[(i, j)] = finish_state(i, j)
             finish_span.close()
             if phase_callback is not None:

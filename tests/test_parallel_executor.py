@@ -386,11 +386,17 @@ class TestTransport:
         a = random_csc((300, 300), 0.08, seed=3)
         b = random_csc((300, 300), 0.08, seed=4)
         ex = get_executor(2)
-        (product, per_col), = ex.run_batch(local_multiply, [(a, b)])
+        (product_t, c_indptr, per_col), = ex.run_batch(
+            local_multiply, [(a, b)]
+        )
         from repro.spgemm.esc import spgemm_esc
         from repro.spgemm.metrics import flops_per_column
 
-        assert_same_csc(product, spgemm_esc(a, b))
+        # The row-major product and the column pointer ride the existing
+        # CSC / ndarray shared-memory export.
+        want = spgemm_esc(a, b)
+        assert_same_csc(product_t, want.transpose())
+        assert np.array_equal(c_indptr, want.indptr)
         assert np.array_equal(per_col, flops_per_column(a, b))
 
     def test_export_value_recurses(self):

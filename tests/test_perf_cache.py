@@ -18,7 +18,7 @@ from repro.bench.perfbench import (
 )
 from repro.perf.arena import Arena
 from repro.perf.cache import memo
-from repro.sparse import random_csc
+from repro.sparse import CSCMatrix, random_csc
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +34,17 @@ def test_column_lengths_cached_and_read_only():
     with pytest.raises(ValueError):
         lens[0] = 99
     assert np.array_equal(lens, np.diff(mat.indptr))
+
+
+def test_min_value_cached_and_total():
+    mat = random_csc((40, 30), 0.1, seed=1)
+    assert mat.min_value() == mat.data.min() > 0
+    mat.data[0] = -3.0  # surgery without invalidation: the stale answer
+    assert mat.min_value() > 0
+    assert CSCMatrix.empty((3, 4)).min_value() == np.inf
+    with_nan = CSCMatrix((1, 2), [0, 1, 2], [0, 0], [np.nan, 1.0])
+    assert np.isnan(with_nan.min_value())
+    assert np.signbit(CSCMatrix((1, 1), [0, 1], [0], [-0.0]).min_value())
 
 
 def test_invalidate_caches_resets_lengths_and_memo():
@@ -80,9 +91,13 @@ class TestMutationPathsInvalidateCaches:
 
     def test_inplace_data_surgery(self):
         mat, _ = self._primed()
+        assert mat.min_value() > 0
         mat.data[:] = 2.0
+        mat.data[0] = -1.0
         mat.invalidate_caches()
         assert memo(mat, "probe", lambda: "fresh") == "fresh"
+        # The multiply sizes an unchecked write from this: never stale.
+        assert mat.min_value() == -1.0
 
     def test_inplace_indptr_surgery(self):
         mat, lens = self._primed()

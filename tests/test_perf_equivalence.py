@@ -40,6 +40,7 @@ from repro.spgemm.esc import spgemm_esc
 from repro.spgemm.estimator import _propagate_min, estimate_nnz
 from repro.spgemm.hashspgemm import spgemm_hash
 from repro.spgemm.heap import spgemm_heap
+from repro.spgemm.metrics import flops_per_column
 
 from helpers import assert_same_csc, bits_equal
 
@@ -114,6 +115,55 @@ def esc_sorted_side():
         yield calls
 
 
+@contextmanager
+def esc_side():
+    """Which side of ``expand_compress`` ran, as a one-element list filled
+    on exit: ``"one-phase"`` (output sized from the flops bound, no
+    structural pass), ``"two-pass"`` (``csr_matmat_maxnnz`` first),
+    ``"sorted"`` (two-pass found a zero sum and recomputed), or ``None``
+    (the kernel was not reached).  Every compiled numeric pass must have
+    stayed inside the buffer it was given."""
+    from scipy.sparse import _sparsetools
+
+    symbolic, numeric, side = [], [], []
+    real_maxnnz, real_matmat = (
+        _sparsetools.csr_matmat_maxnnz, _sparsetools.csr_matmat,
+    )
+
+    def maxnnz(*args):
+        symbolic.append(1)
+        return real_maxnnz(*args)
+
+    def matmat(*args):
+        real_matmat(*args)
+        indptr, rows, vals = args[-3:]
+        numeric.append(1)
+        assert indptr[-1] <= len(rows) == len(vals), "output overran its bound"
+
+    with esc_sorted_side() as sorted_calls, patched(
+        _sparsetools, csr_matmat_maxnnz=maxnnz, csr_matmat=matmat
+    ):
+        yield side
+    assert len(sorted_calls) <= len(symbolic) <= len(numeric) <= 1
+    if sorted_calls:
+        side.append("sorted")
+    elif symbolic:
+        side.append("two-pass")
+    else:
+        side.append("one-phase" if numeric else None)
+
+
+def assert_row_major_form(a, b, esc):
+    """``transposed=True`` is C's transpose (by NumPy's counting sort, which
+    shares nothing with the compiled one), C's own column pointer and the
+    per-column flops."""
+    c_t, c_indptr, per_col = spgemm_esc(a, b, transposed=True)
+    assert_same_csc(c_t, esc.transpose())
+    assert np.array_equal(c_indptr, esc.indptr)
+    assert c_indptr.dtype == esc.indptr.dtype
+    assert np.array_equal(per_col, flops_per_column(a, b))
+
+
 def assert_esc_matches_heap_and_hash(a, b, esc):
     heap, hashed = spgemm_heap(a, b), spgemm_hash(a, b)
     assert_same_csc(esc, heap)
@@ -125,12 +175,23 @@ def assert_esc_matches_heap_and_hash(a, b, esc):
 @settings(max_examples=100, deadline=None)
 def test_esc_fast_bit_identical(pair):
     a, b = pair
-    with esc_sorted_side() as sorted_calls:
+    with esc_side() as side:
         esc = spgemm_esc(a, b)
     heap = assert_esc_matches_heap_and_hash(a, b, esc)
     # The compiled result is returned unless some cell summed to 0.0.
-    assert len(sorted_calls) == bool(np.any(heap.data == 0.0))
+    assert (side == ["sorted"]) == bool(np.any(heap.data == 0.0))
     assert_same_csc(esc.pruned_zeros(), scipy_product(a, b))
+    assert_row_major_form(a, b, esc)
+    # The same operands made positive take the one-phase side, whose bound
+    # must hold (``esc_side`` checks it) and whose bits the oracles match.
+    a_pos, b_pos = positive(a), positive(b)
+    with esc_side() as side:
+        esc_pos = spgemm_esc(a_pos, b_pos)
+    assert side == ["one-phase" if a.nnz and b.nnz else None]
+    assert_esc_matches_heap_and_hash(a_pos, b_pos, esc_pos)
+    assert_row_major_form(a_pos, b_pos, esc_pos)
+    bound = int(np.minimum(flops_per_column(a_pos, b_pos), a.nrows).sum())
+    assert bound >= esc_pos.nnz
     # Column slabs of B (what phases and pool workers multiply) stitch back.
     cut = b.ncols // 2
     slabs = [b.column_slab(0, cut), b.column_slab(cut, b.ncols)]
@@ -142,95 +203,162 @@ def raw(shape, indptr, indices, data):
     return CSCMatrix(shape, indptr, indices, data, check=False)
 
 
+def positive(mat):
+    """Same pattern, values strictly positive and of mixed magnitude."""
+    return raw(mat.shape, mat.indptr, mat.indices, np.abs(mat.data) + 2.0 ** -20)
+
+
 NAN, INF = np.nan, np.inf
 
-#: name → (A, B, does some output cell sum to exactly 0.0?)
+#: name → (A, B, the side of ``expand_compress`` that must run — see
+#: ``esc_side``; "sorted" is also where some output cell is exactly 0.0)
 ESC_EDGE_CASES = {
     "plus-minus-one cancels": (
         raw((2, 2), [0, 2, 4], [0, 1, 0, 1], [1.0, 2.0, -1.0, 3.0]),
         raw((2, 1), [0, 2], [0, 1], [1.0, 1.0]),
-        True,
+        "sorted",
+    ),
+    # Both minima are negative, so their product is positive — and the
+    # product of minima alone would call this safe.
+    "negative minima, mixed signs cancel": (
+        raw((1, 2), [0, 1, 2], [0, 0], [1.0, -1.0]),
+        raw((2, 1), [0, 2], [0, 1], [-1.0, -1.0]),
+        "sorted",
+    ),
+    "all negative, a product underflows": (
+        raw((2, 2), [0, 1, 2], [0, 1], [-1e-200, -1.0]),
+        raw((2, 2), [0, 1, 2], [0, 1], [-1e-200, -1.0]),
+        "sorted",
+    ),
+    "all negative, nothing cancels": (
+        raw((2, 2), [0, 2, 3], [0, 1, 1], [-1.0, -2.0, -3.0]),
+        raw((2, 2), [0, 2, 3], [0, 1, 0], [-4.0, -5.0, -6.0]),
+        "two-pass",
     ),
     "stored zero in A": (
         raw((2, 2), [0, 1, 2], [0, 1], [0.0, 2.0]),
         raw((2, 2), [0, 1, 2], [0, 1], [3.0, 4.0]),
-        True,
+        "sorted",
     ),
     "stored zero in B": (
         raw((2, 2), [0, 1, 2], [0, 1], [3.0, 4.0]),
         raw((2, 2), [0, 1, 2], [0, 1], [0.0, 2.0]),
-        True,
+        "sorted",
     ),
     "product underflows to zero": (
         raw((2, 2), [0, 1, 2], [0, 1], [1e-200, 1.0]),
         raw((2, 2), [0, 1, 2], [0, 1], [1e-200, 1.0]),
-        True,
+        "sorted",
+    ),
+    # Minima positive, their product 0.0: the one cell is structural.
+    "product of minima underflows": (
+        raw((1, 1), [0, 1], [0], [5e-200]),
+        raw((1, 1), [0, 1], [0], [5e-200]),
+        "sorted",
+    ),
+    "product of minima is subnormal": (
+        raw((2, 2), [0, 1, 2], [0, 1], [1e-160, 1.0]),
+        raw((2, 2), [0, 1, 2], [0, 1], [1e-160, 1.0]),
+        "one-phase",
     ),
     "negative zero product": (
         raw((1, 1), [0, 1], [0], [-1.0]),
         raw((1, 2), [0, 1, 2], [0, 0], [0.0, 5.0]),
-        True,
+        "sorted",
+    ),
+    "positive times negative zero": (
+        raw((1, 1), [0, 1], [0], [2.0]),
+        raw((1, 2), [0, 1, 2], [0, 0], [-0.0, 5.0]),
+        "sorted",
     ),
     "nan and inf, every sum nonzero": (
         raw((3, 3), [0, 2, 3, 4], [0, 1, 2, 0], [1.0, INF, NAN, -INF]),
         raw((3, 2), [0, 3, 4], [0, 1, 2, 0], [2.0, 3.0, INF, 1.0]),
-        False,
+        "two-pass",
+    ),
+    "nan in one positive operand": (
+        raw((2, 2), [0, 1, 2], [0, 1], [NAN, 1.0]),
+        raw((2, 2), [0, 1, 2], [0, 1], [2.0, 3.0]),
+        "two-pass",
+    ),
+    "positive with inf": (
+        raw((2, 2), [0, 2, 3], [0, 1, 1], [INF, 1.0, 2.0]),
+        raw((2, 2), [0, 2, 3], [0, 1, 0], [2.0, INF, 3.0]),
+        "one-phase",
     ),
     "nan from inf times stored zero": (
         raw((2, 2), [0, 1, 2], [0, 1], [INF, 1.0]),
         raw((2, 2), [0, 1, 2], [0, 1], [0.0, 0.0]),
-        True,
+        "sorted",
     ),
     # Row 2 of A's first column is stored twice and out of order, B's first
-    # column names inner index 0 twice: 1e16 + 1 + 1 depends on the order.
+    # column names inner index 0 twice: 1e16 + 1 + 1 depends on the order,
+    # and the flops bound counts the duplicates it will not store.
     "unsorted and duplicate indices": (
         raw((4, 3), [0, 3, 5, 6], [2, 0, 2, 3, 1, 0],
             [1e16, 1.0, 1.0, 3.0, 1e-3, 5.0]),
         raw((3, 2), [0, 3, 5], [2, 0, 0, 1, 1], [1.0, 1.0, 1.0, 4.0, 1e-9]),
-        False,
+        "one-phase",
     ),
     "duplicates that cancel": (
         raw((2, 1), [0, 2], [1, 1], [1.0, -1.0]),
         raw((1, 1), [0, 1], [0], [2.0]),
-        True,
+        "sorted",
+    ),
+    # The flops bound is met with equality: every product of a column lands
+    # on its own row (flops_j < nrows) ...
+    "bound tight, distinct rows": (
+        raw((4, 4), [0, 1, 2, 3, 4], [2, 0, 3, 1], [1.0, 2.0, 3.0, 4.0]),
+        raw((4, 3), [0, 2, 3, 6], [0, 3, 1, 0, 1, 2],
+            [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+        "one-phase",
+    ),
+    # ... or every column of the product is full (flops_j > nrows).
+    "bound tight, full columns": (
+        raw((3, 3), [0, 3, 6, 9], [0, 1, 2] * 3, [1.0 + k for k in range(9)]),
+        raw((3, 2), [0, 3, 6], [0, 1, 2] * 2, [1.0 + k for k in range(6)]),
+        "one-phase",
     ),
     "no rows": (
         raw((0, 3), [0, 0, 0, 0], [], []),
         raw((3, 2), [0, 2, 3], [0, 2, 1], [1.0, 2.0, 3.0]),
-        False,
+        None,
     ),
     "no inner dimension": (
-        raw((3, 0), [0], [], []), raw((0, 2), [0, 0, 0], [], []), False,
+        raw((3, 0), [0], [], []), raw((0, 2), [0, 0, 0], [], []), None,
     ),
     "no columns": (
         raw((3, 2), [0, 1, 2], [0, 2], [1.0, 2.0]),
         raw((2, 0), [0], [], []),
-        False,
+        None,
     ),
     # B only names A's empty columns, and has an empty column of its own.
     "empty columns, structurally empty product": (
         raw((3, 3), [0, 2, 2, 2], [0, 1], [1.0, 2.0]),
         raw((3, 3), [0, 1, 1, 3], [1, 1, 2], [1.0, 2.0, 3.0]),
-        False,
+        "one-phase",
     ),
     "empty columns": (
         raw((3, 3), [0, 2, 2, 3], [0, 1, 2], [1.0, 2.0, 3.0]),
         raw((3, 3), [0, 1, 1, 3], [0, 1, 2], [1.0, 2.0, 3.0]),
-        False,
+        "one-phase",
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ESC_EDGE_CASES))
 def test_esc_edge_cases_run_the_side_they_should(case):
-    a, b, zero_sum = ESC_EDGE_CASES[case]
+    a, b, expected = ESC_EDGE_CASES[case]
     with np.errstate(invalid="ignore", under="ignore"):  # inf·0, 1e-400
-        with esc_sorted_side() as sorted_calls:
+        with esc_side() as side:
             esc = spgemm_esc(a, b)
         assert_esc_matches_heap_and_hash(a, b, esc)
-    assert len(sorted_calls) == zero_sum
+        assert_row_major_form(a, b, esc)
+    assert side == [expected]
     # Structural entries survive as explicit zeros on the sorted side.
-    assert bool(np.any(esc.data == 0.0)) == zero_sum
+    assert bool(np.any(esc.data == 0.0)) == (expected == "sorted")
+    if case.startswith("bound tight"):
+        assert esc.nnz == np.minimum(flops_per_column(a, b), a.nrows).sum()
 
 
 def test_esc_private_sparsetools_call_matches_public_scipy():
@@ -247,10 +375,14 @@ def test_esc_private_sparsetools_call_matches_public_scipy():
         "signature or its public `A @ B`"
     )
     try:
-        with esc_sorted_side() as sorted_calls:
-            got = perf_esc.expand_compress(a, b)
-        assert not sorted_calls
-        assert_same_csc(got, scipy_product(a, b))
+        # Positive operands take the one-phase side; a negated A the
+        # two-pass side (which is where ``csr_matmat_maxnnz`` is called).
+        negated = raw(a.shape, a.indptr, a.indices, -a.data)
+        for left, expected in ((a, "one-phase"), (negated, "two-pass")):
+            with esc_side() as side:
+                got = perf_esc.transpose(perf_esc.expand_compress(left, b)[0])
+            assert side == [expected]
+            assert_same_csc(got, scipy_product(left, b))
     except (ImportError, AttributeError, TypeError, ValueError,
             AssertionError) as exc:
         pytest.fail(f"{broken}: {exc!r}")
@@ -529,6 +661,54 @@ def test_merge_sums_left_to_right():
             )
 
 
+def merged_block(kind, mats, row_major):
+    """The block a schedule makes of stage products ``mats`` — merged as
+    they are, or in row-major form and transposed once when finished."""
+    shape = mats[0].shape
+    if not row_major:
+        lists = [TripleList.from_csc(m, copy=False) for m in mats]
+        return run_schedule(kind, lists, shape).result.to_csc()
+    lists = [TripleList.from_csc(m.transpose(), copy=False) for m in mats]
+    merged = run_schedule(kind, lists, shape[::-1]).result.to_csc()
+    return perf_esc.transpose(merged)
+
+
+@given(st.lists(signed_matrices(max_dim=12), min_size=1, max_size=5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_row_major_merge_transposed_once_is_the_column_major_merge(mats, data):
+    # A transposed block is just another canonical CSC block, and per cell
+    # the chain adds the same values in the same order either way.
+    shape = mats[0].shape
+    mats = [
+        csc_from_triples(shape, m.indices % shape[0], cols_of(m) % shape[1],
+                         m.data)
+        for m in mats
+    ]
+    if data.draw(st.booleans()):
+        mats = [positive(m) for m in mats]  # the chain, not the sort
+    for kind in SCHEDULES:
+        assert_same_csc(
+            merged_block(kind, mats, row_major=True),
+            merged_block(kind, mats, row_major=False),
+        )
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEDULES))
+def test_row_major_merge_keeps_the_summation_order(kind):
+    # The 2^53 + 1 + 1 + 1 trap of ``test_merge_sums_left_to_right`` in one
+    # cell of a 2x3 block, next to cells only some stage products fill.
+    big = 2.0 ** 53
+    mats = [
+        raw((2, 3), [0, 1, 1, 2], [0, 1], [3.0, v]) if k % 2 else
+        raw((2, 3), [0, 0, 1, 2], [1, 1], [0.5, v])
+        for k, v in enumerate([big, 1.0, 1.0, 1.0])
+    ]
+    with merge_sides() as sides:
+        row_major = merged_block(kind, mats, row_major=True)
+    assert sides["sort"] == 0 and sides["chain"]
+    assert_same_csc(row_major, merged_block(kind, mats, row_major=False))
+
+
 def test_merge_private_sparsetools_call_matches_public_scipy():
     # ``_add_chain`` calls SciPy's private compiled module directly; on
     # positive operands its result is SciPy's own public sum.
@@ -652,6 +832,57 @@ def test_estimator_fixed_seed_identical(pair, keys):
     again = estimate_nnz(a, b, keys=keys, seed=42)
     assert bits_equal(first.per_column, again.per_column)
     assert first.total == again.total
+
+
+def lexsort_sum_duplicates(indptr, indices, data, n_major):
+    """The unconditional form: lexsort, then ``reduceat`` over the groups."""
+    major = np.repeat(np.arange(n_major), np.diff(indptr))
+    order = np.lexsort((indices, major))
+    major, minor, vals = major[order], indices[order], data[order]
+    first = np.r_[True, (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])]
+    starts = np.flatnonzero(first)
+    counts = np.bincount(major[starts], minlength=n_major)
+    return np.r_[0, np.cumsum(counts)], minor[starts], np.add.reduceat(vals, starts)
+
+
+@given(
+    st.integers(1, 6), st.integers(1, 6),
+    st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5),
+                  st.floats(-1e3, 1e3, allow_nan=False, width=32)),
+        min_size=1, max_size=40,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_sum_duplicates_sorts_only_what_is_unsorted(n_major, n_minor, entries):
+    # One draw, three inputs: as drawn (grouped by major only), sorted with
+    # its duplicates, and canonical.  Each must give the lexsort's result —
+    # the duplicates summed in stored order — and only the first may sort.
+    major, minor, vals = (np.array(x) for x in zip(*entries))
+    major, minor = major % n_major, minor % n_minor
+    vals = vals.astype(np.float64)
+    grouped = np.argsort(major, kind="stable")
+    indptr = _c.compress_major(major, n_major)
+    drawn = (indptr, minor[grouped], vals[grouped])
+    in_order = np.lexsort((drawn[1], major[grouped]))
+    with_duplicates = (indptr, drawn[1][in_order], drawn[2][in_order])
+    want = lexsort_sum_duplicates(*drawn, n_major)
+    for given_, may_sort in (
+        (drawn, True), (with_duplicates, False), (want, False),
+    ):
+        sorts = []
+        real = np.lexsort
+        with patched(np, lexsort=lambda keys: sorts.append(1) or real(keys)):
+            got = _c.sum_duplicates(*given_, n_major)
+        descends = any(
+            np.any(np.diff(given_[1][lo:hi]) < 0)
+            for lo, hi in zip(given_[0][:-1], given_[0][1:])
+        )
+        assert len(sorts) == descends <= may_sort
+        for out, ref, src in zip(got, want, given_):
+            assert out.dtype == ref.dtype and np.array_equal(out, ref)
+            assert not np.shares_memory(out, src)
+        assert bits_equal(got[2], want[2])
 
 
 @given(signed_matrices(max_dim=20), st.data())

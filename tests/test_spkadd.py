@@ -160,8 +160,9 @@ class TestSpkaddMerge:
 
         a_blocks = [random_csc((300, 300), 0.03, seed=60 + i) for i in range(4)]
         b_blocks = [random_csc((300, 300), 0.03, seed=70 + i) for i in range(4)]
+        # Products ship in the row-major form the stage loop merges.
         ref = merge_lists([
-            TripleList.from_csc(spgemm_esc(a, b), copy=False)
+            TripleList.from_csc(spgemm_esc(a, b).transpose(), copy=False)
             for a, b in zip(a_blocks, b_blocks)
         ])
         shipped = get_executor(workers, backend).run_batch(
@@ -169,7 +170,7 @@ class TestSpkaddMerge:
         )
         lists = [
             TripleList.from_csc(product, copy=False)
-            for product, _per_col in shipped
+            for product, _c_indptr, _per_col in shipped
         ]
         assert all(t.is_sorted() for t in lists)
         assert_triples_equal(spkadd_merge(lists, strategy=strategy), ref)
@@ -278,7 +279,7 @@ class TestPlanMergeStrategy:
 # ---------------------------------------------------------------------------
 
 
-def _phased_engine_run(tracer=None, merge_impl="hash", workers=4):
+def _phased_engine_run(tracer=None, merge_impl="hash", workers=4, **kwargs):
     from repro.machine import SUMMIT_LIKE
     from repro.mpi import ProcessGrid, VirtualComm
     from repro.nets import planted_network
@@ -294,7 +295,7 @@ def _phased_engine_run(tracer=None, merge_impl="hash", workers=4):
     with activate(tracer):
         return summa_multiply(
             dist, dist, comm, SummaConfig(merge_impl=merge_impl), phases=2,
-            workers=workers, backend="thread", overlap=True,
+            workers=workers, backend="thread", overlap=True, **kwargs,
         )
 
 
@@ -319,7 +320,9 @@ class TestEngineWiring:
     def test_every_list_entering_the_merge_is_canonical(self, monkeypatch):
         # The compiled chain takes the two-pointer pass only on operands
         # sorted and duplicate-free per column; every producer in src/
-        # guarantees that.  Checked on every list of a small hipmcl run.
+        # guarantees that — in the list's own shape, which is the block's
+        # transposed (products are merged row-major and the merged block
+        # is transposed once).  Checked on every list of a small hipmcl run.
         import repro.summa.engine as engine
         from repro.mcl.hipmcl import HipMCLConfig, hipmcl
         from repro.mcl.options import MclOptions
@@ -331,6 +334,9 @@ class TestEngineWiring:
             def merge(lists, **kwargs):
                 for t in lists:
                     assert t.is_sorted()
+                    assert t.shape == lists[0].shape
+                    assert len(t.indptr) == t.shape[1] + 1
+                    assert np.all((0 <= t.rows) & (t.rows < t.shape[0]))
                     assert t.indptr[-1] == len(t) == len(t.rows)
                     assert t.rows.dtype == t.indptr.dtype == np.int64
                     assert t.vals.dtype == np.float64
@@ -350,6 +356,33 @@ class TestEngineWiring:
         )
         assert res.converged
         assert len(seen) > 100 and max(seen) >= 2
+
+    def test_finished_blocks_release_their_merge_state(self, monkeypatch):
+        # The merged row-major accumulator and the output block transposed
+        # from it are different arrays: a state kept until the phase ends
+        # would hold every block of the phase twice.
+        import gc
+        import weakref
+
+        import repro.summa.engine as engine
+
+        states, alive = weakref.WeakSet(), []
+        made = [0]
+
+        class Tracked(engine._RankMergeState):
+            def __init__(self, *args):
+                super().__init__(*args)
+                states.add(self)
+                made[0] += 1
+
+        def callback(blocks, phase):
+            gc.collect()
+            alive.append(len(states))
+            return blocks
+
+        monkeypatch.setattr(engine, "_RankMergeState", Tracked)
+        _phased_engine_run(workers=1, phase_callback=callback)
+        assert made == [2 * 16] and alive == [0, 0]
 
     @pytest.mark.parametrize("merge_impl", ["serial", "tree", "hash", "auto"])
     def test_engine_results_identical_across_impls(self, merge_impl):

@@ -206,7 +206,7 @@ class TestThreadLocalArena:
         # kernels scribbling on each other's scratch.  Run the same
         # multiply from every pool thread and demand exact agreement.
         other = random_csc((300, 300), 0.05, seed=22)
-        ref_product, ref_flops = local_multiply(mat, other)
+        ref_product, ref_indptr, ref_flops = local_multiply(mat, other)
         ex = ThreadExecutor(4)
         try:
             outs = ex.run_batch(
@@ -214,8 +214,9 @@ class TestThreadLocalArena:
             )
         finally:
             ex.close()
-        for product, flops in outs:
+        for product, indptr, flops in outs:
             assert_same_csc(product, ref_product)
+            assert np.array_equal(indptr, ref_indptr)
             assert np.array_equal(flops, ref_flops)
 
 
