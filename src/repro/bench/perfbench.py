@@ -17,10 +17,10 @@ regressions in the numeric kernels are caught in review.  It runs
   broadcast-only transports (evidence, not wall-clock — never gated), and
 * a worker-scaling sweep: the densest network end-to-end under each
   pool execution backend (threads and processes) at 1, 2 and 4 workers,
-* a locality sweep: end-to-end runs over network × reordering strategy
-  (none/degree/community) × worker count, including a zero-inter-degree
-  "islands" network where the community ordering tightens the SPA
-  windows the most, and
+* a locality sweep: end-to-end runs over network × worker count,
+  including a zero-inter-degree "islands" network (the cells keep the
+  ``-none-`` component of their names, so they pair with baselines that
+  also swept reordering strategies), and
 * a delta-rerun pair: a localized edge delta on the islands network,
   timed cold (full rerun on the patched graph) and warm
   (:func:`repro.locality.run_warm_start` from the base labels),
@@ -38,9 +38,10 @@ fields and nested the scaling section per backend
 (``scaling/{net}/{backend}/w{N}``).  Version-2 baselines (process-only
 scaling, ``scaling/{net}/w{N}``) remain comparable: a schema-3 report
 flattens its process-backend scaling rows under the legacy names too.
-Version 4 added the ``merge_impl`` field and the ``merge_sweep``
-section — the SpKAdd micro-sweep over list count × nnz skew (its ``w4``
-cells, which timed the merge fan-out, went with the fan-out).
+Version 4 added a merge-label field (since removed) and the
+``merge_sweep`` section — the SpKAdd micro-sweep over list count × nnz
+skew (its ``w4`` cells, which timed the merge fan-out, went with the
+fan-out).
 Schema-3 baselines lack those rows, so a ``--check``
 against one simply compares the shared names (the merge sweep is gated
 only once a schema-4 baseline is recorded).  Version 5 added the
@@ -52,10 +53,14 @@ the ``grid_sweep`` section — end-to-end runs over network × process
 grid × worker count, whose 3d cells carry the simulated
 ``sim_summa_bcast`` figure and the transport-selection counts
 (non-``seconds`` keys, invisible to the wall-clock gate).  Version 7
-added the ``locality_sweep`` and ``delta_rerun`` sections — the
-reordering-strategy sweep and the warm-vs-cold incremental
-re-clustering pair; the warm row's ``speedup``/``dirty_fraction``
-figures are evidence keys the gate ignores.
+added the ``locality_sweep`` and ``delta_rerun`` sections — then a
+reordering-strategy sweep, now only its ``-none-`` cells — and the
+warm-vs-cold incremental re-clustering pair; the warm row's
+``speedup``/``dirty_fraction`` figures are evidence keys the gate
+ignores.  Within version 7 the merge-label field and the reordered
+locality cells went with the knobs they recorded; no reader consulted
+the field, and baseline cells a report no longer measures are skipped
+with a warning.
 
 Wall-clock on shared machines is noisy: every measurement is the best of
 ``repeats`` runs after one warmup, and the comparison uses a generous
@@ -112,12 +117,9 @@ MERGE_SWEEP_K = (4, 16)
 MERGE_SWEEP_SKEWS = ("uniform", "skewed")
 MERGE_SWEEP_SHAPE = (3000, 3000)
 
-#: The locality sweep: net × reordering strategy × worker count.  The
-#: islands net (zero inter-cluster degree) is the regime the community
-#: ordering is built for: its SPA windows shrink to cluster size, so the
-#: windowed scan replaces the full-nrows dump.
+#: The locality sweep: net × worker count; the islands net (zero
+#: inter-cluster degree) is the one the delta-rerun pair also uses.
 LOCALITY_SWEEP_NETS = ("eukarya-xs", "islands-xs")
-LOCALITY_SWEEP_STRATEGIES = ("none", "degree", "community")
 LOCALITY_SWEEP_WORKERS = (1, 4)
 
 #: The synthetic islands network backing ``islands-xs`` cells and the
@@ -314,7 +316,7 @@ def bench_micro(name: str, repeats: int = 5) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Locality engine — reordering sweep and the warm-start pair
+# Locality — the sweep cells and the warm-start pair
 # ---------------------------------------------------------------------------
 
 
@@ -340,19 +342,15 @@ def _locality_net(net_name: str):
 
 
 def bench_locality_cell(
-    net_name: str, strategy: str, workers: int, repeats: int = 1
+    net_name: str, workers: int, repeats: int = 1
 ) -> dict:
-    """Time one end-to-end run under a locality reordering strategy."""
+    """Time one end-to-end run of a locality-sweep network."""
     from ..mcl.hipmcl import hipmcl
 
     matrix, opts, cfg = _locality_net(net_name)
-    reorder = None if strategy == "none" else strategy
 
     def run():
-        hipmcl(
-            matrix, opts, cfg,
-            workers=workers, backend="thread", reorder=reorder,
-        )
+        hipmcl(matrix, opts, cfg, workers=workers, backend="thread")
 
     return {"seconds": _best_of(run, repeats)}
 
@@ -430,9 +428,8 @@ def run_perfbench(
     :data:`PIPELINE_SWEEP_NETS`); ``grid_sweep=False`` skips the grid
     sweep (ten extra end-to-end runs over :data:`GRID_SWEEP_NETS`);
     ``locality=False`` skips the locality sweep and the delta-rerun
-    pair (twelve sweep cells plus three islands-net runs).
+    pair (four sweep cells plus three islands-net runs).
     """
-    from ..merge.spkadd import resolve_merge_impl
     from ..mpi.grid import resolve_grid, resolve_layers
     from ..parallel import resolve_backend, resolve_overlap, resolve_workers
 
@@ -441,7 +438,6 @@ def run_perfbench(
         "workers": resolve_workers(workers),
         "backend": resolve_backend(backend),
         "overlap": resolve_overlap(overlap),
-        "merge_impl": resolve_merge_impl(None),
         "grid": resolve_grid(None),
         "layers": resolve_layers(None),
         "transport": "hybrid",
@@ -518,15 +514,14 @@ def run_perfbench(
                     f"{report['grid_sweep'][cell]['seconds']:.3f}s")
     if locality:
         for net in LOCALITY_SWEEP_NETS:
-            for strat in LOCALITY_SWEEP_STRATEGIES:
-                for w in LOCALITY_SWEEP_WORKERS:
-                    cell = f"{net}-{strat}-w{w}"
-                    report["locality_sweep"][cell] = bench_locality_cell(
-                        net, strat, w, repeats=1
-                    )
-                    if log:
-                        log(f"locality {cell}: "
-                            f"{report['locality_sweep'][cell]['seconds']:.3f}s")
+            for w in LOCALITY_SWEEP_WORKERS:
+                cell = f"{net}-none-w{w}"
+                report["locality_sweep"][cell] = bench_locality_cell(
+                    net, w, repeats=1
+                )
+                if log:
+                    log(f"locality {cell}: "
+                        f"{report['locality_sweep'][cell]['seconds']:.3f}s")
         report["delta_rerun"] = bench_delta_rerun(repeats=1)
         if log:
             rows = report["delta_rerun"]
@@ -755,11 +750,12 @@ def remeasure_into(
             )["seconds"]
             row = report["grid_sweep"][parts[1]]
         elif parts[0] == "locality_sweep" and len(parts) == 2:
-            # Net names contain dashes; strategy and worker count don't.
+            # Net names contain dashes; the "none" tag and worker count
+            # don't.  Reordered cells of older baselines are not measured.
             net, strat, wk = parts[1].rsplit("-", 2)
-            sec = bench_locality_cell(
-                net, strat, int(wk[1:]), repeats=1
-            )["seconds"]
+            if strat != "none":
+                return False
+            sec = bench_locality_cell(net, int(wk[1:]), repeats=1)["seconds"]
             row = report["locality_sweep"][parts[1]]
         elif parts[0] == "delta_rerun" and len(parts) == 2:
             # The pair is one measurement: re-run both, keep the min of

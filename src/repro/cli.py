@@ -117,13 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "REPRO_OVERLAP or off)",
     )
     clu.add_argument(
-        "--merge-impl", choices=["serial", "tree", "hash", "auto"],
-        help="SpKAdd plan label for the expansion's merges: serial, "
-        "tree or hash, or auto (pick from the memory model); one engine "
-        "runs behind every label, so results are bit-identical for "
-        "every choice (default: REPRO_MERGE_IMPL or auto)",
-    )
-    clu.add_argument(
         "--grid", choices=["2d", "3d"], default=None,
         help="process-grid shape the simulated clocks are modeled on: "
         "the √P×√P SUMMA grid (2d) or the split-3D grid with per-layer "
@@ -154,13 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--metrics", metavar="FILE",
         help="write the traced run's metrics stream as NDJSON "
         "(implies tracing; distributed modes only)",
-    )
-    clu.add_argument(
-        "--reorder", choices=["none", "degree", "rcm", "community"],
-        default=None,
-        help="locality layout strategy fed to the kernels (the matrix is "
-        "never physically permuted, so results are bit-identical; "
-        "distributed modes only; default: REPRO_REORDER or none)",
     )
 
     rec = sub.add_parser(
@@ -199,10 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--workers", metavar="N",
                      help="pool workers (see cluster --workers)")
     rec.add_argument("--backend", choices=["serial", "thread", "process"])
-    rec.add_argument(
-        "--reorder", choices=["none", "degree", "rcm", "community"],
-        default=None, help="locality layout strategy (see cluster)",
-    )
 
     exp = sub.add_parser(
         "experiment", help="regenerate a table/figure of the paper"
@@ -245,12 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="do not serve this submission from the result cache",
     )
     smt.add_argument(
-        "--reorder", choices=["none", "degree", "rcm", "community"],
-        default=None,
-        help="locality layout strategy for the job's run (wall-clock "
-        "knob: excluded from the cache key)",
-    )
-    smt.add_argument(
         "--delta", metavar="FILE",
         help="edge-delta file ('add i j [w]' / 'remove i j' lines) "
         "making this an incremental job against the base graph; the "
@@ -286,8 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--workers", metavar="N",
                      help="pool workers for each job (see cluster --workers)")
     srv.add_argument("--backend", choices=["serial", "thread", "process"])
-    srv.add_argument("--merge-impl",
-                     choices=["serial", "tree", "hash", "auto"])
 
     jbs = sub.add_parser(
         "jobs", help="inspect a service directory's jobs"
@@ -360,13 +334,11 @@ def _cmd_cluster(args) -> int:
             (args.workers, "--workers"),
             (args.backend, "--backend"),
             (args.overlap, "--overlap"),
-            (args.merge_impl, "--merge-impl"),
             (args.schedule, "--schedule"),
             (args.grid, "--grid"),
             (args.layers, "--layers"),
             (args.trace, "--trace"),
             (args.metrics, "--metrics"),
-            (args.reorder, "--reorder"),
         ):
             if flag is not None:
                 print(
@@ -446,8 +418,6 @@ def _cmd_cluster(args) -> int:
                 workers=args.workers,
                 backend=args.backend,
                 overlap=args.overlap,
-                merge_impl=args.merge_impl,
-                reorder=args.reorder,
                 trace=tracer,
             )
         except ConvergenceError as exc:
@@ -555,9 +525,7 @@ def _cmd_recluster(args) -> int:
     except (LocalityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    run_kwargs = dict(
-        workers=args.workers, backend=args.backend, reorder=args.reorder,
-    )
+    run_kwargs = dict(workers=args.workers, backend=args.backend)
     try:
         if args.base_labels:
             base_labels = np.load(args.base_labels)
@@ -677,7 +645,6 @@ def _cmd_submit(args) -> int:
             nodes=args.nodes,
             options=options,
             config=config,
-            reorder=args.reorder,
             delta=delta,
         )
         jid = service.submit(
@@ -706,7 +673,6 @@ def _cmd_serve(args) -> int:
         memory_budget_bytes=args.memory_budget,
         workers=args.workers,
         backend=args.backend,
-        merge_impl=args.merge_impl,
     )
     print(
         f"serving {args.dir} as {runner.worker_id} "

@@ -73,9 +73,9 @@ class ServiceError(ReproError, RuntimeError):
 
 
 class LocalityError(ReproError, ValueError):
-    """Misuse of the locality engine (unknown reordering strategy, a
-    permutation whose size does not match the matrix, or a graph delta
-    that references vertices outside the graph)."""
+    """Misuse of the warm start: a graph delta that references vertices
+    outside the graph or does not match the matrix, base labels of the
+    wrong length, or a delta file line that does not parse."""
 
 
 class InjectedFault:

@@ -1,23 +1,10 @@
-"""Locality engine: reordering-aware layouts + incremental re-clustering.
+"""Locality: incremental re-clustering from a converged run.
 
-Two independent levers, both off by default:
-
-* **Reordering** (:mod:`repro.locality.reorder`): plan a vertex
-  permutation (``degree`` / ``rcm`` / ``community``) and arm it as the
-  active *layout* (:mod:`repro.locality.layout`).  The hash kernel's SPA
-  scratch and the slab partitioner exploit it — hot columns land
-  cache-contiguous and slab cuts balance flops — without changing a
-  single floating-point operation's order, so reordered runs are
-  bit-identical to unreordered runs.  Driver surface:
-  ``hipmcl(reorder="community")``, CLI ``--reorder``, env
-  ``REPRO_REORDER``.
-
-* **Delta re-clustering** (:mod:`repro.locality.delta`): apply a
-  :class:`GraphDelta` to a converged run's graph and warm-start from
-  the previous labels, re-clustering only the components the delta
-  touches.  Driver surface: ``hipmcl(warm_start=WarmStart(labels,
-  delta))``, CLI ``recluster``, service delta jobs keyed on
-  ``(base fingerprint, delta fingerprint)``.
+:mod:`repro.locality.delta` applies a :class:`GraphDelta` to a converged
+run's graph and warm-starts from the previous labels, re-clustering only
+the components the delta touches.  Driver surface:
+``hipmcl(warm_start=WarmStart(labels, delta))``, CLI ``recluster``,
+service delta jobs keyed on ``(base fingerprint, delta fingerprint)``.
 """
 
 from .delta import (
@@ -31,33 +18,15 @@ from .delta import (
     read_delta_file,
     run_warm_start,
 )
-from .layout import active_layout, balanced_slab_bounds, use_layout
-from .reorder import (
-    STRATEGIES,
-    Reordering,
-    as_reordering,
-    forget_reordering,
-    plan_reordering,
-    resolve_reorder,
-)
 
 __all__ = [
     "GraphDelta",
-    "Reordering",
-    "STRATEGIES",
     "WarmStart",
-    "active_layout",
-    "as_reordering",
-    "balanced_slab_bounds",
     "dirty_vertices",
-    "forget_reordering",
     "induced_subgraph",
     "localized_delta",
     "parse_delta_lines",
-    "plan_reordering",
     "random_delta",
     "read_delta_file",
-    "resolve_reorder",
     "run_warm_start",
-    "use_layout",
 ]

@@ -582,10 +582,8 @@ def hipmcl(
     workers: int | str | None = None,
     backend: str | None = None,
     overlap: bool | str | None = None,
-    merge_impl: str | None = None,
     trace=None,
     on_iteration=None,
-    reorder=None,
     warm_start=None,
 ) -> HipMCLResult:
     """Run distributed MCL on the simulated machine and cluster ``matrix``.
@@ -626,13 +624,6 @@ def hipmcl(
         memory budget.  Every combination produces bit-identical
         results — parallelism relocates computation without reordering
         any reduction.
-    merge_impl:
-        SpKAdd plan label for the expansion's physical merges —
-        ``"serial"``, ``"tree"``, ``"hash"``, or ``"auto"`` (default
-        ``REPRO_MERGE_IMPL``, else auto: pick from the estimator's memory
-        model and fall down the hash → tree → serial ladder when the
-        budget has no room).  One engine runs behind every label, inline,
-        so every choice is bit-identical.
     trace:
         A :class:`repro.trace.Tracer` to record the run into.  The driver
         activates it for the duration of the call, installs the run's
@@ -652,16 +643,6 @@ def hipmcl(
         streaming progress, and simulated worker crashes; exceptions it
         raises propagate out of the driver (the in-flight iteration's
         work is already checkpointed).
-    reorder:
-        Locality layout for the run (see :mod:`repro.locality`): a
-        strategy name (``"degree"``, ``"rcm"``, ``"community"``), a
-        pre-planned :class:`~repro.locality.Reordering`, or ``None``
-        (consult ``REPRO_REORDER``, default off).  A wall-clock knob
-        like ``workers``: the plan feeds the hash kernel's SPA windows
-        and the slab partitioner but never changes any floating-point
-        order, so labels, simulated seconds, and checkpoints are all
-        bit-identical with or without it (and a run checkpointed under
-        one layout resumes under any other).
     warm_start:
         A :class:`~repro.locality.WarmStart` (base labels + a
         :class:`~repro.locality.GraphDelta`).  ``matrix`` is then the
@@ -678,30 +659,21 @@ def hipmcl(
         workers=workers,
         backend=backend,
         overlap=overlap,
-        merge_impl=merge_impl,
         on_iteration=on_iteration,
     )
     if warm_start is not None:
         from ..locality.delta import run_warm_start
 
         return run_warm_start(
-            matrix, warm_start, options, config, trace=trace,
-            reorder=reorder, **kwargs,
+            matrix, warm_start, options, config, trace=trace, **kwargs,
         )
-    from ..locality.layout import use_layout
-    from ..locality.reorder import as_reordering
-
-    reordering = as_reordering(matrix, reorder)
-    kwargs["reordering"] = reordering
     if trace is None:
-        with use_layout(reordering):
-            return _hipmcl_run(matrix, options, config, **kwargs)
+        return _hipmcl_run(matrix, options, config, **kwargs)
     from ..trace import activate
 
     prev_sim = trace.sim_clock
     try:
-        with activate(trace), trace.span("hipmcl", "mcl"), \
-                use_layout(reordering):
+        with activate(trace), trace.span("hipmcl", "mcl"):
             return _hipmcl_run(matrix, options, config, **kwargs)
     finally:
         trace.sim_clock = prev_sim
@@ -720,9 +692,7 @@ def _hipmcl_run(
     workers: int | str | None = None,
     backend: str | None = None,
     overlap: bool | str | None = None,
-    merge_impl: str | None = None,
     on_iteration=None,
-    reordering=None,
 ) -> HipMCLResult:
     """The driver body behind :func:`hipmcl` (tracer already active)."""
     wall_start = _time.perf_counter()
@@ -854,20 +824,6 @@ def _hipmcl_run(
     else:
         work = prepare_matrix(matrix, options)
     n = work.nrows
-    if tracer is not None and reordering is not None:
-        # The pair proves the layout earned its keep: each metric carries
-        # its identity-layout twin, so a trace shows the reduction rather
-        # than an unanchored number.  Purely observational — the layout
-        # never touches labels or the simulated clock.
-        s = reordering.stats(work)
-        tracer.metric(
-            "locality.bandwidth", s["bandwidth"],
-            strategy=s["strategy"], identity=s["identity_bandwidth"],
-        )
-        tracer.metric(
-            "locality.profile", s["profile"],
-            strategy=s["strategy"], identity=s["identity_profile"],
-        )
 
     for it in range(start_iteration, options.max_iterations + 1):
         stage_before = _grouped_stage_seconds(comm)
@@ -1128,7 +1084,6 @@ def _hipmcl_run(
                 executor=executor,
                 overlap=overlap,
                 overlap_budget_bytes=config.memory_budget_bytes,
-                merge_impl=merge_impl,
                 merge_injector=merge_injector,
                 model=grid_model,
             )

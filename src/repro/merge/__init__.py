@@ -20,10 +20,8 @@ from .schedule import (
     run_schedule,
 )
 from .spkadd import (
-    MERGE_IMPLS,
     SPKADD_MIN_ELEMENTS,
     STRATEGY_LADDER,
-    resolve_merge_impl,
     spkadd_merge,
     strategy_peak_bytes,
 )
@@ -39,10 +37,8 @@ __all__ = [
     "TwoWayMergeSchedule",
     "BinaryMergeSchedule",
     "run_schedule",
-    "MERGE_IMPLS",
     "STRATEGY_LADDER",
     "SPKADD_MIN_ELEMENTS",
-    "resolve_merge_impl",
     "strategy_peak_bytes",
     "spkadd_merge",
 ]

@@ -4,12 +4,12 @@ Hussain/Abhishek/Buluç/Azad (arXiv:2112.10223) frame the summation of
 SUMMA's per-stage partial products as *SpKAdd* — sparse addition of k
 matrices — with serial, tree and hash variants that differ in time and
 peak memory.  Here the three names are **plan labels**: what
-``repro.summa.phases.plan_merge_strategy`` selects from the resolved
-``merge_impl``, the input size, the budget (:func:`strategy_peak_bytes`
-prices each label) and the fault-recovery rung, and what the run reports
-in ``merge_strategy_selections``.  The ladder mirrors the kernel-demotion
-ladder: hash is the hungriest model, tree is in between, serial is the
-floor.
+``repro.summa.phases.plan_merge_strategy`` selects from the input size,
+the budget (:func:`strategy_peak_bytes` prices each label) and the
+fault-recovery rung, and what the run reports in
+``merge_strategy_selections``.  No caller picks a label; the planner
+does.  The ladder mirrors the kernel-demotion ladder: hash is the
+hungriest model, tree is in between, serial is the floor.
 
 One numeric engine runs behind every label: :func:`spkadd_merge` is
 :func:`~repro.merge.lists.merge_lists` (the compiled left-to-right
@@ -21,33 +21,16 @@ has k ≤ 4.
 
 from __future__ import annotations
 
-import os
-
 from .lists import BYTES_PER_TRIPLE, TripleList, merge_lists
-
-#: The ``merge_impl`` knob's vocabulary (mirrors the backend knob).
-MERGE_IMPLS = ("serial", "tree", "hash", "auto")
 
 #: Plan labels ordered most- to least-memory-hungry; the budget demotion
 #: and the fault-recovery ladder walk *down* this tuple.
 STRATEGY_LADDER = ("hash", "tree", "serial")
 
-#: Below this many total input elements ``auto`` plans "serial"; the
-#: threshold is a pure function of the input so planning stays identical
-#: across worker counts.
+#: Below this many total input elements the planner labels a merge
+#: "serial"; the threshold is a pure function of the input so planning
+#: stays identical across worker counts.
 SPKADD_MIN_ELEMENTS = 4096
-
-
-def resolve_merge_impl(merge_impl=None) -> str:
-    """Resolve the merge impl: explicit > ``REPRO_MERGE_IMPL`` > auto."""
-    if merge_impl is None:
-        merge_impl = os.environ.get("REPRO_MERGE_IMPL", "").strip() or "auto"
-    merge_impl = str(merge_impl).lower()
-    if merge_impl not in MERGE_IMPLS:
-        raise ValueError(
-            f"unknown merge impl {merge_impl!r}; options: {list(MERGE_IMPLS)}"
-        )
-    return merge_impl
 
 
 def strategy_peak_bytes(strategy: str, total_elements: int, shape) -> int:

@@ -4,9 +4,8 @@ The simulator's *modeled* concurrency (pipelined Sparse SUMMA overlapping
 stage-k multiplies with stage-(k+1) broadcasts) runs on simulated clocks;
 this package makes the *wall-clock* scale with cores too.  An
 :class:`~repro.parallel.executor.Executor` fans genuinely independent work
-units — per-block local SpGEMMs, per-block-column prunes, per-column-slab
-kernel batches — across a persistent pool.  Two pool kinds implement the
-protocol:
+units — per-block local SpGEMMs and per-block-column prunes — across a
+persistent pool.  Two pool kinds implement the protocol:
 
 * ``backend="process"`` — a ``multiprocessing`` pool moving CSC blocks
   through POSIX shared memory (zero-pickle ``indptr/indices/data``) with

@@ -3,7 +3,7 @@
 A :class:`JobSpec` is the JSON-serializable description of one clustering
 job: where the graph comes from, the clustering options, and the machine
 configuration.  Wall-clock execution knobs (``workers``/``backend``/
-``overlap``/``merge_impl``) ride along but are **excluded from the cache
+``overlap``) ride along but are **excluded from the cache
 key** — every combination is pinned bit-identical, so they cannot change
 the answer, only how fast it arrives.  This mirrors the checkpoint
 fingerprint contract: a job checkpointed under one backend resumes under
@@ -85,9 +85,6 @@ class JobSpec:
     workers: int | str | None = None
     backend: str | None = None
     overlap: bool | None = None
-    merge_impl: str | None = None
-    #: Locality layout strategy — a wall-clock knob like the above.
-    reorder: str | None = None
     #: Optional edge delta (``{"add": [[i, j, w], ...], "remove":
     #: [[i, j], ...]}``) making this an incremental re-clustering job:
     #: ``graph`` is then the *base* graph and the run clusters the

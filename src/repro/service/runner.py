@@ -66,7 +66,6 @@ class ServiceRunner:
         workers=None,
         backend: str | None = None,
         overlap=None,
-        merge_impl: str | None = None,
         chaos=None,
     ):
         self.service = service
@@ -82,7 +81,6 @@ class ServiceRunner:
         self.workers = workers
         self.backend = backend
         self.overlap = overlap
-        self.merge_impl = merge_impl
         self.chaos = chaos
         #: Processed-job log of this incarnation: (job_id, outcome).
         self.processed: list[tuple[str, str]] = []
@@ -122,16 +120,17 @@ class ServiceRunner:
     # -- one job ---------------------------------------------------------
 
     def _process(self, job) -> str:
-        spec = JobSpec.from_dict(job.spec)
         try:
+            spec = JobSpec.from_dict(job.spec)
             matrix, _vertex_labels = spec.load_graph()
             options = spec.build_options()
             config = spec.build_config()
             key = job.cache_key or spec.cache_key(matrix)
         except (ReproError, OSError) as exc:
-            # The spec itself is bad (unreadable graph, invalid options):
-            # burn a retry — a transient NFS hiccup heals, a truly
-            # malformed spec parks in `failed` once the budget is spent.
+            # The spec itself is bad (a field this version does not know,
+            # unreadable graph, invalid options): burn a retry — a
+            # transient NFS hiccup heals, a truly malformed spec parks in
+            # `failed` once the budget is spent.
             state = self.queue.fail(job.id, self.worker_id, str(exc))
             return f"failed-spec:{state}"
 
@@ -262,8 +261,6 @@ class ServiceRunner:
                         spec.overlap if spec.overlap is not None
                         else self.overlap
                     ),
-                    merge_impl=spec.merge_impl or self.merge_impl,
-                    reorder=spec.reorder,
                     warm_start=warm,
                     trace=tracer,
                     on_iteration=on_iteration,

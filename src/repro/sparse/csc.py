@@ -119,22 +119,10 @@ class CSCMatrix:
         return self._min
 
     def invalidate_caches(self) -> None:
-        """Drop the derived-quantity caches (see the contract above).
-
-        Besides the on-instance slots this also evicts any reordering
-        plans the locality engine memoized for this matrix — a mutated
-        matrix must never serve a stale permutation.  The import is lazy
-        (and guarded) so the sparse layer keeps zero hard dependencies
-        on the locality package.
-        """
+        """Drop the derived-quantity caches (see the contract above)."""
         self._lens = None
         self._min = None
         self._memo = None
-        import sys
-
-        locality = sys.modules.get("repro.locality.reorder")
-        if locality is not None:
-            locality.forget_reordering(self)
 
     def has_sorted_indices(self) -> bool:
         """True if every column's row indices are strictly increasing."""

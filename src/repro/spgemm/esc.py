@@ -41,14 +41,13 @@ def spgemm_esc(a: CSCMatrix, b: CSCMatrix, transposed: bool = False):
     Output has sorted row indices within each column, duplicates summed,
     and one stored entry per structural nonzero (exact cancellations are
     kept as explicit zeros, matching the heap and hash kernels).
-    Large products fan column slabs out over the executor; the numeric
-    kernel is :func:`repro.perf.esc.expand_compress`.
+    A pure function of its operands: the numeric kernel is
+    :func:`repro.perf.esc.expand_compress`, run inline.
 
     ``transposed=True`` returns the kernel's row-major form instead —
     ``(Cᵀ, indptr of C, flops per column of C)``, Cᵀ canonical CSC of
     shape ``(b.ncols, a.nrows)`` — which saves the transpose back and is
-    what the SUMMA stage loop merges.  That form is always computed
-    inline, never by the slab fan-out.
+    what the SUMMA stage loop merges.
     """
     if a.ncols != b.nrows:
         raise ShapeError(
@@ -65,21 +64,6 @@ def spgemm_esc(a: CSCMatrix, b: CSCMatrix, transposed: bool = False):
         return CSCMatrix.empty(shape)
     if transposed:
         return expand_compress(a, b)
-    from ..parallel import get_executor
-
-    ex = get_executor()
-    if ex.workers > 1 and b.ncols >= 2 * ex.workers:
-        from ..parallel.work import (
-            PARALLEL_MIN_FLOPS,
-            parallel_spgemm_columns,
-        )
-
-        if flops(a, b) >= PARALLEL_MIN_FLOPS:
-            # Output columns are independent and each sums strictly
-            # within itself, so slab-wise fan-out is bit-identical
-            # (inside a pool worker get_executor is serial — no
-            # nested fan-out).
-            return parallel_spgemm_columns(ex, "esc", a, b)
     # The kernel's oversized output buffers are gone by the time the
     # transpose back allocates.
     return transpose(expand_compress(a, b)[0])

@@ -28,55 +28,28 @@ from ..sparse import CSCMatrix
 SPA_FLOPS_THRESHOLD = 128
 
 
-def _spa_column(a, keys, scales, scratch, touched, layout=None, window=None,
-                slot_indices=None):
+def _spa_column(a, keys, scales, scratch, touched):
     """Accumulate one output column through the dense scratch (SPA).
 
     ``np.add.at`` is unbuffered — it applies updates strictly in element
     order, which is the same order the dict path's sequential loop uses,
     so the per-row sums are bit-identical.  The dump sorts by row id just
     as the dict path's argsort does.
-
-    With an active layout each row accumulates at its *layout slot*
-    instead of its row id, and the dump scans only ``window`` — the
-    column's ``[lo, hi]`` slot span (:func:`repro.locality.layout
-    .column_windows`).  Slots are a bijection of rows, so every row still
-    owns exactly one accumulator receiving the same additions in the same
-    order, and the dump re-sorts by original row id — bit-identical
-    output, but the scan walks a community-sized span instead of all
-    ``nrows``.
     """
-    index = a.indices if slot_indices is None else slot_indices
     parts_r = []
     parts_v = []
     for k, scale in zip(keys, scales):
         lo, hi = a.indptr[k], a.indptr[k + 1]
-        parts_r.append(index[lo:hi])
+        parts_r.append(a.indices[lo:hi])
         parts_v.append(a.data[lo:hi] * scale)
     rows = np.concatenate(parts_r)
     vals = np.concatenate(parts_v)
-    if layout is None:
-        np.add.at(scratch, rows, vals)
-        touched[rows] = True
-        rows_j = np.flatnonzero(touched)
-        vals_j = scratch[rows_j].copy()
-        scratch[rows_j] = 0.0
-        touched[rows_j] = False
-        return rows_j, vals_j
-    # ``rows`` already holds layout slots here (the caller hands the
-    # memoized slot-mapped index array) — only the dump changes: scan
-    # the column's window instead of all nrows, then map the hit slots
-    # back to row ids and restore the row-sorted output order.
-    w_lo, w_hi = window
     np.add.at(scratch, rows, vals)
     touched[rows] = True
-    hit = np.flatnonzero(touched[w_lo : w_hi + 1]) + w_lo
-    rows_hit = layout.order[hit]
-    order = np.argsort(rows_hit)
-    rows_j = rows_hit[order]
-    vals_j = scratch[hit][order]
-    scratch[hit] = 0.0
-    touched[hit] = False
+    rows_j = np.flatnonzero(touched)
+    vals_j = scratch[rows_j].copy()
+    scratch[rows_j] = 0.0
+    touched[rows_j] = False
     return rows_j, vals_j
 
 
@@ -92,45 +65,6 @@ def spgemm_hash(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
     a_indptr, a_indices, a_data = a.indptr, a.indices, a.data
 
     a_col_lens = a.column_lengths()
-    from ..parallel import get_executor
-
-    ex = get_executor()
-    if ex.workers > 1 and b.ncols >= 2 * ex.workers:
-        from ..parallel.work import (
-            PARALLEL_MIN_FLOPS,
-            parallel_spgemm_columns,
-        )
-
-        if int(a_col_lens[b.indices].sum()) >= PARALLEL_MIN_FLOPS:
-            # Column-independent kernel: slab fan-out is bit-identical
-            # (workers run serially inside — no nested fan-out).
-            return parallel_spgemm_columns(ex, "hash", a, b)
-    from ..locality.layout import active_layout, column_windows
-
-    layout = active_layout()
-    slot_indices = col_lo = col_hi = None
-    if layout is not None and layout.n == a.nrows == a.ncols:
-        # Windowed SPA: accumulate at layout slots (one slot-mapped
-        # copy of A's index array, memoized per layout) so the dump
-        # scans each column's layout span instead of all nrows.
-        # Worth it only when the layout actually tightened the spans:
-        # a wide-window layout would pay the per-column slot→row
-        # re-sort without shrinking the scan, so gate on the
-        # aggregate profile being well under the dense scan area.
-        col_lo, col_hi = column_windows(a, layout)
-        profile = int(np.maximum(col_hi - col_lo + 1, 0).sum())
-        if profile * 4 <= a.nrows * a.ncols:
-            from ..perf.cache import memo
-
-            lay = layout
-            slot_indices = memo(
-                a, ("locality:slots", layout.token),
-                lambda: lay.position[a.indices],
-            )
-        else:
-            layout = None
-    else:
-        layout = None
     arena = global_arena()
     scratch = arena.buffer("hash:scratch", a.nrows, np.float64)
     scratch[:] = 0.0
@@ -146,14 +80,8 @@ def spgemm_hash(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
             continue
         keys = b.indices[b_lo:b_hi]
         if int(a_col_lens[keys].sum()) > SPA_FLOPS_THRESHOLD:
-            window = None
-            if layout is not None:
-                window = (
-                    int(col_lo[keys].min()), int(col_hi[keys].max())
-                )
             rows_j, vals_j = _spa_column(
-                a, keys, b.data[b_lo:b_hi], scratch, touched,
-                layout, window, slot_indices,
+                a, keys, b.data[b_lo:b_hi], scratch, touched
             )
             if not len(rows_j):
                 continue

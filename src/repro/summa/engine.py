@@ -36,12 +36,7 @@ from ..gpu.device import GPUDevice
 from ..gpu.multigpu import split_columns
 from ..machine.spec import MachineSpec, SUMMIT_LIKE
 from ..merge import SCHEDULES, TripleList, merge_lists
-from ..merge.spkadd import (
-    MERGE_IMPLS,
-    STRATEGY_LADDER,
-    resolve_merge_impl,
-    spkadd_merge,
-)
+from ..merge.spkadd import STRATEGY_LADDER, spkadd_merge
 from ..mpi.comm import RESILIENCE_ACCOUNT, VirtualComm
 from ..perf.esc import transpose
 from ..sparse import CSCMatrix, hstack_csc
@@ -101,11 +96,6 @@ class SummaConfig:
     #: Record per-event (rank, phase, stage, kind, start, end) tuples in
     #: ``SummaResult.trace`` — used to regenerate Fig. 2's timeline.
     trace: bool = False
-    #: SpKAdd plan label for the physical merges ("serial" | "tree" |
-    #: "hash" | "auto"); None defers to ``REPRO_MERGE_IMPL`` / "auto".  All
-    #: four are bit-identical — one engine runs behind every label; the
-    #: knob picks where on the memory-model ladder planning starts.
-    merge_impl: str | None = None
     #: Broadcast schedule.  ``"sync"`` charges every broadcast as a
     #: blocking collective on the member CPUs (the PR4 behavior);
     #: ``"static"`` walks a precomputed stage graph, posting each stage's
@@ -113,7 +103,7 @@ class SummaConfig:
     #: they run under the previous stage's multiplies and merges.  Unlike
     #: the wall-clock knobs this changes the *simulated* timings (that is
     #: its purpose), so it participates in config fingerprints; within a
-    #: schedule, every (backend, workers, overlap, merge_impl) cell stays
+    #: schedule, every (backend, workers, overlap) cell stays
     #: bit-identical to serial.
     schedule: str = "sync"
 
@@ -130,11 +120,6 @@ class SummaConfig:
             )
         if self.gpus_per_process < 1 or self.threads < 1:
             raise ValueError("gpus_per_process and threads must be >= 1")
-        if self.merge_impl is not None and self.merge_impl not in MERGE_IMPLS:
-            raise ValueError(
-                f"unknown merge impl {self.merge_impl!r}; "
-                f"options: {list(MERGE_IMPLS)}"
-            )
         if self.schedule not in ("sync", "static"):
             raise ValueError(
                 f"unknown schedule {self.schedule!r}; "
@@ -160,8 +145,6 @@ class SummaResult:
     merge_peak_event_elements: int = 0  # max over ranks/phases
     merge_peak_resident_elements: int = 0
     merge_operations: float = 0.0
-    #: Resolved ``merge_impl`` knob the run planned strategies under.
-    merge_impl: str = "auto"
     #: Physical merges per planned SpKAdd strategy label.  Strategy planning is
     #: a pure function of the inputs and the budget, so these counts are
     #: identical across every (backend, workers, overlap) cell.
@@ -343,7 +326,6 @@ def summa_multiply(
     backend: str | None = None,
     overlap: bool | str | None = None,
     overlap_budget_bytes: int | None = None,
-    merge_impl: str | None = None,
     merge_injector=_INHERIT,
     model=None,
 ) -> SummaResult:
@@ -393,11 +375,10 @@ def summa_multiply(
     so recovery shows up in the simulated timelines.  Numerics never
     change — only which kernel kind is charged.
 
-    ``merge_impl`` (explicit > ``config.merge_impl`` > ``REPRO_MERGE_IMPL``
-    > auto) selects the SpKAdd plan label the physical merges are planned
-    under; one engine runs behind every label, so it composes freely
-    with every backend/overlap combination.  ``merge_injector`` (defaults
-    to ``injector``) arms the merge-memory-overrun fault site: an injected
+    Each physical merge is planned under an SpKAdd strategy label
+    (:func:`~repro.summa.phases.plan_merge_strategy`); one engine runs
+    behind every label, inline.  ``merge_injector`` (defaults to
+    ``injector``) arms the merge-memory-overrun fault site: an injected
     overrun charges the overrunning attempt's modeled time under the
     resilience account and demotes the strategy ladder for the rest of the
     run.  Draws happen once per merge event in the serial accounting pass,
@@ -519,10 +500,6 @@ def summa_multiply(
 
     if merge_injector is _INHERIT:
         merge_injector = injector
-    impl = resolve_merge_impl(
-        merge_impl if merge_impl is not None else config.merge_impl
-    )
-    result.merge_impl = impl
     from .phases import plan_merge_strategy
 
     #: Recovery-ladder rung injected merge overruns have pushed the run
@@ -538,14 +515,13 @@ def summa_multiply(
         """
         total = sum(len(t) for t in lists)
         strategy = plan_merge_strategy(
-            impl, total, lists[0].shape,
+            total, lists[0].shape,
             budget_bytes=overlap_budget_bytes, rung=merge_rung[0],
         )
         result.merge_strategy_selections[strategy] += 1
         if tracer is not None:
             tracer.metric(
-                "merge.strategy", total,
-                strategy=strategy, impl=impl, k=len(lists),
+                "merge.strategy", total, strategy=strategy, k=len(lists),
             )
             tracer.count(f"merge.{strategy}")
         if strategy == "serial":

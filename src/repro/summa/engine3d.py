@@ -117,7 +117,6 @@ def summa3d_multiply(
     layers: int,
     *,
     charge_redistribution: bool = True,
-    merge_impl: str | None = None,
 ) -> Summa3DResult:
     """Compute ``C = A·B`` with ``layers`` layers on ``comm``'s processes.
 
@@ -126,15 +125,12 @@ def summa3d_multiply(
     (each process ships its local share along its fiber) is charged before
     the multiplication — §II's caveat, measurable.
 
-    The per-fiber combine runs through the SpKAdd engine: ``merge_impl``
-    resolves like the 2-D engine's knob (explicit > ``REPRO_MERGE_IMPL``
-    > auto) and only labels the plan — one engine runs behind every
-    label, so the product is unchanged.
+    The per-fiber combine runs through the SpKAdd engine under the
+    planner's strategy label (one engine runs behind every label).
     """
-    from ..merge.spkadd import resolve_merge_impl, spkadd_merge
+    from ..merge.spkadd import spkadd_merge
     from .phases import plan_merge_strategy
 
-    impl = resolve_merge_impl(merge_impl)
     if a.ncols != b.nrows:
         raise GridError(
             f"inner dimension mismatch: A is {a.shape}, B is {b.shape}"
@@ -188,7 +184,7 @@ def summa3d_multiply(
         )
         comm.alltoall(fiber, pair_bytes, "fiber_combine")
         strategy = plan_merge_strategy(
-            impl, sum(len(t) for t in lists), lists[0].shape
+            sum(len(t) for t in lists), lists[0].shape
         )
         merged = spkadd_merge(lists, strategy=strategy)
         ops = sum(len(t) for t in lists) * max(

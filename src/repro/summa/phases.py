@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 from ..merge.lists import BYTES_PER_TRIPLE
 from ..merge.spkadd import (
-    MERGE_IMPLS,
     SPKADD_MIN_ELEMENTS,
     STRATEGY_LADDER,
     strategy_peak_bytes,
@@ -238,7 +237,6 @@ def build_stage_graph(q: int, phases: int) -> list[StageNode]:
 
 
 def plan_merge_strategy(
-    impl: str,
     total_elements: int,
     shape,
     *,
@@ -247,32 +245,19 @@ def plan_merge_strategy(
 ) -> str:
     """Pick the SpKAdd strategy label one physical merge is planned under.
 
-    ``impl`` is the resolved ``merge_impl`` knob.  ``auto`` starts at the
-    top of :data:`~repro.merge.spkadd.STRATEGY_LADDER` (hash) but plans
-    ``serial`` outright below ``SPKADD_MIN_ELEMENTS``; an explicit
-    tree/hash starts at its own rung and is always honored on small
-    inputs.  From the starting rung
-    the ladder walks down past any strategy whose
-    :func:`~repro.merge.spkadd.strategy_peak_bytes` busts ``budget_bytes``
-    (mirroring kernel demotion), and ``rung`` — the recovery ladder fed by
-    injected merge-memory overruns — only ever pushes the start further
-    down.  The decision is a pure function of these arguments: no worker
-    count, backend, or executor state enters, so strategy accounting is
-    identical across every execution cell.
+    Below ``SPKADD_MIN_ELEMENTS`` the label is ``serial``.  Otherwise
+    planning starts at the top of
+    :data:`~repro.merge.spkadd.STRATEGY_LADDER` (hash) and walks down past
+    any strategy whose :func:`~repro.merge.spkadd.strategy_peak_bytes`
+    busts ``budget_bytes`` (mirroring kernel demotion); ``rung`` — the
+    recovery ladder fed by injected merge-memory overruns — only ever
+    pushes the start further down.  The decision is a pure function of
+    these arguments: no worker count, backend, or executor state enters,
+    so strategy accounting is identical across every execution cell.
     """
-    if impl not in MERGE_IMPLS:
-        raise ValueError(
-            f"unknown merge impl {impl!r}; options: {list(MERGE_IMPLS)}"
-        )
-    if impl == "serial":
+    if total_elements < SPKADD_MIN_ELEMENTS:
         return "serial"
-    if impl == "auto":
-        if total_elements < SPKADD_MIN_ELEMENTS:
-            return "serial"
-        start = 0
-    else:
-        start = STRATEGY_LADDER.index(impl)
-    start = max(start, min(max(0, int(rung)), len(STRATEGY_LADDER) - 1))
+    start = min(max(0, int(rung)), len(STRATEGY_LADDER) - 1)
     for strategy in STRATEGY_LADDER[start:]:
         if (
             budget_bytes is None

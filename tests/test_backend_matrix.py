@@ -91,6 +91,7 @@ def assert_cell_identical(ref, run):
     assert run.elapsed_seconds == ref.elapsed_seconds
     assert run.kernel_selections == ref.kernel_selections
     assert run.converged == ref.converged
+    assert run.merge_demotions == ref.merge_demotions
     # Static-schedule evidence is pure simulated accounting, so it must
     # be bit-identical across cells too (all zero under schedule="sync").
     assert run.bcast_overlap_seconds == ref.bcast_overlap_seconds
@@ -142,64 +143,6 @@ class TestBackendMatrix:
         assert resumed.resumed_from_iteration > 0
         assert np.array_equal(resumed.labels, ref.labels)
         assert divergence(ref, resumed) == []
-
-
-MERGE_IMPLS = ("tree", "hash", "auto")
-
-
-@pytest.mark.parametrize("merge_impl", MERGE_IMPLS)
-@pytest.mark.parametrize(("backend", "overlap"), CELLS, ids=CELL_IDS)
-class TestMergeImplMatrix:
-    """The merge_impl axis of the matrix, on the phased net (multi-stage
-    SUMMA, so the parallel SpKAdd genuinely runs).  Serial merge_impl is
-    the reference itself; tree/hash/auto must leave no trace in any
-    pinned quantity."""
-
-    def test_fault_free(self, nets, opts, references, backend, overlap,
-                        merge_impl):
-        mat, cfg = nets["phased"]
-        run = hipmcl(
-            mat, opts, cfg, workers=2, backend=backend, overlap=overlap,
-            merge_impl=merge_impl,
-        )
-        assert_cell_identical(references["phased"]["plain"], run)
-
-    def test_chaos(self, nets, opts, references, backend, overlap,
-                   merge_impl):
-        mat, cfg = nets["phased"]
-        run = hipmcl(
-            mat, opts, cfg, workers=2, backend=backend, overlap=overlap,
-            merge_impl=merge_impl,
-            faults=FaultPlan.chaos(CHAOS_SEED, intensity=0.3),
-        )
-        ref = references["phased"]["chaos"]
-        assert run.faults_injected == ref.faults_injected
-        assert run.faults_injected.get("merge", 0) > 0
-        assert run.merge_demotions == ref.merge_demotions
-        assert_cell_identical(ref, run)
-
-
-@pytest.mark.parametrize("merge_impl", MERGE_IMPLS)
-def test_checkpoint_resume_with_merge_impl(nets, opts, references,
-                                           merge_impl, tmp_path):
-    # One pool cell suffices: the knob must leave no trace in the
-    # persisted state, so a checkpoint written under any merge_impl
-    # resumes to the exact serial trajectory.
-    mat, cfg = nets["phased"]
-    ref = references["phased"]["plain"]
-    full = hipmcl(
-        mat, opts, cfg, workers=2, backend="thread", overlap=True,
-        merge_impl=merge_impl, checkpoint_dir=tmp_path,
-    )
-    assert full.checkpoints_written > 0
-    assert_cell_identical(ref, full)
-    resumed = hipmcl(
-        mat, opts, cfg, workers=2, backend="thread", overlap=True,
-        merge_impl=merge_impl, resume_from=latest_checkpoint(tmp_path),
-    )
-    assert resumed.resumed_from_iteration > 0
-    assert np.array_equal(resumed.labels, ref.labels)
-    assert divergence(ref, resumed) == []
 
 
 #: Sampled (backend, overlap) cells for the grid axis — one per backend,
@@ -280,23 +223,22 @@ class TestGridAxisMatrix:
         assert divergence(ref2d, run) == []
 
 
-@pytest.mark.parametrize("merge_impl", ["hash", "auto"])
 def test_grid3d_checkpoint_resume(nets3d, opts, references, references3d,
-                                  merge_impl, tmp_path):
+                                  tmp_path):
     # grid="3d" enters the config fingerprint, so a 3D checkpoint resumes
-    # a 3D run — to the exact 3D serial trajectory, under any backend and
-    # merge_impl, with the 2D clustering.
+    # a 3D run — to the exact 3D serial trajectory, under any backend,
+    # with the 2D clustering.
     mat, cfg = nets3d["phased"]
     ref = references3d["phased"]["plain"]
     full = hipmcl(
         mat, opts, cfg, workers=2, backend="thread", overlap=True,
-        merge_impl=merge_impl, checkpoint_dir=tmp_path,
+        checkpoint_dir=tmp_path,
     )
     assert full.checkpoints_written > 0
     assert_cell_identical(ref, full)
     resumed = hipmcl(
         mat, opts, cfg, workers=2, backend="thread", overlap=True,
-        merge_impl=merge_impl, resume_from=latest_checkpoint(tmp_path),
+        resume_from=latest_checkpoint(tmp_path),
     )
     assert resumed.resumed_from_iteration > 0
     assert np.array_equal(resumed.labels, ref.labels)

@@ -1,5 +1,5 @@
-"""Unit tests for the locality engine: reordering plans, the armed
-layout's kernel wiring, graph deltas, and the service's delta jobs."""
+"""Unit tests for the warm start: graph deltas, dirty components, and
+the service's delta jobs."""
 
 import numpy as np
 import pytest
@@ -7,26 +7,16 @@ import pytest
 from repro.errors import LocalityError
 from repro.locality import (
     GraphDelta,
-    Reordering,
-    STRATEGIES,
     WarmStart,
-    active_layout,
-    balanced_slab_bounds,
     dirty_vertices,
     induced_subgraph,
     localized_delta,
     parse_delta_lines,
-    plan_reordering,
     random_delta,
-    resolve_reorder,
-    use_layout,
 )
-from repro.locality.layout import column_windows
-from repro.locality.reorder import forget_reordering, _PLANS
 from repro.mcl.hipmcl import HipMCLConfig, hipmcl
 from repro.mcl.options import MclOptions
 from repro.nets import planted_network
-from repro.sparse import random_csc
 
 
 @pytest.fixture(scope="module")
@@ -35,182 +25,6 @@ def islands():
     return planted_network(
         240, intra_degree=10.0, inter_degree=0.0, seed=9
     ).matrix
-
-
-# -- planning ----------------------------------------------------------------
-
-
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_plans_are_permutations(strategy, islands):
-    plan = plan_reordering(islands, strategy)
-    n = islands.ncols
-    assert plan.n == n
-    assert sorted(plan.order.tolist()) == list(range(n))
-    # position is the inverse of order.
-    assert np.array_equal(plan.position[plan.order], np.arange(n))
-
-
-def test_none_strategy_is_identity(islands):
-    plan = plan_reordering(islands, "none")
-    assert plan.is_identity
-
-
-def test_unknown_strategy_rejected(islands):
-    with pytest.raises(LocalityError):
-        plan_reordering(islands, "zorder")
-
-
-def test_from_permutation_validates_bijection():
-    Reordering.from_permutation(np.array([2, 0, 1]))
-    with pytest.raises(LocalityError):
-        Reordering.from_permutation(np.array([0, 0, 1]))
-    with pytest.raises(LocalityError):
-        Reordering.from_permutation(np.array([0, 1, 3]))
-
-
-def test_community_tightens_profile_on_islands(islands):
-    stats = plan_reordering(islands, "community").stats(islands)
-    assert stats["strategy"] == "community"
-    # Grouping the planted clusters contiguously must tighten the
-    # column spans vs the generator's interleaved vertex order.
-    assert stats["profile"] < stats["identity_profile"]
-
-
-def test_plans_are_memoized_per_matrix_and_strategy(islands):
-    a = plan_reordering(islands, "degree")
-    assert plan_reordering(islands, "degree") is a
-    assert plan_reordering(islands, "community") is not a
-
-
-def test_invalidate_caches_drops_reordering_plans(islands):
-    """Satellite audit: CSCMatrix.invalidate_caches forgets the plans."""
-    plan_reordering(islands, "degree")
-    assert islands in _PLANS
-    islands.invalidate_caches()
-    assert islands not in _PLANS
-    # Re-planning after invalidation builds a fresh object.
-    b = plan_reordering(islands, "degree")
-    assert islands in _PLANS
-    forget_reordering(islands)
-    assert plan_reordering(islands, "degree") is not b
-
-
-def test_resolve_reorder_env_and_validation(monkeypatch):
-    assert resolve_reorder("rcm") == "rcm"
-    monkeypatch.setenv("REPRO_REORDER", "community")
-    assert resolve_reorder(None) == "community"
-    monkeypatch.delenv("REPRO_REORDER")
-    assert resolve_reorder(None) == "none"
-    with pytest.raises(LocalityError):
-        resolve_reorder("hilbert")
-
-
-def test_apply_and_restore_labels_roundtrip(islands):
-    plan = plan_reordering(islands, "community")
-    permuted = plan.apply(islands)
-    assert permuted.nnz == islands.nnz
-    # A labeling of the permuted graph maps back to the original ids.
-    labels = np.arange(islands.ncols, dtype=np.int64)
-    restored = plan.restore_labels(labels)
-    assert len(restored) == islands.ncols
-    assert restored.min() == 0
-
-
-# -- layout arming -----------------------------------------------------------
-
-
-def test_use_layout_arms_and_restores(islands):
-    plan = plan_reordering(islands, "degree")
-    assert active_layout() is None
-    with use_layout(plan):
-        assert active_layout() is plan
-        with use_layout(None):
-            assert active_layout() is None
-        assert active_layout() is plan
-    assert active_layout() is None
-
-
-def test_balanced_slab_bounds_cover_and_balance():
-    w = np.array([100, 1, 1, 1, 100, 1, 1, 1], dtype=np.int64)
-    bounds = balanced_slab_bounds(w, 2)
-    assert bounds[0][0] == 0 and bounds[-1][1] == len(w)
-    for (lo, hi), (lo2, hi2) in zip(bounds, bounds[1:]):
-        assert hi == lo2
-    # The cut separates the two heavy columns.
-    loads = [int(w[lo:hi].sum()) for lo, hi in bounds]
-    assert max(loads) < int(w.sum())
-
-
-def test_balanced_slab_bounds_degenerate():
-    assert balanced_slab_bounds(np.zeros(5, dtype=np.int64), 2)[-1][1] == 5
-    assert balanced_slab_bounds(np.ones(3, dtype=np.int64), 1) == [(0, 3)]
-
-
-def test_column_windows_bound_the_columns(islands):
-    plan = plan_reordering(islands, "community")
-    lo, hi = column_windows(islands, plan)
-    slots = plan.position[islands.indices]
-    for j in (0, 5, islands.ncols - 1):
-        s, e = islands.indptr[j], islands.indptr[j + 1]
-        if e > s:
-            assert lo[j] == slots[s:e].min()
-            assert hi[j] == slots[s:e].max()
-
-
-def test_windowed_spa_bit_identical(islands):
-    from repro.sparse import normalize_columns
-    from repro.spgemm.hashspgemm import spgemm_hash
-
-    a = normalize_columns(islands.sum_duplicates().pruned_zeros())
-    ref = spgemm_hash(a, a)
-    with use_layout(plan_reordering(a, "community")):
-        out = spgemm_hash(a, a)
-    assert np.array_equal(out.indptr, ref.indptr)
-    assert np.array_equal(out.indices, ref.indices)
-    assert np.array_equal(out.data, ref.data)
-
-
-def test_balanced_slabs_bit_identical(islands):
-    from repro.parallel import get_executor
-    from repro.parallel.work import parallel_spgemm_columns
-    from repro.sparse import normalize_columns
-    from repro.spgemm.hashspgemm import spgemm_hash
-
-    a = normalize_columns(islands.sum_duplicates().pruned_zeros())
-    ref = spgemm_hash(a, a)
-    ex = get_executor(2, "thread")
-    with use_layout(plan_reordering(a, "degree")):
-        out = parallel_spgemm_columns(ex, "hash", a, a)
-    assert np.array_equal(out.indptr, ref.indptr)
-    assert np.array_equal(out.indices, ref.indices)
-    assert np.array_equal(out.data, ref.data)
-
-
-# -- driver ------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("strategy", ["degree", "rcm", "community"])
-def test_hipmcl_reorder_bit_identical(strategy, tiny_network, tiny_options):
-    cfg = HipMCLConfig.optimized(nodes=16)
-    ref = hipmcl(tiny_network.matrix, tiny_options, cfg)
-    res = hipmcl(tiny_network.matrix, tiny_options, cfg, reorder=strategy)
-    assert np.array_equal(res.labels, ref.labels)
-    # Layout-only: even the simulated clock must not move.
-    assert res.elapsed_seconds == ref.elapsed_seconds
-    assert res.iterations == ref.iterations
-
-
-def test_hipmcl_reorder_emits_locality_metrics(tiny_network, tiny_options):
-    from repro.trace import Tracer
-
-    tracer = Tracer()
-    hipmcl(
-        tiny_network.matrix, tiny_options, HipMCLConfig.optimized(nodes=16),
-        reorder="community", trace=tracer,
-    )
-    names = {m.name for m in tracer.metrics}
-    assert "locality.bandwidth" in names
-    assert "locality.profile" in names
 
 
 # -- deltas ------------------------------------------------------------------
@@ -308,8 +122,8 @@ def test_delta_jobs_key_and_warm_start(tmp_path):
     # Dropping the delta component recovers the base key.
     mat, _ = base.load_graph()
     assert with_delta.base_cache_key(mat) == base.cache_key(mat)
-    # reorder is a wall-clock knob: same key.
-    assert JobSpec(graph=str(mtx), reorder="degree").cache_key() \
+    # workers is a wall-clock knob: same key.
+    assert JobSpec(graph=str(mtx), workers=2).cache_key() \
         == base.cache_key()
 
     service = ClusterService(tmp_path / "svc")

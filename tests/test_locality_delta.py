@@ -128,13 +128,10 @@ def test_run_warm_start_traces_dirty_metric(nets):
     assert any(m.name == "locality.delta.dirty" for m in tracer.metrics)
 
 
-def test_warm_start_composes_with_reorder_and_workers(nets):
+def test_warm_start_composes_with_workers(nets):
     matrix = nets["islands"]
     base = hipmcl(matrix, OPTS, CFG)
     delta = localized_delta(matrix, 8, 21)
     cold = hipmcl(delta.apply(matrix), OPTS, CFG)
-    warm = _warm(
-        matrix, base, delta,
-        reorder="community", workers=2, backend="thread",
-    )
+    warm = _warm(matrix, base, delta, workers=2, backend="thread")
     assert np.array_equal(warm.labels, cold.labels)

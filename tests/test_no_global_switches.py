@@ -1,5 +1,7 @@
 """A new process-wide knob must show up as a reviewed diff of this file."""
 
+import dataclasses
+import inspect
 import os
 import re
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import repro
 import repro.perf
+from repro.mcl.hipmcl import hipmcl
+from repro.service import JobSpec
 
 #: Every spelling counts: reads, docstrings, error messages.
 ENV_NAME = re.compile(r"REPRO_([A-Z][A-Z_]*)")
@@ -18,9 +22,24 @@ def test_environment_variables_are_pinned():
     for path in Path(repro.__file__).parent.rglob("*.py"):
         names |= set(ENV_NAME.findall(path.read_text()))
     assert names == {
-        "WORKERS", "BACKEND", "OVERLAP", "MERGE_IMPL", "GRID", "LAYERS",
-        "REORDER", "BENCH_FAST",
+        "WORKERS", "BACKEND", "OVERLAP", "GRID", "LAYERS", "BENCH_FAST",
     }
+
+
+def test_driver_and_job_surfaces_are_pinned():
+    keywords = [
+        p.name for p in inspect.signature(hipmcl).parameters.values()
+        if p.kind is inspect.Parameter.KEYWORD_ONLY
+    ]
+    assert keywords == [
+        "strict", "faults", "resume_from", "checkpoint_dir",
+        "checkpoint_every", "workers", "backend", "overlap", "trace",
+        "on_iteration", "warm_start",
+    ]
+    assert [f.name for f in dataclasses.fields(JobSpec)] == [
+        "graph", "mode", "nodes", "options", "config", "workers",
+        "backend", "overlap", "delta",
+    ]
 
 
 def test_perf_package_exports_no_switch():

@@ -114,14 +114,12 @@ def _assert_bit_identical(out, ref):
 @given(signed_streams())
 @settings(max_examples=80, deadline=None)
 def test_spkadd_strategies_bit_identical_to_merge_lists(stream):
-    """Every SpKAdd strategy — and the one ``auto`` would plan — returns
+    """Every SpKAdd strategy — and the one the planner picks — returns
     the exact arrays of the canonical serial merge (not just allclose:
     floating-point summation order is part of the contract)."""
     shape, lists = stream
     ref = merge_lists(list(lists))
-    planned = plan_merge_strategy(
-        "auto", sum(len(t) for t in lists), shape
-    )
+    planned = plan_merge_strategy(sum(len(t) for t in lists), shape)
     for strategy in ("serial", "tree", "hash", planned):
         out = spkadd_merge(list(lists), strategy=strategy)
         _assert_bit_identical(out, ref)

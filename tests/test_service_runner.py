@@ -133,9 +133,7 @@ class TestResultCache:
 
     def test_wall_clock_knobs_share_a_cache_key(self, net_path):
         base = make_spec(net_path)
-        tuned = make_spec(
-            net_path, workers=2, backend="thread", merge_impl="tree"
-        )
+        tuned = make_spec(net_path, workers=2, backend="thread", overlap=True)
         assert base.cache_key() == tuned.cache_key()
 
     def test_option_changes_split_the_cache_key(self, net_path):
@@ -193,6 +191,29 @@ class TestFailurePath:
     def test_malformed_spec_dict_rejected(self):
         with pytest.raises(ServiceError, match="malformed job spec"):
             JobSpec.from_dict({"graph": "x.mtx", "warp": 9})
+
+    def test_unparseable_queued_spec_fails_instead_of_poisoning(
+        self, service, clock, net_path
+    ):
+        # A row queued by another version — one whose JobSpec had a field
+        # this one dropped, or one that added a field — reaches the runner
+        # without passing ``from_dict``.  It must burn retries and park in
+        # `failed`, not escape the runner with the job still claimed, to
+        # be requeued forever.
+        row = {
+            **make_spec(net_path).to_dict(), "merge_impl": "tree",
+            "priority": 1,
+        }
+        poison = service.queue.submit(row, max_retries=1, backoff_base=0.0)
+        good = service.submit(make_spec(net_path))
+        runner = make_runner(service, clock)
+        assert runner.drain() == 3
+        outcomes = [o for j, o in runner.processed if j == poison]
+        assert outcomes == ["failed-spec:queued", "failed-spec:failed"]
+        job = service.status(poison)
+        assert job.state == "failed"
+        assert "malformed job spec" in job.error
+        assert service.status(good).state == "done"
 
 
 class TestProgressStream:

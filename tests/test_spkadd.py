@@ -13,10 +13,8 @@ import pytest
 from repro.errors import ShapeError
 from repro.merge import TripleList, merge_lists, spkadd_merge
 from repro.merge.spkadd import (
-    MERGE_IMPLS,
     SPKADD_MIN_ELEMENTS,
     STRATEGY_LADDER,
-    resolve_merge_impl,
     strategy_peak_bytes,
 )
 from repro.sparse import random_csc
@@ -36,61 +34,6 @@ def assert_triples_equal(out, ref):
     assert np.array_equal(out.cols, ref.cols)
     assert np.array_equal(out.rows, ref.rows)
     assert np.array_equal(out.vals, ref.vals)
-
-
-# ---------------------------------------------------------------------------
-# The column splitter and the knob
-# ---------------------------------------------------------------------------
-
-
-class TestPartitionBounds:
-    """The near-even column splitter: the merge no longer partitions, the
-    prune fan-out still cuts block columns with it."""
-
-    @staticmethod
-    def bounds(ncols, parts):
-        from repro.parallel.work import _slab_bounds
-
-        return _slab_bounds(ncols, parts)
-
-    @pytest.mark.parametrize("ncols,parts", [(1, 1), (7, 3), (16, 4),
-                                             (5, 8), (100, 7)])
-    def test_disjoint_and_covering(self, ncols, parts):
-        bounds = self.bounds(ncols, parts)
-        assert bounds[0][0] == 0
-        assert bounds[-1][1] == ncols
-        for (a0, a1), (b0, b1) in zip(bounds, bounds[1:]):
-            assert a1 == b0
-            assert a0 < a1
-        assert len(bounds) == min(parts, ncols)
-
-    def test_near_even(self):
-        sizes = [hi - lo for lo, hi in self.bounds(10, 3)]
-        assert max(sizes) - min(sizes) <= 1
-
-
-class TestResolveMergeImpl:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MERGE_IMPL", raising=False)
-        assert resolve_merge_impl(None) == "auto"
-
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MERGE_IMPL", "tree")
-        assert resolve_merge_impl(None) == "tree"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MERGE_IMPL", "tree")
-        assert resolve_merge_impl("hash") == "hash"
-
-    def test_case_folded(self):
-        assert resolve_merge_impl("SERIAL") == "serial"
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown merge impl"):
-            resolve_merge_impl("quantum")
-
-    def test_vocabulary(self):
-        assert MERGE_IMPLS == ("serial", "tree", "hash", "auto")
 
 
 # ---------------------------------------------------------------------------
@@ -210,29 +153,24 @@ class TestSpkaddMerge:
 
 
 # ---------------------------------------------------------------------------
-# The planner: auto, budget demotion, recovery rung
+# The planner: size floor, budget demotion, recovery rung
 # ---------------------------------------------------------------------------
 
 
 class TestPlanMergeStrategy:
-    def test_serial_impl_is_serial(self):
-        assert plan_merge_strategy("serial", 10**6, (100, 100)) == "serial"
-
     def test_auto_small_input_stays_serial(self):
         total = SPKADD_MIN_ELEMENTS - 1
-        assert plan_merge_strategy("auto", total, (100, 100)) == "serial"
+        assert plan_merge_strategy(total, (100, 100)) == "serial"
 
     def test_auto_large_input_prefers_hash(self):
-        assert plan_merge_strategy(
-            "auto", SPKADD_MIN_ELEMENTS, (100, 100)
-        ) == "hash"
+        assert plan_merge_strategy(SPKADD_MIN_ELEMENTS, (100, 100)) == "hash"
 
     def test_budget_demotes_hash_to_tree(self):
         shape = (10_000, 10_000)  # dense table alone: 900 MB
         total = SPKADD_MIN_ELEMENTS
         budget = strategy_peak_bytes("tree", total, shape)
         assert plan_merge_strategy(
-            "auto", total, shape, budget_bytes=budget
+            total, shape, budget_bytes=budget
         ) == "tree"
 
     def test_budget_can_demote_to_serial(self):
@@ -240,26 +178,21 @@ class TestPlanMergeStrategy:
         total = SPKADD_MIN_ELEMENTS
         budget = strategy_peak_bytes("serial", total, shape)
         assert plan_merge_strategy(
-            "auto", total, shape, budget_bytes=budget
+            total, shape, budget_bytes=budget
         ) == "serial"
 
     def test_floor_is_serial_even_over_budget(self):
         assert plan_merge_strategy(
-            "auto", SPKADD_MIN_ELEMENTS, (10_000, 10_000), budget_bytes=1
+            SPKADD_MIN_ELEMENTS, (10_000, 10_000), budget_bytes=1
         ) == "serial"
 
-    def test_rung_demotes_explicit_hash(self):
+    def test_rung_demotes_hash(self):
         shape = (100, 100)
         total = SPKADD_MIN_ELEMENTS
-        assert plan_merge_strategy("hash", total, shape, rung=0) == "hash"
-        assert plan_merge_strategy("hash", total, shape, rung=1) == "tree"
-        assert plan_merge_strategy("hash", total, shape, rung=2) == "serial"
-        assert plan_merge_strategy("hash", total, shape, rung=99) == "serial"
-
-    def test_explicit_tree_starts_at_tree(self):
-        assert plan_merge_strategy(
-            "tree", SPKADD_MIN_ELEMENTS, (100, 100)
-        ) == "tree"
+        assert plan_merge_strategy(total, shape, rung=0) == "hash"
+        assert plan_merge_strategy(total, shape, rung=1) == "tree"
+        assert plan_merge_strategy(total, shape, rung=2) == "serial"
+        assert plan_merge_strategy(total, shape, rung=99) == "serial"
 
     def test_peak_bytes_ordering_and_errors(self):
         shape = (2_000, 2_000)
@@ -279,7 +212,7 @@ class TestPlanMergeStrategy:
 # ---------------------------------------------------------------------------
 
 
-def _phased_engine_run(tracer=None, merge_impl="hash", workers=4, **kwargs):
+def _phased_engine_run(tracer=None, workers=4, **kwargs):
     from repro.machine import SUMMIT_LIKE
     from repro.mpi import ProcessGrid, VirtualComm
     from repro.nets import planted_network
@@ -294,7 +227,7 @@ def _phased_engine_run(tracer=None, merge_impl="hash", workers=4, **kwargs):
     comm = VirtualComm(grid.size, SUMMIT_LIKE)
     with activate(tracer):
         return summa_multiply(
-            dist, dist, comm, SummaConfig(merge_impl=merge_impl), phases=2,
+            dist, dist, comm, SummaConfig(), phases=2,
             workers=workers, backend="thread", overlap=True, **kwargs,
         )
 
@@ -305,7 +238,6 @@ class TestEngineWiring:
 
         tracer = Tracer()
         res = _phased_engine_run(tracer)
-        assert res.merge_impl == "hash"
         assert sum(res.merge_strategy_selections.values()) > 0
         # Workers multiply; no merge work is ever shipped to them.
         worker_spans = {
@@ -384,20 +316,14 @@ class TestEngineWiring:
         _phased_engine_run(workers=1, phase_callback=callback)
         assert made == [2 * 16] and alive == [0, 0]
 
-    @pytest.mark.parametrize("merge_impl", ["serial", "tree", "hash", "auto"])
-    def test_engine_results_identical_across_impls(self, merge_impl):
-        ref = _phased_engine_run(merge_impl="serial", workers=1)
-        run = _phased_engine_run(merge_impl=merge_impl, workers=4)
+    def test_engine_results_identical_across_workers(self):
+        ref = _phased_engine_run(workers=1)
+        run = _phased_engine_run(workers=4)
         assert np.array_equal(
             run.dist_c.to_global().to_dense(),
             ref.dist_c.to_global().to_dense(),
         )
-
-    def test_config_rejects_unknown_impl(self):
-        from repro.summa import SummaConfig
-
-        with pytest.raises(ValueError, match="merge impl"):
-            SummaConfig(merge_impl="bogus")
+        assert run.merge_strategy_selections == ref.merge_strategy_selections
 
 
 class TestMergeFaultLadder:
@@ -421,15 +347,11 @@ class TestMergeFaultLadder:
         ref = self._run(workers=1)
         assert ref.merge_demotions > 0
         assert ref.faults_injected.get("merge", 0) > 0
-        for merge_impl in ("tree", "hash", "auto"):
-            run = self._run(
-                workers=2, backend="thread", overlap=True,
-                merge_impl=merge_impl,
-            )
-            assert np.array_equal(run.labels, ref.labels)
-            assert run.elapsed_seconds == ref.elapsed_seconds
-            assert run.merge_demotions == ref.merge_demotions
-            assert run.faults_injected == ref.faults_injected
+        run = self._run(workers=2, backend="thread", overlap=True)
+        assert np.array_equal(run.labels, ref.labels)
+        assert run.elapsed_seconds == ref.elapsed_seconds
+        assert run.merge_demotions == ref.merge_demotions
+        assert run.faults_injected == ref.faults_injected
 
     def test_disarmed_policy_disables_merge_site(self):
         from repro.resilience import ResiliencePolicy

@@ -77,12 +77,6 @@ def main(argv=None) -> int:
         "with r | sqrt(nodes); default auto)",
     )
     parser.add_argument(
-        "--reorder", choices=["degree", "rcm", "community"], default=None,
-        help="arm this locality reordering for the *faulted* runs only "
-        "(the baseline stays unreordered), so a pass also certifies the "
-        "layout engine's bit-identity under fault recovery",
-    )
-    parser.add_argument(
         "--delta", type=float, default=None, metavar="FRACTION",
         help="incremental-reclustering sweep: each plan draws a seeded "
         "edge delta touching FRACTION of the edges, warm-starts from "
@@ -149,8 +143,7 @@ def main(argv=None) -> int:
     for seed in range(args.seed0, args.seed0 + args.plans):
         plan = FaultPlan.chaos(seed, intensity=args.intensity)
         res = hipmcl(
-            net.matrix, opts, cfg, faults=plan, workers=args.workers,
-            reorder=args.reorder,
+            net.matrix, opts, cfg, faults=plan, workers=args.workers
         )
         injected = sum(res.faults_injected.values())
         diffs = divergence(baseline, res)
@@ -190,7 +183,7 @@ def _delta_sweep(args, net, opts, cfg, baseline) -> int:
     Per plan: a seeded edge delta patches the graph; the reference is a
     *fault-free cold* run on the patched graph; the subject warm-starts
     from the unpatched baseline's labels with the plan's faults (and
-    ``--reorder``/``--workers``, when given) armed.  Labels must match
+    ``--workers``, when given) armed.  Labels must match
     bit-for-bit — trajectories are not compared (the warm run's history
     covers only the dirty components).
     """
@@ -207,7 +200,7 @@ def _delta_sweep(args, net, opts, cfg, baseline) -> int:
         warm = hipmcl(
             net.matrix, opts, cfg,
             warm_start=WarmStart(base_labels, delta),
-            faults=plan, workers=args.workers, reorder=args.reorder,
+            faults=plan, workers=args.workers,
         )
         injected = sum(warm.faults_injected.values())
         same = np.array_equal(np.asarray(warm.labels), np.asarray(cold.labels))

@@ -6,7 +6,7 @@ The gate watches the execution-backend subsystems — ``src/repro/parallel/``,
 charge model behind ``--grid 3d`` and its hybrid transport selector),
 ``src/repro/trace/``, ``src/repro/merge/``,
 ``src/repro/service/``, ``src/repro/mpi/`` and ``src/repro/locality/``
-(the reordering layouts and incremental warm-start engine) — because
+(the incremental warm-start engine) — because
 those are the layers where an untested branch means a silently wrong
 schedule (or a silently wrong merge, a silently lost job, a silently
 uncharged link, a transport decision charged to the wrong clocks, or a

@@ -102,8 +102,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--no-locality", action="store_true",
-        help="skip the locality sweep and the delta-rerun pair (twelve "
-        "reordering cells plus three islands-net runs)",
+        help="skip the locality sweep and the delta-rerun pair (four "
+        "sweep cells plus three islands-net runs)",
     )
     parser.add_argument(
         "--check", action="store_true",

@@ -58,12 +58,6 @@ def main(argv=None) -> int:
         "prune with the next phase's broadcasts (changes simulated time)",
     )
     parser.add_argument(
-        "--merge-impl", choices=["serial", "tree", "hash", "auto"],
-        default=None,
-        help="SpKAdd plan label for the expansion's merges (one engine "
-        "runs behind every label; default: REPRO_MERGE_IMPL or auto)",
-    )
-    parser.add_argument(
         "--trace", metavar="FILE",
         help="write the Chrome trace-event JSON here",
     )
@@ -118,7 +112,6 @@ def main(argv=None) -> int:
         workers=args.workers,
         backend=args.backend,
         overlap=args.overlap,
-        merge_impl=args.merge_impl,
     )
     wall = time.perf_counter() - t0
 
