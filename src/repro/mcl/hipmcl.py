@@ -36,7 +36,7 @@ from ..resilience.validators import InvariantChecker
 from ..sparse import CSCMatrix, csc_from_triples
 from ..sparse import _compressed as _c
 from ..spgemm.estimator import estimate_nnz
-from ..spgemm.metrics import flops_per_entry
+from ..spgemm.metrics import flops
 from ..spgemm.symbolic import symbolic_nnz
 from ..summa.distmatrix import DistributedCSC
 from ..summa.engine import SummaConfig, summa_multiply
@@ -828,11 +828,10 @@ def _hipmcl_run(
     for it in range(start_iteration, options.max_iterations + 1):
         stage_before = _grouped_stage_seconds(comm)
         dist_a = DistributedCSC.from_global(work, grid)
-        entry_flops = flops_per_entry(work, work)
-        total_flops = int(entry_flops.sum())
+        total_flops = flops(work, work)
 
         def exact_nnz() -> float:
-            return float(symbolic_nnz(work, work, entry_flops))
+            return float(symbolic_nnz(work, work))
 
         # ---- memory requirement estimation (§V) -------------------------
         with maybe_span("estimate", "mcl", iteration=it) as est_sp:

@@ -1,8 +1,9 @@
-"""Reusable workspace arena for the expansion-phase scratch buffers.
+"""Reusable workspace arena for per-call scratch buffers.
 
-ESC materializes O(flops) transient triples per stage; allocating those
-arrays anew for every one of the hundreds of SUMMA stages per MCL run is
-pure allocator churn.  The arena hands out grow-only named buffers that
+The hash kernel's dense accumulator and the estimator's key gather are
+rebuilt on every call; allocating them anew for every one of the
+hundreds of calls per MCL run is pure allocator churn.  The arena hands
+out grow-only named buffers that
 persist across calls: callers slice the first ``n`` elements and must not
 assume any particular content (except for :meth:`flags`, which maintains
 an all-False invariant — callers reset the entries they touched, turning
@@ -17,11 +18,10 @@ import numpy as np
 
 
 class Arena:
-    """Named grow-only scratch buffers plus a cached ``arange``."""
+    """Named grow-only scratch buffers."""
 
     def __init__(self):
         self._bufs: dict[str, np.ndarray] = {}
-        self._arange = np.empty(0, dtype=np.int64)
 
     def buffer(self, name: str, n: int, dtype) -> np.ndarray:
         """The first ``n`` elements of the named buffer (contents arbitrary)."""
@@ -46,17 +46,9 @@ class Arena:
             self._bufs[key] = buf
         return buf[:n]
 
-    def arange(self, n: int) -> np.ndarray:
-        """Read-only ``arange(n)`` backed by a persistent array."""
-        if len(self._arange) < n:
-            self._arange = np.arange(max(n, 2 * len(self._arange)), dtype=np.int64)
-            self._arange.setflags(write=False)
-        return self._arange[:n]
-
     def release(self) -> None:
         """Drop every buffer (tests / memory pressure)."""
         self._bufs.clear()
-        self._arange = np.empty(0, dtype=np.int64)
 
 
 _TLS = threading.local()

@@ -36,12 +36,12 @@ the SUMMA stage loop merges its products in that orientation and
 transposes each merged block once (:func:`transpose`), so a block of k
 stage products pays k + 1 transposes instead of 2k.
 
-The compiled code does not bounds-check: operands must satisfy the CSC
-invariants :func:`repro.sparse._compressed.validate` enforces on every
-matrix built from outside input (``check=False`` callers vouch for them).
-
-``expand_keys`` and ``dense_pays`` are the expansion core and price rule of
-the values-free symbolic pass (:mod:`repro.spgemm.symbolic`).
+The compiled code does not bounds-check: callers hand it operands that
+satisfy the CSC invariants :func:`repro.sparse._compressed.validate`
+enforces on every matrix built from outside input (``check=False``
+callers vouch for them).  The exact symbolic count
+(:mod:`repro.spgemm.symbolic`) runs ``csr_matmat_maxnnz`` and
+``csr_matmat`` on the same swapped arrays, the latter over unit values.
 """
 
 from __future__ import annotations
@@ -50,42 +50,6 @@ import numpy as np
 
 from ..sparse import CSCMatrix
 from ..sparse import _compressed as _c
-from .arena import global_arena
-
-#: Use dense ``nrows·ncols`` scratch (the symbolic pass's occupancy flags)
-#: only while it stays below this cap and within a reasonable multiple of
-#: the element count.
-DENSE_CELL_LIMIT = 1 << 23
-DENSE_WASTE_FACTOR = 32
-
-
-def dense_pays(cells: int, total: int) -> bool:
-    """Price rule: scan ``cells`` of dense scratch, or sort ``total`` keys?"""
-    return cells <= DENSE_CELL_LIMIT and cells <= DENSE_WASTE_FACTOR * total
-
-
-def expand_keys(a: CSCMatrix, b_indptr, b_indices, reps, ends, total: int):
-    """Arena-backed pattern expansion of ``A·B`` over B's stored entries.
-
-    ``b_indptr``/``b_indices`` are B (or a rebased column slab of it),
-    ``reps`` the products each B entry generates and ``ends`` their
-    running sum.  Returns, per product in B-entry order, the flat output
-    coordinate ``col·nrows + row`` and the slot of its A operand.
-    """
-    arena = global_arena()
-    starts = a.indptr[b_indices]
-    jump = starts - (ends - reps)
-    a_slot = arena.buffer("esc:a_slot", total, np.int64)
-    np.add(arena.arange(total), np.repeat(jump, reps), out=a_slot)
-    rows = np.take(
-        a.indices, a_slot, mode="clip",
-        out=arena.buffer("esc:rows", total, np.int64),
-    )
-    b_key = _c.expand_major(b_indptr, len(b_indptr) - 1)
-    b_key *= np.int64(a.nrows)
-    key = np.repeat(b_key, reps)
-    key += rows
-    return key, a_slot
 
 
 def expand_compress(a: CSCMatrix, b: CSCMatrix):
@@ -156,12 +120,17 @@ def _tocsc(shape, indptr, rows, vals) -> CSCMatrix:
 
 
 def _expand(a: CSCMatrix, b: CSCMatrix):
-    """Flat coordinate key and numeric product per flop, B-entry order."""
+    """Flat coordinate key ``col·nrows + row`` and numeric product per
+    flop, B-entry order."""
     reps = a.column_lengths()[b.indices]
     ends = np.cumsum(reps)
-    key, a_slot = expand_keys(
-        a, b.indptr, b.indices, reps, ends, int(ends[-1])
+    # Slot of each product's A operand: a run through A's column k per
+    # stored entry b_kj.
+    a_slot = np.arange(ends[-1]) + np.repeat(
+        a.indptr[b.indices] - (ends - reps), reps
     )
+    b_key = _c.expand_major(b.indptr, b.ncols) * np.int64(a.nrows)
+    key = np.repeat(b_key, reps) + a.indices[a_slot]
     return key, a.data[a_slot] * np.repeat(b.data, reps)
 
 

@@ -39,6 +39,22 @@ def assert_same_csc(got, want):
     assert bits_equal(got.data, want.data)
 
 
+def symbolic_counts_numpy(a, b) -> np.ndarray:
+    """Per-column ``nnz(A·B)`` by NumPy expansion: the flat coordinate
+    ``col·nrows + row`` of every product, deduplicated, counted per column.
+    Structure only (values are never read) and O(flops) memory — an
+    oracle for the compiled symbolic pass, for small inputs."""
+    reps = np.diff(a.indptr)[b.indices]
+    ends = np.cumsum(reps, dtype=np.int64)
+    total = int(ends[-1]) if len(ends) else 0
+    a_slot = np.arange(total) + np.repeat(
+        a.indptr[b.indices] - (ends - reps), reps
+    )
+    cols = np.repeat(np.arange(b.ncols), np.diff(b.indptr))
+    key = np.unique(np.repeat(cols, reps) * a.nrows + a.indices[a_slot])
+    return np.bincount(key // max(a.nrows, 1), minlength=b.ncols)
+
+
 def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
     """Adjusted Rand index between two labelings (no sklearn offline)."""
     a = np.asarray(a)

@@ -48,8 +48,10 @@ def test_perf_package_exports_no_switch():
 
 def test_importing_the_library_does_not_import_scipy():
     # ``import scipy.sparse`` costs ~0.12 s and ~15 MB in a fresh
-    # interpreter — 40 % of ``setup_s`` on ``baseline-orig`` — so the one
-    # kernel that uses it (``repro.perf.esc``) imports it at first call.
+    # interpreter — 40 % of ``setup_s`` on ``baseline-orig`` — so the
+    # modules that call its compiled kernels (``repro.perf.esc``,
+    # ``repro.perf.merge``, ``repro.spgemm.symbolic``) import it at first
+    # call.
     src = Path(repro.__file__).parents[1]
     probe = (
         "import sys; import repro.mcl.hipmcl, repro.cli; "

@@ -176,15 +176,6 @@ def test_arena_flags_all_false_invariant():
     assert not again.any()
 
 
-def test_arena_arange_read_only():
-    arena = Arena()
-    idx = arena.arange(16)
-    assert np.array_equal(idx, np.arange(16))
-    with pytest.raises(ValueError):
-        idx[0] = 5
-    assert arena.arange(8).base is idx.base or len(arena.arange(8)) == 8
-
-
 def test_arena_release_drops_buffers():
     arena = Arena()
     arena.buffer("w", 10, np.float64)

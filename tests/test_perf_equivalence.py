@@ -41,6 +41,7 @@ from repro.spgemm.estimator import _propagate_min, estimate_nnz
 from repro.spgemm.hashspgemm import spgemm_hash
 from repro.spgemm.heap import spgemm_heap
 from repro.spgemm.metrics import flops_per_column
+from repro.spgemm.symbolic import symbolic_nnz, symbolic_nnz_per_column
 
 from helpers import assert_same_csc, bits_equal
 
@@ -383,6 +384,35 @@ def test_esc_private_sparsetools_call_matches_public_scipy():
                 got = perf_esc.transpose(perf_esc.expand_compress(left, b)[0])
             assert side == [expected]
             assert_same_csc(got, scipy_product(left, b))
+    except (ImportError, AttributeError, TypeError, ValueError,
+            AssertionError) as exc:
+        pytest.fail(f"{broken}: {exc!r}")
+
+
+def test_symbolic_private_sparsetools_calls_match_public_scipy():
+    # Both exact symbolic counts are one private compiled call each; on
+    # rectangular operands with stored zeros and signed values they are
+    # the structure of SciPy's public product of the 0/1 patterns.
+    import scipy
+
+    a = random_csc((60, 45), 0.15, seed=3)
+    b = random_csc((45, 70), 0.15, seed=4)
+    a = raw(a.shape, a.indptr, a.indices, np.where(a.data < 0.2, 0.0, a.data))
+    b = raw(b.shape, b.indptr, b.indices, b.data - 0.5)
+    broken = (
+        "repro.spgemm.symbolic calls scipy.sparse._sparsetools."
+        "csr_matmat_maxnnz / csr_matmat directly (supported: SciPy 1.10 to "
+        f"1.17); SciPy {scipy.__version__} no longer matches that private "
+        "signature or the structure of its public `A @ B`"
+    )
+    try:
+        ones = [
+            sp.csc_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape)
+            for m in (a, b)
+        ]
+        expected = (ones[0] @ ones[1]).getnnz(axis=0)
+        assert np.array_equal(symbolic_nnz_per_column(a, b), expected)
+        assert symbolic_nnz(a, b) == expected.sum()
     except (ImportError, AttributeError, TypeError, ValueError,
             AssertionError) as exc:
         pytest.fail(f"{broken}: {exc!r}")

@@ -1,18 +1,14 @@
 """Property-based tests: every SpGEMM kernel equals the dense product."""
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.perf.esc as perf_esc
-import repro.spgemm.symbolic as symbolic
 from repro.gpu import spgemm_bhsparse, spgemm_nsparse, spgemm_rmerge2
 from repro.sparse import CSCMatrix, csc_from_triples
 from repro.spgemm import (
     flops,
-    flops_per_entry,
     spgemm_esc,
     spgemm_hash,
     spgemm_heap,
@@ -20,6 +16,8 @@ from repro.spgemm import (
     symbolic_nnz,
     symbolic_nnz_per_column,
 )
+
+from helpers import symbolic_counts_numpy
 
 
 @st.composite
@@ -131,65 +129,17 @@ def _ones(mat):
     )
 
 
-#: (DENSE_CELL_LIMIT, DENSE_WASTE_FACTOR): every slab marks the occupancy
-#: scratch / every slab sorts its keys / the price rule decides per slab.
-PRICE_REGIMES = {
-    "occupancy": (1 << 23, 1 << 30),
-    "sorted": (0, 32),
-    "priced": (1 << 23, 2),
-}
-
-
 @given(structural_instances())
 @settings(max_examples=120, deadline=None)
 def test_symbolic_matches_independent_oracles(instance):
-    """Differential: SciPy on the 0/1 patterns, and the numeric ESC
-    kernel's own column lengths — structure counts, values do not."""
+    """Differential: SciPy on the 0/1 patterns, the numeric ESC kernel's
+    own column lengths and a NumPy expansion — structure counts, values
+    (stored zeros, ±1 pairs that cancel) do not."""
     a, b = instance
     scipy_counts = (_ones(a) @ _ones(b)).getnnz(axis=0)
-    esc_counts = spgemm_esc(a, b).column_lengths()
-    assert np.array_equal(scipy_counts, esc_counts)
-    for limit, waste in PRICE_REGIMES.values():
-        with pytest.MonkeyPatch.context() as mp:
-            # Three products per slab: every non-trivial example crosses
-            # slab boundaries, single columns overflow the slab.
-            mp.setattr(symbolic, "SLAB_FLOPS", 3)
-            mp.setattr(perf_esc, "DENSE_CELL_LIMIT", limit)
-            mp.setattr(perf_esc, "DENSE_WASTE_FACTOR", waste)
-            got = symbolic_nnz_per_column(a, b)
-            reused = symbolic_nnz_per_column(a, b, flops_per_entry(a, b))
-        assert got.dtype == np.int64 and got.shape == (b.ncols,)
-        assert np.array_equal(got, scipy_counts)
-        assert np.array_equal(reused, scipy_counts)
-    assert np.array_equal(symbolic_nnz_per_column(a, b), scipy_counts)
-
-
-def test_price_regimes_reach_both_sides(monkeypatch):
-    """The regimes above really do split: one marks, one sorts, and the
-    priced one does both on a single input."""
-    rng = np.random.default_rng(5)
-    dense_block = sp.random(12, 6, density=0.9, random_state=rng)
-    sparse_block = sp.random(12, 30, density=0.02, random_state=rng)
-    m = sp.hstack([dense_block, sparse_block]).tocsc()
-    m.sort_indices()
-    b = CSCMatrix(m.shape, m.indptr, m.indices, m.data)
-    a = CSCMatrix.from_dense(rng.random((12, 12)) < 0.6)
-    decisions = []
-    price = perf_esc.dense_pays
-
-    def spy(cells, total):
-        decisions.append(price(cells, total))
-        return decisions[-1]
-
-    monkeypatch.setattr(symbolic, "dense_pays", spy)
-    monkeypatch.setattr(symbolic, "SLAB_FLOPS", 24)
-    expected = (_ones(a) @ _ones(b)).getnnz(axis=0)
-    for name, (limit, waste) in PRICE_REGIMES.items():
-        monkeypatch.setattr(perf_esc, "DENSE_CELL_LIMIT", limit)
-        monkeypatch.setattr(perf_esc, "DENSE_WASTE_FACTOR", waste)
-        decisions.clear()
-        assert np.array_equal(symbolic_nnz_per_column(a, b), expected)
-        assert len(decisions) > 2, "input must span several slabs"
-        assert set(decisions) == {
-            "occupancy": {True}, "sorted": {False}, "priced": {True, False},
-        }[name]
+    assert np.array_equal(spgemm_esc(a, b).column_lengths(), scipy_counts)
+    assert np.array_equal(symbolic_counts_numpy(a, b), scipy_counts)
+    got = symbolic_nnz_per_column(a, b)
+    assert got.dtype == np.int64 and got.shape == (b.ncols,)
+    assert np.array_equal(got, scipy_counts)
+    assert symbolic_nnz(a, b) == int(scipy_counts.sum())
