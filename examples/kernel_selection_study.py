@@ -6,7 +6,8 @@ flops axes, times every kernel under the calibrated machine model, and
 prints the winner per regime — the empirical basis of the hybrid
 selector's thresholds (Fig. 4 and the §VII-B discussion).
 
-Also cross-checks that every kernel produces the identical product.
+Also cross-checks that the heap and hash kernels produce the ESC kernel's
+product.
 
 Run:  python examples/kernel_selection_study.py
 """
@@ -23,6 +24,8 @@ from repro.spgemm import (
     heap_operation_count,
     select_kernel,
     spgemm_esc,
+    spgemm_hash,
+    spgemm_heap,
     work_profile,
 )
 from repro.util import format_table
@@ -108,14 +111,14 @@ def main() -> None:
                 chosen.value,
             ]
         )
-        # Cross-check numerics: all kernels agree bit-for-pattern.
-        from repro.spgemm import run_kernel
-
+        # Cross-check numerics: the paper's two CPU kernels agree with the
+        # ESC kernel every run multiplies with.  The GPU libraries are
+        # modelled by cost only, so there is no product of theirs to check.
         ref = spgemm_esc(a, a)
-        for kind in KernelKind:
-            assert run_kernel(kind, a, a).same_pattern_and_values(
+        for kernel in (spgemm_heap, spgemm_hash):
+            assert kernel(a, a).same_pattern_and_values(
                 ref, tol=1e-9
-            ), kind
+            ), kernel.__name__
     print(
         format_table(
             [

@@ -1,23 +1,11 @@
-"""Simulated GPU substrate: device memory model and the three SpGEMM
-library re-implementations (bhsparse, nsparse, rmerge2) plus the §III-A
-multi-GPU column-splitting scheme."""
+"""Simulated GPU substrate: the device memory model and the §III-A
+column split of B across one node's devices.
 
-from .device import GPUDevice
-from .libraries import (
-    LIBRARY_FUNCTIONS,
-    spgemm_bhsparse,
-    spgemm_nsparse,
-    spgemm_rmerge2,
-)
-from .multigpu import MultiGpuResult, multigpu_spgemm, split_columns
+The three GPU SpGEMM libraries (bhsparse, nsparse, rmerge2) are modelled
+by cost, not re-implemented: their device time is
+:meth:`repro.machine.spec.MachineSpec.gpu_spgemm_time`.
+"""
 
-__all__ = [
-    "GPUDevice",
-    "LIBRARY_FUNCTIONS",
-    "spgemm_bhsparse",
-    "spgemm_nsparse",
-    "spgemm_rmerge2",
-    "MultiGpuResult",
-    "multigpu_spgemm",
-    "split_columns",
-]
+from .device import GPUDevice, split_columns
+
+__all__ = ["GPUDevice", "split_columns"]

@@ -100,3 +100,22 @@ class GPUDevice:
                 f"GPU {self.index}: injected transient kernel launch fault"
             )
         self.kernel_launches += 1
+
+
+def split_columns(ncols: int, ndevices: int) -> list[tuple[int, int]]:
+    """Near-even half-open column ranges, one slab of B per device.
+
+    §III-A's node configuration: one process commands all of the node's
+    GPUs, copies A to every device and splits B's columns evenly, so each
+    device produces a disjoint column slab of C.
+    """
+    if ndevices <= 0:
+        raise ValueError(f"need at least one device, got {ndevices}")
+    base, extra = divmod(ncols, ndevices)
+    bounds = []
+    lo = 0
+    for d in range(ndevices):
+        hi = lo + base + (1 if d < extra else 0)
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds

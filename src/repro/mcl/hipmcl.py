@@ -87,7 +87,6 @@ class HipMCLConfig:
     gpus_per_node: int = 6
     memory_budget_bytes: int = 8 * 2**20
     seed: int = 0
-    run_real_kernels: bool = False
     #: SUMMA broadcast schedule: "sync" (blocking collectives on the
     #: member CPUs) or "static" (the precomputed stage graph with async
     #: double-buffered broadcasts on link clocks and the per-block-column
@@ -268,7 +267,6 @@ class HipMCLConfig:
             gpus_per_process=self.gpus_per_process,
             threads=self.threads_per_process,
             threaded_node=self.threaded_node,
-            run_real_kernels=self.run_real_kernels,
             schedule=self.schedule,
         )
 

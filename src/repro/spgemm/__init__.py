@@ -1,9 +1,11 @@
 """SpGEMM kernels, work metrics, and output-size estimation.
 
-Four classical accumulator families are implemented against the CSC
-formats (heap, hash table, dense SPA, expand–sort–compress), plus the
-exact symbolic pass and Cohen's probabilistic estimator, and the hybrid
-flops/cf selection recipe of the paper.
+Three accumulator families are implemented against the CSC formats:
+expand–sort–compress (the one every run multiplies with) and the paper's
+two CPU kernels, heap and hash table (independent oracles for it).  Plus
+the exact symbolic count, Cohen's probabilistic estimator, the operation
+counts the machine model prices, and the hybrid flops/cf selection
+recipe of the paper.  The GPU libraries are modelled by cost only.
 """
 
 from .esc import expansion_size, spgemm_esc
@@ -14,7 +16,6 @@ from .hybrid import (
     DEFAULT_POLICY,
     KernelKind,
     SelectionPolicy,
-    run_kernel,
     select_kernel,
 )
 from .metrics import (
@@ -25,12 +26,7 @@ from .metrics import (
     flops_per_entry,
     work_profile,
 )
-from .spa import spa_operation_count, spgemm_spa
-from .symbolic import (
-    symbolic_nnz,
-    symbolic_nnz_per_column,
-    symbolic_operation_count,
-)
+from .symbolic import symbolic_nnz, symbolic_operation_count
 
 __all__ = [
     "spgemm_esc",
@@ -39,10 +35,7 @@ __all__ = [
     "heap_operation_count",
     "spgemm_hash",
     "hash_operation_count",
-    "spgemm_spa",
-    "spa_operation_count",
     "symbolic_nnz",
-    "symbolic_nnz_per_column",
     "symbolic_operation_count",
     "estimate_nnz",
     "NnzEstimate",
@@ -57,5 +50,4 @@ __all__ = [
     "SelectionPolicy",
     "DEFAULT_POLICY",
     "select_kernel",
-    "run_kernel",
 ]

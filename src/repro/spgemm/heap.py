@@ -8,10 +8,10 @@ log factor is paid *per flop*, so the kernel degrades exactly when MCL's
 matrices densify (cf grows, ~1000 nonzeros/column) and hash tables win.
 
 This implementation is deliberately faithful (``heapq`` over per-column
-cursors) rather than vectorized: it is the paper's *before* kernel, runs
-only where a caller asks for the real algorithm (``run_kernel``,
-``run_real_kernels``), and serves the tests as an independent oracle for
-the ESC kernel that produces the simulator's numbers.
+cursors) rather than vectorized: it is the paper's *before* kernel.  The
+simulator never runs it — a run charges :func:`heap_operation_count` for
+the products the selector gives the heap — and the tests hold the ESC
+kernel that produces the simulator's numbers bit-identical to it.
 """
 
 from __future__ import annotations

@@ -10,6 +10,10 @@ Two metrics drive the choice:
 
 The thresholds live in a :class:`SelectionPolicy` so the machine model can
 calibrate them; the defaults reproduce the orderings of Fig. 4.
+
+The choice is a price, not a code path: the SUMMA engine computes every
+product with :func:`~repro.spgemm.esc.spgemm_esc` and charges the chosen
+kind's modelled cost (:mod:`repro.machine.spec`).
 """
 
 from __future__ import annotations
@@ -103,53 +107,3 @@ DEGRADATION_LADDER = {
 def degrade_kernel(kind: KernelKind) -> KernelKind | None:
     """The next rung down the ladder after ``kind`` faults (or ``None``)."""
     return DEGRADATION_LADDER[kind]
-
-
-def run_kernel_degraded(kind: KernelKind, a, b):
-    """Execute ``kind``, degrading down the ladder on recoverable faults.
-
-    Returns ``(product, kind_used, attempts)``.  Recoverable faults are
-    the memory/launch classes the simulated stack raises
-    (:class:`~repro.errors.DeviceMemoryError`,
-    :class:`~repro.errors.HostMemoryError`,
-    :class:`~repro.errors.KernelLaunchError`); anything else propagates.
-    Exhausting the ladder re-raises the last fault.
-    """
-    from ..errors import DeviceMemoryError, HostMemoryError, KernelLaunchError
-
-    attempts = 0
-    current: KernelKind | None = kind
-    while True:
-        attempts += 1
-        try:
-            return run_kernel(current, a, b), current, attempts
-        except (DeviceMemoryError, HostMemoryError, KernelLaunchError):
-            current = degrade_kernel(current)
-            if current is None:
-                raise
-
-
-def run_kernel(kind: KernelKind, a, b):
-    """Execute the *actual* algorithm named by ``kind`` on host data.
-
-    Used by correctness tests and small-scale runs; the distributed
-    simulator instead runs the fast ESC engine and charges ``kind``'s
-    modeled cost (see :mod:`repro.machine.spec`).  GPU kernel kinds
-    dispatch to the algorithmic re-implementations in
-    :mod:`repro.gpu.libraries`.
-    """
-    from .heap import spgemm_heap
-    from .hashspgemm import spgemm_hash
-
-    if kind is KernelKind.CPU_HEAP:
-        return spgemm_heap(a, b)
-    if kind is KernelKind.CPU_HASH:
-        return spgemm_hash(a, b)
-    from ..gpu.libraries import spgemm_bhsparse, spgemm_nsparse, spgemm_rmerge2
-
-    dispatch = {
-        KernelKind.GPU_BHSPARSE: spgemm_bhsparse,
-        KernelKind.GPU_NSPARSE: spgemm_nsparse,
-        KernelKind.GPU_RMERGE2: spgemm_rmerge2,
-    }
-    return dispatch[kind](a, b)

@@ -21,7 +21,6 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..sparse import CSCMatrix
-from ..sparse import _compressed as _c
 
 
 def flops_per_entry(a: CSCMatrix, b: CSCMatrix) -> np.ndarray:
@@ -84,6 +83,25 @@ class WorkProfile:
     def is_empty(self) -> bool:
         return self.flops == 0
 
+    @classmethod
+    def from_per_column(
+        cls, per_col: np.ndarray, nnz_a: int, nnz_b: int, c_nnz: int
+    ) -> "WorkProfile":
+        """The profile of a product whose :func:`flops_per_column` is
+        ``per_col`` — the SUMMA engine already holds it per stage product,
+        so it never recomputes flops."""
+        total = int(per_col.sum())
+        n_used = max(1, int((per_col > 0).sum()))
+        return cls(
+            flops=total,
+            nnz_a=nnz_a,
+            nnz_b=nnz_b,
+            nnz_c=int(c_nnz),
+            cf=(total / c_nnz) if c_nnz > 0 else 1.0,
+            max_column_flops=int(per_col.max(initial=0)),
+            mean_column_flops=total / n_used,
+        )
+
 
 def work_profile(a: CSCMatrix, b: CSCMatrix, c_nnz: int) -> WorkProfile:
     """Build a :class:`WorkProfile` for ``A·B`` given the output nnz.
@@ -92,16 +110,6 @@ def work_profile(a: CSCMatrix, b: CSCMatrix, c_nnz: int) -> WorkProfile:
     estimator — the profile does not care, which is precisely what lets the
     probabilistic estimator substitute for symbolic SpGEMM.
     """
-    per_col = flops_per_column(a, b)
-    total = int(per_col.sum())
-    cf = (total / c_nnz) if c_nnz > 0 else 1.0
-    n_used = max(1, int((per_col > 0).sum()))
-    return WorkProfile(
-        flops=total,
-        nnz_a=a.nnz,
-        nnz_b=b.nnz,
-        nnz_c=int(c_nnz),
-        cf=cf,
-        max_column_flops=int(per_col.max(initial=0)),
-        mean_column_flops=total / n_used,
+    return WorkProfile.from_per_column(
+        flops_per_column(a, b), a.nnz, b.nnz, c_nnz
     )

@@ -8,14 +8,12 @@ O(flops), which the paper replaces with the probabilistic estimator of
 as the correctness reference for the estimator and as the "exact" branch
 the optimized HipMCL falls back to when cf is small (§VII-D).
 
-Both counts are one compiled SciPy call on the operands' own CSC arrays,
+The count is one compiled SciPy call on the operands' own CSC arrays,
 roles of A and B swapped — §III-B's identity, ``Cᵀ = Bᵀ·Aᵀ`` in CSR, as
 the local multiply (:mod:`repro.perf.esc`) uses it: ``csr_matmat_maxnnz``
 is the structural count of the two-phase hash SpGEMM's symbolic phase
 (Nagasaka et al., arXiv:1804.01698), an O(nrows) row mask and O(flops)
-time.  The per-column form runs ``csr_matmat`` over unit values: a sum of
-1.0s never cancels and a stored zero becomes a 1.0, so the cells it keeps
-are the structure.
+time.
 
 The compiled code does not bounds-check: callers hand it matrices that
 satisfy the CSC invariants :func:`repro.sparse._compressed.validate`
@@ -24,38 +22,17 @@ enforces on every matrix built from outside input.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ShapeError
 from ..sparse import CSCMatrix
-from ..sparse import _compressed as _c
-from .metrics import flops, flops_per_column
+from .metrics import flops
 
 
-def symbolic_nnz_per_column(a: CSCMatrix, b: CSCMatrix) -> np.ndarray:
-    """Exact ``nnz`` of every column of ``A·B`` (no values computed).
+def symbolic_nnz(a: CSCMatrix, b: CSCMatrix) -> int:
+    """Exact total ``nnz(A·B)`` (no values computed).
 
     Structure only: explicitly stored zeros count and exact numeric
     cancellation does not remove an entry.
     """
-    from scipy.sparse import _sparsetools
-
-    nrows, ncols = a.nrows, b.ncols
-    # ``flops_per_column`` checks the inner dimension.  A column holds at
-    # most one cell per product and one per row.
-    bound = int(np.minimum(flops_per_column(a, b), nrows).sum())
-    indptr = np.empty(ncols + 1, dtype=_c.INDEX_DTYPE)
-    _sparsetools.csr_matmat(
-        ncols, nrows, b.indptr, b.indices, np.ones(b.nnz),
-        a.indptr, a.indices, np.ones(a.nnz), indptr,
-        np.empty(bound, dtype=_c.INDEX_DTYPE), np.empty(bound),
-    )
-    return np.diff(indptr)
-
-
-def symbolic_nnz(a: CSCMatrix, b: CSCMatrix) -> int:
-    """Exact total ``nnz(A·B)``, structure only like
-    :func:`symbolic_nnz_per_column`."""
     from scipy.sparse import _sparsetools
 
     if a.ncols != b.nrows:

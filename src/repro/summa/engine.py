@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DeviceMemoryError, InjectedFault, KernelLaunchError
-from ..gpu.device import GPUDevice
-from ..gpu.multigpu import split_columns
+from ..gpu.device import GPUDevice, split_columns
 from ..machine.spec import MachineSpec, SUMMIT_LIKE
 from ..merge import SCHEDULES, TripleList, merge_lists
 from ..merge.spkadd import STRATEGY_LADDER, spkadd_merge
@@ -48,22 +47,6 @@ from ..spgemm.metrics import WorkProfile
 from ..trace import current_tracer, maybe_span
 from .distmatrix import DistributedCSC
 
-
-def _profile_from_per_col(
-    per_col: np.ndarray, a: CSCMatrix, b: CSCMatrix, c_nnz: int
-) -> WorkProfile:
-    """Build a WorkProfile without recomputing flops (engine hot path)."""
-    total = int(per_col.sum())
-    n_used = max(1, int((per_col > 0).sum()))
-    return WorkProfile(
-        flops=total,
-        nnz_a=a.nnz,
-        nnz_b=b.nnz,
-        nnz_c=int(c_nnz),
-        cf=(total / c_nnz) if c_nnz > 0 else 1.0,
-        max_column_flops=int(per_col.max(initial=0)),
-        mean_column_flops=total / n_used,
-    )
 
 _KERNEL_NAMES = {
     "heap": KernelKind.CPU_HEAP,
@@ -90,9 +73,6 @@ class SummaConfig:
     #: Thread-based (one fat process per node) vs process-based node
     #: management — affects the pruning NUMA penalty (Fig. 5).
     threaded_node: bool = True
-    #: Execute the genuinely selected kernel implementation instead of the
-    #: fast ESC engine (validation runs; slower, same results).
-    run_real_kernels: bool = False
     #: Record per-event (rank, phase, stage, kind, start, end) tuples in
     #: ``SummaResult.trace`` — used to regenerate Fig. 2's timeline.
     trace: bool = False
@@ -416,9 +396,7 @@ def summa_multiply(
     #: instrumentation below is passive — it never touches rank clocks,
     #: fault draws, or result accounting, keeping traced runs bit-identical.
     tracer = current_tracer()
-    # Real-kernel runs recompute products with the genuinely selected
-    # kernel inside the accounting pass, so pre-batching would be wasted.
-    parallel_stages = executor.workers > 1 and not config.run_real_kernels
+    parallel_stages = executor.workers > 1
     from ..parallel import resolve_overlap
 
     overlap_active = False
@@ -815,18 +793,12 @@ def summa_multiply(
                         product, c_indptr, per_col = spgemm_esc(
                             a_blk, b_blk, transposed=True
                         )
-                    profile = _profile_from_per_col(
-                        per_col, a_blk, b_blk, product.nnz
+                    profile = WorkProfile.from_per_column(
+                        per_col, a_blk.nnz, b_blk.nnz, product.nnz
                     )
                     result.stage_flops += profile.flops
                     gpu_ok = config.use_gpu and devices is not None
                     kind = _pick_kernel(config, profile, gpu_ok)
-                    if config.run_real_kernels and product.nnz:
-                        from ..spgemm.hybrid import run_kernel
-
-                        product = run_kernel(kind, a_blk, b_blk)
-                        c_indptr = product.indptr
-                        product = transpose(product)
                     while kind.on_gpu:
                         try:
                             kern_s, h2d, d2h = _gpu_stage_time(

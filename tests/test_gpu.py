@@ -1,18 +1,14 @@
-"""Tests for the simulated GPU device and multi-GPU column splitting."""
+"""Tests for the simulated GPU device and the §III-A multi-GPU column
+split the SUMMA engine prices each offloaded local multiply with."""
 
-import numpy as np
 import pytest
 
 from repro.errors import DeviceMemoryError
-from repro.gpu import (
-    GPUDevice,
-    MultiGpuResult,
-    multigpu_spgemm,
-    split_columns,
-)
+from repro.gpu import GPUDevice, split_columns
 from repro.machine import SUMMIT_LIKE
 from repro.sparse import random_csc
-from repro.spgemm import KernelKind
+from repro.spgemm import KernelKind, flops_per_column, spgemm_esc
+from repro.summa.engine import _gpu_stage_time
 
 
 class TestDevice:
@@ -87,63 +83,114 @@ class TestSplitColumns:
             split_columns(5, 0)
 
 
+def stage_time(a, b, devices, kind=KernelKind.GPU_NSPARSE):
+    """``_gpu_stage_time`` on ``A·B`` as the engine calls it."""
+    c = spgemm_esc(a, b)
+    return _gpu_stage_time(
+        SUMMIT_LIKE, kind, a, b, c.indptr, devices, flops_per_column(a, b)
+    )
+
+
+def slab_prices(a, b, ndevices, kind=KernelKind.GPU_NSPARSE):
+    """Per device: (kernel seconds, B-slab bytes, C-slab bytes), computed
+    from the slabs themselves rather than from the engine's byte counts."""
+    c = spgemm_esc(a, b)
+    per_col = flops_per_column(a, b)
+    out = []
+    for lo, hi in split_columns(b.ncols, ndevices):
+        b_slab, c_slab = b.column_slab(lo, hi), c.column_slab(lo, hi)
+        slab_flops = float(per_col[lo:hi].sum())
+        cf = slab_flops / c_slab.nnz if c_slab.nnz else 1.0
+        seconds = SUMMIT_LIKE.gpu_spgemm_time(
+            kind, slab_flops, cf, a.memory_bytes() + b_slab.memory_bytes()
+        )
+        out.append((seconds, b_slab.memory_bytes(), c_slab.memory_bytes()))
+    return out
+
+
 class TestMultiGpu:
+    """The device split of ``summa.engine._gpu_stage_time`` (§III-A)."""
+
     def test_result_matches_single(self, small_pair):
+        # One device prices the product as a whole.
         a, b = small_pair
-        expected = a.to_dense() @ b.to_dense()
-        devs = [GPUDevice(SUMMIT_LIKE, i) for i in range(4)]
-        res = multigpu_spgemm(a, b, devs, KernelKind.GPU_NSPARSE, SUMMIT_LIKE)
-        assert isinstance(res, MultiGpuResult)
-        assert np.allclose(res.matrix.to_dense(), expected)
+        c = spgemm_esc(a, b)
+        f = float(flops_per_column(a, b).sum())
+        seconds, h2d, d2h = stage_time(a, b, [GPUDevice(SUMMIT_LIKE)])
+        assert seconds == SUMMIT_LIKE.gpu_spgemm_time(
+            KernelKind.GPU_NSPARSE, f, f / c.nnz,
+            a.memory_bytes() + b.memory_bytes(),
+        )
+        assert h2d == a.memory_bytes() + b.memory_bytes()
+        assert d2h == c.memory_bytes()
 
     def test_kernel_time_is_max_of_devices(self, small_pair):
         a, b = small_pair
         devs = [GPUDevice(SUMMIT_LIKE, i) for i in range(3)]
-        res = multigpu_spgemm(a, b, devs, KernelKind.GPU_NSPARSE, SUMMIT_LIKE)
-        assert res.kernel_time == max(res.device_times)
-        assert len(res.device_times) == 3
+        seconds, _, _ = stage_time(a, b, devs)
+        # Devices run concurrently: the stage takes its slowest slab.
+        assert seconds == max(t for t, _, _ in slab_prices(a, b, 3))
 
     def test_transfers_counted(self, small_pair):
         a, b = small_pair
-        devs = [GPUDevice(SUMMIT_LIKE, i) for i in range(2)]
-        res = multigpu_spgemm(a, b, devs, KernelKind.GPU_RMERGE2, SUMMIT_LIKE)
-        # A is replicated to every device (§III-A).
-        assert res.h2d_bytes >= 2 * a.memory_bytes()
-        assert res.d2h_bytes > 0
+        g = 4
+        devs = [GPUDevice(SUMMIT_LIKE, i) for i in range(g)]
+        _, h2d, d2h = stage_time(a, b, devs, KernelKind.GPU_RMERGE2)
+        slabs = slab_prices(a, b, g, KernelKind.GPU_RMERGE2)
+        # A is replicated to every device, B and C are split.
+        assert h2d >= g * a.memory_bytes()
+        assert h2d == g * a.memory_bytes() + sum(bb for _, bb, _ in slabs)
+        assert d2h == sum(cb for _, _, cb in slabs)
 
     def test_launch_counted_per_device(self, small_pair):
         a, b = small_pair
         devs = [GPUDevice(SUMMIT_LIKE, i) for i in range(2)]
-        multigpu_spgemm(a, b, devs, KernelKind.GPU_BHSPARSE, SUMMIT_LIKE)
-        assert all(d.kernel_launches == 1 for d in devs)
+        stage_time(a, b, devs, KernelKind.GPU_BHSPARSE)
+        assert [d.kernel_launches for d in devs] == [1, 1]
+        assert all(d.allocated_bytes == 0 for d in devs)
 
     def test_oom_propagates(self, small_pair):
         a, b = small_pair
         devs = [GPUDevice(SUMMIT_LIKE, 0, capacity_bytes=64)]
         with pytest.raises(DeviceMemoryError):
-            multigpu_spgemm(a, b, devs, KernelKind.GPU_NSPARSE, SUMMIT_LIKE)
+            stage_time(a, b, devs)
 
     def test_oom_leaves_device_clean(self, small_pair):
+        # A fits on the failing device, its B slab does not; whichever
+        # device fails, none keeps an allocation.
         a, b = small_pair
-        dev = GPUDevice(SUMMIT_LIKE, 0, capacity_bytes=a.memory_bytes() + 64)
-        with pytest.raises(DeviceMemoryError):
-            multigpu_spgemm(a, b, [dev], KernelKind.GPU_NSPARSE, SUMMIT_LIKE)
-        assert dev.allocated_bytes == 0
+        for failing in range(3):
+            devs = [
+                GPUDevice(
+                    SUMMIT_LIKE, i,
+                    capacity_bytes=(
+                        a.memory_bytes() + 64 if i == failing else None
+                    ),
+                )
+                for i in range(3)
+            ]
+            with pytest.raises(DeviceMemoryError, match=f"GPU {failing}"):
+                stage_time(a, b, devs)
+            assert [d.allocated_bytes for d in devs] == [0, 0, 0]
 
     def test_cpu_kernel_rejected(self, small_pair):
         a, b = small_pair
-        devs = [GPUDevice(SUMMIT_LIKE, 0)]
         with pytest.raises(ValueError):
-            multigpu_spgemm(a, b, devs, KernelKind.CPU_HASH, SUMMIT_LIKE)
+            stage_time(a, b, [GPUDevice(SUMMIT_LIKE)], KernelKind.CPU_HASH)
 
     def test_no_devices_rejected(self, small_pair):
         a, b = small_pair
         with pytest.raises(ValueError):
-            multigpu_spgemm(a, b, [], KernelKind.GPU_NSPARSE, SUMMIT_LIKE)
+            stage_time(a, b, [])
 
     def test_more_devices_than_columns_still_correct(self):
         a = random_csc((10, 8), 0.4, seed=1)
         b = random_csc((8, 2), 0.6, seed=2)
         devs = [GPUDevice(SUMMIT_LIKE, i) for i in range(6)]
-        res = multigpu_spgemm(a, b, devs, KernelKind.GPU_NSPARSE, SUMMIT_LIKE)
-        assert np.allclose(res.matrix.to_dense(), a.to_dense() @ b.to_dense())
+        seconds, h2d, d2h = stage_time(a, b, devs)
+        slabs = slab_prices(a, b, 6)
+        # Four devices get an empty slab and still pay a launch.
+        assert seconds == max(t for t, _, _ in slabs)
+        assert h2d == 6 * a.memory_bytes() + sum(bb for _, bb, _ in slabs)
+        assert d2h == sum(cb for _, _, cb in slabs)
+        assert all(d.kernel_launches == 1 for d in devs)

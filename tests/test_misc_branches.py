@@ -43,23 +43,6 @@ class TestWindowIdle:
         assert tl.window_idle() == pytest.approx(4.0)
 
 
-class TestNsparseChunking:
-    def test_wide_flops_column_forces_chunking(self):
-        """One column with huge flops must not break the two-phase
-        symbolic/numeric agreement check."""
-        from repro.gpu import spgemm_nsparse
-
-        rng = np.random.default_rng(5)
-        # A: dense column block; B: one column selecting everything.
-        a = random_csc((200, 150), 0.3, seed=6)
-        b_dense = np.zeros((150, 3))
-        b_dense[:, 0] = rng.uniform(0.1, 1, 150)  # heavy column
-        b_dense[3, 1] = 1.0
-        b = CSCMatrix.from_dense(b_dense)
-        got = spgemm_nsparse(a, b)
-        assert np.allclose(got.to_dense(), a.to_dense() @ b_dense)
-
-
 class TestEstimatorConfigEffects:
     def test_more_keys_cost_more_in_driver(self):
         from repro.mcl import MclOptions

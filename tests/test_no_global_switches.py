@@ -10,8 +10,9 @@ from pathlib import Path
 
 import repro
 import repro.perf
-from repro.mcl.hipmcl import hipmcl
+from repro.mcl.hipmcl import HipMCLConfig, hipmcl
 from repro.service import JobSpec
+from repro.summa import SummaConfig
 
 #: Every spelling counts: reads, docstrings, error messages.
 ENV_NAME = re.compile(r"REPRO_([A-Z][A-Z_]*)")
@@ -39,6 +40,17 @@ def test_driver_and_job_surfaces_are_pinned():
     assert [f.name for f in dataclasses.fields(JobSpec)] == [
         "graph", "mode", "nodes", "options", "config", "workers",
         "backend", "overlap", "delta",
+    ]
+    assert [f.name for f in dataclasses.fields(HipMCLConfig)] == [
+        "nodes", "spec", "kernel", "merge", "pipelined", "use_gpu",
+        "estimator", "estimator_keys", "estimator_cf_threshold",
+        "estimator_safety", "threaded_node", "gpus_per_node",
+        "memory_budget_bytes", "seed", "schedule", "grid", "layers",
+        "transport", "resilience",
+    ]
+    assert [f.name for f in dataclasses.fields(SummaConfig)] == [
+        "spec", "kernel", "merge", "pipelined", "use_gpu",
+        "gpus_per_process", "threads", "threaded_node", "trace", "schedule",
     ]
 
 

@@ -33,12 +33,7 @@ from repro.resilience import (
 )
 from repro.sparse import CSCMatrix, random_csc
 from repro.spgemm.estimator import estimate_nnz
-from repro.spgemm.hashspgemm import spgemm_hash
-from repro.spgemm.hybrid import (
-    KernelKind,
-    degrade_kernel,
-    run_kernel_degraded,
-)
+from repro.spgemm.hybrid import KernelKind, degrade_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -240,32 +235,6 @@ class TestDegradationLadder:
             assert degrade_kernel(gpu_kind) is KernelKind.CPU_HASH
         assert degrade_kernel(KernelKind.CPU_HASH) is KernelKind.CPU_HEAP
         assert degrade_kernel(KernelKind.CPU_HEAP) is None
-
-    def test_run_kernel_degraded_demotes_and_preserves_product(
-        self, monkeypatch
-    ):
-        a = random_csc((30, 30), 0.15, seed=4)
-
-        def boom(x, y):
-            raise DeviceMemoryError("injected for the ladder test")
-
-        monkeypatch.setattr("repro.gpu.libraries.spgemm_nsparse", boom)
-        product, kind_used, attempts = run_kernel_degraded(
-            KernelKind.GPU_NSPARSE, a, a
-        )
-        assert kind_used is KernelKind.CPU_HASH
-        assert attempts == 2
-        assert product.same_pattern_and_values(spgemm_hash(a, a), tol=1e-12)
-
-    def test_run_kernel_degraded_reraises_below_the_floor(self, monkeypatch):
-        a = random_csc((10, 10), 0.2, seed=5)
-
-        def boom(kind, x, y):
-            raise DeviceMemoryError("always")
-
-        monkeypatch.setattr("repro.spgemm.hybrid.run_kernel", boom)
-        with pytest.raises(DeviceMemoryError):
-            run_kernel_degraded(KernelKind.CPU_HEAP, a, a)
 
 
 # ---------------------------------------------------------------------------

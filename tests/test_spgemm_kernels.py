@@ -4,24 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.gpu import spgemm_bhsparse, spgemm_nsparse, spgemm_rmerge2
 from repro.sparse import CSCMatrix, identity_csc, random_csc
-from repro.spgemm import (
-    spgemm_esc,
-    spgemm_hash,
-    spgemm_heap,
-    spgemm_spa,
-)
+from repro.spgemm import spgemm_esc, spgemm_hash, spgemm_heap
 
-ALL_KERNELS = [
-    spgemm_esc,
-    spgemm_heap,
-    spgemm_hash,
-    spgemm_spa,
-    spgemm_bhsparse,
-    spgemm_nsparse,
-    spgemm_rmerge2,
-]
+ALL_KERNELS = [spgemm_esc, spgemm_heap, spgemm_hash]
 
 IDS = [f.__name__ for f in ALL_KERNELS]
 
@@ -95,7 +81,7 @@ class TestKernelAgreement:
 
     def test_matrix_squaring_agreement(self, square_matrix):
         reference = spgemm_esc(square_matrix, square_matrix)
-        for fn in (spgemm_heap, spgemm_hash, spgemm_nsparse):
+        for fn in (spgemm_heap, spgemm_hash):
             assert fn(square_matrix, square_matrix).same_pattern_and_values(
                 reference, tol=1e-12
             ), fn.__name__

@@ -16,12 +16,11 @@ from repro.spgemm import (
     flops_per_column,
     hash_operation_count,
     heap_operation_count,
-    spa_operation_count,
     spgemm_esc,
     symbolic_nnz,
-    symbolic_nnz_per_column,
     symbolic_operation_count,
     work_profile,
+    WorkProfile,
 )
 
 
@@ -67,8 +66,6 @@ class TestSymbolic:
         a, b = small_pair
         product = spgemm_esc(a, b)
         assert symbolic_nnz(a, b) == product.nnz
-        per_col = symbolic_nnz_per_column(a, b)
-        assert np.array_equal(per_col, np.diff(product.indptr))
 
     def test_symbolic_empty(self):
         a = CSCMatrix.empty((4, 4))
@@ -83,9 +80,8 @@ class TestSymbolic:
         # bounds-check: B's row indices 0..4 would overrun A's column
         # pointer.
         a, b = random_csc((3, 4), 0.5, 1), random_csc((5, 3), 0.5, 2)
-        for fn in (symbolic_nnz, symbolic_nnz_per_column):
-            with pytest.raises(ShapeError):
-                fn(a, b)
+        with pytest.raises(ShapeError):
+            symbolic_nnz(a, b)
 
     def test_hypersparse_has_no_n_squared_term(self):
         # n = 10^6, nnz ~ 10^3: n^2 cells would be a terabyte of flags.
@@ -102,17 +98,15 @@ class TestSymbolic:
             for m in (a, b)
         ]
         expected = (ones[0] @ ones[1]).getnnz(axis=0)
-        for fn, want in ((symbolic_nnz_per_column, expected),
-                         (symbolic_nnz, int(expected.sum()))):
-            t0 = time.perf_counter()
-            got, peak = traced_peak(fn, a, b)
-            elapsed = time.perf_counter() - t0
-            assert np.array_equal(got, want), fn.__name__
-            # tracemalloc sees NumPy's arrays but not the compiled pass's
-            # own O(nrows) row mask (a C++ vector): the time bound is what
-            # rules out an n^2 term (~0.01 s; n^2 work would take hours).
-            assert elapsed < 1.0, fn.__name__
-            assert peak < 16 * 8 * n, fn.__name__  # a few O(n) arrays
+        t0 = time.perf_counter()
+        got, peak = traced_peak(symbolic_nnz, a, b)
+        elapsed = time.perf_counter() - t0
+        assert got == int(expected.sum())
+        # tracemalloc sees NumPy's arrays but not the compiled pass's own
+        # O(nrows) row mask (a C++ vector): the time bound is what rules
+        # out an n^2 term (~0.01 s; n^2 work would take hours).
+        assert elapsed < 1.0
+        assert peak < 16 * 8 * n  # a few O(n) arrays
 
 
 class TestCompressionFactor:
@@ -155,6 +149,51 @@ class TestWorkProfile:
         a = CSCMatrix.empty((3, 3))
         assert work_profile(a, a, 0).is_empty
 
+    @pytest.mark.parametrize("case", ["empty", "single-column", "hypersparse"])
+    def test_from_per_column_is_bit_identical(self, case):
+        # The SUMMA engine builds its per-product profile with
+        # ``from_per_column`` on the flops it already holds; it must be the
+        # profile ``work_profile`` gives, field for field, type for type,
+        # float for float.
+        if case == "empty":
+            a, b = CSCMatrix.empty((5, 4)), CSCMatrix.empty((4, 3))
+        elif case == "single-column":
+            a = random_csc((30, 30), 0.2, seed=13)
+            b = random_csc((30, 1), 0.5, seed=14)
+        else:
+            n, nnz = 100_000, 60
+            rng = np.random.default_rng(3)
+            hubs = rng.integers(0, 7, nnz)
+            a = csc_from_triples((n, n), rng.integers(0, n, nnz), hubs,
+                                 np.ones(nnz))
+            b = csc_from_triples((n, n), hubs, rng.integers(0, n, nnz),
+                                 np.ones(nnz))
+        c_nnz = symbolic_nnz(a, b)
+        per_col = flops_per_column(a, b)
+        got = WorkProfile.from_per_column(per_col, a.nnz, b.nnz, c_nnz)
+        # The reference: the same arithmetic, spelled out.
+        total = int(per_col.sum())
+        n_used = max(1, int((per_col > 0).sum()))
+        expected = WorkProfile(
+            flops=total,
+            nnz_a=a.nnz,
+            nnz_b=b.nnz,
+            nnz_c=int(c_nnz),
+            cf=(total / c_nnz) if c_nnz > 0 else 1.0,
+            max_column_flops=int(per_col.max(initial=0)),
+            mean_column_flops=total / n_used,
+        )
+        for profile in (got, work_profile(a, b, c_nnz)):
+            for name, want in vars(expected).items():
+                value = getattr(profile, name)
+                assert type(value) is type(want), name
+                if isinstance(want, float):
+                    assert value.hex() == want.hex(), name
+                else:
+                    assert value == want, name
+        assert got.flops == flops(a, b)
+        assert got.is_empty == (case == "empty")
+
 
 class TestOperationCounts:
     def test_heap_count_carries_log_factor(self, small_pair):
@@ -169,7 +208,3 @@ class TestOperationCounts:
         ops = hash_operation_count(a, b, c_nnz)
         # One probe per flop plus the final sort term, bounded by nnz·64.
         assert f <= ops <= f + 64 * c_nnz
-
-    def test_spa_count_includes_column_scan(self, small_pair):
-        a, b = small_pair
-        assert spa_operation_count(a, b, 0) >= b.ncols
