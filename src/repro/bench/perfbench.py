@@ -93,7 +93,7 @@ SUPPORTED_SCHEMAS = (2, 3, 4, 5, 6, 7)
 
 #: The pipeline sweep: net × broadcast schedule × worker count.  The
 #: static schedule moves only *simulated* time; these rows pin the
-#: wall-clock cost of walking the stage graph (it must stay noise-level).
+#: wall-clock cost of walking the stage sequence (it must stay noise-level).
 PIPELINE_SWEEP_NETS = ("eukarya-xs", "isom100-3-xs")
 PIPELINE_SWEEP_SCHEDULES = ("sync", "static")
 PIPELINE_SWEEP_WORKERS = (1, 4)

@@ -40,6 +40,7 @@ from ..spgemm.metrics import flops
 from ..spgemm.symbolic import symbolic_nnz
 from ..summa.distmatrix import DistributedCSC
 from ..summa.engine import SummaConfig, summa_multiply
+from ..summa.engine3d import Grid3DModel
 from ..trace import current_tracer, maybe_span
 from ..summa.phases import plan_phases
 from .chaos import chaos as chaos_of
@@ -88,7 +89,7 @@ class HipMCLConfig:
     memory_budget_bytes: int = 8 * 2**20
     seed: int = 0
     #: SUMMA broadcast schedule: "sync" (blocking collectives on the
-    #: member CPUs) or "static" (the precomputed stage graph with async
+    #: member CPUs) or "static" (the flat stage sequence with async
     #: double-buffered broadcasts on link clocks and the per-block-column
     #: incremental prune).  A *simulation-semantics* knob — it changes
     #: the modeled timings by design and therefore enters the checkpoint
@@ -409,7 +410,7 @@ def _charge_estimation(
     scheme: str,
     total_flops: int,
     total_nnz: int,
-    model=None,
+    model,
 ) -> None:
     """Charge the memory-estimation stage.
 
@@ -417,9 +418,9 @@ def _charge_estimation(
     structure (§VII-E: estimation "involves successive communication and
     computational stages, as it mimics the execution of Sparse SUMMA");
     they differ in payload (pattern vs r keys) and in compute (O(flops) vs
-    O(r · nnz)).  Under a 3D ``model`` the broadcasts ride the same
-    per-layer trees as the expansion's — fewer, fatter trees over smaller
-    groups, exactly like the stage broadcasts they mimic.
+    O(r · nnz)).  The broadcasts ride the grid ``model``'s trees, like
+    the expansion's — under the split-3D grid fewer, fatter trees over
+    smaller groups, exactly like the stage broadcasts they mimic.
     """
     spec = config.spec
     q = grid.q
@@ -444,27 +445,17 @@ def _charge_estimation(
         # and each stage's propagated minima are combined — this is why
         # §VII-E finds estimation the most serious scalability bottleneck
         # (the α·lg q terms survive when the per-rank compute shrinks).
-        if model is not None:
-            lay = model.stage_layer(k)
-            for I in range(model.q3):
-                payload = sum(a_payload(i, k) for i in model.group_rows(I))
-                comm.broadcast(
-                    model.layer_row_ranks(lay, I), payload, "est_bcast"
-                )
-            for J in range(model.q3):
-                payload = sum(b_payload(k, j) for j in model.group_cols(J))
-                comm.broadcast(
-                    model.layer_col_ranks(lay, J), payload, "est_bcast"
-                )
-        else:
-            for i in range(q):
-                comm.broadcast(
-                    grid.row_members(i), a_payload(i, k), "est_bcast"
-                )
-            for j in range(q):
-                comm.broadcast(
-                    grid.col_members(j), b_payload(k, j), "est_bcast"
-                )
+        lay = model.stage_layer(k)
+        for I in range(model.q3):
+            payload = sum(a_payload(i, k) for i in model.group_rows(I))
+            comm.broadcast(
+                model.layer_row_ranks(lay, I), payload, "est_bcast"
+            )
+        for J in range(model.q3):
+            payload = sum(b_payload(k, j) for j in model.group_cols(J))
+            comm.broadcast(
+                model.layer_col_ranks(lay, J), payload, "est_bcast"
+            )
         if on_gpu:
             # Future-work variant: each stage's key propagation runs on
             # the device, pipelined against the next stage's broadcasts —
@@ -486,28 +477,18 @@ def _charge_estimation(
             else 8 * width
         )
 
-    if model is not None:
-        # Combine along the per-layer column trees plus one fiber
-        # reduction per cell column — the 3D shape of the same exchange.
-        for J in range(model.q3):
-            width = 0
-            for j in model.group_cols(J):
-                c_lo, c_hi = grid.block_bounds(dist_a.global_shape[1], j)
-                width += c_hi - c_lo
-            for lay in range(model.layers):
-                comm.allreduce(
-                    model.layer_col_ranks(lay, J),
-                    combine_payload(width) // model.layers,
-                    "est_bcast",
-                )
-    else:
-        for j in range(q):
-            # Combine the propagated minimum keys (symbolic: the
-            # per-column counts) along each processor column — once per
-            # estimation pass.
+    # Combine the propagated minimum keys (symbolic: the per-column
+    # counts) along each layer's column trees — once per estimation pass;
+    # under the split-3D grid each layer carries its 1/c share.
+    for J in range(model.q3):
+        width = 0
+        for j in model.group_cols(J):
             c_lo, c_hi = grid.block_bounds(dist_a.global_shape[1], j)
+            width += c_hi - c_lo
+        for lay in range(model.layers):
             comm.allreduce(
-                grid.col_members(j), combine_payload(c_hi - c_lo),
+                model.layer_col_ranks(lay, J),
+                combine_payload(width) // model.layers,
                 "est_bcast",
             )
     per_rank_compute = (
@@ -742,21 +723,9 @@ def _hipmcl_run(
         if policy is None or policy.degrade_merge
         else None
     )
-    # One 3D charge model for the whole run: its transport counters and
-    # the p2p → broadcast demotion rung persist across iterations.
-    grid_model = None
-    if config.grid == "3d":
-        from ..summa.engine3d import Grid3DModel
-
-        grid_model = Grid3DModel(
-            grid.q,
-            config.layers,
-            config.transport,
-            demote_transport=(
-                policy.demote_transport if policy is not None else True
-            ),
-        )
-
+    # The plain 2-D grid makes no transport choice (None): every slab
+    # is broadcast and nothing is counted.
+    transport = config.transport if config.grid == "3d" else None
     history: list[HipMCLIteration] = []
     converged = False
     kernel_selections: dict[str, int] = {}
@@ -815,12 +784,22 @@ def _hipmcl_run(
         prune_bcast_overlap_seconds = float(
             c.get("prune_bcast_overlap_seconds", 0.0)
         )
-        if grid_model is not None and transport_demotions:
+        if transport is not None and transport_demotions:
             # The demotion rung is run-scoped: a resumed run continues on
             # the broadcast transport the failure demoted it to.
-            grid_model._demoted = True
+            transport = "broadcast"
     else:
         work = prepare_matrix(matrix, options)
+    # One grid charge model for the whole run: its transport counters and
+    # the p2p → broadcast demotion rung persist across iterations.
+    grid_model = Grid3DModel(
+        grid.q,
+        config.resolved_layers,
+        transport,
+        demote_transport=(
+            policy.demote_transport if policy is not None else True
+        ),
+    )
     n = work.nrows
 
     for it in range(start_iteration, options.max_iterations + 1):
@@ -884,9 +863,7 @@ def _hipmcl_run(
                 safety_factor=(
                     1.0 if scheme == "symbolic" else config.estimator_safety
                 ),
-                replication=(
-                    grid_model.layers if grid_model is not None else 1
-                ),
+                replication=grid_model.layers,
             )
             est_sp.set(scheme=scheme, estimated=estimated,
                        phases=plan.phases)
@@ -1308,7 +1285,7 @@ def _hipmcl_run(
         prune_bcast_overlap_seconds=prune_bcast_overlap_seconds,
         link_busy_seconds=comm.link_busy_seconds(),
         grid=config.grid,
-        layers=grid_model.layers if grid_model is not None else 1,
+        layers=grid_model.layers,
         transport_selections=transport_selections,
         transport_demotions=transport_demotions,
     )

@@ -9,7 +9,7 @@ from .analysis import (
     compare_decompositions,
 )
 from .distmatrix import DistributedCSC
-from .engine3d import Grid3DModel, Summa3DResult, summa3d_multiply
+from .engine3d import Grid3DModel
 from .engine import SummaConfig, SummaResult, summa_multiply
 from .phases import (
     PhasePlan,
@@ -33,6 +33,4 @@ __all__ = [
     "communication_3d",
     "compare_decompositions",
     "Grid3DModel",
-    "Summa3DResult",
-    "summa3d_multiply",
 ]

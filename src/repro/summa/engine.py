@@ -46,6 +46,7 @@ from ..spgemm.hybrid import KernelKind, degrade_kernel, select_kernel
 from ..spgemm.metrics import WorkProfile
 from ..trace import current_tracer, maybe_span
 from .distmatrix import DistributedCSC
+from .engine3d import Grid3DModel
 
 
 _KERNEL_NAMES = {
@@ -78,7 +79,7 @@ class SummaConfig:
     trace: bool = False
     #: Broadcast schedule.  ``"sync"`` charges every broadcast as a
     #: blocking collective on the member CPUs (the PR4 behavior);
-    #: ``"static"`` walks a precomputed stage graph, posting each stage's
+    #: ``"static"`` walks a flat stage sequence, posting each stage's
     #: A-row/B-column broadcasts asynchronously on per-tree link clocks so
     #: they run under the previous stage's multiplies and merges.  Unlike
     #: the wall-clock knobs this changes the *simulated* timings (that is
@@ -174,11 +175,7 @@ class SummaResult:
     prune_bcast_overlap_seconds: float = 0.0
     #: Seconds this multiply's broadcasts occupied the link clocks.
     link_busy_seconds: float = 0.0
-    # -- split-3D grid model (inert defaults under the 2-D grid) ---------
-    #: Grid the multiply's clock/traffic charges were modeled on.
-    grid: str = "2d"
-    #: Replication factor ``c`` of the 3D charge model (1 under 2-D).
-    layers: int = 1
+    # -- grid model transport (empty under the plain 2-D grid) ----------
     #: Per-column-group transport selections of this multiply
     #: ("broadcast"/"p2p") — the hybrid-transport evidence.
     transport_selections: Counter = field(default_factory=Counter)
@@ -364,14 +361,14 @@ def summa_multiply(
     run.  Draws happen once per merge event in the serial accounting pass,
     so injections are identical across every execution cell too.
 
-    ``model`` (a :class:`~repro.summa.engine3d.Grid3DModel`, or None for
-    the plain 2-D grid) redirects where the simulated time and traffic
-    land: broadcasts become per-layer tree broadcasts (with the hybrid
-    broadcast-vs-p2p transport selection), kernel and merge charges move
-    to the owning 3D cell's clock, and the 2D→3D redistribution plus the
-    per-fiber combine are charged around the multiply.  The numeric path
-    — block products, merge pushes, pruning — is byte-for-byte the 2-D
-    one, so ``model`` changes simulated clocks only, never results.
+    ``model`` (a :class:`~repro.summa.engine3d.Grid3DModel`) decides
+    where the simulated time and traffic land: which tree broadcasts (or
+    hybrid-transport p2p sends) carry each stage, which rank's clock each
+    kernel and merge charges, and the 2D→3D redistribution plus the
+    per-fiber combine around the multiply.  None is the one-layer model
+    with broadcast-only delivery — the plain 2-D grid.  The numeric path
+    — block products, merge pushes, pruning — is the same for every
+    model, so ``model`` changes simulated clocks only, never results.
     """
     grid = dist_a.grid
     if dist_b.grid.q != grid.q:
@@ -388,6 +385,12 @@ def summa_multiply(
         raise ValueError(f"phases must be >= 1, got {phases}")
     q = grid.q
     spec = config.spec
+    if model is None:
+        model = Grid3DModel(q, 1, None)
+    elif model.q != q:
+        raise ValueError(
+            f"grid model built for q={model.q}, matrices on q={q}"
+        )
     if executor is None:
         from ..parallel import get_executor
 
@@ -461,17 +464,11 @@ def summa_multiply(
     result.schedule = config.schedule
     result.pipeline_window = pipeline_window
     link_busy_before = comm.link_busy_seconds()
-    sel_before = dem_before = None
-    if model is not None:
-        if model.q != q:
-            raise ValueError(
-                f"grid model built for q={model.q}, matrices on q={q}"
-            )
-        # The model lives across a whole run; record its counters so the
-        # result reports only this multiply's selections and demotions.
-        sel_before = Counter(model.transport_selections)
-        dem_before = model.transport_demotions
-        model.charge_redistribution(comm, dist_a.nnz + dist_b.nnz)
+    # The model lives across a whole run; record its counters so the
+    # result reports only this multiply's selections and demotions.
+    sel_before = Counter(model.transport_selections)
+    dem_before = model.transport_demotions
+    model.charge_redistribution(comm, dist_a.nnz + dist_b.nnz)
     kept_slabs: dict[tuple[int, int], list[CSCMatrix]] = {
         (i, j): [] for i in range(q) for j in range(q)
     }
@@ -524,95 +521,58 @@ def summa_multiply(
 
         return memo(blk, ("slab", lo, hi), build)
 
-    # -- static pipeline schedule: precomputed stage graph ----------------
-    # The whole expansion — every (phase, stage) with its broadcast
-    # channels — is built up front and walked flat across phase
-    # boundaries: node n+2's broadcasts are posted the moment node n's
-    # slabs are consumed, so the last stage of phase p overlaps the first
-    # broadcasts of phase p+1, and the per-column prune between them runs
-    # while those broadcasts are on the wires.  `node_consumed[n]` gates
-    # the double buffer: issue(s) waits for consumed(s-2), bounding live
-    # slabs to two stages exactly like `overlap_window`.
-    static_nodes = node_handles = None
+    # -- static pipeline schedule: a flat stage sequence -------------------
+    # The whole expansion is walked as one flat sequence of nodes, node
+    # n = p·q + k being stage k of phase p, across phase boundaries: node
+    # n+2's transfers are posted the moment node n's slabs are consumed,
+    # so the last stage of phase p overlaps the first broadcasts of phase
+    # p+1, and the per-column prune between them runs while those
+    # broadcasts are on the wires.  `node_consumed[n]` gates the double
+    # buffer: issue(s) waits for consumed(s-2), bounding live slabs to
+    # two stages exactly like `overlap_window`.  The model's channels are
+    # shared across stages, so stage k+1's row-i tree serializes behind
+    # stage k's on the same link.
+    n_nodes = phases * q
+    node_handles: dict[int, tuple] = {}
     node_consumed: dict[int, float] = {}
-    issue_base = 0.0
-    if static_active:
-        from .phases import build_stage_graph
-
-        static_nodes = build_stage_graph(q, phases)
-        node_handles = {}
-        issue_base = max(c.now for c in comm.clocks)
+    issue_base = max(c.now for c in comm.clocks) if static_active else 0.0
+    trace = result.trace if config.trace else None
 
     def _window_overlap(w0: float, w1: float, h) -> float:
         return max(0.0, min(w1, h.end) - max(w0, h.start))
 
-    def issue_node(n: int) -> None:
-        node = static_nodes[n]
-        gate = node_consumed.get(n - 2, issue_base)
-        k, pp = node.stage, node.phase
-        a_handles = []
-        b_handles = []
-        a_bytes_row = np.zeros(q, dtype=np.int64)
-        b_bytes_col = np.zeros(q, dtype=np.int64)
+    def stage_slabs(k: int, pp: int) -> tuple[list, list]:
+        slabs_k: list[CSCMatrix] = []
+        slab_bytes_k: list[int] = []
+        for j in range(q):
+            slab, nbytes = phase_slab(k, j, pp)
+            slabs_k.append(slab)
+            slab_bytes_k.append(nbytes)
+        return slabs_k, slab_bytes_k
+
+    def post_stage(k: int, pp: int, slabs_k, slab_bytes_k, gate=None):
         with maybe_span(
-            "broadcast", "summa", phase=pp, stage=k, schedule="static"
+            "broadcast", "summa", phase=pp, stage=k,
+            schedule="sync" if gate is None else "static",
         ) as bsp:
-            if model is not None:
-                # The 3D model posts the stage's transfers itself on
-                # layer-prefixed channels; the physical per-rank block
-                # residency (input_bytes_peak) is grid-independent.
-                slabs_n: list[CSCMatrix] = []
-                slab_bytes_n: list[int] = []
-                for j in range(q):
-                    slab, nbytes = phase_slab(k, j, pp)
-                    slabs_n.append(slab)
-                    slab_bytes_n.append(nbytes)
-                    b_bytes_col[j] = nbytes
-                for i in range(q):
-                    a_bytes_row[i] = dist_a.block_storage_bytes(i, k)
-                a_handles, b_handles, uniq = model.post_stage_async(
-                    comm, k, pp, dist_a, slabs_n, slab_bytes_n, gate
-                )
-            else:
-                for i in range(q):
-                    nbytes = dist_a.block_storage_bytes(i, k)
-                    a_bytes_row[i] = nbytes
-                    h = comm.broadcast_async(
-                        grid.row_members(i), nbytes, "summa_bcast",
-                        channel=node.row_channels[i], ready_at=gate,
-                    )
-                    a_handles.append(h)
-                    if config.trace:
-                        result.trace.append(
-                            (grid.rank_of(i, k), pp, k, "bcast_A",
-                             h.start, h.end)
-                        )
-                for j in range(q):
-                    nbytes = phase_slab(k, j, pp)[1]
-                    b_bytes_col[j] = nbytes
-                    h = comm.broadcast_async(
-                        grid.col_members(j), nbytes, "summa_bcast",
-                        channel=node.col_channels[j], ready_at=gate,
-                    )
-                    b_handles.append(h)
-                    if config.trace:
-                        result.trace.append(
-                            (grid.rank_of(k, j), pp, k, "bcast_B",
-                             h.start, h.end)
-                        )
-                uniq = [*a_handles, *b_handles]
-            bsp.set(
-                bytes_a=int(a_bytes_row.sum()),
-                bytes_b=int(b_bytes_col.sum()),
+            posted = model.post_stage(
+                comm, k, pp, dist_a, slabs_k, slab_bytes_k, gate, trace
             )
-        node_handles[n] = (
-            a_handles, b_handles, a_bytes_row, b_bytes_col, uniq
+            bsp.set(
+                bytes_a=int(posted[2].sum()), bytes_b=int(posted[3].sum())
+            )
+        return posted
+
+    def issue_node(n: int) -> None:
+        pp, k = divmod(n, q)
+        node_handles[n] = post_stage(
+            k, pp, *stage_slabs(k, pp),
+            gate=node_consumed.get(n - 2, issue_base),
         )
 
     if static_active:
-        issue_node(0)
-        if len(static_nodes) > 1:
-            issue_node(1)
+        for n in range(min(2, n_nodes)):
+            issue_node(n)
 
     for p in range(phases):
         # Blocks are merged in the row-major form the multiply produces
@@ -644,12 +604,7 @@ def summa_multiply(
                 "prefetch" if prefetch else "submit", "summa",
                 phase=p, stage=k,
             ) as sp:
-                slabs: list[CSCMatrix] = []
-                slab_bytes: list[int] = []
-                for j in range(q):
-                    slab, nbytes = phase_slab(k, j, p)
-                    slabs.append(slab)
-                    slab_bytes.append(nbytes)
+                slabs, slab_bytes = stage_slabs(k, p)
                 pairs: list[tuple[int, int]] = []
                 handle = None
                 if parallel_stages:
@@ -681,61 +636,20 @@ def summa_multiply(
                 submit_stage(k)
             slabs, slab_bytes, pairs, handle = staged.pop(k)
             node_idx = p * q + k
-            a_handles = b_handles = None
             stage_window_t0 = 0.0
             if static_active:
-                # Broadcasts were posted on the links one-or-two stages
+                # Transfers were posted on the links one-or-two stages
                 # ago; this stage just picks up its handles.  The window
                 # [now, consumed] is where their in-flight time overlaps
                 # this stage's compute — the bcast_overlap evidence.
-                a_handles, b_handles, a_bytes_row, b_bytes_col, stage_uniq = (
-                    node_handles.pop(node_idx)
-                )
+                posted = node_handles.pop(node_idx)
                 stage_window_t0 = max(c.now for c in comm.clocks)
             else:
                 # -- broadcasts: A along rows, B along columns --------------
-                a_bytes_row = np.zeros(q, dtype=np.int64)
-                b_bytes_col = np.zeros(q, dtype=np.int64)
-                with maybe_span(
-                    "broadcast", "summa", phase=p, stage=k
-                ) as bsp:
-                    if model is not None:
-                        for i in range(q):
-                            a_bytes_row[i] = dist_a.block_storage_bytes(i, k)
-                        for j in range(q):
-                            b_bytes_col[j] = slab_bytes[j]
-                        model.charge_stage_sync(
-                            comm, k, p, dist_a, slabs, slab_bytes
-                        )
-                    else:
-                        for i in range(q):
-                            members = grid.row_members(i)
-                            nbytes = dist_a.block_storage_bytes(i, k)
-                            a_bytes_row[i] = nbytes
-                            res = comm.broadcast(
-                                members, nbytes, "summa_bcast"
-                            )
-                            if config.trace:
-                                result.trace.append(
-                                    (grid.rank_of(i, k), p, k, "bcast_A",
-                                     res.start, res.end)
-                                )
-                        for j in range(q):
-                            nbytes = slab_bytes[j]
-                            b_bytes_col[j] = nbytes
-                            members = grid.col_members(j)
-                            res = comm.broadcast(
-                                members, nbytes, "summa_bcast"
-                            )
-                            if config.trace:
-                                result.trace.append(
-                                    (grid.rank_of(k, j), p, k, "bcast_B",
-                                     res.start, res.end)
-                                )
-                    bsp.set(
-                        bytes_a=int(a_bytes_row.sum()),
-                        bytes_b=int(b_bytes_col.sum()),
-                    )
+                posted = post_stage(k, p, slabs, slab_bytes)
+            a_handles, b_handles, a_bytes_row, b_bytes_col, stage_uniq = (
+                posted
+            )
             np.maximum(
                 input_bytes_peak,
                 a_bytes_row[:, None] + b_bytes_col[None, :],
@@ -765,14 +679,12 @@ def summa_multiply(
             # it — the trace's evidence of the §III pipeline.
             merge_span = maybe_span("merge", "summa", phase=p, stage=k)
             stage_available = 0.0
+            stage_ranks = model.stage_ranks(k)
             for i in range(q):
                 a_blk = dist_a.block(i, k)
+                ranks_i = stage_ranks[i]
                 for j in range(q):
-                    rank = (
-                        model.cell_rank(i, j, k)
-                        if model is not None
-                        else grid.rank_of(i, j)
-                    )
+                    rank = ranks_i[j]
                     clock = comm.clocks[rank]
                     b_blk = slabs[j]
                     if a_blk.nnz == 0 or b_blk.nnz == 0:
@@ -972,7 +884,7 @@ def summa_multiply(
                         result.bcast_overlap_seconds += _window_overlap(
                             stage_window_t0, window_t1, h
                         )
-                if node_idx + 2 < len(static_nodes):
+                if node_idx + 2 < n_nodes:
                     issue_node(node_idx + 2)
             if not config.pipelined:
                 comm.barrier()
@@ -983,14 +895,9 @@ def summa_multiply(
                 )
         # -- phase wrap-up: final merges, callback -----------------------------
         def finish_state(i: int, j: int) -> CSCMatrix:
-            # Final merges run on the block's post-combine owner — under
-            # the 3D model that is the home cell the fiber combine
-            # returned the partials to.
-            rank = (
-                model.home_rank(i, j)
-                if model is not None
-                else grid.rank_of(i, j)
-            )
+            # Final merges run on the block's post-combine owner: the
+            # home cell the fiber combine returned the partials to.
+            rank = model.home_rank(i, j)
             clock = comm.clocks[rank]
             # Popped, not read: the accumulator and the output block are
             # different arrays, so a state kept to the end of the phase
@@ -1032,6 +939,16 @@ def summa_multiply(
             )
             return transpose(outcome.result.to_csc())
 
+        def fiber_combine(j: int) -> None:
+            model.charge_fiber_combine(
+                comm, j,
+                sum(
+                    merge_states[(i, j)].schedule.peak_resident
+                    for i in range(q)
+                ),
+                config.threads,
+            )
+
         phase_blocks: dict[tuple[int, int], CSCMatrix] = {}
         if static_active and phase_column_callback is not None:
             # Incremental prune: each block column is finished and handed
@@ -1052,18 +969,10 @@ def summa_multiply(
                 prune_t0 = min(
                     comm.clocks[r].cpu.free_at for r in col_ranks
                 )
-                if model is not None:
-                    # The per-fiber all-to-all combine returns this
-                    # column's c partial slabs to their 2-D owners
-                    # before its final merges and prune.
-                    model.charge_fiber_combine(
-                        comm, j,
-                        sum(
-                            merge_states[(i, j)].schedule.peak_resident
-                            for i in range(q)
-                        ),
-                        config.threads,
-                    )
+                # The per-fiber all-to-all combine returns this column's
+                # c partial slabs to their 2-D owners before its final
+                # merges and prune.
+                fiber_combine(j)
                 with maybe_span(
                     "finish_merge", "summa", phase=p, column=j
                 ):
@@ -1099,16 +1008,8 @@ def summa_multiply(
             for fn in deferred:
                 phase_blocks.update(fn())
         else:
-            if model is not None:
-                for j in range(q):
-                    model.charge_fiber_combine(
-                        comm, j,
-                        sum(
-                            merge_states[(i, j)].schedule.peak_resident
-                            for i in range(q)
-                        ),
-                        config.threads,
-                    )
+            for j in range(q):
+                fiber_combine(j)
             finish_span = maybe_span("finish_merge", "summa", phase=p)
             for (i, j) in list(merge_states):
                 phase_blocks[(i, j)] = finish_state(i, j)
@@ -1127,13 +1028,10 @@ def summa_multiply(
         result.overlap_serial_seconds = acct.serial_seconds
         result.overlap_overlapped_seconds = acct.overlapped_seconds
     result.link_busy_seconds = comm.link_busy_seconds() - link_busy_before
-    if model is not None:
-        result.grid = "3d"
-        result.layers = model.layers
-        result.transport_selections = (
-            Counter(model.transport_selections) - sel_before
-        )
-        result.transport_demotions = model.transport_demotions - dem_before
+    result.transport_selections = (
+        Counter(model.transport_selections) - sel_before
+    )
+    result.transport_demotions = model.transport_demotions - dem_before
     return result
 
 

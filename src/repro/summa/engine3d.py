@@ -1,223 +1,27 @@
-"""Split-3-D sparse matrix multiplication on the simulated machine.
+"""The process-grid charge model of the distributed SpGEMM engine.
 
 The paper stops at remarks about 3-D algorithms (§II: redistribution may
 not amortize; §VII-E: "GPU idle times can be reduced further ... via
-adapting 3D SpGEMM [9]").  This module *implements* the split-3-D scheme
-of Azad et al. (SISC'16) on the same virtual machine, so the remarks can
-be tested as measurements rather than formulas:
-
-* ``P = c · q₃²`` processes form ``c`` layers of ``q₃ × q₃`` grids;
-* A is split by *columns* across layers, B by *rows*, so layer ``l``
-  computes the full-shape partial product ``C⁽ˡ⁾ = A(:, sₗ) · B(sₗ, :)``
-  with an ordinary (pipelined) Sparse SUMMA of only q₃ stages;
-* the per-fiber all-to-all then combines the ``c`` partial blocks of each
-  grid position (charged on the clocks, merged for real).
-
-Everything numeric is real; the result is validated against the 2-D
-engine and the dense product in the tests.
+adapting 3D SpGEMM [9]").  :class:`Grid3DModel` makes them measurable
+on the engine's one numeric path: it decides where the simulated time
+and traffic of every stage land, for the split-3-D grid of Azad et al.
+(SISC'16) and — as its one-layer, broadcast-only case — for the plain
+√P × √P SUMMA grid.  There is no second, genuinely layered 3-D engine:
+its c partial products would accumulate in per-layer merge trees whose
+floating-point grouping differs from the 2-D schedule, so it could
+never honor the bit-identity contract every grid shape keeps.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import GridError
-from ..machine.spec import MachineSpec
-from ..merge.lists import BYTES_PER_TRIPLE, TripleList
-from ..mpi.comm import VirtualComm
-from ..mpi.grid import ProcessGrid, grid3d_shape, is_perfect_square
-from ..sparse import CSCMatrix, block_of_csc
-from .distmatrix import DistributedCSC
-from .engine import SummaConfig, SummaResult, summa_multiply
-
-
-class _LayerComm:
-    """A layer's view of the global communicator: ranks offset by
-    ``layer · q₃²`` so :func:`summa_multiply` can run unmodified."""
-
-    def __init__(self, parent: VirtualComm, offset: int, size: int):
-        self._parent = parent
-        self._offset = offset
-        self.clocks = parent.clocks[offset : offset + size]
-        self.traffic = parent.traffic
-        self.spec = parent.spec
-
-    @property
-    def size(self) -> int:
-        return len(self.clocks)
-
-    def _shift(self, ranks):
-        return [r + self._offset for r in ranks]
-
-    def broadcast(self, ranks, nbytes, account="summa_bcast"):
-        return self._parent.broadcast(self._shift(ranks), nbytes, account)
-
-    def allreduce(self, ranks, nbytes, account="allreduce"):
-        return self._parent.allreduce(self._shift(ranks), nbytes, account)
-
-    def alltoall(self, ranks, nbytes, account="exchange"):
-        return self._parent.alltoall(self._shift(ranks), nbytes, account)
-
-    def broadcast_async(
-        self, ranks, nbytes, account="summa_bcast", *, channel, ready_at=0.0
-    ):
-        # Each layer runs its own q₃×q₃ grid, so its broadcast trees are
-        # distinct wires — namespace the channel by the layer offset.
-        return self._parent.broadcast_async(
-            self._shift(ranks), nbytes, account,
-            channel=f"layer{self._offset}:{channel}", ready_at=ready_at,
-        )
-
-    def link_busy_seconds(self):
-        return self._parent.link_busy_seconds()
-
-    def barrier(self, ranks=None):
-        ranks = list(range(self.size)) if ranks is None else ranks
-        return self._parent.barrier(self._shift(ranks))
-
-
-@dataclass
-class Summa3DResult:
-    """Product and accounting of one split-3-D multiplication."""
-
-    matrix: CSCMatrix
-    layers: int
-    layer_results: list[SummaResult] = field(default_factory=list)
-    redistribution_seconds: float = 0.0
-    fiber_combine_seconds: float = 0.0
-
-    @property
-    def kernel_selections(self):
-        from collections import Counter
-
-        total = Counter()
-        for r in self.layer_results:
-            total.update(r.kernel_selections)
-        return total
-
-
-def _layer_slices(n: int, layers: int) -> list[tuple[int, int]]:
-    base, extra = divmod(n, layers)
-    out, lo = [], 0
-    for l in range(layers):
-        hi = lo + base + (1 if l < extra else 0)
-        out.append((lo, hi))
-        lo = hi
-    return out
-
-
-def summa3d_multiply(
-    a: CSCMatrix,
-    b: CSCMatrix,
-    comm: VirtualComm,
-    config: SummaConfig,
-    layers: int,
-    *,
-    charge_redistribution: bool = True,
-) -> Summa3DResult:
-    """Compute ``C = A·B`` with ``layers`` layers on ``comm``'s processes.
-
-    ``comm.size`` must equal ``layers · q₃²`` for a square q₃.  When
-    ``charge_redistribution`` is set, the one-time 2-D → 3-D data movement
-    (each process ships its local share along its fiber) is charged before
-    the multiplication — §II's caveat, measurable.
-
-    The per-fiber combine runs through the SpKAdd engine under the
-    planner's strategy label (one engine runs behind every label).
-    """
-    from ..merge.spkadd import spkadd_merge
-    from .phases import plan_merge_strategy
-
-    if a.ncols != b.nrows:
-        raise GridError(
-            f"inner dimension mismatch: A is {a.shape}, B is {b.shape}"
-        )
-    if layers < 1:
-        raise GridError(f"layers must be >= 1, got {layers}")
-    if comm.size % layers:
-        raise GridError(
-            f"{comm.size} processes do not split into {layers} layers"
-        )
-    per_layer = comm.size // layers
-    if not is_perfect_square(per_layer):
-        raise GridError(f"layer size {per_layer} is not a perfect square")
-    grid = ProcessGrid.for_processes(per_layer)
-    spec: MachineSpec = comm.spec
-
-    t_redist0 = comm.barrier()
-    if charge_redistribution and layers > 1:
-        share = 16 * max(1, (a.nnz + b.nnz) // comm.size)
-        for base in range(0, comm.size, layers):
-            # One fiber = the same grid position across layers.  Fibers
-            # are disjoint, so charging them per group is faithful.
-            fiber = list(range(base, base + layers))
-            comm.alltoall(fiber, share, "redistribution")
-
-    slices = _layer_slices(a.ncols, layers)
-    t_start = comm.barrier()
-    layer_results: list[SummaResult] = []
-    partial_lists: dict[tuple[int, int], list[TripleList]] = {}
-    for l, (lo, hi) in enumerate(slices):
-        a_l = a.column_slab(lo, hi)
-        b_l = block_of_csc(b, lo, hi, 0, b.ncols)
-        dist_a = DistributedCSC.from_global(a_l, grid)
-        dist_b = DistributedCSC.from_global(b_l, grid)
-        layer_comm = _LayerComm(comm, l * per_layer, per_layer)
-        res = summa_multiply(dist_a, dist_b, layer_comm, config)
-        layer_results.append(res)
-        for key, blk in res.dist_c.blocks.items():
-            partial_lists.setdefault(key, []).append(
-                TripleList.from_csc(blk, copy=False)
-            )
-
-    # -- fiber combine: all-to-all + merge of the c partial blocks ---------
-    t_mult_done = comm.barrier()
-    out_blocks: dict[tuple[int, int], CSCMatrix] = {}
-    for key, lists in partial_lists.items():
-        i, j = key
-        fiber = [l * per_layer + grid.rank_of(i, j) for l in range(layers)]
-        pair_bytes = BYTES_PER_TRIPLE * max(
-            1, sum(len(t) for t in lists) // max(1, layers * layers)
-        )
-        comm.alltoall(fiber, pair_bytes, "fiber_combine")
-        strategy = plan_merge_strategy(
-            sum(len(t) for t in lists), lists[0].shape
-        )
-        merged = spkadd_merge(lists, strategy=strategy)
-        ops = sum(len(t) for t in lists) * max(
-            1.0, np.log2(max(2, layers))
-        )
-        for rank in fiber:
-            clock = comm.clocks[rank]
-            clock.cpu.schedule(
-                clock.cpu.free_at,
-                spec.merge_time(ops / layers, config.threads),
-                "fiber_combine",
-            )
-        out_blocks[key] = merged.to_csc()
-    t_end = comm.barrier()
-
-    shape = (a.nrows, b.ncols)
-    dist_c = DistributedCSC(shape, grid, out_blocks)
-    return Summa3DResult(
-        matrix=dist_c.to_global(),
-        layers=layers,
-        layer_results=layer_results,
-        redistribution_seconds=(
-            t_start - t_redist0
-            if charge_redistribution and layers > 1
-            else 0.0
-        ),
-        fiber_combine_seconds=t_end - t_mult_done,
-    )
-
-
-# ---------------------------------------------------------------------------
-# The first-class --grid 3d charge model
-# ---------------------------------------------------------------------------
+from ..merge.lists import BYTES_PER_TRIPLE
+from ..mpi.grid import grid3d_shape
+from ..sparse import CSCMatrix
 
 
 def _partition_runs(n: int, parts: int) -> list[tuple[int, int]]:
@@ -247,15 +51,13 @@ def _slab_row_counts(slab: CSCMatrix) -> np.ndarray:
 
 
 class Grid3DModel:
-    """Clock/traffic charge model of the split-3D grid for the 2-D engine.
+    """Clock/traffic charge model of the process grid for the engine.
 
     The bit-identity contract of the execution matrix pins every knob to
-    the serial 2-D numerics — but a *genuinely* layered multiplication
-    cannot honor it: the c partial products accumulate in per-layer merge
-    trees whose floating-point grouping differs from the 2-D schedule.
-    So ``--grid 3d`` keeps the 2-D numeric path bit-for-bit (same block
-    decomposition, same stage products, same merge pushes, same prune)
-    and this model redirects *where the simulated time and traffic land*:
+    the serial 2-D numerics, so every grid shape keeps the 2-D numeric
+    path bit-for-bit (same block decomposition, same stage products,
+    same merge pushes, same prune) and this model decides *where the
+    simulated time and traffic land*:
 
     * the P = q² rank clocks are reinterpreted as ``c`` layers of
       ``q₃ × q₃`` cells (``cell = layer·q₃² + I·q₃ + J``, c = r²,
@@ -271,13 +73,19 @@ class Grid3DModel:
       partial slabs to their 2-D owners before pruning — §II's caveat,
       measurable.
 
+    With ``layers=1`` every cell is one 2-D block, every stage lives on
+    the single layer, and the redistribution and fiber combine vanish:
+    that is the 2-D grid, charge for charge.
+
     The model also owns the sparsity-aware **hybrid transport**: per
     stage, each B column-group's delivery is priced as bulk broadcast vs
     point-to-point sends of only the row support the receiving cells' A
     blocks actually touch (:func:`repro.summa.phases.plan_transport`),
     recorded as a ``transport.select`` metric and counted on the result.
-    An injected comm failure that exhausts the retry ladder on a p2p
-    send demotes the transport to broadcast for the rest of the run (the
+    ``transport=None`` is the plain grid's delivery: every slab is
+    broadcast and, there being no choice, nothing is counted.  An
+    injected comm failure that exhausts the retry ladder on a p2p send
+    demotes the transport to broadcast for the rest of the run (the
     recovery rung; ``ResiliencePolicy.demote_transport`` disarms it).
 
     One model instance lives for a whole HipMCL run, so the demotion
@@ -288,11 +96,11 @@ class Grid3DModel:
         self,
         q: int,
         layers: int = 0,
-        transport: str = "hybrid",
+        transport: str | None = "hybrid",
         *,
         demote_transport: bool = True,
     ):
-        if transport not in ("hybrid", "broadcast", "p2p"):
+        if transport not in (None, "hybrid", "broadcast", "p2p"):
             raise GridError(
                 f"transport must be 'hybrid', 'broadcast' or 'p2p', "
                 f"got {transport!r}"
@@ -312,6 +120,12 @@ class Grid3DModel:
             lay for lay, (lo, hi) in enumerate(runs) for _ in range(hi - lo)
         ]
         self._home_layer = list(self._stage_layer)
+        #: Per layer, the q × q table of cells the 2-D blocks charge to.
+        self._layer_ranks = [
+            [[self.cell(lay, i // r, j // r) for j in range(q)]
+             for i in range(q)]
+            for lay in range(c)
+        ]
 
     # -- geometry ---------------------------------------------------------
 
@@ -335,13 +149,19 @@ class Grid3DModel:
         """Rank index of 3D cell (layer, I, J) in the shared rank space."""
         return lay * self.q3 * self.q3 + I * self.q3 + J
 
+    def stage_ranks(self, k: int) -> list[list[int]]:
+        """``stage_ranks(k)[i][j]``: the cell stage ``k``'s (i, j) work
+        charges to.  Within a stage, each of the layer's q₃² cells
+        receives exactly r² of the q² products."""
+        return self._layer_ranks[self._stage_layer[k]]
+
     def cell_rank(self, i: int, j: int, k: int) -> int:
         """The cell whose clock stage ``k``'s (i, j) work charges to."""
-        return self.cell(self.stage_layer(k), i // self.r, j // self.r)
+        return self.stage_ranks(k)[i][j]
 
     def home_rank(self, i: int, j: int) -> int:
         """The cell that owns output block (i, j) after the fiber combine."""
-        return self.cell(self._home_layer[j], i // self.r, j // self.r)
+        return self._layer_ranks[self._home_layer[j]][i][j]
 
     def layer_row_ranks(self, lay: int, I: int) -> list[int]:
         """The layer-row broadcast tree (an A subcommunicator)."""
@@ -357,7 +177,7 @@ class Grid3DModel:
 
     # -- transport selection -----------------------------------------------
 
-    def _effective_transport(self) -> str:
+    def _effective_transport(self) -> str | None:
         return "broadcast" if self._demoted else self.transport
 
     def _receiver_payloads(
@@ -430,112 +250,105 @@ class Grid3DModel:
 
     # -- per-stage charging -------------------------------------------------
 
-    def charge_stage_sync(
-        self, comm, k: int, p: int, dist_a, slabs, slab_bytes
-    ) -> None:
-        """Synchronous-schedule charges for stage ``k`` of phase ``p``.
+    def post_stage(
+        self, comm, k: int, p: int, dist_a, slabs, slab_bytes,
+        gate: float | None = None, trace: list | None = None,
+    ):
+        """Charge the A and B deliveries of stage ``k`` of phase ``p``.
 
         A rides q₃ layer-row trees of r-aggregated block bytes; each B
         column-group's delivery goes through the transport selector.
+        With ``gate`` None the transfers are blocking collectives on the
+        member CPUs (the sync schedule); otherwise they are posted on the
+        layer's ``row:`` / ``col:`` link channels, ready at ``gate`` (the
+        static schedule).  ``trace``, when given, receives one ``(root,
+        p, k, "bcast_A" | "bcast_B", start, end)`` tuple per broadcast
+        tree, rooted at the cell owning the broadcast block.
+
+        Returns ``(a_handles, b_handles, a_bytes, b_bytes, unique)``:
+        per-block-row and per-block-column completion handles (members of
+        one group share their tree's handle, so the engine's per-(i, j)
+        gating works unchanged), the per-block-row / -column input bytes,
+        and the deduplicated handle list for the overlap accounting.
         """
         from ..resilience.faults import InjectedCommFailure
 
         lay = self.stage_layer(k)
-        root_row = k // self.r
-        for I in range(self.q3):
-            nbytes = sum(
-                dist_a.block_storage_bytes(i, k) for i in self.group_rows(I)
-            )
-            comm.broadcast(self.layer_row_ranks(lay, I), nbytes,
-                           "summa_bcast")
-        for J in range(self.q3):
-            cols = self.group_cols(J)
-            group_bytes = sum(slab_bytes[j] for j in cols)
-            ranks = self.layer_col_ranks(lay, J)
-            if self._effective_transport() == "broadcast":
-                self.transport_selections["broadcast"] += 1
-                comm.broadcast(ranks, group_bytes, "summa_bcast")
-                continue
-            receivers = self._receiver_payloads(
-                dist_a, slabs, k, cols, root_row
-            )
-            decision = self._decide(
-                comm.spec, k, p, J, group_bytes, receivers
-            )
-            if decision.choice != "p2p":
-                comm.broadcast(ranks, group_bytes, "summa_bcast")
-                continue
-            root = self.cell(lay, root_row, J)
-            try:
-                for I, payload in receivers:
-                    comm.p2p(root, self.cell(lay, I, J), payload,
-                             "summa_p2p")
-            except InjectedCommFailure as exc:
-                self._demote(exc)
-                comm.broadcast(ranks, group_bytes, "summa_bcast")
-
-    def post_stage_async(
-        self, comm, k: int, p: int, dist_a, slabs, slab_bytes, gate: float
-    ):
-        """Static-schedule charges: post the stage's transfers on
-        layer-prefixed link channels without blocking.
-
-        Returns ``(a_handles, b_handles, unique)``: per-block-row and
-        per-block-column completion handles (members of one group share
-        their tree's handle, so the engine's per-(i, j) gating works
-        unchanged) plus the deduplicated handle list for the overlap
-        accounting.
-        """
-        from ..resilience.faults import InjectedCommFailure
-
-        lay = self.stage_layer(k)
-        root_row = k // self.r
+        root = k // self.r  # the layer-grid row/column owning slab k
+        row_base = lay * self.q3  # layer trees get distinct channels
+        a_list = [dist_a.block_storage_bytes(i, k) for i in range(self.q)]
         a_handles = [None] * self.q
         b_handles = [None] * self.q
         unique = []
-        for I in range(self.q3):
-            nbytes = sum(
-                dist_a.block_storage_bytes(i, k) for i in self.group_rows(I)
-            )
-            h = comm.broadcast_async(
-                self.layer_row_ranks(lay, I), nbytes, "summa_bcast",
-                channel=f"layer{lay}:row:{I}", ready_at=gate,
-            )
-            for i in self.group_rows(I):
-                a_handles[i] = h
-            unique.append(h)
-        for J in range(self.q3):
+
+        def bcast(ranks, nbytes, channel, root_rank, kind):
+            if gate is None:
+                h = comm.broadcast(ranks, nbytes, "summa_bcast")
+            else:
+                h = comm.broadcast_async(
+                    ranks, nbytes, "summa_bcast",
+                    channel=channel, ready_at=gate,
+                )
+            if trace is not None:
+                trace.append((root_rank, p, k, kind, h.start, h.end))
+            return h
+
+        def send_p2p(J, ranks, receivers, channel):
+            if gate is not None:
+                return comm.p2p_chain_async(
+                    ranks, [b for _, b in receivers], "summa_p2p",
+                    channel=channel, ready_at=gate,
+                )
+            h = None
+            for I, payload in receivers:
+                h = comm.p2p(self.cell(lay, root, J), self.cell(lay, I, J),
+                             payload, "summa_p2p")
+            return h
+
+        def deliver_b(J):
             cols = self.group_cols(J)
             group_bytes = sum(slab_bytes[j] for j in cols)
             ranks = self.layer_col_ranks(lay, J)
-            channel = f"layer{lay}:col:{J}"
-            h = None
-            if self._effective_transport() == "broadcast":
+            channel = f"col:{row_base + J}"
+            mode = self._effective_transport()
+            if mode == "broadcast":
                 self.transport_selections["broadcast"] += 1
-            else:
+            elif mode is not None:
                 receivers = self._receiver_payloads(
-                    dist_a, slabs, k, cols, root_row
+                    dist_a, slabs, k, cols, root
                 )
                 decision = self._decide(
                     comm.spec, k, p, J, group_bytes, receivers
                 )
                 if decision.choice == "p2p":
                     try:
-                        h = comm.p2p_chain_async(
-                            ranks, [b for _, b in receivers], "summa_p2p",
-                            channel=channel, ready_at=gate,
-                        )
+                        return send_p2p(J, ranks, receivers, channel)
                     except InjectedCommFailure as exc:
                         self._demote(exc)
-            if h is None:
-                h = comm.broadcast_async(
-                    ranks, group_bytes, "summa_bcast",
-                    channel=channel, ready_at=gate,
-                )
-            for j in cols:
+            return bcast(ranks, group_bytes, channel,
+                         self.cell(lay, root, J), "bcast_B")
+
+        for I in range(self.q3):
+            rows = self.group_rows(I)
+            h = bcast(
+                self.layer_row_ranks(lay, I),
+                sum(a_list[i] for i in rows),
+                f"row:{row_base + I}", self.cell(lay, I, root), "bcast_A",
+            )
+            for i in rows:
+                a_handles[i] = h
+            unique.append(h)
+        for J in range(self.q3):
+            h = deliver_b(J)
+            for j in self.group_cols(J):
                 b_handles[j] = h
             unique.append(h)
-        return a_handles, b_handles, unique
+        return (
+            a_handles, b_handles,
+            np.array(a_list, dtype=np.int64),
+            np.array(slab_bytes, dtype=np.int64),
+            unique,
+        )
 
     # -- multiply-scoped charges ---------------------------------------------
 

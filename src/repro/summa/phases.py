@@ -183,59 +183,6 @@ def overlap_window(
     return max(1, min(max_window, int(budget_bytes // stage_input_bytes)))
 
 
-@dataclass(frozen=True)
-class StageNode:
-    """One (phase, stage) step of the static pipeline schedule.
-
-    The static scheduler precomputes the whole expansion as a flat list
-    of these and just walks it — no per-stage reconfiguration, exactly
-    like the 4-color SUMMA's statically routed broadcast trees.  Each
-    node names the broadcast channels its inputs ride (the stage's
-    A-row trees and B-column trees) and whether the per-column prune
-    callback fires after its merges (last stage of a phase).
-    """
-
-    index: int
-    phase: int
-    stage: int
-    row_channels: tuple[str, ...]
-    col_channels: tuple[str, ...]
-    first_in_phase: bool
-    last_in_phase: bool
-
-
-def build_stage_graph(q: int, phases: int) -> list[StageNode]:
-    """The full (broadcast, submit, gather, merge, prune) stage graph for
-    a ``q × q`` grid expanding in ``phases`` phases, in execution order.
-
-    Channels are shared across stages on purpose: stage ``k+1``'s
-    broadcast of row ``i`` serializes behind stage ``k``'s on the same
-    ``row:i`` link, which — together with the consumed-stage gate the
-    engine applies — bounds the pipeline to two live stages of slabs.
-    """
-    if q < 1:
-        raise ValueError(f"grid dimension must be >= 1: {q}")
-    if phases < 1:
-        raise ValueError(f"phase count must be >= 1: {phases}")
-    row_channels = tuple(f"row:{i}" for i in range(q))
-    col_channels = tuple(f"col:{j}" for j in range(q))
-    nodes: list[StageNode] = []
-    for p in range(phases):
-        for k in range(q):
-            nodes.append(
-                StageNode(
-                    index=len(nodes),
-                    phase=p,
-                    stage=k,
-                    row_channels=row_channels,
-                    col_channels=col_channels,
-                    first_in_phase=k == 0,
-                    last_in_phase=k == q - 1,
-                )
-            )
-    return nodes
-
-
 def plan_merge_strategy(
     total_elements: int,
     shape,

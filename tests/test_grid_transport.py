@@ -1,6 +1,8 @@
 """Unit tests of the sparsity-aware hybrid transport: the pure selector,
 the ``transport.select`` metric, and the p2p → broadcast demotion rung."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -157,7 +159,7 @@ class TestDemotionRung:
         dist, slabs, slab_bytes = _stage_inputs()
         model = Grid3DModel(4, 4, "p2p")
         comm = _StubComm()
-        model.charge_stage_sync(comm, 0, 0, dist, slabs, slab_bytes)
+        model.post_stage(comm, 0, 0, dist, slabs, slab_bytes)
         assert model.transport_demotions == 1
         assert model._effective_transport() == "broadcast"
         # Exactly one p2p attempt (first B group), then broadcast
@@ -168,7 +170,7 @@ class TestDemotionRung:
         assert len(b_groups) >= model.q3
         # The rung is permanent: the next stage never tries p2p again.
         before = len(comm.calls)
-        model.charge_stage_sync(comm, 1, 0, dist, slabs, slab_bytes)
+        model.post_stage(comm, 1, 0, dist, slabs, slab_bytes)
         assert all(c[0] != "p2p" for c in comm.calls[before:])
         assert model.transport_demotions == 1
         assert model.transport_selections["broadcast"] >= model.q3
@@ -178,8 +180,7 @@ class TestDemotionRung:
         model = Grid3DModel(4, 4, "p2p")
         tr = Tracer()
         with activate(tr):
-            model.charge_stage_sync(_StubComm(), 0, 0, dist, slabs,
-                                    slab_bytes)
+            model.post_stage(_StubComm(), 0, 0, dist, slabs, slab_bytes)
         instants = tr.find("fault.transport_demotion")
         assert len(instants) == 1
         assert instants[0].attrs == {"demotions": 1}
@@ -188,8 +189,7 @@ class TestDemotionRung:
         dist, slabs, slab_bytes = _stage_inputs()
         model = Grid3DModel(4, 4, "p2p", demote_transport=False)
         with pytest.raises(InjectedCommFailure):
-            model.charge_stage_sync(_StubComm(), 0, 0, dist, slabs,
-                                    slab_bytes)
+            model.post_stage(_StubComm(), 0, 0, dist, slabs, slab_bytes)
         assert model.transport_demotions == 0
         assert model._effective_transport() == "p2p"
 
@@ -197,8 +197,8 @@ class TestDemotionRung:
         dist, slabs, slab_bytes = _stage_inputs()
         model = Grid3DModel(4, 4, "p2p")
         comm = _StubComm()
-        a_h, b_h, uniq = model.post_stage_async(
-            comm, 0, 0, dist, slabs, slab_bytes, 0.0
+        a_h, b_h, _, _, uniq = model.post_stage(
+            comm, 0, 0, dist, slabs, slab_bytes, gate=0.0
         )
         assert model.transport_demotions == 1
         # Every handle resolved to a broadcast post after the demotion.
@@ -207,6 +207,32 @@ class TestDemotionRung:
         assert len(uniq) == 2 * model.q3
         assert all(h is not None for h in a_h)
         assert all(h is not None for h in b_h)
+
+    @pytest.mark.parametrize("gate", [None, 0.0])
+    def test_demoted_model_posts_like_broadcast_model(self, gate):
+        # A resumed run rebuilds its model on the broadcast transport
+        # instead of re-arming the rung: from the next stage on, the two
+        # post the same transfers, land the same clocks and count the same.
+        dist, slabs, slab_bytes = _stage_inputs()
+        demoted = Grid3DModel(4, 4, "p2p")
+        demoted.post_stage(_StubComm(), 0, 0, dist, slabs, slab_bytes)
+        assert demoted.transport_demotions == 1
+        fresh = Grid3DModel(4, 4, "broadcast")
+        runs = []
+        for model in (demoted, fresh):
+            comm = VirtualComm(16, SUMMIT_LIKE)
+            before = Counter(model.transport_selections)
+            posted = model.post_stage(
+                comm, 1, 0, dist, slabs, slab_bytes, gate=gate
+            )
+            runs.append((
+                posted[0], posted[1], posted[4],
+                [(c.cpu.free_at, c.gpu.free_at) for c in comm.clocks],
+                comm.link_busy_seconds(),
+                Counter(model.transport_selections) - before,
+            ))
+        assert runs[0] == runs[1]
+        assert runs[1][-1] == {"broadcast": fresh.q3}
 
     def test_injected_exhaustion_demotes_without_changing_numerics(self):
         # End to end through the real communicator: an injector that

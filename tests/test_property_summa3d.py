@@ -16,7 +16,6 @@ from repro.summa import (
     Grid3DModel,
     SummaConfig,
     plan_phases,
-    summa3d_multiply,
     summa_multiply,
 )
 
@@ -73,7 +72,6 @@ def test_grid3d_model_is_bit_identical_to_2d(instance):
     model = Grid3DModel(q, layers)
     res, _ = _run(mat, q, phases, model=model)
     _assert_blocks_identical(ref, res)
-    assert res.grid == "3d" and res.layers == model.layers
     expected = mat.to_dense() @ mat.to_dense()
     assert np.allclose(res.dist_c.to_global().to_dense(), expected, atol=1e-9)
 
@@ -141,17 +139,3 @@ def test_replication_byte_accounting_is_c_fold(nnz, procs, budget, c):
         repl.bytes_per_process, c * base.bytes_per_process, rel_tol=1e-12
     )
     assert repl.phases >= base.phases
-
-
-@given(grid3d_instances())
-@settings(max_examples=10, deadline=None)
-def test_summa3d_engine_matches_dense(instance):
-    # The genuine layered engine (different fp grouping, so allclose not
-    # bit-equal) still computes A·A.
-    mat, q, layers, phases = instance
-    comm = VirtualComm(q * q, SUMMIT_LIKE)
-    c = Grid3DModel(q, layers).layers  # resolve auto the same way
-    res = summa3d_multiply(mat, mat, comm, SummaConfig(), c)
-    expected = mat.to_dense() @ mat.to_dense()
-    assert np.allclose(res.matrix.to_dense(), expected, atol=1e-9)
-    assert res.layers == c

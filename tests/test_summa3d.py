@@ -1,5 +1,5 @@
-"""Tests for the split-3-D engine (§VII-E's future work, implemented)
-and its promotion to the driver's first-class ``grid="3d"`` choice."""
+"""Tests for the split-3-D grid model (§VII-E's future work) under the
+one engine, and the driver's first-class ``grid="3d"`` choice."""
 
 import dataclasses
 
@@ -8,10 +8,16 @@ import pytest
 
 from repro.errors import GridError
 from repro.machine import SUMMIT_LIKE
-from repro.mpi import VirtualComm
+from repro.mpi import ProcessGrid, VirtualComm
 from repro.sparse import random_csc
-from repro.summa import SummaConfig
-from repro.summa.engine3d import Summa3DResult, summa3d_multiply
+from repro.summa import (
+    DistributedCSC,
+    Grid3DModel,
+    SummaConfig,
+    summa_multiply,
+)
+
+from helpers import assert_same_csc
 
 
 @pytest.fixture
@@ -21,107 +27,81 @@ def operands():
     return a, b, a.to_dense() @ b.to_dense()
 
 
+def _multiply(a, b, procs, model=None, comm=None):
+    grid = ProcessGrid.for_processes(procs)
+    comm = comm or VirtualComm(procs, SUMMIT_LIKE)
+    res = summa_multiply(
+        DistributedCSC.from_global(a, grid),
+        DistributedCSC.from_global(b, grid),
+        comm, SummaConfig(), model=model,
+    )
+    return res, comm
+
+
 class TestCorrectness:
-    @pytest.mark.parametrize("layers,procs", [(1, 16), (2, 32), (4, 64),
-                                              (4, 16)])
+    @pytest.mark.parametrize("layers,procs", [(1, 16), (4, 64), (4, 16)])
     def test_matches_dense(self, operands, layers, procs):
         a, b, expected = operands
-        comm = VirtualComm(procs, SUMMIT_LIKE)
-        res = summa3d_multiply(a, b, comm, SummaConfig(), layers)
-        assert isinstance(res, Summa3DResult)
-        assert np.allclose(res.matrix.to_dense(), expected, atol=1e-9)
+        q = ProcessGrid.for_processes(procs).q
+        res, _ = _multiply(a, b, procs, Grid3DModel(q, layers))
+        assert np.allclose(
+            res.dist_c.to_global().to_dense(), expected, atol=1e-9
+        )
 
     def test_single_layer_equals_2d(self, operands):
-        a, b, expected = operands
-        comm = VirtualComm(16, SUMMIT_LIKE)
-        res = summa3d_multiply(a, b, comm, SummaConfig(), layers=1)
-        assert np.allclose(res.matrix.to_dense(), expected, atol=1e-9)
-        assert res.redistribution_seconds == 0.0
+        a, b, _ = operands
+        ref, ref_comm = _multiply(a, b, 16)
+        res, comm = _multiply(a, b, 16, Grid3DModel(4, 1, "broadcast"))
+        for key, blk in ref.dist_c.blocks.items():
+            assert_same_csc(res.dist_c.blocks[key], blk)
+        assert comm.account_means() == ref_comm.account_means()
+        assert "redistribution" not in comm.account_means()
 
     def test_rectangular(self):
         a = random_csc((60, 90), 0.1, seed=43)
         b = random_csc((90, 40), 0.1, seed=44)
-        comm = VirtualComm(18, SUMMIT_LIKE)  # 2 layers of 3x3
-        res = summa3d_multiply(a, b, comm, SummaConfig(), layers=2)
+        res, _ = _multiply(a, b, 9, Grid3DModel(3, 9))  # 9 layers of 1x1
         assert np.allclose(
-            res.matrix.to_dense(), a.to_dense() @ b.to_dense(), atol=1e-9
+            res.dist_c.to_global().to_dense(),
+            a.to_dense() @ b.to_dense(), atol=1e-9,
         )
 
     def test_empty_product(self):
         from repro.sparse import CSCMatrix
 
         a = CSCMatrix.empty((20, 20))
-        comm = VirtualComm(8, SUMMIT_LIKE)
-        res = summa3d_multiply(a, a, comm, SummaConfig(), layers=2)
-        assert res.matrix.nnz == 0
+        res, _ = _multiply(a, a, 16, Grid3DModel(4, 4))
+        assert res.dist_c.to_global().nnz == 0
 
 
 class TestValidation:
-    def test_bad_layer_split(self, operands):
-        a, b, _ = operands
-        comm = VirtualComm(16, SUMMIT_LIKE)
+    def test_bad_layer_split(self):
         with pytest.raises(GridError):
-            summa3d_multiply(a, b, comm, SummaConfig(), layers=3)
-
-    def test_non_square_layer(self, operands):
-        a, b, _ = operands
-        comm = VirtualComm(24, SUMMIT_LIKE)  # 2 layers of 12: not square
-        with pytest.raises(GridError):
-            summa3d_multiply(a, b, comm, SummaConfig(), layers=2)
+            Grid3DModel(4, 3)
 
     def test_shape_mismatch(self):
         a = random_csc((5, 6), 0.5, seed=1)
         b = random_csc((5, 6), 0.5, seed=2)
-        comm = VirtualComm(4, SUMMIT_LIKE)
-        with pytest.raises(GridError):
-            summa3d_multiply(a, b, comm, SummaConfig(), layers=1)
-
-    def test_zero_layers(self, operands):
-        a, b, _ = operands
-        comm = VirtualComm(16, SUMMIT_LIKE)
-        with pytest.raises(GridError):
-            summa3d_multiply(a, b, comm, SummaConfig(), layers=0)
+        with pytest.raises(ValueError, match="inner dimension"):
+            _multiply(a, b, 4, Grid3DModel(2, 4))
 
 
 class TestAccountingClaims:
     def test_redistribution_charged(self, operands):
         a, b, _ = operands
-        comm = VirtualComm(64, SUMMIT_LIKE)
-        res = summa3d_multiply(a, b, comm, SummaConfig(), layers=4)
-        assert res.redistribution_seconds > 0
-        comm2 = VirtualComm(64, SUMMIT_LIKE)
-        res2 = summa3d_multiply(
-            a, b, comm2, SummaConfig(), layers=4,
-            charge_redistribution=False,
-        )
-        assert res2.redistribution_seconds == 0.0
+        _, comm = _multiply(a, b, 64, Grid3DModel(8, 4))
+        assert comm.account_means()["redistribution"] > 0
+        _, comm1 = _multiply(a, b, 64, Grid3DModel(8, 1))
+        assert "redistribution" not in comm1.account_means()
 
     def test_3d_reduces_broadcast_time(self):
         """§VII-E measured: on the same process count, 3-D spends less
-        time in SUMMA broadcasts than 2-D (fewer, smaller-group stages)."""
+        time in SUMMA broadcasts than 2-D (fewer, smaller-group trees)."""
         a = random_csc((240, 240), 0.05, seed=45)
-        from repro.summa import DistributedCSC, summa_multiply
-        from repro.mpi import ProcessGrid
-
-        comm2d = VirtualComm(64, SUMMIT_LIKE)
-        da = DistributedCSC.from_global(a, ProcessGrid(8))
-        summa_multiply(da, da, comm2d, SummaConfig())
-        bcast_2d = comm2d.account_means().get("summa_bcast", 0.0)
-
-        comm3d = VirtualComm(64, SUMMIT_LIKE)
-        summa3d_multiply(
-            a, a, comm3d, SummaConfig(), layers=4,
-            charge_redistribution=False,
-        )
-        bcast_3d = comm3d.account_means().get("summa_bcast", 0.0)
-        assert bcast_3d < bcast_2d
-
-    def test_kernel_selections_aggregated(self, operands):
-        a, b, _ = operands
-        comm = VirtualComm(32, SUMMIT_LIKE)
-        res = summa3d_multiply(a, b, comm, SummaConfig(), layers=2)
-        assert sum(res.kernel_selections.values()) > 0
-        assert len(res.layer_results) == 2
+        _, comm2d = _multiply(a, a, 64)
+        _, comm3d = _multiply(a, a, 64, Grid3DModel(8, 4, "broadcast"))
+        assert (comm3d.account_means()["summa_bcast"]
+                < comm2d.account_means()["summa_bcast"])
 
 
 class TestHipMCLGrid3D:

@@ -144,8 +144,9 @@ COMMENTARY = {
     ),
     "ablation-3d": (
         "Ablation — 2-D vs split-3-D (§II / §VII-E remarks)",
-        "Measured under the same machine model (and implemented for real "
-        "in repro.summa.engine3d): 3-D cuts broadcast time increasingly "
+        "Measured under the same machine model (and charged on the one "
+        "engine by repro.summa.engine3d's grid model behind --grid 3d): "
+        "3-D cuts broadcast time increasingly "
         "with concurrency (§VII-E) at the price of fiber-combine and "
         "redistribution terms 2-D avoids; the α-β model alone does not "
         "reproduce §II's sparse-case amortization failure (constant-"

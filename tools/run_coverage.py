@@ -2,8 +2,9 @@
 """Run the tier-1 test suite under coverage.py with a committed floor.
 
 The gate watches the execution-backend subsystems — ``src/repro/parallel/``,
-``src/repro/summa/`` (including ``repro.summa.engine3d``, the split-3D
-charge model behind ``--grid 3d`` and its hybrid transport selector),
+``src/repro/summa/`` (including ``repro.summa.engine3d``, the grid
+charge model every expansion runs through — the 2-D grid is its one-layer
+case, ``--grid 3d`` its layered one — and its hybrid transport selector),
 ``src/repro/trace/``, ``src/repro/merge/``,
 ``src/repro/service/``, ``src/repro/mpi/`` and ``src/repro/locality/``
 (the incremental warm-start engine) — because
