@@ -33,8 +33,8 @@ entry compares only against the *same backend and worker count* in the
 baseline, so the gate stays meaningful on boxes where pool overhead
 exceeds the parallel win (e.g. single-core CI runners).
 
-Schema history: version 3 added the ``backend``/``overlap`` report
-fields and nested the scaling section per backend
+Schema history: version 3 added the ``backend`` and (since removed)
+``overlap`` report fields and nested the scaling section per backend
 (``scaling/{net}/{backend}/w{N}``).  Version-2 baselines (process-only
 scaling, ``scaling/{net}/w{N}``) remain comparable: a schema-3 report
 flattens its process-backend scaling rows under the legacy names too.
@@ -157,7 +157,6 @@ def bench_end_to_end(
     repeats: int = 1,
     workers: int | str | None = None,
     backend: str | None = None,
-    overlap: bool | str | None = None,
     trace=None,
     schedule: str | None = None,
     grid: str | None = None,
@@ -194,8 +193,7 @@ def bench_end_to_end(
     def run():
         result["res"] = hipmcl(
             net.matrix, opts, cfg,
-            workers=workers, backend=backend, overlap=overlap,
-            trace=trace,
+            workers=workers, backend=backend, trace=trace,
         )
 
     seconds = _best_of(run, repeats)
@@ -412,14 +410,13 @@ def run_perfbench(
     workers: int | str | None = None,
     scaling: bool = True,
     backend: str | None = None,
-    overlap: bool | str | None = None,
     pipeline: bool = True,
     grid_sweep: bool = True,
     locality: bool = True,
 ) -> dict:
     """Run every benchmark; returns the JSON-serializable report.
 
-    ``workers``/``backend``/``overlap`` select the execution backend for
+    ``workers``/``backend`` select the execution backend for
     the end-to-end runs (resolved values are recorded in the report);
     the scaling sweep pins its own counts and sweeps both pool backends.
     ``scaling=False`` skips the sweep (it costs six extra end-to-end
@@ -431,13 +428,12 @@ def run_perfbench(
     pair (four sweep cells plus three islands-net runs).
     """
     from ..mpi.grid import resolve_grid, resolve_layers
-    from ..parallel import resolve_backend, resolve_overlap, resolve_workers
+    from ..parallel import resolve_backend, resolve_workers
 
     report = {
         "schema": SCHEMA_VERSION,
         "workers": resolve_workers(workers),
         "backend": resolve_backend(backend),
-        "overlap": resolve_overlap(overlap),
         "grid": resolve_grid(None),
         "layers": resolve_layers(None),
         "transport": "hybrid",
@@ -454,7 +450,7 @@ def run_perfbench(
     }
     for net in nets:
         report["end_to_end"][net] = bench_end_to_end(
-            net, repeats=1, workers=workers, backend=backend, overlap=overlap
+            net, repeats=1, workers=workers, backend=backend
         )
         if log:
             log(f"end-to-end {net}: "
@@ -536,7 +532,6 @@ def run_perfbench(
             for w in SCALING_WORKERS:
                 rows[f"w{w}"] = bench_end_to_end(
                     SCALING_NET, repeats=1, workers=w, backend=be,
-                    overlap=overlap,
                 )
                 if log:
                     log(f"scaling {SCALING_NET} {be} workers={w}: "

@@ -110,13 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "bit-identical either way (default: REPRO_BACKEND or process)",
     )
     clu.add_argument(
-        "--overlap", action="store_true", default=None,
-        help="pipeline SUMMA stages: prefetch the next stage's inputs "
-        "and overlap its local multiplies with the current stage's "
-        "merges (needs --workers > 1; bit-identical; default: "
-        "REPRO_OVERLAP or off)",
-    )
-    clu.add_argument(
         "--grid", choices=["2d", "3d"], default=None,
         help="process-grid shape the simulated clocks are modeled on: "
         "the √P×√P SUMMA grid (2d) or the split-3D grid with per-layer "
@@ -333,7 +326,6 @@ def _cmd_cluster(args) -> int:
             (args.fault_seed, "--fault-seed"),
             (args.workers, "--workers"),
             (args.backend, "--backend"),
-            (args.overlap, "--overlap"),
             (args.schedule, "--schedule"),
             (args.grid, "--grid"),
             (args.layers, "--layers"),
@@ -417,7 +409,6 @@ def _cmd_cluster(args) -> int:
                 checkpoint_dir=args.checkpoint_dir,
                 workers=args.workers,
                 backend=args.backend,
-                overlap=args.overlap,
                 trace=tracer,
             )
         except ConvergenceError as exc:

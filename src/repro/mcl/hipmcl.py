@@ -93,7 +93,7 @@ class HipMCLConfig:
     #: double-buffered broadcasts on link clocks and the per-block-column
     #: incremental prune).  A *simulation-semantics* knob — it changes
     #: the modeled timings by design and therefore enters the checkpoint
-    #: fingerprint, unlike the wall-clock workers/backend/overlap knobs.
+    #: fingerprint, unlike the wall-clock workers/backend knobs.
     schedule: str = "sync"
     #: Process-grid shape the simulated clocks/traffic are modeled on:
     #: "2d" (the √P × √P SUMMA grid) or "3d" (the split-3D grid — the
@@ -560,7 +560,6 @@ def hipmcl(
     checkpoint_every: int = 1,
     workers: int | str | None = None,
     backend: str | None = None,
-    overlap: bool | str | None = None,
     trace=None,
     on_iteration=None,
     warm_start=None,
@@ -589,20 +588,17 @@ def hipmcl(
     checkpoint_dir / checkpoint_every:
         Write a checksum-validated checkpoint every ``checkpoint_every``
         completed (non-final) iterations into ``checkpoint_dir``.
-    workers / backend / overlap:
-        Wall-clock execution knobs (see :mod:`repro.parallel`); none of
-        them enters the checkpoint fingerprint, so a run checkpointed
-        under one backend resumes under any other.  ``workers`` is the
-        number of pool workers to fan independent SUMMA local products
-        and per-column prunes across (default ``REPRO_WORKERS``, else
+    workers / backend:
+        Wall-clock execution knobs (see :mod:`repro.parallel`); neither
+        enters the checkpoint fingerprint, so a run checkpointed under
+        one backend resumes under any other.  ``workers`` is the number
+        of pool workers to fan independent SUMMA local products and
+        per-column prunes across (default ``REPRO_WORKERS``, else
         serial); ``backend`` picks the pool flavor — ``"thread"``
         (zero-copy, GIL-released kernels) or ``"process"`` (shared-memory
-        transport) — defaulting to ``REPRO_BACKEND``, else processes;
-        ``overlap`` arms the engine's pipelined stage-overlap scheduler
-        (default ``REPRO_OVERLAP``, else off), bounded by the configured
-        memory budget.  Every combination produces bit-identical
-        results — parallelism relocates computation without reordering
-        any reduction.
+        transport) — defaulting to ``REPRO_BACKEND``, else processes.
+        Every combination produces bit-identical results — parallelism
+        relocates computation without reordering any reduction.
     trace:
         A :class:`repro.trace.Tracer` to record the run into.  The driver
         activates it for the duration of the call, installs the run's
@@ -637,7 +633,6 @@ def hipmcl(
         checkpoint_every=checkpoint_every,
         workers=workers,
         backend=backend,
-        overlap=overlap,
         on_iteration=on_iteration,
     )
     if warm_start is not None:
@@ -670,7 +665,6 @@ def _hipmcl_run(
     checkpoint_every: int = 1,
     workers: int | str | None = None,
     backend: str | None = None,
-    overlap: bool | str | None = None,
     on_iteration=None,
 ) -> HipMCLResult:
     """The driver body behind :func:`hipmcl` (tracer already active)."""
@@ -880,12 +874,56 @@ def _hipmcl_run(
                 )
                 return result
 
+        def charge_column_prune(j, cols):
+            """Charge block column ``j``'s prune: each rank's threshold
+            scan and top-k selection, then the §II candidate exchange
+            along the processor column (each rank contributes at most k
+            entries per column)."""
+            prune_totals["in"] += sum(b.nnz for b in cols)
+            for i, blk in enumerate(cols):
+                clock = comm.clocks[grid.rank_of(i, j)]
+                clock.cpu.schedule(
+                    clock.cpu.free_at,
+                    spec.prune_time(
+                        blk.nnz, threads, threaded_node=config.threaded_node
+                    ),
+                    "prune",
+                )
+                if options.select_number:
+                    clock.cpu.schedule(
+                        clock.cpu.free_at,
+                        spec.topk_time(blk.nnz, options.select_number,
+                                       threads),
+                        "prune",
+                    )
+            if options.select_number:
+                per_rank_cand = min(
+                    max((blk.nnz for blk in cols), default=0),
+                    options.select_number * cols[0].ncols,
+                )
+                comm.alltoall(
+                    grid.col_members(j),
+                    16 * per_rank_cand // max(1, grid.q), "topk_exchange",
+                )
+
+        def recover_column(blocks, j):
+            """Prune block column ``j`` with recovery, which needs the
+            full pre-cutoff column: assemble, prune, split back."""
+            slab = _assemble_block_column(blocks, grid, n, j)
+            pruned, _stats = prune_columns(slab, options)
+            prune_totals["out"] += pruned.nnz
+            return _split_block_column(pruned, grid, n, j)
+
+        def keep_column(j, pruned_col):
+            prune_totals["out"] += sum(b.nnz for b in pruned_col)
+            return {(i, j): pruned_col[i] for i in range(grid.q)}
+
         def _prune_phase(blocks, phase_index):
             pruned_blocks = {}
             # The §II per-column prune protocol is pure (all clock and
-            # exchange accounting happens below, serially), so with a
-            # process executor every block column prunes concurrently;
-            # results are consumed in the usual j order.
+            # exchange accounting happens serially), so with a pool
+            # executor every block column prunes concurrently; results
+            # are consumed in the usual j order.
             batched_prune = None
             if executor.workers > 1 and options.recover_number == 0:
                 from ..parallel.work import prune_block_column
@@ -898,64 +936,20 @@ def _hipmcl_run(
                     ],
                 )
             for j in range(grid.q):
-                col_ranks = grid.col_members(j)
                 col_blocks = [blocks[(i, j)] for i in range(grid.q)]
-                prune_totals["in"] += sum(b.nnz for b in col_blocks)
-                # Local threshold scan + top-k selection work.
-                for i in range(grid.q):
-                    rank = grid.rank_of(i, j)
-                    clock = comm.clocks[rank]
-                    local_nnz = col_blocks[i].nnz
-                    clock.cpu.schedule(
-                        clock.cpu.free_at,
-                        spec.prune_time(
-                            local_nnz, threads,
-                            threaded_node=config.threaded_node,
-                        ),
-                        "prune",
-                    )
-                    if options.select_number:
-                        clock.cpu.schedule(
-                            clock.cpu.free_at,
-                            spec.topk_time(
-                                local_nnz, options.select_number, threads
-                            ),
-                            "prune",
-                        )
-                if options.select_number:
-                    # Candidate exchange along the processor column (§II):
-                    # each rank contributes at most k entries per column.
-                    width = col_blocks[0].ncols
-                    per_rank_cand = min(
-                        max((blk.nnz for blk in col_blocks), default=0),
-                        options.select_number * width,
-                    )
-                    comm.alltoall(
-                        col_ranks, 16 * per_rank_cand // max(1, grid.q),
-                        "topk_exchange",
-                    )
-                if options.recover_number == 0:
-                    # Faithful §II protocol: local top-k candidates →
-                    # exchanged threshold → local filter.  Identical to
-                    # the centralized prune (validated in tests).
-                    pruned_col = (
-                        batched_prune[j]
-                        if batched_prune is not None
-                        else distributed_prune_block_column(
-                            col_blocks, options
-                        )
-                    )
-                    for i in range(grid.q):
-                        pruned_blocks[(i, j)] = pruned_col[i]
-                    prune_totals["out"] += sum(b.nnz for b in pruned_col)
-                else:
-                    # Recovery needs the full pre-cutoff column: assemble.
-                    slab = _assemble_block_column(blocks, grid, n, j)
-                    pruned, _stats = prune_columns(slab, options)
-                    prune_totals["out"] += pruned.nnz
-                    pruned_blocks.update(
-                        _split_block_column(pruned, grid, n, j)
-                    )
+                charge_column_prune(j, col_blocks)
+                if options.recover_number != 0:
+                    pruned_blocks.update(recover_column(blocks, j))
+                    continue
+                # Faithful §II protocol: local top-k candidates →
+                # exchanged threshold → local filter.  Identical to the
+                # centralized prune (validated in tests).
+                pruned_col = (
+                    batched_prune[j]
+                    if batched_prune is not None
+                    else distributed_prune_block_column(col_blocks, options)
+                )
+                pruned_blocks.update(keep_column(j, pruned_col))
             return pruned_blocks
 
         def prune_column_callback(col_blocks, j, phase_index):
@@ -963,55 +957,20 @@ def _hipmcl_run(
             engine the moment that column's merges finish — while the
             next stages' broadcasts are still in flight on the links.
 
-            Charges the same per-column prune/top-k/exchange costs as
-            ``_prune_phase`` in the same per-column order; with a pool
-            the physical prune is deferred (the engine resolves the
-            returned callable in column order), so the simulated
-            accounting is identical across every execution cell.
+            Charges through ``charge_column_prune`` like ``_prune_phase``;
+            with a pool the physical prune is deferred (the engine
+            resolves the returned callable in column order), so the
+            simulated accounting is identical across every execution
+            cell.
             """
             with maybe_span(
                 "prune", "mcl", iteration=it, phase=phase_index, column=j
             ) as psp:
-                col_ranks = grid.col_members(j)
                 cols = [col_blocks[(i, j)] for i in range(grid.q)]
-                nnz_in = sum(b.nnz for b in cols)
-                prune_totals["in"] += nnz_in
-                for i in range(grid.q):
-                    rank = grid.rank_of(i, j)
-                    clock = comm.clocks[rank]
-                    local_nnz = cols[i].nnz
-                    clock.cpu.schedule(
-                        clock.cpu.free_at,
-                        spec.prune_time(
-                            local_nnz, threads,
-                            threaded_node=config.threaded_node,
-                        ),
-                        "prune",
-                    )
-                    if options.select_number:
-                        clock.cpu.schedule(
-                            clock.cpu.free_at,
-                            spec.topk_time(
-                                local_nnz, options.select_number, threads
-                            ),
-                            "prune",
-                        )
-                if options.select_number:
-                    width = cols[0].ncols
-                    per_rank_cand = min(
-                        max((blk.nnz for blk in cols), default=0),
-                        options.select_number * width,
-                    )
-                    comm.alltoall(
-                        col_ranks, 16 * per_rank_cand // max(1, grid.q),
-                        "topk_exchange",
-                    )
-                psp.set(nnz_in=nnz_in)
+                charge_column_prune(j, cols)
+                psp.set(nnz_in=sum(b.nnz for b in cols))
                 if options.recover_number != 0:
-                    slab = _assemble_block_column(col_blocks, grid, n, j)
-                    pruned, _stats = prune_columns(slab, options)
-                    prune_totals["out"] += pruned.nnz
-                    return _split_block_column(pruned, grid, n, j)
+                    return recover_column(col_blocks, j)
                 if executor.workers > 1:
                     from ..parallel.work import prune_block_column
 
@@ -1020,18 +979,10 @@ def _hipmcl_run(
                         label=f"prune column {j}",
                         attrs={"column": j},
                     )
-
-                    def resolve(handle=handle, j=j):
-                        pruned_col = handle.result()[0]
-                        prune_totals["out"] += sum(
-                            b.nnz for b in pruned_col
-                        )
-                        return {(i, j): pruned_col[i] for i in range(grid.q)}
-
-                    return resolve
-                pruned_col = distributed_prune_block_column(cols, options)
-                prune_totals["out"] += sum(b.nnz for b in pruned_col)
-                return {(i, j): pruned_col[i] for i in range(grid.q)}
+                    return lambda: keep_column(j, handle.result()[0])
+                return keep_column(
+                    j, distributed_prune_block_column(cols, options)
+                )
 
         expansion_t0 = comm.barrier()
         busy_before = [
@@ -1056,7 +1007,6 @@ def _hipmcl_run(
                 phase_column_callback=prune_column_callback,
                 injector=summa_injector,
                 executor=executor,
-                overlap=overlap,
                 overlap_budget_bytes=config.memory_budget_bytes,
                 merge_injector=merge_injector,
                 model=grid_model,

@@ -14,13 +14,13 @@ persistent pool.  Two pool kinds implement the protocol:
   zero-copy task passing, shared matrix caches, parallelism from numpy's
   GIL-released sections.
 
-Both offer an asynchronous ``submit_batch``; the SUMMA engine's overlap
-scheduler (``overlap=True``) uses it to run the stage-k merge in the
-parent concurrently with the stage-(k+1) local multiplies in the pool.
+Both offer an asynchronous ``submit_batch``; the SUMMA engine submits
+each stage's local multiplies with it, and the static schedule's
+per-column prune defers its gather with it.
 
 The determinism contract is the same one the numeric kernels and the
-resilience layer pin: every ``(backend, workers, overlap)`` combination
-is **bit-identical** to serial.  Parallelism only relocates computation,
+resilience layer pin: every ``(backend, workers)`` combination is
+**bit-identical** to serial.  Parallelism only relocates computation,
 never reorders a reduction — results are gathered and consumed in the
 same deterministic ``(i, j)`` / column order the serial loop uses, and
 every fault-injection draw stays in the parent.  See
@@ -28,14 +28,13 @@ every fault-injection draw stays in the parent.  See
 
 Backend selection, in precedence order (each axis independently):
 
-1. explicit ``workers=`` / ``backend=`` / ``overlap=`` keywords
-   (``hipmcl``, ``summa_multiply``, the benches) or ``--workers`` /
-   ``--backend`` / ``--overlap`` on the CLI and tools;
-2. the ``REPRO_WORKERS`` / ``REPRO_BACKEND`` / ``REPRO_OVERLAP``
-   environment variables (``REPRO_WORKERS=auto``/``0`` means one worker
-   per usable core);
+1. explicit ``workers=`` / ``backend=`` keywords (``hipmcl``,
+   ``summa_multiply``, the benches) or ``--workers`` / ``--backend`` on
+   the CLI and tools;
+2. the ``REPRO_WORKERS`` / ``REPRO_BACKEND`` environment variables
+   (``REPRO_WORKERS=auto``/``0`` means one worker per usable core);
 3. the defaults: serial execution (one worker), process pools when a
-   count is given without a backend, no stage overlap.
+   count is given without a backend.
 """
 
 from .executor import (
@@ -47,7 +46,6 @@ from .executor import (
     get_executor,
     in_worker,
     resolve_backend,
-    resolve_overlap,
     resolve_workers,
     shutdown_executors,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "get_executor",
     "in_worker",
     "resolve_backend",
-    "resolve_overlap",
     "resolve_workers",
     "shutdown_executors",
     "SHM_MIN_BYTES",

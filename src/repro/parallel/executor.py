@@ -20,8 +20,8 @@ Three backends satisfy the protocol, selected by the ``backend`` axis
 Every backend also offers :meth:`Executor.submit_batch` — the
 *asynchronous* half of the protocol: it returns a :class:`BatchHandle`
 whose :meth:`~BatchHandle.result` gathers the ordered results later.
-The SUMMA overlap scheduler uses it to run the stage-k merge in the
-parent concurrently with the stage-(k+1) local multiplies in the pool.
+The SUMMA engine submits each stage's local multiplies through it, and
+the static schedule's per-column prune defers its gather with it.
 
 Nested parallelism is guarded for **both** pool kinds: inside a process
 worker *or* a thread-pool worker, :func:`get_executor` always returns the
@@ -118,29 +118,6 @@ def resolve_backend(backend=None) -> str:
             f"unknown backend {backend!r}; options: {list(BACKENDS)}"
         )
     return backend
-
-
-def resolve_overlap(overlap=None) -> bool:
-    """Resolve the stage-overlap flag: explicit > ``REPRO_OVERLAP`` > off.
-
-    Accepts booleans or the strings ``"0"/"1"/"true"/"false"/"on"/"off"``.
-    """
-    if overlap is None:
-        env = os.environ.get("REPRO_OVERLAP", "").strip().lower()
-        if not env:
-            return False
-        overlap = env
-    if isinstance(overlap, str):
-        low = overlap.lower()
-        if low in ("1", "true", "on", "yes"):
-            return True
-        if low in ("0", "false", "off", "no"):
-            return False
-        raise ValueError(
-            f"overlap must be a boolean or '0'/'1'/'on'/'off', "
-            f"got {overlap!r}"
-        )
-    return bool(overlap)
 
 
 class BatchHandle:

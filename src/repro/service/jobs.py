@@ -2,9 +2,8 @@
 
 A :class:`JobSpec` is the JSON-serializable description of one clustering
 job: where the graph comes from, the clustering options, and the machine
-configuration.  Wall-clock execution knobs (``workers``/``backend``/
-``overlap``) ride along but are **excluded from the cache
-key** — every combination is pinned bit-identical, so they cannot change
+configuration.  Wall-clock execution knobs (``workers``/``backend``)
+ride along but are **excluded from the cache key** — every combination is pinned bit-identical, so they cannot change
 the answer, only how fast it arrives.  This mirrors the checkpoint
 fingerprint contract: a job checkpointed under one backend resumes under
 any other.
@@ -84,7 +83,6 @@ class JobSpec:
     # Wall-clock knobs: never part of the cache key (bit-identical).
     workers: int | str | None = None
     backend: str | None = None
-    overlap: bool | None = None
     #: Optional edge delta (``{"add": [[i, j, w], ...], "remove":
     #: [[i, j], ...]}``) making this an incremental re-clustering job:
     #: ``graph`` is then the *base* graph and the run clusters the

@@ -65,7 +65,6 @@ class ServiceRunner:
         checkpoint_every: int = 1,
         workers=None,
         backend: str | None = None,
-        overlap=None,
         chaos=None,
     ):
         self.service = service
@@ -80,7 +79,6 @@ class ServiceRunner:
         self.checkpoint_every = checkpoint_every
         self.workers = workers
         self.backend = backend
-        self.overlap = overlap
         self.chaos = chaos
         #: Processed-job log of this incarnation: (job_id, outcome).
         self.processed: list[tuple[str, str]] = []
@@ -257,10 +255,6 @@ class ServiceRunner:
                         else self.workers
                     ),
                     backend=spec.backend or self.backend,
-                    overlap=(
-                        spec.overlap if spec.overlap is not None
-                        else self.overlap
-                    ),
                     warm_start=warm,
                     trace=tracer,
                     on_iteration=on_iteration,

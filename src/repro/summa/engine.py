@@ -84,8 +84,8 @@ class SummaConfig:
     #: they run under the previous stage's multiplies and merges.  Unlike
     #: the wall-clock knobs this changes the *simulated* timings (that is
     #: its purpose), so it participates in config fingerprints; within a
-    #: schedule, every (backend, workers, overlap) cell stays
-    #: bit-identical to serial.
+    #: schedule, every (backend, workers) cell stays bit-identical to
+    #: serial.
     schedule: str = "sync"
 
     def __post_init__(self):
@@ -128,7 +128,7 @@ class SummaResult:
     merge_operations: float = 0.0
     #: Physical merges per planned SpKAdd strategy label.  Strategy planning is
     #: a pure function of the inputs and the budget, so these counts are
-    #: identical across every (backend, workers, overlap) cell.
+    #: identical across every (backend, workers) cell.
     merge_strategy_selections: Counter = field(default_factory=Counter)
     #: Injected merge-memory overruns absorbed by the recovery ladder.
     merge_demotions: int = 0
@@ -145,20 +145,6 @@ class SummaResult:
     #: quantity the phase planner (§V) is supposed to keep under the
     #: per-process budget.
     max_rank_resident_bytes: int = 0
-    # -- wall-clock overlap scheduler diagnostics (zero when off) --------
-    #: In-flight stage window the overlap scheduler ran with (0 when the
-    #: scheduler was not armed; 1 means it degraded to single-buffering
-    #: because the budget had no room for a prefetched stage).
-    overlap_window: int = 0
-    #: Stages whose input slabs/exports were prefetched while the parent
-    #: was still accounting the previous stage.
-    prefetched_stages: int = 0
-    #: Modeled seconds of the overlapped (multiply, merge) pairs charged
-    #: as a sum (serial) vs as a max (overlapped); the difference is the
-    #: modeled critical-path time the overlap hides.  Diagnostics only —
-    #: rank clocks are never touched by the scheduler.
-    overlap_serial_seconds: float = 0.0
-    overlap_overlapped_seconds: float = 0.0
     # -- static pipeline schedule (simulated-clock, cell-invariant) ------
     #: The broadcast schedule the multiply ran under ("sync" | "static").
     schedule: str = "sync"
@@ -181,10 +167,6 @@ class SummaResult:
     transport_selections: Counter = field(default_factory=Counter)
     #: p2p → broadcast demotions the fault ladder performed here.
     transport_demotions: int = 0
-
-    @property
-    def overlap_saved_seconds(self) -> float:
-        return self.overlap_serial_seconds - self.overlap_overlapped_seconds
 
 
 def _pick_kernel(
@@ -301,7 +283,6 @@ def summa_multiply(
     executor=None,
     workers: int | str | None = None,
     backend: str | None = None,
-    overlap: bool | str | None = None,
     overlap_budget_bytes: int | None = None,
     merge_injector=_INHERIT,
     model=None,
@@ -333,17 +314,10 @@ def summa_multiply(
     traces, and fault draws are untouched, so every ``(backend, workers)``
     combination is bit-identical to ``workers=1``.
 
-    ``overlap`` (default ``REPRO_OVERLAP``, else off) arms the pipelined
-    stage-overlap scheduler: the stage-(k+1) batch — its B phase slabs,
-    and with the process backend their shared-memory exports — is built
-    and submitted *before* the parent runs the stage-k accounting pass,
-    so the pool computes the next stage's local multiplies while the
-    parent merges the previous stage's intermediates.  The in-flight
-    window is double-buffered at most and shrinks to 1 when
-    ``overlap_budget_bytes`` (the §V estimator budget) has no room for a
-    prefetched stage.  The scheduler reorders only *pure* computation;
-    every clock charge, fault draw, trace event and merge happens in the
-    same serial order, so ``overlap=True`` is bit-identical to serial.
+    ``overlap_budget_bytes`` (the §V estimator budget) bounds the static
+    schedule's double buffer (:func:`~repro.summa.phases.overlap_window`
+    degrades it to the synchronous broadcasts when a second in-flight
+    stage does not fit) and the SpKAdd strategy planning.
 
     ``injector`` threads fault injection into the engine-created devices
     and the CPU hash kernel.  Faulted kernels demote along the ladder
@@ -400,51 +374,24 @@ def summa_multiply(
     #: fault draws, or result accounting, keeping traced runs bit-identical.
     tracer = current_tracer()
     parallel_stages = executor.workers > 1
-    from ..parallel import resolve_overlap
-
-    overlap_active = False
-    acct = None
-    armed_window = 0
-    static_requested = config.schedule == "static"
-    static_active = False
     pipeline_window = 0
-    if static_requested or (resolve_overlap(overlap) and parallel_stages):
-        from .phases import OverlapAccounting, overlap_window
+    if config.schedule == "static":
+        from .phases import overlap_window
 
         # Per-rank footprint of one in-flight stage: the largest A block
         # plus the largest B phase slab (a block's columns split h ways).
-        a_max = max(
-            (
-                dist_a.block_storage_bytes(i, kk)
-                for i in range(q)
-                for kk in range(q)
-            ),
-            default=0,
+        cells = [(i, j) for i in range(q) for j in range(q)]
+        a_max = max(dist_a.block_storage_bytes(i, j) for i, j in cells)
+        b_max = max(dist_b.block_storage_bytes(i, j) for i, j in cells)
+        # Double-buffered broadcasts hold a second stage of slabs live,
+        # so a budget with no room degrades to the synchronous schedule.
+        # The window is independent of the executor: the static schedule
+        # changes simulated time and must be identical across every
+        # (backend, workers) cell.
+        pipeline_window = overlap_window(
+            int(a_max + (b_max + phases - 1) // phases), overlap_budget_bytes
         )
-        b_max = max(
-            (
-                dist_b.block_storage_bytes(kk, j)
-                for kk in range(q)
-                for j in range(q)
-            ),
-            default=0,
-        )
-        stage_bytes = int(a_max + (b_max + phases - 1) // phases)
-        window = overlap_window(stage_bytes, overlap_budget_bytes)
-        if resolve_overlap(overlap) and parallel_stages:
-            armed_window = window
-            overlap_active = armed_window > 1 and q > 1
-            if overlap_active:
-                acct = OverlapAccounting()
-        if static_requested:
-            # Same byte bound as the wall-clock prefetch: double-buffered
-            # broadcasts hold a second stage of slabs live, so a budget
-            # with no room degrades to the synchronous schedule.  Unlike
-            # ``overlap_active`` this is independent of the executor —
-            # the static schedule changes simulated time and must be
-            # identical across every (backend, workers) cell.
-            pipeline_window = window
-            static_active = pipeline_window > 1
+    static_active = pipeline_window > 1
     if devices is None and config.use_gpu:
         devices = {
             r: [
@@ -460,7 +407,6 @@ def summa_multiply(
         ),
         phases=phases,
     )
-    result.overlap_window = armed_window
     result.schedule = config.schedule
     result.pipeline_window = pipeline_window
     link_busy_before = comm.link_busy_seconds()
@@ -529,7 +475,7 @@ def summa_multiply(
     # p+1, and the per-column prune between them runs while those
     # broadcasts are on the wires.  `node_consumed[n]` gates the double
     # buffer: issue(s) waits for consumed(s-2), bounding live slabs to
-    # two stages exactly like `overlap_window`.  The model's channels are
+    # the two stages `overlap_window` granted.  The model's channels are
     # shared across stages, so stage k+1's row-i tree serializes behind
     # stage k's on the same link.
     n_nodes = phases * q
@@ -591,19 +537,14 @@ def summa_multiply(
         }
         input_bytes_peak = np.zeros((q, q), dtype=np.int64)
 
-        # Stages prepared ahead of the serial pass: k -> (slabs, slab
-        # byte counts, batched (i, j) pairs, in-flight batch handle).
-        # Preparing a stage builds (or memo-hits) its B phase slabs and
-        # submits its local-multiply batch — with the process backend the
-        # submit itself performs the shared-memory slab exports, so
-        # preparing stage k+1 early is exactly the §III prefetch.
-        staged: dict[int, tuple] = {}
-
-        def submit_stage(k: int, prefetch: bool = False) -> None:
-            with maybe_span(
-                "prefetch" if prefetch else "submit", "summa",
-                phase=p, stage=k,
-            ) as sp:
+        for k in range(q):
+            # Each stage builds (or memo-hits) its B phase slabs and, with
+            # a pool executor, submits its independent (i, j) local
+            # multiplies; the accounting pass below then consumes them in
+            # the same deterministic (i, j) order it would have computed
+            # them in.  Serially, the handle stays None and the pass
+            # computes inline — byte-for-byte the same products.
+            with maybe_span("submit", "summa", phase=p, stage=k) as sp:
                 slabs, slab_bytes = stage_slabs(k, p)
                 pairs: list[tuple[int, int]] = []
                 handle = None
@@ -625,16 +566,6 @@ def summa_multiply(
                             attrs={"phase": p, "stage": k},
                         )
                 sp.set(tasks=len(pairs))
-                staged[k] = (slabs, slab_bytes, pairs, handle)
-
-        # Per-stage modeled durations feeding the overlap diagnostics:
-        # stage-k merges overlap stage-(k+1) multiplies.
-        mult_seconds = np.zeros(q)
-        merge_seconds = np.zeros(q)
-        for k in range(q):
-            if k not in staged:
-                submit_stage(k)
-            slabs, slab_bytes, pairs, handle = staged.pop(k)
             node_idx = p * q + k
             stage_window_t0 = 0.0
             if static_active:
@@ -656,27 +587,13 @@ def summa_multiply(
                 out=input_bytes_peak,
             )
             # -- local multiplies ---------------------------------------------
-            # With a pool executor, every (i, j) product of the stage is
-            # computed across the pool up front; the accounting pass below
-            # then consumes them in the same deterministic (i, j) order it
-            # would have computed them in.  Serially, the handle stays
-            # None and the pass computes inline — byte-for-byte the old
-            # path.  With overlap armed, stage k+1 is built and submitted
-            # *before* stage k is gathered: the pool's workers roll
-            # straight from stage-k tasks into stage-(k+1) tasks while
-            # the parent runs stage k's accounting and merge events.
-            if overlap_active and k + 1 < q:
-                submit_stage(k + 1, prefetch=True)
-                result.prefetched_stages += 1
             stage_products = None
             if handle is not None:
                 with maybe_span(
                     "gather", "summa", phase=p, stage=k, tasks=len(pairs)
                 ):
                     stage_products = dict(zip(pairs, handle.result()))
-            # The whole accounting-and-merge pass is one main-lane span;
-            # with overlap armed, stage-(k+1) worker multiplies run under
-            # it — the trace's evidence of the §III pipeline.
+            # The whole accounting-and-merge pass is one main-lane span.
             merge_span = maybe_span("merge", "summa", phase=p, stage=k)
             stage_available = 0.0
             stage_ranks = model.stage_ranks(k)
@@ -791,7 +708,6 @@ def summa_multiply(
                         mult_end = clock.gpu.schedule(
                             clock.gpu.free_at, kern_s, "local_spgemm"
                         )
-                        mult_seconds[k] += kern_s
                         done = clock.gpu.schedule(
                             clock.gpu.free_at, spec.d2h_time(d2h), "d2h"
                         )
@@ -821,7 +737,6 @@ def summa_multiply(
                         available = clock.cpu.schedule(
                             ready, dur, "local_spgemm"
                         )
-                        mult_seconds[k] += dur
                         if config.trace:
                             result.trace.append(
                                 (rank, p, k, "cpu_mult",
@@ -859,7 +774,6 @@ def summa_multiply(
                         end = clock.cpu.schedule(
                             max(clock.cpu.free_at, available), dur, "merge"
                         )
-                        merge_seconds[k] += dur
                         if config.trace:
                             result.trace.append(
                                 (rank, p, k, "merge", end - dur, end)
@@ -888,11 +802,6 @@ def summa_multiply(
                     issue_node(node_idx + 2)
             if not config.pipelined:
                 comm.barrier()
-        if acct is not None:
-            for kk in range(q - 1):
-                acct.charge(
-                    float(mult_seconds[kk + 1]), float(merge_seconds[kk])
-                )
         # -- phase wrap-up: final merges, callback -----------------------------
         def finish_state(i: int, j: int) -> CSCMatrix:
             # Final merges run on the block's post-combine owner: the
@@ -996,8 +905,11 @@ def summa_multiply(
                         t0_sim=prune_t0, t1_sim=prune_t1,
                         phase=p, column=j,
                     )
+                # Each in-flight transfer once: members of a 3-D group
+                # share one tree handle, so the per-row / per-column
+                # handle lists would count it r times.
                 for hs in node_handles.values():
-                    for h in (*hs[0], *hs[1]):
+                    for h in hs[4]:
                         result.prune_bcast_overlap_seconds += (
                             _window_overlap(prune_t0, prune_t1, h)
                         )
@@ -1024,9 +936,6 @@ def summa_multiply(
 
     for key, slabs in kept_slabs.items():
         result.dist_c.blocks[key] = hstack_csc(slabs)
-    if acct is not None:
-        result.overlap_serial_seconds = acct.serial_seconds
-        result.overlap_overlapped_seconds = acct.overlapped_seconds
     result.link_busy_seconds = comm.link_busy_seconds() - link_busy_before
     result.transport_selections = (
         Counter(model.transport_selections) - sel_before

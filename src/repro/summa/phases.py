@@ -1,4 +1,4 @@
-"""Memory-driven phase planning (paper §II and §V) and overlap budgeting.
+"""Memory-driven phase planning (paper §II and §V) and the stage window.
 
 HipMCL expands-and-prunes in ``h`` phases when the *unpruned* product would
 not fit in aggregate memory; the phase count comes from an estimate of
@@ -8,18 +8,18 @@ Cohen estimator in the optimized one.  Under- and over-estimation shift
 (compensated by handing the planner a deflated budget), overestimation
 just adds phases.
 
-The same budget bounds the engine's *wall-clock* stage overlap
-(``overlap=True``): prefetching the stage-(k+1) inputs double-buffers one
-extra stage of A-blocks and B-slabs per rank, so :func:`overlap_window`
-only grants the second in-flight stage when the budget has room for it —
-otherwise the scheduler degrades to the non-overlapped single-buffer
-schedule rather than bust the estimator's plan.
+The same budget bounds the static schedule's double buffer
+(``schedule="static"``): posting the stage-(k+1) broadcasts while stage k
+computes holds one extra stage of A-blocks and B-slabs per rank, so
+:func:`overlap_window` only grants the second in-flight stage when the
+budget has room for it — otherwise the schedule degrades to the
+synchronous single-buffer path rather than bust the estimator's plan.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..merge.lists import BYTES_PER_TRIPLE
 from ..merge.spkadd import (
@@ -154,33 +154,29 @@ def plan_transport(
     )
 
 
-#: Default in-flight stage cap of the overlap scheduler: the current
-#: stage plus one prefetched stage (double buffering).  Deeper windows
-#: buy nothing — the parent consumes stages strictly in order.
+#: In-flight stage cap of the static schedule: the current stage plus
+#: one posted stage (double buffering).  Deeper windows buy nothing —
+#: stages are consumed strictly in order.
 MAX_OVERLAP_WINDOW = 2
 
 
-def overlap_window(
-    stage_input_bytes: int,
-    budget_bytes: int | None,
-    *,
-    max_window: int = MAX_OVERLAP_WINDOW,
-) -> int:
-    """Stages allowed in flight at once under the overlap scheduler.
+def overlap_window(stage_input_bytes: int, budget_bytes: int | None) -> int:
+    """Stages the static schedule may hold in flight at once.
 
     ``stage_input_bytes`` is a per-rank upper bound on one stage's input
     footprint (A block + B phase slab); each in-flight stage holds one
-    such set resident.  With no budget the full window is granted; with a
-    budget the window shrinks so ``window * stage_input_bytes`` stays
-    within it (never below 1 — the non-overlapped schedule needs one
+    such set resident.  With no budget the full double buffer is granted;
+    with a budget the window shrinks so ``window * stage_input_bytes``
+    stays within it (never below 1 — the synchronous schedule needs one
     stage resident regardless, and the §V phase planner is the layer
-    responsible for fitting *that*).
+    responsible for fitting *that*).  A window of 1 degrades
+    ``schedule="static"`` to the synchronous broadcasts.
     """
-    if max_window < 1:
-        raise ValueError(f"max_window must be >= 1, got {max_window}")
     if budget_bytes is None or stage_input_bytes <= 0:
-        return max_window
-    return max(1, min(max_window, int(budget_bytes // stage_input_bytes)))
+        return MAX_OVERLAP_WINDOW
+    return max(
+        1, min(MAX_OVERLAP_WINDOW, int(budget_bytes // stage_input_bytes))
+    )
 
 
 def plan_merge_strategy(
@@ -213,32 +209,3 @@ def plan_merge_strategy(
         ):
             return strategy
     return STRATEGY_LADDER[-1]
-
-
-@dataclass
-class OverlapAccounting:
-    """Simulated-clock view of what the stage overlap hides.
-
-    Each charge pairs work that the overlap scheduler runs concurrently —
-    the stage-k merge events in the parent against the stage-(k+1) local
-    multiplies in the pool.  Overlapped time is charged as the **max** of
-    the two durations, not their sum; the difference is the modeled time
-    the overlap removes from the critical path.  These figures are pure
-    diagnostics derived from modeled durations (the rank clocks are never
-    touched), so arming the scheduler cannot perturb bit-identity.
-    """
-
-    serial_seconds: float = 0.0
-    overlapped_seconds: float = 0.0
-    charges: int = field(default=0)
-
-    def charge(self, compute_seconds: float, merge_seconds: float) -> None:
-        """Account one overlapped (multiply, merge) pair of durations."""
-        self.serial_seconds += compute_seconds + merge_seconds
-        self.overlapped_seconds += max(compute_seconds, merge_seconds)
-        self.charges += 1
-
-    @property
-    def saved_seconds(self) -> float:
-        """Modeled critical-path seconds the overlap hides (max vs sum)."""
-        return self.serial_seconds - self.overlapped_seconds

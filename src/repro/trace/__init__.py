@@ -6,8 +6,8 @@ same evidence.  A :class:`Tracer` records **dual-clock spans** — wall
 time and simulated seconds — with structured attributes, plus a metrics
 stream of point samples, across every layer of a run:
 
-* ``summa_multiply`` stages: broadcasts, prefetch submits, gathers, the
-  merge/accounting pass, with overlap-window attributes;
+* ``summa_multiply`` stages: broadcasts, submits, gathers, the
+  merge/accounting pass, the per-column prune windows;
 * SpGEMM kernel dispatch: the chosen kernel, ``flops``, ``cf``;
 * ``hipmcl`` iterations: estimation (bound vs actual), expansion,
   pruning, inflation, ``nnz``/``chaos`` per iteration;
@@ -20,7 +20,7 @@ Tracing is **off by default and free when off**: instrumentation sites
 read one module global and fall through to a cached no-op.  When on, it
 is **passive**: traced runs are bit-identical to untraced runs (labels,
 simulated seconds, history, kernel selections) — pinned by tests across
-the whole ``(backend, workers, overlap)`` matrix.
+the whole ``(backend, workers)`` matrix.
 
 Typical use::
 
@@ -28,7 +28,7 @@ Typical use::
 
     tracer = Tracer()
     result = hipmcl(matrix, options, config, trace=tracer,
-                    backend="process", workers=4, overlap=True)
+                    backend="process", workers=4)
     write_chrome_trace(tracer, "trace.json")   # load in Perfetto
 
 or from the CLI: ``python -m repro cluster net.mtx --mode optimized
@@ -40,7 +40,6 @@ from .export import (
     chrome_trace_events,
     link_overlap_report,
     merge_report,
-    overlap_pairs,
     spans_from_dicts,
     summarize,
     write_chrome_trace,
@@ -72,7 +71,6 @@ __all__ = [
     "maybe_span",
     "link_overlap_report",
     "merge_report",
-    "overlap_pairs",
     "read_metrics_ndjson",
     "set_tracer",
     "spans_from_dicts",

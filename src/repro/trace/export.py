@@ -5,10 +5,9 @@ The Chrome trace-event format is the lingua franca of timeline viewers —
 directly.  The export draws two process groups:
 
 * **pid 1 — wall clock**: one thread track per lane (``main`` plus one
-  per pool worker), timestamps from ``perf_counter``.  This is where the
-  stage-overlap pipeline becomes visible: the prefetched stage-(k+1)
-  ``local_multiply`` spans in the worker lanes run underneath the main
-  lane's stage-k ``merge`` span.
+  per pool worker), timestamps from ``perf_counter``.  A pool's
+  ``local_multiply`` spans sit in the worker lanes between the main
+  lane's ``submit`` and ``gather`` spans of their stage.
 * **pid 2 — simulated clock**: the same spans re-plotted at their
   simulated-seconds coordinates (spans without a simulated interval are
   omitted).  This is the modeled machine's view — the per-stage
@@ -16,8 +15,8 @@ directly.  The export draws two process groups:
 
 Metric events ride along as counter events on the wall timeline, and the
 text summary (:func:`summarize`) gives the no-viewer-needed digest:
-per-category span totals, worker-lane utilization, overlap evidence, and
-counter totals.
+per-category span totals, worker lanes, link overlap evidence, and counter
+totals.
 """
 
 from __future__ import annotations
@@ -118,41 +117,8 @@ def write_metrics(tracer: Tracer, path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Overlap evidence and the text summary
+# Link overlap evidence and the text summary
 # ---------------------------------------------------------------------------
-
-
-def _stage_of(span: Span):
-    return span.attrs.get("stage")
-
-
-def overlap_pairs(tracer: Tracer) -> list[tuple[Span, Span]]:
-    """(worker multiply span, main merge span) pairs that truly overlap.
-
-    The pipelined scheduler's promise, checked on wall clocks: a
-    stage-(k+1) ``local_multiply`` running in a worker lane while the
-    main lane is inside the stage-k ``merge`` span of the same phase.
-    """
-    merges = [
-        s for s in tracer.spans
-        if s.name == "merge" and s.lane == MAIN_LANE
-        and _stage_of(s) is not None
-    ]
-    tasks = [
-        s for s in tracer.spans
-        if s.name == "local_multiply" and s.lane != MAIN_LANE
-        and _stage_of(s) is not None
-    ]
-    pairs = []
-    for m in merges:
-        for t in tasks:
-            if (
-                t.attrs.get("phase") == m.attrs.get("phase")
-                and _stage_of(t) == _stage_of(m) + 1
-                and t.overlaps(m)
-            ):
-                pairs.append((t, m))
-    return pairs
 
 
 def merge_report(tracer: Tracer) -> dict | None:
@@ -272,11 +238,6 @@ def summarize(tracer: Tracer) -> str:
     if worker_lanes:
         lines.append("")
         lines.append(f"worker lanes: {len(worker_lanes)}")
-        pairs = overlap_pairs(tracer)
-        lines.append(
-            f"prefetch overlap: {len(pairs)} stage-(k+1) multiply span(s) "
-            "overlapping a stage-k merge span"
-        )
     link = link_overlap_report(tracer)
     if link is not None:
         lines.append("")
@@ -328,7 +289,6 @@ __all__ = [
     "chrome_trace_events",
     "write_chrome_trace",
     "write_metrics",
-    "overlap_pairs",
     "link_overlap_report",
     "merge_report",
     "summarize",

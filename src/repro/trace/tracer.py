@@ -16,7 +16,7 @@ runs.  Two design rules keep it safe to leave in the hot paths:
   never *advancing* either.  A traced run produces the same labels,
   simulated seconds, history and kernel selections as an untraced one —
   pinned by ``tests/test_trace_pipeline.py`` across the full
-  ``(backend, workers, overlap)`` matrix.
+  ``(backend, workers)`` matrix.
 
 Every span carries two clocks: the wall interval (``t0_wall``/``t1_wall``,
 ``perf_counter`` seconds — comparable across forked worker processes on
@@ -28,9 +28,9 @@ simulated clock (all modeled accounting happens in the parent) and carry
 
 Lanes: each span records the lane it ran in (``"main"``, or the worker
 thread/process name).  The Chrome-trace export maps lanes to Perfetto
-tracks, which is how the stage-overlap timeline becomes visible — the
-stage-(k+1) ``local_multiply`` spans in the worker lanes run under the
-parent lane's stage-k ``merge`` span.
+tracks, which is how a pool's work becomes visible — each stage's
+``local_multiply`` spans in the worker lanes run between the parent
+lane's ``submit`` and ``gather`` spans.
 """
 
 from __future__ import annotations
@@ -71,12 +71,6 @@ class Span:
         if self.t0_sim is None or self.t1_sim is None:
             return None
         return self.t1_sim - self.t0_sim
-
-    def overlaps(self, other: "Span") -> bool:
-        """True when the two wall intervals genuinely intersect."""
-        return (
-            self.t0_wall < other.t1_wall and other.t0_wall < self.t1_wall
-        )
 
     def to_dict(self) -> dict:
         return {

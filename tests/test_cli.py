@@ -56,9 +56,9 @@ def test_cluster_distributed_mode(tmp_path, capsys):
     assert out.out.strip()  # clusters on stdout
 
 
-def test_cluster_backend_overlap_flags(tmp_path, capsys):
-    # --backend/--overlap select the wall-clock pool; stdout clustering
-    # must be identical to the flagless run for every combination.
+def test_cluster_backend_flags(tmp_path, capsys):
+    # --workers/--backend select the wall-clock pool; stdout clustering
+    # must be identical to the flagless run for every backend.
     net_path = tmp_path / "net.mtx"
     main(["generate", "planted:100:10", "-o", str(net_path)])
     capsys.readouterr()
@@ -69,11 +69,13 @@ def test_cluster_backend_overlap_flags(tmp_path, capsys):
     assert main(base_args) == 0
     expected = capsys.readouterr().out
     for backend in ("serial", "thread", "process"):
-        args = base_args + [
-            "--workers", "2", "--backend", backend, "--overlap",
-        ]
+        args = base_args + ["--workers", "2", "--backend", backend]
         assert main(args) == 0
         assert capsys.readouterr().out == expected
+    # The retired stage-overlap flag is a usage error, not a no-op.
+    with pytest.raises(SystemExit) as exc:
+        main(base_args + ["--overlap"])
+    assert exc.value.code == 2
 
 
 def test_cluster_schedule_flag(tmp_path, capsys):
@@ -107,7 +109,7 @@ def test_cluster_backend_flags_need_distributed_mode(tmp_path, capsys):
     net_path = tmp_path / "net.mtx"
     main(["generate", "planted:100:10", "-o", str(net_path)])
     capsys.readouterr()
-    for extra in (["--backend", "thread"], ["--overlap"]):
+    for extra in (["--backend", "thread"], ["--workers", "2"]):
         assert (
             main(["cluster", str(net_path), "--mode", "reference"] + extra)
             == 2

@@ -182,3 +182,56 @@ def test_stage_cells_each_take_r_squared_products(q, layers):
         assert set(per_cell.values()) == {r * r}
         injective = len(per_cell) == q * q
         assert injective == (model.layers == 1)
+
+
+class _RecordingModel(Grid3DModel):
+    """Records each ``post_stage`` call's deduplicated handle list."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.posted = []
+
+    def post_stage(self, *args, **kwargs):
+        out = super().post_stage(*args, **kwargs)
+        self.posted.append(out[4])
+        return out
+
+
+@pytest.mark.parametrize("layers", [1, 4])
+def test_prune_overlap_counts_each_tree_once(layers):
+    # The per-column prune window intersects every transfer still in
+    # flight — nodes (p+1)·q and (p+1)·q+1 of the static stage sequence —
+    # once per tree.  Under c = 4 (r = 2) two block rows / columns share
+    # one tree handle, which the per-row / per-column lists repeat.
+    from repro.trace import Tracer, activate
+
+    q, phases = 4, 3
+    grid = ProcessGrid(q)
+    dist = DistributedCSC.from_global(rmat_network(5, 4, seed=3).matrix, grid)
+    comm = VirtualComm(grid.size, SUMMIT_LIKE)
+    model = _RecordingModel(q, layers, "broadcast")
+
+    def prune(col_blocks, j, p):
+        for rank in grid.col_members(j):
+            cpu = comm.clocks[rank].cpu
+            cpu.schedule(cpu.free_at, 1e-4, "prune")
+        return col_blocks
+
+    tracer = Tracer()
+    with activate(tracer):
+        res = summa_multiply(
+            dist, dist, comm, SummaConfig(schedule="static"), phases=phases,
+            phase_column_callback=prune, model=model,
+        )
+    assert res.pipeline_window == 2
+    assert len(model.posted) == phases * q  # one post per node, in order
+    expected = 0.0
+    for span in tracer.find("prune.column"):
+        p = span.attrs["phase"]
+        for node in ((p + 1) * q, (p + 1) * q + 1):
+            for h in model.posted[node] if node < phases * q else ():
+                expected += max(
+                    0.0, min(span.t1_sim, h.end) - max(span.t0_sim, h.start)
+                )
+    assert expected > 0.0
+    assert res.prune_bcast_overlap_seconds == pytest.approx(expected)

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 import repro.perf
 from repro.mcl.hipmcl import HipMCLConfig, hipmcl
@@ -23,7 +25,7 @@ def test_environment_variables_are_pinned():
     for path in Path(repro.__file__).parent.rglob("*.py"):
         names |= set(ENV_NAME.findall(path.read_text()))
     assert names == {
-        "WORKERS", "BACKEND", "OVERLAP", "GRID", "LAYERS", "BENCH_FAST",
+        "WORKERS", "BACKEND", "GRID", "LAYERS", "BENCH_FAST",
     }
 
 
@@ -34,12 +36,15 @@ def test_driver_and_job_surfaces_are_pinned():
     ]
     assert keywords == [
         "strict", "faults", "resume_from", "checkpoint_dir",
-        "checkpoint_every", "workers", "backend", "overlap", "trace",
+        "checkpoint_every", "workers", "backend", "trace",
         "on_iteration", "warm_start",
     ]
+    # A retired knob is an error, not a silently ignored keyword.
+    with pytest.raises(TypeError):
+        hipmcl(None, overlap=True)
     assert [f.name for f in dataclasses.fields(JobSpec)] == [
         "graph", "mode", "nodes", "options", "config", "workers",
-        "backend", "overlap", "delta",
+        "backend", "delta",
     ]
     assert [f.name for f in dataclasses.fields(HipMCLConfig)] == [
         "nodes", "spec", "kernel", "merge", "pipelined", "use_gpu",

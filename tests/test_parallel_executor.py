@@ -19,7 +19,6 @@ from repro.parallel import (
     ThreadExecutor,
     get_executor,
     resolve_backend,
-    resolve_overlap,
     resolve_workers,
     shutdown_executors,
 )
@@ -71,7 +70,6 @@ class TestResolveBackend:
     @pytest.fixture(autouse=True)
     def _clean(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_OVERLAP", raising=False)
 
     def test_default_is_process(self):
         assert resolve_backend() == "process"
@@ -86,27 +84,6 @@ class TestResolveBackend:
     def test_invalid_backend_rejected(self, bad):
         with pytest.raises(ValueError, match="backend"):
             resolve_backend(bad)
-
-    def test_overlap_defaults_off(self):
-        assert resolve_overlap() is False
-        assert resolve_overlap(None) is False
-
-    @pytest.mark.parametrize(
-        ("raw", "expected"),
-        [(True, True), (False, False), ("1", True), ("0", False),
-         ("on", True), ("off", False), ("Yes", True), ("no", False)],
-    )
-    def test_overlap_values(self, raw, expected):
-        assert resolve_overlap(raw) is expected
-
-    def test_overlap_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OVERLAP", "1")
-        assert resolve_overlap() is True
-        assert resolve_overlap(False) is False  # explicit beats env
-
-    def test_invalid_overlap_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
-            resolve_overlap("sometimes")
 
 
 # ---------------------------------------------------------------------------

@@ -73,10 +73,9 @@ def test_merge_schedule_invariance(instance, merge):
     phases=st.integers(1, 3),
 )
 @settings(max_examples=15, deadline=None)
-def test_overlap_thread_backend_bit_identical(scale, edge_factor, seed, q,
-                                              phases):
-    # Random R-MAT inputs through the armed overlap scheduler on the
-    # thread backend: simulated clocks, kernel selections and the product
+def test_thread_backend_bit_identical(scale, edge_factor, seed, q, phases):
+    # Random R-MAT inputs through the stage batches of the thread
+    # backend: simulated clocks, kernel selections and the product
     # itself must equal the serial run exactly — not approximately.
     from repro.nets import rmat_network
 
@@ -92,7 +91,7 @@ def test_overlap_thread_backend_bit_identical(scale, edge_factor, seed, q,
         return res, [(c.cpu.free_at, c.gpu.free_at) for c in comm.clocks]
 
     ser, ser_clocks = run()
-    par, par_clocks = run(workers=2, backend="thread", overlap=True)
+    par, par_clocks = run(workers=2, backend="thread")
     assert par_clocks == ser_clocks
     assert par.kernel_selections == ser.kernel_selections
     assert par.stage_flops == ser.stage_flops

@@ -106,18 +106,17 @@ def test_transport_mode_changes_clocks_not_numerics(instance):
     scale=st.integers(3, 5),
     edge_factor=st.integers(2, 6),
     seed=st.integers(0, 10_000),
-    overlap=st.booleans(),
+    pool=st.booleans(),
 )
 @settings(max_examples=10, deadline=None)
-def test_grid3d_model_overlap_bit_identical(scale, edge_factor, seed,
-                                            overlap):
-    # R-MAT inputs through the armed overlap scheduler with the 3D model:
-    # still bit-identical to the plain serial 2-D run.
+def test_grid3d_model_pool_bit_identical(scale, edge_factor, seed, pool):
+    # R-MAT inputs through the thread pool's stage batches with the 3D
+    # model: still bit-identical to the plain serial 2-D run.
     from repro.nets import rmat_network
 
     mat = rmat_network(scale, edge_factor, seed=seed).matrix
     ref, _ = _run(mat, 4, 2)
-    kw = {"workers": 2, "backend": "thread", "overlap": True} if overlap else {}
+    kw = {"workers": 2, "backend": "thread"} if pool else {}
     res, _ = _run(mat, 4, 2, model=Grid3DModel(4, 4), **kw)
     _assert_blocks_identical(ref, res)
 

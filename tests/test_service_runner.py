@@ -133,7 +133,7 @@ class TestResultCache:
 
     def test_wall_clock_knobs_share_a_cache_key(self, net_path):
         base = make_spec(net_path)
-        tuned = make_spec(net_path, workers=2, backend="thread", overlap=True)
+        tuned = make_spec(net_path, workers=2, backend="thread")
         assert base.cache_key() == tuned.cache_key()
 
     def test_option_changes_split_the_cache_key(self, net_path):
@@ -191,6 +191,9 @@ class TestFailurePath:
     def test_malformed_spec_dict_rejected(self):
         with pytest.raises(ServiceError, match="malformed job spec"):
             JobSpec.from_dict({"graph": "x.mtx", "warp": 9})
+        # The retired stage-overlap knob is no longer a field either.
+        with pytest.raises(ServiceError, match="malformed job spec"):
+            JobSpec.from_dict({"graph": "x.mtx", "overlap": True})
 
     def test_unparseable_queued_spec_fails_instead_of_poisoning(
         self, service, clock, net_path
@@ -202,7 +205,7 @@ class TestFailurePath:
         # be requeued forever.
         row = {
             **make_spec(net_path).to_dict(), "merge_impl": "tree",
-            "priority": 1,
+            "overlap": True, "priority": 1,
         }
         poison = service.queue.submit(row, max_retries=1, backoff_base=0.0)
         good = service.submit(make_spec(net_path))

@@ -228,7 +228,7 @@ def _phased_engine_run(tracer=None, workers=4, **kwargs):
     with activate(tracer):
         return summa_multiply(
             dist, dist, comm, SummaConfig(), phases=2,
-            workers=workers, backend="thread", overlap=True, **kwargs,
+            workers=workers, backend="thread", **kwargs,
         )
 
 
@@ -347,7 +347,7 @@ class TestMergeFaultLadder:
         ref = self._run(workers=1)
         assert ref.merge_demotions > 0
         assert ref.faults_injected.get("merge", 0) > 0
-        run = self._run(workers=2, backend="thread", overlap=True)
+        run = self._run(workers=2, backend="thread")
         assert np.array_equal(run.labels, ref.labels)
         assert run.elapsed_seconds == ref.elapsed_seconds
         assert run.merge_demotions == ref.merge_demotions

@@ -254,21 +254,4 @@ class TestOverlapBudgeting:
         assert overlap_window(1000, 2000) == 2
         assert overlap_window(1000, 1999) == 1
         assert overlap_window(1000, 10) == 1  # never below 1
-
-    def test_max_window_caps_and_validates(self):
-        from repro.summa.phases import overlap_window
-
-        assert overlap_window(1, 10**9, max_window=3) == 3
-        with pytest.raises(ValueError):
-            overlap_window(1, None, max_window=0)
-
-    def test_accounting_charges_max_not_sum(self):
-        from repro.summa.phases import OverlapAccounting
-
-        acct = OverlapAccounting()
-        acct.charge(3.0, 1.0)
-        acct.charge(0.5, 2.0)
-        assert acct.charges == 2
-        assert acct.serial_seconds == pytest.approx(6.5)
-        assert acct.overlapped_seconds == pytest.approx(5.0)
-        assert acct.saved_seconds == pytest.approx(1.5)
+        assert overlap_window(1, 10**9) == 2  # double buffering at most

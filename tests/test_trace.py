@@ -11,13 +11,11 @@ from repro.trace import (
     MAIN_LANE,
     NULL_SPAN,
     MetricEvent,
-    Span,
     Tracer,
     activate,
     chrome_trace_events,
     current_tracer,
     maybe_span,
-    overlap_pairs,
     read_metrics_ndjson,
     set_tracer,
     spans_from_dicts,
@@ -248,36 +246,6 @@ class TestExport:
         assert "spans" in text
         assert "summa/outer" in text
         assert "counter kernel.cpu-heap: 4" in text
-
-    def test_overlap_pairs_synthetic(self):
-        tr = Tracer()
-        mk = lambda **kw: Span(**{  # noqa: E731
-            "id": 0, "parent": None, "name": "", "cat": "summa",
-            "lane": MAIN_LANE, "t0_wall": 0.0, "t1_wall": 0.0, **kw,
-        })
-        tr.spans = [
-            mk(id=1, name="merge", t0_wall=0.0, t1_wall=2.0,
-               attrs={"phase": 0, "stage": 0}),
-            # Overlapping stage-1 multiply in a worker lane: evidence.
-            mk(id=2, name="local_multiply", lane="worker-pid1",
-               t0_wall=1.0, t1_wall=3.0, attrs={"phase": 0, "stage": 1}),
-            # Same stage (not k+1): no evidence.
-            mk(id=3, name="local_multiply", lane="worker-pid1",
-               t0_wall=1.0, t1_wall=3.0, attrs={"phase": 0, "stage": 0}),
-            # Wrong phase: no evidence.
-            mk(id=4, name="local_multiply", lane="worker-pid1",
-               t0_wall=1.0, t1_wall=3.0, attrs={"phase": 1, "stage": 1}),
-            # Main-lane multiply (serial backend): no evidence.
-            mk(id=5, name="local_multiply", t0_wall=1.0, t1_wall=3.0,
-               attrs={"phase": 0, "stage": 1}),
-            # Disjoint in wall time: no evidence.
-            mk(id=6, name="local_multiply", lane="worker-pid1",
-               t0_wall=5.0, t1_wall=6.0, attrs={"phase": 0, "stage": 1}),
-        ]
-        pairs = overlap_pairs(tr)
-        assert len(pairs) == 1
-        task, merge = pairs[0]
-        assert task.id == 2 and merge.id == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,10 @@
 
 Two contracts, end to end.  First, tracing is *passive*: a traced run
 must be bit-identical to the untraced serial reference in every cell of
-the ``(backend, workers, overlap)`` matrix — same labels, same simulated
-seconds, same per-iteration trajectory, same kernel selections.  Second,
-tracing is *faithful*: the recorded spans nest correctly on both clocks,
-worker lanes appear for pool backends, and on the phased network the
-pipelined scheduler's prefetch genuinely overlaps the previous stage's
-merge (ISSUE 5 acceptance evidence, via :func:`overlap_pairs`).
+the ``(backend, workers)`` matrix — same labels, same simulated seconds,
+same per-iteration trajectory, same kernel selections.  Second, tracing
+is *faithful*: the recorded spans nest correctly on both clocks, and
+worker lanes appear for pool backends.
 """
 
 import json
@@ -28,15 +26,14 @@ from repro.trace import (
     chrome_trace_events,
     current_tracer,
     maybe_span,
-    overlap_pairs,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
 
 BACKENDS = ("serial", "thread", "process")
-OVERLAPS = (False, True)
-CELLS = [(be, ov) for be in BACKENDS for ov in OVERLAPS]
-CELL_IDS = [f"{be}-{'overlap' if ov else 'sync'}" for be, ov in CELLS]
+#: Cell ids keep the ``-sync`` suffix they carried next to the retired
+#: wall-clock overlap axis, so the surviving ids stay stable.
+CELL_IDS = [f"{be}-sync" for be in BACKENDS]
 
 CHAOS_SEED = 7
 
@@ -45,7 +42,7 @@ CHAOS_SEED = 7
 def net():
     # The multi-phase regime on a 4x4 grid (same construction as
     # test_backend_matrix's "phased" net): four SUMMA stages per phase,
-    # so prefetch/merge overlap is real, not vacuous.
+    # so every pool backend really fans stage batches out.
     mat = planted_network(120, intra_degree=10.0, inter_degree=1.5, seed=5)
     cfg = HipMCLConfig(nodes=16, memory_budget_bytes=64 * 1024)
     return mat.matrix, cfg
@@ -65,16 +62,15 @@ def reference(net, opts):
 
 @pytest.fixture(scope="module")
 def traced(net, opts):
-    """One traced run per matrix cell: {(backend, overlap): (res, tracer)}."""
+    """One traced run per matrix cell: {backend: (res, tracer)}."""
     mat, cfg = net
     out = {}
-    for backend, overlap in CELLS:
+    for backend in BACKENDS:
         tracer = Tracer()
         res = hipmcl(
-            mat, opts, cfg, workers=2, backend=backend, overlap=overlap,
-            trace=tracer,
+            mat, opts, cfg, workers=2, backend=backend, trace=tracer,
         )
-        out[(backend, overlap)] = (res, tracer)
+        out[backend] = (res, tracer)
     return out
 
 
@@ -91,19 +87,19 @@ def assert_spans_nest(spans):
                 assert p.t0_sim <= s.t0_sim and s.t1_sim <= p.t1_sim
 
 
-@pytest.mark.parametrize(("backend", "overlap"), CELLS, ids=CELL_IDS)
+@pytest.mark.parametrize("backend", BACKENDS, ids=CELL_IDS)
 class TestTracedMatrix:
     def test_bit_identical_to_untraced(self, net, opts, reference, traced,
-                                       backend, overlap):
-        run, _ = traced[(backend, overlap)]
+                                       backend):
+        run, _ = traced[backend]
         assert np.array_equal(run.labels, reference.labels)
         assert run.elapsed_seconds == reference.elapsed_seconds
         assert run.kernel_selections == reference.kernel_selections
         assert run.converged == reference.converged
         assert divergence(reference, run) == []
 
-    def test_spans_cover_the_iteration_loop(self, traced, backend, overlap):
-        run, tracer = traced[(backend, overlap)]
+    def test_spans_cover_the_iteration_loop(self, traced, backend):
+        run, tracer = traced[backend]
         assert len(tracer.find("hipmcl")) == 1
         for name in ("estimate", "expansion", "inflation", "prune"):
             assert tracer.find(name, iteration=1), name  # iterations are 1-based
@@ -112,17 +108,16 @@ class TestTracedMatrix:
         assert tracer.find("broadcast", phase=0, stage=0)
         assert tracer.find("merge", phase=0, stage=0)
 
-    def test_dual_clocks_and_nesting(self, traced, backend, overlap):
-        run, tracer = traced[(backend, overlap)]
+    def test_dual_clocks_and_nesting(self, traced, backend):
+        run, tracer = traced[backend]
         assert_spans_nest(tracer.spans)
         exp = tracer.find("expansion")[-1]
         assert exp.t0_sim is not None and exp.t1_sim is not None
         # The simulated clock in the trace is the run's own clock.
         assert exp.t1_sim <= run.elapsed_seconds
 
-    def test_metrics_stream_records_iterations(self, traced, backend,
-                                               overlap):
-        run, tracer = traced[(backend, overlap)]
+    def test_metrics_stream_records_iterations(self, traced, backend):
+        run, tracer = traced[backend]
         nnz = [m for m in tracer.metrics if m.name == "iteration.nnz"]
         assert [m.value for m in nnz] == [h.nnz_pruned for h in run.history]
         assert nnz[0].attrs["chaos"] == run.history[0].chaos
@@ -138,8 +133,8 @@ class TestTracedMatrix:
             if n:
                 assert tracer.counters.get(f"kernel.{kind}") == n
 
-    def test_worker_lanes(self, traced, backend, overlap):
-        _, tracer = traced[(backend, overlap)]
+    def test_worker_lanes(self, traced, backend):
+        _, tracer = traced[backend]
         lanes = tracer.lanes()
         assert lanes[0] == MAIN_LANE
         if backend == "serial":
@@ -147,32 +142,23 @@ class TestTracedMatrix:
         else:
             assert len(lanes) >= 2  # distinct worker lanes
             assert all(lane.startswith("worker-") for lane in lanes[1:])
+        # Each stage is gathered before its accounting pass, so no pool
+        # multiply runs under a main-lane merge span.
+        merges = [s for s in tracer.find("merge") if s.lane == MAIN_LANE]
+        tasks = [
+            s for s in tracer.find("local_multiply") if s.lane != MAIN_LANE
+        ]
+        assert bool(tasks) == (backend != "serial")
+        for t in tasks:
+            assert not any(
+                t.t0_wall < m.t1_wall and m.t0_wall < t.t1_wall
+                for m in merges
+            )
 
 
-class TestOverlapEvidence:
-    """ISSUE 5 acceptance: the trace *shows* the pipelining."""
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_prefetch_overlaps_previous_merge(self, traced, backend):
-        _, tracer = traced[(backend, True)]
-        assert tracer.find("prefetch"), "armed scheduler recorded no prefetch"
-        pairs = overlap_pairs(tracer)
-        assert len(pairs) >= 1, (
-            "no stage-(k+1) local_multiply span overlapped a stage-k "
-            "merge span in wall time"
-        )
-        for task, merge in pairs:
-            assert task.lane != MAIN_LANE
-            assert task.attrs["stage"] == merge.attrs["stage"] + 1
-            assert task.overlaps(merge)
-
-    def test_sync_runs_have_no_prefetch_spans(self, traced):
-        for backend in BACKENDS:
-            _, tracer = traced[(backend, False)]
-            assert not tracer.find("prefetch")
-
+class TestWorkerLaneExport:
     def test_chrome_export_draws_worker_lanes(self, traced):
-        _, tracer = traced[("process", True)]
+        _, tracer = traced["process"]
         events = chrome_trace_events(tracer)
         thread_names = {
             e["args"]["name"]
@@ -191,7 +177,7 @@ class TestChaosTraced:
         ref = hipmcl(mat, opts, cfg, workers=1, faults=plan)
         tracer = Tracer()
         run = hipmcl(
-            mat, opts, cfg, workers=2, backend="process", overlap=True,
+            mat, opts, cfg, workers=2, backend="process",
             faults=plan, trace=tracer,
         )
         assert run.faults_injected == ref.faults_injected

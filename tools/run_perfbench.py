@@ -10,10 +10,10 @@ highest-numbered BENCH_PR*.json at the repo root (exit 1 on >25 % slowdown):
 
     PYTHONPATH=src python tools/run_perfbench.py --check
 
-Benchmark a pool execution backend, with stage overlap:
+Benchmark a pool execution backend:
 
     PYTHONPATH=src python tools/run_perfbench.py --workers 4 \
-        --backend thread --overlap --no-scaling
+        --backend thread --no-scaling
 
 See src/repro/bench/perfbench.py for what is measured.
 """
@@ -82,11 +82,6 @@ def main(argv=None) -> int:
         "or process); the scaling sweep always sweeps both pool backends",
     )
     parser.add_argument(
-        "--overlap", action="store_true", default=None,
-        help="arm the pipelined stage-overlap scheduler for the "
-        "end-to-end and scaling runs (default: REPRO_OVERLAP or off)",
-    )
-    parser.add_argument(
         "--no-scaling", action="store_true",
         help="skip the worker-scaling sweep (six extra end-to-end runs)",
     )
@@ -144,7 +139,6 @@ def main(argv=None) -> int:
         workers=args.workers,
         scaling=not args.no_scaling,
         backend=args.backend,
-        overlap=args.overlap,
         pipeline=not args.no_pipeline,
         grid_sweep=not args.no_grid,
         locality=not args.no_locality,

@@ -5,14 +5,14 @@ The quickest route to a Perfetto-loadable trace of a simulated HipMCL
 run:
 
     PYTHONPATH=src python tools/run_trace.py eukarya-xs \
-        --backend process --workers 4 --overlap \
+        --backend process --workers 4 \
         --trace trace.json --metrics metrics.ndjson
 
 The positional argument is a catalog network name (``archaea-xs``,
 ``eukarya-xs``, ...) or a path to a MatrixMarket ``.mtx`` file.  The
 script runs the optimized HipMCL configuration with tracing on, writes
 the requested artifacts, and prints the text summary (per-category span
-totals, worker lanes, overlap evidence, the merge phase's wall-clock
+totals, worker lanes, link overlap evidence, the merge phase's wall-clock
 share, counters) so no viewer is needed for a first look.  Load the JSON
 at https://ui.perfetto.dev for the full
 timeline — worker lanes under pid "wall clock", the modeled machine's
@@ -50,7 +50,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--backend", choices=["serial", "thread", "process"], default=None,
     )
-    parser.add_argument("--overlap", action="store_true", default=None)
     parser.add_argument(
         "--schedule", choices=["sync", "static"], default="sync",
         help="expansion schedule: 'static' posts async double-buffered "
@@ -111,7 +110,6 @@ def main(argv=None) -> int:
         trace=tracer,
         workers=args.workers,
         backend=args.backend,
-        overlap=args.overlap,
     )
     wall = time.perf_counter() - t0
 
