@@ -92,6 +92,27 @@ class GPUDevice:
         """Would an ``nbytes`` allocation succeed right now?"""
         return nbytes <= self.free_bytes
 
+    def stage_multiply(self, a_bytes: int, b_bytes: int, c_bytes: int) -> None:
+        """One offloaded multiply's device side: allocate A, B and C, count
+        the launch, free everything.  Raises like :meth:`allocate` and
+        :meth:`count_launch`; the device is left empty either way."""
+        total = a_bytes + b_bytes + c_bytes
+        if self.injector is None and not self._allocated and (
+            total <= self.capacity_bytes
+        ):
+            # Nothing can fail: the same peak and launch count without
+            # the per-tag bookkeeping.
+            self.peak_bytes = max(self.peak_bytes, total)
+            self.kernel_launches += 1
+            return
+        try:
+            self.allocate("A", a_bytes)
+            self.allocate("B", b_bytes)
+            self.allocate("C", c_bytes)
+            self.count_launch()
+        finally:
+            self.free_all()
+
     def count_launch(self) -> None:
         if self.injector is not None and self.injector.gpu_launch_fault():
             from ..resilience.faults import InjectedKernelLaunchError

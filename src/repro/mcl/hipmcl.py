@@ -592,11 +592,11 @@ def hipmcl(
         Wall-clock execution knobs (see :mod:`repro.parallel`); neither
         enters the checkpoint fingerprint, so a run checkpointed under
         one backend resumes under any other.  ``workers`` is the number
-        of pool workers to fan independent SUMMA local products and
-        per-column prunes across (default ``REPRO_WORKERS``, else
-        serial); ``backend`` picks the pool flavor — ``"thread"``
-        (zero-copy, GIL-released kernels) or ``"process"`` (shared-memory
-        transport) — defaulting to ``REPRO_BACKEND``, else processes.
+        of pool workers to fan independent SUMMA local products across
+        (default ``REPRO_WORKERS``, else serial); ``backend`` picks the
+        pool flavor — ``"thread"`` (zero-copy, GIL-released kernels) or
+        ``"process"`` (shared-memory transport) — defaulting to
+        ``REPRO_BACKEND``, else processes.
         Every combination produces bit-identical results — parallelism
         relocates computation without reordering any reduction.
     trace:
@@ -865,123 +865,61 @@ def _hipmcl_run(
         # ---- phased expansion fused with pruning -------------------------------
         prune_totals = {"in": 0, "out": 0}
 
-        def prune_callback(blocks, phase_index):
-            with maybe_span("prune", "mcl", iteration=it,
-                            phase=phase_index) as psp:
-                result = _prune_phase(blocks, phase_index)
-                psp.set(
-                    nnz_in=prune_totals["in"], nnz_out=prune_totals["out"]
-                )
-                return result
+        def prune_column(cols, j, phase_index):
+            """Prune block column ``j`` the moment the engine has finished
+            it (numerics only; the clocks are charged by
+            ``charge_column_prune``)."""
+            with maybe_span(
+                "prune", "mcl", iteration=it, phase=phase_index, column=j
+            ) as psp:
+                if options.recover_number != 0:
+                    # Recovery needs the full pre-cutoff column:
+                    # assemble, prune, split back.
+                    keyed = {(i, j): blk for i, blk in enumerate(cols)}
+                    slab = _assemble_block_column(keyed, grid, n, j)
+                    pruned, _stats = prune_columns(slab, options)
+                    split = _split_block_column(pruned, grid, n, j)
+                    pruned_col = [split[(i, j)] for i in range(grid.q)]
+                else:
+                    # Faithful §II protocol: local top-k candidates →
+                    # exchanged threshold → local filter.  Identical to
+                    # the centralized prune (validated in tests).
+                    pruned_col = distributed_prune_block_column(cols, options)
+                nnz_in = sum(b.nnz for b in cols)
+                nnz_out = sum(b.nnz for b in pruned_col)
+                prune_totals["in"] += nnz_in
+                prune_totals["out"] += nnz_out
+                psp.set(nnz_in=nnz_in, nnz_out=nnz_out)
+                return pruned_col
 
-        def charge_column_prune(j, cols):
+        def charge_column_prune(j, nnz, width):
             """Charge block column ``j``'s prune: each rank's threshold
             scan and top-k selection, then the §II candidate exchange
             along the processor column (each rank contributes at most k
             entries per column)."""
-            prune_totals["in"] += sum(b.nnz for b in cols)
-            for i, blk in enumerate(cols):
+            for i, blk_nnz in enumerate(nnz):
                 clock = comm.clocks[grid.rank_of(i, j)]
                 clock.cpu.schedule(
                     clock.cpu.free_at,
                     spec.prune_time(
-                        blk.nnz, threads, threaded_node=config.threaded_node
+                        blk_nnz, threads, threaded_node=config.threaded_node
                     ),
                     "prune",
                 )
                 if options.select_number:
                     clock.cpu.schedule(
                         clock.cpu.free_at,
-                        spec.topk_time(blk.nnz, options.select_number,
+                        spec.topk_time(blk_nnz, options.select_number,
                                        threads),
                         "prune",
                     )
             if options.select_number:
                 per_rank_cand = min(
-                    max((blk.nnz for blk in cols), default=0),
-                    options.select_number * cols[0].ncols,
+                    max(nnz, default=0), options.select_number * width
                 )
                 comm.alltoall(
                     grid.col_members(j),
                     16 * per_rank_cand // max(1, grid.q), "topk_exchange",
-                )
-
-        def recover_column(blocks, j):
-            """Prune block column ``j`` with recovery, which needs the
-            full pre-cutoff column: assemble, prune, split back."""
-            slab = _assemble_block_column(blocks, grid, n, j)
-            pruned, _stats = prune_columns(slab, options)
-            prune_totals["out"] += pruned.nnz
-            return _split_block_column(pruned, grid, n, j)
-
-        def keep_column(j, pruned_col):
-            prune_totals["out"] += sum(b.nnz for b in pruned_col)
-            return {(i, j): pruned_col[i] for i in range(grid.q)}
-
-        def _prune_phase(blocks, phase_index):
-            pruned_blocks = {}
-            # The §II per-column prune protocol is pure (all clock and
-            # exchange accounting happens serially), so with a pool
-            # executor every block column prunes concurrently; results
-            # are consumed in the usual j order.
-            batched_prune = None
-            if executor.workers > 1 and options.recover_number == 0:
-                from ..parallel.work import prune_block_column
-
-                batched_prune = executor.run_batch(
-                    prune_block_column,
-                    [
-                        ([blocks[(i, j)] for i in range(grid.q)], options)
-                        for j in range(grid.q)
-                    ],
-                )
-            for j in range(grid.q):
-                col_blocks = [blocks[(i, j)] for i in range(grid.q)]
-                charge_column_prune(j, col_blocks)
-                if options.recover_number != 0:
-                    pruned_blocks.update(recover_column(blocks, j))
-                    continue
-                # Faithful §II protocol: local top-k candidates →
-                # exchanged threshold → local filter.  Identical to the
-                # centralized prune (validated in tests).
-                pruned_col = (
-                    batched_prune[j]
-                    if batched_prune is not None
-                    else distributed_prune_block_column(col_blocks, options)
-                )
-                pruned_blocks.update(keep_column(j, pruned_col))
-            return pruned_blocks
-
-        def prune_column_callback(col_blocks, j, phase_index):
-            """Static-schedule prune: one block column, fired by the
-            engine the moment that column's merges finish — while the
-            next stages' broadcasts are still in flight on the links.
-
-            Charges through ``charge_column_prune`` like ``_prune_phase``;
-            with a pool the physical prune is deferred (the engine
-            resolves the returned callable in column order), so the
-            simulated accounting is identical across every execution
-            cell.
-            """
-            with maybe_span(
-                "prune", "mcl", iteration=it, phase=phase_index, column=j
-            ) as psp:
-                cols = [col_blocks[(i, j)] for i in range(grid.q)]
-                charge_column_prune(j, cols)
-                psp.set(nnz_in=sum(b.nnz for b in cols))
-                if options.recover_number != 0:
-                    return recover_column(col_blocks, j)
-                if executor.workers > 1:
-                    from ..parallel.work import prune_block_column
-
-                    handle = executor.submit_batch(
-                        prune_block_column, [(cols, options)],
-                        label=f"prune column {j}",
-                        attrs={"column": j},
-                    )
-                    return lambda: keep_column(j, handle.result()[0])
-                return keep_column(
-                    j, distributed_prune_block_column(cols, options)
                 )
 
         expansion_t0 = comm.barrier()
@@ -1003,8 +941,8 @@ def _hipmcl_run(
                 comm,
                 summa_cfg,
                 phases=attempt_phases,
-                phase_callback=prune_callback,
-                phase_column_callback=prune_column_callback,
+                prune_column=prune_column,
+                charge_column_prune=charge_column_prune,
                 injector=summa_injector,
                 executor=executor,
                 overlap_budget_bytes=config.memory_budget_bytes,

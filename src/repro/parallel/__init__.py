@@ -4,7 +4,7 @@ The simulator's *modeled* concurrency (pipelined Sparse SUMMA overlapping
 stage-k multiplies with stage-(k+1) broadcasts) runs on simulated clocks;
 this package makes the *wall-clock* scale with cores too.  An
 :class:`~repro.parallel.executor.Executor` fans genuinely independent work
-units — per-block local SpGEMMs and per-block-column prunes — across a
+units — the per-block local SpGEMMs of a block column — across a
 persistent pool.  Two pool kinds implement the protocol:
 
 * ``backend="process"`` — a ``multiprocessing`` pool moving CSC blocks
@@ -15,14 +15,13 @@ persistent pool.  Two pool kinds implement the protocol:
   GIL-released sections.
 
 Both offer an asynchronous ``submit_batch``; the SUMMA engine submits
-each stage's local multiplies with it, and the static schedule's
-per-column prune defers its gather with it.
+each block column's local multiplies with it.
 
 The determinism contract is the same one the numeric kernels and the
 resilience layer pin: every ``(backend, workers)`` combination is
 **bit-identical** to serial.  Parallelism only relocates computation,
 never reorders a reduction — results are gathered and consumed in the
-same deterministic ``(i, j)`` / column order the serial loop uses, and
+same deterministic order the serial loop uses, and
 every fault-injection draw stays in the parent.  See
 ``docs/performance.md`` ("Execution backends").
 

@@ -20,8 +20,8 @@ Three backends satisfy the protocol, selected by the ``backend`` axis
 Every backend also offers :meth:`Executor.submit_batch` — the
 *asynchronous* half of the protocol: it returns a :class:`BatchHandle`
 whose :meth:`~BatchHandle.result` gathers the ordered results later.
-The SUMMA engine submits each stage's local multiplies through it, and
-the static schedule's per-column prune defers its gather with it.
+The SUMMA engine submits each block column's local multiplies through
+it.
 
 Nested parallelism is guarded for **both** pool kinds: inside a process
 worker *or* a thread-pool worker, :func:`get_executor` always returns the
@@ -227,12 +227,20 @@ def _run_task(payload):
 
 
 class _ProcessBatch(BatchHandle):
-    """In-flight futures of one process-pool batch."""
+    """In-flight futures of one process-pool batch.
 
-    def __init__(self, executor: "ProcessExecutor", fn, futures, label=None):
+    Holds the submitted task arguments until :meth:`result` returns: a
+    parent-exported segment is unlinked when its matrix is collected, so
+    a matrix only the batch refers to must outlive every worker's attach.
+    """
+
+    def __init__(
+        self, executor: "ProcessExecutor", fn, futures, tasks, label=None
+    ):
         self._executor = executor
         self._fn = fn
         self._futures = futures
+        self._tasks = tasks
         self._label = label
 
     def result(self) -> list:
@@ -254,6 +262,7 @@ class _ProcessBatch(BatchHandle):
                 f"the pool has been discarded and will restart on the next "
                 f"batch (retry with REPRO_WORKERS=1 to bisect)"
             ) from exc
+        self._tasks = None  # every worker has attached and finished
         self._executor._note_success()
         tracer = current_tracer()
         out = []
@@ -393,7 +402,7 @@ class ProcessExecutor:
                 f"{getattr(fn, '__name__', fn)!r}; it will restart on "
                 f"the next batch (retry with REPRO_WORKERS=1 to bisect)"
             ) from exc
-        return _ProcessBatch(self, fn, futures, label)
+        return _ProcessBatch(self, fn, futures, tasks, label)
 
     def run_batch(self, fn, tasks, label=None, attrs=None):
         """Run ``fn(*task)`` for every task across the pool, in order.

@@ -7,7 +7,7 @@ pool but inside the parent's address space, so
   transport, no pickling, no descriptor round-trips;
 * the identity-keyed caches (``column_lengths``, :func:`repro.perf.cache.
   memo`, the memoized DCSC conversions) warmed by a worker are warm for
-  the parent's accounting pass too — the single-flight discipline in
+  the parent too — the single-flight discipline in
   :mod:`repro.perf.cache` keeps concurrent builders from duplicating
   work;
 * the useful parallelism comes from numpy releasing the GIL in its hot

@@ -17,21 +17,14 @@ def local_multiply(a: CSCMatrix, b: CSCMatrix):
     """One SUMMA-stage local product in the row-major form the merge takes:
     ``((A_ik · B_kj)ᵀ, indptr of the product, per-column flops)``.
 
-    Exactly what ``spgemm_esc(a, b, transposed=True)`` returns — the
-    numeric quantities the engine's accounting pass needs per ``(i, j)``
-    block.  The pass itself (kernel selection, clock charges, fault draws,
-    merge events) stays in the parent.
+    Exactly what ``spgemm_esc(a, b, transposed=True)`` returns — what the
+    engine's numeric pass merges and records per product.  The pricing
+    pass (kernel selection, clock charges, fault draws) stays in the
+    parent.
     """
     from ..spgemm.esc import spgemm_esc
 
     return spgemm_esc(a, b, transposed=True)
-
-
-def prune_block_column(blocks: list, options):
-    """Prune one processor column's blocks with the §II protocol."""
-    from ..mcl.distributed_prune import distributed_prune_block_column
-
-    return distributed_prune_block_column(blocks, options)
 
 
 def probe_state():

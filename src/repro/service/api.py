@@ -78,13 +78,14 @@ class ClusterService:
         if isinstance(spec, dict):
             spec = JobSpec.from_dict(spec)
         try:
-            key = spec.cache_key()
+            matrix, _ = spec.load_graph()
+            key = spec.cache_key(matrix)
         except (ReproError, OSError):
             # Graph unreadable *right now* (maybe a transient mount
             # hiccup; maybe truly gone).  Enqueue anyway with no key —
             # the runner retries the load under the job's retry budget
             # and computes the key if it heals.
-            key = None
+            key = matrix = None
         jid = self.queue.submit(
             spec.to_dict(),
             job_id=job_id,
@@ -93,7 +94,7 @@ class ClusterService:
             backoff_base=backoff_base,
         )
         if serve_from_cache and key is not None:
-            cached = self.cache.get(key)
+            cached = self.cache.get(key, n=matrix.ncols)
             if cached is not None:
                 job = self.queue.claim(
                     "cache-submit", lease_seconds=60.0, job_id=jid

@@ -46,8 +46,13 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.npz"
 
-    def get(self, key: str) -> CachedResult | None:
-        """The memoized result for ``key``, or ``None`` (miss/corrupt)."""
+    def get(self, key: str, n: int | None = None) -> CachedResult | None:
+        """The memoized result for ``key``, or ``None`` (miss/corrupt).
+
+        An entry that does not parse into a :class:`CachedResult` — and,
+        given ``n`` (the job graph's vertex count), one whose labels are
+        not one per vertex — is corrupt: a miss, recomputed, never served.
+        """
         path = self._path(key)
         if not path.exists():
             return None
@@ -55,17 +60,20 @@ class ResultCache:
             with np.load(path, allow_pickle=False) as npz:
                 labels = npz["labels"]
                 meta = json.loads(str(npz["meta"]))
-        except (OSError, ValueError, KeyError, json.JSONDecodeError,
-                zipfile.BadZipFile):
+            cached = CachedResult(
+                labels=labels,
+                n_clusters=int(meta["n_clusters"]),
+                iterations=int(meta["iterations"]),
+                converged=bool(meta["converged"]),
+                elapsed_seconds=float(meta["elapsed_seconds"]),
+                history=list(meta["history"]),
+            )
+        except (OSError, ValueError, KeyError, TypeError,
+                json.JSONDecodeError, zipfile.BadZipFile):
             return None  # corrupt entry: treat as a miss, recompute
-        return CachedResult(
-            labels=labels,
-            n_clusters=int(meta["n_clusters"]),
-            iterations=int(meta["iterations"]),
-            converged=bool(meta["converged"]),
-            elapsed_seconds=float(meta["elapsed_seconds"]),
-            history=meta["history"],
-        )
+        if labels.ndim != 1 or (n is not None and len(labels) != n):
+            return None
+        return cached
 
     def put(self, key: str, result) -> Path:
         """Memoize a finished :class:`~repro.mcl.hipmcl.HipMCLResult`."""

@@ -132,7 +132,7 @@ class ServiceRunner:
             state = self.queue.fail(job.id, self.worker_id, str(exc))
             return f"failed-spec:{state}"
 
-        cached = self.service.cache.get(key)
+        cached = self.service.cache.get(key, n=matrix.ncols)
         if cached is not None:
             self.queue.complete(
                 job.id, self.worker_id, _result_payload(cached, key, hit=True)
@@ -143,8 +143,10 @@ class ServiceRunner:
         if spec.delta is not None:
             try:
                 delta = spec.load_delta(matrix)
-                base = self.service.cache.get(spec.base_cache_key(matrix))
-                if base is not None and len(base.labels) == matrix.ncols:
+                base = self.service.cache.get(
+                    spec.base_cache_key(matrix), n=matrix.ncols
+                )
+                if base is not None:
                     # Warm start: keep the base graph, let the driver
                     # apply the delta and re-cluster only the touched
                     # components (labels identical to the cold run).

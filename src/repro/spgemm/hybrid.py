@@ -80,11 +80,25 @@ def select_kernel(
     The decision procedure is the paper's: flops gates CPU vs GPU, cf picks
     the implementation on the chosen side.
     """
-    if gpu_available and profile.flops >= policy.gpu_min_flops:
-        if profile.cf >= policy.gpu_cf_nsparse_min:
+    return kernel_for_work(
+        profile.flops, profile.cf, gpu_available=gpu_available, policy=policy
+    )
+
+
+def kernel_for_work(
+    flops: float,
+    cf: float,
+    *,
+    gpu_available: bool = True,
+    policy: SelectionPolicy = DEFAULT_POLICY,
+) -> KernelKind:
+    """:func:`select_kernel` from the two numbers it reads — what the SUMMA
+    engine calls per stage product, without building a profile."""
+    if gpu_available and flops >= policy.gpu_min_flops:
+        if cf >= policy.gpu_cf_nsparse_min:
             return KernelKind.GPU_NSPARSE
         return KernelKind.GPU_RMERGE2
-    if profile.cf >= policy.cpu_cf_hash_min:
+    if cf >= policy.cpu_cf_hash_min:
         return KernelKind.CPU_HASH
     return KernelKind.CPU_HEAP
 

@@ -10,18 +10,34 @@ One engine implements both §II's classic bulk-synchronous Sparse SUMMA and
 
 Execution model: every rank's program runs in one address space against
 real submatrices, while each rank's CPU/GPU :class:`ResourceTimeline`
-advances by modeled durations.  Broadcasts synchronize their
-subcommunicator (blocking collectives); in pipelined mode the stage-k GPU
-multiply runs concurrently with the stage-(k+1) broadcasts and the CPU
-merge events of the binary schedule, because nothing barriers the ranks
-between stages.  In classic mode a global barrier closes every stage
-(bulk-synchronous, as HipMCL was).
+advances by modeled durations.  Each phase runs in two passes.
+
+* The **numeric pass** goes block-major: for each block column j and
+  each block i it computes the stage products k = 0…q−1, pushes them
+  through that block's merge schedule in k order, and finishes the
+  block; once the column's q blocks are finished, ``prune_column``
+  prunes it.  At most one merge schedule and one block column of
+  unpruned output are live at a time, and the pass keeps only a small
+  record per product (nnz, per-column flops, C's column pointer, the
+  merge events it triggered) and per block (final merge events, peaks).
+* The **pricing pass** replays those records stage-major, in the order
+  the ranks execute them: broadcasts, kernel choice, the GPU
+  degradation ladder, clock charges, fault draws, merge-strategy labels,
+  trace tuples, the per-column ``charge_column_prune`` and the overlap
+  evidence.  Numerics never depend on a price, so splitting the passes
+  changes no result and no simulated figure.
+
+Broadcasts synchronize their subcommunicator (blocking collectives); in
+pipelined mode the stage-k GPU multiply runs concurrently with the
+stage-(k+1) broadcasts and the CPU merge events of the binary schedule,
+because nothing barriers the ranks between stages.  In classic mode a
+global barrier closes every stage (bulk-synchronous, as HipMCL was).
 
 Phased execution (§II, §V): when the caller passes ``phases=h > 1``, each
-local B block contributes only its p-th column slice per phase, the phase's
-output is handed to ``phase_callback`` (the HipMCL driver prunes there —
-the fused expand+prune), and A is re-broadcast every phase — exactly the
-extra communication the pipelining hides.
+local B block contributes only its p-th column slice per phase, each
+block column of the phase's output is pruned as soon as it is finished
+(the HipMCL driver's fused expand+prune), and A is re-broadcast every
+phase — exactly the extra communication the pipelining hides.
 """
 
 from __future__ import annotations
@@ -42,8 +58,7 @@ from ..sparse import CSCMatrix, hstack_csc
 from ..spgemm.esc import spgemm_esc
 from ..spgemm.hashspgemm import hash_operation_count
 from ..spgemm.heap import heap_operation_count
-from ..spgemm.hybrid import KernelKind, degrade_kernel, select_kernel
-from ..spgemm.metrics import WorkProfile
+from ..spgemm.hybrid import KernelKind, degrade_kernel, kernel_for_work
 from ..trace import current_tracer, maybe_span
 from .distmatrix import DistributedCSC
 from .engine3d import Grid3DModel
@@ -171,14 +186,14 @@ class SummaResult:
 
 def _pick_kernel(
     config: SummaConfig,
-    profile,
+    policy,
+    flops: int,
+    cf: float,
     gpu_ok: bool,
 ) -> KernelKind:
     if config.kernel == "hybrid":
-        return select_kernel(
-            profile,
-            gpu_available=config.use_gpu and gpu_ok,
-            policy=config.spec.selection_policy(),
+        return kernel_for_work(
+            flops, cf, gpu_available=config.use_gpu and gpu_ok, policy=policy
         )
     kind = _KERNEL_NAMES[config.kernel]
     if kind.on_gpu and not (config.use_gpu and gpu_ok):
@@ -192,6 +207,29 @@ def _cpu_kernel_ops(
     if kind is KernelKind.CPU_HEAP:
         return heap_operation_count(a, b, per_col)
     return hash_operation_count(a, b, c_nnz, flops)
+
+
+def _device_split(b: CSCMatrix, g: int):
+    """B's column split over ``g`` devices, memoized on the slab (every
+    stage and iteration that offloads a product of it reuses the split):
+    the split points, the slab starts ``np.add.reduceat`` sums from (None
+    when a slab is empty, which reduceat cannot express), each slab's
+    width and each device's B-slab bytes."""
+    from ..perf.cache import memo
+
+    def build():
+        bounds = split_columns(b.ncols, g)
+        points = np.array([0] + [hi for _lo, hi in bounds], dtype=np.int64)
+        widths = [hi - lo for lo, hi in bounds]
+        b_at = b.indptr[points].tolist()
+        b_bytes = [
+            (b_at[d + 1] - b_at[d]) * 16 + (w + 1) * 8
+            for d, w in enumerate(widths)
+        ]
+        starts = points[:-1] if min(widths) > 0 else None
+        return points, starts, widths, b_bytes
+
+    return memo(b, ("device_split", g), build)
 
 
 def _gpu_stage_time(
@@ -210,33 +248,31 @@ def _gpu_stage_time(
     the caller falls back to the CPU kernel (§III's memory rationale for
     the hybrid CPU-GPU approach).
     """
-    g = len(devices)
+    points, starts, widths, b_bytes = _device_split(b, len(devices))
     a_bytes = a.memory_bytes()
+    # Every device's share from one gather at the split points; the flops
+    # are integers, so the slab sums are exact in any order.
+    c_at = c_indptr[points].tolist()
+    if starts is not None:
+        slab_flops = np.add.reduceat(per_col_flops, starts).tolist()
+    else:  # more devices than columns
+        slab_flops = [
+            int(per_col_flops[lo:hi].sum())
+            for lo, hi in zip(points[:-1], points[1:])
+        ]
     h2d = d2h = 0
     worst = 0.0
-    for dev, (lo, hi) in zip(devices, split_columns(b.ncols, g)):
-        b_bytes = (
-            int(b.indptr[hi] - b.indptr[lo]) * 16 + (hi - lo + 1) * 8
-        )
-        c_nnz = int(c_indptr[hi] - c_indptr[lo])
-        c_bytes = c_nnz * 16 + (hi - lo + 1) * 8
-        try:
-            dev.allocate("A", a_bytes)
-            dev.allocate("B", b_bytes)
-            dev.allocate("C", c_bytes)
-            dev.count_launch()
-        except (DeviceMemoryError, KernelLaunchError):
-            dev.free_all()
-            raise
-        slab_flops = float(per_col_flops[lo:hi].sum())
-        cf = slab_flops / c_nnz if c_nnz else 1.0
+    for d, dev in enumerate(devices):
+        nnz = c_at[d + 1] - c_at[d]
+        c_bytes = nnz * 16 + (widths[d] + 1) * 8
+        dev.stage_multiply(a_bytes, b_bytes[d], c_bytes)
+        f = float(slab_flops[d])
+        cf = f / nnz if nnz else 1.0
         worst = max(
-            worst,
-            spec.gpu_spgemm_time(kind, slab_flops, cf, a_bytes + b_bytes),
+            worst, spec.gpu_spgemm_time(kind, f, cf, a_bytes + b_bytes[d])
         )
-        h2d += a_bytes + b_bytes
+        h2d += a_bytes + b_bytes[d]
         d2h += c_bytes
-        dev.free_all()
     return worst, h2d, d2h
 
 
@@ -247,26 +283,43 @@ _INHERIT = object()
 
 
 class _RankMergeState:
-    """Per-rank merge schedule plus the timing of its events."""
+    """One block's merge schedule in the numeric pass.
+
+    ``push`` and ``finish`` return the merge events that call triggered —
+    all the pricing pass needs of the schedule.
+    """
 
     def __init__(self, shape, merge_kind: str, merge_fn=None):
         self.schedule = SCHEDULES[merge_kind](shape, merge_fn)
-        self.events_charged = 0
-        self.last_available = 0.0
+        self._seen = 0
 
-    def push(self, triples: TripleList, available_at: float):
+    def _new_events(self, events) -> tuple:
+        new = tuple(events[self._seen :])
+        self._seen = len(events)
+        return new
+
+    def push(self, triples: TripleList) -> tuple:
         self.schedule.push(triples)
-        self.last_available = max(self.last_available, available_at)
-        return self.schedule.events[self.events_charged :]
-
-    def mark_charged(self):
-        self.events_charged = len(self.schedule.events)
+        return self._new_events(self.schedule.events)
 
     def finish(self):
         outcome = self.schedule.finish()
-        new = outcome.events[self.events_charged :]
-        self.events_charged = len(outcome.events)
-        return outcome, new
+        return outcome, self._new_events(outcome.events)
+
+
+@dataclass(frozen=True)
+class _BlockRecord:
+    """What the pricing pass needs of one finished block."""
+
+    finish_events: tuple
+    operations: float
+    peak_event_elements: int
+    peak_resident_elements: int
+    #: Resident elements before the final merge: the partials the fiber
+    #: combine ships to the block's home rank.
+    combine_elements: int
+    #: Output nonzeros before the prune (the prune's charge).
+    nnz: int
 
 
 def summa_multiply(
@@ -276,8 +329,8 @@ def summa_multiply(
     config: SummaConfig,
     *,
     phases: int = 1,
-    phase_callback=None,
-    phase_column_callback=None,
+    prune_column=None,
+    charge_column_prune=None,
     devices: dict[int, list[GPUDevice]] | None = None,
     injector=None,
     executor=None,
@@ -289,30 +342,29 @@ def summa_multiply(
 ) -> SummaResult:
     """Compute ``C = A·B`` on the grid, per the configured algorithm.
 
-    ``phase_callback(blocks, phase_index)`` receives the phase's per-rank
-    output slabs (dict ``(i, j) -> CSCMatrix``) and returns the (pruned)
-    slabs to keep; rank clocks may be charged inside the callback (the
-    HipMCL driver charges pruning there).
+    ``prune_column(col_blocks, j, phase_index)`` runs in the numeric pass,
+    once per block column ``j`` of each phase, as soon as the column's q
+    blocks are finished: it receives them as a list indexed by block row
+    and returns the (pruned) blocks to keep.  It must be pure — no clock
+    is charged there.
 
-    ``phase_column_callback(col_blocks, j, phase_index)`` is the static
-    schedule's incremental variant: under ``config.schedule ==
-    "static"`` it is called once per block column ``j`` as soon as that
-    column's merges finish — while the next stages' broadcasts are still
-    in flight on the links — with the column's ``{(i, j): CSCMatrix}``
-    slabs.  It returns the pruned slabs, or a zero-argument callable the
-    engine resolves in column order after the phase's last column (so a
-    pool-backed prune can overlap the remaining columns' merges on the
-    wall clock).  When the static schedule is off or degraded to
-    synchronous, this callback is ignored and ``phase_callback`` runs as
-    usual — callers should pass both.
+    ``charge_column_prune(j, nnz, width)`` runs in the pricing pass, once
+    per block column, with the column's unpruned per-block nonzero counts
+    and its width; the HipMCL driver charges the prune to the rank clocks
+    there.  Under ``config.schedule == "static"`` (when not degraded to
+    the synchronous broadcasts) it is called as soon as the column's
+    final merges are charged — while the next stages' broadcasts are
+    still in flight on the links — and that window is the
+    ``prune_bcast_overlap_seconds`` evidence; otherwise all columns are
+    charged in order after the phase's final merges.
 
     ``executor`` (or ``workers`` and ``backend``, resolved through
     :func:`repro.parallel.get_executor`) selects the wall-clock backend:
-    with a pool executor, each stage's independent ``(i, j)`` local
-    products are computed across the pool *before* the serial accounting
-    pass consumes them in the usual ``(i, j)`` order — modeled clocks,
-    traces, and fault draws are untouched, so every ``(backend, workers)``
-    combination is bit-identical to ``workers=1``.
+    with a pool executor, each block column's independent local products
+    are computed across the pool as one batch before the numeric pass
+    merges them — modeled clocks, traces, and fault draws are untouched,
+    so every ``(backend, workers)`` combination is bit-identical to
+    ``workers=1``.
 
     ``overlap_budget_bytes`` (the §V estimator budget) bounds the static
     schedule's double buffer (:func:`~repro.summa.phases.overlap_window`
@@ -327,22 +379,22 @@ def summa_multiply(
     change — only which kernel kind is charged.
 
     Each physical merge is planned under an SpKAdd strategy label
-    (:func:`~repro.summa.phases.plan_merge_strategy`); one engine runs
-    behind every label, inline.  ``merge_injector`` (defaults to
-    ``injector``) arms the merge-memory-overrun fault site: an injected
-    overrun charges the overrunning attempt's modeled time under the
-    resilience account and demotes the strategy ladder for the rest of the
-    run.  Draws happen once per merge event in the serial accounting pass,
-    so injections are identical across every execution cell too.
+    (:func:`~repro.summa.phases.plan_merge_strategy`) in the pricing pass;
+    one engine runs behind every label, inline.  ``merge_injector``
+    (defaults to ``injector``) arms the merge-memory-overrun fault site:
+    an injected overrun charges the overrunning attempt's modeled time
+    under the resilience account and demotes the strategy ladder for the
+    rest of the run.  Draws happen once per merge event in the pricing
+    pass, so injections are identical across every execution cell too.
 
     ``model`` (a :class:`~repro.summa.engine3d.Grid3DModel`) decides
     where the simulated time and traffic land: which tree broadcasts (or
     hybrid-transport p2p sends) carry each stage, which rank's clock each
     kernel and merge charges, and the 2D→3D redistribution plus the
     per-fiber combine around the multiply.  None is the one-layer model
-    with broadcast-only delivery — the plain 2-D grid.  The numeric path
-    — block products, merge pushes, pruning — is the same for every
-    model, so ``model`` changes simulated clocks only, never results.
+    with broadcast-only delivery — the plain 2-D grid.  The numeric pass
+    is the same for every model, so ``model`` changes simulated clocks
+    only, never results.
     """
     grid = dist_a.grid
     if dist_b.grid.q != grid.q:
@@ -359,6 +411,7 @@ def summa_multiply(
         raise ValueError(f"phases must be >= 1, got {phases}")
     q = grid.q
     spec = config.spec
+    policy = spec.selection_policy()
     if model is None:
         model = Grid3DModel(q, 1, None)
     elif model.q != q:
@@ -373,7 +426,7 @@ def summa_multiply(
     #: instrumentation below is passive — it never touches rank clocks,
     #: fault draws, or result accounting, keeping traced runs bit-identical.
     tracer = current_tracer()
-    parallel_stages = executor.workers > 1
+    parallel_products = executor.workers > 1
     pipeline_window = 0
     if config.schedule == "static":
         from .phases import overlap_window
@@ -424,30 +477,23 @@ def summa_multiply(
     from .phases import plan_merge_strategy
 
     #: Recovery-ladder rung injected merge overruns have pushed the run
-    #: to (one-element list: the closure reads it, the fault sites write).
+    #: to (one-element list: the pricing pass's fault sites write it).
     merge_rung = [0]
 
-    def engine_merge(lists):
-        """The schedules' numeric engine, called under a planned label.
+    def numeric_merge(lists):
+        """The schedules' numeric engine.
 
-        Planning sees only the inputs, the budget, and the recovery rung —
-        never the executor — so ``merge_strategy_selections`` is identical
-        across cells.  The merge itself always runs inline, here.
+        Every label runs the same engine, so which name is called here is
+        attribution only: the label planned without the recovery rung,
+        which the pricing pass alone knows.
         """
-        total = sum(len(t) for t in lists)
-        strategy = plan_merge_strategy(
-            total, lists[0].shape,
-            budget_bytes=overlap_budget_bytes, rung=merge_rung[0],
+        label = plan_merge_strategy(
+            sum(len(t) for t in lists), lists[0].shape,
+            budget_bytes=overlap_budget_bytes,
         )
-        result.merge_strategy_selections[strategy] += 1
-        if tracer is not None:
-            tracer.metric(
-                "merge.strategy", total, strategy=strategy, k=len(lists),
-            )
-            tracer.count(f"merge.{strategy}")
-        if strategy == "serial":
+        if label == "serial":
             return merge_lists(lists, copy=False)
-        return spkadd_merge(lists, strategy=strategy)
+        return spkadd_merge(lists, strategy=label)
 
     # Pre-slice B's blocks per phase (local column ranges align across a
     # block column because widths are identical within it).  Slabs are
@@ -467,17 +513,95 @@ def summa_multiply(
 
         return memo(blk, ("slab", lo, hi), build)
 
-    # -- static pipeline schedule: a flat stage sequence -------------------
-    # The whole expansion is walked as one flat sequence of nodes, node
-    # n = p·q + k being stage k of phase p, across phase boundaries: node
-    # n+2's transfers are posted the moment node n's slabs are consumed,
-    # so the last stage of phase p overlaps the first broadcasts of phase
-    # p+1, and the per-column prune between them runs while those
-    # broadcasts are on the wires.  `node_consumed[n]` gates the double
-    # buffer: issue(s) waits for consumed(s-2), bounding live slabs to
-    # the two stages `overlap_window` granted.  The model's channels are
-    # shared across stages, so stage k+1's row-i tree serializes behind
-    # stage k's on the same link.
+    def block_shape(i: int, j: int, p: int) -> tuple[int, int]:
+        # Blocks are merged in the row-major form the multiply produces
+        # (shape transposed) and transposed back once, when finished.
+        return (
+            _phase_width(dist_b.block(0, j).ncols, phases, p),
+            dist_a.block(i, 0).nrows,
+        )
+
+    # -- numeric pass: block-major ------------------------------------------
+    def numeric_column(j: int, p: int, products: dict, blocks: dict):
+        """Finish and prune block column ``j`` of phase ``p``, recording
+        each product in ``products[(k, i, j)]`` and each block in
+        ``blocks[(i, j)]``; returns the kept blocks by block row."""
+        col_slabs = [phase_slab(k, j, p)[0] for k in range(q)]
+        pairs = [
+            (i, k)
+            for i in range(q)
+            for k in range(q)
+            if dist_a.block(i, k).nnz and col_slabs[k].nnz
+        ]
+        nonempty = set(pairs)
+        computed = None
+        if parallel_products and pairs:
+            from ..parallel.work import local_multiply
+
+            with maybe_span(
+                "gather", "summa", phase=p, column=j, tasks=len(pairs)
+            ):
+                handle = executor.submit_batch(
+                    local_multiply,
+                    [(dist_a.block(i, k), col_slabs[k]) for i, k in pairs],
+                    label=f"summa phase {p} column {j}",
+                    attrs={"phase": p, "column": j},
+                )
+                computed = dict(zip(pairs, handle.result()))
+        cols = []
+        with maybe_span("column", "summa", phase=p, column=j):
+            for i in range(q):
+                state = _RankMergeState(
+                    block_shape(i, j, p), config.merge, numeric_merge
+                )
+                for k in range(q):
+                    if (i, k) not in nonempty:
+                        continue
+                    # Row-major: the canonical CSC of the product's
+                    # transpose, which the merge adds as it is, plus the
+                    # product's own column pointer for the device split.
+                    if computed is not None:
+                        product, c_indptr, per_col = computed.pop((i, k))
+                    else:
+                        product, c_indptr, per_col = spgemm_esc(
+                            dist_a.block(i, k), col_slabs[k], transposed=True
+                        )
+                    events = state.push(
+                        TripleList.from_csc(product, copy=False)
+                    )
+                    products[(k, i, j)] = (
+                        product.nnz, per_col, c_indptr, events
+                    )
+                    del product
+                combine = state.schedule.peak_resident
+                outcome, events = state.finish()
+                # Dropped, not kept: the accumulator and the output block
+                # are different arrays, so a live state would hold the
+                # block twice.
+                del state
+                blk = transpose(outcome.result.to_csc())
+                blocks[(i, j)] = _BlockRecord(
+                    events, outcome.operations,
+                    outcome.peak_event_elements,
+                    outcome.peak_resident_elements, combine, blk.nnz,
+                )
+                del outcome
+                cols.append(blk)
+        if prune_column is not None:
+            cols = prune_column(cols, j, p)
+        return cols
+
+    # -- pricing pass: stage-major ------------------------------------------
+    # The static schedule walks the whole expansion as one flat sequence
+    # of nodes, node n = p·q + k being stage k of phase p, across phase
+    # boundaries: node n+2's transfers are posted the moment node n's
+    # slabs are consumed, so the last stage of phase p overlaps the first
+    # broadcasts of phase p+1, and the per-column prune between them runs
+    # while those broadcasts are on the wires.  `node_consumed[n]` gates
+    # the double buffer: issue(s) waits for consumed(s-2), bounding live
+    # slabs to the two stages `overlap_window` granted.  The model's
+    # channels are shared across stages, so stage k+1's row-i tree
+    # serializes behind stage k's on the same link.
     n_nodes = phases * q
     node_handles: dict[int, tuple] = {}
     node_consumed: dict[int, float] = {}
@@ -516,56 +640,158 @@ def summa_multiply(
             gate=node_consumed.get(n - 2, issue_base),
         )
 
+    def charge_merges(events, clock, after, rank, shape, p, stage=None):
+        """Plan, count and charge merge events on ``rank`` from ``after``."""
+        where = {"phase": p} if stage is None else {"phase": p, "stage": stage}
+        for ev in events:
+            strategy = plan_merge_strategy(
+                ev.input_total, shape,
+                budget_bytes=overlap_budget_bytes, rung=merge_rung[0],
+            )
+            result.merge_strategy_selections[strategy] += 1
+            if tracer is not None:
+                tracer.metric(
+                    "merge.strategy", ev.input_total, strategy=strategy,
+                    k=len(ev.input_sizes),
+                )
+                tracer.count(f"merge.{strategy}")
+            dur = spec.merge_time(ev.operations, config.threads)
+            if merge_injector is not None and merge_injector.merge_fault():
+                # Injected merge-memory overrun: the attempt's modeled
+                # time is wasted, and the strategy ladder degrades for the
+                # rest of the run.
+                clock.cpu.schedule(
+                    max(clock.cpu.free_at, after), dur, RESILIENCE_ACCOUNT
+                )
+                result.merge_demotions += 1
+                merge_rung[0] = min(
+                    merge_rung[0] + 1, len(STRATEGY_LADDER) - 1
+                )
+                if tracer is not None:
+                    tracer.instant(
+                        "fault.merge_overrun", "resilience", rank=rank,
+                        **where,
+                    )
+            end = clock.cpu.schedule(
+                max(clock.cpu.free_at, after), dur, "merge"
+            )
+            if trace is not None and stage is not None:
+                trace.append((rank, p, stage, "merge", end - dur, end))
+
+    def price_product(rank, p, k, a_blk, b_blk, ready, record) -> float:
+        """Charge one stage product; returns when its output is on the
+        host (the time its merge events may start)."""
+        c_nnz, per_col, c_indptr, _events = record
+        clock = comm.clocks[rank]
+        flops = int(per_col.sum())
+        cf = flops / c_nnz if c_nnz > 0 else 1.0
+        result.stage_flops += flops
+        gpu_ok = config.use_gpu and devices is not None
+        kind = _pick_kernel(config, policy, flops, cf, gpu_ok)
+        while kind.on_gpu:
+            try:
+                kern_s, h2d, d2h = _gpu_stage_time(
+                    spec, kind, a_blk, b_blk, c_indptr, devices[rank], per_col,
+                )
+                break
+            except (DeviceMemoryError, KernelLaunchError) as exc:
+                # Degradation ladder: the device failed this stage
+                # (genuine OOM or injected transient), so the multiply
+                # moves down a rung.  Only injected faults charge the
+                # aborted staging — a genuine OOM is caught before any
+                # copy.
+                result.gpu_fallbacks += 1
+                if tracer is not None:
+                    tracer.instant(
+                        "fault.gpu_fallback", "resilience",
+                        rank=rank, phase=p, stage=k, kernel=kind.value,
+                        injected=isinstance(exc, InjectedFault),
+                    )
+                if isinstance(exc, InjectedFault):
+                    waste = spec.h2d_time(a_blk.memory_bytes())
+                    start = max(clock.cpu.free_at, clock.gpu.free_at, ready)
+                    clock.cpu.schedule(start, waste, RESILIENCE_ACCOUNT)
+                    clock.gpu.schedule(start, waste, RESILIENCE_ACCOUNT)
+                kind = degrade_kernel(kind)
+        if (
+            injector is not None
+            and kind is KernelKind.CPU_HASH
+            and injector.cpu_kernel_fault()
+        ):
+            # Injected host hash-table overflow: charge the aborted hash
+            # attempt, demote to the heap.
+            ops = _cpu_kernel_ops(kind, a_blk, b_blk, c_nnz, per_col, flops)
+            clock.cpu.schedule(
+                ready,
+                spec.cpu_spgemm_time(kind, ops, config.threads),
+                RESILIENCE_ACCOUNT,
+            )
+            result.kernel_demotions += 1
+            if tracer is not None:
+                tracer.instant(
+                    "fault.kernel_demotion", "resilience",
+                    rank=rank, phase=p, stage=k, kernel=kind.value,
+                )
+            kind = degrade_kernel(kind)
+        result.kernel_selections[kind.value] += 1
+        if tracer is not None:
+            tracer.metric(
+                "kernel_dispatch", flops, kernel=kind.value, cf=cf,
+                nnz_c=c_nnz, rank=rank, phase=p, stage=k,
+            )
+            tracer.count(f"kernel.{kind.value}")
+        if not kind.on_gpu:
+            ops = _cpu_kernel_ops(kind, a_blk, b_blk, c_nnz, per_col, flops)
+            dur = spec.cpu_spgemm_time(kind, ops, config.threads)
+            available = clock.cpu.schedule(ready, dur, "local_spgemm")
+            if trace is not None:
+                trace.append(
+                    (rank, p, k, "cpu_mult", available - dur, available)
+                )
+            return available
+        # Transfer occupies both host and device; the CPU is released as
+        # soon as the inputs are on the device (§III), the GPU continues
+        # into the kernel.
+        start = max(clock.cpu.free_at, clock.gpu.free_at, ready)
+        h2d_s = spec.h2d_time(h2d)
+        clock.cpu.schedule(start, h2d_s, "h2d")
+        clock.gpu.schedule(start, h2d_s, "h2d")
+        mult_end = clock.gpu.schedule(clock.gpu.free_at, kern_s, "local_spgemm")
+        done = clock.gpu.schedule(
+            clock.gpu.free_at, spec.d2h_time(d2h), "d2h"
+        )
+        if trace is not None:
+            trace.extend(
+                (
+                    (rank, p, k, "h2d", start, start + h2d_s),
+                    (rank, p, k, "gpu_mult", mult_end - kern_s, mult_end),
+                    (rank, p, k, "d2h", mult_end, done),
+                )
+            )
+        result.h2d_bytes += h2d
+        result.d2h_bytes += d2h
+        if not config.pipelined and done > clock.cpu.free_at:
+            # Bulk-synchronous: the CPU blocks on the device result
+            # before doing anything else.
+            clock.cpu.idle += done - clock.cpu.free_at
+            clock.cpu.free_at = done
+        return done
+
     if static_active:
         for n in range(min(2, n_nodes)):
             issue_node(n)
 
     for p in range(phases):
-        # Blocks are merged in the row-major form the multiply produces
-        # (shape transposed) and transposed back once, when finished.
-        merge_states = {
-            (i, j): _RankMergeState(
-                (
-                    _phase_width(dist_b.block(0, j).ncols, phases, p),
-                    dist_a.block(i, 0).nrows,
-                ),
-                config.merge,
-                engine_merge,
-            )
-            for i in range(q)
-            for j in range(q)
-        }
+        products: dict[tuple[int, int, int], tuple] = {}
+        blocks: dict[tuple[int, int], _BlockRecord] = {}
+        for j in range(q):
+            for i, blk in enumerate(numeric_column(j, p, products, blocks)):
+                kept_slabs[(i, j)].append(blk)
+
         input_bytes_peak = np.zeros((q, q), dtype=np.int64)
-
+        last_available = np.zeros((q, q))
         for k in range(q):
-            # Each stage builds (or memo-hits) its B phase slabs and, with
-            # a pool executor, submits its independent (i, j) local
-            # multiplies; the accounting pass below then consumes them in
-            # the same deterministic (i, j) order it would have computed
-            # them in.  Serially, the handle stays None and the pass
-            # computes inline — byte-for-byte the same products.
-            with maybe_span("submit", "summa", phase=p, stage=k) as sp:
-                slabs, slab_bytes = stage_slabs(k, p)
-                pairs: list[tuple[int, int]] = []
-                handle = None
-                if parallel_stages:
-                    from ..parallel.work import local_multiply
-
-                    pairs = [
-                        (i, j)
-                        for i in range(q)
-                        if dist_a.block(i, k).nnz
-                        for j in range(q)
-                        if slabs[j].nnz
-                    ]
-                    if pairs:
-                        handle = executor.submit_batch(
-                            local_multiply,
-                            [(dist_a.block(i, k), slabs[j]) for i, j in pairs],
-                            label=f"summa phase {p} stage {k}",
-                            attrs={"phase": p, "stage": k},
-                        )
-                sp.set(tasks=len(pairs))
+            slabs, slab_bytes = stage_slabs(k, p)
             node_idx = p * q + k
             stage_window_t0 = 0.0
             if static_active:
@@ -586,14 +812,8 @@ def summa_multiply(
                 a_bytes_row[:, None] + b_bytes_col[None, :],
                 out=input_bytes_peak,
             )
-            # -- local multiplies ---------------------------------------------
-            stage_products = None
-            if handle is not None:
-                with maybe_span(
-                    "gather", "summa", phase=p, stage=k, tasks=len(pairs)
-                ):
-                    stage_products = dict(zip(pairs, handle.result()))
-            # The whole accounting-and-merge pass is one main-lane span.
+            # The stage's pricing — its products and the merge events
+            # they triggered — is one main-lane span.
             merge_span = maybe_span("merge", "summa", phase=p, stage=k)
             stage_available = 0.0
             stage_ranks = model.stage_ranks(k)
@@ -601,11 +821,10 @@ def summa_multiply(
                 a_blk = dist_a.block(i, k)
                 ranks_i = stage_ranks[i]
                 for j in range(q):
-                    rank = ranks_i[j]
-                    clock = comm.clocks[rank]
-                    b_blk = slabs[j]
-                    if a_blk.nnz == 0 or b_blk.nnz == 0:
+                    record = products.pop((k, i, j), None)
+                    if record is None:  # an empty operand: no multiply
                         continue
+                    rank = ranks_i[j]
                     # Under the static schedule a local multiply cannot
                     # start before its inputs are off the wires; the sync
                     # schedule already blocked the CPUs in the collective,
@@ -613,172 +832,17 @@ def summa_multiply(
                     ready = 0.0
                     if static_active:
                         ready = max(a_handles[i].end, b_handles[j].end)
-                    # Row-major: the canonical CSC of the product's
-                    # transpose, which the merge adds as it is, plus the
-                    # product's own column pointer for the device split.
-                    if stage_products is not None:
-                        product, c_indptr, per_col = stage_products[(i, j)]
-                    else:
-                        product, c_indptr, per_col = spgemm_esc(
-                            a_blk, b_blk, transposed=True
-                        )
-                    profile = WorkProfile.from_per_column(
-                        per_col, a_blk.nnz, b_blk.nnz, product.nnz
+                    available = price_product(
+                        rank, p, k, a_blk, slabs[j], ready, record
                     )
-                    result.stage_flops += profile.flops
-                    gpu_ok = config.use_gpu and devices is not None
-                    kind = _pick_kernel(config, profile, gpu_ok)
-                    while kind.on_gpu:
-                        try:
-                            kern_s, h2d, d2h = _gpu_stage_time(
-                                spec, kind, a_blk, b_blk, c_indptr,
-                                devices[rank], per_col,
-                            )
-                            break
-                        except (DeviceMemoryError, KernelLaunchError) as exc:
-                            # Degradation ladder: the device failed this
-                            # stage (genuine OOM or injected transient),
-                            # so the multiply moves down a rung.  Only
-                            # injected faults charge the aborted staging
-                            # — a genuine OOM is caught before any copy.
-                            result.gpu_fallbacks += 1
-                            if tracer is not None:
-                                tracer.instant(
-                                    "fault.gpu_fallback", "resilience",
-                                    rank=rank, phase=p, stage=k,
-                                    kernel=kind.value,
-                                    injected=isinstance(exc, InjectedFault),
-                                )
-                            if isinstance(exc, InjectedFault):
-                                waste = spec.h2d_time(a_blk.memory_bytes())
-                                start = max(
-                                    clock.cpu.free_at, clock.gpu.free_at,
-                                    ready,
-                                )
-                                clock.cpu.schedule(
-                                    start, waste, RESILIENCE_ACCOUNT
-                                )
-                                clock.gpu.schedule(
-                                    start, waste, RESILIENCE_ACCOUNT
-                                )
-                            kind = degrade_kernel(kind)
-                    if (
-                        injector is not None
-                        and kind is KernelKind.CPU_HASH
-                        and injector.cpu_kernel_fault()
-                    ):
-                        # Injected host hash-table overflow: charge the
-                        # aborted hash attempt, demote to the heap.
-                        ops = _cpu_kernel_ops(
-                            kind, a_blk, b_blk, product.nnz,
-                            per_col, profile.flops,
-                        )
-                        clock.cpu.schedule(
-                            ready,
-                            spec.cpu_spgemm_time(kind, ops, config.threads),
-                            RESILIENCE_ACCOUNT,
-                        )
-                        result.kernel_demotions += 1
-                        if tracer is not None:
-                            tracer.instant(
-                                "fault.kernel_demotion", "resilience",
-                                rank=rank, phase=p, stage=k,
-                                kernel=kind.value,
-                            )
-                        kind = degrade_kernel(kind)
-                    result.kernel_selections[kind.value] += 1
-                    if tracer is not None:
-                        tracer.metric(
-                            "kernel_dispatch", profile.flops,
-                            kernel=kind.value, cf=profile.cf,
-                            nnz_c=profile.nnz_c, rank=rank,
-                            phase=p, stage=k,
-                        )
-                        tracer.count(f"kernel.{kind.value}")
-                    if kind.on_gpu:
-                        # Transfer occupies both host and device; the CPU
-                        # is released as soon as the inputs are on the
-                        # device (§III), the GPU continues into the kernel.
-                        start = max(
-                            clock.cpu.free_at, clock.gpu.free_at, ready
-                        )
-                        h2d_s = spec.h2d_time(h2d)
-                        clock.cpu.schedule(start, h2d_s, "h2d")
-                        clock.gpu.schedule(start, h2d_s, "h2d")
-                        mult_end = clock.gpu.schedule(
-                            clock.gpu.free_at, kern_s, "local_spgemm"
-                        )
-                        done = clock.gpu.schedule(
-                            clock.gpu.free_at, spec.d2h_time(d2h), "d2h"
-                        )
-                        if config.trace:
-                            result.trace.extend(
-                                (
-                                    (rank, p, k, "h2d", start, start + h2d_s),
-                                    (rank, p, k, "gpu_mult",
-                                     mult_end - kern_s, mult_end),
-                                    (rank, p, k, "d2h", mult_end, done),
-                                )
-                            )
-                        result.h2d_bytes += h2d
-                        result.d2h_bytes += d2h
-                        if not config.pipelined and done > clock.cpu.free_at:
-                            # Bulk-synchronous: the CPU blocks on the
-                            # device result before doing anything else.
-                            clock.cpu.idle += done - clock.cpu.free_at
-                            clock.cpu.free_at = done
-                        available = done
-                    else:
-                        ops = _cpu_kernel_ops(
-                            kind, a_blk, b_blk, product.nnz,
-                            per_col, profile.flops,
-                        )
-                        dur = spec.cpu_spgemm_time(kind, ops, config.threads)
-                        available = clock.cpu.schedule(
-                            ready, dur, "local_spgemm"
-                        )
-                        if config.trace:
-                            result.trace.append(
-                                (rank, p, k, "cpu_mult",
-                                 available - dur, available)
-                            )
                     stage_available = max(stage_available, available)
-                    # -- merge events triggered by this arrival -----------------
-                    # (Looked up, not bound: a name left over from the
-                    # last block would outlive that block's release.)
-                    new_events = merge_states[(i, j)].push(
-                        TripleList.from_csc(product, copy=False), available
+                    last_available[i, j] = max(
+                        last_available[i, j], available
                     )
-                    for ev in new_events:
-                        dur = spec.merge_time(ev.operations, config.threads)
-                        if (
-                            merge_injector is not None
-                            and merge_injector.merge_fault()
-                        ):
-                            # Injected merge-memory overrun: the attempt's
-                            # modeled time is wasted, and the strategy
-                            # ladder degrades for the rest of the run.
-                            clock.cpu.schedule(
-                                max(clock.cpu.free_at, available), dur,
-                                RESILIENCE_ACCOUNT,
-                            )
-                            result.merge_demotions += 1
-                            merge_rung[0] = min(
-                                merge_rung[0] + 1, len(STRATEGY_LADDER) - 1
-                            )
-                            if tracer is not None:
-                                tracer.instant(
-                                    "fault.merge_overrun", "resilience",
-                                    rank=rank, phase=p, stage=k,
-                                )
-                        end = clock.cpu.schedule(
-                            max(clock.cpu.free_at, available), dur, "merge"
-                        )
-                        if config.trace:
-                            result.trace.append(
-                                (rank, p, k, "merge", end - dur, end)
-                            )
-                    merge_states[(i, j)].mark_charged()
+                    charge_merges(
+                        record[3], comm.clocks[rank], available, rank,
+                        block_shape(i, j, p), p, k,
+                    )
             merge_span.close()
             if static_active:
                 # This stage's slabs are consumed once every multiply has
@@ -802,99 +866,66 @@ def summa_multiply(
                     issue_node(node_idx + 2)
             if not config.pipelined:
                 comm.barrier()
-        # -- phase wrap-up: final merges, callback -----------------------------
-        def finish_state(i: int, j: int) -> CSCMatrix:
+
+        # -- phase wrap-up: fiber combine, final merges, prune charges ------
+        def finish_block(i: int, j: int) -> None:
             # Final merges run on the block's post-combine owner: the
             # home cell the fiber combine returned the partials to.
             rank = model.home_rank(i, j)
-            clock = comm.clocks[rank]
-            # Popped, not read: the accumulator and the output block are
-            # different arrays, so a state kept to the end of the phase
-            # would hold every block twice.
-            state = merge_states.pop((i, j))
-            outcome, new_events = state.finish()
-            for ev in new_events:
-                dur = spec.merge_time(ev.operations, config.threads)
-                if merge_injector is not None and merge_injector.merge_fault():
-                    clock.cpu.schedule(
-                        max(clock.cpu.free_at, state.last_available), dur,
-                        RESILIENCE_ACCOUNT,
-                    )
-                    result.merge_demotions += 1
-                    merge_rung[0] = min(
-                        merge_rung[0] + 1, len(STRATEGY_LADDER) - 1
-                    )
-                    if tracer is not None:
-                        tracer.instant(
-                            "fault.merge_overrun", "resilience",
-                            rank=rank, phase=p,
-                        )
-                clock.cpu.schedule(
-                    max(clock.cpu.free_at, state.last_available), dur,
-                    "merge",
-                )
-            result.merge_operations += outcome.operations
+            rec = blocks[(i, j)]
+            charge_merges(
+                rec.finish_events, comm.clocks[rank],
+                float(last_available[i, j]), rank, block_shape(i, j, p), p,
+            )
+            result.merge_operations += rec.operations
             result.merge_peak_event_elements = max(
-                result.merge_peak_event_elements, outcome.peak_event_elements
+                result.merge_peak_event_elements, rec.peak_event_elements
             )
             result.merge_peak_resident_elements = max(
                 result.merge_peak_resident_elements,
-                outcome.peak_resident_elements,
+                rec.peak_resident_elements,
             )
             result.max_rank_resident_bytes = max(
                 result.max_rank_resident_bytes,
-                outcome.peak_resident_elements * 24
+                rec.peak_resident_elements * 24
                 + int(input_bytes_peak[i, j]),
             )
-            return transpose(outcome.result.to_csc())
 
         def fiber_combine(j: int) -> None:
             model.charge_fiber_combine(
                 comm, j,
-                sum(
-                    merge_states[(i, j)].schedule.peak_resident
-                    for i in range(q)
-                ),
+                sum(blocks[(i, j)].combine_elements for i in range(q)),
                 config.threads,
             )
 
-        phase_blocks: dict[tuple[int, int], CSCMatrix] = {}
-        if static_active and phase_column_callback is not None:
-            # Incremental prune: each block column is finished and handed
-            # to the callback as soon as its own merges are done, while
-            # the next stages' broadcasts (already posted above, up to
-            # two stages into phase p+1) are still in flight on the
-            # links.  The callback may defer its physical compute by
-            # returning a callable — resolved below in column order, so
-            # the results are independent of where the work actually ran.
-            deferred: list = []
+        def charge_prune(j: int) -> None:
+            charge_column_prune(
+                j, [blocks[(i, j)].nnz for i in range(q)],
+                _phase_width(dist_b.block(0, j).ncols, phases, p),
+            )
+
+        if static_active and charge_column_prune is not None:
+            # Each block column's wrap-up is charged as soon as its own
+            # merges are done, while the next stages' broadcasts (already
+            # posted above, up to two stages into phase p+1) are still in
+            # flight on the links.
             for j in range(q):
                 col_ranks = grid.col_members(j)
                 # The column's inter-phase prune stage spans its final
-                # merges *and* the callback: that whole window runs while
+                # merges *and* the prune: that whole window runs while
                 # the posted next-phase broadcasts drain on the links, so
                 # the overlap evidence opens when the column's wrap-up
                 # starts, not after its merges land.
-                prune_t0 = min(
-                    comm.clocks[r].cpu.free_at for r in col_ranks
-                )
+                prune_t0 = min(comm.clocks[r].cpu.free_at for r in col_ranks)
                 # The per-fiber all-to-all combine returns this column's
                 # c partial slabs to their 2-D owners before its final
                 # merges and prune.
                 fiber_combine(j)
-                with maybe_span(
-                    "finish_merge", "summa", phase=p, column=j
-                ):
-                    col_blocks = {
-                        (i, j): finish_state(i, j) for i in range(q)
-                    }
-                with maybe_span(
-                    "phase_callback", "summa", phase=p, column=j
-                ):
-                    ret = phase_column_callback(col_blocks, j, p)
-                prune_t1 = max(
-                    comm.clocks[r].cpu.free_at for r in col_ranks
-                )
+                with maybe_span("finish_merge", "summa", phase=p, column=j):
+                    for i in range(q):
+                        finish_block(i, j)
+                charge_prune(j)
+                prune_t1 = max(comm.clocks[r].cpu.free_at for r in col_ranks)
                 if tracer is not None:
                     # The column's true simulated wrap-up window (its
                     # ranks' clocks, not the global frontier) — the span
@@ -913,24 +944,16 @@ def summa_multiply(
                         result.prune_bcast_overlap_seconds += (
                             _window_overlap(prune_t0, prune_t1, h)
                         )
-                if callable(ret):
-                    deferred.append(ret)
-                else:
-                    phase_blocks.update(ret)
-            for fn in deferred:
-                phase_blocks.update(fn())
         else:
             for j in range(q):
                 fiber_combine(j)
-            finish_span = maybe_span("finish_merge", "summa", phase=p)
-            for (i, j) in list(merge_states):
-                phase_blocks[(i, j)] = finish_state(i, j)
-            finish_span.close()
-            if phase_callback is not None:
-                with maybe_span("phase_callback", "summa", phase=p):
-                    phase_blocks = phase_callback(phase_blocks, p)
-        for key, blk in phase_blocks.items():
-            kept_slabs[key].append(blk)
+            with maybe_span("finish_merge", "summa", phase=p):
+                for i in range(q):
+                    for j in range(q):
+                        finish_block(i, j)
+            if charge_column_prune is not None:
+                for j in range(q):
+                    charge_prune(j)
         if not config.pipelined:
             comm.barrier()
 

@@ -127,8 +127,9 @@ def merge_report(tracer: Tracer) -> dict | None:
     Returns ``None`` for traces without any merge span; otherwise a dict:
 
     * ``main_seconds`` — wall time inside main-lane ``merge`` /
-      ``finish_merge`` spans (the accounting pass and the merges it
-      triggers, which always run inline);
+      ``finish_merge`` spans (the pricing pass of the stage products and
+      their merge events; the numeric merges run inline inside each
+      block column's ``column`` span);
     * ``window_seconds`` — the trace's overall wall window;
     * ``share`` — the merge spans' share of that window.
     """

@@ -113,6 +113,34 @@ class TestCorruptLoad:
             load_checkpoint(path)
 
 
+    def test_out_of_range_indices_with_a_valid_checksum_are_typed(
+        self, tmp_path
+    ):
+        # Intact bytes, honest checksum, impossible iterate: a row index
+        # past the matrix.  The rebuild must refuse it, not hand a compiled
+        # kernel an out-of-bounds index.
+        work = _ckpt(1).work
+        indices = work.indices.copy()
+        indices[-1] = work.shape[0] + 5
+        arrays = {"indptr": work.indptr, "indices": indices, "data": work.data}
+        meta = {
+            "version": 1,
+            "iteration": 1,
+            "shape": list(work.shape),
+            "prev_cf": 2.5,
+            "elapsed_seconds": 0.125,
+            "counters": {},
+            "fingerprint": "f" * 64,
+            "history": [],
+        }
+        meta["checksum"] = _checksum(meta, arrays)
+        path = checkpoint_path(tmp_path, 1)
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+        with pytest.raises(CheckpointError, match="invalid iterate"):
+            load_checkpoint(path)
+
+
 # ---------------------------------------------------------------------------
 # Atomic writes
 # ---------------------------------------------------------------------------

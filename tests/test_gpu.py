@@ -183,6 +183,30 @@ class TestMultiGpu:
         with pytest.raises(ValueError):
             stage_time(a, b, [])
 
+    def test_unfaultable_fast_path_matches_per_allocation_path(
+        self, small_pair
+    ):
+        # Without an injector a device that fits its share skips the
+        # per-tag allocations; an attached injector that never fires
+        # takes them.  Prices, peaks and launches must agree.
+        from repro.resilience import FaultInjector, FaultPlan
+
+        a, b = small_pair
+        runs = []
+        for injector in (None, FaultInjector(FaultPlan())):
+            devs = [
+                GPUDevice(SUMMIT_LIKE, i, injector=injector) for i in range(6)
+            ]
+            out = stage_time(a, b, devs) + stage_time(a, b, devs)
+            runs.append((
+                out,
+                [d.peak_bytes for d in devs],
+                [d.kernel_launches for d in devs],
+                [d.allocated_bytes for d in devs],
+            ))
+        assert runs[0] == runs[1]
+        assert runs[0][2] == [2] * 6 and runs[0][3] == [0] * 6
+
     def test_more_devices_than_columns_still_correct(self):
         a = random_csc((10, 8), 0.4, seed=1)
         b = random_csc((8, 2), 0.6, seed=2)

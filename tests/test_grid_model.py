@@ -211,17 +211,16 @@ def test_prune_overlap_counts_each_tree_once(layers):
     comm = VirtualComm(grid.size, SUMMIT_LIKE)
     model = _RecordingModel(q, layers, "broadcast")
 
-    def prune(col_blocks, j, p):
+    def charge(j, nnz, width):
         for rank in grid.col_members(j):
             cpu = comm.clocks[rank].cpu
             cpu.schedule(cpu.free_at, 1e-4, "prune")
-        return col_blocks
 
     tracer = Tracer()
     with activate(tracer):
         res = summa_multiply(
             dist, dist, comm, SummaConfig(schedule="static"), phases=phases,
-            phase_column_callback=prune, model=model,
+            charge_column_prune=charge, model=model,
         )
     assert res.pipeline_window == 2
     assert len(model.posted) == phases * q  # one post per node, in order

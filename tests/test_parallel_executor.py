@@ -391,6 +391,54 @@ class TestTransport:
         assert not os.path.exists(f"/dev/shm/{name}")
         mat.invalidate_caches()  # drop the stale export memo
 
+    def test_batch_keeps_its_task_matrices_exported(self, monkeypatch):
+        # The batch is the only owner of these matrices: their segments
+        # must not be unlinked before the workers attach.
+        import gc
+
+        monkeypatch.setattr(shm, "SHM_MIN_BYTES", 0)
+        handle = get_executor(2, backend="process").submit_batch(
+            local_multiply,
+            [
+                (random_csc((60, 60), 0.1, seed=s),
+                 random_csc((60, 60), 0.1, seed=s + 1))
+                for s in range(4)
+            ],
+        )
+        gc.collect()
+        assert len(handle.result()) == 4
+
+    def test_static_schedule_pool_keeps_batch_exports_alive(
+        self, monkeypatch
+    ):
+        # Every block through shared memory on a phased static run: a
+        # block only an in-flight batch refers to must stay exported
+        # until the workers have attached, and nothing outlives the run.
+        import gc
+
+        from repro.mcl.hipmcl import HipMCLConfig, hipmcl
+        from repro.mcl.options import MclOptions
+        from repro.nets import planted_network
+
+        def segments():
+            return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+        mat = planted_network(
+            240, intra_degree=14.0, inter_degree=2.0, seed=9
+        ).matrix
+        opts = MclOptions(select_number=20)
+        cfg = HipMCLConfig.optimized(
+            nodes=16, memory_budget_bytes=64 * 1024, schedule="static"
+        )
+        ref = hipmcl(mat, opts, cfg, workers=1)
+        monkeypatch.setattr(shm, "SHM_MIN_BYTES", 0)
+        before = segments()
+        run = hipmcl(mat, opts, cfg, workers=2, backend="process")
+        assert np.array_equal(run.labels, ref.labels)
+        assert run.elapsed_seconds == ref.elapsed_seconds
+        gc.collect()
+        assert segments() <= before
+
     def test_segment_unlinked_when_matrix_dies(self):
         mat = random_csc((400, 400), 0.1, seed=7)
         name = shm.export_csc(mat)[1]

@@ -144,6 +144,60 @@ class TestResultCache:
         assert base.cache_key() != other.cache_key()
 
 
+class TestMalformedCacheEntries:
+    """A cache entry that parses as ``.npz`` but not as a result of this
+    job is a miss — never an exception, never someone else's labels."""
+
+    META = {
+        "n_clusters": 2, "iterations": 3, "converged": True,
+        "elapsed_seconds": 1.5, "history": [],
+    }
+
+    @staticmethod
+    def _plant(cache, key, labels, meta):
+        import json
+
+        with open(cache._path(key), "wb") as fh:
+            np.savez(fh, labels=labels, meta=np.array(json.dumps(meta)))
+
+    def test_meta_without_n_clusters_is_a_miss(self, tmp_path):
+        from repro.service.cache import ResultCache
+
+        cache = ResultCache(tmp_path)
+        meta = {k: v for k, v in self.META.items() if k != "n_clusters"}
+        self._plant(cache, "k", np.zeros(4, dtype=np.int64), meta)
+        assert cache.get("k") is None
+
+    def test_list_meta_is_a_miss(self, tmp_path):
+        from repro.service.cache import ResultCache
+
+        cache = ResultCache(tmp_path)
+        self._plant(cache, "k", np.zeros(4, dtype=np.int64), [1, 2, 3])
+        assert cache.get("k") is None
+
+    def test_labels_of_another_size_are_a_miss(self, tmp_path):
+        from repro.service.cache import ResultCache
+
+        cache = ResultCache(tmp_path)
+        self._plant(cache, "k", np.zeros(4, dtype=np.int64), self.META)
+        assert cache.get("k", n=5) is None
+        assert cache.get("k", n=4).n_clusters == 2
+
+    def test_runner_recomputes_over_a_wrong_sized_entry(
+        self, service, clock, net_path
+    ):
+        spec = make_spec(net_path)
+        self._plant(
+            service.cache, spec.cache_key(), np.zeros(7, dtype=np.int64),
+            self.META,
+        )
+        jid = service.submit(spec)
+        runner = make_runner(service, clock)
+        assert runner.drain() == 1
+        assert runner.processed == [(jid, "done")]
+        assert len(service.labels(jid)) == 120
+
+
 class TestAdmissionDeferral:
     def test_over_budget_claim_released_not_failed(
         self, service, clock, net_path

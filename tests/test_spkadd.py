@@ -212,7 +212,7 @@ class TestPlanMergeStrategy:
 # ---------------------------------------------------------------------------
 
 
-def _phased_engine_run(tracer=None, workers=4, **kwargs):
+def _phased_engine_run(tracer=None, workers=4, phases=2, **kwargs):
     from repro.machine import SUMMIT_LIKE
     from repro.mpi import ProcessGrid, VirtualComm
     from repro.nets import planted_network
@@ -227,7 +227,7 @@ def _phased_engine_run(tracer=None, workers=4, **kwargs):
     comm = VirtualComm(grid.size, SUMMIT_LIKE)
     with activate(tracer):
         return summa_multiply(
-            dist, dist, comm, SummaConfig(), phases=2,
+            dist, dist, comm, SummaConfig(), phases=phases,
             workers=workers, backend="thread", **kwargs,
         )
 
@@ -291,8 +291,9 @@ class TestEngineWiring:
 
     def test_finished_blocks_release_their_merge_state(self, monkeypatch):
         # The merged row-major accumulator and the output block transposed
-        # from it are different arrays: a state kept until the phase ends
-        # would hold every block of the phase twice.
+        # from it are different arrays: a state kept after its block is
+        # finished would hold the block twice.  By the time a block column
+        # reaches the prune, none of the phase's states is alive.
         import gc
         import weakref
 
@@ -307,14 +308,38 @@ class TestEngineWiring:
                 states.add(self)
                 made[0] += 1
 
-        def callback(blocks, phase):
+        def prune(cols, j, phase):
             gc.collect()
             alive.append(len(states))
-            return blocks
+            return cols
 
         monkeypatch.setattr(engine, "_RankMergeState", Tracked)
-        _phased_engine_run(workers=1, phase_callback=callback)
-        assert made == [2 * 16] and alive == [0, 0]
+        _phased_engine_run(workers=1, prune_column=prune)
+        assert made == [2 * 16] and alive == [0] * (2 * 4)
+
+    def test_at_most_one_block_column_of_merge_state(self, monkeypatch):
+        # The numeric pass is block-major: a column's blocks are merged
+        # and finished before the next column's products exist, so no
+        # more than q merge states are ever alive (stage-major order
+        # holds all q² of them through the phase).
+        import gc
+        import weakref
+
+        import repro.summa.engine as engine
+
+        states, peak = weakref.WeakSet(), [0]
+
+        class Tracked(engine._RankMergeState):
+            def __init__(self, *args):
+                super().__init__(*args)
+                gc.collect()
+                states.add(self)
+                peak[0] = max(peak[0], len(states))
+
+        monkeypatch.setattr(engine, "_RankMergeState", Tracked)
+        res = _phased_engine_run(workers=1, phases=1)
+        assert res.dist_c.nnz > 0
+        assert 1 <= peak[0] <= 4
 
     def test_engine_results_identical_across_workers(self):
         ref = _phased_engine_run(workers=1)

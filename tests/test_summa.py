@@ -115,18 +115,16 @@ class TestEngineCorrectness:
             res.dist_c.to_global().to_dense(), a.to_dense() @ a.to_dense()
         )
 
-    def test_phase_callback_can_filter(self, dist_pair):
+    def test_prune_column_can_filter(self, dist_pair):
         da, db, _ = dist_pair
         comm = VirtualComm(16, SUMMIT_LIKE)
 
-        def drop_everything(blocks, phase_index):
-            return {
-                key: CSCMatrix.empty(blk.shape) for key, blk in blocks.items()
-            }
+        def drop_everything(cols, j, phase_index):
+            return [CSCMatrix.empty(blk.shape) for blk in cols]
 
         res = summa_multiply(
             da, db, comm, SummaConfig(), phases=2,
-            phase_callback=drop_everything,
+            prune_column=drop_everything,
         )
         assert res.dist_c.nnz == 0
 
