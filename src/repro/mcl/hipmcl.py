@@ -865,13 +865,11 @@ def _hipmcl_run(
         # ---- phased expansion fused with pruning -------------------------------
         prune_totals = {"in": 0, "out": 0}
 
-        def prune_column(cols, j, phase_index):
+        def prune_column(cols, j):
             """Prune block column ``j`` the moment the engine has finished
             it (numerics only; the clocks are charged by
             ``charge_column_prune``)."""
-            with maybe_span(
-                "prune", "mcl", iteration=it, phase=phase_index, column=j
-            ) as psp:
+            with maybe_span("prune", "mcl", iteration=it, column=j) as psp:
                 if options.recover_number != 0:
                     # Recovery needs the full pre-cutoff column:
                     # assemble, prune, split back.
@@ -989,8 +987,10 @@ def _hipmcl_run(
                 and splits < policy.max_phase_splits
             ):
                 # Overrun recovery: redo the expansion with double the
-                # phases, halving each phase's transient footprint.
-                # Pruning is column-wise, so the result is bit-identical.
+                # phases, halving each phase's transient footprint.  The
+                # engine computes, merges and prunes every block column at
+                # full width whatever the phase count (phases exist only
+                # in its pricing), so the result is bit-identical.
                 splits += 1
                 phase_split_retries += 1
                 attempt_phases = min(attempt_phases * 2, 256)

@@ -8,7 +8,8 @@ strictly above that threshold is kept, and the remaining quota is filled
 with threshold ties *in position order* — precisely the entries the
 stable sort would have kept.  No new floating-point values are created.
 
-When padding every column to the longest one would be wasteful
+Only the columns with at least k entries need a threshold, so only they
+are padded, to the longest of them.  When even that would be wasteful
 (:data:`PAD_WASTE_FACTOR`, :data:`PAD_CELL_LIMIT`) the functions return
 ``None`` and the caller ranks by sorting instead.
 """
@@ -18,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 #: Hand back to the caller's sort-based ranking when padding the columns
-#: to the longest one would blow the footprint up by more than this factor.
+#: that need a threshold to the longest of them would blow their footprint
+#: up by more than this factor.
 PAD_WASTE_FACTOR = 64
 PAD_CELL_LIMIT = 1 << 24
 
@@ -30,25 +32,34 @@ def column_kth_largest(
     entries.  ``cols`` must be sorted ascending (values in any order
     within a column).  Returns None when padding would be wasteful —
     the caller then ranks by sorting.
+
+    Only the columns with at least k entries get a finite threshold, so
+    only they are padded (to the longest of them) and partitioned; the
+    waste guard weighs that padded partition against their entries.
     """
-    n = len(cols)
-    if n == 0:
-        return np.full(ncols, -np.inf)
-    counts = np.bincount(cols, minlength=ncols)
-    width = int(counts.max())
-    if width * ncols > max(PAD_WASTE_FACTOR * n, 1024) or \
-            width * ncols > PAD_CELL_LIMIT:
-        return None
     thresholds = np.full(ncols, -np.inf)
-    if width < k:
+    if len(cols) == 0:
         return thresholds
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    offset = np.arange(n, dtype=np.int64) - np.repeat(starts[:-1], counts)
-    padded = np.full((ncols, width), -np.inf)
-    padded[cols, offset] = vals
-    kth = np.partition(padded, width - k, axis=1)[:, width - k]
-    full_enough = counts >= k
-    thresholds[full_enough] = kth[full_enough]
+    counts = np.bincount(cols, minlength=ncols)
+    full = np.flatnonzero(counts >= k)
+    if len(full) == 0:
+        return thresholds
+    lengths = counts[full]
+    n = int(lengths.sum())
+    width = int(lengths.max())
+    cells = width * len(full)
+    if cells > max(PAD_WASTE_FACTOR * n, 1024) or cells > PAD_CELL_LIMIT:
+        return None
+    # Row r of the partition holds column full[r]; pos is an entry's
+    # position within its column.
+    first = (np.cumsum(counts) - counts)[full]
+    row = np.repeat(np.arange(len(full)), lengths)
+    pos = np.arange(n, dtype=np.int64) - np.repeat(
+        np.cumsum(lengths) - lengths, lengths
+    )
+    padded = np.full((len(full), width), -np.inf)
+    padded[row, pos] = vals[first[row] + pos]
+    thresholds[full] = np.partition(padded, width - k, axis=1)[:, width - k]
     return thresholds
 
 

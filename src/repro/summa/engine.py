@@ -10,22 +10,25 @@ One engine implements both §II's classic bulk-synchronous Sparse SUMMA and
 
 Execution model: every rank's program runs in one address space against
 real submatrices, while each rank's CPU/GPU :class:`ResourceTimeline`
-advances by modeled durations.  Each phase runs in two passes.
+advances by modeled durations.  A multiply runs in two passes.
 
-* The **numeric pass** goes block-major: for each block column j and
-  each block i it computes the stage products k = 0…q−1, pushes them
-  through that block's merge schedule in k order, and finishes the
-  block; once the column's q blocks are finished, ``prune_column``
-  prunes it.  At most one merge schedule and one block column of
-  unpruned output are live at a time, and the pass keeps only a small
-  record per product (nnz, per-column flops, C's column pointer, the
-  merge events it triggered) and per block (final merge events, peaks).
-* The **pricing pass** replays those records stage-major, in the order
-  the ranks execute them: broadcasts, kernel choice, the GPU
-  degradation ladder, clock charges, fault draws, merge-strategy labels,
-  trace tuples, the per-column ``charge_column_prune`` and the overlap
-  evidence.  Numerics never depend on a price, so splitting the passes
-  changes no result and no simulated figure.
+* The **numeric pass** runs once, block-major, at full block-column
+  width whatever the phase count: for each block column j and each
+  block i it computes the products A_ik·B_kj in k order, pushes them
+  through that block's merge schedule and finishes the block; once the
+  column's q blocks are finished, ``prune_column`` prunes it.  At most
+  one merge schedule and one block column of unpruned output are live
+  at a time.  The pass keeps a small record per product (nnz,
+  per-column flops, C's column pointer, the merge events it triggered)
+  and per block (final merge events, peaks), and derives each phase's
+  records from them (:meth:`_PhaseSplit.records`).
+* The **pricing pass** walks the phases and replays each phase's records
+  stage-major, in the order the ranks execute them: broadcasts, kernel
+  choice, the GPU degradation ladder, clock charges, fault draws,
+  merge-strategy labels, trace tuples, the per-column
+  ``charge_column_prune`` and the overlap evidence.  Numerics never
+  depend on a price, so splitting the passes changes no simulated
+  figure.
 
 Broadcasts synchronize their subcommunicator (blocking collectives); in
 pipelined mode the stage-k GPU multiply runs concurrently with the
@@ -33,11 +36,14 @@ stage-(k+1) broadcasts and the CPU merge events of the binary schedule,
 because nothing barriers the ranks between stages.  In classic mode a
 global barrier closes every stage (bulk-synchronous, as HipMCL was).
 
-Phased execution (§II, §V): when the caller passes ``phases=h > 1``, each
-local B block contributes only its p-th column slice per phase, each
-block column of the phase's output is pruned as soon as it is finished
-(the HipMCL driver's fused expand+prune), and A is re-broadcast every
-phase — exactly the extra communication the pipelining hides.
+Phased execution (§II, §V): when the caller passes ``phases=h > 1``, the
+pricing pass charges each local B block's p-th column slice per phase,
+each block column's prune as soon as its phase is finished (the HipMCL
+driver's fused expand+prune), and A's re-broadcast every phase —
+exactly the extra communication the pipelining hides.  Phases bound the
+*simulated* per-process memory; every column of C is computed, merged
+and pruned independently of the others, so the host computes it once,
+and the result is the one-phase result bit for bit.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from ..merge import SCHEDULES, TripleList, merge_lists
 from ..merge.spkadd import STRATEGY_LADDER, spkadd_merge
 from ..mpi.comm import RESILIENCE_ACCOUNT, VirtualComm
 from ..perf.esc import transpose
-from ..sparse import CSCMatrix, hstack_csc
+from ..sparse import CSCMatrix, block_of_csc, hstack_csc
 from ..spgemm.esc import spgemm_esc
 from ..spgemm.hashspgemm import hash_operation_count
 from ..spgemm.heap import heap_operation_count
@@ -322,6 +328,280 @@ class _BlockRecord:
     nnz: int
 
 
+def _block_record(outcome, finish_events, combine: int) -> _BlockRecord:
+    return _BlockRecord(
+        tuple(finish_events), outcome.operations,
+        outcome.peak_event_elements, outcome.peak_resident_elements,
+        combine, len(outcome.result),
+    )
+
+
+class _Sized:
+    """A merge-schedule input that is only its length.
+
+    The schedules' accounting (events, operations, peaks) reads nothing
+    but ``len`` of the lists, so replaying one on sizes gives exactly what
+    the real lists would.
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self, n):
+        self.n = int(n)
+
+    def __len__(self) -> int:
+        return self.n
+
+
+def _replay(kind: str, shape, lists, merge_fn):
+    """Run the ``kind`` merge schedule over ``lists``: the merge events
+    each push triggered, and the finished block's record."""
+    schedule = SCHEDULES[kind](shape, merge_fn)
+    pushed = []
+    for lst in lists:
+        seen = len(schedule.events)
+        schedule.push(lst)
+        pushed.append(tuple(schedule.events[seen:]))
+    combine = schedule.peak_resident
+    seen = len(schedule.events)
+    outcome = schedule.finish()
+    return pushed, _block_record(outcome, outcome.events[seen:], combine)
+
+
+@dataclass(frozen=True)
+class _PhaseSplit:
+    """One block column's phase split, as the numeric pass sees it: what
+    it needs to derive each phase's pricing records from the full-width
+    products and merges."""
+
+    #: Phase p covers the block column's columns [bounds[p], bounds[p+1]).
+    bounds: np.ndarray
+    #: The phase of every column.
+    col_phase: np.ndarray
+    #: ``slab_nnz[k, p]``: nonzeros of B_kj's phase-p slab.
+    slab_nnz: np.ndarray
+
+    @classmethod
+    def of(cls, col_blocks: list[CSCMatrix], phases: int) -> "_PhaseSplit":
+        """The split of the block column holding ``col_blocks`` (B_kj for
+        k = 0…q−1)."""
+        w = col_blocks[0].ncols
+        bounds = [_phase_bounds(w, phases, p)[0] for p in range(phases)]
+        bounds = np.array(bounds + [w], dtype=np.int64)
+        return cls(
+            bounds,
+            np.repeat(np.arange(phases), np.diff(bounds)),
+            np.array([np.diff(b.indptr[bounds]) for b in col_blocks]),
+        )
+
+    def counting(self, merge, sizes: list):
+        """``merge``, appending each output's nonzeros per phase to
+        ``sizes`` (merging is column-wise, so a phase's merge output is
+        the full-width output restricted to the phase's columns)."""
+        phases = len(self.bounds) - 1
+
+        def merge_fn(lists):
+            out = merge(lists)
+            sizes.append(
+                np.bincount(self.col_phase[out.rows], minlength=phases)
+                .tolist()
+            )
+            return out
+
+        return merge_fn
+
+    def short_phases(self, ks: list[int]) -> list[int]:
+        """Phases in which a product of ``ks`` has an empty slab, so the
+        phase pushes fewer products than the full width."""
+        if not ks:
+            return []
+        return np.flatnonzero((self.slab_nnz[ks] == 0).any(axis=0)).tolist()
+
+    def rows_of(self, product: CSCMatrix, p: int) -> TripleList:
+        """A row-major product restricted to phase ``p``'s columns of C."""
+        lo, hi = int(self.bounds[p]), int(self.bounds[p + 1])
+        return TripleList.from_csc(
+            block_of_csc(product, lo, hi, 0, product.ncols), copy=False
+        )
+
+    def records(self, p, kind, nrows, records, merged, short_lists):
+        """Phase ``p``'s pricing records of one block: ``[(k, product
+        record)]`` and the block's :class:`_BlockRecord`.
+
+        A product is priced iff its slab is non-empty; its ``nnz``,
+        per-column flops and column pointer are the full-width ones sliced
+        to the phase's columns (the pointer is not rebased: the pricing
+        reads only differences of it).  The merge events and peaks come
+        from replaying the schedule on sizes, each merge output taking the
+        phase's share of the matching full-width output (``merged``).
+        When the phase pushes fewer products, the groups differ, so the
+        schedule runs on the column-filtered products (``short_lists``).
+        """
+        lo, hi = int(self.bounds[p]), int(self.bounds[p + 1])
+        if short_lists is None:
+            lists = [
+                _Sized(c_indptr[hi] - c_indptr[lo])
+                for _k, _nnz, _flops, c_indptr, _ev in records
+            ]
+            outputs = iter([sizes[p] for sizes in merged])
+
+            def merge_fn(group):
+                return _Sized(next(outputs))
+        else:
+            records = [r for r in records if self.slab_nnz[r[0], p]]
+            lists = short_lists
+
+            def merge_fn(group):
+                return merge_lists(group, copy=False)
+
+        pushed, block = _replay(kind, (hi - lo, nrows), lists, merge_fn)
+        return [
+            (k, (len(lst), per_col[lo:hi], c_indptr[lo : hi + 1], events))
+            for (k, _nnz, per_col, c_indptr, _ev), lst, events in zip(
+                records, lists, pushed
+            )
+        ], block
+
+
+def _numeric_merge(lists, budget_bytes):
+    """The merge schedules' numeric engine.
+
+    Every label runs the same engine, so which name is called here is
+    attribution only: the label planned without the recovery rung, which
+    the pricing pass alone knows.
+    """
+    from .phases import plan_merge_strategy
+
+    label = plan_merge_strategy(
+        sum(len(t) for t in lists), lists[0].shape, budget_bytes=budget_bytes
+    )
+    if label == "serial":
+        return merge_lists(lists, copy=False)
+    return spkadd_merge(lists, strategy=label)
+
+
+def _numeric_pass(
+    dist_a: DistributedCSC,
+    dist_b: DistributedCSC,
+    phases: int,
+    merge_kind: str,
+    budget_bytes: int | None,
+    prune_column,
+    executor,
+):
+    """The numeric pass of one multiply: block-major, at full block-column
+    width, once whatever the phase count.
+
+    For each block column j and block i it computes the products
+    A_ik·B_kj whose operands are non-empty, pushes them through the
+    block's merge schedule in k order, finishes the block and, once the
+    column's q blocks are done, calls ``prune_column(cols, j)``.  Every
+    column of C is computed, merged and pruned independently of the
+    others, so the result cannot depend on the phase split.
+
+    Returns the kept blocks by ``(i, j)`` (row-major), and per phase p the
+    pricing records: ``products[p][(k, i, j)] = (nnz, per-column flops,
+    C's column pointer, merge events)`` and ``blocks[p][(i, j)]``, a
+    :class:`_BlockRecord` — derived from the full-width ones by
+    :meth:`_PhaseSplit.records` when ``phases > 1``.
+    """
+    q = dist_a.grid.q
+    products: list[dict] = [{} for _ in range(phases)]
+    blocks: list[dict] = [{} for _ in range(phases)]
+    kept: dict[tuple[int, int], CSCMatrix] = {
+        (i, j): None for i in range(q) for j in range(q)
+    }
+
+    def merge(lists):
+        return _numeric_merge(lists, budget_bytes)
+
+    for j in range(q):
+        col_blocks = [dist_b.block(k, j) for k in range(q)]
+        pairs = [
+            (i, k)
+            for i in range(q)
+            for k in range(q)
+            if dist_a.block(i, k).nnz and col_blocks[k].nnz
+        ]
+        computed = None
+        if executor.workers > 1 and pairs:
+            from ..parallel.work import local_multiply
+
+            with maybe_span("gather", "summa", column=j, tasks=len(pairs)):
+                handle = executor.submit_batch(
+                    local_multiply,
+                    [(dist_a.block(i, k), col_blocks[k]) for i, k in pairs],
+                    label=f"summa column {j}",
+                    attrs={"column": j},
+                )
+                computed = dict(zip(pairs, handle.result()))
+        split = _PhaseSplit.of(col_blocks, phases) if phases > 1 else None
+        cols = []
+        with maybe_span("column", "summa", column=j):
+            for i in range(q):
+                ks = [k for ii, k in pairs if ii == i]
+                merge_fn = merge
+                merged: list[list[int]] = []
+                # Phases whose slabs leave out a product: the schedule
+                # groups differ there, so their sizes come from running
+                # it on the column-filtered products (rare).
+                short: dict[int, list] = {}
+                if split is not None:
+                    merge_fn = split.counting(merge, merged)
+                    short = {p: [] for p in split.short_phases(ks)}
+                shape = (col_blocks[0].ncols, dist_a.block(i, 0).nrows)
+                state = _RankMergeState(shape, merge_kind, merge_fn)
+                records = []
+                for k in ks:
+                    # Row-major: the canonical CSC of the product's
+                    # transpose, which the merge adds as it is, plus the
+                    # product's own column pointer for the device split.
+                    if computed is not None:
+                        product, c_indptr, per_col = computed.pop((i, k))
+                    else:
+                        product, c_indptr, per_col = spgemm_esc(
+                            dist_a.block(i, k), col_blocks[k], transposed=True
+                        )
+                    events = state.push(
+                        TripleList.from_csc(product, copy=False)
+                    )
+                    records.append(
+                        (k, int(product.nnz), per_col, c_indptr, events)
+                    )
+                    for p, lists in short.items():
+                        if split.slab_nnz[k, p]:
+                            lists.append(split.rows_of(product, p))
+                    del product
+                combine = state.schedule.peak_resident
+                outcome, events = state.finish()
+                # Dropped, not kept: the accumulator and the output block
+                # are different arrays, so a live state would hold the
+                # block twice.
+                del state
+                blk = transpose(outcome.result.to_csc())
+                if split is None:
+                    for k, *record in records:
+                        products[0][(k, i, j)] = tuple(record)
+                    blocks[0][(i, j)] = _block_record(
+                        outcome, events, combine
+                    )
+                else:
+                    for p in range(phases):
+                        products_p, blocks[p][(i, j)] = split.records(
+                            p, merge_kind, shape[1], records, merged,
+                            short.get(p),
+                        )
+                        for k, record in products_p:
+                            products[p][(k, i, j)] = record
+                del outcome, records
+                cols.append(blk)
+        if prune_column is not None:
+            cols = prune_column(cols, j)
+        for i, blk in enumerate(cols):
+            kept[(i, j)] = blk
+    return kept, products, blocks
+
+
 def summa_multiply(
     dist_a: DistributedCSC,
     dist_b: DistributedCSC,
@@ -342,19 +622,20 @@ def summa_multiply(
 ) -> SummaResult:
     """Compute ``C = A·B`` on the grid, per the configured algorithm.
 
-    ``prune_column(col_blocks, j, phase_index)`` runs in the numeric pass,
-    once per block column ``j`` of each phase, as soon as the column's q
-    blocks are finished: it receives them as a list indexed by block row
-    and returns the (pruned) blocks to keep.  It must be pure — no clock
-    is charged there.
+    ``prune_column(col_blocks, j)`` runs in the numeric pass, once per
+    block column ``j`` of the multiply (at full width, whatever
+    ``phases`` is), as soon as the column's q blocks are finished: it
+    receives them as a list indexed by block row and returns the (pruned)
+    blocks to keep.  It must be pure and column-wise — no clock is
+    charged there.
 
     ``charge_column_prune(j, nnz, width)`` runs in the pricing pass, once
-    per block column, with the column's unpruned per-block nonzero counts
-    and its width; the HipMCL driver charges the prune to the rank clocks
-    there.  Under ``config.schedule == "static"`` (when not degraded to
-    the synchronous broadcasts) it is called as soon as the column's
-    final merges are charged — while the next stages' broadcasts are
-    still in flight on the links — and that window is the
+    per block column of each phase, with the phase's unpruned per-block
+    nonzero counts and its width; the HipMCL driver charges the prune to
+    the rank clocks there.  Under ``config.schedule == "static"`` (when
+    not degraded to the synchronous broadcasts) it is called as soon as
+    the column's final merges are charged — while the next stages'
+    broadcasts are still in flight on the links — and that window is the
     ``prune_bcast_overlap_seconds`` evidence; otherwise all columns are
     charged in order after the phase's final merges.
 
@@ -426,7 +707,6 @@ def summa_multiply(
     #: instrumentation below is passive — it never touches rank clocks,
     #: fault draws, or result accounting, keeping traced runs bit-identical.
     tracer = current_tracer()
-    parallel_products = executor.workers > 1
     pipeline_window = 0
     if config.schedule == "static":
         from .phases import overlap_window
@@ -468,9 +748,6 @@ def summa_multiply(
     sel_before = Counter(model.transport_selections)
     dem_before = model.transport_demotions
     model.charge_redistribution(comm, dist_a.nnz + dist_b.nnz)
-    kept_slabs: dict[tuple[int, int], list[CSCMatrix]] = {
-        (i, j): [] for i in range(q) for j in range(q)
-    }
 
     if merge_injector is _INHERIT:
         merge_injector = injector
@@ -480,26 +757,13 @@ def summa_multiply(
     #: to (one-element list: the pricing pass's fault sites write it).
     merge_rung = [0]
 
-    def numeric_merge(lists):
-        """The schedules' numeric engine.
-
-        Every label runs the same engine, so which name is called here is
-        attribution only: the label planned without the recovery rung,
-        which the pricing pass alone knows.
-        """
-        label = plan_merge_strategy(
-            sum(len(t) for t in lists), lists[0].shape,
-            budget_bytes=overlap_budget_bytes,
-        )
-        if label == "serial":
-            return merge_lists(lists, copy=False)
-        return spkadd_merge(lists, strategy=label)
-
     # Pre-slice B's blocks per phase (local column ranges align across a
     # block column because widths are identical within it).  Slabs are
     # memoized on their source block — together with their broadcast byte
     # count, so re-expanding the same matrix (every MCL iteration revisits
     # every stage) never recomputes the slice *or* its nonzero-column scan.
+    # Only the pricing pass uses them: the numeric pass multiplies whole
+    # blocks.
     def phase_slab(k: int, j: int, p: int) -> tuple[CSCMatrix, int]:
         from ..perf.cache import memo
 
@@ -514,82 +778,11 @@ def summa_multiply(
         return memo(blk, ("slab", lo, hi), build)
 
     def block_shape(i: int, j: int, p: int) -> tuple[int, int]:
-        # Blocks are merged in the row-major form the multiply produces
-        # (shape transposed) and transposed back once, when finished.
+        # The phase's share of a block, in the row-major form it is merged.
         return (
             _phase_width(dist_b.block(0, j).ncols, phases, p),
             dist_a.block(i, 0).nrows,
         )
-
-    # -- numeric pass: block-major ------------------------------------------
-    def numeric_column(j: int, p: int, products: dict, blocks: dict):
-        """Finish and prune block column ``j`` of phase ``p``, recording
-        each product in ``products[(k, i, j)]`` and each block in
-        ``blocks[(i, j)]``; returns the kept blocks by block row."""
-        col_slabs = [phase_slab(k, j, p)[0] for k in range(q)]
-        pairs = [
-            (i, k)
-            for i in range(q)
-            for k in range(q)
-            if dist_a.block(i, k).nnz and col_slabs[k].nnz
-        ]
-        nonempty = set(pairs)
-        computed = None
-        if parallel_products and pairs:
-            from ..parallel.work import local_multiply
-
-            with maybe_span(
-                "gather", "summa", phase=p, column=j, tasks=len(pairs)
-            ):
-                handle = executor.submit_batch(
-                    local_multiply,
-                    [(dist_a.block(i, k), col_slabs[k]) for i, k in pairs],
-                    label=f"summa phase {p} column {j}",
-                    attrs={"phase": p, "column": j},
-                )
-                computed = dict(zip(pairs, handle.result()))
-        cols = []
-        with maybe_span("column", "summa", phase=p, column=j):
-            for i in range(q):
-                state = _RankMergeState(
-                    block_shape(i, j, p), config.merge, numeric_merge
-                )
-                for k in range(q):
-                    if (i, k) not in nonempty:
-                        continue
-                    # Row-major: the canonical CSC of the product's
-                    # transpose, which the merge adds as it is, plus the
-                    # product's own column pointer for the device split.
-                    if computed is not None:
-                        product, c_indptr, per_col = computed.pop((i, k))
-                    else:
-                        product, c_indptr, per_col = spgemm_esc(
-                            dist_a.block(i, k), col_slabs[k], transposed=True
-                        )
-                    events = state.push(
-                        TripleList.from_csc(product, copy=False)
-                    )
-                    products[(k, i, j)] = (
-                        product.nnz, per_col, c_indptr, events
-                    )
-                    del product
-                combine = state.schedule.peak_resident
-                outcome, events = state.finish()
-                # Dropped, not kept: the accumulator and the output block
-                # are different arrays, so a live state would hold the
-                # block twice.
-                del state
-                blk = transpose(outcome.result.to_csc())
-                blocks[(i, j)] = _BlockRecord(
-                    events, outcome.operations,
-                    outcome.peak_event_elements,
-                    outcome.peak_resident_elements, combine, blk.nnz,
-                )
-                del outcome
-                cols.append(blk)
-        if prune_column is not None:
-            cols = prune_column(cols, j, p)
-        return cols
 
     # -- pricing pass: stage-major ------------------------------------------
     # The static schedule walks the whole expansion as one flat sequence
@@ -777,17 +970,17 @@ def summa_multiply(
             clock.cpu.free_at = done
         return done
 
+    kept, phase_products, phase_blocks = _numeric_pass(
+        dist_a, dist_b, phases, config.merge, overlap_budget_bytes,
+        prune_column, executor,
+    )
     if static_active:
         for n in range(min(2, n_nodes)):
             issue_node(n)
 
     for p in range(phases):
-        products: dict[tuple[int, int, int], tuple] = {}
-        blocks: dict[tuple[int, int], _BlockRecord] = {}
-        for j in range(q):
-            for i, blk in enumerate(numeric_column(j, p, products, blocks)):
-                kept_slabs[(i, j)].append(blk)
-
+        products = phase_products[p]
+        blocks = phase_blocks[p]
         input_bytes_peak = np.zeros((q, q), dtype=np.int64)
         last_available = np.zeros((q, q))
         for k in range(q):
@@ -957,8 +1150,11 @@ def summa_multiply(
         if not config.pipelined:
             comm.barrier()
 
-    for key, slabs in kept_slabs.items():
-        result.dist_c.blocks[key] = hstack_csc(slabs)
+    # One full-width piece per block: the numeric pass no longer phases.
+    # The copy keeps ``hstack_csc`` the assembly call that
+    # bench/layers.py times as ``sparse.hstack``.
+    for key, blk in kept.items():
+        result.dist_c.blocks[key] = hstack_csc([blk])
     result.link_busy_seconds = comm.link_busy_seconds() - link_busy_before
     result.transport_selections = (
         Counter(model.transport_selections) - sel_before

@@ -847,6 +847,50 @@ def test_distributed_topk_fast_matches(mats, k):
         assert bits_equal(distributed_topk_threshold(blocks, k), want)
 
 
+@given(
+    st.integers(1, 40),
+    st.integers(1, 5),
+    st.lists(
+        st.tuples(
+            st.integers(0, 39),
+            st.sampled_from([-1.0, 0.0, 0.25, 0.5, 0.5, 1.0, 3.0]),
+        ),
+        max_size=80,
+    ),
+)
+@settings(max_examples=120, deadline=None)
+def test_column_kth_largest_matches_sorted_columns(ncols, k, entries):
+    # Columns ascending, values in drawn order within a column.
+    entries = sorted(((c, v) for c, v in entries if c < ncols),
+                     key=lambda e: e[0])
+    cols = np.array([c for c, _ in entries], dtype=np.int64)
+    vals = np.array([v for _, v in entries], dtype=np.float64)
+    want = np.full(ncols, -np.inf)
+    for j in range(ncols):
+        column = np.sort(vals[cols == j])
+        if len(column) >= k:
+            want[j] = column[-k]
+    got = perf_topk.column_kth_largest(cols, vals, ncols, k)
+    assert got is None or bits_equal(got, want)
+    with patched(perf_topk, PAD_WASTE_FACTOR=1 << 30):  # always partition
+        assert bits_equal(
+            perf_topk.column_kth_largest(cols, vals, ncols, k), want
+        )
+
+
+def test_column_kth_largest_pads_only_the_columns_needing_a_threshold():
+    # One column of 3 entries among 100,000: padding every column to it
+    # would be 300,000 cells for 3 entries, far past the waste guard; the
+    # one column that needs a threshold is 3 cells.
+    cols = np.zeros(3, dtype=np.int64)
+    vals = np.array([0.5, 2.0, 1.0])
+    got = perf_topk.column_kth_largest(cols, vals, 100_000, 2)
+    assert got is not None
+    assert got[0] == 1.0 and np.all(got[1:] == -np.inf)
+    assert np.all(perf_topk.column_kth_largest(cols, vals, 100_000, 4)
+                  == -np.inf)
+
+
 @given(multipliable_pairs(), st.integers(2, 8))
 @settings(max_examples=40, deadline=None)
 def test_estimator_fixed_seed_identical(pair, keys):

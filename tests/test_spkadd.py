@@ -293,7 +293,9 @@ class TestEngineWiring:
         # The merged row-major accumulator and the output block transposed
         # from it are different arrays: a state kept after its block is
         # finished would hold the block twice.  By the time a block column
-        # reaches the prune, none of the phase's states is alive.
+        # reaches the prune, none of its states is alive.  The numeric
+        # pass runs at full block-column width, so a two-phase multiply
+        # builds one state per block and prunes each column once.
         import gc
         import weakref
 
@@ -308,14 +310,14 @@ class TestEngineWiring:
                 states.add(self)
                 made[0] += 1
 
-        def prune(cols, j, phase):
+        def prune(cols, j):
             gc.collect()
             alive.append(len(states))
             return cols
 
         monkeypatch.setattr(engine, "_RankMergeState", Tracked)
         _phased_engine_run(workers=1, prune_column=prune)
-        assert made == [2 * 16] and alive == [0] * (2 * 4)
+        assert made == [16] and alive == [0] * 4
 
     def test_at_most_one_block_column_of_merge_state(self, monkeypatch):
         # The numeric pass is block-major: a column's blocks are merged

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ShapeError
 from repro.machine import SUMMIT_LIKE
 from repro.mpi import ProcessGrid, VirtualComm
-from repro.sparse import CSCMatrix, random_csc
+from repro.sparse import CSCMatrix, csc_from_triples, random_csc
 from repro.summa import (
     DistributedCSC,
     PhasePlan,
@@ -105,6 +105,38 @@ class TestEngineCorrectness:
         assert np.allclose(res.dist_c.to_global().to_dense(), expected)
         assert res.phases == phases
 
+    def test_phase_split_leaves_the_product_bit_identical(self):
+        # 16x16 on a 4x4 grid: C[0, 0] sums three stage products, k = 0,
+        # 2, 3, and B block (1, 0) holds only column 3, so its phase-0
+        # slab is empty whenever there are two or more phases.  Phasing
+        # the numerics pushed three products there instead of four and
+        # regrouped the binary merge: (0.2 + 0.1) + 0.3 instead of
+        # (0.3 + 0.2) + 0.1, a last-bit difference.
+        a = csc_from_triples(
+            (16, 16), np.zeros(4, dtype=np.int64), np.array([0, 4, 8, 12]),
+            np.ones(4),
+        )
+        b = csc_from_triples(
+            (16, 16), np.array([0, 8, 12, 4]), np.array([0, 0, 0, 3]),
+            np.array([0.1, 0.2, 0.3, 0.5]),
+        )
+        grid = ProcessGrid(4)
+        da = DistributedCSC.from_global(a, grid)
+        db = DistributedCSC.from_global(b, grid)
+        assert db.block(1, 0).nnz == 1
+        products = [
+            summa_multiply(
+                da, db, VirtualComm(16, SUMMIT_LIKE), SummaConfig(),
+                phases=phases,
+            ).dist_c.to_global()
+            for phases in (1, 2, 4)
+        ]
+        for c in products:
+            assert np.array_equal(c.indptr, products[0].indptr)
+            assert np.array_equal(c.indices, products[0].indices)
+            assert c.data.tobytes() == products[0].data.tobytes()
+        assert products[0].to_dense()[0, 0] == (0.3 + 0.2) + 0.1
+
     def test_grid_one_works(self):
         a = random_csc((20, 20), 0.2, seed=31)
         grid = ProcessGrid(1)
@@ -119,7 +151,7 @@ class TestEngineCorrectness:
         da, db, _ = dist_pair
         comm = VirtualComm(16, SUMMIT_LIKE)
 
-        def drop_everything(cols, j, phase_index):
+        def drop_everything(cols, j):
             return [CSCMatrix.empty(blk.shape) for blk in cols]
 
         res = summa_multiply(

@@ -9,6 +9,8 @@ worker lanes appear for pool backends.
 """
 
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -242,3 +244,28 @@ def test_disabled_tracing_overhead():
         f"untraced eukarya-xs run {now_s:.2f}s vs baseline {base_s:.2f}s "
         f"exceeds the {DEFAULT_TOLERANCE * 100:.0f}% gate"
     )
+
+
+def test_run_trace_cli_runs_the_3d_hybrid_static_configuration():
+    # The CLI's --grid/--transport reach HipMCLConfig: the printed
+    # simulated seconds are those of a direct run of the same config.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "run_trace.py"), "archaea-xs",
+         "--budget", "65536", "--schedule", "static", "--grid", "3d",
+         "--transport", "hybrid"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    from repro.nets import catalog
+
+    entry = catalog.entry("archaea-xs")
+    res = hipmcl(
+        entry.generate(seed=0).matrix, entry.options(),
+        HipMCLConfig.optimized(
+            nodes=16, schedule="static", grid="3d", transport="hybrid",
+            memory_budget_bytes=65536,
+        ),
+    )
+    assert f"{res.elapsed_seconds:.4f} simulated s" in proc.stdout
+    assert f"3d grid: {res.layers} layers, hybrid transport" in proc.stdout
+    assert sum(res.transport_selections.values()) > 0

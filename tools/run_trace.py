@@ -10,8 +10,13 @@ run:
 
 The positional argument is a catalog network name (``archaea-xs``,
 ``eukarya-xs``, ...) or a path to a MatrixMarket ``.mtx`` file.  The
-script runs the optimized HipMCL configuration with tracing on, writes
-the requested artifacts, and prints the text summary (per-category span
+``phased-static3d`` benchmark workload's configuration is
+
+    PYTHONPATH=src python tools/run_trace.py eukarya-xs --budget 524288 \
+        --schedule static --grid 3d --transport hybrid
+
+The script runs the optimized HipMCL configuration with tracing on,
+writes the requested artifacts, and prints the text summary (per-category span
 totals, worker lanes, link overlap evidence, the merge phase's wall-clock
 share, counters) so no viewer is needed for a first look.  Load the JSON
 at https://ui.perfetto.dev for the full
@@ -55,6 +60,17 @@ def main(argv=None) -> int:
         help="expansion schedule: 'static' posts async double-buffered "
         "broadcasts on per-row/column links and overlaps the per-column "
         "prune with the next phase's broadcasts (changes simulated time)",
+    )
+    parser.add_argument(
+        "--grid", choices=["2d", "3d"], default="2d",
+        help="process grid the simulated clocks are charged on: the "
+        "sqrt(P) x sqrt(P) SUMMA grid or the split-3D grid (changes "
+        "simulated time, not results)",
+    )
+    parser.add_argument(
+        "--transport", choices=["broadcast", "p2p", "hybrid"],
+        default="hybrid",
+        help="B-side transport of the 3D grid (ignored on the 2d grid)",
     )
     parser.add_argument(
         "--trace", metavar="FILE",
@@ -101,7 +117,10 @@ def main(argv=None) -> int:
         "optimized": HipMCLConfig.optimized,
         "original": HipMCLConfig.original,
         "cpu": HipMCLConfig.optimized_cpu,
-    }[args.mode](nodes=args.nodes, schedule=args.schedule, **budget)
+    }[args.mode](
+        nodes=args.nodes, schedule=args.schedule, grid=args.grid,
+        transport=args.transport, **budget,
+    )
 
     tracer = Tracer()
     t0 = time.perf_counter()
@@ -125,6 +144,14 @@ def main(argv=None) -> int:
             f"{res.prune_bcast_overlap_seconds * 1e3:.2f}ms prune/broadcast "
             f"overlap, {res.link_busy_seconds * 1e3:.2f}ms link busy "
             "(simulated)"
+        )
+    if args.grid == "3d":
+        picks = ", ".join(
+            f"{k} {v}" for k, v in sorted(res.transport_selections.items())
+        )
+        print(
+            f"3d grid: {res.layers} layers, {args.transport} transport "
+            f"({picks or 'no selections'})"
         )
     print()
     print(summarize(tracer))
