@@ -315,7 +315,7 @@ def localized_delta(
     Incremental re-clustering pays off exactly when the delta is *local*
     — a scattered delta dirties most components and the warm start
     degenerates to a full rerun.  This generator models the local case
-    (the benchmark's ``delta_rerun`` section and the tier-2 speedup test
+    (the benchmark's ``delta-warm`` workload and the warm-vs-cold test
     share it): additions pair vertices inside the largest connected
     component, removals sample that component's existing edges, so every
     other component stays clean.

@@ -242,9 +242,9 @@ def test_grid3d_checkpoint_not_interchangeable_with_2d(nets, nets3d, opts,
 
 
 class TestStaticScheduleAcceptance:
-    """The static pipeline schedule against the synchronous one on the
-    tier2 perf graphs: the static schedule must do no worse on every
-    graph, strictly better with evidence on at least one."""
+    """The static pipeline schedule against the synchronous one on
+    eukarya-xs and isom100-3-xs: the static schedule must do no worse on
+    every graph, strictly better with evidence on at least one."""
 
     NETS = ("eukarya-xs", "isom100-3-xs")
 

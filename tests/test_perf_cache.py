@@ -1,21 +1,8 @@
-"""The perf subsystem's contracts: caches, arena, bench compare."""
-
-import json
-import subprocess
-import sys
-from pathlib import Path
+"""The perf subsystem's contracts: caches and arena."""
 
 import numpy as np
 import pytest
 
-from repro.bench.perfbench import (
-    BaselineError,
-    Comparison,
-    compare_reports,
-    load_baseline,
-    regressions,
-    validate_report,
-)
 from repro.perf.arena import Arena
 from repro.perf.cache import memo
 from repro.sparse import CSCMatrix, random_csc
@@ -182,196 +169,3 @@ def test_arena_release_drops_buffers():
     arena.release()
     fresh = arena.buffer("w", 10, np.float64)
     assert len(fresh) == 10
-
-
-# ---------------------------------------------------------------------------
-# Perfbench comparison logic (no timing involved)
-# ---------------------------------------------------------------------------
-
-
-def _report(e2e, micro):
-    return {
-        "end_to_end": {k: {"seconds": v} for k, v in e2e.items()},
-        "micro": {k: {"seconds": v} for k, v in micro.items()},
-    }
-
-
-def test_compare_reports_pairs_by_name():
-    base = _report({"net": 1.0}, {"esc": 0.010, "hash": 0.020})
-    cur = _report({"net": 1.1}, {"esc": 0.014, "gone": 0.5})
-    # A section the current run did not measure at all stays quiet; a
-    # baseline cell gone from a measured section is skipped with a warning.
-    base["merge_sweep"] = {"k4-uniform-w4": {"seconds": 0.1}}
-    warnings = []
-    rows = {
-        c.name: c for c in compare_reports(cur, base, warn=warnings.append)
-    }
-    assert set(rows) == {"end_to_end/net", "micro/esc"}
-    assert rows["micro/esc"].ratio == pytest.approx(1.4)
-    assert len(warnings) == 1 and "'micro/hash'" in warnings[0]
-    cur["merge_sweep"] = {"k4-uniform-w1": {"seconds": 0.1}}
-    compare_reports(cur, base, warn=warnings.append)
-    assert "'merge_sweep/k4-uniform-w4'" in warnings[-1]
-
-
-def test_regressions_respect_tolerance():
-    base = _report({"net": 1.0}, {"esc": 0.010})
-    cur = _report({"net": 1.2}, {"esc": 0.011})
-    assert [c.name for c in regressions(cur, base, tolerance=0.25)] == []
-    bad = regressions(cur, base, tolerance=0.15)
-    assert [c.name for c in bad] == ["end_to_end/net"]
-    assert bad[0].regressed(0.15)
-
-
-def test_comparison_handles_zero_baseline():
-    c = Comparison("x", 0.0, 0.5)
-    assert c.regressed(0.25)
-
-
-def test_schema3_scaling_flattens_with_legacy_aliases():
-    # Schema-3 per-backend scaling rows pair with a schema-2 baseline's
-    # process-only names, both directions.
-    from repro.bench.perfbench import validate_report
-
-    rep3 = _report({}, {})
-    rep3["schema"] = 3
-    rep3["scaling"] = {
-        "net": {
-            "thread": {"w2": {"seconds": 2.0}},
-            "process": {"w2": {"seconds": 3.0}},
-        }
-    }
-    rep2 = _report({}, {})
-    rep2["schema"] = 2
-    rep2["scaling"] = {"net": {"w2": {"seconds": 4.0}}}
-    assert validate_report(rep3) == [] and validate_report(rep2) == []
-    rows = {c.name: c for c in compare_reports(rep3, rep2)}
-    assert set(rows) == {"scaling/net/w2"}
-    assert rows["scaling/net/w2"].current == 3.0  # the process rows
-    # Schema-3 vs schema-3 pairs per backend.
-    rows3 = {c.name: c for c in compare_reports(rep3, rep3)}
-    assert "scaling/net/thread/w2" in rows3
-    assert "scaling/net/process/w2" in rows3
-
-
-def test_pipeline_sweep_flattens_and_validates():
-    # Schema 5: pipeline_sweep cells pair by name; net names contain
-    # dashes, so the cell key parses from the right ({net}-{sched}-w{N}).
-    from repro.bench.perfbench import validate_report
-
-    rep = _report({}, {})
-    rep["schema"] = 5
-    rep["pipeline_sweep"] = {
-        "isom100-3-xs-static-w4": {"seconds": 1.5},
-        "eukarya-xs-sync-w1": {"seconds": 2.0},
-    }
-    assert validate_report(rep) == []
-    rows = {c.name: c for c in compare_reports(rep, rep)}
-    assert "pipeline_sweep/isom100-3-xs-static-w4" in rows
-    assert "pipeline_sweep/eukarya-xs-sync-w1" in rows
-    # A schema-4 baseline without the section still pairs on the rest.
-    old = _report({}, {})
-    old["schema"] = 4
-    assert all(
-        not c.name.startswith("pipeline_sweep")
-        for c in compare_reports(rep, old)
-    )
-    # Malformed rows are enumerated.
-    rep["pipeline_sweep"]["bad-cell-w1"] = {"ms": 3}
-    assert any("bad-cell-w1" in p for p in validate_report(rep))
-
-
-# ---------------------------------------------------------------------------
-# Baseline validation for --check (fails fast, with actionable messages)
-# ---------------------------------------------------------------------------
-
-
-class TestBaselineValidation:
-    def _valid(self):
-        return {
-            "schema": 2,
-            "end_to_end": {"net": {"seconds": 1.0}},
-            "micro": {"esc": {"seconds": 0.01}},
-            "scaling": {"net": {"w1": {"seconds": 1.0},
-                                "w4": {"seconds": 0.5}}},
-        }
-
-    def test_valid_report_accepted(self, tmp_path):
-        path = tmp_path / "base.json"
-        path.write_text(json.dumps(self._valid()))
-        assert load_baseline(path) == self._valid()
-        assert validate_report(self._valid()) == []
-
-    def test_missing_file_names_the_fix(self, tmp_path):
-        with pytest.raises(BaselineError, match="not found.*run_perfbench"):
-            load_baseline(tmp_path / "absent.json")
-
-    def test_unparseable_json_reported(self, tmp_path):
-        path = tmp_path / "garbage.json"
-        path.write_text("{not json")
-        with pytest.raises(BaselineError, match="not readable JSON"):
-            load_baseline(path)
-
-    def test_schema_version_mismatch_reported(self, tmp_path):
-        report = self._valid()
-        report["schema"] = 99
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(report))
-        with pytest.raises(BaselineError, match="schema version is 99"):
-            load_baseline(path)
-
-    def test_malformed_sections_enumerated(self):
-        problems = validate_report(
-            {"schema": 2, "end_to_end": [], "micro": {"esc": {"ms": 3}},
-             "scaling": {"net": {"w2": {"ms": 3}}}}
-        )
-        assert any("end_to_end" in p for p in problems)
-        assert any("micro/esc" in p for p in problems)
-        assert any("scaling/net/w2" in p for p in problems)
-        assert validate_report([1, 2]) != []
-
-    def test_default_baseline_is_the_highest_numbered_report(self, tmp_path):
-        import importlib.util
-
-        root = Path(__file__).resolve().parent.parent
-        spec = importlib.util.spec_from_file_location(
-            "run_perfbench", root / "tools" / "run_perfbench.py"
-        )
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
-        # Numeric, not lexicographic; stray names are ignored.
-        for name in ("BENCH_PR2.json", "BENCH_PR10.json", "BENCH_PR9.json",
-                     "BENCH_PRx.json", "BENCH_PR11.json.bak"):
-            (tmp_path / name).write_text("{}")
-        assert tool.latest_baseline(tmp_path).name == "BENCH_PR10.json"
-        # The repo's own default resolves to a committed report.
-        assert tool.latest_baseline().is_file()
-
-    @pytest.mark.parametrize(
-        "content,needle",
-        [
-            (None, "not found"),
-            ("{broken", "not readable JSON"),
-            ('{"schema": 99, "end_to_end": {}, "micro": {}}',
-             "schema version"),
-        ],
-        ids=["missing", "garbage", "schema"],
-    )
-    def test_cli_check_fails_fast_without_traceback(
-        self, tmp_path, content, needle
-    ):
-        baseline = tmp_path / "base.json"
-        if content is not None:
-            baseline.write_text(content)
-        root = Path(__file__).resolve().parent.parent
-        proc = subprocess.run(
-            [sys.executable, str(root / "tools" / "run_perfbench.py"),
-             "--check", "--baseline", str(baseline)],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 2
-        assert needle in proc.stderr
-        assert "Traceback" not in proc.stderr
-        # Fails before running any benchmark (the whole point of the
-        # fail-fast ordering).
-        assert "end-to-end" not in proc.stdout
