@@ -34,7 +34,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from ..spgemm.hybrid import KernelKind, SelectionPolicy
+import numpy as np
+
+from ..spgemm.hybrid import KERNEL_KINDS, KernelKind, SelectionPolicy
 
 
 @dataclass(frozen=True)
@@ -148,6 +150,47 @@ class MachineSpec:
             self.gpu_launch_overhead_s
             + input_bytes / self.gpu_preprocess_bytes_per_s
             + flops / self.gpu_spgemm_rate(kind, cf)
+        )
+
+    def gpu_spgemm_times(
+        self,
+        kinds: np.ndarray,
+        flops: np.ndarray,
+        cf: np.ndarray,
+        input_bytes: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`gpu_spgemm_time` elementwise over broadcastable arrays;
+        ``kinds`` holds :data:`~repro.spgemm.hybrid.KERNEL_KINDS` codes.
+
+        The same IEEE operations in the same association, so every element
+        equals the scalar price bit for bit.  An element whose kind is not
+        a GPU kernel prices as NaN.
+        """
+        which = [
+            kinds == KERNEL_KINDS.index(kind)
+            for kind in (KernelKind.GPU_NSPARSE, KernelKind.GPU_BHSPARSE,
+                         KernelKind.GPU_RMERGE2)
+        ]
+        peak = np.select(
+            which,
+            [self.gpu_nsparse_peak, self.gpu_bhsparse_peak,
+             self.gpu_rmerge2_peak],
+            np.nan,
+        )
+        cf0 = np.select(
+            which,
+            [self.gpu_nsparse_cf0, self.gpu_bhsparse_cf0,
+             self.gpu_rmerge2_cf0],
+            np.nan,
+        )
+        cf = np.maximum(cf, 1.0)
+        rate = peak * cf / (cf + cf0)
+        return np.where(
+            flops <= 0,
+            self.gpu_launch_overhead_s,
+            self.gpu_launch_overhead_s
+            + input_bytes / self.gpu_preprocess_bytes_per_s
+            + flops / rate,
         )
 
     def cpu_spgemm_time(self, kind: KernelKind, ops: float, threads: int) -> float:

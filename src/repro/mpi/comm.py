@@ -306,6 +306,7 @@ class VirtualComm:
         *,
         channel: str,
         ready_at: float = 0.0,
+        trace_attrs: dict | None = None,
     ) -> AsyncBroadcast:
         """Post a broadcast of ``nbytes`` on ``channel`` without blocking.
 
@@ -321,6 +322,8 @@ class VirtualComm:
         α-β duration, same byte counters, same injector draw order — so
         with a window of 1 (``ready_at`` = the members' synchronizing
         start) the handle's interval equals the synchronous collective's.
+        ``trace_attrs`` are added to the link span a tracer records (the
+        engine passes the phase and stage that posted the transfer).
         """
         if nbytes < 0:
             raise CommunicatorError(f"negative payload: {nbytes}")
@@ -343,7 +346,7 @@ class VirtualComm:
             tracer.event_span(
                 "broadcast.async", "comm",
                 lane=f"link:{channel}", t0_sim=start, t1_sim=end,
-                nbytes=nbytes, group=len(ranks),
+                nbytes=nbytes, group=len(ranks), **(trace_attrs or {}),
             )
         return handle
 
@@ -355,6 +358,7 @@ class VirtualComm:
         *,
         channel: str,
         ready_at: float = 0.0,
+        trace_attrs: dict | None = None,
     ) -> AsyncBroadcast:
         """Post a serialized chain of point-to-point sends on ``channel``.
 
@@ -363,7 +367,8 @@ class VirtualComm:
         occupies the link for the *sum* of the per-message α-β times
         (the same total :meth:`p2p` would charge synchronously).  Fault
         semantics mirror :meth:`broadcast_async`: one draw from the
-        "comm" stream per posted chain, charged to the link.
+        "comm" stream per posted chain, charged to the link; so do
+        ``trace_attrs``.
         """
         self._check_group(ranks)
         for nbytes in payloads:
@@ -388,7 +393,7 @@ class VirtualComm:
             tracer.event_span(
                 "p2p.async", "comm",
                 lane=f"link:{channel}", t0_sim=start, t1_sim=end,
-                nbytes=total, group=len(ranks),
+                nbytes=total, group=len(ranks), **(trace_attrs or {}),
             )
         return handle
 

@@ -126,20 +126,16 @@ def add_self_loops(mat: CSCMatrix, weight: float | None = None) -> CSCMatrix:
     binary uses the column's maximum as the loop weight when ``weight`` is
     ``None``; a fixed positive ``weight`` may be supplied instead.
     """
-    from .construct import csc_from_triples, identity_csc
-
     if mat.nrows != mat.ncols:
         raise ShapeError(f"self loops need a square matrix, got {mat.shape}")
+    n = mat.nrows
     if weight is not None:
         if weight <= 0:
             raise ValueError(f"self-loop weight must be positive, got {weight}")
-        loops = identity_csc(mat.nrows, weight)
+        w = np.full(n, weight, dtype=_c.VALUE_DTYPE)
     else:
         w = column_max(mat)
         w[w == 0] = 1.0
-        n = mat.nrows
-        idx = np.arange(n, dtype=_c.INDEX_DTYPE)
-        loops = csc_from_triples((n, n), idx, idx, w, sum_dup=False)
     # Remove any existing diagonal first so the loop weight replaces it.
     cols = _c.expand_major(mat.indptr, mat.ncols)
     keep = mat.indices != cols
@@ -150,8 +146,27 @@ def add_self_loops(mat: CSCMatrix, weight: float | None = None) -> CSCMatrix:
         mat.indices[keep],
         mat.data[keep],
         check=False,
+    ).sum_duplicates().pruned_zeros()
+    # ``add(off_diag, loops)`` without its sort: the canonical
+    # off-diagonal entries keep their order, and each column's loop (never
+    # zero, never a duplicate) goes in after the entries above the
+    # diagonal — one linear pass.
+    rows, vals = off_diag.indices, off_diag.data
+    cols = _c.expand_major(off_diag.indptr, n)
+    below = rows > cols
+    diag = np.arange(n, dtype=_c.INDEX_DTYPE)
+    at = off_diag.indptr[1:] + diag - np.bincount(cols[below], minlength=n)
+    out_rows = np.empty(len(rows) + n, dtype=_c.INDEX_DTYPE)
+    out_vals = np.empty(len(rows) + n, dtype=_c.VALUE_DTYPE)
+    slot = np.arange(len(rows)) + cols + below
+    out_rows[slot] = rows
+    out_vals[slot] = vals
+    out_rows[at] = diag
+    out_vals[at] = w
+    return CSCMatrix(
+        mat.shape, off_diag.indptr + np.arange(n + 1, dtype=_c.INDEX_DTYPE),
+        out_rows, out_vals, check=False,
     )
-    return add(off_diag, loops)
 
 
 def symmetrize_max(mat: CSCMatrix) -> CSCMatrix:

@@ -137,9 +137,19 @@ def hash_operation_count(
         from .metrics import flops
 
         total_flops = flops(a, b)
+    return hash_operations(
+        total_flops, c_nnz, int((b.column_lengths() > 0).sum())
+    )
+
+
+def hash_operations(total_flops, c_nnz: int, b_nonempty_columns: int):
+    """:func:`hash_operation_count` from the three counts it reads:
+    flops, ``nnz(C)`` and B's non-empty columns.  The SUMMA engine prices
+    a phase from counts over the block's column pointer with it, without
+    building the phase's slab."""
     f = float(total_flops)
     if c_nnz <= 0:
         return f
-    used = max(1, int((b.column_lengths() > 0).sum()))
+    used = max(1, b_nonempty_columns)
     avg_col = max(2.0, c_nnz / used)
     return f + c_nnz * np.log2(avg_col)

@@ -116,6 +116,14 @@ def heap_operation_count(
         from .metrics import flops_per_column
 
         column_flops = flops_per_column(a, b)
+    return heap_operations(column_flops, b.column_lengths())
+
+
+def heap_operations(column_flops, b_column_lengths) -> float:
+    """:func:`heap_operation_count` from the two arrays it reads: each
+    output column's flops and the stored entries of B's matching column
+    (the heap size).  The SUMMA engine prices a phase from slices of the
+    block's arrays with it, without building the phase's slab."""
     per_col = column_flops.astype(np.float64)
-    k = np.maximum(b.column_lengths(), 2).astype(np.float64)
+    k = np.maximum(b_column_lengths, 2).astype(np.float64)
     return float(np.sum(per_col * np.log2(k)))

@@ -21,6 +21,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from .metrics import WorkProfile
 
 
@@ -101,6 +103,36 @@ def kernel_for_work(
     if cf >= policy.cpu_cf_hash_min:
         return KernelKind.CPU_HASH
     return KernelKind.CPU_HEAP
+
+
+#: Every kernel kind, indexed by the codes :func:`kernels_for_work` returns.
+KERNEL_KINDS = tuple(KernelKind)
+
+
+def kernels_for_work(
+    flops: np.ndarray,
+    cf: np.ndarray,
+    *,
+    gpu_available: bool = True,
+    policy: SelectionPolicy = DEFAULT_POLICY,
+) -> np.ndarray:
+    """:func:`kernel_for_work` elementwise over arrays of work: each
+    pick as its index into :data:`KERNEL_KINDS`."""
+    code = {kind: n for n, kind in enumerate(KERNEL_KINDS)}
+    on_gpu = gpu_available & (np.asarray(flops) >= policy.gpu_min_flops)
+    return np.select(
+        [
+            on_gpu & (cf >= policy.gpu_cf_nsparse_min),
+            on_gpu,
+            cf >= policy.cpu_cf_hash_min,
+        ],
+        [
+            code[KernelKind.GPU_NSPARSE],
+            code[KernelKind.GPU_RMERGE2],
+            code[KernelKind.CPU_HASH],
+        ],
+        code[KernelKind.CPU_HEAP],
+    )
 
 
 #: Graceful-degradation ladder: where a faulted kernel falls back to.

@@ -18,17 +18,22 @@ advances by modeled durations.  A multiply runs in two passes.
   through that block's merge schedule and finishes the block; once the
   column's q blocks are finished, ``prune_column`` prunes it.  At most
   one merge schedule and one block column of unpruned output are live
-  at a time.  The pass keeps a small record per product (nnz,
-  per-column flops, C's column pointer, the merge events it triggered)
-  and per block (final merge events, peaks), and derives each phase's
-  records from them (:meth:`_PhaseSplit.records`).
-* The **pricing pass** walks the phases and replays each phase's records
-  stage-major, in the order the ranks execute them: broadcasts, kernel
-  choice, the GPU degradation ladder, clock charges, fault draws,
-  merge-strategy labels, trace tuples, the per-column
-  ``charge_column_prune`` and the overlap evidence.  Numerics never
-  depend on a price, so splitting the passes changes no simulated
-  figure.
+  at a time.  The pass keeps a small record per product (per-column
+  flops and C's column pointer at full width, and per phase the merge
+  events it triggered) and per block and phase (final merge events,
+  peaks); the phases' events are derived from the full-width pass
+  (:meth:`_PhaseSplit.events`).
+* The **pricing pass** first prices every product of every phase from
+  integer counts (:class:`_PricePlan`): broadcast bytes, the §III-A
+  device split, column lengths and row counts are counts over B's
+  blocks at the phase bounds, so no phase slab is built, and the kernel
+  pick and the device prices are one vectorised pass per multiply.  It
+  then walks the phases and replays each phase's records stage-major,
+  in the order the ranks execute them: broadcasts, the GPU degradation
+  ladder, clock charges, fault draws, merge-strategy labels, trace
+  tuples, the per-column ``charge_column_prune`` and the overlap
+  evidence.  Numerics never depend on a price, so splitting the passes
+  changes no simulated figure.
 
 Broadcasts synchronize their subcommunicator (blocking collectives); in
 pipelined mode the stage-k GPU multiply runs concurrently with the
@@ -37,7 +42,7 @@ because nothing barriers the ranks between stages.  In classic mode a
 global barrier closes every stage (bulk-synchronous, as HipMCL was).
 
 Phased execution (§II, §V): when the caller passes ``phases=h > 1``, the
-pricing pass charges each local B block's p-th column slice per phase,
+pricing pass charges each local B block's p-th column range per phase,
 each block column's prune as soon as its phase is finished (the HipMCL
 driver's fused expand+prune), and A's re-broadcast every phase —
 exactly the extra communication the pipelining hides.  Phases bound the
@@ -62,9 +67,11 @@ from ..mpi.comm import RESILIENCE_ACCOUNT, VirtualComm
 from ..perf.esc import transpose
 from ..sparse import CSCMatrix, block_of_csc, hstack_csc
 from ..spgemm.esc import spgemm_esc
-from ..spgemm.hashspgemm import hash_operation_count
-from ..spgemm.heap import heap_operation_count
-from ..spgemm.hybrid import KernelKind, degrade_kernel, kernel_for_work
+from ..spgemm.hashspgemm import hash_operations
+from ..spgemm.heap import heap_operations
+from ..spgemm.hybrid import (
+    KERNEL_KINDS, KernelKind, degrade_kernel, kernels_for_work,
+)
 from ..trace import current_tracer, maybe_span
 from .distmatrix import DistributedCSC
 from .engine3d import Grid3DModel
@@ -190,72 +197,62 @@ class SummaResult:
     transport_demotions: int = 0
 
 
-def _pick_kernel(
+def _pick_kernels(
     config: SummaConfig,
     policy,
-    flops: int,
-    cf: float,
+    flops: np.ndarray,
+    cf: np.ndarray,
     gpu_ok: bool,
-) -> KernelKind:
+) -> np.ndarray:
+    """Every product's kernel as a :data:`KERNEL_KINDS` code."""
+    gpu = config.use_gpu and gpu_ok
     if config.kernel == "hybrid":
-        return kernel_for_work(
-            flops, cf, gpu_available=config.use_gpu and gpu_ok, policy=policy
-        )
+        return kernels_for_work(flops, cf, gpu_available=gpu, policy=policy)
     kind = _KERNEL_NAMES[config.kernel]
-    if kind.on_gpu and not (config.use_gpu and gpu_ok):
-        return KernelKind.CPU_HASH  # forced-GPU config without a usable GPU
-    return kind
+    if kind.on_gpu and not gpu:
+        kind = KernelKind.CPU_HASH  # forced-GPU config without a usable GPU
+    return np.full(np.shape(flops), KERNEL_KINDS.index(kind))
 
 
-def _cpu_kernel_ops(
-    kind: KernelKind, a, b, c_nnz: int, per_col: np.ndarray, flops: int
-) -> float:
-    if kind is KernelKind.CPU_HEAP:
-        return heap_operation_count(a, b, per_col)
-    return hash_operation_count(a, b, c_nnz, flops)
-
-
-def _device_split(b: CSCMatrix, g: int):
-    """B's column split over ``g`` devices, memoized on the slab (every
-    stage and iteration that offloads a product of it reuses the split):
-    the split points, the slab starts ``np.add.reduceat`` sums from (None
-    when a slab is empty, which reduceat cannot express), each slab's
-    width and each device's B-slab bytes."""
-    from ..perf.cache import memo
-
-    def build():
-        bounds = split_columns(b.ncols, g)
-        points = np.array([0] + [hi for _lo, hi in bounds], dtype=np.int64)
-        widths = [hi - lo for lo, hi in bounds]
-        b_at = b.indptr[points].tolist()
-        b_bytes = [
-            (b_at[d + 1] - b_at[d]) * 16 + (w + 1) * 8
-            for d, w in enumerate(widths)
-        ]
-        starts = points[:-1] if min(widths) > 0 else None
-        return points, starts, widths, b_bytes
-
-    return memo(b, ("device_split", g), build)
+def _device_split(b_indptr: np.ndarray, g: int):
+    """The B slab's column split over ``g`` devices, from its column
+    pointer (the phase's slice of the block's; only differences are
+    read): the split points, the slab starts ``np.add.reduceat`` sums
+    from (None when a slab is empty, which reduceat cannot express), each
+    slab's width and each device's B-slab bytes."""
+    bounds = split_columns(len(b_indptr) - 1, g)
+    points = np.array([0] + [hi for _lo, hi in bounds], dtype=np.int64)
+    widths = [hi - lo for lo, hi in bounds]
+    b_at = b_indptr[points].tolist()
+    b_bytes = [
+        (b_at[d + 1] - b_at[d]) * 16 + (w + 1) * 8
+        for d, w in enumerate(widths)
+    ]
+    starts = points[:-1] if min(widths) > 0 else None
+    return points, starts, widths, b_bytes
 
 
 def _gpu_stage_time(
     spec: MachineSpec,
     kind: KernelKind,
-    a: CSCMatrix,
-    b: CSCMatrix,
+    a_bytes: int,
+    b_indptr: np.ndarray,
     c_indptr: np.ndarray,
     devices: list[GPUDevice],
     per_col_flops: np.ndarray,
 ) -> tuple[float, int, int]:
     """Kernel-only seconds (concurrent devices → max share), H2D and D2H
-    bytes for one offloaded local multiply, with device-memory checks.
+    bytes for one offloaded local multiply, with device-memory checks:
+    the per-product path of :class:`_PricePlan`, and its oracle.
 
-    Raises :class:`DeviceMemoryError` when any device's share does not fit;
-    the caller falls back to the CPU kernel (§III's memory rationale for
-    the hybrid CPU-GPU approach).
+    ``a_bytes`` is A's storage; ``b_indptr``, ``c_indptr`` and
+    ``per_col_flops`` are the column pointers of the B slab and of its
+    product, and the product's flops per column.  Raises
+    :class:`DeviceMemoryError` when any device's share does not fit; the
+    caller falls back to the CPU kernel (§III's memory rationale for the
+    hybrid CPU-GPU approach).
     """
-    points, starts, widths, b_bytes = _device_split(b, len(devices))
-    a_bytes = a.memory_bytes()
+    points, starts, widths, b_bytes = _device_split(b_indptr, len(devices))
     # Every device's share from one gather at the split points; the flops
     # are integers, so the slab sums are exact in any order.
     c_at = c_indptr[points].tolist()
@@ -280,6 +277,19 @@ def _gpu_stage_time(
         h2d += a_bytes + b_bytes[d]
         d2h += c_bytes
     return worst, h2d, d2h
+
+
+def _range_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Sums of ``values`` along its last axis over the ranges between
+    consecutive ``bounds`` (non-decreasing, from 0 to its length) — exact
+    for integers.  ``np.add.reduceat`` at the range starts, with the
+    empty ranges it cannot express set to zero."""
+    pad = np.zeros(values.shape[:-1] + (1,), dtype=np.int64)
+    sums = np.add.reduceat(
+        np.concatenate((values, pad), axis=-1), bounds[:-1], axis=-1
+    )
+    sums[..., bounds[:-1] == bounds[1:]] = 0
+    return sums
 
 
 #: Sentinel for ``summa_multiply(merge_injector=...)``: "not passed" means
@@ -376,8 +386,6 @@ class _PhaseSplit:
 
     #: Phase p covers the block column's columns [bounds[p], bounds[p+1]).
     bounds: np.ndarray
-    #: The phase of every column.
-    col_phase: np.ndarray
     #: ``slab_nnz[k, p]``: nonzeros of B_kj's phase-p slab.
     slab_nnz: np.ndarray
 
@@ -385,26 +393,23 @@ class _PhaseSplit:
     def of(cls, col_blocks: list[CSCMatrix], phases: int) -> "_PhaseSplit":
         """The split of the block column holding ``col_blocks`` (B_kj for
         k = 0…q−1)."""
-        w = col_blocks[0].ncols
-        bounds = [_phase_bounds(w, phases, p)[0] for p in range(phases)]
-        bounds = np.array(bounds + [w], dtype=np.int64)
+        bounds = _phase_bounds(col_blocks[0].ncols, phases)
         return cls(
-            bounds,
-            np.repeat(np.arange(phases), np.diff(bounds)),
-            np.array([np.diff(b.indptr[bounds]) for b in col_blocks]),
+            bounds, np.array([np.diff(b.indptr[bounds]) for b in col_blocks])
         )
 
     def counting(self, merge, sizes: list):
         """``merge``, appending each output's nonzeros per phase to
         ``sizes`` (merging is column-wise, so a phase's merge output is
         the full-width output restricted to the phase's columns)."""
-        phases = len(self.bounds) - 1
+        width = int(self.bounds[-1])
 
         def merge_fn(lists):
             out = merge(lists)
             sizes.append(
-                np.bincount(self.col_phase[out.rows], minlength=phases)
-                .tolist()
+                _range_sums(
+                    np.bincount(out.rows, minlength=width), self.bounds
+                ).tolist()
             )
             return out
 
@@ -424,43 +429,36 @@ class _PhaseSplit:
             block_of_csc(product, lo, hi, 0, product.ncols), copy=False
         )
 
-    def records(self, p, kind, nrows, records, merged, short_lists):
-        """Phase ``p``'s pricing records of one block: ``[(k, product
-        record)]`` and the block's :class:`_BlockRecord`.
+    def events(self, p, kind, nrows, records, merged, short_lists):
+        """Phase ``p``'s merge events of one block: per product of
+        ``records`` (``(k, per_col, c_indptr, events)``), the events its
+        push triggered — None when its phase-``p`` slab is empty, so the
+        phase does not price it — and the block's :class:`_BlockRecord`.
 
-        A product is priced iff its slab is non-empty; its ``nnz``,
-        per-column flops and column pointer are the full-width ones sliced
-        to the phase's columns (the pointer is not rebased: the pricing
-        reads only differences of it).  The merge events and peaks come
-        from replaying the schedule on sizes, each merge output taking the
-        phase's share of the matching full-width output (``merged``).
-        When the phase pushes fewer products, the groups differ, so the
-        schedule runs on the column-filtered products (``short_lists``).
+        The events and peaks come from replaying the schedule on sizes,
+        each product taking its nonzeros in the phase's columns and each
+        merge output the phase's share of the matching full-width output
+        (``merged``).  When the phase pushes fewer products, the groups
+        differ, so the schedule runs on the column-filtered products
+        (``short_lists``).
         """
         lo, hi = int(self.bounds[p]), int(self.bounds[p + 1])
-        if short_lists is None:
-            lists = [
-                _Sized(c_indptr[hi] - c_indptr[lo])
-                for _k, _nnz, _flops, c_indptr, _ev in records
-            ]
-            outputs = iter([sizes[p] for sizes in merged])
-
-            def merge_fn(group):
-                return _Sized(next(outputs))
-        else:
-            records = [r for r in records if self.slab_nnz[r[0], p]]
-            lists = short_lists
-
-            def merge_fn(group):
-                return merge_lists(group, copy=False)
-
-        pushed, block = _replay(kind, (hi - lo, nrows), lists, merge_fn)
-        return [
-            (k, (len(lst), per_col[lo:hi], c_indptr[lo : hi + 1], events))
-            for (k, _nnz, per_col, c_indptr, _ev), lst, events in zip(
-                records, lists, pushed
+        if short_lists is not None:
+            pushed, block = _replay(
+                kind, (hi - lo, nrows), short_lists,
+                lambda group: merge_lists(group, copy=False),
             )
-        ], block
+            pushed = iter(pushed)
+            return [
+                next(pushed) if self.slab_nnz[r[0], p] else None
+                for r in records
+            ], block
+        outputs = iter([sizes[p] for sizes in merged])
+        return _replay(
+            kind, (hi - lo, nrows),
+            [_Sized(r[2][hi] - r[2][lo]) for r in records],
+            lambda group: _Sized(next(outputs)),
+        )
 
 
 def _numeric_merge(lists, budget_bytes):
@@ -499,14 +497,16 @@ def _numeric_pass(
     column of C is computed, merged and pruned independently of the
     others, so the result cannot depend on the phase split.
 
-    Returns the kept blocks by ``(i, j)`` (row-major), and per phase p the
-    pricing records: ``products[p][(k, i, j)] = (nnz, per-column flops,
-    C's column pointer, merge events)`` and ``blocks[p][(i, j)]``, a
-    :class:`_BlockRecord` — derived from the full-width ones by
-    :meth:`_PhaseSplit.records` when ``phases > 1``.
+    Returns the kept blocks by ``(i, j)`` (row-major) and the pricing
+    records: ``products[(k, i, j)] = (per-column flops, C's column
+    pointer, merge events per phase)`` at full width — a phase's events
+    are None where it does not price the product — and per phase p
+    ``blocks[p][(i, j)]``, a :class:`_BlockRecord`; when ``phases > 1``
+    the phases' events and blocks are derived from the full-width pass by
+    :meth:`_PhaseSplit.events`.
     """
     q = dist_a.grid.q
-    products: list[dict] = [{} for _ in range(phases)]
+    products: dict[tuple[int, int, int], tuple] = {}
     blocks: list[dict] = [{} for _ in range(phases)]
     kept: dict[tuple[int, int], CSCMatrix] = {
         (i, j): None for i in range(q) for j in range(q)
@@ -565,9 +565,7 @@ def _numeric_pass(
                     events = state.push(
                         TripleList.from_csc(product, copy=False)
                     )
-                    records.append(
-                        (k, int(product.nnz), per_col, c_indptr, events)
-                    )
+                    records.append((k, per_col, c_indptr, events))
                     for p, lists in short.items():
                         if split.slab_nnz[k, p]:
                             lists.append(split.rows_of(product, p))
@@ -580,19 +578,20 @@ def _numeric_pass(
                 del state
                 blk = transpose(outcome.result.to_csc())
                 if split is None:
-                    for k, *record in records:
-                        products[0][(k, i, j)] = tuple(record)
+                    per_phase = [[r[3] for r in records]]
                     blocks[0][(i, j)] = _block_record(
                         outcome, events, combine
                     )
                 else:
+                    per_phase = []
                     for p in range(phases):
-                        products_p, blocks[p][(i, j)] = split.records(
+                        pushed, blocks[p][(i, j)] = split.events(
                             p, merge_kind, shape[1], records, merged,
                             short.get(p),
                         )
-                        for k, record in products_p:
-                            products[p][(k, i, j)] = record
+                        per_phase.append(pushed)
+                for r, phase_events in zip(records, zip(*per_phase)):
+                    products[(r[0], i, j)] = (r[1], r[2], phase_events)
                 del outcome, records
                 cols.append(blk)
         if prune_column is not None:
@@ -601,6 +600,230 @@ def _numeric_pass(
             kept[(i, j)] = blk
     return kept, products, blocks
 
+
+class _PricePlan:
+    """One multiply's stage products priced from integer counts.
+
+    Everything the pricing pass reads of a B phase slab is a count over
+    the block's own arrays at the phase bounds — broadcast bytes, the
+    device split and per-device B bytes, non-empty columns, row counts
+    for the p2p payloads — so no slab is built.  Every product's
+    per-(phase, device) nonzeros and flops come from one gather of the
+    products' column pointers and one ``reduceat`` of their per-column
+    flops at all split points (integers: exact in any order); the kernel
+    pick and the §III-A device prices are then one vectorised pass over
+    the multiply, in the scalar formulas' IEEE operations, so every
+    price is the per-product price bit for bit.
+
+    ``records[p][(k, i, j)]`` is ``(nnz(C), flops, cf, kind, gpu, merge
+    events, product index)`` for each product phase p prices, in plain
+    Python numbers.  ``gpu`` is ``(kernel seconds, h2d, d2h)`` where the
+    array price holds, and the device counters (peak bytes, launches)
+    are then charged here in bulk.  It is None — the product takes
+    :meth:`gpu_time`, the per-product :func:`_gpu_stage_time` — under a
+    fault injector (whose draw order that path keeps), on a rank whose
+    devices hold allocations or differ in number, and where a share does
+    not fit its device.
+    """
+
+    def __init__(
+        self, dist_a, dist_b, products, phases, config, model, devices,
+        injector,
+    ):
+        self.spec = config.spec
+        self.dist_b = dist_b
+        self.keys = list(products)
+        self.products = products
+        gpu_ok = config.use_gpu and devices is not None
+        g = len(next(iter(devices.values()))) if gpu_ok else 1
+        # Only the p2p-pricing transports read the B slabs' row counts.
+        points, widths, b_bytes = self._count_slabs(
+            phases, g, model.transport in ("hybrid", "p2p")
+        )
+        self.records: list[dict] = [{} for _ in range(phases)]
+        if not self.keys:
+            return
+        ks, _is, js = np.array(self.keys, dtype=np.int64).T
+        arrays = list(products.values())
+        # Every product's arrays end to end: one gather of the column
+        # pointers, and — the split points tile each product's columns —
+        # one reduceat of the per-column flops.
+        ncols = np.array([len(arr[0]) for arr in arrays])
+        at = points[js]
+        nnz_d = np.diff(
+            np.concatenate([arr[1] for arr in arrays])[
+                at + (np.cumsum(ncols + 1) - ncols - 1)[:, None, None]
+            ],
+            axis=2,
+        )
+        starts = at[:, :, :-1] + (np.cumsum(ncols) - ncols)[:, None, None]
+        flops_d = _range_sums(
+            np.concatenate([arr[0] for arr in arrays]),
+            np.append(starts.ravel(), ncols.sum()),
+        ).reshape(nnz_d.shape)
+        c_nnz = nnz_d.sum(axis=2)
+        flops = flops_d.sum(axis=2)
+        cf = np.divide(flops, c_nnz, out=np.ones(c_nnz.shape), where=c_nnz > 0)
+        codes = _pick_kernels(
+            config, config.spec.selection_policy(), flops, cf, gpu_ok
+        )
+        gpu = [[None] * phases for _ in self.keys]
+        if gpu_ok:
+            self.a_bytes = [
+                dist_a.block(i, k).memory_bytes() for k, i, _j in self.keys
+            ]
+            ranks = np.array(
+                [model.stage_ranks(k)[i][j] for k, i, j in self.keys]
+            )
+            gpu = self._device_prices(
+                codes, nnz_d, flops_d, b_bytes[ks, js], widths[js], ranks,
+                devices, injector,
+            )
+        c_nnz, flops, cf = c_nnz.tolist(), flops.tolist(), cf.tolist()
+        codes = codes.tolist()
+        for m, key in enumerate(self.keys):
+            for p, events in enumerate(products[key][2]):
+                if events is not None:
+                    self.records[p][key] = (
+                        c_nnz[m][p], flops[m][p], cf[m][p],
+                        KERNEL_KINDS[codes[m][p]], gpu[m][p], events, m,
+                    )
+
+    def _count_slabs(self, phases: int, g: int, row_counts: bool):
+        """Count B's phase slabs over its blocks' column pointers.
+
+        Sets ``bounds[j]`` (phase p covers block column j's columns
+        ``[bounds[j][p], bounds[j][p+1])``), ``bcast_bytes[p][k][j]``
+        (B_kj's phase-p broadcast payload), ``nzc[k][j][p]`` (its
+        non-empty columns) and, when asked, ``rows[k][j][p]`` (its
+        per-row nonzeros).  Returns per block column j the device split
+        points ``(phases, g + 1)`` and widths ``(phases, g)``, and per
+        ``(k, j)`` each device's B-slab bytes ``(phases, g)``.
+        """
+        dist_b = self.dist_b
+        q = dist_b.grid.q
+        self.bounds: list[list[int]] = []
+        slab_nnz = np.zeros((q, q, phases), dtype=np.int64)
+        nzc = np.zeros((q, q, phases), dtype=np.int64)
+        points, widths, b_bytes = [], [], []
+        self.rows = [[None] * q for _ in range(q)] if row_counts else None
+        for j in range(q):
+            bounds = _phase_bounds(dist_b.block(0, j).ncols, phases)
+            self.bounds.append(bounds.tolist())
+            # split_columns of every phase: near-even device widths.
+            base, extra = np.divmod(np.diff(bounds), g)
+            dev_w = base[:, None] + (np.arange(g) < extra[:, None])
+            pts = np.empty((phases, g + 1), dtype=np.int64)
+            pts[:, 0] = bounds[:-1]
+            np.cumsum(dev_w, axis=1, out=pts[:, 1:])
+            pts[:, 1:] += bounds[:-1, None]
+            ip = np.stack([dist_b.block(k, j).indptr for k in range(q)])
+            slab_nnz[:, j] = np.diff(ip[:, bounds], axis=1)
+            nzc[:, j] = _range_sums(np.diff(ip, axis=1) > 0, bounds)
+            points.append(pts)
+            widths.append(dev_w)
+            b_bytes.append(np.diff(ip[:, pts], axis=2) * 16 + (dev_w + 1) * 8)
+            if row_counts:
+                # One 2-D bincount per block: (phase, row) nonzeros.
+                for k in range(q):
+                    blk = dist_b.block(k, j)
+                    first = np.arange(phases) * blk.nrows
+                    self.rows[k][j] = np.bincount(
+                        np.repeat(first, slab_nnz[k, j]) + blk.indices,
+                        minlength=phases * blk.nrows,
+                    ).reshape(phases, blk.nrows)
+        self.bcast_bytes = (
+            16 * slab_nnz + 16 * nzc + 8
+        ).transpose(2, 0, 1).tolist()
+        self.nzc = nzc.tolist()
+        return np.stack(points), np.stack(widths), np.stack(b_bytes, axis=1)
+
+    def _device_prices(
+        self, codes, nnz_d, flops_d, b_bytes, widths, ranks, devices,
+        injector,
+    ) -> list[list]:
+        """Per (product, phase), ``(kernel seconds, h2d, d2h)`` where the
+        array price stands in for ``_gpu_stage_time``, else None; charges
+        the devices' counters for the former."""
+        flops_d = flops_d.astype(np.float64)
+        cf_d = np.divide(
+            flops_d, nnz_d, out=np.ones(flops_d.shape), where=nnz_d > 0
+        )
+        in_bytes = np.array(self.a_bytes)[:, None, None] + b_bytes
+        c_bytes = nnz_d * 16 + (widths + 1) * 8
+        total = in_bytes + c_bytes
+        kern = self.spec.gpu_spgemm_times(
+            codes[:, :, None], flops_d, cf_d, in_bytes
+        ).max(axis=2)
+        # Per rank: may the array price stand in for stage_multiply, and
+        # each device's capacity.
+        g = b_bytes.shape[2]
+        usable = np.zeros(max(devices) + 1, dtype=bool)
+        caps = np.zeros((len(usable), g), dtype=np.int64)
+        for r, devs in devices.items():
+            usable[r] = injector is None and len(devs) == g and all(
+                d.injector is None and not d._allocated for d in devs
+            )
+            if usable[r]:
+                caps[r] = [d.capacity_bytes for d in devs]
+        on_gpu = np.array([kind.on_gpu for kind in KERNEL_KINDS])
+        fast = (
+            on_gpu[codes] & usable[ranks][:, None]
+            & (total <= caps[ranks][:, None, :]).all(axis=2)
+        )
+        for m, events in enumerate(self.products.values()):
+            fast[m] &= [ev is not None for ev in events[2]]
+        # The counters stage_multiply would have kept: peak bytes (a max)
+        # and launches (a count) do not depend on order.
+        on_m, on_p = np.nonzero(fast)
+        peaks = np.zeros(caps.shape, dtype=np.int64)
+        np.maximum.at(peaks, ranks[on_m], total[on_m, on_p])
+        launches = np.bincount(ranks[on_m], minlength=len(caps)).tolist()
+        for r in np.flatnonzero(launches).tolist():
+            for dev, peak in zip(devices[r], peaks[r].tolist()):
+                dev.peak_bytes = max(dev.peak_bytes, peak)
+                dev.kernel_launches += launches[r]
+        prices = zip(
+            kern.tolist(), in_bytes.sum(axis=2).tolist(),
+            c_bytes.sum(axis=2).tolist(), fast.tolist(),
+        )
+        return [
+            [(t, h2d, d2h) if ok else None for t, h2d, d2h, ok in zip(*row)]
+            for row in prices
+        ]
+
+    def row_counts(self, k: int, p: int) -> list | None:
+        """Per block column j, the per-row nonzeros of B_kj's phase-p
+        slab (None when the transport prices no p2p payload)."""
+        if self.rows is None:
+            return None
+        return [rc[p] for rc in self.rows[k]]
+
+    def _slices(self, m: int, p: int):
+        key = self.keys[m]
+        per_col, c_indptr, _events = self.products[key]
+        lo, hi = self.bounds[key[2]][p : p + 2]
+        return key, per_col[lo:hi], c_indptr[lo : hi + 1], lo, hi
+
+    def cpu_ops(self, kind: KernelKind, record, p: int) -> float:
+        """The CPU kernel's operation count for one product in phase p."""
+        c_nnz, flops, *_rest, m = record
+        (k, _i, j), per_col, _c, lo, hi = self._slices(m, p)
+        if kind is KernelKind.CPU_HEAP:
+            lens = self.dist_b.block(k, j).column_lengths()
+            return heap_operations(per_col, lens[lo:hi])
+        return hash_operations(flops, c_nnz, self.nzc[k][j][p])
+
+    def gpu_time(self, kind: KernelKind, record, p: int, devices):
+        """The per-product path: :func:`_gpu_stage_time` on the phase's
+        slices of the block's and the product's arrays."""
+        m = record[-1]
+        (k, _i, j), per_col, c_indptr, lo, hi = self._slices(m, p)
+        return _gpu_stage_time(
+            self.spec, kind, self.a_bytes[m],
+            self.dist_b.block(k, j).indptr[lo : hi + 1], c_indptr, devices,
+            per_col,
+        )
 
 def summa_multiply(
     dist_a: DistributedCSC,
@@ -692,7 +915,6 @@ def summa_multiply(
         raise ValueError(f"phases must be >= 1, got {phases}")
     q = grid.q
     spec = config.spec
-    policy = spec.selection_policy()
     if model is None:
         model = Grid3DModel(q, 1, None)
     elif model.q != q:
@@ -757,32 +979,12 @@ def summa_multiply(
     #: to (one-element list: the pricing pass's fault sites write it).
     merge_rung = [0]
 
-    # Pre-slice B's blocks per phase (local column ranges align across a
-    # block column because widths are identical within it).  Slabs are
-    # memoized on their source block — together with their broadcast byte
-    # count, so re-expanding the same matrix (every MCL iteration revisits
-    # every stage) never recomputes the slice *or* its nonzero-column scan.
-    # Only the pricing pass uses them: the numeric pass multiplies whole
-    # blocks.
-    def phase_slab(k: int, j: int, p: int) -> tuple[CSCMatrix, int]:
-        from ..perf.cache import memo
-
-        blk = dist_b.block(k, j)
-        lo, hi = _phase_bounds(blk.ncols, phases, p)
-
-        def build():
-            slab = blk.column_slab(lo, hi)
-            nzc = int(np.count_nonzero(slab.column_lengths()))
-            return slab, 16 * slab.nnz + 16 * nzc + 8
-
-        return memo(blk, ("slab", lo, hi), build)
+    a_rows = [dist_a.block(i, 0).nrows for i in range(q)]
 
     def block_shape(i: int, j: int, p: int) -> tuple[int, int]:
         # The phase's share of a block, in the row-major form it is merged.
-        return (
-            _phase_width(dist_b.block(0, j).ncols, phases, p),
-            dist_a.block(i, 0).nrows,
-        )
+        lo, hi = plan.bounds[j][p : p + 2]
+        return hi - lo, a_rows[i]
 
     # -- pricing pass: stage-major ------------------------------------------
     # The static schedule walks the whole expansion as one flat sequence
@@ -804,22 +1006,14 @@ def summa_multiply(
     def _window_overlap(w0: float, w1: float, h) -> float:
         return max(0.0, min(w1, h.end) - max(w0, h.start))
 
-    def stage_slabs(k: int, pp: int) -> tuple[list, list]:
-        slabs_k: list[CSCMatrix] = []
-        slab_bytes_k: list[int] = []
-        for j in range(q):
-            slab, nbytes = phase_slab(k, j, pp)
-            slabs_k.append(slab)
-            slab_bytes_k.append(nbytes)
-        return slabs_k, slab_bytes_k
-
-    def post_stage(k: int, pp: int, slabs_k, slab_bytes_k, gate=None):
+    def post_stage(k: int, pp: int, gate=None):
         with maybe_span(
             "broadcast", "summa", phase=pp, stage=k,
             schedule="sync" if gate is None else "static",
         ) as bsp:
             posted = model.post_stage(
-                comm, k, pp, dist_a, slabs_k, slab_bytes_k, gate, trace
+                comm, k, pp, dist_a, plan.row_counts(k, pp),
+                plan.bcast_bytes[pp][k], gate, trace,
             )
             bsp.set(
                 bytes_a=int(posted[2].sum()), bytes_b=int(posted[3].sum())
@@ -829,8 +1023,7 @@ def summa_multiply(
     def issue_node(n: int) -> None:
         pp, k = divmod(n, q)
         node_handles[n] = post_stage(
-            k, pp, *stage_slabs(k, pp),
-            gate=node_consumed.get(n - 2, issue_base),
+            k, pp, gate=node_consumed.get(n - 2, issue_base)
         )
 
     def charge_merges(events, clock, after, rank, shape, p, stage=None):
@@ -871,20 +1064,19 @@ def summa_multiply(
             if trace is not None and stage is not None:
                 trace.append((rank, p, stage, "merge", end - dur, end))
 
-    def price_product(rank, p, k, a_blk, b_blk, ready, record) -> float:
+    def price_product(rank, p, k, ready, record) -> float:
         """Charge one stage product; returns when its output is on the
         host (the time its merge events may start)."""
-        c_nnz, per_col, c_indptr, _events = record
+        c_nnz, flops, cf, kind, gpu, _events, m = record
         clock = comm.clocks[rank]
-        flops = int(per_col.sum())
-        cf = flops / c_nnz if c_nnz > 0 else 1.0
         result.stage_flops += flops
-        gpu_ok = config.use_gpu and devices is not None
-        kind = _pick_kernel(config, policy, flops, cf, gpu_ok)
         while kind.on_gpu:
+            if gpu is not None:  # priced in the plan; nothing can fail
+                kern_s, h2d, d2h = gpu
+                break
             try:
-                kern_s, h2d, d2h = _gpu_stage_time(
-                    spec, kind, a_blk, b_blk, c_indptr, devices[rank], per_col,
+                kern_s, h2d, d2h = plan.gpu_time(
+                    kind, record, p, devices[rank]
                 )
                 break
             except (DeviceMemoryError, KernelLaunchError) as exc:
@@ -901,7 +1093,7 @@ def summa_multiply(
                         injected=isinstance(exc, InjectedFault),
                     )
                 if isinstance(exc, InjectedFault):
-                    waste = spec.h2d_time(a_blk.memory_bytes())
+                    waste = spec.h2d_time(plan.a_bytes[m])
                     start = max(clock.cpu.free_at, clock.gpu.free_at, ready)
                     clock.cpu.schedule(start, waste, RESILIENCE_ACCOUNT)
                     clock.gpu.schedule(start, waste, RESILIENCE_ACCOUNT)
@@ -913,10 +1105,11 @@ def summa_multiply(
         ):
             # Injected host hash-table overflow: charge the aborted hash
             # attempt, demote to the heap.
-            ops = _cpu_kernel_ops(kind, a_blk, b_blk, c_nnz, per_col, flops)
             clock.cpu.schedule(
                 ready,
-                spec.cpu_spgemm_time(kind, ops, config.threads),
+                spec.cpu_spgemm_time(
+                    kind, plan.cpu_ops(kind, record, p), config.threads
+                ),
                 RESILIENCE_ACCOUNT,
             )
             result.kernel_demotions += 1
@@ -934,8 +1127,9 @@ def summa_multiply(
             )
             tracer.count(f"kernel.{kind.value}")
         if not kind.on_gpu:
-            ops = _cpu_kernel_ops(kind, a_blk, b_blk, c_nnz, per_col, flops)
-            dur = spec.cpu_spgemm_time(kind, ops, config.threads)
+            dur = spec.cpu_spgemm_time(
+                kind, plan.cpu_ops(kind, record, p), config.threads
+            )
             available = clock.cpu.schedule(ready, dur, "local_spgemm")
             if trace is not None:
                 trace.append(
@@ -970,21 +1164,24 @@ def summa_multiply(
             clock.cpu.free_at = done
         return done
 
-    kept, phase_products, phase_blocks = _numeric_pass(
+    kept, products, phase_blocks = _numeric_pass(
         dist_a, dist_b, phases, config.merge, overlap_budget_bytes,
         prune_column, executor,
     )
+    plan = _PricePlan(
+        dist_a, dist_b, products, phases, config, model, devices, injector
+    )
+    del products
     if static_active:
         for n in range(min(2, n_nodes)):
             issue_node(n)
 
     for p in range(phases):
-        products = phase_products[p]
+        products = plan.records[p]
         blocks = phase_blocks[p]
         input_bytes_peak = np.zeros((q, q), dtype=np.int64)
         last_available = np.zeros((q, q))
         for k in range(q):
-            slabs, slab_bytes = stage_slabs(k, p)
             node_idx = p * q + k
             stage_window_t0 = 0.0
             if static_active:
@@ -996,7 +1193,7 @@ def summa_multiply(
                 stage_window_t0 = max(c.now for c in comm.clocks)
             else:
                 # -- broadcasts: A along rows, B along columns --------------
-                posted = post_stage(k, p, slabs, slab_bytes)
+                posted = post_stage(k, p)
             a_handles, b_handles, a_bytes_row, b_bytes_col, stage_uniq = (
                 posted
             )
@@ -1011,7 +1208,6 @@ def summa_multiply(
             stage_available = 0.0
             stage_ranks = model.stage_ranks(k)
             for i in range(q):
-                a_blk = dist_a.block(i, k)
                 ranks_i = stage_ranks[i]
                 for j in range(q):
                     record = products.pop((k, i, j), None)
@@ -1025,15 +1221,13 @@ def summa_multiply(
                     ready = 0.0
                     if static_active:
                         ready = max(a_handles[i].end, b_handles[j].end)
-                    available = price_product(
-                        rank, p, k, a_blk, slabs[j], ready, record
-                    )
+                    available = price_product(rank, p, k, ready, record)
                     stage_available = max(stage_available, available)
                     last_available[i, j] = max(
                         last_available[i, j], available
                     )
                     charge_merges(
-                        record[3], comm.clocks[rank], available, rank,
+                        record[5], comm.clocks[rank], available, rank,
                         block_shape(i, j, p), p, k,
                     )
             merge_span.close()
@@ -1094,7 +1288,7 @@ def summa_multiply(
         def charge_prune(j: int) -> None:
             charge_column_prune(
                 j, [blocks[(i, j)].nnz for i in range(q)],
-                _phase_width(dist_b.block(0, j).ncols, phases, p),
+                block_shape(0, j, p)[0],
             )
 
         if static_active and charge_column_prune is not None:
@@ -1163,14 +1357,9 @@ def summa_multiply(
     return result
 
 
-def _phase_bounds(ncols: int, phases: int, p: int) -> tuple[int, int]:
-    """Near-even column range of phase ``p`` within a local block."""
+def _phase_bounds(ncols: int, phases: int) -> np.ndarray:
+    """Near-even column ranges of the phases within a local block: phase
+    p covers columns ``[bounds[p], bounds[p + 1])``."""
     base, extra = divmod(ncols, phases)
-    lo = p * base + min(p, extra)
-    return lo, lo + base + (1 if p < extra else 0)
-
-
-def _phase_width(ncols: int, phases: int, p: int) -> int:
-    """Column count of phase ``p`` without materializing the slab."""
-    lo, hi = _phase_bounds(ncols, phases, p)
-    return hi - lo
+    p = np.arange(phases + 1)
+    return p * base + np.minimum(p, extra)

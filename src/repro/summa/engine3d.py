@@ -21,7 +21,6 @@ import numpy as np
 from ..errors import GridError
 from ..merge.lists import BYTES_PER_TRIPLE
 from ..mpi.grid import grid3d_shape
-from ..sparse import CSCMatrix
 
 
 def _partition_runs(n: int, parts: int) -> list[tuple[int, int]]:
@@ -35,19 +34,6 @@ def _partition_runs(n: int, parts: int) -> list[tuple[int, int]]:
         out.append((lo, hi))
         lo = hi
     return out
-
-
-def _slab_row_counts(slab: CSCMatrix) -> np.ndarray:
-    """Per-row nonzero counts of a B phase slab, memoized on the slab —
-    the Cohen-style per-column structure the hybrid transport prices
-    tailored payloads from (re-read once per stage group per phase)."""
-    from ..perf.cache import memo
-
-    return memo(
-        slab,
-        "row_counts",
-        lambda: np.bincount(slab.indices, minlength=slab.shape[0]),
-    )
 
 
 class Grid3DModel:
@@ -181,17 +167,19 @@ class Grid3DModel:
         return "broadcast" if self._demoted else self.transport
 
     def _receiver_payloads(
-        self, dist_a, slabs, k: int, cols, root_row: int
+        self, dist_a, row_counts, k: int, cols, root_row: int
     ) -> list[tuple[int, int]]:
         """(receiver cell-row, tailored payload bytes) per p2p receiver.
 
         Receiver (I, J) only needs the B-slab rows in the union of the
         non-empty A columns of its r blocks ``(i, k)`` — the per-column
-        structure the Cohen estimator already walks.
+        structure the Cohen estimator already walks.  ``row_counts[j]``
+        is the per-row nonzero count of block column j's slab.
         """
         from .phases import P2P_BYTES_PER_NNZ, P2P_HEADER_BYTES
 
-        counts = [_slab_row_counts(slabs[j]) for j in cols]
+        # Integer counts: summing the group's slabs first is exact.
+        counts = sum(row_counts[j] for j in cols)
         out = []
         for I in range(self.q3):
             if I == root_row:
@@ -202,7 +190,7 @@ class Grid3DModel:
                 mask = support if mask is None else (mask | support)
             need = 0
             if mask is not None and mask.any():
-                need = sum(int(rc[mask].sum()) for rc in counts)
+                need = int(counts[mask].sum())
             out.append((I, P2P_BYTES_PER_NNZ * need + P2P_HEADER_BYTES))
         return out
 
@@ -251,19 +239,23 @@ class Grid3DModel:
     # -- per-stage charging -------------------------------------------------
 
     def post_stage(
-        self, comm, k: int, p: int, dist_a, slabs, slab_bytes,
+        self, comm, k: int, p: int, dist_a, row_counts, slab_bytes,
         gate: float | None = None, trace: list | None = None,
     ):
         """Charge the A and B deliveries of stage ``k`` of phase ``p``.
 
         A rides q₃ layer-row trees of r-aggregated block bytes; each B
         column-group's delivery goes through the transport selector.
-        With ``gate`` None the transfers are blocking collectives on the
-        member CPUs (the sync schedule); otherwise they are posted on the
-        layer's ``row:`` / ``col:`` link channels, ready at ``gate`` (the
-        static schedule).  ``trace``, when given, receives one ``(root,
-        p, k, "bcast_A" | "bcast_B", start, end)`` tuple per broadcast
-        tree, rooted at the cell owning the broadcast block.
+        ``slab_bytes[j]`` is the broadcast payload of B_kj's phase slab
+        and ``row_counts[j]`` its per-row nonzero counts, which only the
+        p2p pricing reads (None is fine under ``transport`` None or
+        ``"broadcast"``).  With ``gate`` None the transfers are blocking
+        collectives on the member CPUs (the sync schedule); otherwise
+        they are posted on the layer's ``row:`` / ``col:`` link channels,
+        ready at ``gate`` (the static schedule), and their link spans
+        carry ``phase`` and ``stage``.  ``trace``, when given, receives
+        one ``(root, p, k, "bcast_A" | "bcast_B", start, end)`` tuple per
+        broadcast tree, rooted at the cell owning the broadcast block.
 
         Returns ``(a_handles, b_handles, a_bytes, b_bytes, unique)``:
         per-block-row and per-block-column completion handles (members of
@@ -280,6 +272,7 @@ class Grid3DModel:
         a_handles = [None] * self.q
         b_handles = [None] * self.q
         unique = []
+        posted_by = {"phase": p, "stage": k}
 
         def bcast(ranks, nbytes, channel, root_rank, kind):
             if gate is None:
@@ -287,7 +280,7 @@ class Grid3DModel:
             else:
                 h = comm.broadcast_async(
                     ranks, nbytes, "summa_bcast",
-                    channel=channel, ready_at=gate,
+                    channel=channel, ready_at=gate, trace_attrs=posted_by,
                 )
             if trace is not None:
                 trace.append((root_rank, p, k, kind, h.start, h.end))
@@ -297,7 +290,7 @@ class Grid3DModel:
             if gate is not None:
                 return comm.p2p_chain_async(
                     ranks, [b for _, b in receivers], "summa_p2p",
-                    channel=channel, ready_at=gate,
+                    channel=channel, ready_at=gate, trace_attrs=posted_by,
                 )
             h = None
             for I, payload in receivers:
@@ -315,7 +308,7 @@ class Grid3DModel:
                 self.transport_selections["broadcast"] += 1
             elif mode is not None:
                 receivers = self._receiver_payloads(
-                    dist_a, slabs, k, cols, root
+                    dist_a, row_counts, k, cols, root
                 )
                 decision = self._decide(
                     comm.spec, k, p, J, group_bytes, receivers

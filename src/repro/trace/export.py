@@ -157,36 +157,43 @@ def merge_report(tracer: Tracer) -> dict | None:
 def link_overlap_report(tracer: Tracer) -> dict | None:
     """Simulated-clock overlap between link traffic and rank-clock work.
 
-    The static pipeline schedule posts its broadcasts on per-row/column
-    **link lanes** (``link:row:i`` / ``link:col:j``) as ``broadcast.async``
-    spans carrying pure simulated intervals.  This report intersects
-    those intervals with the simulated windows of the compute spans on
-    the ordinary lanes:
+    The static pipeline schedule posts its transfers on per-row/column
+    **link lanes** (``link:row:i`` / ``link:col:j``) as
+    ``broadcast.async`` spans — ``p2p.async`` where the hybrid transport
+    sends a column group point to point — carrying pure simulated
+    intervals and the ``phase`` and ``stage`` that posted them.  This
+    report intersects those intervals with the simulated windows of the
+    compute spans on the ordinary lanes:
 
     * ``compute_overlap_seconds`` — link seconds under ``merge`` /
-      ``finish_merge`` spans (broadcasts hidden behind the stage
-      merges);
+      ``finish_merge`` spans (transfers hidden behind the stage merges);
     * ``prune_overlap_seconds`` — link seconds under the per-column
-      ``prune.column`` wrap-up windows (phase p's incremental
-      finalize-and-prune running while phase p+1's broadcasts drain).
+      ``prune.column`` wrap-up windows of phase p, counting only the
+      transfers of later phases posted before the window (phase p+1's
+      first stages, draining while phase p finalizes and prunes).  Phase
+      p's own transfers are consumed by then, so this equals the run's
+      ``prune_bcast_overlap_seconds``.
 
     Returns ``None`` when the trace has no link-lane spans (synchronous
     schedule, or tracing off during the expansions).  All figures derive
     from simulated coordinates only, so they are identical across every
     (backend, workers) execution cell.
     """
-    bcasts = [
-        s for s in tracer.spans
-        if s.name == "broadcast.async"
-        and (s.lane or "").startswith("link:")
-        and s.t0_sim is not None and s.t1_sim is not None
-    ]
-    if not bcasts:
+
+    def on_link(s: Span) -> bool:
+        return (
+            s.name in ("broadcast.async", "p2p.async")
+            and (s.lane or "").startswith("link:")
+            and s.t0_sim is not None and s.t1_sim is not None
+        )
+
+    transfers = [s for s in tracer.spans if on_link(s)]
+    if not transfers:
         return None
 
-    def _overlap(targets: list[Span]) -> float:
+    def _overlap(link: list[Span], targets: list[Span]) -> float:
         total = 0.0
-        for b in bcasts:
+        for b in link:
             for s in targets:
                 if s.t0_sim is None or s.t1_sim is None:
                     continue
@@ -199,13 +206,29 @@ def link_overlap_report(tracer: Tracer) -> dict | None:
         s for s in tracer.spans
         if s.cat == "summa" and s.name in ("merge", "finish_merge")
     ]
-    prune = [s for s in tracer.spans if s.name == "prune.column"]
+    # Replay the posts in order: a prune window of phase p sees the
+    # later-phase transfers posted so far.  A post that goes back in
+    # (phase, stage) order opens the next multiply.
+    prune_s = 0.0
+    pending: list[Span] = []
+    last = None
+    for s in sorted(tracer.spans, key=lambda s: s.id):
+        if on_link(s) and "phase" in s.attrs:
+            node = (s.attrs["phase"], s.attrs.get("stage", 0))
+            if last is not None and node < last:
+                pending = []
+            last = node
+            pending.append(s)
+        elif s.name == "prune.column":
+            p = s.attrs["phase"]
+            pending = [b for b in pending if b.attrs["phase"] > p]
+            prune_s += _overlap(pending, [s])
     return {
-        "links": len({s.lane for s in bcasts}),
-        "broadcasts": len(bcasts),
-        "bcast_sim_seconds": sum(s.t1_sim - s.t0_sim for s in bcasts),
-        "compute_overlap_seconds": _overlap(compute),
-        "prune_overlap_seconds": _overlap(prune),
+        "links": len({s.lane for s in transfers}),
+        "transfers": len(transfers),
+        "link_sim_seconds": sum(s.t1_sim - s.t0_sim for s in transfers),
+        "compute_overlap_seconds": _overlap(transfers, compute),
+        "prune_overlap_seconds": prune_s,
     }
 
 
@@ -243,14 +266,14 @@ def summarize(tracer: Tracer) -> str:
     if link is not None:
         lines.append("")
         lines.append(
-            f"link lanes: {link['links']} carrying {link['broadcasts']} "
-            f"async broadcast(s), {link['bcast_sim_seconds'] * 1e3:.2f}ms "
+            f"link lanes: {link['links']} carrying {link['transfers']} "
+            f"async transfer(s), {link['link_sim_seconds'] * 1e3:.2f}ms "
             "simulated on the wires"
         )
         lines.append(
-            f"broadcast/compute overlap: "
+            f"transfer/compute overlap: "
             f"{link['compute_overlap_seconds'] * 1e3:.2f}ms under merge "
-            f"spans; prune/broadcast overlap: "
+            f"spans; prune/transfer overlap: "
             f"{link['prune_overlap_seconds'] * 1e3:.2f}ms under prune spans"
         )
     merge = merge_report(tracer)

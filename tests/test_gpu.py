@@ -87,7 +87,8 @@ def stage_time(a, b, devices, kind=KernelKind.GPU_NSPARSE):
     """``_gpu_stage_time`` on ``A·B`` as the engine calls it."""
     c = spgemm_esc(a, b)
     return _gpu_stage_time(
-        SUMMIT_LIKE, kind, a, b, c.indptr, devices, flops_per_column(a, b)
+        SUMMIT_LIKE, kind, a.memory_bytes(), b.indptr, c.indptr, devices,
+        flops_per_column(a, b),
     )
 
 

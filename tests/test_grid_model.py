@@ -234,3 +234,31 @@ def test_prune_overlap_counts_each_tree_once(layers):
                 )
     assert expected > 0.0
     assert res.prune_bcast_overlap_seconds == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("grid", ["2d", "3d"])
+def test_link_overlap_report_prune_figure_is_the_runs(grid):
+    # The trace summary's prune/transfer overlap counts what the engine
+    # counts: the later phases' transfers (broadcasts and p2p chains)
+    # posted before each column's wrap-up window, each once.  Counting
+    # the window's own phase, or broadcasts only, read about twice the
+    # run's figure on the 3-D grid.
+    from repro.nets import catalog
+    from repro.trace import Tracer, link_overlap_report
+
+    entry = catalog.entry("eukarya-xs")
+    config = HipMCLConfig.optimized(
+        nodes=16, schedule="static", grid=grid, transport="hybrid",
+        memory_budget_bytes=2**19,
+    )
+    tracer = Tracer()
+    res = hipmcl(
+        entry.generate(seed=0).matrix, entry.options(), config, trace=tracer
+    )
+    report = link_overlap_report(tracer)
+    assert res.prune_bcast_overlap_seconds > 0.0
+    assert report["prune_overlap_seconds"] == pytest.approx(
+        res.prune_bcast_overlap_seconds, rel=1e-12
+    )
+    if grid == "3d":
+        assert res.transport_selections["p2p"] > 0

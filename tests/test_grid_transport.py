@@ -135,12 +135,12 @@ class _StubComm:
             raise InjectedCommFailure("injected p2p exhaustion")
 
     def broadcast_async(self, ranks, nbytes, account="summa_bcast", *,
-                        channel, ready_at=0.0):
+                        channel, ready_at=0.0, trace_attrs=None):
         self.calls.append(("broadcast_async", tuple(ranks), channel))
         return ("bcast-handle", channel)
 
     def p2p_chain_async(self, ranks, payloads, account="summa_p2p", *,
-                        channel, ready_at=0.0):
+                        channel, ready_at=0.0, trace_attrs=None):
         self.calls.append(("p2p_chain_async", tuple(ranks), channel))
         if self.fail_p2p:
             raise InjectedCommFailure("injected p2p exhaustion")
@@ -149,17 +149,20 @@ class _StubComm:
 
 def _stage_inputs(q=4):
     mat, dist, grid = _distributed(q)
-    slabs = [dist.block(0, j) for j in range(q)]
+    row_counts = [
+        np.bincount(dist.block(0, j).indices, minlength=dist.block(0, j).nrows)
+        for j in range(q)
+    ]
     slab_bytes = [dist.block_storage_bytes(0, j) for j in range(q)]
-    return dist, slabs, slab_bytes
+    return dist, row_counts, slab_bytes
 
 
 class TestDemotionRung:
     def test_sync_demotes_permanently_and_falls_back(self):
-        dist, slabs, slab_bytes = _stage_inputs()
+        dist, row_counts, slab_bytes = _stage_inputs()
         model = Grid3DModel(4, 4, "p2p")
         comm = _StubComm()
-        model.post_stage(comm, 0, 0, dist, slabs, slab_bytes)
+        model.post_stage(comm, 0, 0, dist, row_counts, slab_bytes)
         assert model.transport_demotions == 1
         assert model._effective_transport() == "broadcast"
         # Exactly one p2p attempt (first B group), then broadcast
@@ -170,35 +173,35 @@ class TestDemotionRung:
         assert len(b_groups) >= model.q3
         # The rung is permanent: the next stage never tries p2p again.
         before = len(comm.calls)
-        model.post_stage(comm, 1, 0, dist, slabs, slab_bytes)
+        model.post_stage(comm, 1, 0, dist, row_counts, slab_bytes)
         assert all(c[0] != "p2p" for c in comm.calls[before:])
         assert model.transport_demotions == 1
         assert model.transport_selections["broadcast"] >= model.q3
 
     def test_demotion_emits_trace_instant(self):
-        dist, slabs, slab_bytes = _stage_inputs()
+        dist, row_counts, slab_bytes = _stage_inputs()
         model = Grid3DModel(4, 4, "p2p")
         tr = Tracer()
         with activate(tr):
-            model.post_stage(_StubComm(), 0, 0, dist, slabs, slab_bytes)
+            model.post_stage(_StubComm(), 0, 0, dist, row_counts, slab_bytes)
         instants = tr.find("fault.transport_demotion")
         assert len(instants) == 1
         assert instants[0].attrs == {"demotions": 1}
 
     def test_policy_disarm_reraises(self):
-        dist, slabs, slab_bytes = _stage_inputs()
+        dist, row_counts, slab_bytes = _stage_inputs()
         model = Grid3DModel(4, 4, "p2p", demote_transport=False)
         with pytest.raises(InjectedCommFailure):
-            model.post_stage(_StubComm(), 0, 0, dist, slabs, slab_bytes)
+            model.post_stage(_StubComm(), 0, 0, dist, row_counts, slab_bytes)
         assert model.transport_demotions == 0
         assert model._effective_transport() == "p2p"
 
     def test_async_path_demotes_and_posts_broadcast(self):
-        dist, slabs, slab_bytes = _stage_inputs()
+        dist, row_counts, slab_bytes = _stage_inputs()
         model = Grid3DModel(4, 4, "p2p")
         comm = _StubComm()
         a_h, b_h, _, _, uniq = model.post_stage(
-            comm, 0, 0, dist, slabs, slab_bytes, gate=0.0
+            comm, 0, 0, dist, row_counts, slab_bytes, gate=0.0
         )
         assert model.transport_demotions == 1
         # Every handle resolved to a broadcast post after the demotion.
@@ -213,9 +216,9 @@ class TestDemotionRung:
         # A resumed run rebuilds its model on the broadcast transport
         # instead of re-arming the rung: from the next stage on, the two
         # post the same transfers, land the same clocks and count the same.
-        dist, slabs, slab_bytes = _stage_inputs()
+        dist, row_counts, slab_bytes = _stage_inputs()
         demoted = Grid3DModel(4, 4, "p2p")
-        demoted.post_stage(_StubComm(), 0, 0, dist, slabs, slab_bytes)
+        demoted.post_stage(_StubComm(), 0, 0, dist, row_counts, slab_bytes)
         assert demoted.transport_demotions == 1
         fresh = Grid3DModel(4, 4, "broadcast")
         runs = []
@@ -223,7 +226,7 @@ class TestDemotionRung:
             comm = VirtualComm(16, SUMMIT_LIKE)
             before = Counter(model.transport_selections)
             posted = model.post_stage(
-                comm, 1, 0, dist, slabs, slab_bytes, gate=gate
+                comm, 1, 0, dist, row_counts, slab_bytes, gate=gate
             )
             runs.append((
                 posted[0], posted[1], posted[4],

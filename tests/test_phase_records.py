@@ -1,15 +1,17 @@
 """Per-phase pricing records against a brute force that phases the numerics.
 
 ``summa_multiply`` computes, merges and prunes every block column once, at
-full width, and derives each phase's pricing records from that pass: a
-product's nonzeros, flops and column pointer sliced to the phase's
-columns, and the merge events replayed on sizes.  The oracle here shares
-none of that: it multiplies every phase slab on its own with
-``spgemm_esc``, runs the merge schedule on the real lists and reads the
-records off them — what the engine did before the phases left the
-numerics.  Fed into the same pricing pass, the oracle's records must
-reproduce every ``SummaResult`` field, the trace, every rank clock and
-every ``charge_column_prune`` argument.
+full width, and records each product once: its per-column flops and
+column pointer at full width, from which the pricing pass counts every
+phase's share, and per phase the merge events replayed on sizes (None
+where the phase's slab is empty, so the phase does not price it).  The
+oracle here shares none of that: it multiplies every phase slab on its
+own with ``spgemm_esc``, runs the merge schedule on the real lists and
+reads the records off them — what the engine did before the phases left
+the numerics — and joins each product's phase pieces.  Fed into the same
+pricing pass, the oracle's records must reproduce every ``SummaResult``
+field, the trace, every rank clock and every ``charge_column_prune``
+argument.
 """
 
 import dataclasses
@@ -29,9 +31,9 @@ from repro.summa import DistributedCSC, SummaConfig, summa_multiply
 
 
 def brute_records(dist_a, dist_b, phases, kind):
-    """Each phase's pricing records, from multiplying its slabs."""
+    """The pricing records, from multiplying each phase's slabs."""
     q = dist_a.grid.q
-    products = [{} for _ in range(phases)]
+    pieces = {}
     blocks = [{} for _ in range(phases)]
     for j in range(q):
         width = dist_b.block(0, j).ncols
@@ -54,8 +56,8 @@ def brute_records(dist_a, dist_b, phases, kind):
                     )
                     seen = len(schedule.events)
                     schedule.push(TripleList.from_csc(product))
-                    products[p][(k, i, j)] = (
-                        product.nnz, per_col, c_indptr,
+                    pieces.setdefault((k, i, j), {})[p] = (
+                        per_col, np.diff(c_indptr),
                         tuple(schedule.events[seen:]),
                     )
                 combine = schedule.peak_resident
@@ -68,6 +70,25 @@ def brute_records(dist_a, dist_b, phases, kind):
                     len(outcome.result),
                 )
             lo = hi
+    # Join each product's phase pieces; a phase with an empty slab adds
+    # no flops and no nonzeros.
+    products = {}
+    for (k, i, j), by_phase in pieces.items():
+        width = dist_b.block(0, j).ncols
+        base, extra = divmod(width, phases)
+        per_col, lens, events = [], [], []
+        for p in range(phases):
+            w = base + (1 if p < extra else 0)
+            zeros = np.zeros(w, dtype=np.int64)
+            piece = by_phase.get(p, (zeros, zeros, None))
+            per_col.append(piece[0])
+            lens.append(piece[1])
+            events.append(piece[2])
+        products[(k, i, j)] = (
+            np.concatenate(per_col),
+            np.concatenate(([0], np.cumsum(np.concatenate(lens)))),
+            tuple(events),
+        )
     return products, blocks
 
 
@@ -107,15 +128,12 @@ def run(monkeypatch, a, b, q, phases, kind, schedule, records=None):
 def assert_same_records(derived, brute):
     d_products, d_blocks = derived
     b_products, b_blocks = brute
-    assert len(d_products) == len(b_products)
-    for d_p, b_p in zip(d_products, b_products):
-        assert d_p.keys() == b_p.keys()
-        for key, (nnz, per_col, c_indptr, events) in b_p.items():
-            d_nnz, d_per_col, d_c_indptr, d_events = d_p[key]
-            assert type(d_nnz) is int and d_nnz == nnz
-            assert np.array_equal(d_per_col, per_col)
-            assert np.array_equal(np.diff(d_c_indptr), np.diff(c_indptr))
-            assert d_events == events
+    assert d_products.keys() == b_products.keys()
+    for key, (per_col, c_indptr, events) in b_products.items():
+        d_per_col, d_c_indptr, d_events = d_products[key]
+        assert np.array_equal(d_per_col, per_col)
+        assert np.array_equal(np.diff(d_c_indptr), np.diff(c_indptr))
+        assert d_events == events
     assert d_blocks == b_blocks
 
 
@@ -180,8 +198,8 @@ def test_derived_records_match_phased_numerics(case, phases, kind, schedule):
         def oracle(dist_a, dist_b, products, blocks):
             # Copies: the pricing pass consumes the records it is given.
             brute = brute_records(dist_a, dist_b, phases, kind)
-            seen["derived"] = [[dict(d) for d in r] for r in (products, blocks)]
-            seen["brute"] = [[dict(d) for d in r] for r in brute]
+            seen["derived"] = (dict(products), [dict(d) for d in blocks])
+            seen["brute"] = (dict(brute[0]), [dict(d) for d in brute[1]])
             return brute
 
         derived = run(mp, a, b, q, phases, kind, schedule)

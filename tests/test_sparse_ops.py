@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ShapeError
 from repro.sparse import (
@@ -145,3 +147,64 @@ class TestGraphPreprocessing:
     def test_symmetrize_needs_square(self):
         with pytest.raises(ShapeError):
             symmetrize_max(random_csc((3, 4), 0.5, 1))
+
+
+def _self_loops_by_add(mat, weight=None):
+    """``add_self_loops`` as ``add(off_diag, loops)``: the lexsort it
+    replaced, kept as the oracle."""
+    from repro.sparse import CSCMatrix, csc_from_triples, identity_csc
+    from repro.sparse import _compressed as _c
+
+    n = mat.nrows
+    if weight is not None:
+        loops = identity_csc(n, weight)
+    else:
+        w = column_max(mat)
+        w[w == 0] = 1.0
+        idx = np.arange(n, dtype=np.int64)
+        loops = csc_from_triples((n, n), idx, idx, w, sum_dup=False)
+    cols = _c.expand_major(mat.indptr, mat.ncols)
+    keep = mat.indices != cols
+    off_diag = CSCMatrix(
+        mat.shape, _c.compress_major(cols[keep], mat.ncols),
+        mat.indices[keep], mat.data[keep], check=False,
+    )
+    return add(off_diag, loops)
+
+
+@st.composite
+def raw_square(draw):
+    """A square CSC matrix as it may arrive: unsorted columns, duplicate
+    coordinates, explicit zeros, negative values, an existing diagonal."""
+    from repro.sparse import CSCMatrix
+    from repro.sparse import _compressed as _c
+
+    n = draw(st.integers(0, 12))
+    nnz = draw(st.integers(0, 3 * n * n)) if n else 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, max(n, 1), nnz)
+    cols = rng.integers(0, max(n, 1), nnz)
+    vals = rng.choice(
+        [0.0, -0.0, 1.0, -2.5, 0.25, 3.0], nnz
+    ) * rng.random(nnz).round(1)
+    order = np.argsort(cols, kind="stable")  # grouped, not sorted within
+    return CSCMatrix(
+        (n, n), _c.compress_major(cols, n), rows[order], vals[order],
+        check=False,
+    )
+
+
+@given(raw_square(), st.sampled_from([None, 1.0, 0.5]))
+@settings(max_examples=200, deadline=None)
+def test_self_loops_insert_matches_add(mat, weight):
+    # The one-pass insertion gives the arrays the sorted add gave, bit for
+    # bit and dtype for dtype, whatever the input's order or duplicates.
+    got = add_self_loops(mat, weight)
+    want = _self_loops_by_add(mat, weight)
+    assert got.shape == want.shape
+    for x, y in (
+        (got.indptr, want.indptr), (got.indices, want.indices),
+        (got.data, want.data),
+    ):
+        assert x.dtype == y.dtype
+        assert x.tobytes() == y.tobytes()

@@ -1,5 +1,6 @@
 """Tests for the flops/cf-based hybrid kernel selector (paper §III)."""
 
+import numpy as np
 import pytest
 
 from repro.machine import SUMMIT_LIKE
@@ -9,6 +10,7 @@ from repro.spgemm import (
     WorkProfile,
     select_kernel,
 )
+from repro.spgemm.hybrid import KERNEL_KINDS, kernel_for_work, kernels_for_work
 
 
 def profile(flops, cf):
@@ -66,6 +68,21 @@ class TestSelection:
     def test_threshold_boundary_inclusive(self):
         kind = select_kernel(profile(int(1e5), 4.0), policy=POLICY)
         assert kind is KernelKind.GPU_NSPARSE
+
+
+@pytest.mark.parametrize("gpu_available", [True, False])
+def test_array_pick_matches_scalar_pick_at_every_threshold(gpu_available):
+    # kernels_for_work is kernel_for_work elementwise, boundaries included.
+    flops = np.array([0, 1, 99_999, 100_000, 100_001, 10**9])
+    cf = np.array([1.0, 1.999, 2.0, 3.999, 4.0, 4.001, 50.0])
+    f, c = (x.ravel() for x in np.meshgrid(flops, cf))
+    codes = kernels_for_work(f, c, gpu_available=gpu_available, policy=POLICY)
+    assert [KERNEL_KINDS[n] for n in codes.tolist()] == [
+        kernel_for_work(
+            int(x), float(y), gpu_available=gpu_available, policy=POLICY
+        )
+        for x, y in zip(f, c)
+    ]
 
 
 class TestPolicy:

@@ -108,10 +108,10 @@ class TestStageGraph:
         comm = VirtualComm(4, SUMMIT_LIKE)
         posted = []
         for k in range(2):
-            slabs = [dist.block(k, j) for j in range(2)]
             nbytes = [dist.block_storage_bytes(k, j) for j in range(2)]
+            # Broadcast-only delivery reads no row counts.
             posted.append(
-                model.post_stage(comm, k, 0, dist, slabs, nbytes, gate=0.0)
+                model.post_stage(comm, k, 0, dist, None, nbytes, gate=0.0)
             )
         for axis, name in ((0, "row"), (1, "col")):
             for idx in range(2):
