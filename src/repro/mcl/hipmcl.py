@@ -20,6 +20,7 @@ counted work, accumulated on per-rank CPU/GPU timelines.
 
 from __future__ import annotations
 
+import functools
 import math
 import time as _time
 from dataclasses import dataclass, field
@@ -124,16 +125,9 @@ class HipMCLConfig:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.nodes < 1:
             raise ValueError(f"nodes must be >= 1, got {self.nodes}")
-        if self.schedule not in ("sync", "static"):
-            raise ValueError(
-                f"unknown schedule {self.schedule!r}; "
-                "options: ['sync', 'static']"
-            )
-        if self.schedule == "static" and not self.pipelined:
-            raise ValueError(
-                "schedule='static' requires pipelined=True (the "
-                "bulk-synchronous SUMMA barriers every stage)"
-            )
+        # The multiply's knobs (kernel, merge, schedule) are validated
+        # where they are defined.
+        self.summa_config()
         if self.use_gpu and self.spec.gpus_per_node == 0:
             raise ValueError(
                 "use_gpu=True on a machine without GPUs "
@@ -424,20 +418,17 @@ def _charge_estimation(
     """
     spec = config.spec
     q = grid.q
-    threads = config.threads_per_process
+    keys = config.estimator_keys
+    symbolic = scheme == "symbolic"
     on_gpu = scheme == "probabilistic-gpu"
 
-    def a_payload(i: int, k: int) -> int:
-        if scheme == "symbolic":
-            return dist_a.block_storage_bytes(i, k) // 2  # indices only
-        blk = dist_a.block(i, k)
-        return 8 * config.estimator_keys * blk.ncols // q + 8 * blk.nnz // 8
-
-    def b_payload(k: int, j: int) -> int:
-        if scheme == "symbolic":
-            return dist_a.block_storage_bytes(k, j) // 2
-        blk = dist_a.block(k, j)
-        return 8 * config.estimator_keys * blk.nrows // q + 8 * blk.nnz // 8
+    def payload(i: int, j: int, axis: int) -> int:
+        """Block (i, j)'s pattern (indices only), or its keys along
+        ``axis`` (0: rows, 1: columns)."""
+        if symbolic:
+            return dist_a.block_storage_bytes(i, j) // 2
+        blk = dist_a.block(i, j)
+        return 8 * keys * blk.shape[axis] // q + 8 * blk.nnz // 8
 
     for k in range(q):
         # Estimation mimics the full SUMMA communication structure: the
@@ -447,22 +438,22 @@ def _charge_estimation(
         # (the α·lg q terms survive when the per-rank compute shrinks).
         lay = model.stage_layer(k)
         for I in range(model.q3):
-            payload = sum(a_payload(i, k) for i in model.group_rows(I))
             comm.broadcast(
-                model.layer_row_ranks(lay, I), payload, "est_bcast"
+                model.layer_row_ranks(lay, I),
+                sum(payload(i, k, 1) for i in model.group_rows(I)),
+                "est_bcast",
             )
         for J in range(model.q3):
-            payload = sum(b_payload(k, j) for j in model.group_cols(J))
             comm.broadcast(
-                model.layer_col_ranks(lay, J), payload, "est_bcast"
+                model.layer_col_ranks(lay, J),
+                sum(payload(k, j, 0) for j in model.group_cols(J)),
+                "est_bcast",
             )
         if on_gpu:
             # Future-work variant: each stage's key propagation runs on
             # the device, pipelined against the next stage's broadcasts —
             # the same overlap structure as the Pipelined Sparse SUMMA.
-            per_rank_stage = (
-                2.0 * config.estimator_keys * total_nnz / grid.size / q
-            )
+            per_rank_stage = 2.0 * keys * total_nnz / grid.size / q
             seconds = per_rank_stage / (
                 spec.gpu_estimator_ops_per_device * config.gpus_per_process
             )
@@ -470,13 +461,6 @@ def _charge_estimation(
                 clock.gpu.schedule(
                     clock.cpu.free_at, seconds, "mem_estimation"
                 )
-    def combine_payload(width: int) -> int:
-        return (
-            8 * config.estimator_keys * width
-            if scheme != "symbolic"
-            else 8 * width
-        )
-
     # Combine the propagated minimum keys (symbolic: the per-column
     # counts) along each layer's column trees — once per estimation pass;
     # under the split-3D grid each layer carries its 1/c share.
@@ -488,21 +472,20 @@ def _charge_estimation(
         for lay in range(model.layers):
             comm.allreduce(
                 model.layer_col_ranks(lay, J),
-                combine_payload(width) // model.layers,
+                8 * (1 if symbolic else keys) * width // model.layers,
                 "est_bcast",
             )
-    per_rank_compute = (
-        total_flops / grid.size
-        if scheme == "symbolic"
-        else 2.0 * config.estimator_keys * total_nnz / grid.size
-    )
     if not on_gpu:
-        for clock in comm.clocks:
-            seconds = (
-                spec.symbolic_time(per_rank_compute, threads)
-                if scheme == "symbolic"
-                else spec.estimator_time(per_rank_compute, threads)
+        if symbolic:
+            seconds = spec.symbolic_time(
+                total_flops / grid.size, config.threads_per_process
             )
+        else:
+            seconds = spec.estimator_time(
+                2.0 * keys * total_nnz / grid.size,
+                config.threads_per_process,
+            )
+        for clock in comm.clocks:
             clock.cpu.schedule(clock.cpu.free_at, seconds, "mem_estimation")
     comm.barrier()
 
@@ -546,6 +529,510 @@ def _split_block_column(
         r_lo, r_hi = grid.block_bounds(nrows, i)
         out[(i, j)] = block_of_csc(mat, r_lo, r_hi, 0, mat.ncols)
     return out
+
+
+@dataclass
+class _RunTotals:
+    """The run's counters, declared once.
+
+    They accumulate over the run's expansions, travel in a checkpoint's
+    ``counters`` (:meth:`counters` / :meth:`from_counters`) and end as
+    :class:`HipMCLResult` fields (:meth:`result_fields`).
+    """
+
+    kernel_selections: dict = field(default_factory=dict)
+    gpu_fallbacks: int = 0
+    expansion_seconds: float = 0.0
+    #: Idle seconds inside the expansions, summed over the ranks.
+    expansion_cpu_idle: float = 0.0
+    expansion_gpu_idle: float = 0.0
+    peak_rank_resident_bytes: int = 0
+    budget_violations: int = 0
+    estimator_fallbacks: int = 0
+    phase_split_retries: int = 0
+    kernel_demotions: int = 0
+    merge_demotions: int = 0
+    transport_selections: dict = field(default_factory=dict)
+    transport_demotions: int = 0
+    bcast_overlap_seconds: float = 0.0
+    prune_bcast_overlap_seconds: float = 0.0
+
+    @classmethod
+    def from_counters(cls, counters: dict) -> "_RunTotals":
+        """The totals a checkpoint's ``counters`` saved; a missing key
+        keeps its default."""
+        totals = cls()
+        for name, default in vars(totals).items():
+            value = counters.get(name, default)
+            setattr(totals, name, type(default)(value))
+        return totals
+
+    def counters(self) -> dict:
+        """The checkpoint's ``counters`` (JSON-ready, dicts copied)."""
+        return {
+            name: dict(value) if isinstance(value, dict) else value
+            for name, value in vars(self).items()
+        }
+
+    def absorb(self, res) -> None:
+        """Add one multiply's :class:`~repro.summa.engine.SummaResult`:
+        every counter it shares by name, and its resident-bytes peak."""
+        for name, total in vars(self).items():
+            if not hasattr(res, name):
+                continue
+            if isinstance(total, dict):
+                for k, v in getattr(res, name).items():
+                    total[k] = total.get(k, 0) + v
+            else:
+                setattr(self, name, total + getattr(res, name))
+        self.peak_rank_resident_bytes = max(
+            self.peak_rank_resident_bytes, res.max_rank_resident_bytes
+        )
+
+    def result_fields(self, ranks: int) -> dict:
+        """The :class:`HipMCLResult` fields: idle seconds as per-rank
+        means, every other counter under its own name."""
+        out = dict(vars(self))
+        for unit in ("cpu", "gpu"):
+            idle = out.pop(f"expansion_{unit}_idle")
+            out[f"expansion_{unit}_idle_seconds"] = idle / ranks
+        return out
+
+
+@dataclass
+class _Iteration:
+    """One MCL iteration's state, as the driver's steps fill it in."""
+
+    index: int
+    #: The iterate: the iteration's input until :meth:`_Run.inflate`
+    #: replaces it with the next one.
+    work: CSCMatrix
+    stage_before: dict
+    dist_a: DistributedCSC
+    flops: int
+    estimated: float = 0.0
+    scheme: str = ""
+    phases: int = 1
+    product: object = None  # the last expansion's SummaResult
+    #: Unpruned nonzeros of the product, counted by the fused prune.
+    exact_nnz: int = 0
+
+
+class _Run:
+    """One driver run: the context every step reads, the run's counters
+    and the state carried from one iteration to the next (and through a
+    checkpoint).  The steps of an iteration are its methods."""
+
+    def __init__(
+        self, options, config, *, resume_from, faults, workers, backend
+    ):
+        from ..parallel import get_executor
+        from ..resilience.checkpoint import config_fingerprint, load_checkpoint
+
+        self.options = options
+        self.config = config
+        self.grid = grid = ProcessGrid.for_processes(config.processes)
+        self.executor = get_executor(workers, backend)
+        self.injector = injector = as_injector(faults)
+        policy = config.resilience
+        if policy is None and injector is not None:
+            policy = ResiliencePolicy()
+        self.policy = policy
+        self.checker = (
+            InvariantChecker(mode=policy.validate)
+            if policy is not None and policy.validate != "off"
+            else None
+        )
+        self.comm = VirtualComm(
+            grid.size,
+            config.spec,
+            injector=injector,
+            retry=policy.retry if policy is not None else None,
+        )
+        self.tracer = tracer = current_tracer()
+        if tracer is not None and tracer.sim_clock is None:
+            # From here on every span/metric carries the run's simulated
+            # seconds alongside wall time (restored by the hipmcl wrapper).
+            tracer.sim_clock = self.comm.elapsed
+        self.summa_cfg = config.summa_config()
+        # The degradation ladder is the only recovery for kernel-site
+        # faults, so disarming it (policy.degrade_kernels=False) disables
+        # those injection sites rather than crashing mid-expansion; the
+        # same holds for the merge-overrun site and the SpKAdd ladder.
+        self.summa_injector = (
+            injector if policy is None or policy.degrade_kernels else None
+        )
+        self.merge_injector = (
+            injector if policy is None or policy.degrade_merge else None
+        )
+        self.fingerprint = config_fingerprint(config, options)
+        self.totals = _RunTotals()
+        self.history: list[HipMCLIteration] = []
+        self.prev_cf = math.inf  # first iteration: large cf → probabilistic
+        self.elapsed_offset = 0.0
+        self.checkpoints_written = 0
+        #: The checkpoint's iterate and iteration (None and 0 when fresh).
+        self.work, self.resumed_from = None, 0
+        if resume_from is not None:
+            ckpt = load_checkpoint(resume_from, self.fingerprint)
+            self.work, self.resumed_from = ckpt.work, ckpt.iteration
+            self.history = list(ckpt.history)
+            self.prev_cf = ckpt.prev_cf
+            self.elapsed_offset = ckpt.elapsed_seconds
+            self.totals = _RunTotals.from_counters(ckpt.counters)
+        # One grid charge model for the whole run: its transport counters
+        # and the p2p → broadcast demotion rung persist across iterations.
+        # The plain 2-D grid makes no transport choice (None): every slab
+        # is broadcast and nothing is counted.  A resumed run continues on
+        # the broadcast transport a failure demoted it to.
+        transport = config.transport if config.grid == "3d" else None
+        if transport is not None and self.totals.transport_demotions:
+            transport = "broadcast"
+        self.model = Grid3DModel(
+            grid.q,
+            config.resolved_layers,
+            transport,
+            demote_transport=(
+                policy.demote_transport if policy is not None else True
+            ),
+        )
+
+    # -- the steps of one iteration -----------------------------------------
+
+    def estimate(self, step: _Iteration) -> None:
+        """Memory requirement estimation (§V) and the phase plan."""
+        config, policy, tracer = self.config, self.policy, self.tracer
+        work, it = step.work, step.index
+
+        def charge(scheme):
+            _charge_estimation(
+                self.comm, self.grid, step.dist_a, config, scheme,
+                step.flops, work.nnz, model=self.model,
+            )
+
+        with maybe_span("estimate", "mcl", iteration=it) as est_sp:
+            if config.estimator in ("symbolic", "probabilistic",
+                                    "probabilistic-gpu"):
+                scheme = config.estimator
+            else:  # hybrid: exact when the previous product compressed
+                scheme = (
+                    "symbolic"
+                    if self.prev_cf < config.estimator_cf_threshold
+                    else "probabilistic"
+                )
+            if scheme == "symbolic":
+                estimated = float(symbolic_nnz(work, work))
+            else:
+                try:
+                    estimated = estimate_nnz(
+                        work, work, keys=config.estimator_keys,
+                        seed=config.seed + it, injector=self.injector,
+                    ).total
+                except EstimationError as exc:
+                    recover = (
+                        policy is not None
+                        and policy.estimator_fallback
+                        and isinstance(exc, InjectedFault)
+                    )
+                    if not recover:
+                        raise
+                    # Charge the wasted probabilistic pass, then back off
+                    # to the exact symbolic estimation (its cost is
+                    # charged by the regular call below).
+                    charge(scheme)
+                    self.totals.estimator_fallbacks += 1
+                    if tracer is not None:
+                        tracer.instant(
+                            "fault.estimator_fallback", "resilience",
+                            iteration=it, scheme=scheme,
+                        )
+                    scheme = "symbolic"
+                    estimated = float(symbolic_nnz(work, work))
+            charge(scheme)
+            plan = plan_phases(
+                estimated,
+                self.grid.size,
+                config.memory_budget_bytes,
+                safety_factor=(
+                    1.0 if scheme == "symbolic" else config.estimator_safety
+                ),
+                replication=self.model.layers,
+            )
+            est_sp.set(scheme=scheme, estimated=estimated,
+                       phases=plan.phases)
+        step.estimated, step.scheme = estimated, scheme
+        step.phases = plan.phases
+
+    def expand(self, step: _Iteration) -> None:
+        """The phased expansion fused with pruning, redone with doubled
+        phases after a budget overrun when the policy allows."""
+        comm, config, policy = self.comm, self.config, self.policy
+        tracer, totals, it = self.tracer, self.totals, step.index
+        budget = config.memory_budget_bytes
+        expansion_t0 = comm.barrier()
+        busy_before = [
+            (c.cpu.busy_total(), c.gpu.busy_total()) for c in comm.clocks
+        ]
+        splits = 0
+        exp_span = maybe_span("expansion", "mcl", iteration=it)
+        while True:
+            # Each attempt recomputes the full expansion; a retried
+            # attempt's charged time stays on the clocks (the rerun is
+            # real simulated work), but its prune totals are discarded.
+            step.exact_nnz = 0
+            res = summa_multiply(
+                step.dist_a,
+                step.dist_a,
+                comm,
+                self.summa_cfg,
+                phases=step.phases,
+                prune_column=functools.partial(self.prune_column, step),
+                charge_column_prune=self.charge_column_prune,
+                injector=self.summa_injector,
+                executor=self.executor,
+                overlap_budget_bytes=budget,
+                merge_injector=self.merge_injector,
+                model=self.model,
+            )
+            totals.absorb(res)
+            overrun = res.max_rank_resident_bytes > budget
+            if overrun:
+                # The §VII-D hazard: the estimator undershot (or the
+                # budget is simply unreachable within the phase cap) and
+                # a process would have exceeded its memory.
+                totals.budget_violations += 1
+                if tracer is not None:
+                    tracer.instant(
+                        "fault.budget_violation", "resilience",
+                        iteration=it, resident=res.max_rank_resident_bytes,
+                        budget=budget,
+                    )
+            if (
+                overrun
+                and policy is not None
+                and policy.split_phases_on_overrun
+                and splits < policy.max_phase_splits
+            ):
+                # Overrun recovery: redo the expansion with double the
+                # phases, halving each phase's transient footprint.  The
+                # engine computes, merges and prunes every block column at
+                # full width whatever the phase count (phases exist only
+                # in its pricing), so the result is bit-identical.
+                splits += 1
+                totals.phase_split_retries += 1
+                step.phases = min(step.phases * 2, 256)
+                if tracer is not None:
+                    tracer.instant(
+                        "recovery.phase_split", "resilience",
+                        iteration=it, phases=step.phases,
+                    )
+                continue
+            break
+        exp_span.set(phases=step.phases, splits=splits)
+        exp_span.close()
+        span = comm.barrier() - expansion_t0
+        totals.expansion_seconds += span
+        # Idle *within* the expansion section, per resource (Table V's
+        # metric: how long each unit waits inside the pipelined SUMMA).
+        for clock, (cpu0, gpu0) in zip(comm.clocks, busy_before):
+            totals.expansion_cpu_idle += (
+                span - (clock.cpu.busy_total() - cpu0)
+            )
+            totals.expansion_gpu_idle += (
+                span - (clock.gpu.busy_total() - gpu0)
+            )
+        step.product = res
+
+    def prune_column(self, step: _Iteration, cols, j):
+        """Prune block column ``j`` the moment the engine has finished it
+        (numerics only; the clocks are charged by
+        :meth:`charge_column_prune`)."""
+        options, grid, n = self.options, self.grid, step.work.nrows
+        with maybe_span(
+            "prune", "mcl", iteration=step.index, column=j
+        ) as psp:
+            if options.recover_number != 0:
+                # Recovery needs the full pre-cutoff column: assemble,
+                # prune, split back.
+                keyed = {(i, j): blk for i, blk in enumerate(cols)}
+                slab = _assemble_block_column(keyed, grid, n, j)
+                pruned, _stats = prune_columns(slab, options)
+                split = _split_block_column(pruned, grid, n, j)
+                pruned_col = [split[(i, j)] for i in range(grid.q)]
+            else:
+                # Faithful §II protocol: local top-k candidates →
+                # exchanged threshold → local filter.  Identical to the
+                # centralized prune (validated in tests).
+                pruned_col = distributed_prune_block_column(cols, options)
+            nnz_in = sum(b.nnz for b in cols)
+            step.exact_nnz += nnz_in
+            psp.set(nnz_in=nnz_in, nnz_out=sum(b.nnz for b in pruned_col))
+            return pruned_col
+
+    def charge_column_prune(self, j, nnz, width):
+        """Charge block column ``j``'s prune: each rank's threshold scan
+        and top-k selection, then the §II candidate exchange along the
+        processor column (each rank contributes at most k entries per
+        column)."""
+        spec, grid, config = self.config.spec, self.grid, self.config
+        threads = config.threads_per_process
+        select = self.options.select_number
+        for i, blk_nnz in enumerate(nnz):
+            clock = self.comm.clocks[grid.rank_of(i, j)]
+            clock.cpu.schedule(
+                clock.cpu.free_at,
+                spec.prune_time(
+                    blk_nnz, threads, threaded_node=config.threaded_node
+                ),
+                "prune",
+            )
+            if select:
+                clock.cpu.schedule(
+                    clock.cpu.free_at,
+                    spec.topk_time(blk_nnz, select, threads),
+                    "prune",
+                )
+        if select:
+            per_rank_cand = min(max(nnz, default=0), select * width)
+            self.comm.alltoall(
+                grid.col_members(j),
+                16 * per_rank_cand // max(1, grid.q), "topk_exchange",
+            )
+
+    def inflate(self, step: _Iteration) -> None:
+        """Inflation of the pruned product: the next iterate."""
+        from ..sparse import normalize_columns
+
+        comm, grid, spec = self.comm, self.grid, self.config.spec
+        threads, n = self.config.threads_per_process, step.work.nrows
+        with maybe_span("inflation", "mcl", iteration=step.index):
+            dist_c = step.product.dist_c
+            pruned_global = dist_c.to_global()
+            for (i, j), blk in dist_c.blocks.items():
+                clock = comm.clocks[grid.rank_of(i, j)]
+                clock.cpu.schedule(
+                    clock.cpu.free_at,
+                    spec.inflate_time(blk.nnz, threads),
+                    "inflation",
+                )
+            for j in range(grid.q):
+                c_lo, c_hi = grid.block_bounds(n, j)
+                comm.allreduce(
+                    grid.col_members(j), 8 * (c_hi - c_lo), "inflation"
+                )
+            step.work = inflate(
+                normalize_columns(pruned_global), self.options.inflation
+            )
+
+    def record(self, step: _Iteration) -> bool:
+        """Append the iteration's record; True when it converged."""
+        comm, it, work = self.comm, step.index, step.work
+        ch = chaos_of(work)
+        comm.allreduce(list(range(self.grid.size)), 8, "other_comm")
+        comm.barrier()
+        stage_after = _grouped_stage_seconds(comm)
+        exact_nnz = step.exact_nnz
+        cf = (step.flops / exact_nnz) if exact_nnz else 1.0
+        res = step.product
+        rec = HipMCLIteration(
+            index=it,
+            nnz_in=step.dist_a.nnz,
+            flops=step.flops,
+            estimated_nnz=step.estimated,
+            exact_nnz=exact_nnz,
+            estimator_used=step.scheme,
+            estimation_error_pct=(
+                abs(step.estimated - exact_nnz) / exact_nnz * 100.0
+                if exact_nnz
+                else 0.0
+            ),
+            phases=step.phases,
+            nnz_pruned=work.nnz,
+            cf=cf,
+            chaos=ch,
+            merge_peak_event_elements=res.merge_peak_event_elements,
+            merge_peak_resident_elements=res.merge_peak_resident_elements,
+            stage_seconds={
+                k: stage_after[k] - step.stage_before.get(k, 0.0)
+                for k in stage_after
+            },
+        )
+        self.history.append(rec)
+        if self.tracer is not None:
+            self.tracer.metric(
+                "iteration.nnz", work.nnz, iteration=it, chaos=ch,
+                cf=cf, flops=step.flops,
+            )
+            self.tracer.metric("iteration.chaos", ch, iteration=it)
+            self.tracer.metric(
+                "estimator.bound", step.estimated, iteration=it,
+                scheme=step.scheme, exact=exact_nnz,
+                error_pct=rec.estimation_error_pct,
+            )
+        self.prev_cf = cf
+        if self.checker is not None:
+            self.checker.after_iteration(
+                work, [h.chaos for h in self.history], it
+            )
+        return ch < self.options.chaos_threshold
+
+    def checkpoint(self, directory, step: _Iteration) -> None:
+        from ..resilience.checkpoint import (
+            MclCheckpoint, checkpoint_path, save_checkpoint,
+        )
+
+        it = step.index
+        save_checkpoint(
+            checkpoint_path(directory, it),
+            MclCheckpoint(
+                iteration=it,
+                work=step.work,
+                history=self.history,
+                prev_cf=self.prev_cf,
+                elapsed_seconds=self.elapsed_offset + self.comm.elapsed(),
+                counters=self.totals.counters(),
+                fingerprint=self.fingerprint,
+            ),
+        )
+        self.checkpoints_written += 1
+        if self.tracer is not None:
+            self.tracer.instant(
+                "checkpoint.written", "resilience", iteration=it
+            )
+
+    def result(self, labels, converged, wall_start) -> HipMCLResult:
+        comm, injector = self.comm, self.injector
+        cpu_idle, gpu_idle = comm.idle_times()
+        cpu_widle, gpu_widle = comm.window_idle_times()
+        return HipMCLResult(
+            labels=labels,
+            n_clusters=int(labels.max()) + 1 if len(labels) else 0,
+            iterations=len(self.history),
+            converged=converged,
+            elapsed_seconds=self.elapsed_offset + comm.elapsed(),
+            stage_means=_grouped_stage_seconds(comm),
+            cpu_idle_seconds=cpu_idle,
+            gpu_idle_seconds=gpu_idle,
+            bytes_communicated=comm.traffic.bytes_total,
+            history=self.history,
+            wall_seconds=_time.perf_counter() - wall_start,
+            cpu_window_idle_seconds=cpu_widle,
+            gpu_window_idle_seconds=gpu_widle,
+            comm_retries=comm.traffic.collective_retries,
+            retry_seconds=comm.traffic.retry_seconds,
+            straggler_events=comm.traffic.straggler_events,
+            faults_injected=injector.counts() if injector is not None else {},
+            invariant_violations=(
+                list(self.checker.violations)
+                if self.checker is not None else []
+            ),
+            resumed_from_iteration=self.resumed_from,
+            checkpoints_written=self.checkpoints_written,
+            link_busy_seconds=comm.link_busy_seconds(),
+            grid=self.config.grid,
+            layers=self.model.layers,
+            **self.totals.result_fields(self.grid.size),
+        )
 
 
 def hipmcl(
@@ -625,16 +1112,11 @@ def hipmcl(
         the patched-graph components the delta touches, and stitches —
         labels are identical to a cold run on the patched graph.
     """
-    kwargs = dict(
-        strict=strict,
-        faults=faults,
-        resume_from=resume_from,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-        workers=workers,
-        backend=backend,
-        on_iteration=on_iteration,
-    )
+    # The run's own keywords, passed on as they came.
+    kwargs = {
+        name: value for name, value in locals().items()
+        if name not in ("matrix", "options", "config", "trace", "warm_start")
+    }
     if warm_start is not None:
         from ..locality.delta import run_warm_start
 
@@ -655,19 +1137,20 @@ def hipmcl(
 
 def _hipmcl_run(
     matrix: CSCMatrix,
-    options: MclOptions | None = None,
-    config: HipMCLConfig | None = None,
+    options: MclOptions | None,
+    config: HipMCLConfig | None,
     *,
-    strict: bool = False,
-    faults=None,
-    resume_from=None,
-    checkpoint_dir=None,
-    checkpoint_every: int = 1,
-    workers: int | str | None = None,
-    backend: str | None = None,
-    on_iteration=None,
+    strict,
+    checkpoint_dir,
+    checkpoint_every,
+    on_iteration,
+    **run_args,
 ) -> HipMCLResult:
-    """The driver body behind :func:`hipmcl` (tracer already active)."""
+    """The driver body behind :func:`hipmcl` (tracer already active): per
+    iteration, estimate and plan → expand (fused with the prune) →
+    inflate → record and check convergence → checkpoint.  ``run_args``
+    (``faults``, ``resume_from``, ``workers``, ``backend``) build the
+    :class:`_Run`."""
     wall_start = _time.perf_counter()
     options = options or MclOptions()
     config = config or HipMCLConfig()
@@ -675,509 +1158,37 @@ def _hipmcl_run(
         raise ValueError(
             f"checkpoint_every must be >= 1, got {checkpoint_every}"
         )
-    spec = config.spec
-    grid = ProcessGrid.for_processes(config.processes)
-    from ..parallel import get_executor
-
-    executor = get_executor(workers, backend)
-    injector = as_injector(faults)
-    policy = config.resilience
-    if policy is None and injector is not None:
-        policy = ResiliencePolicy()
-    checker = (
-        InvariantChecker(mode=policy.validate)
-        if policy is not None and policy.validate != "off"
-        else None
-    )
-    comm = VirtualComm(
-        grid.size,
-        spec,
-        injector=injector,
-        retry=policy.retry if policy is not None else None,
-    )
-    tracer = current_tracer()
-    if tracer is not None and tracer.sim_clock is None:
-        # From here on every span/metric carries the run's simulated
-        # seconds alongside wall time (restored by the hipmcl wrapper).
-        tracer.sim_clock = comm.elapsed
-    summa_cfg = config.summa_config()
-    threads = config.threads_per_process
-    # The degradation ladder is the only recovery for kernel-site faults,
-    # so disarming it (policy.degrade_kernels=False) disables those
-    # injection sites rather than crashing mid-expansion.
-    summa_injector = (
-        injector
-        if policy is None or policy.degrade_kernels
-        else None
-    )
-    # Same rationale for the merge-overrun site: its only recovery is the
-    # SpKAdd strategy ladder.
-    merge_injector = (
-        injector
-        if policy is None or policy.degrade_merge
-        else None
-    )
-    # The plain 2-D grid makes no transport choice (None): every slab
-    # is broadcast and nothing is counted.
-    transport = config.transport if config.grid == "3d" else None
-    history: list[HipMCLIteration] = []
-    converged = False
-    kernel_selections: dict[str, int] = {}
-    gpu_fallbacks = 0
-    expansion_seconds = 0.0
-    expansion_cpu_idle = 0.0
-    expansion_gpu_idle = 0.0
-    peak_rank_resident_bytes = 0
-    budget_violations = 0
-    estimator_fallbacks = 0
-    phase_split_retries = 0
-    kernel_demotions = 0
-    merge_demotions = 0
-    transport_selections: dict[str, int] = {}
-    transport_demotions = 0
-    bcast_overlap_seconds = 0.0
-    prune_bcast_overlap_seconds = 0.0
-    checkpoints_written = 0
-    resumed_from_iteration = 0
-    elapsed_offset = 0.0
-    start_iteration = 1
-    prev_cf = math.inf  # first iteration: assume large cf → probabilistic
-
-    from ..resilience.checkpoint import (
-        MclCheckpoint,
-        checkpoint_path,
-        config_fingerprint,
-        load_checkpoint,
-        save_checkpoint,
-    )
-
-    fingerprint = config_fingerprint(config, options)
-    if resume_from is not None:
-        ckpt = load_checkpoint(resume_from, fingerprint)
-        work = ckpt.work
-        history = list(ckpt.history)
-        prev_cf = ckpt.prev_cf
-        start_iteration = ckpt.iteration + 1
-        resumed_from_iteration = ckpt.iteration
-        elapsed_offset = ckpt.elapsed_seconds
-        c = ckpt.counters
-        kernel_selections = dict(c.get("kernel_selections", {}))
-        gpu_fallbacks = int(c.get("gpu_fallbacks", 0))
-        expansion_seconds = float(c.get("expansion_seconds", 0.0))
-        expansion_cpu_idle = float(c.get("expansion_cpu_idle", 0.0))
-        expansion_gpu_idle = float(c.get("expansion_gpu_idle", 0.0))
-        peak_rank_resident_bytes = int(c.get("peak_rank_resident_bytes", 0))
-        budget_violations = int(c.get("budget_violations", 0))
-        estimator_fallbacks = int(c.get("estimator_fallbacks", 0))
-        phase_split_retries = int(c.get("phase_split_retries", 0))
-        kernel_demotions = int(c.get("kernel_demotions", 0))
-        merge_demotions = int(c.get("merge_demotions", 0))
-        transport_selections = dict(c.get("transport_selections", {}))
-        transport_demotions = int(c.get("transport_demotions", 0))
-        bcast_overlap_seconds = float(c.get("bcast_overlap_seconds", 0.0))
-        prune_bcast_overlap_seconds = float(
-            c.get("prune_bcast_overlap_seconds", 0.0)
-        )
-        if transport is not None and transport_demotions:
-            # The demotion rung is run-scoped: a resumed run continues on
-            # the broadcast transport the failure demoted it to.
-            transport = "broadcast"
-    else:
+    run = _Run(options, config, **run_args)
+    work = run.work
+    if work is None:
         work = prepare_matrix(matrix, options)
-    # One grid charge model for the whole run: its transport counters and
-    # the p2p → broadcast demotion rung persist across iterations.
-    grid_model = Grid3DModel(
-        grid.q,
-        config.resolved_layers,
-        transport,
-        demote_transport=(
-            policy.demote_transport if policy is not None else True
-        ),
-    )
-    n = work.nrows
-
-    for it in range(start_iteration, options.max_iterations + 1):
-        stage_before = _grouped_stage_seconds(comm)
-        dist_a = DistributedCSC.from_global(work, grid)
-        total_flops = flops(work, work)
-
-        def exact_nnz() -> float:
-            return float(symbolic_nnz(work, work))
-
-        # ---- memory requirement estimation (§V) -------------------------
-        with maybe_span("estimate", "mcl", iteration=it) as est_sp:
-            if config.estimator in ("symbolic", "probabilistic",
-                                    "probabilistic-gpu"):
-                scheme = config.estimator
-            else:  # hybrid: exact when the previous product compressed
-                scheme = (
-                    "symbolic"
-                    if prev_cf < config.estimator_cf_threshold
-                    else "probabilistic"
-                )
-            if scheme == "symbolic":
-                estimated = exact_nnz()
-            else:
-                try:
-                    estimated = estimate_nnz(
-                        work, work, keys=config.estimator_keys,
-                        seed=config.seed + it, injector=injector,
-                    ).total
-                except EstimationError as exc:
-                    recover = (
-                        policy is not None
-                        and policy.estimator_fallback
-                        and isinstance(exc, InjectedFault)
-                    )
-                    if not recover:
-                        raise
-                    # Charge the wasted probabilistic pass, then back off
-                    # to the exact symbolic estimation (its cost is
-                    # charged by the regular call below).
-                    _charge_estimation(
-                        comm, grid, dist_a, config, scheme, total_flops,
-                        work.nnz, model=grid_model,
-                    )
-                    estimator_fallbacks += 1
-                    if tracer is not None:
-                        tracer.instant(
-                            "fault.estimator_fallback", "resilience",
-                            iteration=it, scheme=scheme,
-                        )
-                    scheme = "symbolic"
-                    estimated = exact_nnz()
-            _charge_estimation(
-                comm, grid, dist_a, config, scheme, total_flops, work.nnz,
-                model=grid_model,
-            )
-            plan = plan_phases(
-                estimated,
-                grid.size,
-                config.memory_budget_bytes,
-                safety_factor=(
-                    1.0 if scheme == "symbolic" else config.estimator_safety
-                ),
-                replication=grid_model.layers,
-            )
-            est_sp.set(scheme=scheme, estimated=estimated,
-                       phases=plan.phases)
-
-        # ---- phased expansion fused with pruning -------------------------------
-        prune_totals = {"in": 0, "out": 0}
-
-        def prune_column(cols, j):
-            """Prune block column ``j`` the moment the engine has finished
-            it (numerics only; the clocks are charged by
-            ``charge_column_prune``)."""
-            with maybe_span("prune", "mcl", iteration=it, column=j) as psp:
-                if options.recover_number != 0:
-                    # Recovery needs the full pre-cutoff column:
-                    # assemble, prune, split back.
-                    keyed = {(i, j): blk for i, blk in enumerate(cols)}
-                    slab = _assemble_block_column(keyed, grid, n, j)
-                    pruned, _stats = prune_columns(slab, options)
-                    split = _split_block_column(pruned, grid, n, j)
-                    pruned_col = [split[(i, j)] for i in range(grid.q)]
-                else:
-                    # Faithful §II protocol: local top-k candidates →
-                    # exchanged threshold → local filter.  Identical to
-                    # the centralized prune (validated in tests).
-                    pruned_col = distributed_prune_block_column(cols, options)
-                nnz_in = sum(b.nnz for b in cols)
-                nnz_out = sum(b.nnz for b in pruned_col)
-                prune_totals["in"] += nnz_in
-                prune_totals["out"] += nnz_out
-                psp.set(nnz_in=nnz_in, nnz_out=nnz_out)
-                return pruned_col
-
-        def charge_column_prune(j, nnz, width):
-            """Charge block column ``j``'s prune: each rank's threshold
-            scan and top-k selection, then the §II candidate exchange
-            along the processor column (each rank contributes at most k
-            entries per column)."""
-            for i, blk_nnz in enumerate(nnz):
-                clock = comm.clocks[grid.rank_of(i, j)]
-                clock.cpu.schedule(
-                    clock.cpu.free_at,
-                    spec.prune_time(
-                        blk_nnz, threads, threaded_node=config.threaded_node
-                    ),
-                    "prune",
-                )
-                if options.select_number:
-                    clock.cpu.schedule(
-                        clock.cpu.free_at,
-                        spec.topk_time(blk_nnz, options.select_number,
-                                       threads),
-                        "prune",
-                    )
-            if options.select_number:
-                per_rank_cand = min(
-                    max(nnz, default=0), options.select_number * width
-                )
-                comm.alltoall(
-                    grid.col_members(j),
-                    16 * per_rank_cand // max(1, grid.q), "topk_exchange",
-                )
-
-        expansion_t0 = comm.barrier()
-        busy_before = [
-            (c.cpu.busy_total(), c.gpu.busy_total()) for c in comm.clocks
-        ]
-        attempt_phases = plan.phases
-        splits = 0
-        exp_span = maybe_span("expansion", "mcl", iteration=it)
-        while True:
-            # Each attempt recomputes the full expansion; a retried
-            # attempt's charged time stays on the clocks (the rerun is
-            # real simulated work), but its prune totals are discarded.
-            prune_totals["in"] = 0
-            prune_totals["out"] = 0
-            summa_res = summa_multiply(
-                dist_a,
-                dist_a,
-                comm,
-                summa_cfg,
-                phases=attempt_phases,
-                prune_column=prune_column,
-                charge_column_prune=charge_column_prune,
-                injector=summa_injector,
-                executor=executor,
-                overlap_budget_bytes=config.memory_budget_bytes,
-                merge_injector=merge_injector,
-                model=grid_model,
-            )
-            for k, v in summa_res.kernel_selections.items():
-                kernel_selections[k] = kernel_selections.get(k, 0) + v
-            gpu_fallbacks += summa_res.gpu_fallbacks
-            kernel_demotions += summa_res.kernel_demotions
-            merge_demotions += summa_res.merge_demotions
-            for k, v in summa_res.transport_selections.items():
-                transport_selections[k] = (
-                    transport_selections.get(k, 0) + v
-                )
-            transport_demotions += summa_res.transport_demotions
-            bcast_overlap_seconds += summa_res.bcast_overlap_seconds
-            prune_bcast_overlap_seconds += (
-                summa_res.prune_bcast_overlap_seconds
-            )
-            peak_rank_resident_bytes = max(
-                peak_rank_resident_bytes, summa_res.max_rank_resident_bytes
-            )
-            overrun = (
-                summa_res.max_rank_resident_bytes
-                > config.memory_budget_bytes
-            )
-            if overrun:
-                # The §VII-D hazard: the estimator undershot (or the
-                # budget is simply unreachable within the phase cap) and
-                # a process would have exceeded its memory.
-                budget_violations += 1
-                if tracer is not None:
-                    tracer.instant(
-                        "fault.budget_violation", "resilience",
-                        iteration=it,
-                        resident=summa_res.max_rank_resident_bytes,
-                        budget=config.memory_budget_bytes,
-                    )
-            if (
-                overrun
-                and policy is not None
-                and policy.split_phases_on_overrun
-                and splits < policy.max_phase_splits
-            ):
-                # Overrun recovery: redo the expansion with double the
-                # phases, halving each phase's transient footprint.  The
-                # engine computes, merges and prunes every block column at
-                # full width whatever the phase count (phases exist only
-                # in its pricing), so the result is bit-identical.
-                splits += 1
-                phase_split_retries += 1
-                attempt_phases = min(attempt_phases * 2, 256)
-                if tracer is not None:
-                    tracer.instant(
-                        "recovery.phase_split", "resilience",
-                        iteration=it, phases=attempt_phases,
-                    )
-                continue
-            break
-        exp_span.set(phases=attempt_phases, splits=splits)
-        exp_span.close()
-        expansion_t1 = comm.barrier()
-        span = expansion_t1 - expansion_t0
-        expansion_seconds += span
-        # Idle *within* the expansion section, per resource (Table V's
-        # metric: how long each unit waits inside the pipelined SUMMA).
-        for clock, (cpu0, gpu0) in zip(comm.clocks, busy_before):
-            expansion_cpu_idle += span - (clock.cpu.busy_total() - cpu0)
-            expansion_gpu_idle += span - (clock.gpu.busy_total() - gpu0)
-        exact_nnz = prune_totals["in"]
-
-        # ---- inflation ------------------------------------------------------
-        with maybe_span("inflation", "mcl", iteration=it):
-            pruned_global = summa_res.dist_c.to_global()
-            for (i, j), blk in summa_res.dist_c.blocks.items():
-                clock = comm.clocks[grid.rank_of(i, j)]
-                clock.cpu.schedule(
-                    clock.cpu.free_at,
-                    spec.inflate_time(blk.nnz, threads),
-                    "inflation",
-                )
-            for j in range(grid.q):
-                c_lo, c_hi = grid.block_bounds(n, j)
-                comm.allreduce(
-                    grid.col_members(j), 8 * (c_hi - c_lo), "inflation"
-                )
-            from ..sparse import normalize_columns
-
-            work = inflate(
-                normalize_columns(pruned_global), options.inflation
-            )
-
-        # ---- convergence -------------------------------------------------------
-        ch = chaos_of(work)
-        comm.allreduce(list(range(grid.size)), 8, "other_comm")
-        comm.barrier()
-
-        stage_after = _grouped_stage_seconds(comm)
-        cf = (total_flops / exact_nnz) if exact_nnz else 1.0
-        history.append(
-            HipMCLIteration(
-                index=it,
-                nnz_in=dist_a.nnz,
-                flops=total_flops,
-                estimated_nnz=estimated,
-                exact_nnz=exact_nnz,
-                estimator_used=scheme,
-                estimation_error_pct=(
-                    abs(estimated - exact_nnz) / exact_nnz * 100.0
-                    if exact_nnz
-                    else 0.0
-                ),
-                phases=attempt_phases,
-                nnz_pruned=work.nnz,
-                cf=cf,
-                chaos=ch,
-                merge_peak_event_elements=summa_res.merge_peak_event_elements,
-                merge_peak_resident_elements=(
-                    summa_res.merge_peak_resident_elements
-                ),
-                stage_seconds={
-                    k: stage_after[k] - stage_before.get(k, 0.0)
-                    for k in stage_after
-                },
-            )
+    converged = False
+    for it in range(run.resumed_from + 1, options.max_iterations + 1):
+        step = _Iteration(
+            it, work, _grouped_stage_seconds(run.comm),
+            DistributedCSC.from_global(work, run.grid), flops(work, work),
         )
-        if tracer is not None:
-            rec = history[-1]
-            tracer.metric(
-                "iteration.nnz", work.nnz, iteration=it, chaos=ch,
-                cf=cf, flops=total_flops,
-            )
-            tracer.metric("iteration.chaos", ch, iteration=it)
-            tracer.metric(
-                "estimator.bound", estimated, iteration=it,
-                scheme=scheme, exact=exact_nnz,
-                error_pct=rec.estimation_error_pct,
-            )
-        prev_cf = cf
-        converged_now = ch < options.chaos_threshold
-        if checker is not None:
-            checker.after_iteration(work, [h.chaos for h in history], it)
+        run.estimate(step)
+        run.expand(step)
+        run.inflate(step)
+        converged = run.record(step)
+        work = step.work
         if (
             checkpoint_dir is not None
-            and not converged_now
+            and not converged
             and it % checkpoint_every == 0
         ):
-            save_checkpoint(
-                checkpoint_path(checkpoint_dir, it),
-                MclCheckpoint(
-                    iteration=it,
-                    work=work,
-                    history=history,
-                    prev_cf=prev_cf,
-                    elapsed_seconds=elapsed_offset + comm.elapsed(),
-                    counters={
-                        "kernel_selections": dict(kernel_selections),
-                        "gpu_fallbacks": gpu_fallbacks,
-                        "expansion_seconds": expansion_seconds,
-                        "expansion_cpu_idle": expansion_cpu_idle,
-                        "expansion_gpu_idle": expansion_gpu_idle,
-                        "peak_rank_resident_bytes": peak_rank_resident_bytes,
-                        "budget_violations": budget_violations,
-                        "estimator_fallbacks": estimator_fallbacks,
-                        "phase_split_retries": phase_split_retries,
-                        "kernel_demotions": kernel_demotions,
-                        "merge_demotions": merge_demotions,
-                        "transport_selections": dict(transport_selections),
-                        "transport_demotions": transport_demotions,
-                        "bcast_overlap_seconds": bcast_overlap_seconds,
-                        "prune_bcast_overlap_seconds": (
-                            prune_bcast_overlap_seconds
-                        ),
-                    },
-                    fingerprint=fingerprint,
-                ),
-            )
-            checkpoints_written += 1
-            if tracer is not None:
-                tracer.instant(
-                    "checkpoint.written", "resilience", iteration=it
-                )
+            run.checkpoint(checkpoint_dir, step)
         if on_iteration is not None:
             # Fired with the iteration's checkpoint (if any) already
             # durable, so an exception here loses no committed work.
-            on_iteration(history[-1], converged_now)
-        if converged_now:
-            converged = True
+            on_iteration(run.history[-1], converged)
+        if converged:
             break
 
-    labels = connected_components(work)
-    cpu_idle, gpu_idle = comm.idle_times()
-    cpu_widle, gpu_widle = comm.window_idle_times()
-    result = HipMCLResult(
-        labels=labels,
-        n_clusters=int(labels.max()) + 1 if len(labels) else 0,
-        iterations=len(history),
-        converged=converged,
-        elapsed_seconds=elapsed_offset + comm.elapsed(),
-        stage_means=_grouped_stage_seconds(comm),
-        cpu_idle_seconds=cpu_idle,
-        gpu_idle_seconds=gpu_idle,
-        kernel_selections=kernel_selections,
-        gpu_fallbacks=gpu_fallbacks,
-        bytes_communicated=comm.traffic.bytes_total,
-        history=history,
-        wall_seconds=_time.perf_counter() - wall_start,
-        cpu_window_idle_seconds=cpu_widle,
-        gpu_window_idle_seconds=gpu_widle,
-        expansion_seconds=expansion_seconds,
-        expansion_cpu_idle_seconds=expansion_cpu_idle / grid.size,
-        expansion_gpu_idle_seconds=expansion_gpu_idle / grid.size,
-        peak_rank_resident_bytes=peak_rank_resident_bytes,
-        budget_violations=budget_violations,
-        comm_retries=comm.traffic.collective_retries,
-        retry_seconds=comm.traffic.retry_seconds,
-        straggler_events=comm.traffic.straggler_events,
-        estimator_fallbacks=estimator_fallbacks,
-        phase_split_retries=phase_split_retries,
-        kernel_demotions=kernel_demotions,
-        merge_demotions=merge_demotions,
-        faults_injected=injector.counts() if injector is not None else {},
-        invariant_violations=(
-            list(checker.violations) if checker is not None else []
-        ),
-        resumed_from_iteration=resumed_from_iteration,
-        checkpoints_written=checkpoints_written,
-        bcast_overlap_seconds=bcast_overlap_seconds,
-        prune_bcast_overlap_seconds=prune_bcast_overlap_seconds,
-        link_busy_seconds=comm.link_busy_seconds(),
-        grid=config.grid,
-        layers=grid_model.layers,
-        transport_selections=transport_selections,
-        transport_demotions=transport_demotions,
-    )
+    result = run.result(connected_components(work), converged, wall_start)
     if strict and not converged:
+        history = run.history
         err = ConvergenceError(
             f"no convergence after {result.iterations} iterations "
             f"(final chaos {history[-1].chaos:.3g} >= threshold "

@@ -70,38 +70,11 @@ class DistributedCSC:
         return sum(b.nnz for b in self.blocks.values())
 
     def block_storage_bytes(self, i: int, j: int) -> int:
-        """DCSC footprint of block (i, j) — what a broadcast carries.
-
-        Memoized on the block: the same footprint is re-read for every
-        re-broadcast of the block across the h phases of a SUMMA call and
-        again by the estimation pass.
-        """
-        from ..perf.cache import memo
-
+        """DCSC footprint of block (i, j) — what a broadcast carries."""
         blk = self.blocks[(i, j)]
-        return memo(blk, "dcsc_bytes", lambda: self._dcsc_bytes(blk))
-
-    @staticmethod
-    def _dcsc_bytes(blk: CSCMatrix) -> int:
         nzc = int(np.count_nonzero(blk.column_lengths()))
         # ir + num (16 B/nnz) + jc + cp (8 B each per non-empty column).
         return 16 * blk.nnz + 16 * nzc + 8
-
-    def block_column_support(self, i: int, j: int) -> np.ndarray:
-        """Boolean mask of the non-empty local columns of block (i, j).
-
-        This is the structure the hybrid transport prices against: at
-        SUMMA stage ``k`` a receiver holding A block ``(i, k)`` only
-        needs the B-slab rows its non-empty A columns touch.  Memoized
-        on the block alongside the DCSC footprint — the same mask is
-        re-read once per stage per phase.
-        """
-        from ..perf.cache import memo
-
-        blk = self.blocks[(i, j)]
-        return memo(
-            blk, "col_support", lambda: blk.column_lengths() > 0
-        )
 
     def to_dcsc_block(self, i: int, j: int) -> DCSCMatrix:
         """The block as it is actually stored (hypersparse-safe)."""

@@ -12,28 +12,26 @@ Execution model: every rank's program runs in one address space against
 real submatrices, while each rank's CPU/GPU :class:`ResourceTimeline`
 advances by modeled durations.  A multiply runs in two passes.
 
-* The **numeric pass** runs once, block-major, at full block-column
-  width whatever the phase count: for each block column j and each
-  block i it computes the products A_ik·B_kj in k order, pushes them
-  through that block's merge schedule and finishes the block; once the
-  column's q blocks are finished, ``prune_column`` prunes it.  At most
-  one merge schedule and one block column of unpruned output are live
-  at a time.  The pass keeps a small record per product (per-column
-  flops and C's column pointer at full width, and per phase the merge
-  events it triggered) and per block and phase (final merge events,
-  peaks); the phases' events are derived from the full-width pass
-  (:meth:`_PhaseSplit.events`).
-* The **pricing pass** first prices every product of every phase from
-  integer counts (:class:`_PricePlan`): broadcast bytes, the §III-A
-  device split, column lengths and row counts are counts over B's
-  blocks at the phase bounds, so no phase slab is built, and the kernel
-  pick and the device prices are one vectorised pass per multiply.  It
-  then walks the phases and replays each phase's records stage-major,
-  in the order the ranks execute them: broadcasts, the GPU degradation
-  ladder, clock charges, fault draws, merge-strategy labels, trace
-  tuples, the per-column ``charge_column_prune`` and the overlap
-  evidence.  Numerics never depend on a price, so splitting the passes
-  changes no simulated figure.
+* The **numeric pass** (:func:`_numeric_pass`) runs once, block-major,
+  at full block-column width whatever the phase count: for each block
+  column j and each block i it computes the products A_ik·B_kj in k
+  order, pushes them through that block's merge schedule and finishes
+  the block; once the column's q blocks are finished, ``prune_column``
+  prunes it.  At most one merge schedule and one block column of
+  unpruned output are live at a time.  It keeps a small record per
+  product and per block and phase, deriving the phases' merge events
+  from the full-width pass (:meth:`_PhaseSplit.events`).
+* The **pricing pass** prices every product of every phase from integer
+  counts (:class:`_PricePlan`: broadcast bytes, the §III-A device
+  split, column lengths and row counts over B's blocks at the phase
+  bounds, A's per-stage bytes and column supports, and one vectorised
+  kernel pick and device price per multiply), then :class:`_Pricer`
+  replays each phase's records stage-major, in the order the ranks
+  execute them: transfers, the GPU degradation ladder, clock charges,
+  fault draws, merge-strategy labels, trace tuples, the per-column
+  ``charge_column_prune`` and the overlap evidence.  Numerics never
+  depend on a price, so splitting the passes changes no simulated
+  figure.
 
 Broadcasts synchronize their subcommunicator (blocking collectives); in
 pipelined mode the stage-k GPU multiply runs concurrently with the
@@ -632,8 +630,13 @@ class _PricePlan:
     ):
         self.spec = config.spec
         self.dist_b = dist_b
+        self.phases = phases
         self.keys = list(products)
         self.products = products
+        q = dist_a.grid.q
+        self.a_rows = [dist_a.block(i, 0).nrows for i in range(q)]
+        # What each stage's deliveries read of A depends on k alone.
+        self.a_counts = [model.a_counts(dist_a, k) for k in range(q)]
         gpu_ok = config.use_gpu and devices is not None
         g = len(next(iter(devices.values()))) if gpu_ok else 1
         # Only the p2p-pricing transports read the B slabs' row counts.
@@ -799,6 +802,12 @@ class _PricePlan:
             return None
         return [rc[p] for rc in self.rows[k]]
 
+    def block_shape(self, i: int, j: int, p: int) -> tuple[int, int]:
+        """Phase p's share of block (i, j), in the row-major form it is
+        merged."""
+        lo, hi = self.bounds[j][p : p + 2]
+        return hi - lo, self.a_rows[i]
+
     def _slices(self, m: int, p: int):
         key = self.keys[m]
         per_col, c_indptr, _events = self.products[key]
@@ -825,279 +834,204 @@ class _PricePlan:
             per_col,
         )
 
-def summa_multiply(
-    dist_a: DistributedCSC,
-    dist_b: DistributedCSC,
-    comm: VirtualComm,
-    config: SummaConfig,
-    *,
-    phases: int = 1,
-    prune_column=None,
-    charge_column_prune=None,
-    devices: dict[int, list[GPUDevice]] | None = None,
-    injector=None,
-    executor=None,
-    workers: int | str | None = None,
-    backend: str | None = None,
-    overlap_budget_bytes: int | None = None,
-    merge_injector=_INHERIT,
-    model=None,
-) -> SummaResult:
-    """Compute ``C = A·B`` on the grid, per the configured algorithm.
 
-    ``prune_column(col_blocks, j)`` runs in the numeric pass, once per
-    block column ``j`` of the multiply (at full width, whatever
-    ``phases`` is), as soon as the column's q blocks are finished: it
-    receives them as a list indexed by block row and returns the (pruned)
-    blocks to keep.  It must be pure and column-wise — no clock is
-    charged there.
+def _window_overlap(w0: float, w1: float, h) -> float:
+    """Seconds transfer ``h`` is in flight within ``[w0, w1]``."""
+    return max(0.0, min(w1, h.end) - max(w0, h.start))
 
-    ``charge_column_prune(j, nnz, width)`` runs in the pricing pass, once
-    per block column of each phase, with the phase's unpruned per-block
-    nonzero counts and its width; the HipMCL driver charges the prune to
-    the rank clocks there.  Under ``config.schedule == "static"`` (when
-    not degraded to the synchronous broadcasts) it is called as soon as
-    the column's final merges are charged — while the next stages'
-    broadcasts are still in flight on the links — and that window is the
-    ``prune_bcast_overlap_seconds`` evidence; otherwise all columns are
-    charged in order after the phase's final merges.
 
-    ``executor`` (or ``workers`` and ``backend``, resolved through
-    :func:`repro.parallel.get_executor`) selects the wall-clock backend:
-    with a pool executor, each block column's independent local products
-    are computed across the pool as one batch before the numeric pass
-    merges them — modeled clocks, traces, and fault draws are untouched,
-    so every ``(backend, workers)`` combination is bit-identical to
-    ``workers=1``.
+class _Pricer:
+    """The pricing pass of one multiply (see the module docstring): it
+    reads the plan's counts and records, never a block, charges
+    ``comm``'s clocks through ``model`` and fills ``result``.
 
-    ``overlap_budget_bytes`` (the §V estimator budget) bounds the static
-    schedule's double buffer (:func:`~repro.summa.phases.overlap_window`
-    degrades it to the synchronous broadcasts when a second in-flight
-    stage does not fit) and the SpKAdd strategy planning.
-
-    ``injector`` threads fault injection into the engine-created devices
-    and the CPU hash kernel.  Faulted kernels demote along the ladder
-    (GPU → CPU-hash → heap); *injected* faults additionally charge the
-    aborted attempt's staging/compute time under the resilience account,
-    so recovery shows up in the simulated timelines.  Numerics never
-    change — only which kernel kind is charged.
-
-    Each physical merge is planned under an SpKAdd strategy label
-    (:func:`~repro.summa.phases.plan_merge_strategy`) in the pricing pass;
-    one engine runs behind every label, inline.  ``merge_injector``
-    (defaults to ``injector``) arms the merge-memory-overrun fault site:
-    an injected overrun charges the overrunning attempt's modeled time
-    under the resilience account and demotes the strategy ladder for the
-    rest of the run.  Draws happen once per merge event in the pricing
-    pass, so injections are identical across every execution cell too.
-
-    ``model`` (a :class:`~repro.summa.engine3d.Grid3DModel`) decides
-    where the simulated time and traffic land: which tree broadcasts (or
-    hybrid-transport p2p sends) carry each stage, which rank's clock each
-    kernel and merge charges, and the 2D→3D redistribution plus the
-    per-fiber combine around the multiply.  None is the one-layer model
-    with broadcast-only delivery — the plain 2-D grid.  The numeric pass
-    is the same for every model, so ``model`` changes simulated clocks
-    only, never results.
+    The static schedule walks the whole expansion as one flat sequence of
+    nodes, node n = p·q + k being stage k of phase p, across phase
+    boundaries: node n+2's transfers are posted the moment node n's slabs
+    are consumed, so the last stage of phase p overlaps the first
+    transfers of phase p+1, and the per-column prune between them runs
+    while those are on the wires.  ``node_consumed[n]`` gates the double
+    buffer: issue(s) waits for consumed(s−2), bounding live slabs to the
+    two stages ``overlap_window`` granted.  The model's channels are
+    shared across stages, so stage k+1's row-i tree serializes behind
+    stage k's on the same link.  Under the sync schedule (``static``
+    False) every stage posts blocking collectives when it starts.
     """
-    grid = dist_a.grid
-    if dist_b.grid.q != grid.q:
-        raise ValueError(
-            f"grid mismatch: A on {grid.q}x{grid.q}, B on "
-            f"{dist_b.grid.q}x{dist_b.grid.q}"
+
+    def __init__(
+        self, plan, blocks, comm, model, config, result, *, grid, devices,
+        injector, merge_injector, budget_bytes, charge_column_prune, static,
+    ):
+        self.plan = plan
+        #: Per phase, the numeric pass's :class:`_BlockRecord` by (i, j).
+        self.blocks = blocks
+        self.comm = comm
+        self.clocks = comm.clocks
+        self.model = model
+        self.config = config
+        self.spec = config.spec
+        self.result = result
+        self.grid = grid
+        self.q = grid.q
+        self.devices = devices
+        self.injector = injector
+        self.merge_injector = merge_injector
+        self.budget_bytes = budget_bytes
+        self.charge_column_prune = charge_column_prune
+        self.static = static
+        #: Passive: it never touches rank clocks, fault draws or results.
+        self.tracer = current_tracer()
+        self.trace = result.trace if config.trace else None
+        self.merge_rung = 0  # where injected merge overruns pushed the ladder
+        self.n_nodes = plan.phases * self.q
+        self.node_handles: dict[int, tuple] = {}
+        self.node_consumed: dict[int, float] = {}
+        self.issue_base = (
+            max(c.now for c in comm.clocks) if static else 0.0
         )
-    if dist_a.global_shape[1] != dist_b.global_shape[0]:
-        raise ValueError(
-            f"inner dimension mismatch: {dist_a.global_shape} x "
-            f"{dist_b.global_shape}"
-        )
-    if phases < 1:
-        raise ValueError(f"phases must be >= 1, got {phases}")
-    q = grid.q
-    spec = config.spec
-    if model is None:
-        model = Grid3DModel(q, 1, None)
-    elif model.q != q:
-        raise ValueError(
-            f"grid model built for q={model.q}, matrices on q={q}"
-        )
-    if executor is None:
-        from ..parallel import get_executor
 
-        executor = get_executor(workers, backend)
-    #: The observability tracer (None in the common untraced case); all
-    #: instrumentation below is passive — it never touches rank clocks,
-    #: fault draws, or result accounting, keeping traced runs bit-identical.
-    tracer = current_tracer()
-    pipeline_window = 0
-    if config.schedule == "static":
-        from .phases import overlap_window
+    def run(self) -> None:
+        q, charge_prune = self.q, self.charge_column_prune
+        if self.static:
+            for n in range(min(2, self.n_nodes)):
+                self.issue_node(n)
+        for p in range(self.plan.phases):
+            records = self.plan.records[p]
+            #: Per block, the phase's largest stage input bytes and when
+            #: its last product was on the host.
+            self.input_peak = np.zeros((q, q), dtype=np.int64)
+            self.last_available = np.zeros((q, q))
+            for k in range(q):
+                self.price_stage(p, k, records)
+            # -- phase wrap-up: fiber combine, final merges, prune charges
+            if self.static and charge_prune is not None:
+                # Each block column's wrap-up is charged as soon as its
+                # own merges are done, while the next stages' transfers
+                # (posted up to two stages into phase p+1) are in flight.
+                for j in range(q):
+                    self.wrap_up_column(p, j)
+            else:
+                for j in range(q):
+                    self.fiber_combine(p, j)
+                with maybe_span("finish_merge", "summa", phase=p):
+                    for i in range(q):
+                        for j in range(q):
+                            self.finish_block(p, i, j)
+                if charge_prune is not None:
+                    for j in range(q):
+                        self.charge_prune(p, j)
+            if not self.config.pipelined:
+                self.comm.barrier()
 
-        # Per-rank footprint of one in-flight stage: the largest A block
-        # plus the largest B phase slab (a block's columns split h ways).
-        cells = [(i, j) for i in range(q) for j in range(q)]
-        a_max = max(dist_a.block_storage_bytes(i, j) for i, j in cells)
-        b_max = max(dist_b.block_storage_bytes(i, j) for i, j in cells)
-        # Double-buffered broadcasts hold a second stage of slabs live,
-        # so a budget with no room degrades to the synchronous schedule.
-        # The window is independent of the executor: the static schedule
-        # changes simulated time and must be identical across every
-        # (backend, workers) cell.
-        pipeline_window = overlap_window(
-            int(a_max + (b_max + phases - 1) // phases), overlap_budget_bytes
-        )
-    static_active = pipeline_window > 1
-    if devices is None and config.use_gpu:
-        devices = {
-            r: [
-                GPUDevice(spec, index=d, injector=injector)
-                for d in range(config.gpus_per_process)
-            ]
-            for r in range(grid.size)
-        }
+    # -- transfers ----------------------------------------------------------
 
-    result = SummaResult(
-        dist_c=DistributedCSC(
-            (dist_a.global_shape[0], dist_b.global_shape[1]), grid, {}
-        ),
-        phases=phases,
-    )
-    result.schedule = config.schedule
-    result.pipeline_window = pipeline_window
-    link_busy_before = comm.link_busy_seconds()
-    # The model lives across a whole run; record its counters so the
-    # result reports only this multiply's selections and demotions.
-    sel_before = Counter(model.transport_selections)
-    dem_before = model.transport_demotions
-    model.charge_redistribution(comm, dist_a.nnz + dist_b.nnz)
-
-    if merge_injector is _INHERIT:
-        merge_injector = injector
-    from .phases import plan_merge_strategy
-
-    #: Recovery-ladder rung injected merge overruns have pushed the run
-    #: to (one-element list: the pricing pass's fault sites write it).
-    merge_rung = [0]
-
-    a_rows = [dist_a.block(i, 0).nrows for i in range(q)]
-
-    def block_shape(i: int, j: int, p: int) -> tuple[int, int]:
-        # The phase's share of a block, in the row-major form it is merged.
-        lo, hi = plan.bounds[j][p : p + 2]
-        return hi - lo, a_rows[i]
-
-    # -- pricing pass: stage-major ------------------------------------------
-    # The static schedule walks the whole expansion as one flat sequence
-    # of nodes, node n = p·q + k being stage k of phase p, across phase
-    # boundaries: node n+2's transfers are posted the moment node n's
-    # slabs are consumed, so the last stage of phase p overlaps the first
-    # broadcasts of phase p+1, and the per-column prune between them runs
-    # while those broadcasts are on the wires.  `node_consumed[n]` gates
-    # the double buffer: issue(s) waits for consumed(s-2), bounding live
-    # slabs to the two stages `overlap_window` granted.  The model's
-    # channels are shared across stages, so stage k+1's row-i tree
-    # serializes behind stage k's on the same link.
-    n_nodes = phases * q
-    node_handles: dict[int, tuple] = {}
-    node_consumed: dict[int, float] = {}
-    issue_base = max(c.now for c in comm.clocks) if static_active else 0.0
-    trace = result.trace if config.trace else None
-
-    def _window_overlap(w0: float, w1: float, h) -> float:
-        return max(0.0, min(w1, h.end) - max(w0, h.start))
-
-    def post_stage(k: int, pp: int, gate=None):
+    def post_stage(self, k: int, p: int, gate=None):
+        plan = self.plan
         with maybe_span(
-            "broadcast", "summa", phase=pp, stage=k,
+            "broadcast", "summa", phase=p, stage=k,
             schedule="sync" if gate is None else "static",
         ) as bsp:
-            posted = model.post_stage(
-                comm, k, pp, dist_a, plan.row_counts(k, pp),
-                plan.bcast_bytes[pp][k], gate, trace,
+            posted = self.model.post_stage(
+                self.comm, k, p, plan.a_counts[k], plan.row_counts(k, p),
+                plan.bcast_bytes[p][k], gate, self.trace,
             )
             bsp.set(
                 bytes_a=int(posted[2].sum()), bytes_b=int(posted[3].sum())
             )
         return posted
 
-    def issue_node(n: int) -> None:
-        pp, k = divmod(n, q)
-        node_handles[n] = post_stage(
-            k, pp, gate=node_consumed.get(n - 2, issue_base)
+    def issue_node(self, n: int) -> None:
+        p, k = divmod(n, self.q)
+        self.node_handles[n] = self.post_stage(
+            k, p, gate=self.node_consumed.get(n - 2, self.issue_base)
         )
 
-    def charge_merges(events, clock, after, rank, shape, p, stage=None):
-        """Plan, count and charge merge events on ``rank`` from ``after``."""
-        where = {"phase": p} if stage is None else {"phase": p, "stage": stage}
-        for ev in events:
-            strategy = plan_merge_strategy(
-                ev.input_total, shape,
-                budget_bytes=overlap_budget_bytes, rung=merge_rung[0],
-            )
-            result.merge_strategy_selections[strategy] += 1
-            if tracer is not None:
-                tracer.metric(
-                    "merge.strategy", ev.input_total, strategy=strategy,
-                    k=len(ev.input_sizes),
-                )
-                tracer.count(f"merge.{strategy}")
-            dur = spec.merge_time(ev.operations, config.threads)
-            if merge_injector is not None and merge_injector.merge_fault():
-                # Injected merge-memory overrun: the attempt's modeled
-                # time is wasted, and the strategy ladder degrades for the
-                # rest of the run.
-                clock.cpu.schedule(
-                    max(clock.cpu.free_at, after), dur, RESILIENCE_ACCOUNT
-                )
-                result.merge_demotions += 1
-                merge_rung[0] = min(
-                    merge_rung[0] + 1, len(STRATEGY_LADDER) - 1
-                )
-                if tracer is not None:
-                    tracer.instant(
-                        "fault.merge_overrun", "resilience", rank=rank,
-                        **where,
-                    )
-            end = clock.cpu.schedule(
-                max(clock.cpu.free_at, after), dur, "merge"
-            )
-            if trace is not None and stage is not None:
-                trace.append((rank, p, stage, "merge", end - dur, end))
+    # -- one stage ------------------------------------------------------------
 
-    def price_product(rank, p, k, ready, record) -> float:
+    def price_stage(self, p: int, k: int, records: dict) -> None:
+        """Charge stage k of phase p: its transfers, every product and the
+        merge events each triggered."""
+        q, static, clocks = self.q, self.static, self.clocks
+        node = p * q + k
+        window_t0 = 0.0
+        if static:
+            # Transfers were posted on the links one or two stages ago;
+            # this stage just picks up its handles.  The window [now,
+            # consumed] is where their in-flight time overlaps this
+            # stage's compute — the bcast_overlap evidence.
+            posted = self.node_handles.pop(node)
+            window_t0 = max(c.now for c in clocks)
+        else:
+            posted = self.post_stage(k, p)
+        a_handles, b_handles, a_bytes_row, b_bytes_col, stage_uniq = posted
+        np.maximum(
+            self.input_peak,
+            a_bytes_row[:, None] + b_bytes_col[None, :],
+            out=self.input_peak,
+        )
+        # The stage's pricing — its products and the merge events they
+        # triggered — is one main-lane span.
+        merge_span = maybe_span("merge", "summa", phase=p, stage=k)
+        stage_available = 0.0
+        stage_ranks = self.model.stage_ranks(k)
+        last_available = self.last_available
+        price, charge = self.price_product, self.charge_merges
+        block_shape = self.plan.block_shape
+        for i in range(q):
+            ranks_i = stage_ranks[i]
+            for j in range(q):
+                record = records.pop((k, i, j), None)
+                if record is None:  # an empty operand: no multiply
+                    continue
+                rank = ranks_i[j]
+                # Under the static schedule a local multiply cannot start
+                # before its inputs are off the wires; the sync schedule
+                # already blocked the CPUs in the collective, so 0.0
+                # reproduces its numbers bit-for-bit.
+                ready = 0.0
+                if static:
+                    ready = max(a_handles[i].end, b_handles[j].end)
+                available = price(rank, p, k, ready, record)
+                stage_available = max(stage_available, available)
+                last_available[i, j] = max(last_available[i, j], available)
+                charge(
+                    record[5], clocks[rank], available, rank,
+                    block_shape(i, j, p), p, k,
+                )
+        merge_span.close()
+        if static:
+            # This stage's slabs are consumed once every multiply has its
+            # inputs absorbed *and* the transfers themselves have drained
+            # (empty blocks skip the multiply but the wires still carried
+            # them).  consumed(n) gates issue(n+2).
+            consumed_t = stage_available
+            for h in stage_uniq:
+                consumed_t = max(consumed_t, h.end)
+            self.node_consumed[node] = consumed_t
+            window_t1 = max(c.now for c in clocks)
+            live = [stage_uniq] + [hs[4] for hs in self.node_handles.values()]
+            result = self.result
+            for handles in live:
+                for h in handles:
+                    result.bcast_overlap_seconds += _window_overlap(
+                        window_t0, window_t1, h
+                    )
+            if node + 2 < self.n_nodes:
+                self.issue_node(node + 2)
+        if not self.config.pipelined:
+            self.comm.barrier()
+
+    def price_product(self, rank, p, k, ready, record) -> float:
         """Charge one stage product; returns when its output is on the
         host (the time its merge events may start)."""
-        c_nnz, flops, cf, kind, gpu, _events, m = record
-        clock = comm.clocks[rank]
+        c_nnz, flops, cf, kind, gpu, _events, _m = record
+        spec, result, tracer = self.spec, self.result, self.tracer
+        threads = self.config.threads
+        clock = self.clocks[rank]
         result.stage_flops += flops
-        while kind.on_gpu:
-            if gpu is not None:  # priced in the plan; nothing can fail
-                kern_s, h2d, d2h = gpu
-                break
-            try:
-                kern_s, h2d, d2h = plan.gpu_time(
-                    kind, record, p, devices[rank]
-                )
-                break
-            except (DeviceMemoryError, KernelLaunchError) as exc:
-                # Degradation ladder: the device failed this stage
-                # (genuine OOM or injected transient), so the multiply
-                # moves down a rung.  Only injected faults charge the
-                # aborted staging — a genuine OOM is caught before any
-                # copy.
-                result.gpu_fallbacks += 1
-                if tracer is not None:
-                    tracer.instant(
-                        "fault.gpu_fallback", "resilience",
-                        rank=rank, phase=p, stage=k, kernel=kind.value,
-                        injected=isinstance(exc, InjectedFault),
-                    )
-                if isinstance(exc, InjectedFault):
-                    waste = spec.h2d_time(plan.a_bytes[m])
-                    start = max(clock.cpu.free_at, clock.gpu.free_at, ready)
-                    clock.cpu.schedule(start, waste, RESILIENCE_ACCOUNT)
-                    clock.gpu.schedule(start, waste, RESILIENCE_ACCOUNT)
-                kind = degrade_kernel(kind)
+        if kind.on_gpu:
+            kind, gpu = self.gpu_ladder(rank, p, k, ready, record, kind, gpu)
+        injector = self.injector
         if (
             injector is not None
             and kind is KernelKind.CPU_HASH
@@ -1108,7 +1042,7 @@ def summa_multiply(
             clock.cpu.schedule(
                 ready,
                 spec.cpu_spgemm_time(
-                    kind, plan.cpu_ops(kind, record, p), config.threads
+                    kind, self.plan.cpu_ops(kind, record, p), threads
                 ),
                 RESILIENCE_ACCOUNT,
             )
@@ -1126,9 +1060,10 @@ def summa_multiply(
                 nnz_c=c_nnz, rank=rank, phase=p, stage=k,
             )
             tracer.count(f"kernel.{kind.value}")
+        trace = self.trace
         if not kind.on_gpu:
             dur = spec.cpu_spgemm_time(
-                kind, plan.cpu_ops(kind, record, p), config.threads
+                kind, self.plan.cpu_ops(kind, record, p), threads
             )
             available = clock.cpu.schedule(ready, dur, "local_spgemm")
             if trace is not None:
@@ -1136,6 +1071,7 @@ def summa_multiply(
                     (rank, p, k, "cpu_mult", available - dur, available)
                 )
             return available
+        kern_s, h2d, d2h = gpu
         # Transfer occupies both host and device; the CPU is released as
         # soon as the inputs are on the device (§III), the GPU continues
         # into the kernel.
@@ -1157,14 +1093,303 @@ def summa_multiply(
             )
         result.h2d_bytes += h2d
         result.d2h_bytes += d2h
-        if not config.pipelined and done > clock.cpu.free_at:
-            # Bulk-synchronous: the CPU blocks on the device result
-            # before doing anything else.
+        if not self.config.pipelined and done > clock.cpu.free_at:
+            # Bulk-synchronous: the CPU blocks on the device result before
+            # doing anything else.
             clock.cpu.idle += done - clock.cpu.free_at
             clock.cpu.free_at = done
         return done
 
-    kept, products, phase_blocks = _numeric_pass(
+    def gpu_ladder(self, rank, p, k, ready, record, kind, gpu):
+        """The GPU degradation ladder of one product: the kind it runs as
+        and, while that is a GPU kind, its ``(kernel seconds, h2d, d2h)``
+        (``gpu``: the plan's price, or None)."""
+        while kind.on_gpu:
+            if gpu is not None:  # priced in the plan; nothing can fail
+                return kind, gpu
+            try:
+                return kind, self.plan.gpu_time(
+                    kind, record, p, self.devices[rank]
+                )
+            except (DeviceMemoryError, KernelLaunchError) as exc:
+                # The device failed this stage (genuine OOM or injected
+                # transient), so the multiply moves down a rung.  Only
+                # injected faults charge the aborted staging — a genuine
+                # OOM is caught before any copy.
+                self.result.gpu_fallbacks += 1
+                if self.tracer is not None:
+                    self.tracer.instant(
+                        "fault.gpu_fallback", "resilience",
+                        rank=rank, phase=p, stage=k, kernel=kind.value,
+                        injected=isinstance(exc, InjectedFault),
+                    )
+                if isinstance(exc, InjectedFault):
+                    clock = self.clocks[rank]
+                    waste = self.spec.h2d_time(self.plan.a_bytes[record[-1]])
+                    start = max(clock.cpu.free_at, clock.gpu.free_at, ready)
+                    clock.cpu.schedule(start, waste, RESILIENCE_ACCOUNT)
+                    clock.gpu.schedule(start, waste, RESILIENCE_ACCOUNT)
+                kind = degrade_kernel(kind)
+        return kind, None
+
+    def charge_merges(self, events, clock, after, rank, shape, p, stage=None):
+        """Plan, count and charge merge events on ``rank`` from ``after``."""
+        from .phases import plan_merge_strategy
+
+        result, tracer, trace = self.result, self.tracer, self.trace
+        spec, threads = self.spec, self.config.threads
+        merge_injector = self.merge_injector
+        where = {"phase": p} if stage is None else {"phase": p, "stage": stage}
+        for ev in events:
+            strategy = plan_merge_strategy(
+                ev.input_total, shape,
+                budget_bytes=self.budget_bytes, rung=self.merge_rung,
+            )
+            result.merge_strategy_selections[strategy] += 1
+            if tracer is not None:
+                tracer.metric(
+                    "merge.strategy", ev.input_total, strategy=strategy,
+                    k=len(ev.input_sizes),
+                )
+                tracer.count(f"merge.{strategy}")
+            dur = spec.merge_time(ev.operations, threads)
+            if merge_injector is not None and merge_injector.merge_fault():
+                # Injected merge-memory overrun: the attempt's modeled
+                # time is wasted, and the strategy ladder degrades for the
+                # rest of the multiply.
+                clock.cpu.schedule(
+                    max(clock.cpu.free_at, after), dur, RESILIENCE_ACCOUNT
+                )
+                result.merge_demotions += 1
+                self.merge_rung = min(
+                    self.merge_rung + 1, len(STRATEGY_LADDER) - 1
+                )
+                if tracer is not None:
+                    tracer.instant(
+                        "fault.merge_overrun", "resilience", rank=rank,
+                        **where,
+                    )
+            end = clock.cpu.schedule(
+                max(clock.cpu.free_at, after), dur, "merge"
+            )
+            if trace is not None and stage is not None:
+                trace.append((rank, p, stage, "merge", end - dur, end))
+
+    # -- phase wrap-up --------------------------------------------------------
+
+    def wrap_up_column(self, p: int, j: int) -> None:
+        """Block column j's wrap-up under the static schedule, and the
+        prune_bcast_overlap evidence of its window."""
+        clocks = self.clocks
+        col_ranks = self.grid.col_members(j)
+        # The column's inter-phase prune stage spans its final merges
+        # *and* the prune: that whole window runs while the posted
+        # next-phase transfers drain on the links, so the overlap evidence
+        # opens when the column's wrap-up starts, not after its merges
+        # land.
+        prune_t0 = min(clocks[r].cpu.free_at for r in col_ranks)
+        # The per-fiber all-to-all combine returns this column's c partial
+        # slabs to their 2-D owners before its final merges and prune.
+        self.fiber_combine(p, j)
+        with maybe_span("finish_merge", "summa", phase=p, column=j):
+            for i in range(self.q):
+                self.finish_block(p, i, j)
+        self.charge_prune(p, j)
+        prune_t1 = max(clocks[r].cpu.free_at for r in col_ranks)
+        if self.tracer is not None:
+            # The column's true simulated wrap-up window (its ranks'
+            # clocks, not the global frontier) — the span
+            # link_overlap_report intersects with the in-flight transfers.
+            self.tracer.event_span(
+                "prune.column", "summa",
+                t0_sim=prune_t0, t1_sim=prune_t1, phase=p, column=j,
+            )
+        # Each in-flight transfer once: members of a 3-D group share one
+        # tree handle, so the per-row / per-column handle lists would
+        # count it r times.
+        result = self.result
+        for hs in self.node_handles.values():
+            for h in hs[4]:
+                result.prune_bcast_overlap_seconds += _window_overlap(
+                    prune_t0, prune_t1, h
+                )
+
+    def finish_block(self, p: int, i: int, j: int) -> None:
+        # Final merges run on the block's post-combine owner: the home
+        # cell the fiber combine returned the partials to.
+        rank = self.model.home_rank(i, j)
+        rec = self.blocks[p][(i, j)]
+        self.charge_merges(
+            rec.finish_events, self.clocks[rank],
+            float(self.last_available[i, j]), rank,
+            self.plan.block_shape(i, j, p), p,
+        )
+        result = self.result
+        result.merge_operations += rec.operations
+        result.merge_peak_event_elements = max(
+            result.merge_peak_event_elements, rec.peak_event_elements
+        )
+        result.merge_peak_resident_elements = max(
+            result.merge_peak_resident_elements, rec.peak_resident_elements
+        )
+        result.max_rank_resident_bytes = max(
+            result.max_rank_resident_bytes,
+            rec.peak_resident_elements * 24 + int(self.input_peak[i, j]),
+        )
+
+    def fiber_combine(self, p: int, j: int) -> None:
+        blocks = self.blocks[p]
+        self.model.charge_fiber_combine(
+            self.comm, j,
+            sum(blocks[(i, j)].combine_elements for i in range(self.q)),
+            self.config.threads,
+        )
+
+    def charge_prune(self, p: int, j: int) -> None:
+        blocks = self.blocks[p]
+        self.charge_column_prune(
+            j, [blocks[(i, j)].nnz for i in range(self.q)],
+            self.plan.block_shape(0, j, p)[0],
+        )
+
+
+def _pipeline_window(dist_a, dist_b, phases, config, budget_bytes) -> int:
+    """The static schedule's link-side double-buffer window (0 under
+    sync): 1 when the budget has no room for a second in-flight stage,
+    which degrades static to the synchronous broadcasts."""
+    if config.schedule != "static":
+        return 0
+    from .phases import overlap_window
+
+    # Per-rank footprint of one in-flight stage: the largest A block plus
+    # the largest B phase slab (a block's columns split h ways).  The
+    # window is independent of the executor: the static schedule changes
+    # simulated time and must be identical across every (backend,
+    # workers) cell.
+    q = dist_a.grid.q
+    cells = [(i, j) for i in range(q) for j in range(q)]
+    a_max = max(dist_a.block_storage_bytes(i, j) for i, j in cells)
+    b_max = max(dist_b.block_storage_bytes(i, j) for i, j in cells)
+    return overlap_window(
+        int(a_max + (b_max + phases - 1) // phases), budget_bytes
+    )
+
+
+def summa_multiply(
+    dist_a: DistributedCSC,
+    dist_b: DistributedCSC,
+    comm: VirtualComm,
+    config: SummaConfig,
+    *,
+    phases: int = 1,
+    prune_column=None,
+    charge_column_prune=None,
+    devices: dict[int, list[GPUDevice]] | None = None,
+    injector=None,
+    executor=None,
+    workers: int | str | None = None,
+    backend: str | None = None,
+    overlap_budget_bytes: int | None = None,
+    merge_injector=_INHERIT,
+    model=None,
+) -> SummaResult:
+    """Compute ``C = A·B`` on the grid, per the configured algorithm: the
+    numeric pass (:func:`_numeric_pass`), the plan that prices it from
+    counts (:class:`_PricePlan`) and the pricing pass (:class:`_Pricer`).
+
+    ``prune_column(col_blocks, j)`` runs in the numeric pass, once per
+    block column ``j`` of the multiply (at full width, whatever
+    ``phases`` is), as soon as the column's q blocks are finished: it
+    receives them as a list indexed by block row and returns the (pruned)
+    blocks to keep.  It must be pure and column-wise — no clock is
+    charged there.
+
+    ``charge_column_prune(j, nnz, width)`` runs in the pricing pass, once
+    per block column of each phase, with the phase's unpruned per-block
+    nonzero counts and its width.  Under ``config.schedule == "static"``
+    (when not degraded to the synchronous broadcasts) it is called as
+    soon as the column's final merges are charged, while the next stages'
+    transfers are still in flight — the ``prune_bcast_overlap_seconds``
+    evidence; otherwise all columns are charged in order after the
+    phase's final merges.
+
+    ``executor`` (or ``workers`` and ``backend``, resolved through
+    :func:`repro.parallel.get_executor`) selects the wall-clock backend:
+    with a pool executor, each block column's local products are computed
+    across the pool as one batch — clocks, traces and fault draws are
+    untouched, so every ``(backend, workers)`` cell is bit-identical.
+
+    ``overlap_budget_bytes`` (the §V estimator budget) bounds the static
+    schedule's double buffer (:func:`~repro.summa.phases.overlap_window`
+    degrades it to the synchronous broadcasts when a second in-flight
+    stage does not fit) and the SpKAdd strategy planning.
+
+    ``injector`` threads fault injection into the engine-created devices
+    and the CPU hash kernel: faulted kernels demote along the ladder
+    (GPU → CPU-hash → heap), and *injected* faults charge the aborted
+    attempt's time under the resilience account.  ``merge_injector``
+    (defaults to ``injector``) arms the merge-memory-overrun site, which
+    demotes the SpKAdd strategy ladder.  Every draw happens in the pricing
+    pass, so injections are identical across every execution cell, and
+    numerics never change — only which kernel kind is charged.
+
+    ``model`` (a :class:`~repro.summa.engine3d.Grid3DModel`) decides where
+    the simulated time and traffic land; None is the one-layer model with
+    broadcast-only delivery — the plain 2-D grid.  It changes simulated
+    clocks only, never results.
+    """
+    grid = dist_a.grid
+    if dist_b.grid.q != grid.q:
+        raise ValueError(
+            f"grid mismatch: A on {grid.q}x{grid.q}, B on "
+            f"{dist_b.grid.q}x{dist_b.grid.q}"
+        )
+    if dist_a.global_shape[1] != dist_b.global_shape[0]:
+        raise ValueError(
+            f"inner dimension mismatch: {dist_a.global_shape} x "
+            f"{dist_b.global_shape}"
+        )
+    if phases < 1:
+        raise ValueError(f"phases must be >= 1, got {phases}")
+    if model is None:
+        model = Grid3DModel(grid.q, 1, None)
+    elif model.q != grid.q:
+        raise ValueError(
+            f"grid model built for q={model.q}, matrices on q={grid.q}"
+        )
+    if executor is None:
+        from ..parallel import get_executor
+
+        executor = get_executor(workers, backend)
+    if merge_injector is _INHERIT:
+        merge_injector = injector
+    pipeline_window = _pipeline_window(
+        dist_a, dist_b, phases, config, overlap_budget_bytes
+    )
+    if devices is None and config.use_gpu:
+        devices = {
+            r: [
+                GPUDevice(config.spec, index=d, injector=injector)
+                for d in range(config.gpus_per_process)
+            ]
+            for r in range(grid.size)
+        }
+    result = SummaResult(
+        dist_c=DistributedCSC(
+            (dist_a.global_shape[0], dist_b.global_shape[1]), grid, {}
+        ),
+        phases=phases,
+        schedule=config.schedule,
+        pipeline_window=pipeline_window,
+    )
+    link_busy_before = comm.link_busy_seconds()
+    # The model lives across a whole run; record its counters so the
+    # result reports only this multiply's selections and demotions.
+    sel_before = Counter(model.transport_selections)
+    dem_before = model.transport_demotions
+    model.charge_redistribution(comm, dist_a.nnz + dist_b.nnz)
+
+    kept, products, blocks = _numeric_pass(
         dist_a, dist_b, phases, config.merge, overlap_budget_bytes,
         prune_column, executor,
     )
@@ -1172,177 +1397,13 @@ def summa_multiply(
         dist_a, dist_b, products, phases, config, model, devices, injector
     )
     del products
-    if static_active:
-        for n in range(min(2, n_nodes)):
-            issue_node(n)
-
-    for p in range(phases):
-        products = plan.records[p]
-        blocks = phase_blocks[p]
-        input_bytes_peak = np.zeros((q, q), dtype=np.int64)
-        last_available = np.zeros((q, q))
-        for k in range(q):
-            node_idx = p * q + k
-            stage_window_t0 = 0.0
-            if static_active:
-                # Transfers were posted on the links one-or-two stages
-                # ago; this stage just picks up its handles.  The window
-                # [now, consumed] is where their in-flight time overlaps
-                # this stage's compute — the bcast_overlap evidence.
-                posted = node_handles.pop(node_idx)
-                stage_window_t0 = max(c.now for c in comm.clocks)
-            else:
-                # -- broadcasts: A along rows, B along columns --------------
-                posted = post_stage(k, p)
-            a_handles, b_handles, a_bytes_row, b_bytes_col, stage_uniq = (
-                posted
-            )
-            np.maximum(
-                input_bytes_peak,
-                a_bytes_row[:, None] + b_bytes_col[None, :],
-                out=input_bytes_peak,
-            )
-            # The stage's pricing — its products and the merge events
-            # they triggered — is one main-lane span.
-            merge_span = maybe_span("merge", "summa", phase=p, stage=k)
-            stage_available = 0.0
-            stage_ranks = model.stage_ranks(k)
-            for i in range(q):
-                ranks_i = stage_ranks[i]
-                for j in range(q):
-                    record = products.pop((k, i, j), None)
-                    if record is None:  # an empty operand: no multiply
-                        continue
-                    rank = ranks_i[j]
-                    # Under the static schedule a local multiply cannot
-                    # start before its inputs are off the wires; the sync
-                    # schedule already blocked the CPUs in the collective,
-                    # so 0.0 reproduces its numbers bit-for-bit.
-                    ready = 0.0
-                    if static_active:
-                        ready = max(a_handles[i].end, b_handles[j].end)
-                    available = price_product(rank, p, k, ready, record)
-                    stage_available = max(stage_available, available)
-                    last_available[i, j] = max(
-                        last_available[i, j], available
-                    )
-                    charge_merges(
-                        record[5], comm.clocks[rank], available, rank,
-                        block_shape(i, j, p), p, k,
-                    )
-            merge_span.close()
-            if static_active:
-                # This stage's slabs are consumed once every multiply has
-                # its inputs absorbed *and* the broadcasts themselves have
-                # drained (empty blocks skip the multiply but the wires
-                # still carried them).  consumed(n) gates issue(n+2).
-                consumed_t = stage_available
-                for h in stage_uniq:
-                    consumed_t = max(consumed_t, h.end)
-                node_consumed[node_idx] = consumed_t
-                window_t1 = max(c.now for c in comm.clocks)
-                live = [stage_uniq] + [
-                    hs[4] for hs in node_handles.values()
-                ]
-                for handles in live:
-                    for h in handles:
-                        result.bcast_overlap_seconds += _window_overlap(
-                            stage_window_t0, window_t1, h
-                        )
-                if node_idx + 2 < n_nodes:
-                    issue_node(node_idx + 2)
-            if not config.pipelined:
-                comm.barrier()
-
-        # -- phase wrap-up: fiber combine, final merges, prune charges ------
-        def finish_block(i: int, j: int) -> None:
-            # Final merges run on the block's post-combine owner: the
-            # home cell the fiber combine returned the partials to.
-            rank = model.home_rank(i, j)
-            rec = blocks[(i, j)]
-            charge_merges(
-                rec.finish_events, comm.clocks[rank],
-                float(last_available[i, j]), rank, block_shape(i, j, p), p,
-            )
-            result.merge_operations += rec.operations
-            result.merge_peak_event_elements = max(
-                result.merge_peak_event_elements, rec.peak_event_elements
-            )
-            result.merge_peak_resident_elements = max(
-                result.merge_peak_resident_elements,
-                rec.peak_resident_elements,
-            )
-            result.max_rank_resident_bytes = max(
-                result.max_rank_resident_bytes,
-                rec.peak_resident_elements * 24
-                + int(input_bytes_peak[i, j]),
-            )
-
-        def fiber_combine(j: int) -> None:
-            model.charge_fiber_combine(
-                comm, j,
-                sum(blocks[(i, j)].combine_elements for i in range(q)),
-                config.threads,
-            )
-
-        def charge_prune(j: int) -> None:
-            charge_column_prune(
-                j, [blocks[(i, j)].nnz for i in range(q)],
-                block_shape(0, j, p)[0],
-            )
-
-        if static_active and charge_column_prune is not None:
-            # Each block column's wrap-up is charged as soon as its own
-            # merges are done, while the next stages' broadcasts (already
-            # posted above, up to two stages into phase p+1) are still in
-            # flight on the links.
-            for j in range(q):
-                col_ranks = grid.col_members(j)
-                # The column's inter-phase prune stage spans its final
-                # merges *and* the prune: that whole window runs while
-                # the posted next-phase broadcasts drain on the links, so
-                # the overlap evidence opens when the column's wrap-up
-                # starts, not after its merges land.
-                prune_t0 = min(comm.clocks[r].cpu.free_at for r in col_ranks)
-                # The per-fiber all-to-all combine returns this column's
-                # c partial slabs to their 2-D owners before its final
-                # merges and prune.
-                fiber_combine(j)
-                with maybe_span("finish_merge", "summa", phase=p, column=j):
-                    for i in range(q):
-                        finish_block(i, j)
-                charge_prune(j)
-                prune_t1 = max(comm.clocks[r].cpu.free_at for r in col_ranks)
-                if tracer is not None:
-                    # The column's true simulated wrap-up window (its
-                    # ranks' clocks, not the global frontier) — the span
-                    # link_overlap_report intersects with the in-flight
-                    # broadcasts.
-                    tracer.event_span(
-                        "prune.column", "summa",
-                        t0_sim=prune_t0, t1_sim=prune_t1,
-                        phase=p, column=j,
-                    )
-                # Each in-flight transfer once: members of a 3-D group
-                # share one tree handle, so the per-row / per-column
-                # handle lists would count it r times.
-                for hs in node_handles.values():
-                    for h in hs[4]:
-                        result.prune_bcast_overlap_seconds += (
-                            _window_overlap(prune_t0, prune_t1, h)
-                        )
-        else:
-            for j in range(q):
-                fiber_combine(j)
-            with maybe_span("finish_merge", "summa", phase=p):
-                for i in range(q):
-                    for j in range(q):
-                        finish_block(i, j)
-            if charge_column_prune is not None:
-                for j in range(q):
-                    charge_prune(j)
-        if not config.pipelined:
-            comm.barrier()
+    _Pricer(
+        plan, blocks, comm, model, config, result, grid=grid,
+        devices=devices, injector=injector, merge_injector=merge_injector,
+        budget_bytes=overlap_budget_bytes,
+        charge_column_prune=charge_column_prune,
+        static=pipeline_window > 1,
+    ).run()
 
     # One full-width piece per block: the numeric pass no longer phases.
     # The copy keeps ``hstack_csc`` the assembly call that

@@ -166,16 +166,31 @@ class Grid3DModel:
     def _effective_transport(self) -> str | None:
         return "broadcast" if self._demoted else self.transport
 
-    def _receiver_payloads(
-        self, dist_a, row_counts, k: int, cols, root_row: int
-    ) -> list[tuple[int, int]]:
-        """(receiver cell-row, tailored payload bytes) per p2p receiver.
+    def a_counts(self, dist_a, k: int):
+        """What stage ``k``'s deliveries read of A, counted once per
+        multiply: each block row's A_ik broadcast bytes and, when the
+        transport prices p2p sends, per layer-grid row I the union of the
+        non-empty A columns of its r blocks ``(i, k)`` — the B-slab rows
+        receiver (I, J) needs (None where the union is empty)."""
+        a_bytes = [dist_a.block_storage_bytes(i, k) for i in range(self.q)]
+        if self.transport not in ("hybrid", "p2p"):
+            return a_bytes, None
+        supports = []
+        for I in range(self.q3):
+            mask = None
+            for i in self.group_rows(I):
+                support = dist_a.block(i, k).column_lengths() > 0
+                mask = support if mask is None else (mask | support)
+            supports.append(mask if mask.any() else None)
+        return a_bytes, supports
 
-        Receiver (I, J) only needs the B-slab rows in the union of the
-        non-empty A columns of its r blocks ``(i, k)`` — the per-column
-        structure the Cohen estimator already walks.  ``row_counts[j]``
-        is the per-row nonzero count of block column j's slab.
-        """
+    def _receiver_payloads(
+        self, supports, row_counts, cols, root_row: int
+    ) -> list[tuple[int, int]]:
+        """(receiver cell-row, tailored payload bytes) per p2p receiver:
+        the B-slab rows in its A column support (:meth:`a_counts`), where
+        ``row_counts[j]`` is the per-row nonzero count of block column j's
+        slab."""
         from .phases import P2P_BYTES_PER_NNZ, P2P_HEADER_BYTES
 
         # Integer counts: summing the group's slabs first is exact.
@@ -184,13 +199,8 @@ class Grid3DModel:
         for I in range(self.q3):
             if I == root_row:
                 continue
-            mask = None
-            for i in self.group_rows(I):
-                support = dist_a.block_column_support(i, k)
-                mask = support if mask is None else (mask | support)
-            need = 0
-            if mask is not None and mask.any():
-                need = int(counts[mask].sum())
+            mask = supports[I]
+            need = 0 if mask is None else int(counts[mask].sum())
             out.append((I, P2P_BYTES_PER_NNZ * need + P2P_HEADER_BYTES))
         return out
 
@@ -239,13 +249,14 @@ class Grid3DModel:
     # -- per-stage charging -------------------------------------------------
 
     def post_stage(
-        self, comm, k: int, p: int, dist_a, row_counts, slab_bytes,
+        self, comm, k: int, p: int, a_counts, row_counts, slab_bytes,
         gate: float | None = None, trace: list | None = None,
     ):
         """Charge the A and B deliveries of stage ``k`` of phase ``p``.
 
         A rides q₃ layer-row trees of r-aggregated block bytes; each B
         column-group's delivery goes through the transport selector.
+        ``a_counts`` is :meth:`a_counts` of stage ``k``;
         ``slab_bytes[j]`` is the broadcast payload of B_kj's phase slab
         and ``row_counts[j]`` its per-row nonzero counts, which only the
         p2p pricing reads (None is fine under ``transport`` None or
@@ -268,7 +279,7 @@ class Grid3DModel:
         lay = self.stage_layer(k)
         root = k // self.r  # the layer-grid row/column owning slab k
         row_base = lay * self.q3  # layer trees get distinct channels
-        a_list = [dist_a.block_storage_bytes(i, k) for i in range(self.q)]
+        a_list, supports = a_counts
         a_handles = [None] * self.q
         b_handles = [None] * self.q
         unique = []
@@ -308,7 +319,7 @@ class Grid3DModel:
                 self.transport_selections["broadcast"] += 1
             elif mode is not None:
                 receivers = self._receiver_payloads(
-                    dist_a, row_counts, k, cols, root
+                    supports, row_counts, cols, root
                 )
                 decision = self._decide(
                     comm.spec, k, p, J, group_bytes, receivers

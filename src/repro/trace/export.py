@@ -161,12 +161,17 @@ def link_overlap_report(tracer: Tracer) -> dict | None:
     **link lanes** (``link:row:i`` / ``link:col:j``) as
     ``broadcast.async`` spans — ``p2p.async`` where the hybrid transport
     sends a column group point to point — carrying pure simulated
-    intervals and the ``phase`` and ``stage`` that posted them.  This
-    report intersects those intervals with the simulated windows of the
-    compute spans on the ordinary lanes:
+    intervals and the ``phase`` and ``stage`` that posted them.  Replaying
+    the posts in order, this report intersects them with the simulated
+    windows of the compute spans on the ordinary lanes, counting each
+    window the transfers the engine counts there:
 
-    * ``compute_overlap_seconds`` — link seconds under ``merge`` /
-      ``finish_merge`` spans (transfers hidden behind the stage merges);
+    * ``compute_overlap_seconds`` — link seconds under each stage's
+      ``merge`` span (the pricing of its products and their merges),
+      counting the transfers posted so far for that stage or a later
+      one: the stage's own, and those of the next stage already posted
+      under the double buffer.  This equals the run's
+      ``bcast_overlap_seconds``;
     * ``prune_overlap_seconds`` — link seconds under the per-column
       ``prune.column`` wrap-up windows of phase p, counting only the
       transfers of later phases posted before the window (phase p+1's
@@ -191,43 +196,41 @@ def link_overlap_report(tracer: Tracer) -> dict | None:
     if not transfers:
         return None
 
-    def _overlap(link: list[Span], targets: list[Span]) -> float:
-        total = 0.0
-        for b in link:
-            for s in targets:
-                if s.t0_sim is None or s.t1_sim is None:
-                    continue
-                total += max(
-                    0.0, min(b.t1_sim, s.t1_sim) - max(b.t0_sim, s.t0_sim)
-                )
-        return total
+    def node(s: Span) -> tuple:
+        return (s.attrs["phase"], s.attrs.get("stage", 0))
 
-    compute = [
-        s for s in tracer.spans
-        if s.cat == "summa" and s.name in ("merge", "finish_merge")
-    ]
-    # Replay the posts in order: a prune window of phase p sees the
-    # later-phase transfers posted so far.  A post that goes back in
-    # (phase, stage) order opens the next multiply.
-    prune_s = 0.0
+    def overlap(posted: list[Span], window: Span) -> float:
+        return sum(
+            max(0.0, min(b.t1_sim, window.t1_sim)
+                - max(b.t0_sim, window.t0_sim))
+            for b in posted
+        )
+
+    # A post that goes back in (phase, stage) order opens the next
+    # multiply.  Each window consumes the posts before its own node.
+    compute_s = prune_s = 0.0
     pending: list[Span] = []
     last = None
     for s in sorted(tracer.spans, key=lambda s: s.id):
         if on_link(s) and "phase" in s.attrs:
-            node = (s.attrs["phase"], s.attrs.get("stage", 0))
-            if last is not None and node < last:
+            if last is not None and node(s) < last:
                 pending = []
-            last = node
+            last = node(s)
             pending.append(s)
+        elif s.cat != "summa" or s.t0_sim is None or s.t1_sim is None:
+            continue
+        elif s.name == "merge":
+            pending = [b for b in pending if node(b) >= node(s)]
+            compute_s += overlap(pending, s)
         elif s.name == "prune.column":
             p = s.attrs["phase"]
             pending = [b for b in pending if b.attrs["phase"] > p]
-            prune_s += _overlap(pending, [s])
+            prune_s += overlap(pending, s)
     return {
         "links": len({s.lane for s in transfers}),
         "transfers": len(transfers),
         "link_sim_seconds": sum(s.t1_sim - s.t0_sim for s in transfers),
-        "compute_overlap_seconds": _overlap(transfers, compute),
+        "compute_overlap_seconds": compute_s,
         "prune_overlap_seconds": prune_s,
     }
 

@@ -238,11 +238,13 @@ def test_prune_overlap_counts_each_tree_once(layers):
 
 @pytest.mark.parametrize("grid", ["2d", "3d"])
 def test_link_overlap_report_prune_figure_is_the_runs(grid):
-    # The trace summary's prune/transfer overlap counts what the engine
-    # counts: the later phases' transfers (broadcasts and p2p chains)
-    # posted before each column's wrap-up window, each once.  Counting
-    # the window's own phase, or broadcasts only, read about twice the
-    # run's figure on the 3-D grid.
+    # The trace summary's overlap figures count what the engine counts.
+    # Prune: the later phases' transfers (broadcasts and p2p chains)
+    # posted before each column's wrap-up window, each once; counting the
+    # window's own phase, or broadcasts only, read about twice the run's
+    # figure on the 3-D grid.  Compute: under each stage's merge span, the
+    # transfers of that stage and the next one already posted; crossing
+    # every transfer with every merge span read nearly all the link time.
     from repro.nets import catalog
     from repro.trace import Tracer, link_overlap_report
 
@@ -259,6 +261,10 @@ def test_link_overlap_report_prune_figure_is_the_runs(grid):
     assert res.prune_bcast_overlap_seconds > 0.0
     assert report["prune_overlap_seconds"] == pytest.approx(
         res.prune_bcast_overlap_seconds, rel=1e-12
+    )
+    assert res.bcast_overlap_seconds > 0.0
+    assert report["compute_overlap_seconds"] == pytest.approx(
+        res.bcast_overlap_seconds, rel=1e-12
     )
     if grid == "3d":
         assert res.transport_selections["p2p"] > 0

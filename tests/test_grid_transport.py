@@ -162,7 +162,9 @@ class TestDemotionRung:
         dist, row_counts, slab_bytes = _stage_inputs()
         model = Grid3DModel(4, 4, "p2p")
         comm = _StubComm()
-        model.post_stage(comm, 0, 0, dist, row_counts, slab_bytes)
+        model.post_stage(
+            comm, 0, 0, model.a_counts(dist, 0), row_counts, slab_bytes
+        )
         assert model.transport_demotions == 1
         assert model._effective_transport() == "broadcast"
         # Exactly one p2p attempt (first B group), then broadcast
@@ -173,7 +175,9 @@ class TestDemotionRung:
         assert len(b_groups) >= model.q3
         # The rung is permanent: the next stage never tries p2p again.
         before = len(comm.calls)
-        model.post_stage(comm, 1, 0, dist, row_counts, slab_bytes)
+        model.post_stage(
+            comm, 1, 0, model.a_counts(dist, 1), row_counts, slab_bytes
+        )
         assert all(c[0] != "p2p" for c in comm.calls[before:])
         assert model.transport_demotions == 1
         assert model.transport_selections["broadcast"] >= model.q3
@@ -183,7 +187,10 @@ class TestDemotionRung:
         model = Grid3DModel(4, 4, "p2p")
         tr = Tracer()
         with activate(tr):
-            model.post_stage(_StubComm(), 0, 0, dist, row_counts, slab_bytes)
+            model.post_stage(
+                _StubComm(), 0, 0, model.a_counts(dist, 0), row_counts,
+                slab_bytes,
+            )
         instants = tr.find("fault.transport_demotion")
         assert len(instants) == 1
         assert instants[0].attrs == {"demotions": 1}
@@ -192,7 +199,10 @@ class TestDemotionRung:
         dist, row_counts, slab_bytes = _stage_inputs()
         model = Grid3DModel(4, 4, "p2p", demote_transport=False)
         with pytest.raises(InjectedCommFailure):
-            model.post_stage(_StubComm(), 0, 0, dist, row_counts, slab_bytes)
+            model.post_stage(
+                _StubComm(), 0, 0, model.a_counts(dist, 0), row_counts,
+                slab_bytes,
+            )
         assert model.transport_demotions == 0
         assert model._effective_transport() == "p2p"
 
@@ -201,7 +211,8 @@ class TestDemotionRung:
         model = Grid3DModel(4, 4, "p2p")
         comm = _StubComm()
         a_h, b_h, _, _, uniq = model.post_stage(
-            comm, 0, 0, dist, row_counts, slab_bytes, gate=0.0
+            comm, 0, 0, model.a_counts(dist, 0), row_counts, slab_bytes,
+            gate=0.0,
         )
         assert model.transport_demotions == 1
         # Every handle resolved to a broadcast post after the demotion.
@@ -218,7 +229,10 @@ class TestDemotionRung:
         # post the same transfers, land the same clocks and count the same.
         dist, row_counts, slab_bytes = _stage_inputs()
         demoted = Grid3DModel(4, 4, "p2p")
-        demoted.post_stage(_StubComm(), 0, 0, dist, row_counts, slab_bytes)
+        demoted.post_stage(
+            _StubComm(), 0, 0, demoted.a_counts(dist, 0), row_counts,
+            slab_bytes,
+        )
         assert demoted.transport_demotions == 1
         fresh = Grid3DModel(4, 4, "broadcast")
         runs = []
@@ -226,7 +240,8 @@ class TestDemotionRung:
             comm = VirtualComm(16, SUMMIT_LIKE)
             before = Counter(model.transport_selections)
             posted = model.post_stage(
-                comm, 1, 0, dist, row_counts, slab_bytes, gate=gate
+                comm, 1, 0, model.a_counts(dist, 1), row_counts,
+                slab_bytes, gate=gate,
             )
             runs.append((
                 posted[0], posted[1], posted[4],

@@ -52,6 +52,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             HipMCLConfig(nodes=16, estimator="psychic")
 
+    @pytest.mark.parametrize(
+        "knob, match",
+        [
+            ({"kernel": "bogus"}, "unknown kernel"),
+            ({"merge": "bogus"}, "unknown merge schedule"),
+            ({"schedule": "bogus"}, "unknown schedule"),
+            ({"schedule": "static", "pipelined": False},
+             "requires pipelined=True"),
+        ],
+    )
+    def test_multiply_knobs_rejected_at_construction(self, knob, match):
+        # One validator: the multiply's own config, built at construction,
+        # not at the first multiply.
+        with pytest.raises(ValueError, match=match):
+            HipMCLConfig(nodes=16, **knob)
+
     def test_original_preset(self):
         cfg = HipMCLConfig.original(nodes=16)
         assert cfg.kernel == "heap"

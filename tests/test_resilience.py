@@ -404,3 +404,102 @@ class TestCheckpoint:
             )
         best = latest_checkpoint(tmp_path)
         assert best is not None and best.name == "mcl-iter-0012.ckpt.npz"
+
+
+#: A checkpoint's ``counters``: today's keys and value types.  A run's
+#: counters are read back by name on resume, so renaming or retyping one
+#: must fail here rather than in a user's resume.
+CHECKPOINT_COUNTERS = {
+    "kernel_selections": dict,
+    "gpu_fallbacks": int,
+    "expansion_seconds": float,
+    "expansion_cpu_idle": float,
+    "expansion_gpu_idle": float,
+    "peak_rank_resident_bytes": int,
+    "budget_violations": int,
+    "estimator_fallbacks": int,
+    "phase_split_retries": int,
+    "kernel_demotions": int,
+    "merge_demotions": int,
+    "transport_selections": dict,
+    "transport_demotions": int,
+    "bcast_overlap_seconds": float,
+    "prune_bcast_overlap_seconds": float,
+}
+
+
+class TestCheckpointCounters:
+    @pytest.fixture(scope="class")
+    def checkpointed(self, tmp_path_factory):
+        """A static 3-D run stopped after three iterations, with a
+        checkpoint at each (the last one included: it did not
+        converge)."""
+        import dataclasses
+
+        from repro.mcl.hipmcl import HipMCLConfig, hipmcl
+        from repro.nets import entry, load
+
+        directory = tmp_path_factory.mktemp("ckpt")
+        options = dataclasses.replace(
+            entry("archaea-xs").options(), max_iterations=3
+        )
+        config = HipMCLConfig.optimized(
+            nodes=16, schedule="static", grid="3d",
+            memory_budget_bytes=2**19,
+        )
+        matrix = load("archaea-xs", seed=0).matrix
+        res = hipmcl(matrix, options, config, checkpoint_dir=directory)
+        assert not res.converged and res.checkpoints_written == 3
+        return matrix, options, config, checkpoint_path(directory, 3)
+
+    def test_counters_keep_their_keys_and_types(self, checkpointed):
+        *_run, path = checkpointed
+        counters = load_checkpoint(path).counters
+        assert {k: type(v) for k, v in counters.items()} == (
+            CHECKPOINT_COUNTERS
+        )
+        for name in ("kernel_selections", "transport_selections"):
+            assert counters[name]
+            assert all(
+                type(k) is str and type(v) is int
+                for k, v in counters[name].items()
+            )
+
+    def test_resume_from_partial_counters_starts_the_rest_at_zero(
+        self, checkpointed, tmp_path
+    ):
+        from repro.mcl.hipmcl import hipmcl
+
+        matrix, options, config, path = checkpointed
+        full = load_checkpoint(path)
+        partial = save_checkpoint(
+            checkpoint_path(tmp_path, full.iteration),
+            MclCheckpoint(
+                iteration=full.iteration,
+                work=full.work,
+                history=full.history,
+                prev_cf=full.prev_cf,
+                elapsed_seconds=full.elapsed_seconds,
+                counters={
+                    "gpu_fallbacks": 2,
+                    "kernel_selections": {"cpu-hash": 4},
+                },
+                fingerprint=full.fingerprint,
+            ),
+        )
+        # The checkpoint is the last iteration: the resumed run only
+        # restores its state and reports it.
+        res = hipmcl(matrix, options, config, resume_from=partial)
+        assert res.resumed_from_iteration == res.iterations == 3
+        assert res.gpu_fallbacks == 2
+        assert res.kernel_selections == {"cpu-hash": 4}
+        assert res.transport_selections == {}
+        for name in (
+            "expansion_seconds", "expansion_cpu_idle_seconds",
+            "expansion_gpu_idle_seconds", "peak_rank_resident_bytes",
+            "budget_violations", "estimator_fallbacks",
+            "phase_split_retries", "kernel_demotions", "merge_demotions",
+            "transport_demotions", "bcast_overlap_seconds",
+            "prune_bcast_overlap_seconds",
+        ):
+            assert getattr(res, name) == 0, name

@@ -111,7 +111,10 @@ class TestStageGraph:
             nbytes = [dist.block_storage_bytes(k, j) for j in range(2)]
             # Broadcast-only delivery reads no row counts.
             posted.append(
-                model.post_stage(comm, k, 0, dist, None, nbytes, gate=0.0)
+                model.post_stage(
+                    comm, k, 0, model.a_counts(dist, k), None, nbytes,
+                    gate=0.0,
+                )
             )
         for axis, name in ((0, "row"), (1, "col")):
             for idx in range(2):
