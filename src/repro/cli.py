@@ -99,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     clu.add_argument(
         "--workers", metavar="N",
-        help="worker processes for the wall-clock execution backend "
+        help="workers for the wall-clock execution backend "
         "('auto' = one per core; distributed modes only; results are "
         "bit-identical for any value; default: REPRO_WORKERS or serial)",
     )
@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend", choices=["serial", "thread", "process"],
         help="wall-clock pool flavor for --workers: threads (zero-copy) "
         "or processes (shared-memory transport); results are "
-        "bit-identical either way (default: REPRO_BACKEND or process)",
+        "bit-identical either way (default: REPRO_BACKEND or thread)",
     )
     clu.add_argument(
         "--grid", choices=["2d", "3d"], default=None,

@@ -1079,11 +1079,12 @@ def hipmcl(
         Wall-clock execution knobs (see :mod:`repro.parallel`); neither
         enters the checkpoint fingerprint, so a run checkpointed under
         one backend resumes under any other.  ``workers`` is the number
-        of pool workers to fan independent SUMMA local products across
+        of workers to run the blocks of each SUMMA block column across
         (default ``REPRO_WORKERS``, else serial); ``backend`` picks the
-        pool flavor — ``"thread"`` (zero-copy, GIL-released kernels) or
-        ``"process"`` (shared-memory transport) — defaulting to
-        ``REPRO_BACKEND``, else processes.
+        pool flavor — ``"thread"`` (zero-copy, GIL-released kernels, the
+        caller working as one of the threads) or ``"process"``
+        (shared-memory transport) — defaulting to ``REPRO_BACKEND``, else
+        threads.
         Every combination produces bit-identical results — parallelism
         relocates computation without reordering any reduction.
     trace:

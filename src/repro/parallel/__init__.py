@@ -4,18 +4,20 @@ The simulator's *modeled* concurrency (pipelined Sparse SUMMA overlapping
 stage-k multiplies with stage-(k+1) broadcasts) runs on simulated clocks;
 this package makes the *wall-clock* scale with cores too.  An
 :class:`~repro.parallel.executor.Executor` fans genuinely independent work
-units — the per-block local SpGEMMs of a block column — across a
-persistent pool.  Two pool kinds implement the protocol:
+units — the blocks of a block column, each one task (its stage products,
+their merge and the finished block) — across a persistent pool.  Two pool
+kinds implement the protocol:
 
+* ``backend="thread"`` — a thread pool in the parent's address space
+  whose caller works as one of its threads: zero-copy task passing,
+  shared matrix caches, parallelism from the compiled kernels' GIL-free
+  sections;
 * ``backend="process"`` — a ``multiprocessing`` pool moving CSC blocks
   through POSIX shared memory (zero-pickle ``indptr/indices/data``) with
-  a pickling fallback for small blocks;
-* ``backend="thread"`` — a thread pool in the parent's address space:
-  zero-copy task passing, shared matrix caches, parallelism from numpy's
-  GIL-released sections.
+  a pickling fallback for small blocks.
 
 Both offer an asynchronous ``submit_batch``; the SUMMA engine submits
-each block column's local multiplies with it.
+each block column's blocks with it.
 
 The determinism contract is the same one the numeric kernels and the
 resilience layer pin: every ``(backend, workers)`` combination is
@@ -32,7 +34,7 @@ Backend selection, in precedence order (each axis independently):
    the CLI and tools;
 2. the ``REPRO_WORKERS`` / ``REPRO_BACKEND`` environment variables
    (``REPRO_WORKERS=auto``/``0`` means one worker per usable core);
-3. the defaults: serial execution (one worker), process pools when a
+3. the defaults: serial execution (one worker), thread pools when a
    count is given without a backend.
 """
 

@@ -7,12 +7,13 @@ results come back **in task order**, which is what makes ``workers=N``
 bit-identical to ``workers=1``.
 
 Three backends satisfy the protocol, selected by the ``backend`` axis
-(explicit argument > ``REPRO_BACKEND`` > ``"process"``):
+(explicit argument > ``REPRO_BACKEND`` > ``"thread"``):
 
 * :class:`SerialExecutor` — inline execution, the identity backend;
 * :class:`~repro.parallel.threads.ThreadExecutor` — a persistent thread
-  pool sharing the parent's address space (zero-copy, no transport; the
-  numpy kernels release the GIL in their hot sections);
+  pool sharing the parent's address space, the caller working as one of
+  its threads (zero-copy, no transport; the compiled kernels release the
+  GIL);
 * :class:`ProcessExecutor` — a persistent ``concurrent.futures`` process
   pool that ships CSC blocks through the shared-memory transport of
   :mod:`repro.parallel.shm`.
@@ -20,8 +21,8 @@ Three backends satisfy the protocol, selected by the ``backend`` axis
 Every backend also offers :meth:`Executor.submit_batch` — the
 *asynchronous* half of the protocol: it returns a :class:`BatchHandle`
 whose :meth:`~BatchHandle.result` gathers the ordered results later.
-The SUMMA engine submits each block column's local multiplies through
-it.
+The SUMMA engine submits each block column's blocks through it, one
+task per block.
 
 Nested parallelism is guarded for **both** pool kinds: inside a process
 worker *or* a thread-pool worker, :func:`get_executor` always returns the
@@ -104,14 +105,14 @@ def resolve_workers(workers=None) -> int:
 
 
 def resolve_backend(backend=None) -> str:
-    """Resolve the backend name: explicit > ``REPRO_BACKEND`` > process.
+    """Resolve the backend name: explicit > ``REPRO_BACKEND`` > thread.
 
     ``"serial"`` forces inline execution regardless of the worker count;
     ``"thread"``/``"process"`` pick the pool kind used when the resolved
     worker count exceeds one.
     """
     if backend is None:
-        backend = os.environ.get("REPRO_BACKEND", "").strip() or "process"
+        backend = os.environ.get("REPRO_BACKEND", "").strip() or "thread"
     backend = str(backend).lower()
     if backend not in BACKENDS:
         raise ValueError(

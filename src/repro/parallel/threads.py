@@ -10,17 +10,27 @@ pool but inside the parent's address space, so
   the parent too — the single-flight discipline in
   :mod:`repro.perf.cache` keeps concurrent builders from duplicating
   work;
-* the useful parallelism comes from numpy releasing the GIL in its hot
-  sections (the Nagasaka et al. observation that shared-memory threading
-  is where single-node SpGEMM headroom lives); pure-Python stretches
-  serialize, so the thread backend shines on transport-bound workloads
-  where the process pool's export/import overhead dominates.
+* the useful parallelism comes from the compiled kernels releasing the
+  GIL (the Nagasaka et al. observation that shared-memory threading is
+  where single-node SpGEMM headroom lives); pure-Python stretches
+  serialize, so the unit of work should be coarse — the SUMMA engine
+  submits one task per block of a block column.
+
+**The caller is one of the workers.**  ``ThreadExecutor(n)`` starts
+``n − 1`` pool threads; :meth:`_ThreadBatch.result` runs every task no
+pool thread has started yet inline, cancelling the pending futures from
+the back while the pool works from the front.  ``n`` threads compute,
+and the waiting caller costs no idle thread (nor the malloc arena a
+thread of its own would keep resident).
 
 Determinism is inherited from the protocol: results are gathered in task
 order, every fault draw and clock charge stays in the caller, so
-``backend="thread"`` is bit-identical to serial.  The nested guard marks
-each worker thread while it runs a task (``executor.enter_thread_worker``),
-making any executor requested from inside a task serial.
+``backend="thread"`` is bit-identical to serial.  A task that raises —
+inline or on a pool thread — does not stop the batch: ``result()`` waits
+for every started task, then raises the first failure in task order (the
+one a serial loop would have raised).  The nested guard marks each
+thread while it runs a task (``executor.enter_thread_worker``), making
+any executor requested from inside a task serial.
 """
 
 from __future__ import annotations
@@ -38,11 +48,12 @@ from .executor import (
 
 
 def _run_task(fn, args, meta=None):
-    """Worker entry point: mark the thread, run, unmark.
+    """Task entry point, on a pool thread or the gathering caller: mark
+    the thread, run, unmark.
 
-    Thread workers share the parent's tracer directly; ``meta`` (set only
-    when the parent was tracing at submit time) makes the task record its
-    span in this thread's own lane.
+    Tasks share the parent's tracer directly; ``meta`` (set only when the
+    parent was tracing at submit time) makes the task record its span in
+    this thread's own lane.
     """
     enter_thread_worker()
     try:
@@ -62,23 +73,55 @@ def _run_task(fn, args, meta=None):
 
 
 class _ThreadBatch(BatchHandle):
-    """In-flight futures of one thread-pool batch."""
+    """One thread-pool batch: its futures, and the payloads of the share
+    the caller runs itself."""
 
-    def __init__(self, futures):
+    def __init__(self, futures, payloads):
         self._futures = futures
+        self._payloads = payloads
+        #: ``(ok, result or exception)`` per task, once gathered.
+        self._outcomes = None
 
     def result(self) -> list:
-        return [f.result() for f in self._futures]
+        if self._outcomes is None:
+            futures = self._futures
+            inline = [None] * len(futures)
+            # The pool takes tasks from the front; the caller runs every
+            # one no thread has started, from the back, so the two meet.
+            for index in reversed(range(len(futures))):
+                if futures[index].cancel():
+                    inline[index] = _outcome(
+                        _run_task, *self._payloads[index]
+                    )
+            self._outcomes = [
+                mine or _outcome(future.result)
+                for mine, future in zip(inline, futures)
+            ]
+            self._payloads = None
+        for ok, value in self._outcomes:
+            if not ok:
+                raise value
+        return [value for _ok, value in self._outcomes]
+
+
+def _outcome(fn, *args) -> tuple:
+    """``(True, fn(*args))``, or ``(False, exception)`` if it raised."""
+    try:
+        return True, fn(*args)
+    except Exception as exc:
+        return False, exc
 
 
 class ThreadExecutor:
-    """A persistent ``workers``-thread pool with zero-copy task passing.
+    """A ``workers``-thread pool: ``workers − 1`` persistent threads plus
+    the caller, with zero-copy task passing.
 
     Mirrors :class:`~repro.parallel.executor.ProcessExecutor`'s lifecycle:
     the pool is created lazily on the first batch, reused across batches,
-    and restarts lazily after :meth:`close`.  Worker threads share the
+    and restarts lazily after :meth:`close`.  Pool threads share the
     parent's address space (matrix caches included), so tasks and results
-    pass by reference.
+    pass by reference; the caller runs its share of every batch when it
+    gathers it.
     """
 
     def __init__(self, workers: int):
@@ -93,28 +136,25 @@ class ThreadExecutor:
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
+                max_workers=self.workers - 1,
                 thread_name_prefix="repro-worker",
             )
         return self._pool
 
     def submit_batch(self, fn, tasks, label=None, attrs=None) -> BatchHandle:
-        """Dispatch the batch to the pool without waiting for results."""
+        """Dispatch the batch to the pool threads; the caller runs what
+        they have not started when it calls ``result()``."""
         tasks = list(tasks)
         if not tasks:
             return _ReadyBatch(fn, [])
         tracing = current_tracer() is not None
+        payloads = [
+            (fn, task, _task_meta(label, attrs, i) if tracing else None)
+            for i, task in enumerate(tasks)
+        ]
         pool = self._ensure_pool()
         return _ThreadBatch(
-            [
-                pool.submit(
-                    _run_task,
-                    fn,
-                    task,
-                    _task_meta(label, attrs, i) if tracing else None,
-                )
-                for i, task in enumerate(tasks)
-            ]
+            [pool.submit(_run_task, *p) for p in payloads], payloads
         )
 
     def run_batch(self, fn, tasks, label=None, attrs=None):

@@ -17,10 +17,10 @@ def local_multiply(a: CSCMatrix, b: CSCMatrix):
     """One SUMMA-stage local product in the row-major form the merge takes:
     ``((A_ik · B_kj)ᵀ, indptr of the product, per-column flops)``.
 
-    Exactly what ``spgemm_esc(a, b, transposed=True)`` returns — what the
-    engine's numeric pass merges and records per product.  The pricing
-    pass (kernel selection, clock charges, fault draws) stays in the
-    parent.
+    Exactly what ``spgemm_esc(a, b, transposed=True)`` returns — the call
+    the engine's block task (:func:`repro.summa.engine.compute_block`)
+    makes per product.  The smallest real work unit, which the executor
+    and transport tests run.
     """
     from ..spgemm.esc import spgemm_esc
 

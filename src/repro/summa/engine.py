@@ -14,13 +14,14 @@ advances by modeled durations.  A multiply runs in two passes.
 
 * The **numeric pass** (:func:`_numeric_pass`) runs once, block-major,
   at full block-column width whatever the phase count: for each block
-  column j and each block i it computes the products A_ik·B_kj in k
-  order, pushes them through that block's merge schedule and finishes
-  the block; once the column's q blocks are finished, ``prune_column``
-  prunes it.  At most one merge schedule and one block column of
-  unpruned output are live at a time.  It keeps a small record per
-  product and per block and phase, deriving the phases' merge events
-  from the full-width pass (:meth:`_PhaseSplit.events`).
+  column j it runs the column's q blocks as :func:`compute_block` tasks,
+  one executor batch on a pool — block i computes the products A_ik·B_kj
+  in k order, pushes them through its merge schedule and finishes — and
+  once the column is back, ``prune_column`` prunes it.  At most one
+  block column of unpruned output is live at a time, and one merge
+  schedule per executor worker.  It keeps a small record per product
+  and per block and phase, deriving the phases' merge events from the
+  full-width pass (:meth:`_PhaseSplit.events`).
 * The **pricing pass** prices every product of every phase from integer
   counts (:class:`_PricePlan`: broadcast bytes, the §III-A device
   split, column lengths and row counts over B's blocks at the phase
@@ -429,8 +430,8 @@ class _PhaseSplit:
 
     def events(self, p, kind, nrows, records, merged, short_lists):
         """Phase ``p``'s merge events of one block: per product of
-        ``records`` (``(k, per_col, c_indptr, events)``), the events its
-        push triggered — None when its phase-``p`` slab is empty, so the
+        ``records`` (``(k, per_col, c_indptr)``), the events its push
+        triggered — None when its phase-``p`` slab is empty, so the
         phase does not price it — and the block's :class:`_BlockRecord`.
 
         The events and peaks come from replaying the schedule on sizes,
@@ -476,6 +477,71 @@ def _numeric_merge(lists, budget_bytes):
     return spkadd_merge(lists, strategy=label)
 
 
+def compute_block(operands, shape, split, merge_kind, budget_bytes):
+    """One block of the numeric pass — the task the engine submits, q per
+    block column — as a pure function of its operands.
+
+    ``operands`` lists ``(k, A_ik, B_kj)`` for the stage products whose
+    operands are non-empty, in k order; ``shape`` is the block's
+    transposed shape (products are merged row-major); ``split`` is the
+    block column's :class:`_PhaseSplit`, None for one phase.  The task
+    computes the products, pushes them through the block's merge schedule
+    in k order, finishes the block and transposes it.
+
+    Returns ``(block, products, events, records)``: ``products`` holds
+    ``(k, per-column flops, C's column pointer)`` per product;
+    ``events[p]`` the merge events each product's push triggered in phase
+    p — None where its phase-p slab is empty, so the phase does not price
+    it — and ``records[p]`` the block's :class:`_BlockRecord` in phase p.
+    When there are several phases, both are derived from the full-width
+    pass by :meth:`_PhaseSplit.events`.
+    """
+
+    def merge(lists):
+        return _numeric_merge(lists, budget_bytes)
+
+    merge_fn = merge
+    merged: list[list[int]] = []
+    # Phases whose slabs leave out a product: the schedule groups differ
+    # there, so their sizes come from running it on the column-filtered
+    # products (rare).
+    short: dict[int, list] = {}
+    if split is not None:
+        merge_fn = split.counting(merge, merged)
+        short = {p: [] for p in split.short_phases([k for k, *_ in operands])}
+    state = _RankMergeState(shape, merge_kind, merge_fn)
+    products, pushed = [], []
+    for k, a, b in operands:
+        # Row-major: the canonical CSC of the product's transpose, which
+        # the merge adds as it is, plus the product's own column pointer
+        # for the device split.
+        product, c_indptr, per_col = spgemm_esc(a, b, transposed=True)
+        pushed.append(state.push(TripleList.from_csc(product, copy=False)))
+        products.append((k, per_col, c_indptr))
+        for p, lists in short.items():
+            if split.slab_nnz[k, p]:
+                lists.append(split.rows_of(product, p))
+        del product
+    combine = state.schedule.peak_resident
+    outcome, finish_events = state.finish()
+    # Dropped, not kept: the accumulator and the output block are
+    # different arrays, so a live state would hold the block twice.
+    del state
+    block = transpose(outcome.result.to_csc())
+    if split is None:
+        return block, products, [pushed], [
+            _block_record(outcome, finish_events, combine)
+        ]
+    events, records = [], []
+    for p in range(len(split.bounds) - 1):
+        phase_events, record = split.events(
+            p, merge_kind, shape[1], products, merged, short.get(p)
+        )
+        events.append(phase_events)
+        records.append(record)
+    return block, products, events, records
+
+
 def _numeric_pass(
     dist_a: DistributedCSC,
     dist_b: DistributedCSC,
@@ -488,20 +554,19 @@ def _numeric_pass(
     """The numeric pass of one multiply: block-major, at full block-column
     width, once whatever the phase count.
 
-    For each block column j and block i it computes the products
-    A_ik·B_kj whose operands are non-empty, pushes them through the
-    block's merge schedule in k order, finishes the block and, once the
-    column's q blocks are done, calls ``prune_column(cols, j)``.  Every
-    column of C is computed, merged and pruned independently of the
-    others, so the result cannot depend on the phase split.
+    For each block column j it runs the column's q blocks as
+    :func:`compute_block` tasks — one batch on a pool ``executor``, inline
+    in order at one worker — and, once they are back, calls
+    ``prune_column(cols, j)``.  Every column of C is computed, merged and
+    pruned independently of the others, so the result cannot depend on
+    the phase split, and every block of a column independently of the
+    others, so it cannot depend on the executor.
 
     Returns the kept blocks by ``(i, j)`` (row-major) and the pricing
     records: ``products[(k, i, j)] = (per-column flops, C's column
     pointer, merge events per phase)`` at full width — a phase's events
     are None where it does not price the product — and per phase p
-    ``blocks[p][(i, j)]``, a :class:`_BlockRecord`; when ``phases > 1``
-    the phases' events and blocks are derived from the full-width pass by
-    :meth:`_PhaseSplit.events`.
+    ``blocks[p][(i, j)]``, a :class:`_BlockRecord`.
     """
     q = dist_a.grid.q
     products: dict[tuple[int, int, int], tuple] = {}
@@ -509,89 +574,43 @@ def _numeric_pass(
     kept: dict[tuple[int, int], CSCMatrix] = {
         (i, j): None for i in range(q) for j in range(q)
     }
-
-    def merge(lists):
-        return _numeric_merge(lists, budget_bytes)
-
     for j in range(q):
         col_blocks = [dist_b.block(k, j) for k in range(q)]
-        pairs = [
-            (i, k)
-            for i in range(q)
-            for k in range(q)
-            if dist_a.block(i, k).nnz and col_blocks[k].nnz
-        ]
-        computed = None
-        if executor.workers > 1 and pairs:
-            from ..parallel.work import local_multiply
-
-            with maybe_span("gather", "summa", column=j, tasks=len(pairs)):
-                handle = executor.submit_batch(
-                    local_multiply,
-                    [(dist_a.block(i, k), col_blocks[k]) for i, k in pairs],
-                    label=f"summa column {j}",
-                    attrs={"column": j},
-                )
-                computed = dict(zip(pairs, handle.result()))
+        for b in col_blocks:
+            # Every task of the column reads B_kj: fill its lazy caches
+            # here, before the tasks run concurrently.
+            b.column_lengths()
+            b.min_value()
         split = _PhaseSplit.of(col_blocks, phases) if phases > 1 else None
+        tasks = []
+        for i in range(q):
+            operands = [
+                (k, dist_a.block(i, k), b)
+                for k, b in enumerate(col_blocks)
+                if dist_a.block(i, k).nnz and b.nnz
+            ]
+            shape = (col_blocks[0].ncols, dist_a.block(i, 0).nrows)
+            tasks.append((operands, shape, split, merge_kind, budget_bytes))
+        with maybe_span("column", "summa", column=j, tasks=q):
+            if executor.workers > 1:
+                done = executor.submit_batch(
+                    compute_block, tasks, label=f"summa column {j}",
+                    attrs={"column": j},
+                ).result()
+            else:
+                # What the serial executor would run, without entering
+                # repro.parallel: a one-worker run has no pool to show.
+                done = [compute_block(*task) for task in tasks]
         cols = []
-        with maybe_span("column", "summa", column=j):
-            for i in range(q):
-                ks = [k for ii, k in pairs if ii == i]
-                merge_fn = merge
-                merged: list[list[int]] = []
-                # Phases whose slabs leave out a product: the schedule
-                # groups differ there, so their sizes come from running
-                # it on the column-filtered products (rare).
-                short: dict[int, list] = {}
-                if split is not None:
-                    merge_fn = split.counting(merge, merged)
-                    short = {p: [] for p in split.short_phases(ks)}
-                shape = (col_blocks[0].ncols, dist_a.block(i, 0).nrows)
-                state = _RankMergeState(shape, merge_kind, merge_fn)
-                records = []
-                for k in ks:
-                    # Row-major: the canonical CSC of the product's
-                    # transpose, which the merge adds as it is, plus the
-                    # product's own column pointer for the device split.
-                    if computed is not None:
-                        product, c_indptr, per_col = computed.pop((i, k))
-                    else:
-                        product, c_indptr, per_col = spgemm_esc(
-                            dist_a.block(i, k), col_blocks[k], transposed=True
-                        )
-                    events = state.push(
-                        TripleList.from_csc(product, copy=False)
-                    )
-                    records.append((k, per_col, c_indptr, events))
-                    for p, lists in short.items():
-                        if split.slab_nnz[k, p]:
-                            lists.append(split.rows_of(product, p))
-                    del product
-                combine = state.schedule.peak_resident
-                outcome, events = state.finish()
-                # Dropped, not kept: the accumulator and the output block
-                # are different arrays, so a live state would hold the
-                # block twice.
-                del state
-                blk = transpose(outcome.result.to_csc())
-                if split is None:
-                    per_phase = [[r[3] for r in records]]
-                    blocks[0][(i, j)] = _block_record(
-                        outcome, events, combine
-                    )
-                else:
-                    per_phase = []
-                    for p in range(phases):
-                        pushed, blocks[p][(i, j)] = split.events(
-                            p, merge_kind, shape[1], records, merged,
-                            short.get(p),
-                        )
-                        per_phase.append(pushed)
-                for r, phase_events in zip(records, zip(*per_phase)):
-                    products[(r[0], i, j)] = (r[1], r[2], phase_events)
-                del outcome, records
-                cols.append(blk)
+        for i, (blk, records, events, block_records) in enumerate(done):
+            for p, record in enumerate(block_records):
+                blocks[p][(i, j)] = record
+            for (k, per_col, c_indptr), phase_events in zip(
+                records, zip(*events)
+            ):
+                products[(k, i, j)] = (per_col, c_indptr, phase_events)
+            cols.append(blk)
+        del done
         if prune_column is not None:
             cols = prune_column(cols, j)
         for i, blk in enumerate(cols):
@@ -1315,9 +1334,10 @@ def summa_multiply(
 
     ``executor`` (or ``workers`` and ``backend``, resolved through
     :func:`repro.parallel.get_executor`) selects the wall-clock backend:
-    with a pool executor, each block column's local products are computed
-    across the pool as one batch — clocks, traces and fault draws are
-    untouched, so every ``(backend, workers)`` cell is bit-identical.
+    each block column's q blocks run as :func:`compute_block` tasks —
+    inline in order at one worker, as one batch across the pool
+    otherwise.  Clocks, traces and fault draws stay in the pricing pass,
+    so every ``(backend, workers)`` cell is bit-identical.
 
     ``overlap_budget_bytes`` (the §V estimator budget) bounds the static
     schedule's double buffer (:func:`~repro.summa.phases.overlap_window`

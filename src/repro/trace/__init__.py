@@ -6,9 +6,9 @@ same evidence.  A :class:`Tracer` records **dual-clock spans** — wall
 time and simulated seconds — with structured attributes, plus a metrics
 stream of point samples, across every layer of a run:
 
-* ``summa_multiply``: the numeric pass per block column (pool gathers,
-  products and merges), and the pricing pass per stage — broadcasts,
-  merge accounting, the per-column prune windows;
+* ``summa_multiply``: the numeric pass per block column (one task per
+  block: its products and merges), and the pricing pass per stage —
+  broadcasts, merge accounting, the per-column prune windows;
 * SpGEMM kernel dispatch: the chosen kernel, ``flops``, ``cf``;
 * ``hipmcl`` iterations: estimation (bound vs actual), expansion,
   pruning, inflation, ``nnz``/``chaos`` per iteration;

@@ -6,8 +6,8 @@ directly.  The export draws two process groups:
 
 * **pid 1 — wall clock**: one thread track per lane (``main`` plus one
   per pool worker), timestamps from ``perf_counter``.  A pool's
-  ``local_multiply`` spans sit in the worker lanes between the main
-  lane's ``submit`` and ``gather`` spans of their stage.
+  ``compute_block`` spans sit in the worker lanes under the main lane's
+  ``column`` span of their block column.
 * **pid 2 — simulated clock**: the same spans re-plotted at their
   simulated-seconds coordinates (spans without a simulated interval are
   omitted).  This is the modeled machine's view — the per-stage

@@ -6,6 +6,7 @@ not a mock — while staying fast enough for tier 1.
 """
 
 import os
+import threading
 import time
 
 import numpy as np
@@ -71,9 +72,9 @@ class TestResolveBackend:
     def _clean(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
 
-    def test_default_is_process(self):
-        assert resolve_backend() == "process"
-        assert resolve_backend(None) == "process"
+    def test_default_is_thread(self):
+        assert resolve_backend() == "thread"
+        assert resolve_backend(None) == "thread"
 
     def test_explicit_beats_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "thread")
@@ -97,11 +98,11 @@ class TestGetExecutor:
         assert get_executor(1) is get_executor(None)
 
     def test_process_pools_cached_per_count(self):
-        ex2 = get_executor(2)
+        ex2 = get_executor(2, backend="process")
         assert isinstance(ex2, ProcessExecutor)
         assert ex2.workers == 2
-        assert get_executor(2) is ex2
-        assert get_executor(3) is not ex2
+        assert get_executor(2, backend="process") is ex2
+        assert get_executor(3, backend="process") is not ex2
 
     def test_environment_selects_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
@@ -126,41 +127,51 @@ def _pid_slowly():
     return os.getpid()
 
 
+def _thread_slowly():
+    time.sleep(0.05)  # long enough for every pool thread to take a task
+    return threading.current_thread()
+
+
+def _call(fn):
+    return fn()
+
+
 class TestProcessExecutor:
     def test_batch_results_in_task_order(self):
-        ex = get_executor(2)
+        ex = get_executor(2, backend="process")
         out = ex.run_batch(pow, [(i, 2) for i in range(10)])
         assert out == [i * i for i in range(10)]
 
     def test_empty_batch(self):
-        assert get_executor(2).run_batch(pow, []) == []
+        assert get_executor(2, backend="process").run_batch(pow, []) == []
 
     def test_pool_persists_across_batches(self):
         # Instant tasks can all land on one worker, so the per-batch pid
         # *sets* may differ even with zero respawns; the persistence
         # contract is that the union never exceeds the pool size.
-        ex = get_executor(2)
+        ex = get_executor(2, backend="process")
         pids1 = set(ex.run_batch(_pid_slowly, [()] * 4))
         pids2 = set(ex.run_batch(_pid_slowly, [()] * 4))
         assert len(pids1 | pids2) <= ex.workers  # no respawn
         assert os.getpid() not in pids1 | pids2
 
     def test_close_then_reuse_restarts_lazily(self):
-        ex = get_executor(2)
+        ex = get_executor(2, backend="process")
         assert ex.run_batch(pow, [(2, 2)]) == [4]
         ex.close()
         assert ex._pool is None
         assert ex.run_batch(pow, [(2, 5)]) == [32]
 
     def test_worker_crash_raises_and_pool_recovers(self):
-        ex = get_executor(2)
+        # A process pool: os._exit on a thread would end this process.
+        ex = get_executor(2, backend="process")
         with pytest.raises(ExecutorError, match="REPRO_WORKERS=1"):
             ex.run_batch(os._exit, [(3,)])
         assert ex._pool is None  # broken pool discarded...
         assert ex.run_batch(pow, [(2, 4)]) == [16]  # ...and restarted
 
     def test_nested_parallelism_degrades_to_serial(self):
-        ex = get_executor(2)
+        ex = get_executor(2, backend="process")
         states = ex.run_batch(probe_state, [()])
         assert states[0]["in_worker"] is True
         assert states[0]["nested_executor"] == "SerialExecutor"
@@ -170,7 +181,7 @@ class TestProcessExecutor:
         # The parent itself is not a worker.
         me = probe_state()
         assert me["in_worker"] is False
-        assert me["nested_executor"] == "ProcessExecutor"
+        assert me["nested_executor"] == "ThreadExecutor"  # the default
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +324,70 @@ class TestThreadExecutor:
             ex.run_batch(divmod, [(1, 0)])
         assert ex.run_batch(pow, [(2, 4)]) == [16]  # pool still healthy
 
+    def test_caller_is_one_of_the_workers(self):
+        ex = ThreadExecutor(3)
+        try:
+            ran = ex.run_batch(_thread_slowly, [()] * 6)
+            pool_threads = set(ex._pool._threads)
+            assert len(pool_threads) == 2  # workers - 1
+            assert set(ran) <= pool_threads | {threading.current_thread()}
+            # The pool works from the front; the caller took the back.
+            assert ran[-1] is threading.current_thread()
+        finally:
+            ex.close()
+
+    def test_failure_waits_for_every_started_task(self):
+        # Task 0 starts on the pool thread and holds it; task 1 runs on
+        # the caller and raises.  result() still waits for task 0.
+        ex = ThreadExecutor(2)
+        started, release, finished = (
+            threading.Event(), threading.Event(), []
+        )
+
+        def slow():
+            started.set()
+            release.wait(5)
+            time.sleep(0.05)
+            finished.append(threading.current_thread())
+
+        def failing():
+            started.wait(5)
+            release.set()
+            raise ValueError("inline")
+
+        try:
+            with pytest.raises(ValueError, match="inline"):
+                ex.run_batch(_call, [(slow,), (failing,)])
+            assert len(finished) == 1
+            assert finished[0] is not threading.current_thread()
+            assert ex.run_batch(pow, [(2, 3)]) == [8]  # next batch works
+        finally:
+            ex.close()
+
+    def test_first_failure_in_task_order_wins(self):
+        # The caller's task fails first in time; the pool's task 0 fails
+        # later, and is the one raised — what a serial loop would raise.
+        ex = ThreadExecutor(2)
+        started, release = threading.Event(), threading.Event()
+
+        def pool_failure():
+            started.set()
+            release.wait(5)
+            time.sleep(0.05)
+            raise KeyError("task 0")
+
+        def inline_failure():
+            started.wait(5)
+            release.set()
+            raise ValueError("task 1")
+
+        try:
+            with pytest.raises(KeyError, match="task 0"):
+                ex.run_batch(_call, [(pool_failure,), (inline_failure,)])
+            assert ex.run_batch(pow, [(3, 2)]) == [9]
+        finally:
+            ex.close()
+
 
 class TestSubmitBatch:
     def test_serial_handle_is_lazy_and_ordered(self):
@@ -362,7 +437,7 @@ class TestTransport:
     def test_round_trip_through_a_real_worker(self):
         a = random_csc((300, 300), 0.08, seed=3)
         b = random_csc((300, 300), 0.08, seed=4)
-        ex = get_executor(2)
+        ex = get_executor(2, backend="process")
         (product_t, c_indptr, per_col), = ex.run_batch(
             local_multiply, [(a, b)]
         )

@@ -233,17 +233,18 @@ def _phased_engine_run(tracer=None, workers=4, phases=2, **kwargs):
 
 
 class TestEngineWiring:
-    def test_merge_runs_inline_on_the_main_lane(self):
+    def test_merge_pricing_stays_on_the_main_lane(self):
         from repro.trace import MAIN_LANE, Tracer, merge_report
 
         tracer = Tracer()
         res = _phased_engine_run(tracer)
         assert sum(res.merge_strategy_selections.values()) > 0
-        # Workers multiply; no merge work is ever shipped to them.
+        # Workers compute whole blocks (products and their numeric
+        # merge); the priced merge spans stay in the parent.
         worker_spans = {
             s.name for s in tracer.spans if s.lane != MAIN_LANE
         }
-        assert "local_multiply" in worker_spans
+        assert "compute_block" in worker_spans
         assert not any("merge" in name for name in worker_spans)
         rep = merge_report(tracer)
         assert rep["main_seconds"] > 0

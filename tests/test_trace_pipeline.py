@@ -143,11 +143,11 @@ class TestTracedMatrix:
         else:
             assert len(lanes) >= 2  # distinct worker lanes
             assert all(lane.startswith("worker-") for lane in lanes[1:])
-        # Each stage is gathered before its accounting pass, so no pool
-        # multiply runs under a main-lane merge span.
+        # The numeric pass is gathered before the pricing pass, so no
+        # pool block task runs under a main-lane merge span.
         merges = [s for s in tracer.find("merge") if s.lane == MAIN_LANE]
         tasks = [
-            s for s in tracer.find("local_multiply") if s.lane != MAIN_LANE
+            s for s in tracer.find("compute_block") if s.lane != MAIN_LANE
         ]
         assert bool(tasks) == (backend != "serial")
         for t in tasks:
@@ -195,7 +195,8 @@ class TestExecutorCrashLabel:
 
         from repro.parallel import ExecutorError, get_executor
 
-        ex = get_executor(2)
+        # A process pool: os._exit on a thread would end this process.
+        ex = get_executor(2, backend="process")
         with pytest.raises(ExecutorError) as err:
             ex.run_batch(os._exit, [(3,)], label="summa phase 0 stage 2")
         msg = str(err.value)

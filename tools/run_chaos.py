@@ -62,7 +62,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers", default=None, metavar="N",
-        help="worker processes for the faulted runs ('auto' = one per "
+        help="workers for the faulted runs ('auto' = one per "
         "core); the baseline stays serial, so a pass also certifies the "
         "parallel backend's bit-identity under fault recovery",
     )
