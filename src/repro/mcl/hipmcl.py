@@ -34,13 +34,13 @@ from ..mpi.grid import ProcessGrid, is_perfect_square
 from ..resilience.faults import as_injector
 from ..resilience.policy import ResiliencePolicy
 from ..resilience.validators import InvariantChecker
-from ..sparse import CSCMatrix, csc_from_triples
+from ..sparse import CSCMatrix, hstack_csc, normalize_columns
 from ..sparse import _compressed as _c
 from ..spgemm.estimator import estimate_nnz
 from ..spgemm.metrics import flops
 from ..spgemm.symbolic import symbolic_nnz
 from ..summa.distmatrix import DistributedCSC
-from ..summa.engine import SummaConfig, summa_multiply
+from ..summa.engine import SummaConfig, run_tasks, summa_multiply
 from ..summa.engine3d import Grid3DModel
 from ..trace import current_tracer, maybe_span
 from ..summa.phases import plan_phases
@@ -490,45 +490,85 @@ def _charge_estimation(
     comm.barrier()
 
 
-def _assemble_block_column(
-    blocks: dict[tuple[int, int], CSCMatrix],
-    grid: ProcessGrid,
-    nrows: int,
-    j: int,
-) -> CSCMatrix:
-    """Stack the q row-blocks of block column ``j`` into global rows."""
-    width = blocks[(0, j)].ncols
-    rows_parts, cols_parts, vals_parts = [], [], []
+def _assemble_block_column(cols: list[CSCMatrix]) -> CSCMatrix:
+    """Stack the q row blocks of a block column, top to bottom, into one
+    slab in global rows: the inverse of :func:`_split_block_column`.
+
+    An O(nnz) gather, no sort.  Every block the engine and the prune
+    produce has its indices sorted within each column, so a column of the
+    slab is the blocks' columns end to end, each entry in the order it
+    has in its block.
+    """
+    lens = np.array([np.diff(blk.indptr) for blk in cols])
+    width = cols[0].ncols
+    indptr = np.zeros(width + 1, dtype=_c.INDEX_DTYPE)
+    np.cumsum(lens.sum(axis=0), out=indptr[1:])
+    # Where each block's share of a column starts in the slab.
+    starts = indptr[:-1] + np.cumsum(lens, axis=0) - lens
+    indices = np.empty(indptr[-1], dtype=_c.INDEX_DTYPE)
+    data = np.empty(indptr[-1], dtype=_c.VALUE_DTYPE)
+    r_lo = 0
+    for blk, blk_lens, start in zip(cols, lens, starts):
+        at = np.repeat(start - blk.indptr[:-1], blk_lens) + np.arange(blk.nnz)
+        indices[at] = blk.indices + r_lo
+        data[at] = blk.data
+        r_lo += blk.nrows
+    return CSCMatrix((r_lo, width), indptr, indices, data, check=False)
+
+
+def _split_block_column(mat: CSCMatrix, grid: ProcessGrid) -> list[CSCMatrix]:
+    """The q row blocks of a block-column slab ``mat`` in global rows:
+    the inverse of :func:`_assemble_block_column`."""
+    cols = _c.expand_major(mat.indptr, mat.ncols)
+    out = []
     for i in range(grid.q):
-        blk = blocks[(i, j)]
-        if blk.nnz == 0:
-            continue
-        r_lo, _ = grid.block_bounds(nrows, i)
-        rows_parts.append(blk.indices + r_lo)
-        cols_parts.append(_c.expand_major(blk.indptr, blk.ncols))
-        vals_parts.append(blk.data)
-    if not rows_parts:
-        return CSCMatrix.empty((nrows, width))
-    return csc_from_triples(
-        (nrows, width),
-        np.concatenate(rows_parts),
-        np.concatenate(cols_parts),
-        np.concatenate(vals_parts),
-        sum_dup=False,
-    )
-
-
-def _split_block_column(
-    mat: CSCMatrix, grid: ProcessGrid, nrows: int, j: int
-) -> dict[tuple[int, int], CSCMatrix]:
-    """Inverse of :func:`_assemble_block_column`."""
-    from ..sparse import block_of_csc
-
-    out = {}
-    for i in range(grid.q):
-        r_lo, r_hi = grid.block_bounds(nrows, i)
-        out[(i, j)] = block_of_csc(mat, r_lo, r_hi, 0, mat.ncols)
+        r_lo, r_hi = grid.block_bounds(mat.nrows, i)
+        keep = (mat.indices >= r_lo) & (mat.indices < r_hi)
+        out.append(
+            CSCMatrix(
+                (r_hi - r_lo, mat.ncols),
+                _c.compress_major(cols[keep], mat.ncols),
+                mat.indices[keep] - r_lo,
+                mat.data[keep],
+                check=False,
+            )
+        )
     return out
+
+
+def prune_block_column(options, grid, iteration, cols, j):
+    """Prune block column ``j`` of iteration ``iteration``'s expansion the
+    moment the engine has finished it, inside the column's task (the
+    numerics only: :meth:`_Run.charge_column_prune` charges the clocks).
+    Module-level, so a process pool can run the task."""
+    with maybe_span("prune", "mcl", iteration=iteration, column=j) as psp:
+        if options.recover_number != 0:
+            # Recovery needs the full pre-cutoff column: assemble, prune,
+            # split back.
+            pruned, _stats = prune_columns(
+                _assemble_block_column(cols), options
+            )
+            pruned_col = _split_block_column(pruned, grid)
+        else:
+            # Faithful §II protocol: local top-k candidates → exchanged
+            # threshold → local filter.  Identical to the centralized
+            # prune (validated in tests).
+            pruned_col = distributed_prune_block_column(cols, options)
+        psp.set(
+            nnz_in=sum(b.nnz for b in cols),
+            nnz_out=sum(b.nnz for b in pruned_col),
+        )
+        return pruned_col
+
+
+def inflate_block_column(cols, grid, exponent):
+    """Inflate block column ``cols`` of the pruned product — the step's
+    task, one per block column: the slab of the next iterate, and its q
+    row blocks.  Normalization and inflation are column-wise, and a
+    column's entries are in the slab in the order they have in the global
+    matrix, so every column sum adds the same sequence."""
+    slab = inflate(normalize_columns(_assemble_block_column(cols)), exponent)
+    return slab, _split_block_column(slab, grid)
 
 
 @dataclass
@@ -614,7 +654,7 @@ class _Iteration:
     scheme: str = ""
     phases: int = 1
     product: object = None  # the last expansion's SummaResult
-    #: Unpruned nonzeros of the product, counted by the fused prune.
+    #: Unpruned nonzeros of the product.
     exact_nnz: int = 0
 
 
@@ -779,14 +819,15 @@ class _Run:
             # Each attempt recomputes the full expansion; a retried
             # attempt's charged time stays on the clocks (the rerun is
             # real simulated work), but its prune totals are discarded.
-            step.exact_nnz = 0
             res = summa_multiply(
                 step.dist_a,
                 step.dist_a,
                 comm,
                 self.summa_cfg,
                 phases=step.phases,
-                prune_column=functools.partial(self.prune_column, step),
+                prune_column=functools.partial(
+                    prune_block_column, self.options, self.grid, it
+                ),
                 charge_column_prune=self.charge_column_prune,
                 injector=self.summa_injector,
                 executor=self.executor,
@@ -842,32 +883,7 @@ class _Run:
                 span - (clock.gpu.busy_total() - gpu0)
             )
         step.product = res
-
-    def prune_column(self, step: _Iteration, cols, j):
-        """Prune block column ``j`` the moment the engine has finished it
-        (numerics only; the clocks are charged by
-        :meth:`charge_column_prune`)."""
-        options, grid, n = self.options, self.grid, step.work.nrows
-        with maybe_span(
-            "prune", "mcl", iteration=step.index, column=j
-        ) as psp:
-            if options.recover_number != 0:
-                # Recovery needs the full pre-cutoff column: assemble,
-                # prune, split back.
-                keyed = {(i, j): blk for i, blk in enumerate(cols)}
-                slab = _assemble_block_column(keyed, grid, n, j)
-                pruned, _stats = prune_columns(slab, options)
-                split = _split_block_column(pruned, grid, n, j)
-                pruned_col = [split[(i, j)] for i in range(grid.q)]
-            else:
-                # Faithful §II protocol: local top-k candidates →
-                # exchanged threshold → local filter.  Identical to the
-                # centralized prune (validated in tests).
-                pruned_col = distributed_prune_block_column(cols, options)
-            nnz_in = sum(b.nnz for b in cols)
-            step.exact_nnz += nnz_in
-            psp.set(nnz_in=nnz_in, nnz_out=sum(b.nnz for b in pruned_col))
-            return pruned_col
+        step.exact_nnz = res.exact_nnz
 
     def charge_column_prune(self, j, nnz, width):
         """Charge block column ``j``'s prune: each rank's threshold scan
@@ -899,15 +915,13 @@ class _Run:
                 16 * per_rank_cand // max(1, grid.q), "topk_exchange",
             )
 
-    def inflate(self, step: _Iteration) -> None:
-        """Inflation of the pruned product: the next iterate."""
-        from ..sparse import normalize_columns
-
+    def inflate(self, step: _Iteration) -> DistributedCSC:
+        """Inflation of the pruned product, one task per block column:
+        the next iterate, distributed and global."""
         comm, grid, spec = self.comm, self.grid, self.config.spec
         threads, n = self.config.threads_per_process, step.work.nrows
         with maybe_span("inflation", "mcl", iteration=step.index):
             dist_c = step.product.dist_c
-            pruned_global = dist_c.to_global()
             for (i, j), blk in dist_c.blocks.items():
                 clock = comm.clocks[grid.rank_of(i, j)]
                 clock.cpu.schedule(
@@ -920,9 +934,24 @@ class _Run:
                 comm.allreduce(
                     grid.col_members(j), 8 * (c_hi - c_lo), "inflation"
                 )
-            step.work = inflate(
-                normalize_columns(pruned_global), self.options.inflation
+            tasks = [
+                (
+                    [dist_c.block(i, j) for i in range(grid.q)], grid,
+                    self.options.inflation,
+                )
+                for j in range(grid.q)
+            ]
+            done = run_tasks(
+                self.executor, inflate_block_column, tasks, "inflation"
             )
+            step.work = hstack_csc([slab for slab, _col in done])
+        return DistributedCSC(
+            step.work.shape, grid,
+            {
+                (i, j): done[j][1][i]
+                for i in range(grid.q) for j in range(grid.q)
+            },
+        )
 
     def record(self, step: _Iteration) -> bool:
         """Append the iteration's record; True when it converged."""
@@ -1079,8 +1108,9 @@ def hipmcl(
         Wall-clock execution knobs (see :mod:`repro.parallel`); neither
         enters the checkpoint fingerprint, so a run checkpointed under
         one backend resumes under any other.  ``workers`` is the number
-        of workers to run the blocks of each SUMMA block column across
-        (default ``REPRO_WORKERS``, else serial); ``backend`` picks the
+        of workers to run the block columns of each SUMMA multiply and
+        of each inflation across (default ``REPRO_WORKERS``, else
+        serial); ``backend`` picks the
         pool flavor — ``"thread"`` (zero-copy, GIL-released kernels, the
         caller working as one of the threads) or ``"process"``
         (shared-memory transport) — defaulting to ``REPRO_BACKEND``, else
@@ -1163,15 +1193,17 @@ def _hipmcl_run(
     work = run.work
     if work is None:
         work = prepare_matrix(matrix, options)
+    # Distributed once; each inflation hands on the next iterate's blocks.
+    dist_a = DistributedCSC.from_global(work, run.grid)
     converged = False
     for it in range(run.resumed_from + 1, options.max_iterations + 1):
         step = _Iteration(
-            it, work, _grouped_stage_seconds(run.comm),
-            DistributedCSC.from_global(work, run.grid), flops(work, work),
+            it, work, _grouped_stage_seconds(run.comm), dist_a,
+            flops(work, work),
         )
         run.estimate(step)
         run.expand(step)
-        run.inflate(step)
+        dist_a = run.inflate(step)
         converged = run.record(step)
         work = step.work
         if (

@@ -4,9 +4,10 @@ The simulator's *modeled* concurrency (pipelined Sparse SUMMA overlapping
 stage-k multiplies with stage-(k+1) broadcasts) runs on simulated clocks;
 this package makes the *wall-clock* scale with cores too.  An
 :class:`~repro.parallel.executor.Executor` fans genuinely independent work
-units — the blocks of a block column, each one task (its stage products,
-their merge and the finished block) — across a persistent pool.  Two pool
-kinds implement the protocol:
+units — the block columns of a multiply, each one task (its blocks' stage
+products and merges, then the column's prune), and the block columns of
+an inflation — across a persistent pool.  Two pool kinds implement the
+protocol:
 
 * ``backend="thread"`` — a thread pool in the parent's address space
   whose caller works as one of its threads: zero-copy task passing,
@@ -17,7 +18,7 @@ kinds implement the protocol:
   a pickling fallback for small blocks.
 
 Both offer an asynchronous ``submit_batch``; the SUMMA engine submits
-each block column's blocks with it.
+each multiply's block columns with it.
 
 The determinism contract is the same one the numeric kernels and the
 resilience layer pin: every ``(backend, workers)`` combination is

@@ -21,8 +21,8 @@ Three backends satisfy the protocol, selected by the ``backend`` axis
 Every backend also offers :meth:`Executor.submit_batch` — the
 *asynchronous* half of the protocol: it returns a :class:`BatchHandle`
 whose :meth:`~BatchHandle.result` gathers the ordered results later.
-The SUMMA engine submits each block column's blocks through it, one
-task per block.
+The SUMMA engine submits each multiply's block columns through it, one
+task per block column.
 
 Nested parallelism is guarded for **both** pool kinds: inside a process
 worker *or* a thread-pool worker, :func:`get_executor` always returns the

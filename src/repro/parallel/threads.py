@@ -14,7 +14,8 @@ pool but inside the parent's address space, so
   GIL (the Nagasaka et al. observation that shared-memory threading is
   where single-node SpGEMM headroom lives); pure-Python stretches
   serialize, so the unit of work should be coarse — the SUMMA engine
-  submits one task per block of a block column.
+  submits one task per block column (its q blocks, then its prune), and
+  ``hipmcl`` one per block column of the inflation.
 
 **The caller is one of the workers.**  ``ThreadExecutor(n)`` starts
 ``n − 1`` pool threads; :meth:`_ThreadBatch.result` runs every task no

@@ -18,8 +18,8 @@ def local_multiply(a: CSCMatrix, b: CSCMatrix):
     ``((A_ik · B_kj)ᵀ, indptr of the product, per-column flops)``.
 
     Exactly what ``spgemm_esc(a, b, transposed=True)`` returns — the call
-    the engine's block task (:func:`repro.summa.engine.compute_block`)
-    makes per product.  The smallest real work unit, which the executor
+    each block of the engine's column task
+    (:func:`repro.summa.engine.compute_column`) makes per product.  The smallest real work unit, which the executor
     and transport tests run.
     """
     from ..spgemm.esc import spgemm_esc

@@ -13,14 +13,15 @@ real submatrices, while each rank's CPU/GPU :class:`ResourceTimeline`
 advances by modeled durations.  A multiply runs in two passes.
 
 * The **numeric pass** (:func:`_numeric_pass`) runs once, block-major,
-  at full block-column width whatever the phase count: for each block
-  column j it runs the column's q blocks as :func:`compute_block` tasks,
-  one executor batch on a pool — block i computes the products A_ik·B_kj
-  in k order, pushes them through its merge schedule and finishes — and
-  once the column is back, ``prune_column`` prunes it.  At most one
-  block column of unpruned output is live at a time, and one merge
-  schedule per executor worker.  It keeps a small record per product
-  and per block and phase, deriving the phases' merge events from the
+  at full block-column width whatever the phase count: each block
+  column j is one :func:`compute_column` task, and the q tasks are one
+  executor batch on a pool.  The task runs the column's q blocks in i
+  order (:func:`compute_block`: block i computes the products A_ik·B_kj
+  in k order, pushes them through its merge schedule and finishes), then
+  ``prune_column`` prunes the column.  At most one block column of
+  unpruned output per executor worker is live at a time, and one merge
+  schedule per worker.  It keeps a small record per product and per
+  block and phase, deriving the phases' merge events from the
   full-width pass (:meth:`_PhaseSplit.events`).
 * The **pricing pass** prices every product of every phase from integer
   counts (:class:`_PricePlan`: broadcast bytes, the §III-A device
@@ -194,6 +195,8 @@ class SummaResult:
     transport_selections: Counter = field(default_factory=Counter)
     #: p2p → broadcast demotions the fault ladder performed here.
     transport_demotions: int = 0
+    #: Nonzeros of the product before ``prune_column``.
+    exact_nnz: int = 0
 
 
 def _pick_kernels(
@@ -478,13 +481,13 @@ def _numeric_merge(lists, budget_bytes):
 
 
 def compute_block(operands, shape, split, merge_kind, budget_bytes):
-    """One block of the numeric pass — the task the engine submits, q per
-    block column — as a pure function of its operands.
+    """One block of the numeric pass — :func:`compute_column` runs q, one
+    per block row — as a pure function of its operands.
 
     ``operands`` lists ``(k, A_ik, B_kj)`` for the stage products whose
     operands are non-empty, in k order; ``shape`` is the block's
     transposed shape (products are merged row-major); ``split`` is the
-    block column's :class:`_PhaseSplit`, None for one phase.  The task
+    block column's :class:`_PhaseSplit`, None for one phase.  It
     computes the products, pushes them through the block's merge schedule
     in k order, finishes the block and transposes it.
 
@@ -542,6 +545,39 @@ def compute_block(operands, shape, split, merge_kind, budget_bytes):
     return block, products, events, records
 
 
+def compute_column(j, block_tasks, prune_column):
+    """One block column of the numeric pass — the task the engine
+    submits, q per multiply — as a pure function of its operands.
+
+    ``block_tasks`` holds the :func:`compute_block` arguments of the
+    column's blocks in i order; once they are finished,
+    ``prune_column(cols, j)`` (None keeps them) prunes the column, so no
+    unpruned block leaves the task.
+
+    Returns ``(records, cols)``: per block, the ``(products, events,
+    records)`` :func:`compute_block` returned with it, and the kept
+    blocks in i order.
+    """
+    records, cols = [], []
+    for task in block_tasks:
+        blk, *block_records = compute_block(*task)
+        cols.append(blk)
+        records.append(block_records)
+    if prune_column is not None:
+        cols = prune_column(cols, j)
+    return records, cols
+
+
+def run_tasks(executor, fn, tasks: list, label: str) -> list:
+    """``[fn(*task) for task in tasks]``: one batch on a pool
+    ``executor``, inline in order at one worker — what the serial
+    executor would run, without entering :mod:`repro.parallel`, since a
+    one-worker run has no pool to show."""
+    if executor.workers > 1:
+        return executor.submit_batch(fn, tasks, label=label).result()
+    return [fn(*task) for task in tasks]
+
+
 def _numeric_pass(
     dist_a: DistributedCSC,
     dist_b: DistributedCSC,
@@ -554,13 +590,12 @@ def _numeric_pass(
     """The numeric pass of one multiply: block-major, at full block-column
     width, once whatever the phase count.
 
-    For each block column j it runs the column's q blocks as
-    :func:`compute_block` tasks — one batch on a pool ``executor``, inline
-    in order at one worker — and, once they are back, calls
-    ``prune_column(cols, j)``.  Every column of C is computed, merged and
-    pruned independently of the others, so the result cannot depend on
-    the phase split, and every block of a column independently of the
-    others, so it cannot depend on the executor.
+    Each block column j is one :func:`compute_column` task — its q blocks
+    in i order, then ``prune_column(cols, j)`` — and the q tasks run as
+    one batch on a pool ``executor``, inline in j order at one worker.
+    Every column of C is computed, merged and pruned independently of the
+    others, so the result cannot depend on the phase split or on the
+    executor; a worker holds one unpruned column at a time.
 
     Returns the kept blocks by ``(i, j)`` (row-major) and the pricing
     records: ``products[(k, i, j)] = (per-column flops, C's column
@@ -569,20 +604,18 @@ def _numeric_pass(
     ``blocks[p][(i, j)]``, a :class:`_BlockRecord`.
     """
     q = dist_a.grid.q
-    products: dict[tuple[int, int, int], tuple] = {}
-    blocks: list[dict] = [{} for _ in range(phases)]
-    kept: dict[tuple[int, int], CSCMatrix] = {
-        (i, j): None for i in range(q) for j in range(q)
-    }
+    for dist in (dist_a, dist_b):
+        for blk in dist.blocks.values():
+            # A_ik is read by every column task and B_kj by every block
+            # of column j: fill their lazy caches here, before the tasks
+            # run concurrently.
+            blk.column_lengths()
+            blk.min_value()
+    tasks = []
     for j in range(q):
         col_blocks = [dist_b.block(k, j) for k in range(q)]
-        for b in col_blocks:
-            # Every task of the column reads B_kj: fill its lazy caches
-            # here, before the tasks run concurrently.
-            b.column_lengths()
-            b.min_value()
         split = _PhaseSplit.of(col_blocks, phases) if phases > 1 else None
-        tasks = []
+        block_tasks = []
         for i in range(q):
             operands = [
                 (k, dist_a.block(i, k), b)
@@ -590,31 +623,23 @@ def _numeric_pass(
                 if dist_a.block(i, k).nnz and b.nnz
             ]
             shape = (col_blocks[0].ncols, dist_a.block(i, 0).nrows)
-            tasks.append((operands, shape, split, merge_kind, budget_bytes))
-        with maybe_span("column", "summa", column=j, tasks=q):
-            if executor.workers > 1:
-                done = executor.submit_batch(
-                    compute_block, tasks, label=f"summa column {j}",
-                    attrs={"column": j},
-                ).result()
-            else:
-                # What the serial executor would run, without entering
-                # repro.parallel: a one-worker run has no pool to show.
-                done = [compute_block(*task) for task in tasks]
-        cols = []
-        for i, (blk, records, events, block_records) in enumerate(done):
+            block_tasks.append(
+                (operands, shape, split, merge_kind, budget_bytes)
+            )
+        tasks.append((j, block_tasks, prune_column))
+    with maybe_span("columns", "summa", tasks=q):
+        done = run_tasks(executor, compute_column, tasks, "summa columns")
+    products: dict[tuple[int, int, int], tuple] = {}
+    blocks: list[dict] = [{} for _ in range(phases)]
+    for j, (records, _cols) in enumerate(done):
+        for i, (block_products, events, block_records) in enumerate(records):
             for p, record in enumerate(block_records):
                 blocks[p][(i, j)] = record
             for (k, per_col, c_indptr), phase_events in zip(
-                records, zip(*events)
+                block_products, zip(*events)
             ):
                 products[(k, i, j)] = (per_col, c_indptr, phase_events)
-            cols.append(blk)
-        del done
-        if prune_column is not None:
-            cols = prune_column(cols, j)
-        for i, blk in enumerate(cols):
-            kept[(i, j)] = blk
+    kept = {(i, j): done[j][1][i] for i in range(q) for j in range(q)}
     return kept, products, blocks
 
 
@@ -1318,10 +1343,12 @@ def summa_multiply(
 
     ``prune_column(col_blocks, j)`` runs in the numeric pass, once per
     block column ``j`` of the multiply (at full width, whatever
-    ``phases`` is), as soon as the column's q blocks are finished: it
-    receives them as a list indexed by block row and returns the (pruned)
-    blocks to keep.  It must be pure and column-wise — no clock is
-    charged there.
+    ``phases`` is), inside the column's task as soon as its q blocks are
+    finished: it receives them as a list indexed by block row and returns
+    the (pruned) blocks to keep.  It must be pure and column-wise — no
+    clock is charged there, and on a pool it runs concurrently with the
+    other columns' tasks (a process pool pickles it: a module-level
+    function or a ``functools.partial`` of one).
 
     ``charge_column_prune(j, nnz, width)`` runs in the pricing pass, once
     per block column of each phase, with the phase's unpruned per-block
@@ -1334,10 +1361,10 @@ def summa_multiply(
 
     ``executor`` (or ``workers`` and ``backend``, resolved through
     :func:`repro.parallel.get_executor`) selects the wall-clock backend:
-    each block column's q blocks run as :func:`compute_block` tasks —
-    inline in order at one worker, as one batch across the pool
-    otherwise.  Clocks, traces and fault draws stay in the pricing pass,
-    so every ``(backend, workers)`` cell is bit-identical.
+    the q block columns run as :func:`compute_column` tasks — inline in
+    order at one worker, as one batch across the pool otherwise.  Clocks,
+    traces and fault draws stay in the pricing pass, so every
+    ``(backend, workers)`` cell is bit-identical.
 
     ``overlap_budget_bytes`` (the §V estimator budget) bounds the static
     schedule's double buffer (:func:`~repro.summa.phases.overlap_window`
@@ -1412,6 +1439,10 @@ def summa_multiply(
     kept, products, blocks = _numeric_pass(
         dist_a, dist_b, phases, config.merge, overlap_budget_bytes,
         prune_column, executor,
+    )
+    # The phases tile every block's columns.
+    result.exact_nnz = sum(
+        rec.nnz for phase in blocks for rec in phase.values()
     )
     plan = _PricePlan(
         dist_a, dist_b, products, phases, config, model, devices, injector

@@ -6,9 +6,10 @@ same evidence.  A :class:`Tracer` records **dual-clock spans** — wall
 time and simulated seconds — with structured attributes, plus a metrics
 stream of point samples, across every layer of a run:
 
-* ``summa_multiply``: the numeric pass per block column (one task per
-  block: its products and merges), and the pricing pass per stage —
-  broadcasts, merge accounting, the per-column prune windows;
+* ``summa_multiply``: the numeric pass (one task per block column: its
+  blocks' products and merges, then its prune), and the pricing pass
+  per stage — broadcasts, merge accounting, the per-column prune
+  windows;
 * SpGEMM kernel dispatch: the chosen kernel, ``flops``, ``cf``;
 * ``hipmcl`` iterations: estimation (bound vs actual), expansion,
   pruning, inflation, ``nnz``/``chaos`` per iteration;

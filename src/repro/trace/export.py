@@ -6,8 +6,8 @@ directly.  The export draws two process groups:
 
 * **pid 1 — wall clock**: one thread track per lane (``main`` plus one
   per pool worker), timestamps from ``perf_counter``.  A pool's
-  ``compute_block`` spans sit in the worker lanes under the main lane's
-  ``column`` span of their block column.
+  ``compute_column`` spans, one per block column of a multiply, sit in
+  the worker lanes under the main lane's ``columns`` span.
 * **pid 2 — simulated clock**: the same spans re-plotted at their
   simulated-seconds coordinates (spans without a simulated interval are
   omitted).  This is the modeled machine's view — the per-stage
@@ -128,8 +128,8 @@ def merge_report(tracer: Tracer) -> dict | None:
 
     * ``main_seconds`` — wall time inside main-lane ``merge`` /
       ``finish_merge`` spans (the pricing pass of the stage products and
-      their merge events; the numeric merges run inline inside each
-      block column's ``column`` span);
+      their merge events; the numeric merges run inside each block
+      column's task, under the multiply's ``columns`` span);
     * ``window_seconds`` — the trace's overall wall window;
     * ``share`` — the merge spans' share of that window.
     """

@@ -28,10 +28,11 @@ simulated clock (all modeled accounting happens in the parent) and carry
 
 Lanes: each span records the lane it ran in (``"main"``, or the worker
 thread/process name).  The Chrome-trace export maps lanes to Perfetto
-tracks, which is how a pool's work becomes visible — each block
-column's ``compute_block`` spans in the worker lanes run under the
-parent lane's ``column`` span (a thread pool's caller records its own
-share in a ``worker-MainThread`` lane).
+tracks, which is how a pool's work becomes visible — a multiply's
+``compute_column`` spans (one per block column, each holding the
+column's ``prune`` span) run in the worker lanes under the parent
+lane's ``columns`` span (a thread pool's caller records its own share
+in a ``worker-MainThread`` lane).
 """
 
 from __future__ import annotations
@@ -300,8 +301,8 @@ class Tracer:
 
         Ids are re-assigned (the worker's counter is private to it) while
         the spans' *internal* parent links are preserved; worker root
-        spans attach under ``parent`` (usually the block column's span), keeping
-        their own lanes so the export draws them as separate tracks.
+        spans attach under ``parent``, keeping their own lanes so the
+        export draws them as separate tracks.
         """
         mapping: dict[int, int] = {}
         renumbered = []

@@ -1,15 +1,20 @@
-"""The numeric pass's unit of parallel work is one block of a block column.
+"""The numeric pass's unit of parallel work is one block column.
 
-Every ``(backend, workers)`` cell runs the same :func:`compute_block`
-tasks, so a phased static 3-D hybrid multiply under fault injection must
-come out the same to the bit on the serial executor, the thread pool at
-two and three workers (the caller working as one of them) and the
-process pool: the product, every simulated figure, the trace tuples and
-the kernel, merge-strategy and transport counters.
+Every ``(backend, workers)`` cell runs the same :func:`compute_column`
+tasks (the column's blocks, then its prune), so a phased static 3-D
+hybrid multiply under fault injection must come out the same to the bit
+on the serial executor, the thread pool at two and three workers (the
+caller working as one of them) and the process pool: the product, every
+simulated figure, the trace tuples and the kernel, merge-strategy and
+transport counters.
 """
 
 import dataclasses
+import gc
+import importlib
 import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -41,6 +46,11 @@ def dist():
     )
 
 
+def _prune(cols, j):
+    # Module-level: a process pool pickles the prune with its column task.
+    return distributed_prune_block_column(cols, PRUNE)
+
+
 def _multiply(dist, executor, phases):
     grid = dist.grid
     config = SummaConfig(
@@ -55,12 +65,9 @@ def _multiply(dist, executor, phases):
     def charge(j, nnz, width):
         charges.append((j, list(nnz), width))
 
-    def prune(cols, j):
-        return distributed_prune_block_column(cols, PRUNE)
-
     res = summa_multiply(
         dist, dist, comm, config, phases=phases, injector=injector,
-        charge_column_prune=charge, prune_column=prune, executor=executor,
+        charge_column_prune=charge, prune_column=_prune, executor=executor,
         model=Grid3DModel(4, 4, "hybrid"),
     )
     return {
@@ -110,7 +117,7 @@ def test_engine_cells_bit_identical(dist, phases, monkeypatch):
 def test_oversubscribed_threads_under_fast_switching(dist):
     # More threads than cores, a thread switch every microsecond and a
     # live tracer: the product and every figure stay the serial ones,
-    # and no block task's span is lost.
+    # and no column task's span is lost.
     from repro.trace import Tracer, activate
 
     ref = _multiply(dist, get_executor(1), 3)
@@ -123,7 +130,8 @@ def test_oversubscribed_threads_under_fast_switching(dist):
     finally:
         sys.setswitchinterval(interval)
     assert run == ref
-    assert len(tracer.find("compute_block")) == 16  # q² blocks
+    tasks = tracer.find("compute_column")
+    assert sorted(s.attrs["task"] for s in tasks) == [0, 1, 2, 3]  # q columns
 
 
 def test_hipmcl_cells_bit_identical():
@@ -151,22 +159,99 @@ def test_hipmcl_cells_bit_identical():
 
 
 def test_shared_operand_caches_filled_before_the_batch():
-    # The q tasks of a column all read B_kj: the engine fills its lazy
-    # caches in the parent, so no two tasks race to build them.
-    dist = DistributedCSC.from_global(
+    # Every column task reads A_ik and every block of column j reads
+    # B_kj: the engine fills their lazy caches in the parent, so no two
+    # tasks race to build them.
+    a = DistributedCSC.from_global(
         rmat_network(6, 6, seed=5).matrix, ProcessGrid(4)
     )
-    assert all(blk._lens is None for blk in dist.blocks.values())
+    b = DistributedCSC.from_global(
+        rmat_network(6, 6, seed=6).matrix, ProcessGrid(4)
+    )
+    operands = [*a.blocks.values(), *b.blocks.values()]
+    assert all(blk._lens is None for blk in operands)
     seen = []
 
     class Probe:
         workers = 2
 
         def submit_batch(self, fn, tasks, label=None, attrs=None):
-            for operands, *_rest in tasks:
-                for _k, _a, b in operands:
-                    seen.append(b._lens is not None and b._min is not None)
+            for _j, block_tasks, _prune in tasks:
+                for operands, *_rest in block_tasks:
+                    for _k, a_ik, b_kj in operands:
+                        seen.extend(
+                            m._lens is not None and m._min is not None
+                            for m in (a_ik, b_kj)
+                        )
             return get_executor(1).submit_batch(fn, tasks, label, attrs)
 
-    engine._numeric_pass(dist, dist, 1, "binary", None, None, Probe())
+    engine._numeric_pass(a, b, 1, "binary", None, None, Probe())
     assert seen and all(seen)
+
+
+def _failing_prune(cols, j):
+    if j in (1, 3):
+        raise ValueError(f"prune failed in column {j}")
+    return cols
+
+
+@pytest.mark.parametrize("backend, workers", [("serial", 1), *CELLS])
+def test_first_prune_failure_in_column_order(dist, backend, workers):
+    # Columns 1 and 3 fail in their tasks: every cell raises column 1's
+    # error, the one a serial loop over the columns meets first.
+    comm = VirtualComm(dist.grid.size, SUMMIT_LIKE)
+    with pytest.raises(ValueError, match="column 1$"):
+        summa_multiply(
+            dist, dist, comm, SummaConfig(), prune_column=_failing_prune,
+            executor=get_executor(workers, backend),
+        )
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_at_most_one_unpruned_column_per_worker(dist, workers, monkeypatch):
+    # A column task prunes its blocks before it returns, so however many
+    # columns a multiply has, no more than ``workers`` of them are ever
+    # live unpruned (q blocks each).
+    live, peak, lock = weakref.WeakSet(), [0], threading.Lock()
+    compute_block = engine.compute_block
+
+    def counted(*args):
+        out = compute_block(*args)
+        with lock:
+            gc.collect()
+            live.add(out[0])
+            peak[0] = max(peak[0], len(live))
+        return out
+
+    monkeypatch.setattr(engine, "compute_block", counted)
+    res = _multiply(dist, get_executor(workers, "thread"), 1)
+    q = dist.grid.q
+    assert any(len(blk[2]) for blk in res["product"])
+    assert q <= peak[0] <= workers * q < q * q
+
+
+def test_hipmcl_recovery_cells_bit_identical(monkeypatch):
+    # recover_number > 0 prunes each column by stacking it, pruning the
+    # slab and splitting it back, inside the column task.
+    hipmcl_mod = importlib.import_module("repro.mcl.hipmcl")
+    mat = planted_network(
+        160, intra_degree=12.0, inter_degree=2.0, seed=3
+    ).matrix
+    opts = MclOptions(prune_threshold=0.02, select_number=12, recover_number=8)
+    cfg = HipMCLConfig.optimized(nodes=16, memory_budget_bytes=32 * 1024)
+    recovered = []
+    prune_columns = hipmcl_mod.prune_columns
+
+    def spy(slab, options):
+        out = prune_columns(slab, options)
+        recovered.append(out[1].recovered)
+        return out
+
+    monkeypatch.setattr(hipmcl_mod, "prune_columns", spy)
+    ref = hipmcl(mat, opts, cfg, workers=1)
+    assert recovered and sum(recovered) > 0
+    for backend, workers in CELLS:
+        run = hipmcl(mat, opts, cfg, workers=workers, backend=backend)
+        assert run.history == ref.history, (backend, workers)
+        assert np.array_equal(run.labels, ref.labels)
+        assert run.elapsed_seconds == ref.elapsed_seconds

@@ -1,7 +1,10 @@
 """Unit tests for HipMCL driver internals."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import assert_same_csc
 from repro.machine import SUMMIT_LIKE
 from repro.mcl.hipmcl import (
     STAGE_ACCOUNTS,
@@ -10,7 +13,8 @@ from repro.mcl.hipmcl import (
     _split_block_column,
 )
 from repro.mpi import ProcessGrid, VirtualComm
-from repro.sparse import random_csc
+from repro.sparse import CSCMatrix, csc_from_triples, random_csc
+from repro.sparse import _compressed as _c
 from repro.summa import DistributedCSC
 
 
@@ -56,23 +60,66 @@ class TestBlockColumnRoundtrip:
         dist = DistributedCSC.from_global(mat, grid)
         n = 50
         for j in range(grid.q):
-            assembled = _assemble_block_column(dist.blocks, grid, n, j)
+            assembled = _assemble_block_column(
+                [dist.block(i, j) for i in range(grid.q)]
+            )
             c_lo, c_hi = grid.block_bounds(n, j)
             assert np.allclose(
                 assembled.to_dense(), mat.to_dense()[:, c_lo:c_hi]
             )
-            back = _split_block_column(assembled, grid, n, j)
+            back = _split_block_column(assembled, grid)
             for i in range(grid.q):
                 assert np.allclose(
-                    back[(i, j)].to_dense(), dist.block(i, j).to_dense()
+                    back[i].to_dense(), dist.block(i, j).to_dense()
                 )
 
     def test_assemble_empty_column_block(self):
-        from repro.sparse import CSCMatrix
-
-        grid = ProcessGrid(2)
-        blocks = {
-            (i, 0): CSCMatrix.empty((5, 4)) for i in range(2)
-        }
-        out = _assemble_block_column(blocks, grid, 10, 0)
+        blocks = [CSCMatrix.empty((5, 4)) for _ in range(2)]
+        out = _assemble_block_column(blocks)
         assert out.nnz == 0 and out.shape == (10, 4)
+
+
+@st.composite
+def block_columns(draw):
+    """The q canonical row blocks of one block column (grid row bounds),
+    some or all of them empty."""
+    q = draw(st.integers(1, 4))
+    grid = ProcessGrid(q)
+    nrows = draw(st.integers(0, 24))
+    width = draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for i in range(q):
+        lo, hi = grid.block_bounds(nrows, i)
+        density = draw(st.sampled_from([0.0, 0.2, 1.0]))
+        shape = (hi - lo, width)
+        dense = rng.random(shape) * (rng.random(shape) < density)
+        blocks.append(CSCMatrix.from_dense(dense))
+    return grid, blocks
+
+
+@given(block_columns())
+@settings(max_examples=200, deadline=None)
+def test_assemble_block_column_matches_triples(column):
+    # The gather equals the sorting construction from the blocks' global
+    # triples, and the split gives every block back.
+    grid, blocks = column
+    rows, cols, vals = [], [], []
+    r_lo = 0
+    for blk in blocks:
+        rows.append(blk.indices + r_lo)
+        cols.append(_c.expand_major(blk.indptr, blk.ncols))
+        vals.append(blk.data)
+        r_lo += blk.nrows
+    stacked = _assemble_block_column(blocks)
+    assert_same_csc(
+        stacked,
+        csc_from_triples(
+            (r_lo, blocks[0].ncols), np.concatenate(rows),
+            np.concatenate(cols), np.concatenate(vals), sum_dup=False,
+        ),
+    )
+    back = _split_block_column(stacked, grid)
+    assert len(back) == len(blocks)
+    for got, want in zip(back, blocks):
+        assert_same_csc(got, want)

@@ -239,12 +239,12 @@ class TestEngineWiring:
         tracer = Tracer()
         res = _phased_engine_run(tracer)
         assert sum(res.merge_strategy_selections.values()) > 0
-        # Workers compute whole blocks (products and their numeric
-        # merge); the priced merge spans stay in the parent.
+        # Workers compute whole block columns (products and their
+        # numeric merge); the priced merge spans stay in the parent.
         worker_spans = {
             s.name for s in tracer.spans if s.lane != MAIN_LANE
         }
-        assert "compute_block" in worker_spans
+        assert "compute_column" in worker_spans
         assert not any("merge" in name for name in worker_spans)
         rep = merge_report(tracer)
         assert rep["main_seconds"] > 0

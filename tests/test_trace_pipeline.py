@@ -144,10 +144,10 @@ class TestTracedMatrix:
             assert len(lanes) >= 2  # distinct worker lanes
             assert all(lane.startswith("worker-") for lane in lanes[1:])
         # The numeric pass is gathered before the pricing pass, so no
-        # pool block task runs under a main-lane merge span.
+        # pool column task runs under a main-lane merge span.
         merges = [s for s in tracer.find("merge") if s.lane == MAIN_LANE]
         tasks = [
-            s for s in tracer.find("compute_block") if s.lane != MAIN_LANE
+            s for s in tracer.find("compute_column") if s.lane != MAIN_LANE
         ]
         assert bool(tasks) == (backend != "serial")
         for t in tasks:
