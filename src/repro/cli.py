@@ -99,15 +99,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     clu.add_argument(
         "--workers", metavar="N",
-        help="workers for the wall-clock execution backend "
-        "('auto' = one per core; distributed modes only; results are "
-        "bit-identical for any value; default: REPRO_WORKERS or serial)",
-    )
-    clu.add_argument(
-        "--backend", choices=["serial", "thread", "process"],
-        help="wall-clock pool flavor for --workers: threads (zero-copy) "
-        "or processes (shared-memory transport); results are "
-        "bit-identical either way (default: REPRO_BACKEND or thread)",
+        help="threads for the wall-clock execution, the caller being "
+        "one of them ('auto' = one per core; distributed modes only; "
+        "results are bit-identical for any value; default: "
+        "REPRO_WORKERS or serial)",
     )
     clu.add_argument(
         "--grid", choices=["2d", "3d"], default=None,
@@ -177,7 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     rec.add_argument("--workers", metavar="N",
                      help="pool workers (see cluster --workers)")
-    rec.add_argument("--backend", choices=["serial", "thread", "process"])
 
     exp = sub.add_parser(
         "experiment", help="regenerate a table/figure of the paper"
@@ -254,7 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument("--workers", metavar="N",
                      help="pool workers for each job (see cluster --workers)")
-    srv.add_argument("--backend", choices=["serial", "thread", "process"])
 
     jbs = sub.add_parser(
         "jobs", help="inspect a service directory's jobs"
@@ -325,7 +318,6 @@ def _cmd_cluster(args) -> int:
             (args.resume_from, "--resume-from"),
             (args.fault_seed, "--fault-seed"),
             (args.workers, "--workers"),
-            (args.backend, "--backend"),
             (args.schedule, "--schedule"),
             (args.grid, "--grid"),
             (args.layers, "--layers"),
@@ -408,7 +400,6 @@ def _cmd_cluster(args) -> int:
                 resume_from=args.resume_from,
                 checkpoint_dir=args.checkpoint_dir,
                 workers=args.workers,
-                backend=args.backend,
                 trace=tracer,
             )
         except ConvergenceError as exc:
@@ -516,7 +507,7 @@ def _cmd_recluster(args) -> int:
     except (LocalityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    run_kwargs = dict(workers=args.workers, backend=args.backend)
+    run_kwargs = dict(workers=args.workers)
     try:
         if args.base_labels:
             base_labels = np.load(args.base_labels)
@@ -663,7 +654,6 @@ def _cmd_serve(args) -> int:
         poll_seconds=args.poll,
         memory_budget_bytes=args.memory_budget,
         workers=args.workers,
-        backend=args.backend,
     )
     print(
         f"serving {args.dir} as {runner.worker_id} "

@@ -94,7 +94,7 @@ class HipMCLConfig:
     #: double-buffered broadcasts on link clocks and the per-block-column
     #: incremental prune).  A *simulation-semantics* knob — it changes
     #: the modeled timings by design and therefore enters the checkpoint
-    #: fingerprint, unlike the wall-clock workers/backend knobs.
+    #: fingerprint, unlike the wall-clock workers knob.
     schedule: str = "sync"
     #: Process-grid shape the simulated clocks/traffic are modeled on:
     #: "2d" (the √P × √P SUMMA grid) or "3d" (the split-3D grid — the
@@ -540,7 +540,8 @@ def prune_block_column(options, grid, iteration, cols, j):
     """Prune block column ``j`` of iteration ``iteration``'s expansion the
     moment the engine has finished it, inside the column's task (the
     numerics only: :meth:`_Run.charge_column_prune` charges the clocks).
-    Module-level, so a process pool can run the task."""
+    Bound per iteration with ``functools.partial``; a pool thread may run
+    it concurrently with other columns, so it reads only its arguments."""
     with maybe_span("prune", "mcl", iteration=iteration, column=j) as psp:
         if options.recover_number != 0:
             # Recovery needs the full pre-cutoff column: assemble, prune,
@@ -664,7 +665,7 @@ class _Run:
     checkpoint).  The steps of an iteration are its methods."""
 
     def __init__(
-        self, options, config, *, resume_from, faults, workers, backend
+        self, options, config, *, resume_from, faults, workers
     ):
         from ..parallel import get_executor
         from ..resilience.checkpoint import config_fingerprint, load_checkpoint
@@ -672,7 +673,7 @@ class _Run:
         self.options = options
         self.config = config
         self.grid = grid = ProcessGrid.for_processes(config.processes)
-        self.executor = get_executor(workers, backend)
+        self.executor = get_executor(workers)
         self.injector = injector = as_injector(faults)
         policy = config.resilience
         if policy is None and injector is not None:
@@ -1075,7 +1076,6 @@ def hipmcl(
     checkpoint_dir=None,
     checkpoint_every: int = 1,
     workers: int | str | None = None,
-    backend: str | None = None,
     trace=None,
     on_iteration=None,
     warm_start=None,
@@ -1104,19 +1104,15 @@ def hipmcl(
     checkpoint_dir / checkpoint_every:
         Write a checksum-validated checkpoint every ``checkpoint_every``
         completed (non-final) iterations into ``checkpoint_dir``.
-    workers / backend:
-        Wall-clock execution knobs (see :mod:`repro.parallel`); neither
-        enters the checkpoint fingerprint, so a run checkpointed under
-        one backend resumes under any other.  ``workers`` is the number
-        of workers to run the block columns of each SUMMA multiply and
-        of each inflation across (default ``REPRO_WORKERS``, else
-        serial); ``backend`` picks the
-        pool flavor — ``"thread"`` (zero-copy, GIL-released kernels, the
-        caller working as one of the threads) or ``"process"``
-        (shared-memory transport) — defaulting to ``REPRO_BACKEND``, else
-        threads.
-        Every combination produces bit-identical results — parallelism
-        relocates computation without reordering any reduction.
+    workers:
+        The wall-clock execution knob (see :mod:`repro.parallel`): the
+        number of threads to run the block columns of each SUMMA
+        multiply and of each inflation across, the caller being one of
+        them (default ``REPRO_WORKERS``, else one, which runs every task
+        inline).  It does not enter the checkpoint fingerprint, so a run
+        checkpointed at one worker count resumes at any other.  Every
+        count produces bit-identical results — parallelism relocates
+        computation without reordering any reduction.
     trace:
         A :class:`repro.trace.Tracer` to record the run into.  The driver
         activates it for the duration of the call, installs the run's
@@ -1180,7 +1176,7 @@ def _hipmcl_run(
     """The driver body behind :func:`hipmcl` (tracer already active): per
     iteration, estimate and plan → expand (fused with the prune) →
     inflate → record and check convergence → checkpoint.  ``run_args``
-    (``faults``, ``resume_from``, ``workers``, ``backend``) build the
+    (``faults``, ``resume_from``, ``workers``) build the
     :class:`_Run`."""
     wall_start = _time.perf_counter()
     options = options or MclOptions()

@@ -1,10 +1,10 @@
-"""Thread-pool executor: shared-address-space sibling of ProcessExecutor.
+"""Thread-pool executor: the pool every ``workers > 1`` run uses.
 
-A :class:`ThreadExecutor` runs the same pure work units as the process
-pool but inside the parent's address space, so
+A :class:`ThreadExecutor` runs pure work units inside the parent's
+address space, so
 
-* task arguments and results cross **zero-copy** — no shared-memory
-  transport, no pickling, no descriptor round-trips;
+* task arguments and results cross **zero-copy** — no transport, no
+  pickling;
 * the identity-keyed caches (``column_lengths``, :func:`repro.perf.cache.
   memo`, the memoized DCSC conversions) warmed by a worker are warm for
   the parent too — the single-flight discipline in
@@ -26,7 +26,7 @@ thread of its own would keep resident).
 
 Determinism is inherited from the protocol: results are gathered in task
 order, every fault draw and clock charge stays in the caller, so
-``backend="thread"`` is bit-identical to serial.  A task that raises —
+``workers=N`` is bit-identical to serial.  A task that raises —
 inline or on a pool thread — does not stop the batch: ``result()`` waits
 for every started task, then raises the first failure in task order (the
 one a serial loop would have raised).  The nested guard marks each
@@ -117,8 +117,7 @@ class ThreadExecutor:
     """A ``workers``-thread pool: ``workers − 1`` persistent threads plus
     the caller, with zero-copy task passing.
 
-    Mirrors :class:`~repro.parallel.executor.ProcessExecutor`'s lifecycle:
-    the pool is created lazily on the first batch, reused across batches,
+    The pool is created lazily on the first batch, reused across batches,
     and restarts lazily after :meth:`close`.  Pool threads share the
     parent's address space (matrix caches included), so tasks and results
     pass by reference; the caller runs its share of every batch when it

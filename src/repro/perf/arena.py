@@ -59,8 +59,8 @@ def global_arena() -> Arena:
 
     Arena buffers are handed out as raw views with caller-maintained
     invariants (the all-False flags contract), so two threads sharing one
-    arena would corrupt each other's scratch mid-kernel.  The thread
-    execution backend runs kernels on pool threads; giving every thread
+    arena would corrupt each other's scratch mid-kernel.  A run with
+    ``workers > 1`` runs kernels on pool threads; giving every thread
     its own arena keeps the zero-allocation reuse *and* the invariants
     without any locking on the hot path.  The main thread's arena is the
     long-lived one; worker arenas die with their threads.

@@ -1,7 +1,7 @@
 """Matrix-keyed memo cache with single-flight concurrency discipline.
 
 Derived quantities (per-column flops profiles, DCSC footprints, phase
-slabs, shared-memory exports) ride on the matrix instance they describe:
+slabs) ride on the matrix instance they describe:
 the memo store lives in the matrix's ``_memo`` slot, so the cache key *is*
 the matrix identity and the entry's lifetime is the matrix's lifetime.
 HipMCL squares its iterate — the same ``DistributedCSC`` blocks serve as
@@ -10,7 +10,7 @@ estimation pass — so a quantity computed once per block is reused many
 times within an iteration, and any matrix that survives into later
 iterations keeps its entries.
 
-Thread safety: the thread execution backend hits these caches from many
+Thread safety: the executor's thread pool hits these caches from many
 worker threads at once (every stage-k task asks for the same A-block's
 derived quantities).  :func:`memo` is therefore **single-flight**: one
 thread builds, concurrent callers for the same ``(mat, key)`` wait for

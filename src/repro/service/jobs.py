@@ -2,11 +2,11 @@
 
 A :class:`JobSpec` is the JSON-serializable description of one clustering
 job: where the graph comes from, the clustering options, and the machine
-configuration.  Wall-clock execution knobs (``workers``/``backend``)
-ride along but are **excluded from the cache key** — every combination is pinned bit-identical, so they cannot change
-the answer, only how fast it arrives.  This mirrors the checkpoint
-fingerprint contract: a job checkpointed under one backend resumes under
-any other.
+configuration.  The wall-clock execution knob (``workers``) rides along
+but is **excluded from the cache key** — every worker count is pinned
+bit-identical, so it cannot change the answer, only how fast it arrives.
+This mirrors the checkpoint fingerprint contract: a job checkpointed at
+one worker count resumes at any other.
 
 The cache key is ``sha256(graph_fingerprint || config_fingerprint)``:
 
@@ -80,14 +80,13 @@ class JobSpec:
     nodes: int = 16
     options: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
-    # Wall-clock knobs: never part of the cache key (bit-identical).
+    # Wall-clock knob: never part of the cache key (bit-identical).
     workers: int | str | None = None
-    backend: str | None = None
     #: Optional edge delta (``{"add": [[i, j, w], ...], "remove":
     #: [[i, j], ...]}``) making this an incremental re-clustering job:
     #: ``graph`` is then the *base* graph and the run clusters the
     #: patched graph, warm-starting from the base job's cached labels
-    #: when available.  Unlike the knobs above, the delta changes the
+    #: when available.  Unlike ``workers``, the delta changes the
     #: answer, so it enters the cache key.
     delta: dict | None = None
 
@@ -102,6 +101,10 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "JobSpec":
+        if isinstance(d, dict) and "backend" in d:
+            # Specs stored before the process backend was removed carry a
+            # "backend" key; it never entered the cache key or the answer.
+            d = {k: v for k, v in d.items() if k != "backend"}
         try:
             return cls(**d)
         except TypeError as exc:

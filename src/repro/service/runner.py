@@ -64,7 +64,6 @@ class ServiceRunner:
         memory_budget_bytes: int | None = None,
         checkpoint_every: int = 1,
         workers=None,
-        backend: str | None = None,
         chaos=None,
     ):
         self.service = service
@@ -78,7 +77,6 @@ class ServiceRunner:
         )
         self.checkpoint_every = checkpoint_every
         self.workers = workers
-        self.backend = backend
         self.chaos = chaos
         #: Processed-job log of this incarnation: (job_id, outcome).
         self.processed: list[tuple[str, str]] = []
@@ -256,7 +254,6 @@ class ServiceRunner:
                         spec.workers if spec.workers is not None
                         else self.workers
                     ),
-                    backend=spec.backend or self.backend,
                     warm_start=warm,
                     trace=tracer,
                     on_iteration=on_iteration,

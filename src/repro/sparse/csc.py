@@ -24,8 +24,8 @@ class CSCMatrix:
     holds row ids.
     """
 
-    #: ``__weakref__`` lets the parallel layer's shared-memory transport
-    #: tie a segment's lifetime to the matrix it exports (weakref.finalize).
+    #: ``__weakref__`` lets a caller watch a matrix's lifetime with
+    #: ``weakref`` (the tests that bound a multiply's live blocks do).
     __slots__ = (
         "shape", "indptr", "indices", "data", "_lens", "_min", "_memo",
         "__weakref__",

@@ -112,8 +112,7 @@ class SummaConfig:
     #: they run under the previous stage's multiplies and merges.  Unlike
     #: the wall-clock knobs this changes the *simulated* timings (that is
     #: its purpose), so it participates in config fingerprints; within a
-    #: schedule, every (backend, workers) cell stays bit-identical to
-    #: serial.
+    #: schedule, every worker count stays bit-identical to serial.
     schedule: str = "sync"
 
     def __post_init__(self):
@@ -156,7 +155,7 @@ class SummaResult:
     merge_operations: float = 0.0
     #: Physical merges per planned SpKAdd strategy label.  Strategy planning is
     #: a pure function of the inputs and the budget, so these counts are
-    #: identical across every (backend, workers) cell.
+    #: identical at every worker count.
     merge_strategy_selections: Counter = field(default_factory=Counter)
     #: Injected merge-memory overruns absorbed by the recovery ladder.
     merge_demotions: int = 0
@@ -1308,8 +1307,7 @@ def _pipeline_window(dist_a, dist_b, phases, config, budget_bytes) -> int:
     # Per-rank footprint of one in-flight stage: the largest A block plus
     # the largest B phase slab (a block's columns split h ways).  The
     # window is independent of the executor: the static schedule changes
-    # simulated time and must be identical across every (backend,
-    # workers) cell.
+    # simulated time and must be identical at every worker count.
     q = dist_a.grid.q
     cells = [(i, j) for i in range(q) for j in range(q)]
     a_max = max(dist_a.block_storage_bytes(i, j) for i, j in cells)
@@ -1332,7 +1330,6 @@ def summa_multiply(
     injector=None,
     executor=None,
     workers: int | str | None = None,
-    backend: str | None = None,
     overlap_budget_bytes: int | None = None,
     merge_injector=_INHERIT,
     model=None,
@@ -1346,9 +1343,9 @@ def summa_multiply(
     ``phases`` is), inside the column's task as soon as its q blocks are
     finished: it receives them as a list indexed by block row and returns
     the (pruned) blocks to keep.  It must be pure and column-wise — no
-    clock is charged there, and on a pool it runs concurrently with the
-    other columns' tasks (a process pool pickles it: a module-level
-    function or a ``functools.partial`` of one).
+    clock is charged there, and on a pool it runs on a pool thread
+    concurrently with the other columns' tasks, so it must not mutate
+    state shared between columns.
 
     ``charge_column_prune(j, nnz, width)`` runs in the pricing pass, once
     per block column of each phase, with the phase's unpruned per-block
@@ -1359,12 +1356,12 @@ def summa_multiply(
     evidence; otherwise all columns are charged in order after the
     phase's final merges.
 
-    ``executor`` (or ``workers`` and ``backend``, resolved through
-    :func:`repro.parallel.get_executor`) selects the wall-clock backend:
-    the q block columns run as :func:`compute_column` tasks — inline in
-    order at one worker, as one batch across the pool otherwise.  Clocks,
-    traces and fault draws stay in the pricing pass, so every
-    ``(backend, workers)`` cell is bit-identical.
+    ``executor`` (or ``workers``, resolved through
+    :func:`repro.parallel.get_executor`) selects the wall-clock
+    execution: the q block columns run as :func:`compute_column` tasks —
+    inline in order at one worker, as one batch across the thread pool
+    otherwise.  Clocks, traces and fault draws stay in the pricing pass,
+    so every worker count is bit-identical.
 
     ``overlap_budget_bytes`` (the §V estimator budget) bounds the static
     schedule's double buffer (:func:`~repro.summa.phases.overlap_window`
@@ -1407,7 +1404,7 @@ def summa_multiply(
     if executor is None:
         from ..parallel import get_executor
 
-        executor = get_executor(workers, backend)
+        executor = get_executor(workers)
     if merge_injector is _INHERIT:
         merge_injector = injector
     pipeline_window = _pipeline_window(

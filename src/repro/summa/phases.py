@@ -195,7 +195,7 @@ def plan_merge_strategy(
     busts ``budget_bytes`` (mirroring kernel demotion); ``rung`` — the
     recovery ladder fed by injected merge-memory overruns — only ever
     pushes the start further down.  The decision is a pure function of
-    these arguments: no worker count, backend, or executor state enters,
+    these arguments: no worker count or executor state enters,
     so strategy accounting is identical across every execution cell.
     """
     if total_elements < SPKADD_MIN_ELEMENTS:

@@ -13,24 +13,22 @@ stream of point samples, across every layer of a run:
 * SpGEMM kernel dispatch: the chosen kernel, ``flops``, ``cf``;
 * ``hipmcl`` iterations: estimation (bound vs actual), expansion,
   pruning, inflation, ``nnz``/``chaos`` per iteration;
-* the executor layer: per-task worker spans (collected inside thread
-  *and* process workers, stitched into the parent trace at gather),
-  including shared-memory export/attach costs;
+* the executor layer: per-task worker spans, one lane per pool thread
+  (the caller's own share in ``worker-MainThread``);
 * resilience events: faults injected, recovery rungs taken.
 
 Tracing is **off by default and free when off**: instrumentation sites
 read one module global and fall through to a cached no-op.  When on, it
 is **passive**: traced runs are bit-identical to untraced runs (labels,
-simulated seconds, history, kernel selections) — pinned by tests across
-the whole ``(backend, workers)`` matrix.
+simulated seconds, history, kernel selections) — pinned by tests at
+every worker count.
 
 Typical use::
 
     from repro.trace import Tracer, write_chrome_trace
 
     tracer = Tracer()
-    result = hipmcl(matrix, options, config, trace=tracer,
-                    backend="process", workers=4)
+    result = hipmcl(matrix, options, config, trace=tracer, workers=4)
     write_chrome_trace(tracer, "trace.json")   # load in Perfetto
 
 or from the CLI: ``python -m repro cluster net.mtx --mode optimized
@@ -42,7 +40,6 @@ from .export import (
     chrome_trace_events,
     link_overlap_report,
     merge_report,
-    spans_from_dicts,
     summarize,
     write_chrome_trace,
     write_metrics,
@@ -75,7 +72,6 @@ __all__ = [
     "merge_report",
     "read_metrics_ndjson",
     "set_tracer",
-    "spans_from_dicts",
     "summarize",
     "tracing_enabled",
     "worker_lane_name",

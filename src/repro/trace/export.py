@@ -181,8 +181,8 @@ def link_overlap_report(tracer: Tracer) -> dict | None:
 
     Returns ``None`` when the trace has no link-lane spans (synchronous
     schedule, or tracing off during the expansions).  All figures derive
-    from simulated coordinates only, so they are identical across every
-    (backend, workers) execution cell.
+    from simulated coordinates only, so they are identical at every
+    worker count.
     """
 
     def on_link(s: Span) -> bool:
@@ -293,25 +293,6 @@ def summarize(tracer: Tracer) -> str:
     return "\n".join(lines)
 
 
-def spans_from_dicts(rows: list[dict]) -> list[Span]:
-    """Rebuild spans from :meth:`Span.to_dict` rows (process transport)."""
-    return [
-        Span(
-            id=r["id"],
-            parent=r["parent"],
-            name=r["name"],
-            cat=r["cat"],
-            lane=r["lane"],
-            t0_wall=r["t0_wall"],
-            t1_wall=r["t1_wall"],
-            t0_sim=r["t0_sim"],
-            t1_sim=r["t1_sim"],
-            attrs=dict(r["attrs"]),
-        )
-        for r in rows
-    ]
-
-
 __all__ = [
     "chrome_trace_events",
     "write_chrome_trace",
@@ -319,7 +300,6 @@ __all__ = [
     "link_overlap_report",
     "merge_report",
     "summarize",
-    "spans_from_dicts",
     "MetricEvent",
     "write_metrics_ndjson",
 ]

@@ -15,19 +15,17 @@ runs.  Two design rules keep it safe to leave in the hot paths:
   ``time.perf_counter()`` and (optionally) a simulated-clock callable,
   never *advancing* either.  A traced run produces the same labels,
   simulated seconds, history and kernel selections as an untraced one —
-  pinned by ``tests/test_trace_pipeline.py`` across the full
-  ``(backend, workers)`` matrix.
+  pinned by ``tests/test_trace_pipeline.py`` across worker counts.
 
 Every span carries two clocks: the wall interval (``t0_wall``/``t1_wall``,
-``perf_counter`` seconds — comparable across forked worker processes on
-Linux, where ``CLOCK_MONOTONIC`` is system-wide) and, when the tracer has
+``perf_counter`` seconds) and, when the tracer has
 a ``sim_clock`` (the HipMCL driver installs ``comm.elapsed``), the
-simulated interval (``t0_sim``/``t1_sim``).  Worker-side spans have no
-simulated clock (all modeled accounting happens in the parent) and carry
-``None`` there.
+simulated interval (``t0_sim``/``t1_sim``).  Spans recorded on pool
+threads read the same simulated clock, which no pool task advances (all
+modeled accounting happens in the caller).
 
 Lanes: each span records the lane it ran in (``"main"``, or the worker
-thread/process name).  The Chrome-trace export maps lanes to Perfetto
+thread's name).  The Chrome-trace export maps lanes to Perfetto
 tracks, which is how a pool's work becomes visible — a multiply's
 ``compute_column`` spans (one per block column, each holding the
 column's ``prune`` span) run in the worker lanes under the parent
@@ -38,7 +36,6 @@ in a ``worker-MainThread`` lane).
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -73,20 +70,6 @@ class Span:
         if self.t0_sim is None or self.t1_sim is None:
             return None
         return self.t1_sim - self.t0_sim
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "parent": self.parent,
-            "name": self.name,
-            "cat": self.cat,
-            "lane": self.lane,
-            "t0_wall": self.t0_wall,
-            "t1_wall": self.t1_wall,
-            "t0_sim": self.t0_sim,
-            "t1_sim": self.t1_sim,
-            "attrs": dict(self.attrs),
-        }
 
 
 class _LiveSpan:
@@ -154,14 +137,13 @@ class Tracer:
     lock (contended only at span close, a few times per task).
     """
 
-    def __init__(self, *, sim_clock=None, lane: str | None = None):
+    def __init__(self, *, sim_clock=None):
         self.spans: list[Span] = []
         self.metrics: list[MetricEvent] = []
         self.counters: dict[str, int] = {}
         #: Zero-argument callable returning the current simulated seconds
         #: (e.g. ``VirtualComm.elapsed``); ``None`` records wall-only.
         self.sim_clock = sim_clock
-        self._default_lane = lane or MAIN_LANE
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._tls = threading.local()
@@ -176,7 +158,7 @@ class Tracer:
 
     def _lane(self) -> str:
         lane = getattr(self._tls, "lane", None)
-        return lane if lane is not None else self._default_lane
+        return lane if lane is not None else MAIN_LANE
 
     def set_lane(self, lane: str | None) -> None:
         """Name the current thread's lane (worker threads call this)."""
@@ -265,7 +247,7 @@ class Tracer:
             parent=None,
             name=name,
             cat=cat,
-            lane=lane if lane is not None else self._default_lane,
+            lane=lane if lane is not None else MAIN_LANE,
             t0_wall=now,
             t1_wall=now,
             t0_sim=t0_sim,
@@ -293,28 +275,6 @@ class Tracer:
         """Bump a named counter (totals land in the text summary)."""
         with self._lock:
             self.counters[name] = self.counters.get(name, 0) + n
-
-    # -- worker stitching -------------------------------------------------
-
-    def graft(self, spans: list[Span], parent: int | None = None) -> None:
-        """Stitch worker-recorded spans into this trace.
-
-        Ids are re-assigned (the worker's counter is private to it) while
-        the spans' *internal* parent links are preserved; worker root
-        spans attach under ``parent``, keeping their own lanes so the
-        export draws them as separate tracks.
-        """
-        mapping: dict[int, int] = {}
-        renumbered = []
-        for s in spans:
-            new_id = next(self._ids)
-            mapping[s.id] = new_id
-            renumbered.append(s)
-        with self._lock:
-            for s in renumbered:
-                s.parent = mapping.get(s.parent, parent)
-                s.id = mapping[s.id]
-                self.spans.append(s)
 
     # -- views -----------------------------------------------------------
 
@@ -394,11 +354,5 @@ def maybe_span(name: str, cat: str = "repro", **attrs):
 
 
 def worker_lane_name() -> str:
-    """A stable lane name for the current worker process/thread."""
-    thread = threading.current_thread().name
-    if os.getpid() != _PARENT_PID:
-        return f"worker-pid{os.getpid()}"
-    return f"worker-{thread}"
-
-
-_PARENT_PID = os.getpid()
+    """A stable lane name for the current worker thread."""
+    return f"worker-{threading.current_thread().name}"

@@ -1,6 +1,6 @@
-"""The backend-equivalence matrix pinning the execution layer's contract.
+"""The worker-count matrix pinning the execution layer's contract.
 
-Every ``(backend, workers)`` combination must reproduce the serial run
+Every worker count must reproduce the serial run
 bit-for-bit — labels, simulated seconds, per-iteration trajectory,
 kernel selections — including under deterministic fault injection and
 across checkpoint/resume.  The matrix runs three planted networks: a tiny
@@ -18,10 +18,12 @@ from repro.mcl.options import MclOptions
 from repro.nets import planted_network
 from repro.resilience import FaultPlan, divergence, latest_checkpoint
 
-BACKENDS = ("serial", "thread", "process")
-#: Cell ids keep the ``-sync`` suffix they carried next to the retired
-#: wall-clock overlap axis, so the surviving ids stay stable.
-CELL_IDS = [f"{be}-sync" for be in BACKENDS]
+#: Worker counts: inline, and the thread pool at two workers.
+WORKERS = (1, 2)
+#: Cell ids name the executor each count runs and keep the ``-sync``
+#: suffix they carried next to the retired wall-clock overlap axis, so
+#: the ids stay stable.
+CELL_IDS = ["serial-sync", "thread-sync"]
 
 CHAOS_SEED = 7
 
@@ -99,17 +101,17 @@ def assert_cell_identical(ref, run):
 
 
 @pytest.mark.parametrize("net_name", ["small", "phased", "static"])
-@pytest.mark.parametrize("backend", BACKENDS, ids=CELL_IDS)
+@pytest.mark.parametrize("workers", WORKERS, ids=CELL_IDS)
 class TestBackendMatrix:
-    def test_fault_free(self, nets, opts, references, net_name, backend):
+    def test_fault_free(self, nets, opts, references, net_name, workers):
         mat, cfg = nets[net_name]
-        run = hipmcl(mat, opts, cfg, workers=2, backend=backend)
+        run = hipmcl(mat, opts, cfg, workers=workers)
         assert_cell_identical(references[net_name]["plain"], run)
 
-    def test_chaos(self, nets, opts, references, net_name, backend):
+    def test_chaos(self, nets, opts, references, net_name, workers):
         mat, cfg = nets[net_name]
         run = hipmcl(
-            mat, opts, cfg, workers=2, backend=backend,
+            mat, opts, cfg, workers=workers,
             faults=FaultPlan.chaos(CHAOS_SEED, intensity=0.3),
         )
         ref = references[net_name]["chaos"]
@@ -118,20 +120,20 @@ class TestBackendMatrix:
         assert_cell_identical(ref, run)
 
     def test_checkpoint_resume(self, nets, opts, references, net_name,
-                               backend, tmp_path):
-        # A checkpoint written under this cell's backend resumes — under
-        # the same cell — to the exact serial trajectory: the backend
-        # leaves no trace in the persisted state.
+                               workers, tmp_path):
+        # A checkpoint written under this cell's worker count resumes —
+        # under the same cell — to the exact serial trajectory: the
+        # executor leaves no trace in the persisted state.
         mat, cfg = nets[net_name]
         ref = references[net_name]["plain"]
         full = hipmcl(
-            mat, opts, cfg, workers=2, backend=backend,
+            mat, opts, cfg, workers=workers,
             checkpoint_dir=tmp_path,
         )
         assert full.checkpoints_written > 0
         assert_cell_identical(ref, full)
         resumed = hipmcl(
-            mat, opts, cfg, workers=2, backend=backend,
+            mat, opts, cfg, workers=workers,
             resume_from=latest_checkpoint(tmp_path),
         )
         assert resumed.resumed_from_iteration > 0
@@ -167,18 +169,18 @@ def references3d(nets3d, opts):
 
 
 @pytest.mark.parametrize("net_name", ["small", "phased", "static"])
-@pytest.mark.parametrize("backend", BACKENDS, ids=CELL_IDS)
+@pytest.mark.parametrize("workers", WORKERS, ids=CELL_IDS)
 class TestGridAxisMatrix:
     """The ``--grid`` axis of the execution matrix: every
-    (grid, backend, workers, schedule) cell must be bit-identical
+    (grid, workers, schedule) cell must be bit-identical
     to the serial 3D reference in every pinned quantity, and bit-identical
     to the serial *2D* reference in labels and trajectory (the grid is a
     pure charge model — numerics never change)."""
 
     def test_fault_free(self, nets3d, opts, references, references3d,
-                        net_name, backend):
+                        net_name, workers):
         mat, cfg = nets3d[net_name]
-        run = hipmcl(mat, opts, cfg, workers=2, backend=backend)
+        run = hipmcl(mat, opts, cfg, workers=workers)
         assert_cell_identical(references3d[net_name]["plain"], run)
         ref2d = references[net_name]["plain"]
         assert np.array_equal(run.labels, ref2d.labels)
@@ -187,10 +189,10 @@ class TestGridAxisMatrix:
         assert run.layers >= 1
 
     def test_chaos(self, nets3d, opts, references, references3d, net_name,
-                   backend):
+                   workers):
         mat, cfg = nets3d[net_name]
         run = hipmcl(
-            mat, opts, cfg, workers=2, backend=backend,
+            mat, opts, cfg, workers=workers,
             faults=FaultPlan.chaos(CHAOS_SEED, intensity=0.3),
         )
         ref = references3d[net_name]["chaos"]
@@ -209,18 +211,18 @@ class TestGridAxisMatrix:
 def test_grid3d_checkpoint_resume(nets3d, opts, references, references3d,
                                   tmp_path):
     # grid="3d" enters the config fingerprint, so a 3D checkpoint resumes
-    # a 3D run — to the exact 3D serial trajectory, under any backend,
+    # a 3D run — to the exact 3D serial trajectory, at any worker count,
     # with the 2D clustering.
     mat, cfg = nets3d["phased"]
     ref = references3d["phased"]["plain"]
     full = hipmcl(
-        mat, opts, cfg, workers=2, backend="thread",
+        mat, opts, cfg, workers=2,
         checkpoint_dir=tmp_path,
     )
     assert full.checkpoints_written > 0
     assert_cell_identical(ref, full)
     resumed = hipmcl(
-        mat, opts, cfg, workers=2, backend="thread",
+        mat, opts, cfg, workers=2,
         resume_from=latest_checkpoint(tmp_path),
     )
     assert resumed.resumed_from_iteration > 0

@@ -1,12 +1,11 @@
 """The numeric pass's unit of parallel work is one block column.
 
-Every ``(backend, workers)`` cell runs the same :func:`compute_column`
-tasks (the column's blocks, then its prune), so a phased static 3-D
-hybrid multiply under fault injection must come out the same to the bit
-on the serial executor, the thread pool at two and three workers (the
-caller working as one of them) and the process pool: the product, every
-simulated figure, the trace tuples and the kernel, merge-strategy and
-transport counters.
+Every worker count runs the same :func:`compute_column` tasks (the
+column's blocks, then its prune), so a phased static 3-D hybrid multiply
+under fault injection must come out the same to the bit on the serial
+executor and the thread pool at two and three workers (the caller
+working as one of them): the product, every simulated figure, the trace
+tuples and the kernel, merge-strategy and transport counters.
 """
 
 import dataclasses
@@ -32,8 +31,8 @@ from repro.resilience.faults import FaultInjector
 from repro.summa import DistributedCSC, SummaConfig, summa_multiply
 from repro.summa.engine3d import Grid3DModel
 
-#: (backend, workers) cells compared against the serial executor.
-CELLS = [("thread", 2), ("thread", 3), ("process", 2)]
+#: Thread-pool worker counts compared against the serial executor.
+CELLS = [2, 3]
 
 CHAOS = FaultPlan.chaos(7, intensity=0.3)
 PRUNE = MclOptions(select_number=5)
@@ -47,7 +46,8 @@ def dist():
 
 
 def _prune(cols, j):
-    # Module-level: a process pool pickles the prune with its column task.
+    # Reads only its arguments: pool threads run it for different
+    # columns at once.
     return distributed_prune_block_column(cols, PRUNE)
 
 
@@ -109,9 +109,9 @@ def test_engine_cells_bit_identical(dist, phases, monkeypatch):
     assert sum(ref["fields"]["merge_strategy_selections"].values()) > 0
     assert any(len(blk[2]) for blk in ref["product"])
     assert bool(short) == (phases > 1)
-    for backend, workers in CELLS:
-        run = _multiply(dist, get_executor(workers, backend), phases)
-        assert run == ref, (backend, workers)
+    for workers in CELLS:
+        run = _multiply(dist, get_executor(workers), phases)
+        assert run == ref, workers
 
 
 def test_oversubscribed_threads_under_fast_switching(dist):
@@ -126,7 +126,7 @@ def test_oversubscribed_threads_under_fast_switching(dist):
     sys.setswitchinterval(1e-6)
     try:
         with activate(tracer):
-            run = _multiply(dist, get_executor(4, "thread"), 3)
+            run = _multiply(dist, get_executor(4), 3)
     finally:
         sys.setswitchinterval(interval)
     assert run == ref
@@ -146,10 +146,8 @@ def test_hipmcl_cells_bit_identical():
     ref = hipmcl(mat, opts, cfg, workers=1, faults=CHAOS)
     assert sum(ref.faults_injected.values()) > 0
     assert max(h.phases for h in ref.history) > 1
-    for backend, workers in CELLS:
-        run = hipmcl(
-            mat, opts, cfg, workers=workers, backend=backend, faults=CHAOS
-        )
+    for workers in CELLS:
+        run = hipmcl(mat, opts, cfg, workers=workers, faults=CHAOS)
         assert np.array_equal(run.labels, ref.labels)
         assert run.elapsed_seconds == ref.elapsed_seconds
         assert run.kernel_selections == ref.kernel_selections
@@ -195,15 +193,17 @@ def _failing_prune(cols, j):
     return cols
 
 
-@pytest.mark.parametrize("backend, workers", [("serial", 1), *CELLS])
-def test_first_prune_failure_in_column_order(dist, backend, workers):
+@pytest.mark.parametrize(
+    "workers", [1, *CELLS], ids=["serial-1", "thread-2", "thread-3"]
+)
+def test_first_prune_failure_in_column_order(dist, workers):
     # Columns 1 and 3 fail in their tasks: every cell raises column 1's
     # error, the one a serial loop over the columns meets first.
     comm = VirtualComm(dist.grid.size, SUMMIT_LIKE)
     with pytest.raises(ValueError, match="column 1$"):
         summa_multiply(
             dist, dist, comm, SummaConfig(), prune_column=_failing_prune,
-            executor=get_executor(workers, backend),
+            executor=get_executor(workers),
         )
 
 
@@ -224,7 +224,7 @@ def test_at_most_one_unpruned_column_per_worker(dist, workers, monkeypatch):
         return out
 
     monkeypatch.setattr(engine, "compute_block", counted)
-    res = _multiply(dist, get_executor(workers, "thread"), 1)
+    res = _multiply(dist, get_executor(workers), 1)
     q = dist.grid.q
     assert any(len(blk[2]) for blk in res["product"])
     assert q <= peak[0] <= workers * q < q * q
@@ -250,8 +250,8 @@ def test_hipmcl_recovery_cells_bit_identical(monkeypatch):
     monkeypatch.setattr(hipmcl_mod, "prune_columns", spy)
     ref = hipmcl(mat, opts, cfg, workers=1)
     assert recovered and sum(recovered) > 0
-    for backend, workers in CELLS:
-        run = hipmcl(mat, opts, cfg, workers=workers, backend=backend)
-        assert run.history == ref.history, (backend, workers)
+    for workers in CELLS:
+        run = hipmcl(mat, opts, cfg, workers=workers)
+        assert run.history == ref.history, workers
         assert np.array_equal(run.labels, ref.labels)
         assert run.elapsed_seconds == ref.elapsed_seconds

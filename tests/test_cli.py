@@ -57,8 +57,8 @@ def test_cluster_distributed_mode(tmp_path, capsys):
 
 
 def test_cluster_backend_flags(tmp_path, capsys):
-    # --workers/--backend select the wall-clock pool; stdout clustering
-    # must be identical to the flagless run for every backend.
+    # --workers selects the wall-clock thread pool; stdout clustering
+    # must be identical to the flagless run at every worker count.
     net_path = tmp_path / "net.mtx"
     main(["generate", "planted:100:10", "-o", str(net_path)])
     capsys.readouterr()
@@ -68,14 +68,15 @@ def test_cluster_backend_flags(tmp_path, capsys):
     ]
     assert main(base_args) == 0
     expected = capsys.readouterr().out
-    for backend in ("serial", "thread", "process"):
-        args = base_args + ["--workers", "2", "--backend", backend]
-        assert main(args) == 0
+    for workers in ("1", "2", "3"):
+        assert main(base_args + ["--workers", workers]) == 0
         assert capsys.readouterr().out == expected
-    # The retired stage-overlap flag is a usage error, not a no-op.
-    with pytest.raises(SystemExit) as exc:
-        main(base_args + ["--overlap"])
-    assert exc.value.code == 2
+    # The retired stage-overlap and backend flags are usage errors, not
+    # no-ops.
+    for retired in (["--overlap"], ["--backend", "thread"]):
+        with pytest.raises(SystemExit) as exc:
+            main(base_args + retired)
+        assert exc.value.code == 2
 
 
 def test_cluster_schedule_flag(tmp_path, capsys):
@@ -109,7 +110,7 @@ def test_cluster_backend_flags_need_distributed_mode(tmp_path, capsys):
     net_path = tmp_path / "net.mtx"
     main(["generate", "planted:100:10", "-o", str(net_path)])
     capsys.readouterr()
-    for extra in (["--backend", "thread"], ["--workers", "2"]):
+    for extra in (["--workers", "2"], ["--workers", "1"]):
         assert (
             main(["cluster", str(net_path), "--mode", "reference"] + extra)
             == 2

@@ -133,5 +133,5 @@ def test_warm_start_composes_with_workers(nets):
     base = hipmcl(matrix, OPTS, CFG)
     delta = localized_delta(matrix, 8, 21)
     cold = hipmcl(delta.apply(matrix), OPTS, CFG)
-    warm = _warm(matrix, base, delta, workers=2, backend="thread")
+    warm = _warm(matrix, base, delta, workers=2)
     assert np.array_equal(warm.labels, cold.labels)

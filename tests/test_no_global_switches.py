@@ -14,7 +14,7 @@ import repro
 import repro.perf
 from repro.mcl.hipmcl import HipMCLConfig, hipmcl
 from repro.service import JobSpec
-from repro.summa import SummaConfig
+from repro.summa import SummaConfig, summa_multiply
 
 #: Every spelling counts: reads, docstrings, error messages.
 ENV_NAME = re.compile(r"REPRO_([A-Z][A-Z_]*)")
@@ -25,7 +25,7 @@ def test_environment_variables_are_pinned():
     for path in Path(repro.__file__).parent.rglob("*.py"):
         names |= set(ENV_NAME.findall(path.read_text()))
     assert names == {
-        "WORKERS", "BACKEND", "GRID", "LAYERS", "BENCH_FAST",
+        "WORKERS", "GRID", "LAYERS", "BENCH_FAST",
     }
 
 
@@ -36,15 +36,19 @@ def test_driver_and_job_surfaces_are_pinned():
     ]
     assert keywords == [
         "strict", "faults", "resume_from", "checkpoint_dir",
-        "checkpoint_every", "workers", "backend", "trace",
+        "checkpoint_every", "workers", "trace",
         "on_iteration", "warm_start",
     ]
     # A retired knob is an error, not a silently ignored keyword.
     with pytest.raises(TypeError):
         hipmcl(None, overlap=True)
+    with pytest.raises(TypeError):
+        hipmcl(None, backend="thread")
+    with pytest.raises(TypeError):
+        summa_multiply(None, None, None, None, backend="thread")
     assert [f.name for f in dataclasses.fields(JobSpec)] == [
         "graph", "mode", "nodes", "options", "config", "workers",
-        "backend", "delta",
+        "delta",
     ]
     assert [f.name for f in dataclasses.fields(HipMCLConfig)] == [
         "nodes", "spec", "kernel", "merge", "pipelined", "use_gpu",

@@ -1,34 +1,25 @@
-"""The execution layer's contracts: resolution, pools, transport, crashes.
+"""The execution layer's contracts: worker resolution, the thread pool,
+batch ordering, failure propagation and the nested-parallelism guard.
 
-Everything here runs the real ``multiprocessing`` machinery (workers=2,
-tiny matrices), so the tests certify the actual fork/shared-memory path —
-not a mock — while staying fast enough for tier 1.
+Everything here runs real pool threads (two or three workers, tiny
+tasks), not a mock, while staying fast enough for tier 1.
 """
 
 import os
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.parallel import (
-    SHM_MIN_BYTES,
-    ExecutorError,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     get_executor,
-    resolve_backend,
+    in_worker,
     resolve_workers,
     shutdown_executors,
 )
 from repro.parallel import executor as executor_mod
-from repro.parallel import shm
-from repro.parallel.work import local_multiply, probe_state
-from repro.sparse import random_csc
-
-from helpers import assert_same_csc
 
 
 @pytest.fixture(autouse=True)
@@ -67,26 +58,6 @@ class TestResolveWorkers:
             resolve_workers(bad)
 
 
-class TestResolveBackend:
-    @pytest.fixture(autouse=True)
-    def _clean(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-
-    def test_default_is_thread(self):
-        assert resolve_backend() == "thread"
-        assert resolve_backend(None) == "thread"
-
-    def test_explicit_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
-        assert resolve_backend("process") == "process"
-        assert resolve_backend() == "thread"
-
-    @pytest.mark.parametrize("bad", ["threads", "mpi", "2"])
-    def test_invalid_backend_rejected(self, bad):
-        with pytest.raises(ValueError, match="backend"):
-            resolve_backend(bad)
-
-
 # ---------------------------------------------------------------------------
 # Executor selection and lifecycle
 # ---------------------------------------------------------------------------
@@ -97,20 +68,17 @@ class TestGetExecutor:
         assert isinstance(get_executor(1), SerialExecutor)
         assert get_executor(1) is get_executor(None)
 
-    def test_process_pools_cached_per_count(self):
-        ex2 = get_executor(2, backend="process")
-        assert isinstance(ex2, ProcessExecutor)
-        assert ex2.workers == 2
-        assert get_executor(2, backend="process") is ex2
-        assert get_executor(3, backend="process") is not ex2
-
     def test_environment_selects_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
         assert get_executor().workers == 2
 
-    def test_process_executor_rejects_single_worker(self):
-        with pytest.raises(ValueError, match=">= 2"):
-            ProcessExecutor(1)
+    @pytest.mark.parametrize("backend", ["thread", "process", "serial"])
+    def test_backend_argument_must_be_none(self, backend):
+        # Kept only for callers that still forward a second argument:
+        # any value names the removed process backend.
+        assert get_executor(2, None) is get_executor(2)
+        with pytest.raises(ValueError, match="process backend"):
+            get_executor(2, backend)
 
 
 class TestSerialExecutor:
@@ -122,11 +90,6 @@ class TestSerialExecutor:
         ex.close()  # no-op
 
 
-def _pid_slowly():
-    time.sleep(0.05)  # long enough for both workers to pick up tasks
-    return os.getpid()
-
-
 def _thread_slowly():
     time.sleep(0.05)  # long enough for every pool thread to take a task
     return threading.current_thread()
@@ -136,160 +99,43 @@ def _call(fn):
     return fn()
 
 
-class TestProcessExecutor:
-    def test_batch_results_in_task_order(self):
-        ex = get_executor(2, backend="process")
-        out = ex.run_batch(pow, [(i, 2) for i in range(10)])
-        assert out == [i * i for i in range(10)]
-
-    def test_empty_batch(self):
-        assert get_executor(2, backend="process").run_batch(pow, []) == []
-
-    def test_pool_persists_across_batches(self):
-        # Instant tasks can all land on one worker, so the per-batch pid
-        # *sets* may differ even with zero respawns; the persistence
-        # contract is that the union never exceeds the pool size.
-        ex = get_executor(2, backend="process")
-        pids1 = set(ex.run_batch(_pid_slowly, [()] * 4))
-        pids2 = set(ex.run_batch(_pid_slowly, [()] * 4))
-        assert len(pids1 | pids2) <= ex.workers  # no respawn
-        assert os.getpid() not in pids1 | pids2
-
-    def test_close_then_reuse_restarts_lazily(self):
-        ex = get_executor(2, backend="process")
-        assert ex.run_batch(pow, [(2, 2)]) == [4]
-        ex.close()
-        assert ex._pool is None
-        assert ex.run_batch(pow, [(2, 5)]) == [32]
-
-    def test_worker_crash_raises_and_pool_recovers(self):
-        # A process pool: os._exit on a thread would end this process.
-        ex = get_executor(2, backend="process")
-        with pytest.raises(ExecutorError, match="REPRO_WORKERS=1"):
-            ex.run_batch(os._exit, [(3,)])
-        assert ex._pool is None  # broken pool discarded...
-        assert ex.run_batch(pow, [(2, 4)]) == [16]  # ...and restarted
-
-    def test_nested_parallelism_degrades_to_serial(self):
-        ex = get_executor(2, backend="process")
-        states = ex.run_batch(probe_state, [()])
-        assert states[0]["in_worker"] is True
-        assert states[0]["nested_executor"] == "SerialExecutor"
-        # A *thread* executor requested inside a process worker must
-        # degrade too — the worker is already one lane of a fan-out.
-        assert states[0]["nested_thread_executor"] == "SerialExecutor"
-        # The parent itself is not a worker.
-        me = probe_state()
-        assert me["in_worker"] is False
-        assert me["nested_executor"] == "ThreadExecutor"  # the default
-
-
-# ---------------------------------------------------------------------------
-# Bounded lazy restarts (the crash-streak escalation)
-# ---------------------------------------------------------------------------
-
-
-class TestRestartBound:
-    def _crash(self, ex):
-        with pytest.raises(ExecutorError, match="worker died"):
-            ex.run_batch(os._exit, [(3,)])
-
-    def test_streak_past_budget_turns_terminal(self):
-        ex = ProcessExecutor(2, max_restarts=1, restart_backoff=0.0)
-        try:
-            self._crash(ex)  # streak 1: restart still allowed
-            self._crash(ex)  # streak 2: budget spent
-            # The next batch must not burn another restart: it fails
-            # *before* building a pool, with the terminal diagnosis.
-            with pytest.raises(ExecutorError, match="giving up"):
-                ex.run_batch(pow, [(2, 2)])
-            assert ex._pool is None  # never rebuilt
-        finally:
-            ex.reset()
-            ex.close()
-
-    def test_successful_batch_resets_the_streak(self):
-        ex = ProcessExecutor(2, max_restarts=1, restart_backoff=0.0)
-        try:
-            self._crash(ex)
-            assert ex.run_batch(pow, [(2, 3)]) == [8]  # forgives the past
-            assert ex._crash_streak == 0
-            self._crash(ex)  # a fresh streak gets a fresh budget
-            assert ex.run_batch(pow, [(2, 4)]) == [16]
-        finally:
-            ex.close()
-
-    def test_reset_rearms_a_terminal_executor(self):
-        ex = ProcessExecutor(2, max_restarts=0, restart_backoff=0.0)
-        try:
-            self._crash(ex)
-            with pytest.raises(ExecutorError, match="giving up"):
-                ex.run_batch(pow, [(2, 2)])
-            ex.reset()
-            assert ex.run_batch(pow, [(2, 5)]) == [32]
-        finally:
-            ex.close()
-
-    def test_restart_backoff_grows_exponentially(self, monkeypatch):
-        waits = []
-        monkeypatch.setattr(time, "sleep", waits.append)
-        ex = ProcessExecutor(2, max_restarts=3, restart_backoff=0.5)
-        try:
-            self._crash(ex)
-            self._crash(ex)
-            self._crash(ex)
-        finally:
-            monkeypatch.undo()
-            ex.reset()
-            ex.close()
-        # Restart k in the streak waits base * 2**(k-1); the first pool
-        # build (streak 0) waits nothing.
-        assert waits == [0.5, 1.0]
-
-    def test_negative_max_restarts_rejected(self):
-        with pytest.raises(ValueError, match="max_restarts"):
-            ProcessExecutor(2, max_restarts=-1)
-
-
-# ---------------------------------------------------------------------------
-# Thread backend
-# ---------------------------------------------------------------------------
+def probe_state():
+    """The calling thread's view of the nested-parallelism guard."""
+    return {
+        "pid": os.getpid(),
+        "in_worker": in_worker(),
+        "nested_executor": type(get_executor(4)).__name__,
+    }
 
 
 class TestThreadExecutor:
     def test_selected_by_backend_and_cached(self):
-        ex = get_executor(2, backend="thread")
+        # The worker count alone selects the pool: one per count.
+        ex = get_executor(2)
         assert isinstance(ex, ThreadExecutor)
         assert ex.workers == 2
-        assert get_executor(2, backend="thread") is ex
-        assert get_executor(3, backend="thread") is not ex
-        # Different backend, same count: a distinct executor.
-        assert isinstance(get_executor(2, backend="process"),
-                          ProcessExecutor)
-
-    def test_serial_backend_forces_inline(self):
-        assert isinstance(get_executor(4, backend="serial"),
-                          SerialExecutor)
+        assert get_executor(2) is ex
+        assert get_executor(3) is not ex
 
     def test_environment_selects_thread_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
-        assert isinstance(get_executor(2), ThreadExecutor)
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        assert isinstance(get_executor(), ThreadExecutor)
 
     def test_rejects_single_worker(self):
         with pytest.raises(ValueError, match=">= 2"):
             ThreadExecutor(1)
 
     def test_batch_results_in_task_order(self):
-        ex = get_executor(2, backend="thread")
+        ex = get_executor(2)
         assert ex.run_batch(pow, [(i, 2) for i in range(10)]) == [
             i * i for i in range(10)
         ]
         assert ex.run_batch(pow, []) == []
 
     def test_zero_copy_same_process(self):
-        # The thread backend's whole point: tasks see the parent's
-        # objects, no transport, no pickling.
-        ex = get_executor(2, backend="thread")
+        # The thread pool's whole point: tasks see the parent's objects,
+        # no transport, no pickling.
+        ex = get_executor(2)
         states = ex.run_batch(probe_state, [()] * 4)
         assert all(s["pid"] == os.getpid() for s in states)
         payload = {"marker": object()}
@@ -297,29 +143,28 @@ class TestThreadExecutor:
         assert echoed is payload["marker"]
 
     def test_close_then_reuse_restarts_lazily(self):
-        ex = get_executor(2, backend="thread")
+        ex = get_executor(2)
         assert ex.run_batch(pow, [(2, 2)]) == [4]
         ex.close()
         assert ex._pool is None
         assert ex.run_batch(pow, [(2, 5)]) == [32]
 
     def test_nested_request_inside_thread_worker_degrades(self):
-        # Regression: the in-worker guard used to be a process-global
-        # flag only, so a thread worker could spawn a nested pool.
-        ex = get_executor(2, backend="thread")
+        # A pool task asking for a pool gets the serial executor, on a
+        # pool thread and on the caller running its share alike.
+        ex = get_executor(2)
         states = ex.run_batch(probe_state, [()] * 4)
         for state in states:
             assert state["in_worker"] is True
             assert state["nested_executor"] == "SerialExecutor"
-            assert state["nested_thread_executor"] == "SerialExecutor"
         # The guard is thread-local: once the batch is done, the parent
         # thread is unaffected.
         me = probe_state()
         assert me["in_worker"] is False
-        assert me["nested_thread_executor"] == "ThreadExecutor"
+        assert me["nested_executor"] == "ThreadExecutor"
 
     def test_task_error_propagates(self):
-        ex = get_executor(2, backend="thread")
+        ex = get_executor(2)
         with pytest.raises(ZeroDivisionError):
             ex.run_batch(divmod, [(1, 0)])
         assert ex.run_batch(pow, [(2, 4)]) == [16]  # pool still healthy
@@ -402,9 +247,9 @@ class TestSubmitBatch:
         assert handle.result() == [0, 10]
         assert calls == [0, 1]
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_pool_handles_overlap_in_flight(self, backend):
-        ex = get_executor(2, backend=backend)
+    @pytest.mark.parametrize("workers", [2], ids=["thread"])
+    def test_pool_handles_overlap_in_flight(self, workers):
+        ex = get_executor(workers)
         first = ex.submit_batch(pow, [(i, 2) for i in range(4)])
         second = ex.submit_batch(pow, [(i, 3) for i in range(4)])
         # Gather out of submission order: both batches complete.
@@ -413,117 +258,8 @@ class TestSubmitBatch:
         assert first.result() == [i**2 for i in range(4)]  # idempotent
 
 
-# ---------------------------------------------------------------------------
-# Shared-memory transport
-# ---------------------------------------------------------------------------
-
-
-class TestTransport:
-    def test_small_blocks_pickle(self):
-        mat = random_csc((8, 8), 0.2, seed=1)
-        assert mat.memory_bytes() < SHM_MIN_BYTES
-        handle = shm.export_csc(mat)
-        assert handle[0] == "pkl"
-        assert_same_csc(shm.import_csc(handle), mat)
-
-    def test_large_blocks_use_shared_memory(self):
-        mat = random_csc((400, 400), 0.1, seed=2)
-        assert mat.memory_bytes() >= SHM_MIN_BYTES
-        handle = shm.export_csc(mat)
-        assert handle[0] == "shm"
-        assert shm.export_csc(mat) is handle  # memoized per matrix
-        assert_same_csc(shm.import_csc(handle), mat)
-
-    def test_round_trip_through_a_real_worker(self):
-        a = random_csc((300, 300), 0.08, seed=3)
-        b = random_csc((300, 300), 0.08, seed=4)
-        ex = get_executor(2, backend="process")
-        (product_t, c_indptr, per_col), = ex.run_batch(
-            local_multiply, [(a, b)]
-        )
-        from repro.spgemm.esc import spgemm_esc
-        from repro.spgemm.metrics import flops_per_column
-
-        # The row-major product and the column pointer ride the existing
-        # CSC / ndarray shared-memory export.
-        want = spgemm_esc(a, b)
-        assert_same_csc(product_t, want.transpose())
-        assert np.array_equal(c_indptr, want.indptr)
-        assert np.array_equal(per_col, flops_per_column(a, b))
-
-    def test_export_value_recurses(self):
-        mat = random_csc((10, 10), 0.3, seed=5)
-        packed = shm.export_value(([mat], 7, "tag"))
-        out = shm.import_value(packed)
-        assert_same_csc(out[0][0], mat)
-        assert out[1:] == (7, "tag")
-
-    def test_shutdown_unlinks_live_segments(self):
-        mat = random_csc((400, 400), 0.1, seed=6)
-        name = shm.export_csc(mat)[1]
-        assert os.path.exists(f"/dev/shm/{name}")
-        shutdown_executors()
-        assert not os.path.exists(f"/dev/shm/{name}")
-        mat.invalidate_caches()  # drop the stale export memo
-
-    def test_batch_keeps_its_task_matrices_exported(self, monkeypatch):
-        # The batch is the only owner of these matrices: their segments
-        # must not be unlinked before the workers attach.
-        import gc
-
-        monkeypatch.setattr(shm, "SHM_MIN_BYTES", 0)
-        handle = get_executor(2, backend="process").submit_batch(
-            local_multiply,
-            [
-                (random_csc((60, 60), 0.1, seed=s),
-                 random_csc((60, 60), 0.1, seed=s + 1))
-                for s in range(4)
-            ],
-        )
-        gc.collect()
-        assert len(handle.result()) == 4
-
-    def test_static_schedule_pool_keeps_batch_exports_alive(
-        self, monkeypatch
-    ):
-        # Every block through shared memory on a phased static run: a
-        # block only an in-flight batch refers to must stay exported
-        # until the workers have attached, and nothing outlives the run.
-        import gc
-
-        from repro.mcl.hipmcl import HipMCLConfig, hipmcl
-        from repro.mcl.options import MclOptions
-        from repro.nets import planted_network
-
-        def segments():
-            return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
-
-        mat = planted_network(
-            240, intra_degree=14.0, inter_degree=2.0, seed=9
-        ).matrix
-        opts = MclOptions(select_number=20)
-        cfg = HipMCLConfig.optimized(
-            nodes=16, memory_budget_bytes=64 * 1024, schedule="static"
-        )
-        ref = hipmcl(mat, opts, cfg, workers=1)
-        monkeypatch.setattr(shm, "SHM_MIN_BYTES", 0)
-        before = segments()
-        run = hipmcl(mat, opts, cfg, workers=2, backend="process")
-        assert np.array_equal(run.labels, ref.labels)
-        assert run.elapsed_seconds == ref.elapsed_seconds
-        gc.collect()
-        assert segments() <= before
-
-    def test_segment_unlinked_when_matrix_dies(self):
-        mat = random_csc((400, 400), 0.1, seed=7)
-        name = shm.export_csc(mat)[1]
-        assert os.path.exists(f"/dev/shm/{name}")
-        del mat
-        assert not os.path.exists(f"/dev/shm/{name}")
-
-
 def test_module_has_atexit_shutdown():
-    """The pools and segments must not outlive the interpreter."""
+    """The thread pools must not outlive the interpreter."""
     import atexit
 
     # Registration happened at import; a second registration is harmless,

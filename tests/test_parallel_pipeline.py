@@ -1,8 +1,8 @@
 """Acceptance tests of the multicore layer: ``workers=N`` == ``workers=1``.
 
-The execution backend's contract is the same one the numeric kernels and
-the resilience layer pin: parallelism relocates computation across
-processes without reordering any reduction, so a run under any worker
+The thread pool's contract is the same one the numeric kernels and the
+resilience layer pin: parallelism relocates computation across threads
+without reordering any reduction, so a run under any worker
 count reproduces the serial run bit-for-bit — labels, simulated clocks,
 per-iteration records, kernel selections, fault recovery, checkpoints.
 """
@@ -81,7 +81,7 @@ class TestPipelineBitIdentity:
     def test_checkpoint_resume_across_worker_counts(self, net, opts,
                                                     tmp_path):
         # A checkpoint written by a parallel run resumes serially (and
-        # vice versa) to the identical result: the backend leaves no
+        # vice versa) to the identical result: the executor leaves no
         # trace in the persisted state.
         from repro.resilience import latest_checkpoint
 

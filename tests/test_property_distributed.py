@@ -74,8 +74,8 @@ def test_merge_schedule_invariance(instance, merge):
 )
 @settings(max_examples=15, deadline=None)
 def test_thread_backend_bit_identical(scale, edge_factor, seed, q, phases):
-    # Random R-MAT inputs through the stage batches of the thread
-    # backend: simulated clocks, kernel selections and the product
+    # Random R-MAT inputs through the column batches of the thread
+    # pool: simulated clocks, kernel selections and the product
     # itself must equal the serial run exactly — not approximately.
     from repro.nets import rmat_network
 
@@ -91,7 +91,7 @@ def test_thread_backend_bit_identical(scale, edge_factor, seed, q, phases):
         return res, [(c.cpu.free_at, c.gpu.free_at) for c in comm.clocks]
 
     ser, ser_clocks = run()
-    par, par_clocks = run(workers=2, backend="thread")
+    par, par_clocks = run(workers=2)
     assert par_clocks == ser_clocks
     assert par.kernel_selections == ser.kernel_selections
     assert par.stage_flops == ser.stage_flops

@@ -125,10 +125,10 @@ def test_spkadd_strategies_bit_identical_to_merge_lists(stream):
         _assert_bit_identical(out, ref)
 
 
-@pytest.mark.parametrize("backend,workers", [
-    ("serial", 1), ("thread", 2), ("thread", 4), ("process", 2),
-])
-def test_spkadd_executor_matrix_bit_identical(backend, workers):
+@pytest.mark.parametrize(
+    "workers", [1, 2, 4], ids=["serial-1", "thread-2", "thread-4"]
+)
+def test_spkadd_executor_matrix_bit_identical(workers):
     """The engine keeps no scratch between calls, so whole merge schedules
     run side by side on the pool's lanes return the bits of the inline run."""
     from repro.parallel import get_executor
@@ -141,7 +141,7 @@ def test_spkadd_executor_matrix_bit_identical(backend, workers):
     ]
     ref = merge_lists(list(lists))
     kinds = ("multiway", "twoway", "binary") * 3
-    outcomes = get_executor(workers, backend).run_batch(
+    outcomes = get_executor(workers).run_batch(
         run_schedule, [(kind, lists, shape) for kind in kinds]
     )
     for kind, out in zip(kinds, outcomes):

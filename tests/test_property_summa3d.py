@@ -116,7 +116,7 @@ def test_grid3d_model_pool_bit_identical(scale, edge_factor, seed, pool):
 
     mat = rmat_network(scale, edge_factor, seed=seed).matrix
     ref, _ = _run(mat, 4, 2)
-    kw = {"workers": 2, "backend": "thread"} if pool else {}
+    kw = {"workers": 2} if pool else {}
     res, _ = _run(mat, 4, 2, model=Grid3DModel(4, 4), **kw)
     _assert_blocks_identical(ref, res)
 

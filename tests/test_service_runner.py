@@ -133,7 +133,7 @@ class TestResultCache:
 
     def test_wall_clock_knobs_share_a_cache_key(self, net_path):
         base = make_spec(net_path)
-        tuned = make_spec(net_path, workers=2, backend="thread")
+        tuned = make_spec(net_path, workers=2)
         assert base.cache_key() == tuned.cache_key()
 
     def test_option_changes_split_the_cache_key(self, net_path):
@@ -248,6 +248,28 @@ class TestFailurePath:
         # The retired stage-overlap knob is no longer a field either.
         with pytest.raises(ServiceError, match="malformed job spec"):
             JobSpec.from_dict({"graph": "x.mtx", "overlap": True})
+
+    def test_legacy_backend_key_is_dropped(self, tmp_path, clock, net_path):
+        # Specs queued before the process backend was removed were stored
+        # with a "backend" key, whatever its value.  They still run, to
+        # the labels of the same spec without the key.
+        legacy_row = {**make_spec(net_path).to_dict(), "backend": "process"}
+        assert JobSpec.from_dict(legacy_row) == make_spec(net_path)
+        legacy_svc = ClusterService(tmp_path / "legacy", clock=clock)
+        plain_svc = ClusterService(tmp_path / "plain", clock=clock)
+        try:
+            legacy = legacy_svc.queue.submit(legacy_row, max_retries=0)
+            plain = plain_svc.submit(make_spec(net_path))
+            assert make_runner(legacy_svc, clock).drain() == 1
+            assert make_runner(plain_svc, clock).drain() == 1
+            assert legacy_svc.status(legacy).state == "done"
+            assert plain_svc.status(plain).state == "done"
+            assert np.array_equal(
+                legacy_svc.labels(legacy), plain_svc.labels(plain)
+            )
+        finally:
+            legacy_svc.close()
+            plain_svc.close()
 
     def test_unparseable_queued_spec_fails_instead_of_poisoning(
         self, service, clock, net_path

@@ -89,16 +89,15 @@ class TestSpkaddMerge:
         out = spkadd_merge(list(lists), strategy=strategy)
         assert_triples_equal(out, ref)
 
-    @pytest.mark.parametrize("backend,workers", [
-        ("thread", 2), ("thread", 4), ("process", 2),
-    ])
+    @pytest.mark.parametrize(
+        "workers", [2, 4], ids=["thread-2", "thread-4"]
+    )
     @pytest.mark.parametrize("strategy", ["tree", "hash"])
-    def test_executor_fanout_bit_identical(self, backend, workers, strategy):
+    def test_executor_fanout_bit_identical(self, workers, strategy):
         # What the pool fans out is the stage's multiplies; their products
-        # come back over the executor's transport and are merged inline.
-        # Merging those is merging the products computed in this process.
+        # come back from the pool threads and are merged inline.  Merging
+        # those is merging the products computed in the caller.
         from repro.parallel import get_executor
-        from repro.parallel.work import local_multiply
         from repro.spgemm.esc import spgemm_esc
 
         a_blocks = [random_csc((300, 300), 0.03, seed=60 + i) for i in range(4)]
@@ -108,8 +107,8 @@ class TestSpkaddMerge:
             TripleList.from_csc(spgemm_esc(a, b).transpose(), copy=False)
             for a, b in zip(a_blocks, b_blocks)
         ])
-        shipped = get_executor(workers, backend).run_batch(
-            local_multiply, list(zip(a_blocks, b_blocks))
+        shipped = get_executor(workers).run_batch(
+            spgemm_esc, [(a, b, True) for a, b in zip(a_blocks, b_blocks)]
         )
         lists = [
             TripleList.from_csc(product, copy=False)
@@ -228,7 +227,7 @@ def _phased_engine_run(tracer=None, workers=4, phases=2, **kwargs):
     with activate(tracer):
         return summa_multiply(
             dist, dist, comm, SummaConfig(), phases=phases,
-            workers=workers, backend="thread", **kwargs,
+            workers=workers, **kwargs,
         )
 
 
@@ -375,7 +374,7 @@ class TestMergeFaultLadder:
         ref = self._run(workers=1)
         assert ref.merge_demotions > 0
         assert ref.faults_injected.get("merge", 0) > 0
-        run = self._run(workers=2, backend="thread")
+        run = self._run(workers=2)
         assert np.array_equal(run.labels, ref.labels)
         assert run.elapsed_seconds == ref.elapsed_seconds
         assert run.merge_demotions == ref.merge_demotions

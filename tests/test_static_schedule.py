@@ -13,7 +13,7 @@ Three layers are pinned here:
   for double buffering, and reports nonzero overlap evidence when it
   genuinely pipelines;
 * **hipmcl** — the evidence fields and simulated clocks are invariant
-  across every (backend, workers) execution cell (the property test).
+  across every worker count (the property test).
 """
 
 import functools
@@ -213,18 +213,15 @@ class TestStaticHipMCL:
 
 
 @settings(max_examples=8, deadline=None)
-@given(
-    backend=st.sampled_from(["serial", "thread"]),
-    workers=st.integers(min_value=1, max_value=3),
-)
-def test_link_seconds_invariant_across_cells(backend, workers):
+@given(workers=st.integers(min_value=1, max_value=3))
+def test_link_seconds_invariant_across_cells(workers):
     """Charged link seconds (and all static evidence) are pure simulated
-    accounting: no (backend, workers) cell may move them."""
+    accounting: no worker count may move them."""
     ref = _static_reference()
     run = hipmcl(
         _dense_net(), _OPTS,
         HipMCLConfig(schedule="static", **_STATIC_CFG),
-        workers=workers, backend=backend,
+        workers=workers,
     )
     assert run.link_busy_seconds == ref.link_busy_seconds
     assert run.bcast_overlap_seconds == ref.bcast_overlap_seconds

@@ -1,8 +1,7 @@
 """Thread-safety audit of the identity-keyed caches.
 
-The thread execution backend hits the matrix-instance memo caches
-(per-column flops, phase slabs, shared-memory exports) from many pool
-threads at once.  These tests hammer each cache from a real thread pool
+The executor's thread pool hits the matrix-instance memo caches
+(per-column flops, phase slabs) from many pool threads at once.  These tests hammer each cache from a real thread pool
 and pin the single-flight contract: a build never runs twice for a live
 key, concurrent callers all observe the one published value, and no
 caller sequenced after ``invalidate_caches()`` can observe a
@@ -17,10 +16,10 @@ import numpy as np
 import pytest
 
 from repro.parallel import ThreadExecutor, get_executor, shutdown_executors
-from repro.parallel.work import local_multiply
 from repro.perf.arena import Arena, global_arena
 from repro.perf.cache import memo
 from repro.sparse import random_csc
+from repro.spgemm.esc import spgemm_esc
 
 from helpers import assert_same_csc
 
@@ -165,22 +164,6 @@ class TestDerivedQuantityCaches:
         assert len(builds) == 1
         assert all(r is results[0] for r in results)
 
-    def test_shm_export_single_segment(self, mat):
-        # One export segment per matrix no matter how many threads ask.
-        from repro.parallel import shm
-
-        big = random_csc((600, 600), 0.05, seed=33)
-        assert (
-            big.indptr.nbytes + big.indices.nbytes + big.data.nbytes
-            >= shm.SHM_MIN_BYTES
-        )
-        with ThreadPoolExecutor(HAMMER_THREADS) as pool:
-            handles = list(
-                pool.map(lambda _: shm.export_csc(big),
-                         range(HAMMER_ROUNDS))
-            )
-        assert all(h is handles[0] for h in handles)
-
 
 class TestThreadLocalArena:
     def test_each_thread_gets_its_own(self):
@@ -206,11 +189,13 @@ class TestThreadLocalArena:
         # kernels scribbling on each other's scratch.  Run the same
         # multiply from every pool thread and demand exact agreement.
         other = random_csc((300, 300), 0.05, seed=22)
-        ref_product, ref_indptr, ref_flops = local_multiply(mat, other)
+        ref_product, ref_indptr, ref_flops = spgemm_esc(
+            mat, other, transposed=True
+        )
         ex = ThreadExecutor(4)
         try:
             outs = ex.run_batch(
-                local_multiply, [(mat, other)] * HAMMER_ROUNDS
+                spgemm_esc, [(mat, other, True)] * HAMMER_ROUNDS
             )
         finally:
             ex.close()

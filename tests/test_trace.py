@@ -18,7 +18,6 @@ from repro.trace import (
     maybe_span,
     read_metrics_ndjson,
     set_tracer,
-    spans_from_dicts,
     summarize,
     tracing_enabled,
     worker_lane_name,
@@ -146,22 +145,6 @@ class TestTracer:
         # Worker-lane spans never become parents of main-lane spans.
         assert by_name["parent"].parent is None
 
-    def test_graft_renumbers_and_preserves_internal_links(self):
-        parent = Tracer()
-        with parent.span("gather") as g:
-            worker = Tracer(lane="worker-x")
-            with worker.span("task"):
-                with worker.span("sub"):
-                    pass
-            rows = [s.to_dict() for s in worker.spans]
-            parent.graft(spans_from_dicts(rows), parent=g.span.id)
-        by_name = {s.name: s for s in parent.spans}
-        ids = [s.id for s in parent.spans]
-        assert len(set(ids)) == len(ids)
-        assert by_name["sub"].parent == by_name["task"].id
-        assert by_name["task"].parent == by_name["gather"].id
-        assert by_name["task"].lane == "worker-x"
-
     def test_activate_restores_previous(self):
         tr = Tracer()
         with activate(tr) as active:
@@ -175,7 +158,7 @@ class TestTracer:
 
     def test_worker_lane_name_in_parent_uses_thread(self):
         name = worker_lane_name()
-        assert name.startswith("worker-")
+        assert name == f"worker-{threading.current_thread().name}"
 
 
 class TestExport:
@@ -231,13 +214,6 @@ class TestExport:
         write_metrics_ndjson([ev], path)
         row = read_metrics_ndjson(path)[0]
         assert row["value"] == 3 and row["attrs"]["f"] == 1.5
-
-    def test_spans_from_dicts_roundtrip(self):
-        tr = self._traced()
-        rows = [s.to_dict() for s in tr.spans]
-        back = spans_from_dicts(rows)
-        assert [s.name for s in back] == [s.name for s in tr.spans]
-        assert [s.parent for s in back] == [s.parent for s in tr.spans]
 
     def test_summarize_mentions_spans_and_counters(self):
         tr = self._traced()

@@ -1,11 +1,11 @@
 """Pipeline-level acceptance for the observability layer.
 
 Two contracts, end to end.  First, tracing is *passive*: a traced run
-must be bit-identical to the untraced serial reference in every cell of
-the ``(backend, workers)`` matrix — same labels, same simulated seconds,
-same per-iteration trajectory, same kernel selections.  Second, tracing
-is *faithful*: the recorded spans nest correctly on both clocks, and
-worker lanes appear for pool backends.
+must be bit-identical to the untraced serial reference at every worker
+count — same labels, same simulated seconds, same per-iteration
+trajectory, same kernel selections.  Second, tracing is *faithful*: the
+recorded spans nest correctly on both clocks, and worker lanes appear
+when the thread pool runs.
 """
 
 import subprocess
@@ -31,10 +31,12 @@ from repro.trace import (
 
 ROOT = Path(__file__).resolve().parents[1]
 
-BACKENDS = ("serial", "thread", "process")
-#: Cell ids keep the ``-sync`` suffix they carried next to the retired
-#: wall-clock overlap axis, so the surviving ids stay stable.
-CELL_IDS = [f"{be}-sync" for be in BACKENDS]
+#: Worker counts: inline, and the thread pool at two workers.
+WORKERS = (1, 2)
+#: Cell ids name the executor each count runs and keep the ``-sync``
+#: suffix they carried next to the retired wall-clock overlap axis, so
+#: the ids stay stable.
+CELL_IDS = ["serial-sync", "thread-sync"]
 
 CHAOS_SEED = 7
 
@@ -43,7 +45,7 @@ CHAOS_SEED = 7
 def net():
     # The multi-phase regime on a 4x4 grid (same construction as
     # test_backend_matrix's "phased" net): four SUMMA stages per phase,
-    # so every pool backend really fans stage batches out.
+    # so the thread pool really fans column batches out.
     mat = planted_network(120, intra_degree=10.0, inter_degree=1.5, seed=5)
     cfg = HipMCLConfig(nodes=16, memory_budget_bytes=64 * 1024)
     return mat.matrix, cfg
@@ -63,15 +65,13 @@ def reference(net, opts):
 
 @pytest.fixture(scope="module")
 def traced(net, opts):
-    """One traced run per matrix cell: {backend: (res, tracer)}."""
+    """One traced run per matrix cell: {workers: (res, tracer)}."""
     mat, cfg = net
     out = {}
-    for backend in BACKENDS:
+    for workers in WORKERS:
         tracer = Tracer()
-        res = hipmcl(
-            mat, opts, cfg, workers=2, backend=backend, trace=tracer,
-        )
-        out[backend] = (res, tracer)
+        res = hipmcl(mat, opts, cfg, workers=workers, trace=tracer)
+        out[workers] = (res, tracer)
     return out
 
 
@@ -88,19 +88,19 @@ def assert_spans_nest(spans):
                 assert p.t0_sim <= s.t0_sim and s.t1_sim <= p.t1_sim
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=CELL_IDS)
+@pytest.mark.parametrize("workers", WORKERS, ids=CELL_IDS)
 class TestTracedMatrix:
     def test_bit_identical_to_untraced(self, net, opts, reference, traced,
-                                       backend):
-        run, _ = traced[backend]
+                                       workers):
+        run, _ = traced[workers]
         assert np.array_equal(run.labels, reference.labels)
         assert run.elapsed_seconds == reference.elapsed_seconds
         assert run.kernel_selections == reference.kernel_selections
         assert run.converged == reference.converged
         assert divergence(reference, run) == []
 
-    def test_spans_cover_the_iteration_loop(self, traced, backend):
-        run, tracer = traced[backend]
+    def test_spans_cover_the_iteration_loop(self, traced, workers):
+        run, tracer = traced[workers]
         assert len(tracer.find("hipmcl")) == 1
         for name in ("estimate", "expansion", "inflation", "prune"):
             assert tracer.find(name, iteration=1), name  # iterations are 1-based
@@ -109,16 +109,16 @@ class TestTracedMatrix:
         assert tracer.find("broadcast", phase=0, stage=0)
         assert tracer.find("merge", phase=0, stage=0)
 
-    def test_dual_clocks_and_nesting(self, traced, backend):
-        run, tracer = traced[backend]
+    def test_dual_clocks_and_nesting(self, traced, workers):
+        run, tracer = traced[workers]
         assert_spans_nest(tracer.spans)
         exp = tracer.find("expansion")[-1]
         assert exp.t0_sim is not None and exp.t1_sim is not None
         # The simulated clock in the trace is the run's own clock.
         assert exp.t1_sim <= run.elapsed_seconds
 
-    def test_metrics_stream_records_iterations(self, traced, backend):
-        run, tracer = traced[backend]
+    def test_metrics_stream_records_iterations(self, traced, workers):
+        run, tracer = traced[workers]
         nnz = [m for m in tracer.metrics if m.name == "iteration.nnz"]
         assert [m.value for m in nnz] == [h.nnz_pruned for h in run.history]
         assert nnz[0].attrs["chaos"] == run.history[0].chaos
@@ -134,11 +134,11 @@ class TestTracedMatrix:
             if n:
                 assert tracer.counters.get(f"kernel.{kind}") == n
 
-    def test_worker_lanes(self, traced, backend):
-        _, tracer = traced[backend]
+    def test_worker_lanes(self, traced, workers):
+        _, tracer = traced[workers]
         lanes = tracer.lanes()
         assert lanes[0] == MAIN_LANE
-        if backend == "serial":
+        if workers == 1:
             assert lanes == [MAIN_LANE]
         else:
             assert len(lanes) >= 2  # distinct worker lanes
@@ -149,7 +149,7 @@ class TestTracedMatrix:
         tasks = [
             s for s in tracer.find("compute_column") if s.lane != MAIN_LANE
         ]
-        assert bool(tasks) == (backend != "serial")
+        assert bool(tasks) == (workers > 1)
         for t in tasks:
             assert not any(
                 t.t0_wall < m.t1_wall and m.t0_wall < t.t1_wall
@@ -159,7 +159,7 @@ class TestTracedMatrix:
 
 class TestWorkerLaneExport:
     def test_chrome_export_draws_worker_lanes(self, traced):
-        _, tracer = traced["process"]
+        _, tracer = traced[2]
         events = chrome_trace_events(tracer)
         thread_names = {
             e["args"]["name"]
@@ -178,8 +178,7 @@ class TestChaosTraced:
         ref = hipmcl(mat, opts, cfg, workers=1, faults=plan)
         tracer = Tracer()
         run = hipmcl(
-            mat, opts, cfg, workers=2, backend="process",
-            faults=plan, trace=tracer,
+            mat, opts, cfg, workers=2, faults=plan, trace=tracer,
         )
         assert run.faults_injected == ref.faults_injected
         assert sum(run.faults_injected.values()) > 0
@@ -187,23 +186,6 @@ class TestChaosTraced:
         assert run.elapsed_seconds == ref.elapsed_seconds
         # Injected faults leave instants on the resilience category.
         assert any(s.cat == "resilience" for s in tracer.spans)
-
-
-class TestExecutorCrashLabel:
-    def test_error_names_the_failed_task(self):
-        import os
-
-        from repro.parallel import ExecutorError, get_executor
-
-        # A process pool: os._exit on a thread would end this process.
-        ex = get_executor(2, backend="process")
-        with pytest.raises(ExecutorError) as err:
-            ex.run_batch(os._exit, [(3,)], label="summa phase 0 stage 2")
-        msg = str(err.value)
-        assert "summa phase 0 stage 2" in msg
-        assert "task #" in msg
-        assert "REPRO_WORKERS=1" in msg  # the bisect hint survives
-        assert ex.run_batch(pow, [(2, 4)], label="recovery") == [16]
 
 
 # ---------------------------------------------------------------------------

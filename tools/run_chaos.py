@@ -64,7 +64,7 @@ def main(argv=None) -> int:
         "--workers", default=None, metavar="N",
         help="workers for the faulted runs ('auto' = one per "
         "core); the baseline stays serial, so a pass also certifies the "
-        "parallel backend's bit-identity under fault recovery",
+        "thread pool's bit-identity under fault recovery",
     )
     parser.add_argument(
         "--grid", choices=["2d", "3d"], default=None,

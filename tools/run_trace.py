@@ -5,7 +5,7 @@ The quickest route to a Perfetto-loadable trace of a simulated HipMCL
 run:
 
     PYTHONPATH=src python tools/run_trace.py eukarya-xs \
-        --backend process --workers 4 \
+        --workers 2 \
         --trace trace.json --metrics metrics.ndjson
 
 The positional argument is a catalog network name (``archaea-xs``,
@@ -51,9 +51,10 @@ def main(argv=None) -> int:
         "--mode", choices=["optimized", "original", "cpu"],
         default="optimized",
     )
-    parser.add_argument("--workers", default=None, metavar="N")
     parser.add_argument(
-        "--backend", choices=["serial", "thread", "process"], default=None,
+        "--workers", default=None, metavar="N",
+        help="threads for the wall-clock execution, the caller being one "
+        "of them ('auto' = one per core; default: REPRO_WORKERS or 1)",
     )
     parser.add_argument(
         "--schedule", choices=["sync", "static"], default="sync",
@@ -128,7 +129,6 @@ def main(argv=None) -> int:
         matrix, options, cfg,
         trace=tracer,
         workers=args.workers,
-        backend=args.backend,
     )
     wall = time.perf_counter() - t0
 
