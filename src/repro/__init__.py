@@ -35,7 +35,7 @@ from .errors import (
     ShapeError,
 )
 from .resilience import FaultPlan, ResiliencePolicy
-from .sparse import CSCMatrix, CSRMatrix, DCSCMatrix
+from .sparse import CSCMatrix, DCSCMatrix
 from .mcl import (
     HipMCLConfig,
     HipMCLResult,
@@ -64,7 +64,6 @@ __all__ = [
     "FaultPlan",
     "ResiliencePolicy",
     "CSCMatrix",
-    "CSRMatrix",
     "DCSCMatrix",
     "MclOptions",
     "MclResult",

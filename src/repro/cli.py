@@ -110,12 +110,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "the √P×√P SUMMA grid (2d) or the split-3D grid with per-layer "
         "broadcast trees and sparsity-aware hybrid transport (3d); "
         "clustering results stay bit-identical — only modeled timings "
-        "change (default: REPRO_GRID or 2d)",
+        "change (default 2d)",
     )
     clu.add_argument(
         "--layers", default=None, metavar="C",
         help="replication factor c of --grid 3d ('auto' or a square "
-        "c = r² with r | √P; default: REPRO_LAYERS or auto)",
+        "c = r² with r | √P; default auto)",
     )
     clu.add_argument(
         "--schedule", choices=["sync", "static"], default=None,
@@ -292,17 +292,45 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_cluster(args) -> int:
-    from .mcl import MclOptions, markov_cluster
-    from .mcl.hipmcl import HipMCLConfig, hipmcl
-    from .mcl.components import clusters_from_labels
+def _read_network(path):
+    """The network at ``path`` and its vertex names (None for ``.mtx``)."""
     from .sparse import read_abc, read_matrix_market
 
-    labels_dict = None
-    if str(args.input).endswith(".abc"):
-        matrix, labels_dict = read_abc(args.input, symmetrize=True)
+    if str(path).endswith(".abc"):
+        return read_abc(path, symmetrize=True)
+    return read_matrix_market(path), None
+
+
+def _write_clusters(labels, labels_dict, output) -> None:
+    """Write mcl-style cluster lines to ``output`` (stdout when None)."""
+    from .mcl.components import clusters_from_labels
+
+    def render(v: int) -> str:
+        return labels_dict[v] if labels_dict is not None else str(v)
+
+    lines = [
+        "\t".join(render(v) for v in cluster)
+        for cluster in clusters_from_labels(np.asarray(labels))
+    ]
+    text = "\n".join(lines) + "\n"
+    if output:
+        with open(output, "w", encoding="ascii") as fh:
+            fh.write(text)
+        print(f"wrote {output}", file=sys.stderr)
     else:
-        matrix = read_matrix_market(args.input)
+        sys.stdout.write(text)
+
+
+def _cmd_cluster(args) -> int:
+    from .errors import ConvergenceError, FormatError, ShapeError, WeightError
+    from .mcl import MclOptions, markov_cluster
+    from .mcl.hipmcl import HipMCLConfig, hipmcl
+
+    try:
+        matrix, labels_dict = _read_network(args.input)
+    except (OSError, FormatError, ShapeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     options = MclOptions(
         inflation=args.inflation,
         prune_threshold=args.threshold,
@@ -310,7 +338,6 @@ def _cmd_cluster(args) -> int:
         recover_number=args.recover,
         max_iterations=args.max_iterations,
     )
-    from .errors import ConvergenceError, ShapeError, WeightError
 
     if args.mode == "reference":
         for flag, name in (
@@ -352,10 +379,10 @@ def _cmd_cluster(args) -> int:
             )
             return 2
         from .errors import GridError
-        from .mpi.grid import resolve_grid, resolve_layers
+        from .mpi.grid import resolve_layers
 
+        grid_shape = args.grid or "2d"
         try:
-            grid_shape = resolve_grid(args.grid)
             layers = resolve_layers(args.layers) if grid_shape == "3d" else 0
         except GridError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -459,36 +486,24 @@ def _cmd_cluster(args) -> int:
                 f"cf={h.cf:.2f} chaos={h.chaos:.2e}"
             )
             print(line, file=sys.stderr)
-    def render(v: int) -> str:
-        return labels_dict[v] if labels_dict is not None else str(v)
-
-    lines = [
-        "\t".join(render(v) for v in cluster)
-        for cluster in clusters_from_labels(np.asarray(res.labels))
-    ]
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+    _write_clusters(res.labels, labels_dict, args.output)
     return 0
 
 
 def _cmd_recluster(args) -> int:
-    from .errors import ConvergenceError, LocalityError
+    from .errors import (
+        ConvergenceError, FormatError, GridError, LocalityError, ShapeError,
+        WeightError,
+    )
     from .locality import GraphDelta, WarmStart, read_delta_file
     from .mcl import MclOptions
-    from .mcl.components import clusters_from_labels
     from .mcl.hipmcl import HipMCLConfig, hipmcl
-    from .sparse import read_abc, read_matrix_market
 
-    labels_dict = None
-    if str(args.input).endswith(".abc"):
-        matrix, labels_dict = read_abc(args.input, symmetrize=True)
-    else:
-        matrix = read_matrix_market(args.input)
+    try:
+        matrix, labels_dict = _read_network(args.input)
+    except (OSError, FormatError, ShapeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     options = MclOptions(
         inflation=args.inflation,
         prune_threshold=args.threshold,
@@ -496,21 +511,25 @@ def _cmd_recluster(args) -> int:
         recover_number=args.recover,
         max_iterations=args.max_iterations,
     )
-    cfg = {
-        "optimized": HipMCLConfig.optimized,
-        "original": HipMCLConfig.original,
-        "cpu": HipMCLConfig.optimized_cpu,
-    }[args.mode](nodes=args.nodes)
     try:
+        cfg = {
+            "optimized": HipMCLConfig.optimized,
+            "original": HipMCLConfig.original,
+            "cpu": HipMCLConfig.optimized_cpu,
+        }[args.mode](nodes=args.nodes)
         add, remove = read_delta_file(args.delta)
         delta = GraphDelta.from_edges(matrix.ncols, add, remove)
-    except (LocalityError, OSError) as exc:
+    except (GridError, LocalityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     run_kwargs = dict(workers=args.workers)
     try:
         if args.base_labels:
-            base_labels = np.load(args.base_labels)
+            try:
+                base_labels = np.load(args.base_labels)
+            except (OSError, ValueError) as exc:
+                print(f"error: {args.base_labels}: {exc}", file=sys.stderr)
+                return 2
             if len(base_labels) != matrix.ncols:
                 print(
                     f"error: {args.base_labels} holds {len(base_labels)} "
@@ -546,6 +565,9 @@ def _cmd_recluster(args) -> int:
     except (ConvergenceError, LocalityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (ShapeError, WeightError) as exc:
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
+        return 2
     speed = ""
     if cold_seconds is not None and warm_seconds > 0:
         speed = f", {cold_seconds / warm_seconds:.1f}x vs cold base run"
@@ -555,21 +577,7 @@ def _cmd_recluster(args) -> int:
         f"({warm_seconds:.2f}s wall{speed})",
         file=sys.stderr,
     )
-
-    def render(v: int) -> str:
-        return labels_dict[v] if labels_dict is not None else str(v)
-
-    lines = [
-        "\t".join(render(v) for v in cluster)
-        for cluster in clusters_from_labels(np.asarray(res.labels))
-    ]
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+    _write_clusters(res.labels, labels_dict, args.output)
     return 0
 
 

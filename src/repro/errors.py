@@ -74,8 +74,9 @@ class ServiceError(ReproError, RuntimeError):
 
 class LocalityError(ReproError, ValueError):
     """Misuse of the warm start: a graph delta that references vertices
-    outside the graph or does not match the matrix, base labels of the
-    wrong length, or a delta file line that does not parse."""
+    outside the graph, adds a negative or non-finite weight or does not
+    match the matrix, base labels of the wrong length, or a delta file
+    line that does not parse."""
 
 
 class InjectedFault:

@@ -60,7 +60,12 @@ class GraphDelta:
 
     @classmethod
     def from_edges(cls, n: int, add=(), remove=()) -> "GraphDelta":
-        """Build from iterables of ``(i, j, weight)`` and ``(i, j)``."""
+        """Build from iterables of ``(i, j, weight)`` and ``(i, j)``.
+
+        Every edge goes through here (delta files, service payloads, the
+        generators), so it rejects a vertex outside ``[0, n)`` and an
+        ``add`` weight that is negative or not finite before any run.
+        """
         add = list(add)
         remove = list(remove)
         ar = np.asarray([e[0] for e in add], dtype=np.int64)
@@ -74,6 +79,11 @@ class GraphDelta:
                 raise LocalityError(
                     f"{name} edges reference vertices outside [0, {n})"
                 )
+        bad = av[~(np.isfinite(av) & (av >= 0))]
+        if len(bad):
+            raise LocalityError(
+                f"add weights must be finite and non-negative, got {bad[0]}"
+            )
         return cls(int(n), ar, ac, av, rr, rc)
 
     @property

@@ -11,7 +11,6 @@ from .grid import (
     ProcessGrid,
     grid3d_shape,
     is_perfect_square,
-    resolve_grid,
     resolve_layers,
 )
 
@@ -19,7 +18,6 @@ __all__ = [
     "ProcessGrid",
     "is_perfect_square",
     "grid3d_shape",
-    "resolve_grid",
     "resolve_layers",
     "VirtualComm",
     "TrafficStats",

@@ -9,15 +9,12 @@ The split-3D grid reuses the same P ranks: a valid 3D shape factors
 ``P = c · q₃²`` with ``c = r²``, ``r | q`` and ``q₃ = q / r``, so every
 3D cell is addressable as ``layer · q₃² + I · q₃ + J`` inside the same
 rank space.  :func:`grid3d_shape` validates/chooses the factorization and
-:func:`resolve_grid` / :func:`resolve_layers` implement the
-explicit-beats-``REPRO_GRID``/``REPRO_LAYERS``-beats-default resolution
-the CLI and service workers share.
+:func:`resolve_layers` parses a ``--layers`` argument.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from ..errors import GridError
@@ -104,29 +101,14 @@ class ProcessGrid:
         return extra + (global_index - boundary) // base
 
 
-def resolve_grid(explicit: str | None = None) -> str:
-    """The process-grid choice: explicit > ``REPRO_GRID`` > ``"2d"``."""
-    value = explicit if explicit is not None else os.environ.get("REPRO_GRID")
-    if value is None or value == "":
-        return "2d"
-    value = str(value).strip().lower()
-    if value not in GRID_CHOICES:
-        raise GridError(
-            f"grid must be one of {list(GRID_CHOICES)}, got {value!r}"
-        )
-    return value
-
-
-def resolve_layers(explicit: int | str | None = None) -> int:
-    """The replication factor request: explicit > ``REPRO_LAYERS`` > auto.
+def resolve_layers(value: int | str | None) -> int:
+    """The replication factor a ``--layers`` argument asks for.
 
     Returns ``0`` for "auto" (pick the largest valid ``c = r²`` with
-    ``r² <= q``); a positive value is validated later against the actual
-    process count by :func:`grid3d_shape`.
+    ``r² <= q``), also when ``value`` is None or empty; a positive value
+    is validated later against the actual process count by
+    :func:`grid3d_shape`.
     """
-    value = (
-        explicit if explicit is not None else os.environ.get("REPRO_LAYERS")
-    )
     if value is None or value == "" or value == "auto":
         return 0
     try:

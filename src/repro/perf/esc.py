@@ -1,9 +1,10 @@
 """ESC SpGEMM — the numeric kernel behind ``spgemm_esc``.
 
 The paper's CPU kernels are column-by-column Gustavson products, and its
-§III-B observes that a CSC matrix *is* its transpose stored in CSR (the
-identity :mod:`repro.sparse.convert` implements), so ``C = A·B`` with all
-three in CSC is ``Cᵀ = Bᵀ·Aᵀ`` in CSR on the very same arrays.
+§III-B observes that a CSC matrix *is* its transpose stored in CSR:
+CSC(A)'s ``(indptr, indices, data)`` are CSR(Aᵀ)'s, so ``C = A·B`` with
+all three in CSC is ``Cᵀ = Bᵀ·Aᵀ`` in CSR on the very same arrays, and
+the library has no CSR class and no format conversion.
 :func:`expand_compress` therefore hands the operands' own CSC arrays, roles
 of A and B swapped, to SciPy's compiled row-wise product ``csr_matmat``:
 one numeric pass over a row accumulator, no conversion and no copy.

@@ -1,34 +1,21 @@
 """Sparse matrix formats and element-wise kernels (the CombBLAS substrate).
 
-Three storage formats are provided:
+Two storage formats are provided:
 
-* :class:`CSRMatrix` — compressed rows, the orientation the GPU SpGEMM
-  libraries consume;
 * :class:`CSCMatrix` — compressed columns, HipMCL's working orientation;
 * :class:`DCSCMatrix` — doubly compressed columns for hypersparse 2-D
   blocks (Buluç & Gilbert).
 
-plus conversion routines (including the zero-copy CSC↔CSRᵀ
-reinterpretations of paper §III-B), constructors, element-wise operations,
-and MatrixMarket I/O.
+plus constructors, element-wise operations, and MatrixMarket I/O.  There
+is no CSR class: the row-wise compiled kernels read the CSC arrays as
+they are (paper §III-B; see :mod:`repro.perf.esc`).
 """
 
 from .csc import CSCMatrix
-from .csr import CSRMatrix
 from .dcsc import DCSCMatrix
-from .convert import (
-    csc_as_csr_of_transpose,
-    csc_to_csr,
-    csc_to_dcsc,
-    csr_as_csc_of_transpose,
-    csr_to_csc,
-    dcsc_to_csc,
-    dcsc_to_csr,
-)
 from .construct import (
     block_of_csc,
     csc_from_triples,
-    csr_from_triples,
     hstack_csc,
     identity_csc,
     random_csc,
@@ -40,7 +27,6 @@ from .ops import (
     column_sum_of_squares,
     filter_threshold,
     hadamard_power,
-    hadamard_product,
     normalize_columns,
     symmetrize_max,
 )
@@ -55,18 +41,9 @@ from .stats import (
 
 __all__ = [
     "CSCMatrix",
-    "CSRMatrix",
     "DCSCMatrix",
-    "csc_as_csr_of_transpose",
-    "csc_to_csr",
-    "csc_to_dcsc",
-    "csr_as_csc_of_transpose",
-    "csr_to_csc",
-    "dcsc_to_csc",
-    "dcsc_to_csr",
     "block_of_csc",
     "csc_from_triples",
-    "csr_from_triples",
     "hstack_csc",
     "identity_csc",
     "random_csc",
@@ -76,7 +53,6 @@ __all__ = [
     "column_sum_of_squares",
     "filter_threshold",
     "hadamard_power",
-    "hadamard_product",
     "normalize_columns",
     "symmetrize_max",
     "read_matrix_market",

@@ -1,9 +1,8 @@
 """Shared routines for compressed sparse axis representations.
 
-Both :class:`~repro.sparse.csr.CSRMatrix` (compressed rows) and
-:class:`~repro.sparse.csc.CSCMatrix` (compressed columns) store the triplet
+:class:`~repro.sparse.csc.CSCMatrix` stores the triplet
 ``(indptr, indices, data)``; the routines here are written against the
-compressed ("major") axis so the two classes stay thin wrappers.
+compressed ("major") axis.
 
 All index arrays are ``int64`` and all value arrays ``float64``; normalizing
 dtypes at the boundary keeps every downstream kernel branch-free.

@@ -13,7 +13,6 @@ from ..errors import ShapeError
 from ..util.rng import as_generator
 from . import _compressed as _c
 from .csc import CSCMatrix
-from .csr import CSRMatrix
 
 
 def csc_from_triples(shape, rows, cols, vals, *, sum_dup: bool = True) -> CSCMatrix:
@@ -44,16 +43,6 @@ def csc_from_triples(shape, rows, cols, vals, *, sum_dup: bool = True) -> CSCMat
     if sum_dup:
         mat = mat.sum_duplicates()
     return mat
-
-
-def csr_from_triples(shape, rows, cols, vals, *, sum_dup: bool = True) -> CSRMatrix:
-    """Build a CSR matrix from COO triples (see :func:`csc_from_triples`)."""
-    csc = csc_from_triples(
-        (shape[1], shape[0]), np.asarray(cols), np.asarray(rows), vals,
-        sum_dup=sum_dup,
-    )
-    # CSC of the transposed shape with swapped coordinates *is* the CSR.
-    return CSRMatrix(shape, csc.indptr, csc.indices, csc.data, check=False)
 
 
 def identity_csc(n: int, value: float = 1.0) -> CSCMatrix:

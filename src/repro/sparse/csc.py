@@ -2,10 +2,9 @@
 
 CSC is HipMCL's working orientation: the MCL matrix is *column* stochastic,
 pruning keeps the top-k entries of every *column*, and Sparse SUMMA's phased
-execution splits *columns* of the second operand.  The paper's §III-B trick
-— a CSC matrix is its transpose in CSR, so computing ``B·A`` with both in
-CSC-as-CSR avoids any format conversion — is implemented in
-:mod:`repro.sparse.convert`.
+execution splits *columns* of the second operand.  The row-wise compiled
+kernels read these arrays with no conversion (paper §III-B; see
+:mod:`repro.perf.esc`).
 """
 
 from __future__ import annotations
@@ -19,9 +18,8 @@ from . import _compressed as _c
 class CSCMatrix:
     """A sparse matrix stored in compressed sparse column format.
 
-    Parameters mirror :class:`~repro.sparse.csr.CSRMatrix` with the major
-    axis being columns: ``indptr`` has length ``ncols + 1`` and ``indices``
-    holds row ids.
+    The major axis is columns: ``indptr`` has length ``ncols + 1`` and
+    ``indices`` holds row ids.
     """
 
     #: ``__weakref__`` lets a caller watch a matrix's lifetime with

@@ -50,29 +50,6 @@ def hadamard_power(mat: CSCMatrix, exponent: float) -> CSCMatrix:
     )
 
 
-def hadamard_product(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
-    """Element-wise product ``A .* B`` (intersection of patterns)."""
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-    a = a.sum_duplicates()
-    b = b.sum_duplicates()
-    # Match sorted coordinate lists with np.searchsorted on fused keys.
-    key_a = _c.expand_major(a.indptr, a.ncols) * a.nrows + a.indices
-    key_b = _c.expand_major(b.indptr, b.ncols) * b.nrows + b.indices
-    pos = np.searchsorted(key_b, key_a)
-    pos_clip = np.minimum(pos, len(key_b) - 1) if len(key_b) else pos
-    hit = (
-        (pos < len(key_b)) & (key_b[pos_clip] == key_a)
-        if len(key_b)
-        else np.zeros(len(key_a), dtype=bool)
-    )
-    cols = key_a[hit] // a.nrows
-    rows = key_a[hit] % a.nrows
-    vals = a.data[hit] * b.data[pos[hit]]
-    indptr = _c.compress_major(cols.astype(_c.INDEX_DTYPE), a.ncols)
-    return CSCMatrix(a.shape, indptr, rows, vals, check=False).pruned_zeros()
-
-
 def filter_threshold(mat: CSCMatrix, threshold: float) -> CSCMatrix:
     """Keep entries with value >= ``threshold`` (MCL's cutoff prune)."""
     keep = mat.data >= threshold

@@ -5,14 +5,12 @@ Dalton & Olson; also the backbone of ``bhsparse``-era GPU SpGEMM)
 materializes every intermediate product ``a_ik · b_kj``, sorts the triples
 by (column, row), and compresses runs by summation.  The main path here is
 instead one compiled column-by-column Gustavson pass — the formulation of
-the paper's own CPU kernels — run in the paper's §III-B form: a CSC matrix
-is its transpose in CSR (:mod:`repro.sparse.convert`), so SciPy's row-wise
-CSR product computes ``Cᵀ = Bᵀ·Aᵀ`` on the operands' own arrays with no
-conversion (:mod:`repro.perf.esc`).  On positive operands the output is
-sized from the per-column flops and the pass runs once; otherwise a
-structural pass sizes it exactly, and expand – stable sort – compress
-remains as the path for products in which an output cell sums to exactly
-0.0, which the compiled pass would drop.
+the paper's own CPU kernels — run in the paper's §III-B form, on the
+operands' own CSC arrays with no conversion (:mod:`repro.perf.esc`).  On
+positive operands the output is sized from the per-column flops and the
+pass runs once; otherwise a structural pass sizes it exactly, and expand
+– stable sort – compress remains as the path for products in which an
+output cell sums to exactly 0.0, which the compiled pass would drop.
 
 The simulated GPU kernels and the distributed driver use this module to
 produce real numeric results while the machine model charges the cost of

@@ -3,7 +3,6 @@ and memory-driven phase planning."""
 
 from .analysis import (
     CommEstimate,
-    communication_1d,
     communication_2d,
     communication_3d,
     compare_decompositions,
@@ -28,7 +27,6 @@ __all__ = [
     "TransportDecision",
     "plan_transport",
     "CommEstimate",
-    "communication_1d",
     "communication_2d",
     "communication_3d",
     "compare_decompositions",

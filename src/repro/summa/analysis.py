@@ -85,38 +85,6 @@ def communication_2d(
     )
 
 
-def communication_1d(
-    nnz_a: int,
-    nnz_b: int,
-    processes: int,
-    *,
-    spec: MachineSpec = SUMMIT_LIKE,
-) -> CommEstimate:
-    """Per-process communication of a 1-D (block-column) SpGEMM.
-
-    The pre-SUMMA baseline: B lives in block columns, and every process
-    needs *all of A* (an allgather — modeled as P-1 broadcast hops of the
-    local share).  Its per-process volume grows like ``nnz_a`` instead of
-    ``nnz_a/√P``, which is why 2-D decompositions took over (Buluç &
-    Gilbert [7]) and the reference point for the paper's choice of Sparse
-    SUMMA.
-    """
-    if processes < 1:
-        raise GridError(f"processes must be >= 1: {processes}")
-    share = _block_bytes(nnz_a, processes)
-    # Ring allgather: (P-1) steps, each passing one share along.
-    seconds = (processes - 1) * (
-        spec.net_alpha_s + share / spec.net_bytes_per_s
-    )
-    return CommEstimate(
-        scheme="1d",
-        bcast_seconds=seconds,
-        reduction_seconds=0.0,
-        redistribution_seconds=0.0,
-        messages=max(0, processes - 1),
-    )
-
-
 def communication_3d(
     nnz_a: int,
     nnz_b: int,

@@ -1,24 +1,10 @@
-"""Small shared utilities: RNG handling, validation, timers, tables."""
+"""Small shared utilities: RNG handling and tables."""
 
 from .rng import as_generator, spawn_streams
-from .validate import (
-    check_axis_index,
-    check_nonnegative,
-    check_positive,
-    check_probability,
-    check_square,
-)
 from .tables import format_table
-from .timers import VirtualStopwatch
 
 __all__ = [
     "as_generator",
     "spawn_streams",
-    "check_axis_index",
-    "check_nonnegative",
-    "check_positive",
-    "check_probability",
-    "check_square",
     "format_table",
-    "VirtualStopwatch",
 ]

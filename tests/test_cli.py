@@ -268,6 +268,117 @@ def test_cluster_rejects_hostile_input(tmp_path, capsys, mode):
         assert err.startswith("error:") and message in err
 
 
+def test_cluster_grid_3d_layers_runs(tmp_path, capsys):
+    net_path = tmp_path / "net.mtx"
+    main(["generate", "planted:100:10", "-o", str(net_path)])
+    assert main(
+        ["cluster", str(net_path), "--mode", "optimized", "--nodes", "16",
+         "--select", "12", "--grid", "3d", "--layers", "4"]
+    ) == 0
+    assert "3D grid (4 layers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["cluster"], ["recluster"]])
+def test_unreadable_input_exits_2(tmp_path, capsys, command):
+    delta = tmp_path / "d.txt"
+    delta.write_text("add 0 1 0.5\n")
+    truncated = tmp_path / "short.mtx"
+    truncated.write_text(
+        "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 1.0\n"
+    )
+    for path in (tmp_path / "nope.mtx", truncated):
+        args = command + [str(path)]
+        if command == ["recluster"]:
+            args.append(str(delta))
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# recluster: the warm start from the command line
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def recluster_input(tmp_path, capsys):
+    net_path = tmp_path / "net.mtx"
+    main(["generate", "planted:100:10", "-o", str(net_path)])
+    delta_path = tmp_path / "delta.txt"
+    delta_path.write_text("# one local patch\nadd 0 5 0.5\nremove 1 2\n")
+    capsys.readouterr()
+    return net_path, delta_path, [
+        "recluster", str(net_path), str(delta_path),
+        "--nodes", "4", "--select", "12",
+    ]
+
+
+def test_recluster_writes_the_warm_start_clusters(
+    tmp_path, capsys, recluster_input
+):
+    from repro.locality import GraphDelta, WarmStart
+    from repro.mcl import MclOptions
+    from repro.mcl.components import clusters_from_labels
+    from repro.mcl.hipmcl import HipMCLConfig, hipmcl
+    from repro.sparse import read_matrix_market
+
+    net_path, _, args = recluster_input
+    out = tmp_path / "warm.tsv"
+    assert main(args + ["-o", str(out)]) == 0
+    assert "base run:" in capsys.readouterr().err
+    matrix = read_matrix_market(net_path)
+    options = MclOptions(select_number=12)
+    config = HipMCLConfig.optimized(nodes=4)
+    delta = GraphDelta.from_edges(matrix.ncols, [(0, 5, 0.5)], [(1, 2)])
+    base = hipmcl(matrix, options, config)
+    warm = hipmcl(
+        matrix, options, config,
+        warm_start=WarmStart(np.asarray(base.labels, np.int64), delta),
+    )
+    expected = [
+        "\t".join(str(v) for v in cluster)
+        for cluster in clusters_from_labels(np.asarray(warm.labels))
+    ]
+    assert out.read_text().splitlines() == expected
+
+
+def test_recluster_reuses_saved_base_labels(tmp_path, capsys, recluster_input):
+    _, _, args = recluster_input
+    labels = tmp_path / "base.npy"
+    assert main(args + ["--save-base-labels", str(labels)]) == 0
+    cold = capsys.readouterr()
+    assert labels.exists() and "base run:" in cold.err
+    assert main(args + ["--base-labels", str(labels)]) == 0
+    warm = capsys.readouterr()
+    assert "base run:" not in warm.err
+    assert warm.out == cold.out
+
+
+def test_recluster_rejects_a_non_square_node_count(capsys, recluster_input):
+    _, _, args = recluster_input
+    assert main(args + ["--nodes", "3"]) == 2
+    assert "perfect square" in capsys.readouterr().err
+
+
+def test_recluster_rejects_bad_base_labels(tmp_path, capsys, recluster_input):
+    _, _, args = recluster_input
+    short = tmp_path / "short.npy"
+    np.save(short, np.zeros(99, dtype=np.int64))
+    for path in (short, tmp_path / "missing.npy"):
+        assert main(args + ["--base-labels", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-2"])
+def test_recluster_rejects_bad_delta_weight_before_base_run(
+    tmp_path, capsys, recluster_input, weight
+):
+    net_path, delta_path, args = recluster_input
+    delta_path.write_text(f"add 0 5 {weight}\n")
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "base run" not in err
+
+
 def test_experiment_list(capsys):
     assert main(["experiment", "list"]) == 0
     out = capsys.readouterr().out

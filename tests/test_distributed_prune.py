@@ -9,7 +9,6 @@ from repro.mcl.distributed_prune import (
     distributed_prune_block_column,
     distributed_topk_threshold,
     filter_block_by_threshold,
-    local_topk_candidates,
 )
 from repro.mcl.prune import prune_columns
 from repro.mpi import ProcessGrid
@@ -22,25 +21,6 @@ def split_rows(mat, q):
         block_of_csc(mat, *grid.block_bounds(mat.nrows, i), 0, mat.ncols)
         for i in range(q)
     ]
-
-
-class TestLocalCandidates:
-    def test_candidates_are_column_top_k(self):
-        mat = random_csc((40, 12), 0.4, seed=3)
-        cols, vals = local_topk_candidates(mat, 3)
-        dense = mat.to_dense()
-        for j in range(12):
-            expected = np.sort(dense[:, j][dense[:, j] > 0])[::-1][:3]
-            got = np.sort(vals[cols == j])[::-1]
-            assert np.allclose(got, expected)
-
-    def test_k_validation(self):
-        with pytest.raises(ValueError):
-            local_topk_candidates(CSCMatrix.empty((2, 2)), 0)
-
-    def test_empty_block(self):
-        cols, vals = local_topk_candidates(CSCMatrix.empty((4, 4)), 5)
-        assert len(cols) == 0 and len(vals) == 0
 
 
 class TestThreshold:
@@ -70,6 +50,10 @@ class TestThreshold:
     def test_no_blocks(self):
         with pytest.raises(ValueError):
             distributed_topk_threshold([], 2)
+
+    def test_k_validation(self):
+        with pytest.raises(ValueError):
+            distributed_topk_threshold([CSCMatrix.empty((2, 2))], 0)
 
 
 class TestEquivalenceWithCentralizedPrune:

@@ -37,6 +37,17 @@ def test_delta_validates_bounds():
         GraphDelta.from_edges(4, [], [(-1, 2)])
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -2.0])
+def test_delta_rejects_bad_add_weights(weight):
+    # Caught here, before any run, not as a WeightError after a cold
+    # base clustering.
+    with pytest.raises(LocalityError, match="finite and non-negative"):
+        GraphDelta.from_edges(4, [(0, 1, 1.0), (0, 2, weight)], [])
+    with pytest.raises(LocalityError, match="finite and non-negative"):
+        GraphDelta.from_payload(4, {"add": [[0, 2, weight]]})
+    assert GraphDelta.from_edges(4, [(0, 2, 0.0)], []).num_edges == 1
+
+
 def test_delta_apply_adds_and_removes(islands):
     n = islands.ncols
     delta = GraphDelta.from_edges(n, [(0, 1, 0.5)], [])

@@ -24,9 +24,7 @@ def test_environment_variables_are_pinned():
     names = set()
     for path in Path(repro.__file__).parent.rglob("*.py"):
         names |= set(ENV_NAME.findall(path.read_text()))
-    assert names == {
-        "WORKERS", "GRID", "LAYERS", "BENCH_FAST",
-    }
+    assert names == {"WORKERS", "BENCH_FAST"}
 
 
 def test_driver_and_job_surfaces_are_pinned():

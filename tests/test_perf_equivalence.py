@@ -843,7 +843,7 @@ def test_distributed_topk_fast_matches(mats, k):
         if len(column) >= k:
             want[j] = column[-k]
     assert bits_equal(distributed_topk_threshold(blocks, k), want)
-    with patched(perf_topk, PAD_CELL_LIMIT=0):  # the candidate exchange
+    with patched(perf_topk, PAD_CELL_LIMIT=0):  # the sort-based ranking
         assert bits_equal(distributed_topk_threshold(blocks, k), want)
 
 

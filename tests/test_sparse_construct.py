@@ -7,7 +7,6 @@ from repro.errors import ShapeError
 from repro.sparse import (
     block_of_csc,
     csc_from_triples,
-    csr_from_triples,
     hstack_csc,
     identity_csc,
     random_csc,
@@ -56,13 +55,6 @@ class TestFromTriples:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             csc_from_triples((2, 2), [0, 1], [0], [1.0])
-
-    def test_csr_from_triples_matches(self):
-        rows, cols = [0, 2, 1], [1, 0, 1]
-        vals = [1.0, 2.0, 3.0]
-        a = csc_from_triples((3, 2), rows, cols, vals)
-        b = csr_from_triples((3, 2), rows, cols, vals)
-        assert np.allclose(a.to_dense(), b.to_dense())
 
 
 class TestIdentity:

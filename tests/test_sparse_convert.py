@@ -1,68 +1,9 @@
-"""Conversion tests, including the zero-copy transpose reinterpretations."""
+"""Conversion tests: DCSC decompresses to the CSC it came from."""
 
-import numpy as np
-
-from repro.sparse import (
-    csc_as_csr_of_transpose,
-    csc_to_csr,
-    csc_to_dcsc,
-    csr_as_csc_of_transpose,
-    csr_to_csc,
-    dcsc_to_csc,
-    dcsc_to_csr,
-    random_csc,
-)
-
-
-def test_csc_csr_roundtrip():
-    mat = random_csc((33, 27), 0.15, seed=1)
-    back = csr_to_csc(csc_to_csr(mat))
-    assert back.same_pattern_and_values(mat.sorted())
-
-
-def test_csr_matches_dense():
-    mat = random_csc((33, 27), 0.15, seed=2)
-    assert np.allclose(csc_to_csr(mat).to_dense(), mat.to_dense())
-
-
-def test_zero_copy_reinterpretation_is_transpose():
-    mat = random_csc((20, 30), 0.2, seed=3)
-    view = csc_as_csr_of_transpose(mat)
-    assert view.shape == (30, 20)
-    assert np.allclose(view.to_dense(), mat.to_dense().T)
-    # Shares memory — the whole point.
-    assert view.indptr is mat.indptr
-    assert view.indices is mat.indices
-    assert view.data is mat.data
-
-
-def test_zero_copy_inverse_direction():
-    mat = random_csc((20, 30), 0.2, seed=4)
-    csr = csc_to_csr(mat)
-    view = csr_as_csc_of_transpose(csr)
-    assert view.shape == (30, 20)
-    assert np.allclose(view.to_dense(), csr.to_dense().T)
-
-
-def test_transpose_trick_computes_product_without_conversion():
-    """§III-B: Cᵀ = Bᵀ·Aᵀ on CSR views gives C in CSC with no conversion."""
-    from repro.spgemm import spgemm_esc
-
-    a = random_csc((25, 20), 0.2, seed=5)
-    b = random_csc((20, 15), 0.2, seed=6)
-    direct = spgemm_esc(a, b)
-    # Multiply the reinterpretations: CSC(B) viewed as CSR(Bᵀ) etc.  In CSC
-    # terms this is the product B̃·Ã where X̃ is the transpose view, and the
-    # result reinterpreted back is C.
-    bt = csr_as_csc_of_transpose(csc_to_csr(b))  # physically Bᵀ in CSC
-    at = csr_as_csc_of_transpose(csc_to_csr(a))  # physically Aᵀ in CSC
-    ct = spgemm_esc(bt, at)  # Cᵀ in CSC
-    c = csr_as_csc_of_transpose(csc_to_csr(ct))
-    assert np.allclose(c.to_dense(), direct.to_dense())
+from repro.sparse import DCSCMatrix, random_csc
 
 
 def test_dcsc_conversions():
     mat = random_csc((40, 50), 0.05, seed=7)
-    d = csc_to_dcsc(mat)
-    assert dcsc_to_csc(d).same_pattern_and_values(mat.sorted())
-    assert np.allclose(dcsc_to_csr(d).to_dense(), mat.to_dense())
+    d = DCSCMatrix.from_csc(mat)
+    assert d.to_csc().same_pattern_and_values(mat.sorted())

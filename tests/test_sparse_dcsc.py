@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FormatError
-from repro.sparse import CSCMatrix, DCSCMatrix, csc_to_dcsc, random_csc
+from repro.sparse import CSCMatrix, DCSCMatrix, random_csc
 
 from helpers import assert_matrix_equals_dense
 
@@ -12,7 +12,7 @@ from helpers import assert_matrix_equals_dense
 class TestRoundTrip:
     def test_dense_roundtrip(self):
         mat = random_csc((40, 60), 0.05, seed=7)
-        d = csc_to_dcsc(mat)
+        d = DCSCMatrix.from_csc(mat)
         assert_matrix_equals_dense(d, mat.to_dense())
 
     def test_empty_matrix(self):
@@ -23,14 +23,14 @@ class TestRoundTrip:
     def test_to_csc_shares_nnz_arrays(self):
         # The §III-B observation: decompression touches only pointers.
         mat = random_csc((30, 30), 0.1, seed=3)
-        d = csc_to_dcsc(mat)
+        d = DCSCMatrix.from_csc(mat)
         back = d.to_csc()
         assert back.indices is d.ir
         assert back.data is d.num
 
     def test_nzc_counts_nonempty_columns(self):
         mat = random_csc((50, 80), 0.02, seed=5)
-        d = csc_to_dcsc(mat)
+        d = DCSCMatrix.from_csc(mat)
         assert d.nzc == int((mat.column_lengths() > 0).sum())
 
 
@@ -66,7 +66,7 @@ class TestHypersparsity:
 
     def test_copy_is_independent(self):
         mat = random_csc((20, 20), 0.1, seed=9)
-        d = csc_to_dcsc(mat)
+        d = DCSCMatrix.from_csc(mat)
         c = d.copy()
         c.num[:] = 0
         assert not np.array_equal(c.num, d.num) or d.nnz == 0

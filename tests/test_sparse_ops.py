@@ -13,7 +13,6 @@ from repro.sparse import (
     column_sum_of_squares,
     filter_threshold,
     hadamard_power,
-    hadamard_product,
     normalize_columns,
     random_csc,
     symmetrize_max,
@@ -50,20 +49,6 @@ class TestHadamard:
     def test_power_rejects_nonpositive(self, square_matrix):
         with pytest.raises(ValueError):
             hadamard_power(square_matrix, 0.0)
-
-    def test_product_matches_dense(self):
-        a = random_csc((20, 20), 0.25, seed=3)
-        b = random_csc((20, 20), 0.25, seed=4)
-        assert np.allclose(
-            hadamard_product(a, b).to_dense(), a.to_dense() * b.to_dense()
-        )
-
-    def test_product_disjoint_patterns_empty(self):
-        from repro.sparse import CSCMatrix
-
-        a = CSCMatrix.from_dense([[1.0, 0.0], [0.0, 0.0]])
-        b = CSCMatrix.from_dense([[0.0, 0.0], [0.0, 2.0]])
-        assert hadamard_product(a, b).nnz == 0
 
 
 class TestFilterNormalize:

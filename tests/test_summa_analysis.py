@@ -91,37 +91,3 @@ class TestComparison:
     def test_bad_amortization(self):
         with pytest.raises(ValueError):
             compare_decompositions(100, 100, 64, multiplies_to_amortize=0)
-
-
-class TestModel1D:
-    def test_one_process_free(self):
-        from repro.summa.analysis import communication_1d
-
-        assert communication_1d(10**6, 10**6, 1).bcast_seconds == 0.0
-
-    def test_1d_loses_to_2d_at_scale(self):
-        """The textbook result that motivates 2-D SUMMA: block-column
-        distribution's allgather volume does not shrink with P."""
-        from repro.summa.analysis import communication_1d
-
-        # At small P the two are comparable (tree-broadcast log factors);
-        # the 2-D advantage is asymptotic — assert it from 64 processes.
-        for p in (64, 256, 1024):
-            one = communication_1d(10**6, 10**6, p)
-            two = communication_2d(10**6, 10**6, p)
-            assert one.bcast_seconds > two.bcast_seconds, p
-
-    def test_1d_volume_flat_in_p(self):
-        from repro.summa.analysis import communication_1d
-
-        t64 = communication_1d(10**7, 10**7, 64).bcast_seconds
-        t256 = communication_1d(10**7, 10**7, 256).bcast_seconds
-        # Same total bytes traverse every process regardless of P.
-        assert t256 > 0.8 * t64
-
-    def test_validation(self):
-        from repro.errors import GridError
-        from repro.summa.analysis import communication_1d
-
-        with pytest.raises(GridError):
-            communication_1d(10, 10, 0)

@@ -1,23 +1,9 @@
 """Tests for the util subpackage."""
 
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.util import (
-    VirtualStopwatch,
-    as_generator,
-    check_axis_index,
-    check_nonnegative,
-    check_positive,
-    check_probability,
-    check_square,
-    format_table,
-    spawn_streams,
-)
+from repro.util import as_generator, format_table, spawn_streams
 
 
 class TestRng:
@@ -52,38 +38,6 @@ class TestRng:
         assert len(streams) == 2
 
 
-class TestValidate:
-    def test_check_positive(self):
-        check_positive("x", 1)
-        with pytest.raises(ValueError, match="x"):
-            check_positive("x", 0)
-        with pytest.raises(ValueError):
-            check_positive("x", float("inf"))
-
-    def test_check_nonnegative(self):
-        check_nonnegative("x", 0)
-        with pytest.raises(ValueError):
-            check_nonnegative("x", -0.1)
-
-    def test_check_probability(self):
-        check_probability("p", 0.0)
-        check_probability("p", 1.0)
-        with pytest.raises(ValueError):
-            check_probability("p", 1.01)
-
-    def test_check_square(self):
-        check_square("m", (3, 3))
-        from repro.errors import ShapeError
-
-        with pytest.raises(ShapeError):
-            check_square("m", (3, 4))
-
-    def test_check_axis_index(self):
-        check_axis_index("i", 0, 5)
-        with pytest.raises(IndexError):
-            check_axis_index("i", 5, 5)
-
-
 class TestTables:
     def test_alignment_and_title(self):
         out = format_table(
@@ -103,110 +57,3 @@ class TestTables:
         assert "123,456" in out
         assert "0.00123" in out
         assert "12.3" in out
-
-
-class TestStopwatch:
-    def test_charge_accumulates(self):
-        sw = VirtualStopwatch()
-        sw.charge("a", 1.5)
-        sw.charge("a", 0.5)
-        assert sw.now == 2.0 and sw.accounts["a"] == 2.0
-
-    def test_negative_charge_rejected(self):
-        with pytest.raises(ValueError):
-            VirtualStopwatch().charge("a", -1)
-
-    def test_advance_to_records_idle(self):
-        sw = VirtualStopwatch()
-        sw.charge("a", 1.0)
-        sw.advance_to(3.0)
-        assert sw.now == 3.0 and sw.accounts["idle"] == 2.0
-
-    def test_advance_to_past_is_noop(self):
-        sw = VirtualStopwatch()
-        sw.charge("a", 5.0)
-        sw.advance_to(1.0)
-        assert sw.now == 5.0 and "idle" not in sw.accounts
-
-    def test_split_snapshot(self):
-        sw = VirtualStopwatch()
-        sw.charge("a", 1.0)
-        snap = sw.split()
-        sw.charge("a", 1.0)
-        assert snap["a"] == 1.0
-
-
-#: One stopwatch operation: a charge to one of a few accounts, or an
-#: advance_to some absolute time (possibly in the past — a no-op then).
-_stopwatch_ops = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("charge"),
-            st.sampled_from(["a", "b", "c"]),
-            st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
-        ),
-        st.tuples(
-            st.just("advance"),
-            st.just(""),
-            st.floats(0.0, 1e7, allow_nan=False, allow_infinity=False),
-        ),
-    ),
-    max_size=40,
-)
-
-
-class TestStopwatchProperties:
-    """Hypothesis invariants of the simulated clock's building block.
-
-    The whole machine model stands on these: the dual-clock tracer's
-    simulated timestamps are read off stopwatch-backed rank clocks, so
-    monotonicity and conservation here are what make the trace's
-    simulated lanes meaningful.
-    """
-
-    @given(ops=_stopwatch_ops)
-    @settings(max_examples=200, deadline=None)
-    def test_now_is_monotonic(self, ops):
-        sw = VirtualStopwatch()
-        prev = sw.now
-        for kind, account, value in ops:
-            if kind == "charge":
-                sw.charge(account, value)
-            else:
-                sw.advance_to(value)
-            assert sw.now >= prev
-            prev = sw.now
-
-    @given(ops=_stopwatch_ops)
-    @settings(max_examples=200, deadline=None)
-    def test_account_totals_equal_now(self, ops):
-        """Every second on the clock is billed to exactly one account."""
-        sw = VirtualStopwatch()
-        for kind, account, value in ops:
-            if kind == "charge":
-                sw.charge(account, value)
-            else:
-                sw.advance_to(value)
-        total = sum(sw.accounts.values())
-        assert math.isclose(total, sw.now, rel_tol=1e-9, abs_tol=1e-12)
-
-    @given(ops=_stopwatch_ops, t=st.floats(0.0, 1e7, allow_nan=False))
-    @settings(max_examples=200, deadline=None)
-    def test_advance_to_clamps_and_idles(self, ops, t):
-        """advance_to never rewinds; the skipped interval is billed idle."""
-        sw = VirtualStopwatch()
-        for kind, account, value in ops:
-            if kind == "charge":
-                sw.charge(account, value)
-            else:
-                sw.advance_to(value)
-        before = sw.now
-        idle_before = sw.accounts.get("idle", 0.0)
-        sw.advance_to(t)
-        assert sw.now == max(before, t)
-        assert math.isclose(
-            sw.accounts.get("idle", 0.0) - idle_before,
-            max(0.0, t - before),
-            rel_tol=1e-9,
-            abs_tol=1e-12,
-        )

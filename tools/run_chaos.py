@@ -67,9 +67,9 @@ def main(argv=None) -> int:
         "thread pool's bit-identity under fault recovery",
     )
     parser.add_argument(
-        "--grid", choices=["2d", "3d"], default=None,
-        help="process-grid shape for baseline and faulted runs (default: "
-        "REPRO_GRID or 2d); 3d also sweeps the transport-demotion rung",
+        "--grid", choices=["2d", "3d"], default="2d",
+        help="process-grid shape for baseline and faulted runs (default "
+        "2d); 3d also sweeps the transport-demotion rung",
     )
     parser.add_argument(
         "--layers", default=None, metavar="C",
@@ -111,13 +111,12 @@ def main(argv=None) -> int:
     opts = options_for(args.net)
     try:
         from repro.errors import GridError
-        from repro.mpi.grid import resolve_grid, resolve_layers
+        from repro.mpi.grid import resolve_layers
 
-        grid = resolve_grid(args.grid)
-        layers = resolve_layers(args.layers) if grid == "3d" else 0
+        layers = resolve_layers(args.layers) if args.grid == "3d" else 0
         cfg = HipMCLConfig.optimized(
             nodes=args.nodes, memory_budget_bytes=entry.memory_budget_bytes,
-            grid=grid, layers=layers,
+            grid=args.grid, layers=layers,
         )
     except GridError as exc:
         print(f"error: {exc}", file=sys.stderr)
