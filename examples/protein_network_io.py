@@ -8,6 +8,9 @@ distributed clustering on the simulated machine, and writes the clusters
 to a TSV file — one cluster per line, as ``mcl`` outputs.
 
 Run:  python examples/protein_network_io.py [outdir]
+
+Without ``outdir`` the files go to a temporary directory that is removed
+when the example exits.
 """
 
 from __future__ import annotations
@@ -23,9 +26,14 @@ from repro.sparse import read_matrix_market, write_matrix_market
 
 
 def main() -> None:
-    outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(
-        tempfile.mkdtemp(prefix="repro-")
-    )
+    if len(sys.argv) > 1:
+        run(Path(sys.argv[1]))
+    else:
+        with tempfile.TemporaryDirectory(prefix="repro-") as tmp:
+            run(Path(tmp))
+
+
+def run(outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
 
     # 1. Generate and persist the network.

@@ -23,14 +23,12 @@ from .errors import (
     CheckpointError,
     CommunicatorError,
     ConvergenceError,
-    DeviceMemoryError,
     EstimationError,
     FormatError,
     GridError,
     HostMemoryError,
     InjectedFault,
     InvariantViolation,
-    KernelLaunchError,
     ReproError,
     ShapeError,
 )
@@ -53,11 +51,9 @@ __all__ = [
     "FormatError",
     "GridError",
     "CommunicatorError",
-    "DeviceMemoryError",
     "HostMemoryError",
     "ConvergenceError",
     "EstimationError",
-    "KernelLaunchError",
     "CheckpointError",
     "InvariantViolation",
     "InjectedFault",

@@ -32,10 +32,6 @@ class CommunicatorError(ReproError, RuntimeError):
     """Misuse of the simulated MPI layer (bad rank, root, or buffer)."""
 
 
-class DeviceMemoryError(ReproError, MemoryError):
-    """A simulated GPU allocation exceeded the device memory capacity."""
-
-
 class HostMemoryError(ReproError, MemoryError):
     """A simulated per-process host allocation exceeded its memory budget."""
 
@@ -53,10 +49,6 @@ class ConvergenceError(ReproError, RuntimeError):
 
 class EstimationError(ReproError, ValueError):
     """Invalid parameters for the probabilistic memory estimator."""
-
-
-class KernelLaunchError(ReproError, RuntimeError):
-    """A (simulated) GPU kernel launch failed."""
 
 
 class CheckpointError(ReproError, RuntimeError):

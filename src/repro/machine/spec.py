@@ -103,6 +103,12 @@ class MachineSpec:
     cpu_cf_hash_min: float = 2.0
 
     # ---------------------------------------------------------------------
+    def __post_init__(self):
+        if self.gpu_memory_bytes <= 0:
+            raise ValueError(
+                f"device capacity must be positive: {self.gpu_memory_bytes}"
+            )
+
     def selection_policy(self) -> SelectionPolicy:
         """The hybrid-kernel thresholds this machine implies."""
         return SelectionPolicy(

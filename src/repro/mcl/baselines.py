@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse import CSCMatrix
-from ..sparse import _compressed as _c
 from ..util.rng import as_generator
 from .components import connected_components
 

@@ -136,9 +136,10 @@ def markov_cluster(
     Parameters
     ----------
     spgemm:
-        The SpGEMM kernel used for expansion; any of the five
-        implementations in :mod:`repro.spgemm` / :mod:`repro.gpu` works
-        (they are numerically interchangeable).
+        The SpGEMM kernel used for expansion; any of the three
+        implementations in :mod:`repro.spgemm` (``spgemm_esc``,
+        ``spgemm_heap``, ``spgemm_hash``) works (they are numerically
+        interchangeable).
     expand_slab_columns:
         Fuse expansion with pruning over slabs of this many columns,
         bounding transient memory (sequential analogue of HipMCL phases).

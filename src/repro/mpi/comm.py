@@ -12,7 +12,7 @@ in the timelines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..errors import CommunicatorError

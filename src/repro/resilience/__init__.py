@@ -4,7 +4,7 @@ The subsystem has four parts, each usable on its own:
 
 * :mod:`repro.resilience.faults` — deterministic seeded fault injection
   (:class:`FaultPlan` / :class:`FaultInjector`) into the simulated MPI,
-  GPU, and estimator layers;
+  SpGEMM engine (GPU, CPU-hash and merge sites), and estimator layers;
 * :mod:`repro.resilience.policy` — recovery behavior
   (:class:`RetryPolicy` / :class:`ResiliencePolicy`): collective retries
   with backoff, the kernel degradation ladder, overrun phase-splitting,
@@ -26,9 +26,7 @@ from .faults import (
     FaultInjector,
     FaultPlan,
     InjectedCommFailure,
-    InjectedDeviceMemoryError,
     InjectedEstimationError,
-    InjectedKernelLaunchError,
     as_injector,
 )
 from .checkpoint import (
@@ -48,9 +46,7 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
     "InjectedCommFailure",
-    "InjectedDeviceMemoryError",
     "InjectedEstimationError",
-    "InjectedKernelLaunchError",
     "as_injector",
     "RetryPolicy",
     "ResiliencePolicy",

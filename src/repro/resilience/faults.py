@@ -15,8 +15,12 @@ The injector is wired into three layers:
 * :class:`repro.mpi.comm.VirtualComm` — transient collective failures
   (retried with backoff, charged to the simulated clock) and straggler
   delays before a collective;
-* :class:`repro.gpu.device.GPUDevice` — allocation faults and kernel
-  launch faults (recovered by the kernel degradation ladder);
+* :func:`repro.summa.engine.summa_multiply` — GPU allocation and launch
+  faults, CPU hash-table overflows (recovered by the kernel degradation
+  ladder) and merge-memory overruns (recovered by the SpKAdd strategy
+  ladder).  These are drawn once per multiply, before it is priced, as
+  the multiply's fault schedule (``_PricePlan.draw_faults``), in the
+  order the pricing walk meets them;
 * :func:`repro.spgemm.estimator.estimate_nnz` — Cohen bound misses
   (recovered by symbolic fallback) and silent underestimates (recovered
   by splitting the expansion into more phases after the overrun).
@@ -34,26 +38,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from ..errors import (
-    CommunicatorError,
-    DeviceMemoryError,
-    EstimationError,
-    InjectedFault,
-    KernelLaunchError,
-)
+import numpy as np
+
+from ..errors import CommunicatorError, EstimationError, InjectedFault
 from ..util.rng import spawn_streams
 
 
 class InjectedCommFailure(CommunicatorError, InjectedFault):
     """A collective failed transiently (injected)."""
-
-
-class InjectedDeviceMemoryError(DeviceMemoryError, InjectedFault):
-    """A device allocation failed transiently (injected)."""
-
-
-class InjectedKernelLaunchError(KernelLaunchError, InjectedFault):
-    """A kernel launch failed transiently (injected)."""
 
 
 class InjectedEstimationError(EstimationError, InjectedFault):
@@ -208,34 +200,46 @@ class FaultInjector:
         self.injected["straggler"] += 1
         return idx, delay
 
-    # -- device sites ----------------------------------------------------
+    # -- pricing-pass sites: drawn per multiply, before it is priced ------
 
-    def gpu_alloc_fault(self) -> bool:
-        if self._rng["gpu_alloc"].random() < self.plan.gpu_alloc_rate:
-            self.injected["gpu_alloc"] += 1
-            return True
-        return False
+    def gpu_attempt(self, staged, capacity: int) -> str:
+        """One offloaded multiply's device side: ``"ok"``, ``"injected"``
+        or ``"oom"``.
 
-    def gpu_launch_fault(self) -> bool:
-        if self._rng["gpu_launch"].random() < self.plan.gpu_launch_rate:
-            self.injected["gpu_launch"] += 1
-            return True
-        return False
+        ``staged`` lists per device the bytes it holds once A, then B,
+        then C are on it.  Device by device, each allocation draws an
+        injected fault, then checks ``capacity``, and the launch draws
+        one; the attempt stops at the first failure.
+        """
+        plan = self.plan
+        alloc, launch = self._rng["gpu_alloc"], self._rng["gpu_launch"]
+        for device in staged:
+            for nbytes in device:
+                if alloc.random() < plan.gpu_alloc_rate:
+                    self.injected["gpu_alloc"] += 1
+                    return "injected"
+                if nbytes > capacity:
+                    return "oom"
+            if launch.random() < plan.gpu_launch_rate:
+                self.injected["gpu_launch"] += 1
+                return "injected"
+        return "ok"
 
-    def cpu_kernel_fault(self) -> bool:
-        if self._rng["cpu_kernel"].random() < self.plan.cpu_kernel_rate:
-            self.injected["cpu_kernel"] += 1
-            return True
-        return False
-
-    # -- merge site ------------------------------------------------------
-
-    def merge_fault(self) -> bool:
-        """Whether the next merge event overruns its memory (injected)."""
-        if self._rng["merge"].random() < self.plan.merge_overrun_rate:
-            self.injected["merge"] += 1
-            return True
-        return False
+    def faults(self, site: str, n: int) -> np.ndarray:
+        """Whether each of the next ``n`` opportunities of a one-draw
+        site faults: ``"cpu_kernel"`` (a CPU-hash multiply aborts) or
+        ``"merge"`` (a merge event overruns its memory).  One vector
+        draw: ``Generator.random(n)`` yields the values of n scalar
+        ``random()`` calls."""
+        rate = {
+            "cpu_kernel": self.plan.cpu_kernel_rate,
+            "merge": self.plan.merge_overrun_rate,
+        }[site]
+        hits = self._rng[site].random(n) < rate
+        count = int(np.count_nonzero(hits))
+        if count:
+            self.injected[site] += count
+        return hits
 
     # -- estimator site --------------------------------------------------
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..sparse import CSCMatrix
-from ..sparse import _compressed as _c
 
 
 def spgemm_heap(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:

@@ -30,7 +30,8 @@ advances by modeled durations.  A multiply runs in two passes.
   kernel pick and device price per multiply), then :class:`_Pricer`
   replays each phase's records stage-major, in the order the ranks
   execute them: transfers, the GPU degradation ladder, clock charges,
-  fault draws, merge-strategy labels, trace tuples, the per-column
+  the fault schedule drawn before it (:meth:`_PricePlan.draw_faults`),
+  merge-strategy labels, trace tuples, the per-column
   ``charge_column_prune`` and the overlap evidence.  Numerics never
   depend on a price, so splitting the passes changes no simulated
   figure.
@@ -58,8 +59,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DeviceMemoryError, InjectedFault, KernelLaunchError
-from ..gpu.device import GPUDevice, split_columns
 from ..machine.spec import MachineSpec, SUMMIT_LIKE
 from ..merge import SCHEDULES, TripleList, merge_lists
 from ..merge.spkadd import STRATEGY_LADDER, spkadd_merge
@@ -203,81 +202,16 @@ def _pick_kernels(
     policy,
     flops: np.ndarray,
     cf: np.ndarray,
-    gpu_ok: bool,
 ) -> np.ndarray:
     """Every product's kernel as a :data:`KERNEL_KINDS` code."""
-    gpu = config.use_gpu and gpu_ok
     if config.kernel == "hybrid":
-        return kernels_for_work(flops, cf, gpu_available=gpu, policy=policy)
+        return kernels_for_work(
+            flops, cf, gpu_available=config.use_gpu, policy=policy
+        )
     kind = _KERNEL_NAMES[config.kernel]
-    if kind.on_gpu and not gpu:
+    if kind.on_gpu and not config.use_gpu:
         kind = KernelKind.CPU_HASH  # forced-GPU config without a usable GPU
     return np.full(np.shape(flops), KERNEL_KINDS.index(kind))
-
-
-def _device_split(b_indptr: np.ndarray, g: int):
-    """The B slab's column split over ``g`` devices, from its column
-    pointer (the phase's slice of the block's; only differences are
-    read): the split points, the slab starts ``np.add.reduceat`` sums
-    from (None when a slab is empty, which reduceat cannot express), each
-    slab's width and each device's B-slab bytes."""
-    bounds = split_columns(len(b_indptr) - 1, g)
-    points = np.array([0] + [hi for _lo, hi in bounds], dtype=np.int64)
-    widths = [hi - lo for lo, hi in bounds]
-    b_at = b_indptr[points].tolist()
-    b_bytes = [
-        (b_at[d + 1] - b_at[d]) * 16 + (w + 1) * 8
-        for d, w in enumerate(widths)
-    ]
-    starts = points[:-1] if min(widths) > 0 else None
-    return points, starts, widths, b_bytes
-
-
-def _gpu_stage_time(
-    spec: MachineSpec,
-    kind: KernelKind,
-    a_bytes: int,
-    b_indptr: np.ndarray,
-    c_indptr: np.ndarray,
-    devices: list[GPUDevice],
-    per_col_flops: np.ndarray,
-) -> tuple[float, int, int]:
-    """Kernel-only seconds (concurrent devices → max share), H2D and D2H
-    bytes for one offloaded local multiply, with device-memory checks:
-    the per-product path of :class:`_PricePlan`, and its oracle.
-
-    ``a_bytes`` is A's storage; ``b_indptr``, ``c_indptr`` and
-    ``per_col_flops`` are the column pointers of the B slab and of its
-    product, and the product's flops per column.  Raises
-    :class:`DeviceMemoryError` when any device's share does not fit; the
-    caller falls back to the CPU kernel (§III's memory rationale for the
-    hybrid CPU-GPU approach).
-    """
-    points, starts, widths, b_bytes = _device_split(b_indptr, len(devices))
-    # Every device's share from one gather at the split points; the flops
-    # are integers, so the slab sums are exact in any order.
-    c_at = c_indptr[points].tolist()
-    if starts is not None:
-        slab_flops = np.add.reduceat(per_col_flops, starts).tolist()
-    else:  # more devices than columns
-        slab_flops = [
-            int(per_col_flops[lo:hi].sum())
-            for lo, hi in zip(points[:-1], points[1:])
-        ]
-    h2d = d2h = 0
-    worst = 0.0
-    for d, dev in enumerate(devices):
-        nnz = c_at[d + 1] - c_at[d]
-        c_bytes = nnz * 16 + (widths[d] + 1) * 8
-        dev.stage_multiply(a_bytes, b_bytes[d], c_bytes)
-        f = float(slab_flops[d])
-        cf = f / nnz if nnz else 1.0
-        worst = max(
-            worst, spec.gpu_spgemm_time(kind, f, cf, a_bytes + b_bytes[d])
-        )
-        h2d += a_bytes + b_bytes[d]
-        d2h += c_bytes
-    return worst, h2d, d2h
 
 
 def _range_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -291,12 +225,6 @@ def _range_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     )
     sums[..., bounds[:-1] == bounds[1:]] = 0
     return sums
-
-
-#: Sentinel for ``summa_multiply(merge_injector=...)``: "not passed" means
-#: inherit ``injector`` (the common case); an explicit None disarms the
-#: merge fault site (the resilience policy's ``degrade_merge=False``).
-_INHERIT = object()
 
 
 class _RankMergeState:
@@ -654,25 +582,20 @@ class _PricePlan:
     flops at all split points (integers: exact in any order); the kernel
     pick and the §III-A device prices are then one vectorised pass over
     the multiply, in the scalar formulas' IEEE operations, so every
-    price is the per-product price bit for bit.
+    price is the scalar formula's on the materialised slab, bit for bit.
 
     ``records[p][(k, i, j)]`` is ``(nnz(C), flops, cf, kind, gpu, merge
     events, product index)`` for each product phase p prices, in plain
-    Python numbers.  ``gpu`` is ``(kernel seconds, h2d, d2h)`` where the
-    array price holds, and the device counters (peak bytes, launches)
-    are then charged here in bulk.  It is None — the product takes
-    :meth:`gpu_time`, the per-product :func:`_gpu_stage_time` — under a
-    fault injector (whose draw order that path keeps), on a rank whose
-    devices hold allocations or differ in number, and where a share does
-    not fit its device.
+    Python numbers.  ``gpu`` is the device price ``(kernel seconds, h2d,
+    d2h)`` of a GPU kind (None for a CPU kind); whether the attempt
+    succeeds is the fault schedule's (:meth:`draw_faults`).
     """
 
-    def __init__(
-        self, dist_a, dist_b, products, phases, config, model, devices,
-        injector,
-    ):
+    def __init__(self, dist_a, dist_b, products, phases, config, model):
         self.spec = config.spec
         self.dist_b = dist_b
+        #: Where a GPU share does not fit its device (None without GPUs).
+        self.oom = None
         self.phases = phases
         self.keys = list(products)
         self.products = products
@@ -680,8 +603,7 @@ class _PricePlan:
         self.a_rows = [dist_a.block(i, 0).nrows for i in range(q)]
         # What each stage's deliveries read of A depends on k alone.
         self.a_counts = [model.a_counts(dist_a, k) for k in range(q)]
-        gpu_ok = config.use_gpu and devices is not None
-        g = len(next(iter(devices.values()))) if gpu_ok else 1
+        g = config.gpus_per_process if config.use_gpu else 1
         # Only the p2p-pricing transports read the B slabs' row counts.
         points, widths, b_bytes = self._count_slabs(
             phases, g, model.transport in ("hybrid", "p2p")
@@ -710,20 +632,14 @@ class _PricePlan:
         c_nnz = nnz_d.sum(axis=2)
         flops = flops_d.sum(axis=2)
         cf = np.divide(flops, c_nnz, out=np.ones(c_nnz.shape), where=c_nnz > 0)
-        codes = _pick_kernels(
-            config, config.spec.selection_policy(), flops, cf, gpu_ok
-        )
+        codes = _pick_kernels(config, config.spec.selection_policy(), flops, cf)
         gpu = [[None] * phases for _ in self.keys]
-        if gpu_ok:
+        if config.use_gpu:
             self.a_bytes = [
                 dist_a.block(i, k).memory_bytes() for k, i, _j in self.keys
             ]
-            ranks = np.array(
-                [model.stage_ranks(k)[i][j] for k, i, j in self.keys]
-            )
             gpu = self._device_prices(
-                codes, nnz_d, flops_d, b_bytes[ks, js], widths[js], ranks,
-                devices, injector,
+                codes, nnz_d, flops_d, b_bytes[ks, js], widths[js]
             )
         c_nnz, flops, cf = c_nnz.tolist(), flops.tolist(), cf.tolist()
         codes = codes.tolist()
@@ -784,13 +700,12 @@ class _PricePlan:
         self.nzc = nzc.tolist()
         return np.stack(points), np.stack(widths), np.stack(b_bytes, axis=1)
 
-    def _device_prices(
-        self, codes, nnz_d, flops_d, b_bytes, widths, ranks, devices,
-        injector,
-    ) -> list[list]:
-        """Per (product, phase), ``(kernel seconds, h2d, d2h)`` where the
-        array price stands in for ``_gpu_stage_time``, else None; charges
-        the devices' counters for the former."""
+    def _device_prices(self, codes, nnz_d, flops_d, b_bytes, widths):
+        """Per (product, phase), the device price ``(kernel seconds, h2d,
+        d2h)`` of a GPU kind, else None.  Keeps each device's staged bytes
+        for the fault schedule: ``staged`` holds A + B and A + B + C per
+        (product, phase, device), and ``oom`` where a share does not fit
+        its device."""
         flops_d = flops_d.astype(np.float64)
         cf_d = np.divide(
             flops_d, nnz_d, out=np.ones(flops_d.shape), where=nnz_d > 0
@@ -801,42 +716,85 @@ class _PricePlan:
         kern = self.spec.gpu_spgemm_times(
             codes[:, :, None], flops_d, cf_d, in_bytes
         ).max(axis=2)
-        # Per rank: may the array price stand in for stage_multiply, and
-        # each device's capacity.
-        g = b_bytes.shape[2]
-        usable = np.zeros(max(devices) + 1, dtype=bool)
-        caps = np.zeros((len(usable), g), dtype=np.int64)
-        for r, devs in devices.items():
-            usable[r] = injector is None and len(devs) == g and all(
-                d.injector is None and not d._allocated for d in devs
-            )
-            if usable[r]:
-                caps[r] = [d.capacity_bytes for d in devs]
-        on_gpu = np.array([kind.on_gpu for kind in KERNEL_KINDS])
-        fast = (
-            on_gpu[codes] & usable[ranks][:, None]
-            & (total <= caps[ranks][:, None, :]).all(axis=2)
-        )
-        for m, events in enumerate(self.products.values()):
-            fast[m] &= [ev is not None for ev in events[2]]
-        # The counters stage_multiply would have kept: peak bytes (a max)
-        # and launches (a count) do not depend on order.
-        on_m, on_p = np.nonzero(fast)
-        peaks = np.zeros(caps.shape, dtype=np.int64)
-        np.maximum.at(peaks, ranks[on_m], total[on_m, on_p])
-        launches = np.bincount(ranks[on_m], minlength=len(caps)).tolist()
-        for r in np.flatnonzero(launches).tolist():
-            for dev, peak in zip(devices[r], peaks[r].tolist()):
-                dev.peak_bytes = max(dev.peak_bytes, peak)
-                dev.kernel_launches += launches[r]
+        on_gpu = np.array([kind.on_gpu for kind in KERNEL_KINDS])[codes]
+        self.staged = (in_bytes, total)
+        self.oom = on_gpu & (total > self.spec.gpu_memory_bytes).any(axis=2)
         prices = zip(
             kern.tolist(), in_bytes.sum(axis=2).tolist(),
-            c_bytes.sum(axis=2).tolist(), fast.tolist(),
+            c_bytes.sum(axis=2).tolist(), on_gpu.tolist(),
         )
         return [
-            [(t, h2d, d2h) if ok else None for t, h2d, d2h, ok in zip(*row)]
+            [(t, h2d, d2h) if on else None for t, h2d, d2h, on in zip(*row)]
             for row in prices
         ]
+
+    def draw_faults(self, blocks, injector, merge_injector) -> None:
+        """Draw the multiply's fault schedule before it is priced.
+
+        Sets ``gpu_faults[(m, p)]``, ``"injected"`` or ``"oom"`` for each
+        product whose GPU attempt fails; ``cpu_faults``, the (m, p) whose
+        CPU-hash attempt aborts; and ``merge_faults``, whether each merge
+        event overruns, in the order the pricing walk consumes them (None
+        without a merge injector).  ``blocks`` holds per phase the
+        numeric pass's :class:`_BlockRecord` by (i, j).
+
+        No draw reads a clock, so drawing up front consumes each site's
+        stream as the walk would: products in (p, k, i, j) order, one GPU
+        attempt each (every GPU rung demotes to CPU-hash), then one draw
+        per CPU-hash product and one per merge event.  Without an injector
+        a GPU attempt fails only where a share does not fit.
+        """
+        self.gpu_faults: dict[tuple[int, int], str] = {}
+        self.cpu_faults: set[tuple[int, int]] = set()
+        self.merge_faults = None
+        if injector is None:
+            if self.oom is not None:
+                ms, ps = np.nonzero(self.oom)
+                self.gpu_faults = dict.fromkeys(
+                    zip(ms.tolist(), ps.tolist()), "oom"
+                )
+        else:
+            hashed = []
+            for p, records in enumerate(self.records):
+                for key in sorted(records):
+                    self._draw_product(injector, p, records[key], hashed)
+            hits = injector.faults("cpu_kernel", len(hashed))
+            self.cpu_faults = {
+                mp for mp, hit in zip(hashed, hits.tolist()) if hit
+            }
+        if merge_injector is not None:
+            events = sum(
+                len(record[5]) for records in self.records
+                for record in records.values()
+            ) + sum(
+                len(rec.finish_events) for phase in blocks
+                for rec in phase.values()
+            )
+            self.merge_faults = iter(
+                merge_injector.faults("merge", events).tolist()
+            )
+
+    def _draw_product(self, injector, p: int, record, hashed: list) -> None:
+        """One product's GPU attempt, drawn device by device: the bytes
+        each holds once A, then B, then C of its phase-p share are on it.
+        Appends the product to ``hashed`` when it ends on CPU-hash."""
+        kind, m = record[3], record[-1]
+        if kind.on_gpu:
+            in_bytes, total = self.staged
+            outcome = injector.gpu_attempt(
+                [
+                    (self.a_bytes[m], ab, abc) for ab, abc in zip(
+                        in_bytes[m, p].tolist(), total[m, p].tolist()
+                    )
+                ],
+                self.spec.gpu_memory_bytes,
+            )
+            if outcome == "ok":
+                return
+            self.gpu_faults[m, p] = outcome
+        elif kind is not KernelKind.CPU_HASH:
+            return
+        hashed.append((m, p))
 
     def row_counts(self, k: int, p: int) -> list | None:
         """Per block column j, the per-row nonzeros of B_kj's phase-p
@@ -866,17 +824,6 @@ class _PricePlan:
             return heap_operations(per_col, lens[lo:hi])
         return hash_operations(flops, c_nnz, self.nzc[k][j][p])
 
-    def gpu_time(self, kind: KernelKind, record, p: int, devices):
-        """The per-product path: :func:`_gpu_stage_time` on the phase's
-        slices of the block's and the product's arrays."""
-        m = record[-1]
-        (k, _i, j), per_col, c_indptr, lo, hi = self._slices(m, p)
-        return _gpu_stage_time(
-            self.spec, kind, self.a_bytes[m],
-            self.dist_b.block(k, j).indptr[lo : hi + 1], c_indptr, devices,
-            per_col,
-        )
-
 
 def _window_overlap(w0: float, w1: float, h) -> float:
     """Seconds transfer ``h`` is in flight within ``[w0, w1]``."""
@@ -902,8 +849,8 @@ class _Pricer:
     """
 
     def __init__(
-        self, plan, blocks, comm, model, config, result, *, grid, devices,
-        injector, merge_injector, budget_bytes, charge_column_prune, static,
+        self, plan, blocks, comm, model, config, result, *, grid,
+        budget_bytes, charge_column_prune, static,
     ):
         self.plan = plan
         #: Per phase, the numeric pass's :class:`_BlockRecord` by (i, j).
@@ -916,9 +863,6 @@ class _Pricer:
         self.result = result
         self.grid = grid
         self.q = grid.q
-        self.devices = devices
-        self.injector = injector
-        self.merge_injector = merge_injector
         self.budget_bytes = budget_bytes
         self.charge_column_prune = charge_column_prune
         self.static = static
@@ -1067,19 +1011,14 @@ class _Pricer:
     def price_product(self, rank, p, k, ready, record) -> float:
         """Charge one stage product; returns when its output is on the
         host (the time its merge events may start)."""
-        c_nnz, flops, cf, kind, gpu, _events, _m = record
+        c_nnz, flops, cf, kind, gpu, _events, m = record
         spec, result, tracer = self.spec, self.result, self.tracer
         threads = self.config.threads
         clock = self.clocks[rank]
         result.stage_flops += flops
         if kind.on_gpu:
-            kind, gpu = self.gpu_ladder(rank, p, k, ready, record, kind, gpu)
-        injector = self.injector
-        if (
-            injector is not None
-            and kind is KernelKind.CPU_HASH
-            and injector.cpu_kernel_fault()
-        ):
+            kind = self.gpu_ladder(rank, p, k, ready, record, kind)
+        if kind is KernelKind.CPU_HASH and (m, p) in self.plan.cpu_faults:
             # Injected host hash-table overflow: charge the aborted hash
             # attempt, demote to the heap.
             clock.cpu.schedule(
@@ -1143,37 +1082,30 @@ class _Pricer:
             clock.cpu.free_at = done
         return done
 
-    def gpu_ladder(self, rank, p, k, ready, record, kind, gpu):
-        """The GPU degradation ladder of one product: the kind it runs as
-        and, while that is a GPU kind, its ``(kernel seconds, h2d, d2h)``
-        (``gpu``: the plan's price, or None)."""
-        while kind.on_gpu:
-            if gpu is not None:  # priced in the plan; nothing can fail
-                return kind, gpu
-            try:
-                return kind, self.plan.gpu_time(
-                    kind, record, p, self.devices[rank]
-                )
-            except (DeviceMemoryError, KernelLaunchError) as exc:
-                # The device failed this stage (genuine OOM or injected
-                # transient), so the multiply moves down a rung.  Only
-                # injected faults charge the aborted staging — a genuine
-                # OOM is caught before any copy.
-                self.result.gpu_fallbacks += 1
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "fault.gpu_fallback", "resilience",
-                        rank=rank, phase=p, stage=k, kernel=kind.value,
-                        injected=isinstance(exc, InjectedFault),
-                    )
-                if isinstance(exc, InjectedFault):
-                    clock = self.clocks[rank]
-                    waste = self.spec.h2d_time(self.plan.a_bytes[record[-1]])
-                    start = max(clock.cpu.free_at, clock.gpu.free_at, ready)
-                    clock.cpu.schedule(start, waste, RESILIENCE_ACCOUNT)
-                    clock.gpu.schedule(start, waste, RESILIENCE_ACCOUNT)
-                kind = degrade_kernel(kind)
-        return kind, None
+    def gpu_ladder(self, rank, p, k, ready, record, kind):
+        """The kind a GPU product runs as: its own, or the CPU-hash rung
+        when the fault schedule fails its attempt (genuine OOM or an
+        injected transient)."""
+        m = record[-1]
+        outcome = self.plan.gpu_faults.get((m, p))
+        if outcome is None:
+            return kind
+        # Only injected faults charge the aborted staging — a genuine OOM
+        # is caught before any copy.
+        injected = outcome == "injected"
+        self.result.gpu_fallbacks += 1
+        if self.tracer is not None:
+            self.tracer.instant(
+                "fault.gpu_fallback", "resilience", rank=rank, phase=p,
+                stage=k, kernel=kind.value, injected=injected,
+            )
+        if injected:
+            clock = self.clocks[rank]
+            waste = self.spec.h2d_time(self.plan.a_bytes[m])
+            start = max(clock.cpu.free_at, clock.gpu.free_at, ready)
+            clock.cpu.schedule(start, waste, RESILIENCE_ACCOUNT)
+            clock.gpu.schedule(start, waste, RESILIENCE_ACCOUNT)
+        return degrade_kernel(kind)
 
     def charge_merges(self, events, clock, after, rank, shape, p, stage=None):
         """Plan, count and charge merge events on ``rank`` from ``after``."""
@@ -1181,7 +1113,7 @@ class _Pricer:
 
         result, tracer, trace = self.result, self.tracer, self.trace
         spec, threads = self.spec, self.config.threads
-        merge_injector = self.merge_injector
+        faults = self.plan.merge_faults
         where = {"phase": p} if stage is None else {"phase": p, "stage": stage}
         for ev in events:
             strategy = plan_merge_strategy(
@@ -1196,7 +1128,7 @@ class _Pricer:
                 )
                 tracer.count(f"merge.{strategy}")
             dur = spec.merge_time(ev.operations, threads)
-            if merge_injector is not None and merge_injector.merge_fault():
+            if faults is not None and next(faults):
                 # Injected merge-memory overrun: the attempt's modeled
                 # time is wasted, and the strategy ladder degrades for the
                 # rest of the multiply.
@@ -1326,12 +1258,11 @@ def summa_multiply(
     phases: int = 1,
     prune_column=None,
     charge_column_prune=None,
-    devices: dict[int, list[GPUDevice]] | None = None,
     injector=None,
     executor=None,
     workers: int | str | None = None,
     overlap_budget_bytes: int | None = None,
-    merge_injector=_INHERIT,
+    merge_injector=None,
     model=None,
 ) -> SummaResult:
     """Compute ``C = A·B`` on the grid, per the configured algorithm: the
@@ -1368,14 +1299,16 @@ def summa_multiply(
     degrades it to the synchronous broadcasts when a second in-flight
     stage does not fit) and the SpKAdd strategy planning.
 
-    ``injector`` threads fault injection into the engine-created devices
-    and the CPU hash kernel: faulted kernels demote along the ladder
-    (GPU → CPU-hash → heap), and *injected* faults charge the aborted
-    attempt's time under the resilience account.  ``merge_injector``
-    (defaults to ``injector``) arms the merge-memory-overrun site, which
-    demotes the SpKAdd strategy ladder.  Every draw happens in the pricing
-    pass, so injections are identical across every execution cell, and
-    numerics never change — only which kernel kind is charged.
+    ``injector`` arms the kernel fault sites (GPU allocation and launch,
+    CPU hash): faulted kernels demote along the ladder (GPU → CPU-hash →
+    heap), and *injected* faults charge the aborted attempt's time under
+    the resilience account; a GPU share that does not fit
+    ``config.spec.gpu_memory_bytes`` demotes too.  ``merge_injector``
+    arms the merge-memory-overrun site, which demotes the SpKAdd strategy
+    ladder.  Every draw happens once per multiply, before the pricing
+    pass (:meth:`_PricePlan.draw_faults`), so injections are identical
+    across every execution cell, and numerics never change — only which
+    kernel kind is charged.
 
     ``model`` (a :class:`~repro.summa.engine3d.Grid3DModel`) decides where
     the simulated time and traffic land; None is the one-layer model with
@@ -1405,19 +1338,9 @@ def summa_multiply(
         from ..parallel import get_executor
 
         executor = get_executor(workers)
-    if merge_injector is _INHERIT:
-        merge_injector = injector
     pipeline_window = _pipeline_window(
         dist_a, dist_b, phases, config, overlap_budget_bytes
     )
-    if devices is None and config.use_gpu:
-        devices = {
-            r: [
-                GPUDevice(config.spec, index=d, injector=injector)
-                for d in range(config.gpus_per_process)
-            ]
-            for r in range(grid.size)
-        }
     result = SummaResult(
         dist_c=DistributedCSC(
             (dist_a.global_shape[0], dist_b.global_shape[1]), grid, {}
@@ -1441,13 +1364,11 @@ def summa_multiply(
     result.exact_nnz = sum(
         rec.nnz for phase in blocks for rec in phase.values()
     )
-    plan = _PricePlan(
-        dist_a, dist_b, products, phases, config, model, devices, injector
-    )
+    plan = _PricePlan(dist_a, dist_b, products, phases, config, model)
     del products
+    plan.draw_faults(blocks, injector, merge_injector)
     _Pricer(
         plan, blocks, comm, model, config, result, grid=grid,
-        devices=devices, injector=injector, merge_injector=merge_injector,
         budget_bytes=overlap_budget_bytes,
         charge_column_prune=charge_column_prune,
         static=pipeline_window > 1,

@@ -92,3 +92,26 @@ def labels_equivalent(a: np.ndarray, b: np.ndarray) -> bool:
         else:
             seen[x] = y
     return len(set(seen.values())) == len(seen)
+
+
+def slab_prices(a, b, ndevices, kind, spec=None):
+    """Per device of the §III-A split of ``A·B``: (kernel seconds, B-slab
+    bytes, C-slab bytes), computed from the slabs themselves rather than
+    from the engine's byte counts."""
+    from repro.gpu import split_columns
+    from repro.machine import SUMMIT_LIKE
+    from repro.spgemm import flops_per_column, spgemm_esc
+
+    spec = SUMMIT_LIKE if spec is None else spec
+    c = spgemm_esc(a, b)
+    per_col = flops_per_column(a, b)
+    out = []
+    for lo, hi in split_columns(b.ncols, ndevices):
+        b_slab, c_slab = b.column_slab(lo, hi), c.column_slab(lo, hi)
+        slab_flops = float(per_col[lo:hi].sum())
+        cf = slab_flops / c_slab.nnz if c_slab.nnz else 1.0
+        seconds = spec.gpu_spgemm_time(
+            kind, slab_flops, cf, a.memory_bytes() + b_slab.memory_bytes()
+        )
+        out.append((seconds, b_slab.memory_bytes(), c_slab.memory_bytes()))
+    return out

@@ -121,7 +121,6 @@ def test_end_to_end_cluster_abc_network(tmp_path):
     """The real pipeline: abc file → MCL → labeled cluster file."""
     from repro.mcl import MclOptions, markov_cluster
     from repro.nets import planted_network
-    from repro.mcl.components import clusters_from_labels
 
     net = planted_network(60, intra_degree=8, inter_degree=0.5, seed=9,
                           min_cluster=6, max_cluster=15)

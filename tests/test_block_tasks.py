@@ -67,7 +67,8 @@ def _multiply(dist, executor, phases):
 
     res = summa_multiply(
         dist, dist, comm, config, phases=phases, injector=injector,
-        charge_column_prune=charge, prune_column=_prune, executor=executor,
+        merge_injector=injector, charge_column_prune=charge,
+        prune_column=_prune, executor=executor,
         model=Grid3DModel(4, 4, "hybrid"),
     )
     return {

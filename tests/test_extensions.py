@@ -1,7 +1,6 @@
 """Tests for the extension features: CPU-only preset, GPU estimation
 (future work), host-memory budget accounting."""
 
-import numpy as np
 import pytest
 
 from repro.mcl import MclOptions, markov_cluster

@@ -1,7 +1,6 @@
 """Integration tests: whole-pipeline behaviour across module boundaries."""
 
 import numpy as np
-import pytest
 
 from repro.mcl import MclOptions, markov_cluster
 from repro.mcl.hipmcl import HipMCLConfig, hipmcl

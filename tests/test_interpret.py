@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mcl import MclOptions, connected_components, markov_cluster
+from repro.mcl import connected_components, markov_cluster
 from repro.mcl.interpret import attractors, clusters_by_attractors
 from repro.sparse import CSCMatrix
 

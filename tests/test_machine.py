@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.machine import SUMMIT_LIKE, MachineSpec, RankClock, ResourceTimeline
+from repro.machine import SUMMIT_LIKE, RankClock, ResourceTimeline
 from repro.spgemm import KernelKind
 
 

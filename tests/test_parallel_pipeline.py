@@ -14,7 +14,6 @@ import pytest
 
 import repro.parallel as parallel
 from repro.mcl.hipmcl import HipMCLConfig, hipmcl
-from repro.mcl.options import MclOptions
 from repro.resilience import FaultPlan, divergence
 from repro.sparse import random_csc
 from repro.spgemm.esc import spgemm_esc

@@ -4,25 +4,24 @@
 B's blocks and the products' full-width arrays (``_PricePlan``): no B
 phase slab is built, and the kernel pick and the six-device GPU price are
 one vectorised pass per multiply.  The oracles here materialise every
-phase slab and price each product the way the engine did per product:
-``kernel_for_work``, ``_gpu_stage_time`` on the slab (which also charges
-the devices), ``heap_operation_count`` / ``hash_operation_count``.
+phase slab and price each product on it: ``kernel_for_work``, the device
+split priced slab by slab (``slab_prices``) with its capacity check,
+``heap_operation_count`` / ``hash_operation_count``.
 
-The per-product path is still the engine's whenever a fault injector is
-attached, so a whole multiply run with an injector that never fires must
-be indistinguishable from the injector-free run.
+An attached fault injector makes the fault schedule walk the products one
+by one, drawing every allocation and launch, where the injector-free
+schedule only compares each share with the capacity; so a whole multiply
+run with an injector that never fires must be indistinguishable from the
+injector-free run.
 """
 
 import dataclasses
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.summa.engine as engine
-from repro.errors import DeviceMemoryError
-from repro.gpu.device import GPUDevice
 from repro.machine import SUMMIT_LIKE
 from repro.mpi import ProcessGrid, VirtualComm
 from repro.nets import rmat_network
@@ -36,6 +35,8 @@ from repro.spgemm.metrics import flops_per_column
 from repro.summa import (
     DistributedCSC, Grid3DModel, SummaConfig, summa_multiply,
 )
+
+from helpers import slab_prices
 
 
 @st.composite
@@ -64,44 +65,32 @@ def operands(draw):
     return a, b
 
 
-def device_set(grid, capacities):
-    return {
-        r: [
-            GPUDevice(SUMMIT_LIKE, index=d, capacity_bytes=cap)
-            for d, cap in enumerate(capacities)
-        ]
-        for r in range(grid.size)
-    }
-
-
 @given(
     operands(),
     st.integers(1, 6),
-    st.lists(
-        st.sampled_from([200, 600, 2000, 10**9]), min_size=1, max_size=8
-    ),
+    st.integers(1, 8),
+    st.sampled_from([200, 600, 2000, 10**9]),
     st.sampled_from(["hybrid", "nsparse", "rmerge2", "bhsparse"]),
     st.sampled_from([0.0, 40.0, SUMMIT_LIKE.gpu_min_flops]),
 )
 @settings(max_examples=120, deadline=None)
 def test_array_prices_match_per_product_oracle(
-    case, phases, capacities, kernel, gpu_min_flops
+    case, phases, devices, capacity, kernel, gpu_min_flops
 ):
     dist_a, dist_b = case
-    grid = dist_a.grid
-    q = grid.q
-    spec = dataclasses.replace(SUMMIT_LIKE, gpu_min_flops=gpu_min_flops)
-    config = SummaConfig(spec=spec, kernel=kernel, merge="binary")
+    q = dist_a.grid.q
+    spec = dataclasses.replace(
+        SUMMIT_LIKE, gpu_min_flops=gpu_min_flops, gpu_memory_bytes=capacity
+    )
+    config = SummaConfig(
+        spec=spec, kernel=kernel, merge="binary", gpus_per_process=devices
+    )
     model = Grid3DModel(q, 1, "hybrid")
-    _kept, products, _blocks = engine._numeric_pass(
+    _kept, products, blocks = engine._numeric_pass(
         dist_a, dist_b, phases, "binary", None, None, get_executor(1)
     )
-    devices = device_set(grid, capacities)
-    plan = engine._PricePlan(
-        dist_a, dist_b, products, phases, config, model, devices, None
-    )
-    # The devices the per-product path charges, one product at a time.
-    replay = device_set(grid, capacities)
+    plan = engine._PricePlan(dist_a, dist_b, products, phases, config, model)
+    plan.draw_faults(blocks, None, None)
     policy = spec.selection_policy()
     for j in range(q):
         w = dist_b.block(0, j).ncols
@@ -123,7 +112,7 @@ def test_array_prices_match_per_product_oracle(
                     if not (a.nnz and slab.nnz):
                         assert record is None
                         continue
-                    c_nnz, flops, cf, kind, gpu, _events, _m = record
+                    c_nnz, flops, cf, kind, gpu, _events, m = record
                     c = engine.spgemm_esc(a, slab)
                     per_col = flops_per_column(a, slab)
                     assert type(c_nnz) is int and c_nnz == c.nnz
@@ -144,45 +133,29 @@ def test_array_prices_match_per_product_oracle(
                     if not kind.on_gpu:
                         assert gpu is None
                         continue
-                    rank = model.stage_ranks(k)[i][j]
-                    try:
-                        want = engine._gpu_stage_time(
-                            spec, kind, a.memory_bytes(), slab.indptr,
-                            c.indptr, replay[rank], per_col,
-                        )
-                    except DeviceMemoryError:
-                        # A share does not fit: the engine takes the
-                        # per-product path, which fails the same way.
-                        assert gpu is None
-                        with pytest.raises(DeviceMemoryError):
-                            plan.gpu_time(kind, record, p, devices[rank])
-                        continue
-                    assert gpu == want
+                    slabs = slab_prices(a, slab, devices, kind, spec)
+                    a_bytes = a.memory_bytes()
+                    assert gpu == (
+                        max(t for t, _, _ in slabs),
+                        devices * a_bytes + sum(bb for _, bb, _ in slabs),
+                        sum(cb for _, _, cb in slabs),
+                    )
                     assert type(gpu[1]) is int and type(gpu[2]) is int
-    # Charged in bulk, the device counters end where the per-product
-    # charges leave them.
-    for r in range(grid.size):
-        for got, want in zip(devices[r], replay[r]):
-            assert got.peak_bytes == want.peak_bytes
-            assert got.kernel_launches == want.kernel_launches
+                    # A share that does not fit its device fails the GPU
+                    # attempt: a genuine OOM, demoted to the CPU.
+                    fits = all(
+                        a_bytes + bb + cb <= capacity for _, bb, cb in slabs
+                    )
+                    assert plan.gpu_faults.get((m, p)) == (
+                        None if fits else "oom"
+                    )
 
 
-def _run(dist, config, phases, model, injector, capacities):
+def _run(dist, config, phases, model, injector):
     from repro.trace import Tracer, activate
 
     grid = dist.grid
     comm = VirtualComm(grid.size, config.spec)
-    # The devices the engine would build (None: the spec's capacity),
-    # held here so their counters can be compared.
-    devices = {
-        r: [
-            GPUDevice(
-                config.spec, index=d, capacity_bytes=cap, injector=injector
-            )
-            for d, cap in enumerate(capacities)
-        ]
-        for r in range(grid.size)
-    }
     charges = []
 
     def charge(j, nnz, width):
@@ -194,8 +167,8 @@ def _run(dist, config, phases, model, injector, capacities):
     tracer = Tracer()
     with activate(tracer):
         res = summa_multiply(
-            dist, dist, comm, config, phases=phases, devices=devices,
-            injector=injector, charge_column_prune=charge, model=model,
+            dist, dist, comm, config, phases=phases, injector=injector,
+            merge_injector=injector, charge_column_prune=charge, model=model,
         )
     return {
         "fields": {
@@ -210,10 +183,6 @@ def _run(dist, config, phases, model, injector, capacities):
             (r.free_at, r.idle, r.first_start, dict(r.busy))
             for c in comm.clocks for r in (c.cpu, c.gpu)
         ],
-        "devices": [
-            (d.peak_bytes, d.kernel_launches)
-            for r in sorted(devices) for d in devices[r]
-        ],
         "charges": charges,
         "metrics": [
             (m.name, m.value, type(m.value), m.t_sim, m.attrs)
@@ -222,15 +191,14 @@ def _run(dist, config, phases, model, injector, capacities):
     }
 
 
-SIX = [None] * 6
 CASES = [
     # 2-D sync on six devices of the spec's capacity.
-    ("sync", 1, None, SIX, [1]),
+    ("sync", 1, None, None, [1]),
     # 3-D static hybrid transport, phases 1-5.
-    ("static", 4, "hybrid", SIX, [1, 2, 3, 4, 5]),
-    # A capacity-limited device: some shares take the per-product path
-    # and fall back to the CPU even without an injector.
-    ("static", 4, "hybrid", [10**9, 1500, 10**9], [1, 3]),
+    ("static", 4, "hybrid", None, [1, 2, 3, 4, 5]),
+    # Capacity-limited devices: some shares do not fit and fall back to
+    # the CPU even without an injector.
+    ("static", 4, "hybrid", 1500, [1, 3]),
 ]
 
 
@@ -239,19 +207,20 @@ def test_never_firing_injector_takes_the_per_product_path_identically():
         rmat_network(6, 6, seed=5).matrix, ProcessGrid(4)
     )
     spec = dataclasses.replace(SUMMIT_LIKE, gpu_min_flops=50.0)
-    for schedule, layers, transport, capacities, phase_list in CASES:
+    for schedule, layers, transport, capacity, phase_list in CASES:
+        if capacity is not None:
+            spec = dataclasses.replace(spec, gpu_memory_bytes=capacity)
         config = SummaConfig(spec=spec, schedule=schedule, trace=True)
         for phases in phase_list:
             runs = [
                 _run(
                     dist, config, phases, Grid3DModel(4, layers, transport),
-                    injector, capacities,
+                    injector,
                 )
                 for injector in (None, FaultInjector(FaultPlan()))
             ]
             assert runs[0] == runs[1], (schedule, layers, phases)
             kinds = runs[0]["fields"]["kernel_selections"]
             assert any(k in kinds for k in ("nsparse", "rmerge2"))
-            assert any(launches for _peak, launches in runs[0]["devices"])
-            if capacities is not SIX:
+            if capacity is not None:
                 assert runs[0]["fields"]["gpu_fallbacks"] > 0

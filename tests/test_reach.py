@@ -34,10 +34,13 @@ def test_census_classes_tests_only_and_none(tmp_path):
         import sys
         sys.path[:0] = [{str(ROOT / "tools")!r}, {str(tmp_path)!r}]
         import reach
-        census = reach.Census({str(pkg)!r})
+        census = reach.Census(
+            {str(pkg)!r}, notes={{"pkg.mod.called": "kept", "pkg.gone": "x"}}
+        )
         census.run_tests([{str(test_file)!r}])
         census.uninstall()
         print("outcomes", sorted(census.outcomes.values()))
+        print(census.report())
         for cls, fns in census.classify().items():
             for fn in fns:
                 print(f"{{cls}}: {{fn.name}}")
@@ -52,3 +55,6 @@ def test_census_classes_tests_only_and_none(tmp_path):
     assert "outcomes ['passed']" in lines
     assert "tests only: pkg.mod.called" in lines
     assert "none: pkg.mod.uncalled" in lines
+    # A note whose key names no function is reported as stale.
+    assert "stale note, names no function: pkg.gone" in lines
+    assert not any("stale note" in line and "called" in line for line in lines)

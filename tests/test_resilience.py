@@ -4,22 +4,14 @@ checkpoints, and the per-layer recovery hooks."""
 import numpy as np
 import pytest
 
-from repro.errors import (
-    CheckpointError,
-    DeviceMemoryError,
-    InjectedFault,
-    InvariantViolation,
-)
-from repro.gpu.device import GPUDevice
+from repro.errors import CheckpointError, InvariantViolation
 from repro.machine.spec import SUMMIT_LIKE
 from repro.mpi.comm import RESILIENCE_ACCOUNT, VirtualComm
 from repro.resilience import (
     FaultInjector,
     FaultPlan,
     InjectedCommFailure,
-    InjectedDeviceMemoryError,
     InjectedEstimationError,
-    InjectedKernelLaunchError,
     InvariantChecker,
     InvariantWarning,
     MclCheckpoint,
@@ -73,20 +65,25 @@ class TestFaultPlan:
             as_injector(42)
 
 
+#: One offloaded multiply on two devices: the bytes each holds once A,
+#: then B, then C are on it.
+STAGED = [(1024, 2048, 4096), (1024, 1536, 2048)]
+
+
 class TestFaultInjectorDeterminism:
     def test_same_plan_same_decisions(self):
         plan = FaultPlan.chaos(7, intensity=0.5)
         a, b = plan.injector(), plan.injector()
-        seq_a = [
-            (a.collective_failures(), a.straggler(8), a.gpu_alloc_fault(),
-             a.gpu_launch_fault(), a.cpu_kernel_fault(), a.estimator_fault())
-            for _ in range(50)
-        ]
-        seq_b = [
-            (b.collective_failures(), b.straggler(8), b.gpu_alloc_fault(),
-             b.gpu_launch_fault(), b.cpu_kernel_fault(), b.estimator_fault())
-            for _ in range(50)
-        ]
+        seq_a, seq_b = (
+            [
+                (inj.collective_failures(), inj.straggler(8),
+                 inj.gpu_attempt(STAGED, 10**9),
+                 inj.faults("cpu_kernel", 2).tolist(),
+                 inj.faults("merge", 1).tolist(), inj.estimator_fault())
+                for _ in range(50)
+            ]
+            for inj in (a, b)
+        )
         assert seq_a == seq_b
         assert a.counts() == b.counts()
         assert a.total_injected == sum(a.counts().values())
@@ -100,21 +97,38 @@ class TestFaultInjectorDeterminism:
         for _ in range(30):
             # Interleave queries at every other site; the comm stream must
             # not notice.
-            mixed.gpu_alloc_fault()
+            mixed.gpu_attempt(STAGED, 10**9)
             mixed.estimator_fault()
             mixed.straggler(4)
             mixed_comm.append(mixed.collective_failures())
-            mixed.cpu_kernel_fault()
+            mixed.faults("cpu_kernel", 3)
+            mixed.faults("merge", 2)
         assert solo_comm == mixed_comm
+
+    def test_vector_draw_equals_scalar_draws(self):
+        from repro.resilience import FAULT_SITES
+        from repro.util.rng import spawn_streams
+
+        plan = FaultPlan.chaos(5, intensity=0.5)
+        inj = plan.injector()
+        streams = dict(
+            zip(FAULT_SITES, spawn_streams(plan.seed, len(FAULT_SITES)))
+        )
+        for site, rate in (("cpu_kernel", plan.cpu_kernel_rate),
+                           ("merge", plan.merge_overrun_rate)):
+            hits = inj.faults(site, 40).tolist()
+            assert hits == [streams[site].random() < rate for _ in range(40)]
+            assert 0 < sum(hits) < 40
+            assert inj.counts()[site] == sum(hits)
 
     def test_zero_rate_plan_injects_nothing(self):
         inj = FaultPlan(seed=5).injector()
         for _ in range(20):
             assert inj.collective_failures() == 0
             assert inj.straggler(4) is None
-            assert not inj.gpu_alloc_fault()
-            assert not inj.gpu_launch_fault()
-            assert not inj.cpu_kernel_fault()
+            assert inj.gpu_attempt(STAGED, 10**9) == "ok"
+            assert not inj.faults("cpu_kernel", 3).any()
+            assert not inj.faults("merge", 3).any()
             assert inj.estimator_fault() is None
         assert inj.total_injected == 0
         assert inj.counts() == {}
@@ -202,27 +216,22 @@ class TestCommInjection:
 
 class TestDeviceInjection:
     def test_injected_alloc_fault_reserves_nothing(self):
-        plan = FaultPlan(seed=0, gpu_alloc_rate=1.0)
-        dev = GPUDevice(SUMMIT_LIKE, injector=plan.injector())
-        with pytest.raises(InjectedDeviceMemoryError) as exc_info:
-            dev.allocate("A", 1024)
-        assert isinstance(exc_info.value, DeviceMemoryError)
-        assert isinstance(exc_info.value, InjectedFault)
-        assert dev.allocated_bytes == 0
-        assert dev.peak_bytes == 0
+        # The first allocation faults: the attempt stops before anything
+        # else is staged or launched.
+        inj = FaultPlan(seed=0, gpu_alloc_rate=1.0).injector()
+        assert inj.gpu_attempt(STAGED, 10**9) == "injected"
+        assert inj.counts() == {"gpu_alloc": 1}
 
     def test_injected_launch_fault_not_counted(self):
-        plan = FaultPlan(seed=0, gpu_launch_rate=1.0)
-        dev = GPUDevice(SUMMIT_LIKE, injector=plan.injector())
-        with pytest.raises(InjectedKernelLaunchError):
-            dev.count_launch()
-        assert dev.kernel_launches == 0
+        # The first device's launch faults: the attempt stops there.
+        inj = FaultPlan(seed=0, gpu_launch_rate=1.0).injector()
+        assert inj.gpu_attempt(STAGED, 10**9) == "injected"
+        assert inj.counts() == {"gpu_launch": 1}
 
     def test_genuine_oom_is_not_flagged_injected(self):
-        dev = GPUDevice(SUMMIT_LIKE, capacity_bytes=100)
-        with pytest.raises(DeviceMemoryError) as exc_info:
-            dev.allocate("A", 200)
-        assert not isinstance(exc_info.value, InjectedFault)
+        inj = FaultPlan(seed=0).injector()
+        assert inj.gpu_attempt(STAGED, 2000) == "oom"
+        assert inj.counts() == {}
 
 
 class TestDegradationLadder:

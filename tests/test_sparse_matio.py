@@ -1,6 +1,5 @@
 """MatrixMarket I/O tests."""
 
-import numpy as np
 import pytest
 
 from repro.errors import FormatError

@@ -1,6 +1,5 @@
 """Tests for the structural diagnostics module."""
 
-import numpy as np
 import pytest
 
 from repro.sparse import CSCMatrix, identity_csc, random_csc

@@ -213,15 +213,12 @@ class TestEngineAccounting:
 
     def test_gpu_oom_falls_back_to_cpu(self, dist_pair):
         da, db, expected = dist_pair
-        from repro.gpu import GPUDevice
-
-        spec = SUMMIT_LIKE
-        devices = {
-            r: [GPUDevice(spec, 0, capacity_bytes=128)] for r in range(16)
-        }
+        spec = SUMMIT_LIKE.with_overrides(gpu_memory_bytes=128)
         comm = VirtualComm(16, spec)
-        cfg = SummaConfig(kernel="nsparse", use_gpu=True, gpus_per_process=1)
-        res = summa_multiply(da, db, comm, cfg, devices=devices)
+        cfg = SummaConfig(
+            spec=spec, kernel="nsparse", use_gpu=True, gpus_per_process=1
+        )
+        res = summa_multiply(da, db, comm, cfg)
         assert res.gpu_fallbacks > 0
         assert np.allclose(res.dist_c.to_global().to_dense(), expected)
 

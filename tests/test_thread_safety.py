@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.parallel import ThreadExecutor, get_executor, shutdown_executors
+from repro.parallel import ThreadExecutor, shutdown_executors
 from repro.perf.arena import Arena, global_arena
 from repro.perf.cache import memo
 from repro.sparse import random_csc

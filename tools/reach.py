@@ -22,7 +22,8 @@ is imported is charged to the first source that needed the module.
 
 A function is ``product`` when a workload or an experiment calls it, else
 ``examples`` when an example does, else ``tests only`` when a test does,
-else ``none``.  ``NOTES`` says why some of the non-product ones stay.
+else ``none``.  ``NOTES`` says why some of the non-product ones stay;
+the report names any note whose key no longer names a function.
 
 The hook (``sys.settrace`` and ``threading.settrace``) records the code
 object of each new frame and returns ``None``, so no line is traced.
@@ -62,10 +63,6 @@ NOTES = {
     "repro.perf.merge._sort_and_sum": "live branch for special inputs",
     "repro.merge.schedule.run_schedule": "test oracle of the merge plans",
     "repro.mcl.reference": "sequential MCL, the oracle of every hipmcl test",
-    "repro.summa.engine._gpu_stage_time":
-        "fault-injection path; no workload injects faults",
-    "repro.gpu.device.GPUDevice.allocate":
-        "fault-injection path; no workload injects faults",
     "repro.sparse.stats": "called by examples/workload_characterization.py",
     "repro.mcl.baselines": "called by examples/quality_vs_baselines.py",
     "repro.nets.rmat": "generates the inputs of ten test files",
@@ -133,9 +130,13 @@ def reach_class(sources: set[str]) -> str:
     return "tests only" if "tests" in sources else "none"
 
 
-def note_for(name: str) -> str | None:
-    for prefix, note in NOTES.items():
-        if name == prefix or name.startswith(prefix + "."):
+def _names(prefix: str, name: str) -> bool:
+    return name == prefix or name.startswith(prefix + ".")
+
+
+def note_for(name: str, notes: dict[str, str] = NOTES) -> str | None:
+    for prefix, note in notes.items():
+        if _names(prefix, name):
             return note
     return None
 
@@ -143,8 +144,9 @@ def note_for(name: str) -> str | None:
 class Census:
     """The code objects each source called, and the tests' outcomes."""
 
-    def __init__(self, package: Path = PACKAGE):
+    def __init__(self, package: Path = PACKAGE, notes=NOTES):
         self.package = Path(package).resolve()
+        self.notes = notes
         # Walked before anything runs, so the lines match the code run.
         self.functions = functions(self.package)
         self.reached: dict[str, set[tuple[str, int]]] = {}
@@ -208,6 +210,14 @@ class Census:
             by_class[reach_class(sources)].append(fn)
         return by_class
 
+    def stale_notes(self) -> list[str]:
+        """The ``notes`` keys that name no function of the package: what
+        they kept was deleted or renamed."""
+        return sorted(
+            key for key in self.notes
+            if not any(_names(key, fn.name) for fn in self.functions)
+        )
+
     def report(self) -> str:
         by_class = self.classify()
         out = io.StringIO()
@@ -219,6 +229,8 @@ class Census:
             if outcome == "failed":
                 print(f"  failed under the hook: {nodeid}", file=out)
         print("child processes are not recorded", file=out)
+        for key in self.stale_notes():
+            print(f"stale note, names no function: {key}", file=out)
         print(f"\n{'reach':<12}{'functions':>10}{'lines':>8}", file=out)
         for cls in CLASSES:
             fns = by_class[cls]
@@ -227,7 +239,7 @@ class Census:
         for cls in CLASSES[:-1]:
             print(f"\n## {cls}", file=out)
             for fn in sorted(by_class[cls], key=lambda f: f.name):
-                note = note_for(fn.name)
+                note = note_for(fn.name, self.notes)
                 print(f"{fn.lines:>5}  {fn.name}"
                       + (f"  [keep: {note}]" if note else ""), file=out)
         return out.getvalue()
