@@ -754,10 +754,18 @@ class _PricePlan:
                     zip(ms.tolist(), ps.tolist()), "oom"
                 )
         else:
-            hashed = []
+            hashed = []  # the products that run as CPU-hash, in walk order
             for p, records in enumerate(self.records):
                 for key in sorted(records):
-                    self._draw_product(injector, p, records[key], hashed)
+                    kind, m = records[key][3], records[key][-1]
+                    if kind.on_gpu:
+                        outcome = self._gpu_attempt(injector, m, p)
+                        if outcome == "ok":
+                            continue
+                        self.gpu_faults[m, p] = outcome
+                    elif kind is not KernelKind.CPU_HASH:
+                        continue
+                    hashed.append((m, p))
             hits = injector.faults("cpu_kernel", len(hashed))
             self.cpu_faults = {
                 mp for mp, hit in zip(hashed, hits.tolist()) if hit
@@ -774,27 +782,15 @@ class _PricePlan:
                 merge_injector.faults("merge", events).tolist()
             )
 
-    def _draw_product(self, injector, p: int, record, hashed: list) -> None:
-        """One product's GPU attempt, drawn device by device: the bytes
-        each holds once A, then B, then C of its phase-p share are on it.
-        Appends the product to ``hashed`` when it ends on CPU-hash."""
-        kind, m = record[3], record[-1]
-        if kind.on_gpu:
-            in_bytes, total = self.staged
-            outcome = injector.gpu_attempt(
-                [
-                    (self.a_bytes[m], ab, abc) for ab, abc in zip(
-                        in_bytes[m, p].tolist(), total[m, p].tolist()
-                    )
-                ],
-                self.spec.gpu_memory_bytes,
-            )
-            if outcome == "ok":
-                return
-            self.gpu_faults[m, p] = outcome
-        elif kind is not KernelKind.CPU_HASH:
-            return
-        hashed.append((m, p))
+    def _gpu_attempt(self, injector, m: int, p: int) -> str:
+        """Product m's phase-p GPU attempt: per device, the bytes it holds
+        once A, then B, then C of its share are on it."""
+        a_bytes = self.a_bytes[m]
+        in_bytes, total = (arr[m, p].tolist() for arr in self.staged)
+        return injector.gpu_attempt(
+            [(a_bytes, ab, abc) for ab, abc in zip(in_bytes, total)],
+            self.spec.gpu_memory_bytes,
+        )
 
     def row_counts(self, k: int, p: int) -> list | None:
         """Per block column j, the per-row nonzeros of B_kj's phase-p
