@@ -805,19 +805,15 @@ class _PricePlan:
         lo, hi = self.bounds[j][p : p + 2]
         return hi - lo, self.a_rows[i]
 
-    def _slices(self, m: int, p: int):
-        key = self.keys[m]
-        per_col, c_indptr, _events = self.products[key]
-        lo, hi = self.bounds[key[2]][p : p + 2]
-        return key, per_col[lo:hi], c_indptr[lo : hi + 1], lo, hi
-
     def cpu_ops(self, kind: KernelKind, record, p: int) -> float:
         """The CPU kernel's operation count for one product in phase p."""
         c_nnz, flops, *_rest, m = record
-        (k, _i, j), per_col, _c, lo, hi = self._slices(m, p)
+        key = self.keys[m]
+        k, _i, j = key
         if kind is KernelKind.CPU_HEAP:
+            lo, hi = self.bounds[j][p : p + 2]
             lens = self.dist_b.block(k, j).column_lengths()
-            return heap_operations(per_col, lens[lo:hi])
+            return heap_operations(self.products[key][0][lo:hi], lens[lo:hi])
         return hash_operations(flops, c_nnz, self.nzc[k][j][p])
 
 
