@@ -50,7 +50,7 @@ from .distributed_prune import distributed_prune_block_column
 from .inflation import inflate
 from .options import MclOptions
 from .prune import prune_columns
-from .reference import MclResult, prepare_matrix
+from .reference import prepare_matrix
 
 #: Stage account names, in Fig. 1's legend order.
 STAGE_ACCOUNTS = (
@@ -362,14 +362,6 @@ class HipMCLResult:
     transport_selections: dict[str, int] = field(default_factory=dict)
     #: p2p → broadcast transport demotions the fault ladder performed.
     transport_demotions: int = 0
-
-    def as_mcl_result(self) -> MclResult:
-        return MclResult(
-            labels=self.labels,
-            n_clusters=self.n_clusters,
-            iterations=self.iterations,
-            converged=self.converged,
-        )
 
 
 def _grouped_stage_seconds(comm: VirtualComm) -> dict[str, float]:

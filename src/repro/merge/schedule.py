@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lists import BYTES_PER_TRIPLE, TripleList, merge_lists
+from .lists import TripleList, merge_lists
 
 
 @dataclass(frozen=True)
@@ -54,14 +54,6 @@ class MergeOutcome:
     # maximum number of elements")
     peak_resident_elements: int  # max elements simultaneously buffered
 
-    @property
-    def peak_event_bytes(self) -> int:
-        return self.peak_event_elements * BYTES_PER_TRIPLE
-
-    @property
-    def peak_resident_bytes(self) -> int:
-        return self.peak_resident_elements * BYTES_PER_TRIPLE
-
 
 def _heap_merge_ops(sizes: list[int]) -> float:
     """Modeled comparisons of one heap merge of ``len(sizes)`` lists:
@@ -73,6 +65,10 @@ def _heap_merge_ops(sizes: list[int]) -> float:
 
 class _ScheduleBase:
     """Shared bookkeeping: event log, residency tracking, finish().
+
+    A schedule defines ``push``, ``_merge_ops(sizes)`` (the modeled
+    comparisons of one merge) and ``_final_list()`` (what remains to merge
+    at the end).
 
     ``merge_fn`` swaps the numeric engine (default :func:`merge_lists`)
     without touching the schedule's accounting — every replacement must be
@@ -99,12 +95,6 @@ class _ScheduleBase:
 
     def _note_resident(self, count: int) -> None:
         self.peak_resident = max(self.peak_resident, count)
-
-    def _merge_ops(self, sizes: list[int]) -> float:  # overridden
-        raise NotImplementedError
-
-    def _final_list(self) -> TripleList:  # overridden
-        raise NotImplementedError
 
     def finish(self) -> MergeOutcome:
         result = self._final_list()

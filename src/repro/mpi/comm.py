@@ -57,10 +57,6 @@ class AsyncBroadcast:
     end: float
     nbytes: int
 
-    @property
-    def seconds(self) -> float:
-        return self.end - self.start
-
 
 @dataclass
 class TrafficStats:
@@ -129,7 +125,10 @@ class VirtualComm:
                     f"rank {r} outside communicator of size {self.size}"
                 )
 
-    def _inject(self, ranks: list[int], duration: float) -> None:
+    def _inject(
+        self, ranks: list[int], duration: float,
+        link: ResourceTimeline | None = None,
+    ) -> None:
         """Apply the fault plan to the collective about to run.
 
         A straggler delays one member before the collective can start
@@ -138,6 +137,13 @@ class VirtualComm:
         member the collective's full duration plus the retry backoff;
         more failures than the policy's ``max_retries`` abort the run
         with :class:`InjectedCommFailure`.
+
+        An async transfer passes its ``link``: the same draws, counters
+        and tracer instants, but the delays land on the channel instead of
+        the member CPUs — a straggler holds the tree's wires, and each
+        failed attempt re-occupies the link.  The ranks never block;
+        whoever later waits on the handle absorbs the delay, exactly like
+        a late ``MPI_Wait``.
         """
         from ..resilience.faults import InjectedCommFailure
         from ..trace import current_tracer
@@ -146,8 +152,8 @@ class VirtualComm:
         straggler = self.injector.straggler(len(ranks))
         if straggler is not None:
             idx, delay = straggler
-            clock = self.clocks[ranks[idx]].cpu
-            clock.schedule(clock.free_at, delay, RESILIENCE_ACCOUNT)
+            late = link if link is not None else self.clocks[ranks[idx]].cpu
+            late.schedule(late.free_at, delay, RESILIENCE_ACCOUNT)
             self.traffic.straggler_events += 1
             if tracer is not None:
                 tracer.instant(
@@ -155,6 +161,10 @@ class VirtualComm:
                     rank=ranks[idx], delay=delay,
                 )
         failures = self.injector.collective_failures()
+        if link is not None:
+            timelines = [link]
+        else:
+            timelines = [self.clocks[r].cpu for r in ranks]
         for attempt in range(failures):
             if attempt >= self.retry.max_retries:
                 raise InjectedCommFailure(
@@ -162,9 +172,9 @@ class VirtualComm:
                     f"allows {self.retry.max_retries} retries"
                 )
             cost = duration + self.retry.delay(attempt)
-            start = max(self.clocks[r].cpu.free_at for r in ranks)
-            for r in ranks:
-                self.clocks[r].cpu.schedule(start, cost, RESILIENCE_ACCOUNT)
+            start = max(t.free_at for t in timelines)
+            for t in timelines:
+                t.schedule(start, cost, RESILIENCE_ACCOUNT)
             self.traffic.collective_retries += 1
             self.traffic.retry_seconds += cost
             if tracer is not None:
@@ -255,49 +265,6 @@ class VirtualComm:
             timeline = self.links[channel] = ResourceTimeline()
         return timeline
 
-    def _inject_link(
-        self, link: ResourceTimeline, ranks: list[int], duration: float
-    ) -> None:
-        """Fault plan for an async broadcast, charged to its *link*.
-
-        Mirrors :meth:`_inject` — same draw sites, same counters, same
-        tracer instants — but delays land on the channel instead of the
-        member CPUs: a straggler holds the tree's wires, and each failed
-        attempt re-occupies the link for the attempt plus backoff.  The
-        ranks never block; whoever later waits on the handle absorbs the
-        delay, exactly like a late ``MPI_Wait``.
-        """
-        from ..resilience.faults import InjectedCommFailure
-        from ..trace import current_tracer
-
-        tracer = current_tracer()
-        straggler = self.injector.straggler(len(ranks))
-        if straggler is not None:
-            idx, delay = straggler
-            link.schedule(link.free_at, delay, RESILIENCE_ACCOUNT)
-            self.traffic.straggler_events += 1
-            if tracer is not None:
-                tracer.instant(
-                    "fault.straggler", "resilience",
-                    rank=ranks[idx], delay=delay,
-                )
-        failures = self.injector.collective_failures()
-        for attempt in range(failures):
-            if attempt >= self.retry.max_retries:
-                raise InjectedCommFailure(
-                    f"collective failed {failures} times; retry policy "
-                    f"allows {self.retry.max_retries} retries"
-                )
-            cost = duration + self.retry.delay(attempt)
-            link.schedule(link.free_at, cost, RESILIENCE_ACCOUNT)
-            self.traffic.collective_retries += 1
-            self.traffic.retry_seconds += cost
-            if tracer is not None:
-                tracer.instant(
-                    "fault.collective_retry", "resilience",
-                    attempt=attempt, cost=cost, group=len(ranks),
-                )
-
     def broadcast_async(
         self,
         ranks: list[int],
@@ -331,7 +298,7 @@ class VirtualComm:
         duration = self.spec.bcast_time(nbytes, len(ranks))
         link = self.link(channel)
         if self.injector is not None:
-            self._inject_link(link, ranks, duration)
+            self._inject(ranks, duration, link)
         start = max(ready_at, link.free_at)
         end = link.schedule(start, duration, account)
         self.traffic.collective_calls += 1
@@ -377,7 +344,7 @@ class VirtualComm:
         duration = sum(self.spec.p2p_time(b) for b in payloads)
         link = self.link(channel)
         if self.injector is not None:
-            self._inject_link(link, ranks, duration)
+            self._inject(ranks, duration, link)
         start = max(ready_at, link.free_at)
         end = link.schedule(start, duration, account)
         total = sum(payloads)
@@ -438,17 +405,6 @@ class VirtualComm:
             for k, v in link.busy.items():
                 totals[k] = totals.get(k, 0.0) + v
         return {k: v / self.size for k, v in totals.items()}
-
-    def account_maxima(self) -> dict[str, float]:
-        """Max busy seconds per account across ranks (critical path view)."""
-        out: dict[str, float] = {}
-        for c in self.clocks:
-            for k, v in c.stage_report().items():
-                out[k] = max(out.get(k, 0.0), v)
-        for link in self.links.values():
-            for k, v in link.busy.items():
-                out[k] = max(out.get(k, 0.0), v)
-        return out
 
     def idle_times(self) -> tuple[float, float]:
         """(mean CPU idle, mean GPU idle) seconds across ranks."""

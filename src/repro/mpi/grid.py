@@ -2,7 +2,7 @@
 
 HipMCL requires a perfect-square process count (the paper even
 under-utilizes GPUs in §VII-B to honor it); :class:`ProcessGrid` owns the
-rank ↔ (row, col) mapping and the block index ranges of a conformally
+(row, col) → rank mapping and the block index ranges of a conformally
 partitioned matrix dimension.
 
 The split-3D grid reuses the same P ranks: a valid 3D shape factors
@@ -61,16 +61,6 @@ class ProcessGrid:
             raise GridError(f"coordinate ({i}, {j}) outside {self.q}x{self.q} grid")
         return i * self.q + j
 
-    def coords_of(self, rank: int) -> tuple[int, int]:
-        """Grid coordinate of ``rank``."""
-        if not (0 <= rank < self.size):
-            raise GridError(f"rank {rank} outside grid of {self.size}")
-        return divmod(rank, self.q)
-
-    def row_members(self, i: int) -> list[int]:
-        """Ranks of grid row ``i`` (an A-broadcast subcommunicator)."""
-        return [self.rank_of(i, j) for j in range(self.q)]
-
     def col_members(self, j: int) -> list[int]:
         """Ranks of grid column ``j`` (a B-broadcast subcommunicator)."""
         return [self.rank_of(i, j) for i in range(self.q)]
@@ -85,20 +75,6 @@ class ProcessGrid:
         lo = index * base + min(index, extra)
         hi = lo + base + (1 if index < extra else 0)
         return lo, hi
-
-    def owner_of_index(self, n: int, global_index: int) -> int:
-        """Which block index owns ``global_index`` along extent ``n``."""
-        if not (0 <= global_index < n):
-            raise GridError(f"index {global_index} outside [0, {n})")
-        base, extra = divmod(n, self.q)
-        boundary = extra * (base + 1)
-        if global_index < boundary:
-            return global_index // (base + 1)
-        if base == 0:
-            raise GridError(
-                f"index {global_index} unownable: extent {n} < grid {self.q}"
-            )
-        return extra + (global_index - boundary) // base
 
 
 def resolve_layers(value: int | str | None) -> int:

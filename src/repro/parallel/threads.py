@@ -5,11 +5,9 @@ address space, so
 
 * task arguments and results cross **zero-copy** — no transport, no
   pickling;
-* the identity-keyed caches (``column_lengths``, :func:`repro.perf.cache.
-  memo`, the memoized DCSC conversions) warmed by a worker are warm for
-  the parent too — the single-flight discipline in
-  :mod:`repro.perf.cache` keeps concurrent builders from duplicating
-  work;
+* a matrix's lazy caches (``column_lengths``, ``min_value``) warmed by
+  a worker are warm for the parent too; the arrays they derive from are
+  read-only, so two threads that race to fill one only repeat work;
 * the useful parallelism comes from the compiled kernels releasing the
   GIL (the Nagasaka et al. observation that shared-memory threading is
   where single-node SpGEMM headroom lives); pure-Python stretches

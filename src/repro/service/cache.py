@@ -100,9 +100,3 @@ class ResultCache:
             if tmp.exists():  # a failed write never leaves debris
                 tmp.unlink()
         return path
-
-    def __contains__(self, key: str) -> bool:
-        return self._path(key).exists()
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*.npz"))

@@ -20,13 +20,18 @@ class CSCMatrix:
 
     The major axis is columns: ``indptr`` has length ``ncols + 1`` and
     ``indices`` holds row ids.
+
+    A matrix never changes after construction: the three arrays are made
+    read-only, and an array handed to the constructor that already has
+    the canonical dtype and layout is kept, not copied, so it becomes
+    read-only too.  Code that needs an altered matrix builds a new one
+    from copies.
     """
 
     #: ``__weakref__`` lets a caller watch a matrix's lifetime with
     #: ``weakref`` (the tests that bound a multiply's live blocks do).
     __slots__ = (
-        "shape", "indptr", "indices", "data", "_lens", "_min", "_memo",
-        "__weakref__",
+        "shape", "indptr", "indices", "data", "_lens", "_min", "__weakref__",
     )
 
     def __init__(self, shape, indptr, indices, data, *, check: bool = True):
@@ -37,9 +42,10 @@ class CSCMatrix:
         self.indptr, self.indices, self.data = _c.normalize_arrays(
             indptr, indices, data
         )
+        for array in (self.indptr, self.indices, self.data):
+            array.setflags(write=False)
         self._lens = None
         self._min = None
-        self._memo = None
         if check:
             _c.validate(self.indptr, self.indices, self.data, ncols, nrows)
 
@@ -69,8 +75,11 @@ class CSCMatrix:
 
     @classmethod
     def from_scipy(cls, mat) -> "CSCMatrix":
-        """Build from any scipy.sparse matrix (tests / ground truth)."""
-        m = mat.tocsc()
+        """Build from any scipy.sparse matrix (tests / ground truth).
+
+        Works on a copy, so ``mat`` stays as it was and writable.
+        """
+        m = mat.tocsc(copy=True)
         m.sum_duplicates()
         return cls(m.shape, m.indptr, m.indices, m.data)
 
@@ -94,9 +103,9 @@ class CSCMatrix:
 
         Cached on the instance (returned read-only): the engine asks for
         the same block's lengths once per SUMMA phase and the metrics /
-        kernel-count helpers ask again per stage.  The class never mutates
-        its arrays after construction; code that mutates them in place
-        (tests, external surgery) must call :meth:`invalidate_caches`.
+        kernel-count helpers ask again per stage.  The arrays it derives
+        from are read-only, so the cache cannot go stale, and two threads
+        that race to fill it only repeat work.
         """
         if self._lens is None:
             lens = _c.major_lengths(self.indptr)
@@ -115,12 +124,6 @@ class CSCMatrix:
         if self._min is None:
             self._min = float(np.min(self.data, initial=np.inf))
         return self._min
-
-    def invalidate_caches(self) -> None:
-        """Drop the derived-quantity caches (see the contract above)."""
-        self._lens = None
-        self._min = None
-        self._memo = None
 
     def has_sorted_indices(self) -> bool:
         """True if every column's row indices are strictly increasing."""

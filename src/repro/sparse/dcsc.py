@@ -77,35 +77,14 @@ class DCSCMatrix:
     def from_csc(cls, mat: CSCMatrix) -> "DCSCMatrix":
         """Compress a CSC matrix's column pointers (drops empty columns).
 
-        The conversion is memoized on the source matrix and shares
-        ``ir``/``num`` with it *by reference* — the zero-copy mirror of
-        :meth:`to_csc` (the library's matrices never mutate their arrays
-        after construction; in-place surgery must call
-        ``invalidate_caches``, which also drops this memo).
+        Shares ``ir``/``num`` with the source *by reference* — the
+        zero-copy mirror of :meth:`to_csc`; a ``CSCMatrix``'s arrays are
+        read-only, so the two can never disagree.
         """
-        from ..perf.cache import memo
-
-        def build():
-            lens = mat.column_lengths()
-            jc = np.flatnonzero(lens).astype(_c.INDEX_DTYPE)
-            cp = np.concatenate(
-                ([0], np.cumsum(lens[jc], dtype=_c.INDEX_DTYPE))
-            )
-            return cls(mat.shape, jc, cp, mat.indices, mat.data, check=False)
-
-        return memo(mat, "dcsc", build)
-
-    @classmethod
-    def empty(cls, shape) -> "DCSCMatrix":
-        """An all-zero matrix of the given shape."""
-        return cls(
-            shape,
-            np.empty(0, dtype=_c.INDEX_DTYPE),
-            np.zeros(1, dtype=_c.INDEX_DTYPE),
-            np.empty(0, dtype=_c.INDEX_DTYPE),
-            np.empty(0, dtype=_c.VALUE_DTYPE),
-            check=False,
-        )
+        lens = mat.column_lengths()
+        jc = np.flatnonzero(lens).astype(_c.INDEX_DTYPE)
+        cp = np.concatenate(([0], np.cumsum(lens[jc], dtype=_c.INDEX_DTYPE)))
+        return cls(mat.shape, jc, cp, mat.indices, mat.data, check=False)
 
     # -- properties -------------------------------------------------------------
 
@@ -118,10 +97,6 @@ class DCSCMatrix:
     def nzc(self) -> int:
         """Number of non-empty columns."""
         return len(self.jc)
-
-    @property
-    def nrows(self) -> int:
-        return self.shape[0]
 
     @property
     def ncols(self) -> int:
@@ -150,16 +125,6 @@ class DCSCMatrix:
     def to_dense(self) -> np.ndarray:
         """Materialize densely (tests only)."""
         return self.to_csc().to_dense()
-
-    def copy(self) -> "DCSCMatrix":
-        return DCSCMatrix(
-            self.shape,
-            self.jc.copy(),
-            self.cp.copy(),
-            self.ir.copy(),
-            self.num.copy(),
-            check=False,
-        )
 
     def __repr__(self) -> str:
         return (

@@ -20,13 +20,12 @@ from .hybrid import (
 )
 from .metrics import (
     WorkProfile,
-    compression_factor,
     flops,
     flops_per_column,
     flops_per_entry,
     work_profile,
 )
-from .symbolic import symbolic_nnz, symbolic_operation_count
+from .symbolic import symbolic_nnz
 
 __all__ = [
     "spgemm_esc",
@@ -36,14 +35,12 @@ __all__ = [
     "spgemm_hash",
     "hash_operation_count",
     "symbolic_nnz",
-    "symbolic_operation_count",
     "estimate_nnz",
     "NnzEstimate",
     "relative_error",
     "flops",
     "flops_per_column",
     "flops_per_entry",
-    "compression_factor",
     "work_profile",
     "WorkProfile",
     "KernelKind",

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EstimationError, ShapeError
-from ..perf.arena import global_arena
 from ..sparse import CSCMatrix
 from ..util.rng import as_generator
 
@@ -36,19 +35,14 @@ def _propagate_min(keys: np.ndarray, mat: CSCMatrix) -> np.ndarray:
     """Per (replica, column) minimum of ``keys[:, row]`` over stored rows.
 
     ``keys`` has shape (r, n_in); result has shape (r, ncols) with +inf for
-    empty columns.  This is one layer hop of Cohen's propagation.  The
-    (r × nnz) gather lands in a reusable arena buffer rather than a fresh
-    allocation per hop — estimation runs twice per MCL iteration.
+    empty columns.  This is one layer hop of Cohen's propagation.
     """
     r = keys.shape[0]
     out = np.full((r, mat.ncols), np.inf)
     nonempty = np.flatnonzero(mat.column_lengths())
     if len(nonempty) == 0:
         return out
-    nnz = mat.nnz
-    gathered = global_arena().buffer("est:gather", r * nnz, np.float64)
-    gathered = gathered.reshape(r, nnz)
-    np.take(keys, mat.indices, axis=1, mode="clip", out=gathered)
+    gathered = np.take(keys, mat.indices, axis=1, mode="clip")
     out[:, nonempty] = np.minimum.reduceat(
         gathered, mat.indptr[nonempty], axis=1
     )
@@ -63,9 +57,6 @@ class NnzEstimate:
     total: float
     keys: int  # the r used
     operations: float  # modeled cost, r * (nnzA + nnzB)
-
-    def rounded_total(self) -> int:
-        return int(round(self.total))
 
 
 def estimate_nnz(

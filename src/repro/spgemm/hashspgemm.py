@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from ..perf.arena import global_arena
 from ..sparse import CSCMatrix
 
 #: Columns whose flops exceed this threshold accumulate through a dense
@@ -65,10 +64,8 @@ def spgemm_hash(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
     a_indptr, a_indices, a_data = a.indptr, a.indices, a.data
 
     a_col_lens = a.column_lengths()
-    arena = global_arena()
-    scratch = arena.buffer("hash:scratch", a.nrows, np.float64)
-    scratch[:] = 0.0
-    touched = arena.flags("hash:touched", a.nrows)
+    scratch = np.zeros(a.nrows)
+    touched = np.zeros(a.nrows, dtype=bool)
 
     col_counts = np.zeros(b.ncols, dtype=np.int64)
     out_rows: list[np.ndarray] = []

@@ -53,16 +53,6 @@ def flops(a: CSCMatrix, b: CSCMatrix) -> int:
     return int(flops_per_entry(a, b).sum())
 
 
-def compression_factor(a: CSCMatrix, b: CSCMatrix, c_nnz: int) -> float:
-    """``cf(AB) = flops / nnz(C)``; 1.0 when the product is empty."""
-    if c_nnz < 0:
-        raise ValueError(f"c_nnz must be non-negative, got {c_nnz}")
-    f = flops(a, b)
-    if c_nnz == 0:
-        return 1.0
-    return f / c_nnz
-
-
 @dataclass(frozen=True)
 class WorkProfile:
     """Summary of one SpGEMM instance's work characteristics.
@@ -78,10 +68,6 @@ class WorkProfile:
     cf: float
     max_column_flops: int
     mean_column_flops: float
-
-    @property
-    def is_empty(self) -> bool:
-        return self.flops == 0
 
     @classmethod
     def from_per_column(

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from ..errors import ShapeError
 from ..sparse import CSCMatrix
-from .metrics import flops
 
 
 def symbolic_nnz(a: CSCMatrix, b: CSCMatrix) -> int:
@@ -42,14 +41,3 @@ def symbolic_nnz(a: CSCMatrix, b: CSCMatrix) -> int:
     return int(_sparsetools.csr_matmat_maxnnz(
         b.ncols, a.nrows, b.indptr, b.indices, a.indptr, a.indices
     ))
-
-
-def symbolic_operation_count(a: CSCMatrix, b: CSCMatrix) -> float:
-    """Modeled cost of the symbolic pass: O(flops).
-
-    The paper's comparison (Fig. 6 bottom): exact estimation costs
-    ``cf · nnz(C) = flops`` while the probabilistic scheme costs
-    ``r · (nnz A + nnz B)`` — the crossover in later MCL iterations falls
-    out of these two counts.
-    """
-    return float(flops(a, b))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ShapeError
 from ..mpi.grid import ProcessGrid
 from ..sparse import CSCMatrix, block_of_csc, csc_from_triples
 from ..sparse import _compressed as _c
@@ -79,17 +78,3 @@ class DistributedCSC:
     def to_dcsc_block(self, i: int, j: int) -> DCSCMatrix:
         """The block as it is actually stored (hypersparse-safe)."""
         return DCSCMatrix.from_csc(self.blocks[(i, j)])
-
-    def imbalance(self) -> float:
-        """max/mean nonzeros per block (load-balance diagnostic)."""
-        counts = [b.nnz for b in self.blocks.values()]
-        mean = sum(counts) / len(counts)
-        return (max(counts) / mean) if mean > 0 else 1.0
-
-    def validate_against(self, mat: CSCMatrix, tol: float = 0.0) -> bool:
-        """True when the distributed content equals the global matrix."""
-        if mat.shape != self.global_shape:
-            raise ShapeError(
-                f"shape mismatch: {mat.shape} vs {self.global_shape}"
-            )
-        return self.to_global().same_pattern_and_values(mat, tol=tol)

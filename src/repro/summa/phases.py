@@ -103,11 +103,6 @@ class TransportDecision:
     def p2p_bytes(self) -> int:
         return sum(self.p2p_payload_bytes)
 
-    @property
-    def saved_seconds(self) -> float:
-        """Modeled seconds the chosen transport saves over the other."""
-        return abs(self.bcast_seconds - self.p2p_seconds)
-
 
 def plan_transport(
     spec,

@@ -42,7 +42,7 @@ class TestCommEdges:
 class TestGridEdges:
     def test_single_process_grid(self):
         g = ProcessGrid(1)
-        assert g.row_members(0) == [0]
+        assert g.col_members(0) == [0]
         assert g.block_bounds(7, 0) == (0, 7)
 
     def test_extent_smaller_than_grid(self):
@@ -50,12 +50,6 @@ class TestGridEdges:
         # 2 elements over 4 blocks: two blocks get one, two get none.
         sizes = [b - a for a, b in (g.block_bounds(2, i) for i in range(4))]
         assert sizes == [1, 1, 0, 0]
-
-    def test_owner_of_index_with_empty_blocks(self):
-        g = ProcessGrid(4)
-        assert g.owner_of_index(2, 0) == 0
-        assert g.owner_of_index(2, 1) == 1
-
 
 class TestEngineEdges:
     def test_forced_gpu_kernel_without_gpu_falls_back(self):

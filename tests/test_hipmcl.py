@@ -215,9 +215,3 @@ class TestAccounting:
         orig = hipmcl(net.matrix, opts, HipMCLConfig.original(nodes=16))
         opt = hipmcl(net.matrix, opts, HipMCLConfig.optimized(nodes=16))
         assert orig.elapsed_seconds > opt.elapsed_seconds
-
-    def test_as_mcl_result(self, net_and_opts):
-        net, opts = net_and_opts
-        res = hipmcl(net.matrix, opts, HipMCLConfig.optimized(nodes=4))
-        mcl_res = res.as_mcl_result()
-        assert np.array_equal(mcl_res.labels, res.labels)

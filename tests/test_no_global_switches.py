@@ -62,7 +62,7 @@ def test_driver_and_job_surfaces_are_pinned():
 
 
 def test_perf_package_exports_no_switch():
-    assert set(repro.perf.__all__) == {"Arena", "global_arena", "memo"}
+    assert set(repro.perf.__all__) == {"esc", "merge", "topk", "components"}
 
 
 def test_importing_the_library_does_not_import_scipy():

@@ -36,6 +36,7 @@ def _run(net_name: str, workers: int) -> float:
 
 
 @pytest.mark.tier2_scale
+@pytest.mark.wallclock
 @needs_cores
 def test_four_workers_speed_up_isom():
     """ISSUE 3 acceptance: >= 1.5x wall-clock with 4 workers."""

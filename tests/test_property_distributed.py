@@ -36,7 +36,7 @@ def distributed_instances(draw):
 def test_distribution_roundtrip(instance):
     mat, q, _ = instance
     dist = DistributedCSC.from_global(mat, ProcessGrid(q))
-    assert dist.validate_against(mat, tol=0)
+    assert dist.to_global().same_pattern_and_values(mat)
 
 
 @given(distributed_instances())

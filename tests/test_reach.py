@@ -23,12 +23,22 @@ def test_census_classes_tests_only_and_none(tmp_path):
     """))
     test_file = tmp_path / "test_mod.py"
     test_file.write_text(textwrap.dedent("""
-        from pkg.mod import called
+        import pytest
+
+        from pkg.mod import called, uncalled
 
 
         def test_called():
             assert called() == 1
+
+
+        @pytest.mark.wallclock
+        def test_deselected():
+            assert uncalled() == 2
     """))
+    (tmp_path / "pytest.ini").write_text(
+        "[pytest]\nmarkers =\n    wallclock: a wall-clock bound\n"
+    )
     # The census hooks the interpreter it runs in, so it gets its own.
     script = textwrap.dedent(f"""
         import sys
@@ -53,6 +63,7 @@ def test_census_classes_tests_only_and_none(tmp_path):
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert "outcomes ['passed']" in lines
+    assert "wallclock tests deselected: 1" in lines
     assert "tests only: pkg.mod.called" in lines
     assert "none: pkg.mod.uncalled" in lines
     # A note whose key names no function is reported as stale.

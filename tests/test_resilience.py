@@ -317,15 +317,18 @@ class TestInvariantChecker:
 
     def test_format_check_catches_nonfinite_values(self):
         mat = _stochastic_matrix()
-        mat.data[0] = np.nan
+        data = mat.data.copy()
+        data[0] = np.nan
+        mat = CSCMatrix(mat.shape, mat.indptr, mat.indices, data, check=False)
         checker = InvariantChecker(mode="strict")
         with pytest.raises(InvariantViolation, match="non-finite"):
             checker.check_format(mat, "iteration 1")
 
     def test_format_check_catches_broken_indptr(self):
         mat = _stochastic_matrix()
-        mat.indptr[1] = 99  # beyond nnz: structurally invalid
-        mat.invalidate_caches()
+        indptr = mat.indptr.copy()
+        indptr[1] = 99  # beyond nnz: structurally invalid
+        mat = CSCMatrix(mat.shape, indptr, mat.indices, mat.data, check=False)
         checker = InvariantChecker(mode="strict")
         with pytest.raises(InvariantViolation, match="CSC format"):
             checker.check_format(mat)

@@ -90,12 +90,6 @@ class TestAccuracy:
             ]
             assert np.mean(errs) < 30.0
 
-    def test_rounded_total(self, small_pair):
-        a, b = small_pair
-        est = estimate_nnz(a, b, keys=8, seed=0)
-        assert est.rounded_total() == int(round(est.total))
-
-
 class TestRelativeError:
     def test_exact_zero_cases(self):
         assert relative_error(0.0, 0.0) == 0.0

@@ -193,6 +193,7 @@ class TestChaosTraced:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.wallclock
 def test_disabled_tracing_overhead():
     """Instrumentation with no active tracer costs nothing measurable.
 
