@@ -80,16 +80,15 @@ def filter_block_by_threshold(
     block: CSCMatrix,
     thresholds: np.ndarray,
     cutoff: float,
-    k: int,
 ) -> CSCMatrix:
     """Local filter against the exchanged thresholds plus the cutoff.
 
-    Keeps entries with ``value >= max(cutoff, column threshold)``.  Ties
-    *at* the threshold are kept and then capped back to the local share of
-    k by value rank — with distinct values this equals the centralized
-    top-k exactly (ties are broken the same way because the global sort
-    in :func:`distributed_topk_threshold` and the centralized prune use
-    the same descending-stable order).
+    Keeps every entry with ``value >= max(cutoff, column threshold)`` —
+    ties at the threshold included, so a column can keep more than k
+    entries when its k-th largest value repeats — and drops the rest.
+    Kept entries stay in the order they have in ``block``: the filter
+    reads each entry on its own, so the order of the rows within a
+    column changes nothing but the order of the output.
     """
     if block.nnz == 0:
         return block.copy()
@@ -112,7 +111,9 @@ def distributed_prune_block_column(
 
     Cutoff first (local), then the candidate exchange + global-threshold
     selection when ``select_number`` is set.  Returns new blocks, one per
-    input rank.
+    input rank.  Every step reads a column's entries as a multiset, so the
+    rows of a column may come in any order; each output block keeps the
+    order of its input.
     """
     from ..sparse import filter_threshold
 
@@ -123,8 +124,6 @@ def distributed_prune_block_column(
         return pruned
     thresholds = distributed_topk_threshold(pruned, options.select_number)
     return [
-        filter_block_by_threshold(
-            blk, thresholds, options.prune_threshold, options.select_number
-        )
+        filter_block_by_threshold(blk, thresholds, options.prune_threshold)
         for blk in pruned
     ]

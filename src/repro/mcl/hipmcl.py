@@ -31,6 +31,7 @@ from ..errors import ConvergenceError, EstimationError, GridError, InjectedFault
 from ..machine.spec import SUMMIT_LIKE, MachineSpec
 from ..mpi.comm import VirtualComm
 from ..mpi.grid import ProcessGrid, is_perfect_square
+from ..perf.esc import sort_rows
 from ..resilience.faults import as_injector
 from ..resilience.policy import ResiliencePolicy
 from ..resilience.validators import InvariantChecker
@@ -486,10 +487,11 @@ def _assemble_block_column(cols: list[CSCMatrix]) -> CSCMatrix:
     """Stack the q row blocks of a block column, top to bottom, into one
     slab in global rows: the inverse of :func:`_split_block_column`.
 
-    An O(nnz) gather, no sort.  Every block the engine and the prune
-    produce has its indices sorted within each column, so a column of the
-    slab is the blocks' columns end to end, each entry in the order it
-    has in its block.
+    An O(nnz) gather, no sort: a column of the slab is the blocks'
+    columns end to end, each entry in the order it has in its block.  The
+    slab is canonical when every block is, which holds for the blocks
+    the numeric pass returns; the prune's recovery path sorts the
+    unsorted blocks it receives before assembling them.
     """
     lens = np.array([np.diff(blk.indptr) for blk in cols])
     width = cols[0].ncols
@@ -537,15 +539,18 @@ def prune_block_column(options, grid, iteration, cols, j):
     with maybe_span("prune", "mcl", iteration=iteration, column=j) as psp:
         if options.recover_number != 0:
             # Recovery needs the full pre-cutoff column: assemble, prune,
-            # split back.
+            # split back.  Its column sums add in row order, so the
+            # blocks (in merge order here) are sorted first.
             pruned, _stats = prune_columns(
-                _assemble_block_column(cols), options
+                _assemble_block_column([sort_rows(blk) for blk in cols]),
+                options,
             )
             pruned_col = _split_block_column(pruned, grid)
         else:
             # Faithful §II protocol: local top-k candidates → exchanged
             # threshold → local filter.  Identical to the centralized
-            # prune (validated in tests).
+            # prune (validated in tests), and blind to the order of the
+            # rows within a column.
             pruned_col = distributed_prune_block_column(cols, options)
         psp.set(
             nnz_in=sum(b.nnz for b in cols),

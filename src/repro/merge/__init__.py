@@ -1,10 +1,10 @@
 """Merging of SUMMA intermediate products (paper §IV).
 
-:class:`TripleList` is the sorted coordinate-list representation of one
+:class:`TripleList` is the coordinate-list representation of one
 stage's partial result; the three merge *schedules* (multiway, immediate
 two-way, and the paper's binary merge) consume the per-stage stream and
 report exact memory peaks plus modeled operation counts.  One compiled
-engine (:mod:`repro.perf.merge`, a left-to-right chain of sorted two-way
+engine (:mod:`repro.perf.merge`, a left-to-right chain of two-way
 additions) does every physical merge; the SpKAdd module (arXiv:2112.10223)
 holds the serial/tree/hash plan labels and their memory model.
 """

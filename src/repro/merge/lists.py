@@ -1,17 +1,18 @@
-"""Sorted triple lists — the currency of SUMMA's merge phase.
+"""Triple lists — the currency of SUMMA's merge phase.
 
 Each Sparse SUMMA stage k produces an intermediate product ``A_ik·B_kj``
 for the local output block; the summation ``C_ij = Σ_k A_ik·B_kj`` is a
-*merge* of k sorted lists of (col, row, value) triples, summing values on
+*merge* of k lists of (col, row, value) triples, summing values on
 coordinate collisions.  :class:`TripleList` is that list, with an explicit
 element count so the merge-memory accounting of Table III is exact.
 
-A list sorted by (col, row) *is* a CSC block, so the class is a thin view
-of the ``(indptr, rows, vals)`` triplet the local multiply produced: a
-stage product enters the merge schedule, is summed
-(:func:`repro.perf.merge.merge_triples`) and leaves as the output block
-without ever being expanded to coordinates.  ``cols`` is materialized only
-for callers that ask for it.
+A list grouped by column, duplicate-free per column, *is* a CSC block
+(its rows need not be sorted), so the class is a thin view of the
+``(indptr, rows, vals)`` triplet the local multiply produced: a stage
+product enters the merge schedule in the order the kernel wrote it, is
+summed (:func:`repro.perf.merge.merge_triples`) and leaves as the output
+block without ever being expanded to coordinates or sorted.  ``cols`` is
+materialized only for callers that ask for it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ BYTES_PER_TRIPLE = 24
 
 
 class TripleList:
-    """Sorted (col-major) coordinate triples of one output block.
+    """Coordinate triples of one output block, grouped by column and
+    duplicate-free per column.
 
     Built either from explicit coordinates (``TripleList(shape, cols, rows,
     vals)``) or, without any O(nnz) work, around a CSC triplet
@@ -86,7 +88,7 @@ class TripleList:
 
     @classmethod
     def from_csc(cls, mat: CSCMatrix, copy: bool = True) -> "TripleList":
-        """View a CSC block as its sorted triple list.
+        """View a CSC block as its triple list.
 
         ``copy=False`` shares the CSC's arrays instead of copying them —
         safe whenever neither side mutates (both types treat their arrays
@@ -104,8 +106,8 @@ class TripleList:
         return cls.from_csc(CSCMatrix.empty(shape), copy=False)
 
     def to_csc(self) -> CSCMatrix:
-        """The list as a CSC block sharing its arrays (assumes the list is
-        sorted and compressed)."""
+        """The list as a CSC block sharing its arrays (assumes the triples
+        are grouped by column)."""
         return CSCMatrix(
             self.shape, self.indptr, self.rows, self.vals, check=False
         )
@@ -119,15 +121,16 @@ class TripleList:
 
 
 def merge_lists(lists: list[TripleList], copy: bool = True) -> TripleList:
-    """Merge sorted triple lists into one, summing duplicate coordinates.
+    """Merge triple lists into one, summing duplicate coordinates.
 
     This is the *numeric engine* every merge schedule (two-way, multiway,
     binary) calls; the schedules differ in *when* they call it and on how
     many lists, which is what the operation/memory accounting captures.
     Colliding coordinates are summed left to right in list order — see
     :func:`repro.perf.merge.merge_triples` — and exact zeros produced by
-    cancellation are kept.  Every list must be sorted and duplicate-free
-    within each column, which every producer in the library guarantees.
+    cancellation are kept.  Every list must be duplicate-free per column
+    (its rows in any order), which every producer in the library
+    guarantees; the result is too, and is sorted when every input is.
 
     ``copy=False`` lets the single-list short-circuit return that list
     itself (the k >= 2 paths always build fresh arrays); use it when the

@@ -30,12 +30,16 @@ counts the structure exactly, and when the numeric pass kept fewer cells
 than that the product is recomputed by expand – stable key sort – ordered
 group sum, which keeps them.
 
-**Row-major output.**  The pass emits each column in reverse discovery
-order.  One compiled transpose (``csr_tocsc``, a counting sort) yields
-``Cᵀ`` as a canonical CSC matrix, and that is what the kernel returns:
-the SUMMA stage loop merges its products in that orientation and
-transposes each merged block once (:func:`transpose`), so a block of k
-stage products pays k + 1 transposes instead of 2k.
+**Kernel order.**  The pass emits each column's rows in reverse
+discovery order, and that is the order :func:`expand_compress` returns
+them in: C column-major, every column duplicate-free but not sorted, its
+``indptr[-1]`` entries copied out of the bound-sized buffers so those do
+not stay resident while the product waits in a merge.  The SUMMA stage
+loop adds its products in that order (SciPy's addition sees unsorted
+operands and takes its general path, which sums the same values in the
+same order) and sorts each block once, after the prune has dropped most
+of it (:func:`sort_rows`: two counting-sort transposes).  Plain
+``spgemm_esc`` sorts every product the same way.
 
 The compiled code does not bounds-check: callers hand it operands that
 satisfy the CSC invariants :func:`repro.sparse._compressed.validate`
@@ -54,12 +58,13 @@ from ..sparse import _compressed as _c
 
 
 def expand_compress(a: CSCMatrix, b: CSCMatrix):
-    """``A·B`` for non-empty operands of matching inner dimension, row-major.
+    """``A·B`` for non-empty operands of matching inner dimension, in
+    kernel order.
 
-    Returns ``(Cᵀ, indptr of C, flops per column of C)``: the product as
-    the canonical CSC matrix of its transpose (shape ``(b.ncols, a.nrows)``;
-    :func:`transpose` gives C), C's own column pointer, and the per-column
-    flops the output was sized from.
+    Returns ``(C, flops per column of C)``: the product as a CSC matrix
+    whose columns are duplicate-free but not necessarily sorted
+    (:func:`sort_rows` sorts them), and the per-column flops the output
+    was sized from.
     """
     # Imported at first use: ``import repro`` stays SciPy-free, and
     # ``repro.spgemm`` imports this module.
@@ -90,34 +95,35 @@ def expand_compress(a: CSCMatrix, b: CSCMatrix):
         ncols, nrows, b.indptr, b.indices, b.data,
         a.indptr, a.indices, a.data, indptr, rows, vals,
     )
-    if not one_phase and indptr[-1] != bound:
+    nnz = indptr[-1]
+    if not one_phase and nnz != bound:
         c = _compress_sorted((nrows, ncols), *_expand(a, b))
-        indptr, rows, vals = c.indptr, c.indices, c.data
-    # The pass emits each column in reverse discovery order; transposing
-    # is a counting sort, O(nnz(C) + nrows + ncols), that reads only the
-    # ``indptr[-1]`` entries written.
-    return _tocsc((nrows, ncols), indptr, rows, vals), indptr, per_col
+        return c, per_col
+    if nnz != bound:
+        # Only the entries written are kept: the buffers go now.
+        rows, vals = rows[:nnz].copy(), vals[:nnz].copy()
+    return CSCMatrix((nrows, ncols), indptr, rows, vals, check=False), per_col
 
 
 def transpose(m: CSCMatrix) -> CSCMatrix:
     """``Mᵀ`` by the compiled counting sort; canonical whenever ``m`` has
     no duplicate coordinate (its columns need not be sorted)."""
-    return _tocsc(m.shape, m.indptr, m.indices, m.data)
-
-
-def _tocsc(shape, indptr, rows, vals) -> CSCMatrix:
-    """Transpose of the ``shape`` CSC triplet; ``rows``/``vals`` may be
-    longer than the ``indptr[-1]`` entries in use."""
     from scipy.sparse import _sparsetools
 
-    nrows, ncols = shape
-    nnz = indptr[-1]
+    nrows, ncols = m.shape
     t_indptr = np.empty(nrows + 1, dtype=_c.INDEX_DTYPE)
-    t_cols = np.empty(nnz, dtype=_c.INDEX_DTYPE)
-    t_vals = np.empty(nnz, dtype=_c.VALUE_DTYPE)
-    _sparsetools.csr_tocsc(ncols, nrows, indptr, rows, vals,
+    t_cols = np.empty(m.nnz, dtype=_c.INDEX_DTYPE)
+    t_vals = np.empty(m.nnz, dtype=_c.VALUE_DTYPE)
+    _sparsetools.csr_tocsc(ncols, nrows, m.indptr, m.indices, m.data,
                            t_indptr, t_cols, t_vals)
     return CSCMatrix((ncols, nrows), t_indptr, t_cols, t_vals, check=False)
+
+
+def sort_rows(m: CSCMatrix) -> CSCMatrix:
+    """``m`` with the rows of every column in ascending order, by two
+    compiled counting-sort transposes, O(nnz + nrows + ncols); canonical
+    whenever ``m`` has no duplicate coordinate."""
+    return transpose(transpose(m))
 
 
 def _expand(a: CSCMatrix, b: CSCMatrix):

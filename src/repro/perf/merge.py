@@ -1,13 +1,19 @@
 """SpKAdd — the numeric kernel behind ``merge_lists`` and ``spkadd_merge``.
 
-The summation ``C_ij = Σ_k A_ik·B_kj`` adds k canonical CSC blocks (every
-column sorted by row, no duplicate coordinate — what ``spgemm_esc`` and
-this kernel itself produce).  :func:`merge_triples` adds them as a
-left-to-right chain ``((l₁ + l₂) + l₃) + …`` of SciPy's compiled sorted
-two-pointer addition ``csr_plus_csr``, called under the §III-B identity
-(a CSC matrix is its transpose in CSR) on the operands' own
-``(indptr, rows, vals)`` arrays: no expansion to coordinates, no key, no
-sort, no ``nrows·ncols`` accumulator.
+The summation ``C_ij = Σ_k A_ik·B_kj`` adds k CSC blocks, each
+duplicate-free per column (no coordinate stored twice) with its rows in
+any order — what ``spgemm_esc(..., kernel_order=True)`` and this kernel
+itself produce.  :func:`merge_triples` adds them as a left-to-right chain
+``((l₁ + l₂) + l₃) + …`` of SciPy's compiled addition ``csr_plus_csr``,
+called under the §III-B identity (a CSC matrix is its transpose in CSR)
+on the operands' own ``(indptr, rows, vals)`` arrays: no expansion to
+coordinates, no key, no sort, no ``nrows·ncols`` accumulator.
+``csr_plus_csr`` checks its operands: sorted ones take the two-pointer
+pass, any other the general pass, which scatters each column of both
+into a row-wide accumulator started at 0.0 and writes the sums out in
+its own order.  Per coordinate both passes compute ``v₁ + v₂`` from the
+same two values, so the order of the rows within a column changes where
+a sum is stored, never its bits.
 
 Left-to-right is not a style choice.  The library's canonical summation
 order for one coordinate is ``0.0 + v₁ + v₂ + …`` in list order (what a
@@ -20,11 +26,14 @@ keeps every structural entry.  A sum of strictly positive values cannot
 be zero, so the chain runs only when every operand's values are > 0 (one
 pass per list; NaN, −0.0, stored zeros and negative weights all fail it
 — never an MCL iterate).  Otherwise the lists are concatenated, stably
-sorted by coordinate and group-summed in order, which keeps the zeros.
+sorted by coordinate and group-summed in order, which keeps the zeros;
+the stable sort keeps colliding entries in list order whatever the order
+within each list.
 
-Like the multiply, the compiled code does not bounds-check, and it takes
-the two-pointer pass only on canonical operands: callers vouch that every
-list is sorted and duplicate-free per column.
+Like the multiply, the compiled code does not bounds-check: callers
+vouch that every list is duplicate-free per column, with in-range rows
+and a valid column pointer.  The chain's output is in SciPy's order
+(sorted only when every operand was); the sort's is canonical.
 """
 
 from __future__ import annotations
@@ -35,7 +44,8 @@ from ..sparse import _compressed as _c
 
 
 def merge_triples(lists, shape):
-    """Add canonical CSC lists; returns the sum's ``(indptr, rows, vals)``.
+    """Add CSC lists, each duplicate-free per column; returns the sum's
+    ``(indptr, rows, vals)``, duplicate-free per column.
 
     ``lists`` must be non-empty lists (the caller strips empties), all of
     the same block shape.

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from ..perf.esc import expand_compress, transpose
+from ..perf.esc import expand_compress, sort_rows
 from ..sparse import CSCMatrix
 from .metrics import flops
 
@@ -33,7 +33,7 @@ from .metrics import flops
 expansion_size = flops
 
 
-def spgemm_esc(a: CSCMatrix, b: CSCMatrix, transposed: bool = False):
+def spgemm_esc(a: CSCMatrix, b: CSCMatrix, kernel_order: bool = False):
     """Multiply ``C = A·B`` (both CSC).
 
     Output has sorted row indices within each column, duplicates summed,
@@ -42,26 +42,21 @@ def spgemm_esc(a: CSCMatrix, b: CSCMatrix, transposed: bool = False):
     A pure function of its operands: the numeric kernel is
     :func:`repro.perf.esc.expand_compress`, run inline.
 
-    ``transposed=True`` returns the kernel's row-major form instead —
-    ``(Cᵀ, indptr of C, flops per column of C)``, Cᵀ canonical CSC of
-    shape ``(b.ncols, a.nrows)`` — which saves the transpose back and is
-    what the SUMMA stage loop merges.
+    ``kernel_order=True`` returns ``(C, flops per column of C)`` with C's
+    rows left in the order the kernel wrote them — every column
+    duplicate-free, not necessarily sorted — which is what the SUMMA stage
+    loop merges; :func:`repro.perf.esc.sort_rows` sorts them.
     """
     if a.ncols != b.nrows:
         raise ShapeError(
             f"inner dimension mismatch: A is {a.shape}, B is {b.shape}"
         )
-    shape = (a.nrows, b.ncols)
     if a.nnz == 0 or b.nnz == 0:
-        if transposed:
-            return (
-                CSCMatrix.empty(shape[::-1]),
-                np.zeros(b.ncols + 1, dtype=np.int64),
-                np.zeros(b.ncols, dtype=np.int64),
-            )
-        return CSCMatrix.empty(shape)
-    if transposed:
-        return expand_compress(a, b)
-    # The kernel's oversized output buffers are gone by the time the
-    # transpose back allocates.
-    return transpose(expand_compress(a, b)[0])
+        product = CSCMatrix.empty((a.nrows, b.ncols))
+        if kernel_order:
+            return product, np.zeros(b.ncols, dtype=np.int64)
+        return product
+    product, per_col = expand_compress(a, b)
+    if kernel_order:
+        return product, per_col
+    return sort_rows(product)

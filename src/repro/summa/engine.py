@@ -18,7 +18,10 @@ advances by modeled durations.  A multiply runs in two passes.
   executor batch on a pool.  The task runs the column's q blocks in i
   order (:func:`compute_block`: block i computes the products A_ik·B_kj
   in k order, pushes them through its merge schedule and finishes), then
-  ``prune_column`` prunes the column.  At most one block column of
+  ``prune_column`` prunes the column and each kept block is sorted.
+  Products and merges keep the rows of a column in the order the kernel
+  and the addition write them, so a block is sorted once, after the
+  prune has dropped most of it.  At most one block column of
   unpruned output per executor worker is live at a time, and one merge
   schedule per worker.  It keeps a small record per product and per
   block and phase, deriving the phases' merge events from the
@@ -63,8 +66,8 @@ from ..machine.spec import MachineSpec, SUMMIT_LIKE
 from ..merge import SCHEDULES, TripleList, merge_lists
 from ..merge.spkadd import STRATEGY_LADDER, spkadd_merge
 from ..mpi.comm import RESILIENCE_ACCOUNT, VirtualComm
-from ..perf.esc import transpose
-from ..sparse import CSCMatrix, block_of_csc, hstack_csc
+from ..perf.esc import sort_rows
+from ..sparse import CSCMatrix, hstack_csc
 from ..spgemm.esc import spgemm_esc
 from ..spgemm.hashspgemm import hash_operations
 from ..spgemm.heap import heap_operations
@@ -331,15 +334,10 @@ class _PhaseSplit:
         """``merge``, appending each output's nonzeros per phase to
         ``sizes`` (merging is column-wise, so a phase's merge output is
         the full-width output restricted to the phase's columns)."""
-        width = int(self.bounds[-1])
 
         def merge_fn(lists):
             out = merge(lists)
-            sizes.append(
-                _range_sums(
-                    np.bincount(out.rows, minlength=width), self.bounds
-                ).tolist()
-            )
+            sizes.append(np.diff(out.indptr[self.bounds]).tolist())
             return out
 
         return merge_fn
@@ -351,12 +349,10 @@ class _PhaseSplit:
             return []
         return np.flatnonzero((self.slab_nnz[ks] == 0).any(axis=0)).tolist()
 
-    def rows_of(self, product: CSCMatrix, p: int) -> TripleList:
-        """A row-major product restricted to phase ``p``'s columns of C."""
+    def columns_of(self, product: CSCMatrix, p: int) -> TripleList:
+        """A product restricted to phase ``p``'s columns."""
         lo, hi = int(self.bounds[p]), int(self.bounds[p + 1])
-        return TripleList.from_csc(
-            block_of_csc(product, lo, hi, 0, product.ncols), copy=False
-        )
+        return TripleList.from_csc(product.column_slab(lo, hi), copy=False)
 
     def events(self, p, kind, nrows, records, merged, short_lists):
         """Phase ``p``'s merge events of one block: per product of
@@ -374,7 +370,7 @@ class _PhaseSplit:
         lo, hi = int(self.bounds[p]), int(self.bounds[p + 1])
         if short_lists is not None:
             pushed, block = _replay(
-                kind, (hi - lo, nrows), short_lists,
+                kind, (nrows, hi - lo), short_lists,
                 lambda group: merge_lists(group, copy=False),
             )
             pushed = iter(pushed)
@@ -384,7 +380,7 @@ class _PhaseSplit:
             ], block
         outputs = iter([sizes[p] for sizes in merged])
         return _replay(
-            kind, (hi - lo, nrows),
+            kind, (nrows, hi - lo),
             [_Sized(r[2][hi] - r[2][lo]) for r in records],
             lambda group: _Sized(next(outputs)),
         )
@@ -412,11 +408,14 @@ def compute_block(operands, shape, split, merge_kind, budget_bytes):
     per block row — as a pure function of its operands.
 
     ``operands`` lists ``(k, A_ik, B_kj)`` for the stage products whose
-    operands are non-empty, in k order; ``shape`` is the block's
-    transposed shape (products are merged row-major); ``split`` is the
-    block column's :class:`_PhaseSplit`, None for one phase.  It
-    computes the products, pushes them through the block's merge schedule
-    in k order, finishes the block and transposes it.
+    operands are non-empty, in k order; ``shape`` is the block's shape;
+    ``split`` is the block column's :class:`_PhaseSplit`, None for one
+    phase.  It computes the products, pushes them through the block's
+    merge schedule in k order and finishes the block.  Nothing is sorted
+    here: the products stay in the order the kernel wrote them, the merge
+    adds them as they are, and the block leaves duplicate-free per column
+    with its rows in merge order (:func:`compute_column` sorts it after
+    the prune).
 
     Returns ``(block, products, events, records)``: ``products`` holds
     ``(k, per-column flops, C's column pointer)`` per product;
@@ -442,22 +441,18 @@ def compute_block(operands, shape, split, merge_kind, budget_bytes):
     state = _RankMergeState(shape, merge_kind, merge_fn)
     products, pushed = [], []
     for k, a, b in operands:
-        # Row-major: the canonical CSC of the product's transpose, which
-        # the merge adds as it is, plus the product's own column pointer
-        # for the device split.
-        product, c_indptr, per_col = spgemm_esc(a, b, transposed=True)
+        # Kernel order, which the merge adds as it is; the column pointer
+        # stays for the device split.
+        product, per_col = spgemm_esc(a, b, kernel_order=True)
         pushed.append(state.push(TripleList.from_csc(product, copy=False)))
-        products.append((k, per_col, c_indptr))
+        products.append((k, per_col, product.indptr))
         for p, lists in short.items():
             if split.slab_nnz[k, p]:
-                lists.append(split.rows_of(product, p))
+                lists.append(split.columns_of(product, p))
         del product
     combine = state.schedule.peak_resident
     outcome, finish_events = state.finish()
-    # Dropped, not kept: the accumulator and the output block are
-    # different arrays, so a live state would hold the block twice.
-    del state
-    block = transpose(outcome.result.to_csc())
+    block = outcome.result.to_csc()
     if split is None:
         return block, products, [pushed], [
             _block_record(outcome, finish_events, combine)
@@ -465,7 +460,7 @@ def compute_block(operands, shape, split, merge_kind, budget_bytes):
     events, records = [], []
     for p in range(len(split.bounds) - 1):
         phase_events, record = split.events(
-            p, merge_kind, shape[1], products, merged, short.get(p)
+            p, merge_kind, shape[0], products, merged, short.get(p)
         )
         events.append(phase_events)
         records.append(record)
@@ -479,7 +474,11 @@ def compute_column(j, block_tasks, prune_column):
     ``block_tasks`` holds the :func:`compute_block` arguments of the
     column's blocks in i order; once they are finished,
     ``prune_column(cols, j)`` (None keeps them) prunes the column, so no
-    unpruned block leaves the task.
+    unpruned block leaves the task.  The prune sees every column's rows
+    in merge order, so it must be an order-independent column-wise
+    filter; each block it keeps is then sorted (:func:`sort_rows`, two
+    counting-sort transposes over what survived), so every block leaves
+    canonical.
 
     Returns ``(records, cols)``: per block, the ``(products, events,
     records)`` :func:`compute_block` returned with it, and the kept
@@ -492,7 +491,7 @@ def compute_column(j, block_tasks, prune_column):
         records.append(block_records)
     if prune_column is not None:
         cols = prune_column(cols, j)
-    return records, cols
+    return records, [sort_rows(blk) for blk in cols]
 
 
 def run_tasks(executor, fn, tasks: list, label: str) -> list:
@@ -549,7 +548,7 @@ def _numeric_pass(
                 for k, b in enumerate(col_blocks)
                 if dist_a.block(i, k).nnz and b.nnz
             ]
-            shape = (col_blocks[0].ncols, dist_a.block(i, 0).nrows)
+            shape = (dist_a.block(i, 0).nrows, col_blocks[0].ncols)
             block_tasks.append(
                 (operands, shape, split, merge_kind, budget_bytes)
             )
@@ -800,10 +799,9 @@ class _PricePlan:
         return [rc[p] for rc in self.rows[k]]
 
     def block_shape(self, i: int, j: int, p: int) -> tuple[int, int]:
-        """Phase p's share of block (i, j), in the row-major form it is
-        merged."""
+        """The shape of phase p's share of block (i, j)."""
         lo, hi = self.bounds[j][p : p + 2]
-        return hi - lo, self.a_rows[i]
+        return self.a_rows[i], hi - lo
 
     def cpu_ops(self, kind: KernelKind, record, p: int) -> float:
         """The CPU kernel's operation count for one product in phase p."""
@@ -1216,7 +1214,7 @@ class _Pricer:
         blocks = self.blocks[p]
         self.charge_column_prune(
             j, [blocks[(i, j)].nnz for i in range(self.q)],
-            self.plan.block_shape(0, j, p)[0],
+            self.plan.block_shape(0, j, p)[1],
         )
 
 
@@ -1265,10 +1263,13 @@ def summa_multiply(
     block column ``j`` of the multiply (at full width, whatever
     ``phases`` is), inside the column's task as soon as its q blocks are
     finished: it receives them as a list indexed by block row and returns
-    the (pruned) blocks to keep.  It must be pure and column-wise — no
-    clock is charged there, and on a pool it runs on a pool thread
-    concurrently with the other columns' tasks, so it must not mutate
-    state shared between columns.
+    the (pruned) blocks to keep.  The blocks it receives are
+    duplicate-free per column but their rows are in merge order, not
+    sorted, so it must be an order-independent column-wise filter; the
+    blocks it returns are sorted afterwards, and every block of the result
+    is canonical.  It must be pure — no clock is charged there, and on a
+    pool it runs on a pool thread concurrently with the other columns'
+    tasks, so it must not mutate state shared between columns.
 
     ``charge_column_prune(j, nnz, width)`` runs in the pricing pass, once
     per block column of each phase, with the phase's unpruned per-block

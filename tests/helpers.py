@@ -39,6 +39,20 @@ def assert_same_csc(got, want):
     assert bits_equal(got.data, want.data)
 
 
+def shuffled_rows(mat, rng):
+    """``mat`` with the entries of every column in a random order — the
+    form the local multiply and the merge leave a block in."""
+    from repro.sparse import CSCMatrix
+    from repro.sparse import _compressed as _c
+
+    cols = _c.expand_major(mat.indptr, mat.ncols)
+    order = np.lexsort((rng.random(mat.nnz), cols))
+    return CSCMatrix(
+        mat.shape, mat.indptr, mat.indices[order], mat.data[order],
+        check=False,
+    )
+
+
 def symbolic_counts_numpy(a, b) -> np.ndarray:
     """Per-column ``nnz(A·B)`` by NumPy expansion: the flat coordinate
     ``col·nrows + row`` of every product, deduplicated, counted per column.

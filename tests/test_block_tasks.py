@@ -94,13 +94,13 @@ def _multiply(dist, executor, phases):
 @pytest.mark.parametrize("phases", [1, 3])
 def test_engine_cells_bit_identical(dist, phases, monkeypatch):
     short = []
-    rows_of = engine._PhaseSplit.rows_of
+    columns_of = engine._PhaseSplit.columns_of
 
     def counted(self, product, p):
         short.append(p)
-        return rows_of(self, product, p)
+        return columns_of(self, product, p)
 
-    monkeypatch.setattr(engine._PhaseSplit, "rows_of", counted)
+    monkeypatch.setattr(engine._PhaseSplit, "columns_of", counted)
     ref = _multiply(dist, get_executor(1), phases)
     # The input reaches what it is meant to: faults, traces, a product,
     # the p2p transport, and (phased) the short-phase path.

@@ -43,7 +43,7 @@ from repro.spgemm.heap import spgemm_heap
 from repro.spgemm.metrics import flops_per_column
 from repro.spgemm.symbolic import symbolic_nnz
 
-from helpers import assert_same_csc, bits_equal
+from helpers import assert_same_csc, bits_equal, shuffled_rows
 
 @contextmanager
 def patched(module, **values):
@@ -154,14 +154,19 @@ def esc_side():
         side.append("one-phase" if numeric else None)
 
 
-def assert_row_major_form(a, b, esc):
-    """``transposed=True`` is C's transpose (by NumPy's counting sort, which
-    shares nothing with the compiled one), C's own column pointer and the
-    per-column flops."""
-    c_t, c_indptr, per_col = spgemm_esc(a, b, transposed=True)
-    assert_same_csc(c_t, esc.transpose())
-    assert np.array_equal(c_indptr, esc.indptr)
-    assert c_indptr.dtype == esc.indptr.dtype
+def numpy_sorted(mat):
+    """``mat`` with the rows of each column sorted by ``np.lexsort`` —
+    nothing shared with the compiled counting sort."""
+    order = np.lexsort((mat.indices, cols_of(mat)))
+    return raw(mat.shape, mat.indptr, mat.indices[order], mat.data[order])
+
+
+def assert_kernel_order_form(a, b, esc):
+    """``kernel_order=True`` is C with each column's rows in some order,
+    no row twice, and the per-column flops."""
+    c, per_col = spgemm_esc(a, b, kernel_order=True)
+    assert_same_csc(numpy_sorted(c), esc)
+    assert c.indptr.dtype == esc.indptr.dtype
     assert np.array_equal(per_col, flops_per_column(a, b))
 
 
@@ -182,7 +187,7 @@ def test_esc_fast_bit_identical(pair):
     # The compiled result is returned unless some cell summed to 0.0.
     assert (side == ["sorted"]) == bool(np.any(heap.data == 0.0))
     assert_same_csc(esc.pruned_zeros(), scipy_product(a, b))
-    assert_row_major_form(a, b, esc)
+    assert_kernel_order_form(a, b, esc)
     # The same operands made positive take the one-phase side, whose bound
     # must hold (``esc_side`` checks it) and whose bits the oracles match.
     a_pos, b_pos = positive(a), positive(b)
@@ -190,7 +195,7 @@ def test_esc_fast_bit_identical(pair):
         esc_pos = spgemm_esc(a_pos, b_pos)
     assert side == ["one-phase" if a.nnz and b.nnz else None]
     assert_esc_matches_heap_and_hash(a_pos, b_pos, esc_pos)
-    assert_row_major_form(a_pos, b_pos, esc_pos)
+    assert_kernel_order_form(a_pos, b_pos, esc_pos)
     bound = int(np.minimum(flops_per_column(a_pos, b_pos), a.nrows).sum())
     assert bound >= esc_pos.nnz
     # Column slabs of B (what phases and pool workers multiply) stitch back.
@@ -354,7 +359,7 @@ def test_esc_edge_cases_run_the_side_they_should(case):
         with esc_side() as side:
             esc = spgemm_esc(a, b)
         assert_esc_matches_heap_and_hash(a, b, esc)
-        assert_row_major_form(a, b, esc)
+        assert_kernel_order_form(a, b, esc)
     assert side == [expected]
     # Structural entries survive as explicit zeros on the sorted side.
     assert bool(np.any(esc.data == 0.0)) == (expected == "sorted")
@@ -381,7 +386,7 @@ def test_esc_private_sparsetools_call_matches_public_scipy():
         negated = raw(a.shape, a.indptr, a.indices, -a.data)
         for left, expected in ((a, "one-phase"), (negated, "two-pass")):
             with esc_side() as side:
-                got = perf_esc.transpose(perf_esc.expand_compress(left, b)[0])
+                got = perf_esc.sort_rows(perf_esc.expand_compress(left, b)[0])
             assert side == [expected]
             assert_same_csc(got, scipy_product(left, b))
     except (ImportError, AttributeError, TypeError, ValueError,
@@ -686,80 +691,108 @@ def test_merge_sums_left_to_right():
             )
 
 
-def merged_block(kind, mats, row_major):
+def merged_block(kind, mats, rng=None):
     """The block a schedule makes of stage products ``mats`` — merged as
-    they are, or in row-major form and transposed once when finished."""
-    shape = mats[0].shape
-    if not row_major:
-        lists = [TripleList.from_csc(m, copy=False) for m in mats]
-        return run_schedule(kind, lists, shape).result.to_csc()
-    lists = [TripleList.from_csc(m.transpose(), copy=False) for m in mats]
-    merged = run_schedule(kind, lists, shape[::-1]).result.to_csc()
-    return perf_esc.transpose(merged)
+    they are, or (given ``rng``) with the rows of every column of every
+    product shuffled, as the kernel leaves them, and sorted once when
+    finished."""
+    if rng is not None:
+        mats = [shuffled_rows(m, rng) for m in mats]
+    lists = [TripleList.from_csc(m, copy=False) for m in mats]
+    merged = run_schedule(kind, lists, mats[0].shape).result.to_csc()
+    return merged if rng is None else perf_esc.sort_rows(merged)
 
 
-@given(st.lists(signed_matrices(max_dim=12), min_size=1, max_size=5), st.data())
+@given(
+    st.lists(signed_matrices(max_dim=12), min_size=1, max_size=5),
+    st.integers(0, 2**32 - 1),
+)
 @settings(max_examples=60, deadline=None)
-def test_row_major_merge_transposed_once_is_the_column_major_merge(mats, data):
-    # A transposed block is just another canonical CSC block, and per cell
-    # the chain adds the same values in the same order either way.
+def test_kernel_order_merge_sorted_once_is_the_canonical_merge(mats, seed):
+    # Per coordinate the chain and the stable sort add the same values in
+    # list order whatever the order of the rows within a column, so
+    # merging shuffled products and sorting once is the canonical merge.
     shape = mats[0].shape
     mats = [
         csc_from_triples(shape, m.indices % shape[0], cols_of(m) % shape[1],
                          m.data)
         for m in mats
     ]
-    if data.draw(st.booleans()):
-        mats = [positive(m) for m in mats]  # the chain, not the sort
-    for kind in SCHEDULES:
-        assert_same_csc(
-            merged_block(kind, mats, row_major=True),
-            merged_block(kind, mats, row_major=False),
-        )
+    live = sum(1 for m in mats if m.nnz)
+    for values, side in ((mats, "sort"), ([positive(m) for m in mats],
+                                         "chain")):
+        for kind in SCHEDULES:
+            rng = np.random.default_rng(seed)
+            with merge_sides() as sides:
+                got = merged_block(kind, values, rng)
+            assert_same_csc(got, merged_block(kind, values))
+            if side == "chain":
+                assert sides["sort"] == 0
+                assert bool(sides["chain"]) == (live > 1)
+            elif any(m.nnz and m.data.min() <= 0 for m in values):
+                # Signed lists: every merge with a value <= 0 in it sorts.
+                assert sides["sort"] or live <= 1
 
 
 @pytest.mark.parametrize("kind", sorted(SCHEDULES))
-def test_row_major_merge_keeps_the_summation_order(kind):
-    # The 2^53 + 1 + 1 + 1 trap of ``test_merge_sums_left_to_right`` in one
-    # cell of a 2x3 block, next to cells only some stage products fill.
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_kernel_order_merge_keeps_the_summation_order(kind, data):
+    # The 2^53 + 1 + 1 + 1 trap of ``test_merge_sums_left_to_right`` in
+    # one cell of a 4x3 block, next to cells only some stage products
+    # fill, with the rows of every product shuffled.
     big = 2.0 ** 53
-    mats = [
-        raw((2, 3), [0, 1, 1, 2], [0, 1], [3.0, v]) if k % 2 else
-        raw((2, 3), [0, 0, 1, 2], [1, 1], [0.5, v])
-        for k, v in enumerate([big, 1.0, 1.0, 1.0])
-    ]
+    shape = (4, 3)
+    trap = data.draw(st.tuples(st.integers(0, 3), st.integers(0, 2)))
+    mats = []
+    for v in (big, 1.0, 1.0, 1.0):
+        fill = data.draw(st.lists(st.booleans(), min_size=12, max_size=12))
+        dense = np.where(np.reshape(fill, shape), 0.5, 0.0)
+        dense[trap] = v
+        mats.append(CSCMatrix.from_dense(dense))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     with merge_sides() as sides:
-        row_major = merged_block(kind, mats, row_major=True)
+        got = merged_block(kind, mats, rng)
     assert sides["sort"] == 0 and sides["chain"]
-    assert_same_csc(row_major, merged_block(kind, mats, row_major=False))
+    assert_same_csc(got, merged_block(kind, mats))
+    if kind != "binary":  # binary brackets its own groups
+        assert got.to_dense()[trap] == big
 
 
 def test_merge_private_sparsetools_call_matches_public_scipy():
     # ``_add_chain`` calls SciPy's private compiled module directly; on
-    # positive operands its result is SciPy's own public sum.
+    # positive operands its result is SciPy's own public sum — for sorted
+    # operands, and for operands whose rows are shuffled within each
+    # column, as the stage products the engine merges are.
     import scipy
 
     a = random_csc((60, 45), 0.15, seed=1)
     b = random_csc((60, 45), 0.15, seed=2)
+    rng = np.random.default_rng(3)
     broken = (
         "repro.perf.merge calls scipy.sparse._sparsetools.csr_plus_csr "
-        "directly (supported: SciPy 1.10 to 1.17); "
+        "directly (supported: SciPy 1.10 to 1.17) and relies on its "
+        "general (non-canonical) path summing operands whose rows are "
+        "unsorted within a column; "
         f"SciPy {scipy.__version__} no longer matches that private "
         "signature or its public `A + B`"
     )
     try:
-        want = a.to_scipy() + b.to_scipy()
-        want.sort_indices()
-        with merge_sides() as sides:
-            got = merge_lists([
-                TripleList.from_csc(a, copy=False),
-                TripleList.from_csc(b, copy=False),
-            ])
-        assert sides == {"chain": 1, "sort": 0}
-        assert_same_csc(
-            got.to_csc(),
-            CSCMatrix(want.shape, want.indptr, want.indices, want.data),
-        )
+        for left, right in ((a, b),
+                            (shuffled_rows(a, rng), shuffled_rows(b, rng))):
+            assert left.has_sorted_indices() == (left is a)
+            want = left.to_scipy() + right.to_scipy()
+            want.sort_indices()
+            with merge_sides() as sides:
+                got = merge_lists([
+                    TripleList.from_csc(left, copy=False),
+                    TripleList.from_csc(right, copy=False),
+                ])
+            assert sides == {"chain": 1, "sort": 0}
+            assert_same_csc(
+                perf_esc.sort_rows(got.to_csc()),
+                CSCMatrix(want.shape, want.indptr, want.indices, want.data),
+            )
     except (ImportError, AttributeError, TypeError, ValueError,
             AssertionError) as exc:
         pytest.fail(f"{broken}: {exc!r}")

@@ -43,7 +43,7 @@ def brute_records(dist_a, dist_b, phases, kind):
             hi = lo + base + (1 if p < extra else 0)
             for i in range(q):
                 schedule = SCHEDULES[kind](
-                    (hi - lo, dist_a.block(i, 0).nrows),
+                    (dist_a.block(i, 0).nrows, hi - lo),
                     lambda lists: merge_lists(lists, copy=False),
                 )
                 for k in range(q):
@@ -51,13 +51,13 @@ def brute_records(dist_a, dist_b, phases, kind):
                     slab = dist_b.block(k, j).column_slab(lo, hi)
                     if not (a.nnz and slab.nnz):
                         continue
-                    product, c_indptr, per_col = spgemm_esc(
-                        a, slab, transposed=True
+                    product, per_col = spgemm_esc(
+                        a, slab, kernel_order=True
                     )
                     seen = len(schedule.events)
                     schedule.push(TripleList.from_csc(product))
                     pieces.setdefault((k, i, j), {})[p] = (
-                        per_col, np.diff(c_indptr),
+                        per_col, np.diff(product.indptr),
                         tuple(schedule.events[seen:]),
                     )
                 combine = schedule.peak_resident

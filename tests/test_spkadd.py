@@ -98,24 +98,28 @@ class TestSpkaddMerge:
         # come back from the pool threads and are merged inline.  Merging
         # those is merging the products computed in the caller.
         from repro.parallel import get_executor
+        from repro.perf.esc import sort_rows
         from repro.spgemm.esc import spgemm_esc
 
         a_blocks = [random_csc((300, 300), 0.03, seed=60 + i) for i in range(4)]
         b_blocks = [random_csc((300, 300), 0.03, seed=70 + i) for i in range(4)]
-        # Products ship in the row-major form the stage loop merges.
         ref = merge_lists([
-            TripleList.from_csc(spgemm_esc(a, b).transpose(), copy=False)
+            TripleList.from_csc(spgemm_esc(a, b), copy=False)
             for a, b in zip(a_blocks, b_blocks)
         ])
+        # Products ship in the kernel order the stage loop merges.
         shipped = get_executor(workers).run_batch(
             spgemm_esc, [(a, b, True) for a, b in zip(a_blocks, b_blocks)]
         )
         lists = [
             TripleList.from_csc(product, copy=False)
-            for product, _c_indptr, _per_col in shipped
+            for product, _per_col in shipped
         ]
-        assert all(t.is_sorted() for t in lists)
-        assert_triples_equal(spkadd_merge(lists, strategy=strategy), ref)
+        assert not all(t.is_sorted() for t in lists)
+        merged = spkadd_merge(lists, strategy=strategy)
+        assert_triples_equal(
+            TripleList.from_csc(sort_rows(merged.to_csc()), copy=False), ref
+        )
 
     def test_shape_mismatch_rejected(self):
         a = TripleList.from_csc(random_csc((8, 8), 0.2, seed=1))
@@ -231,6 +235,14 @@ def _phased_engine_run(tracer=None, workers=4, phases=2, **kwargs):
         )
 
 
+def _planted_matrix():
+    from repro.nets import planted_network
+
+    return planted_network(
+        240, intra_degree=14.0, inter_degree=2.0, seed=9
+    ).matrix
+
+
 class TestEngineWiring:
     def test_merge_pricing_stays_on_the_main_lane(self):
         from repro.trace import MAIN_LANE, Tracer, merge_report
@@ -249,25 +261,30 @@ class TestEngineWiring:
         assert rep["main_seconds"] > 0
         assert 0.0 < rep["share"] <= 1.0
 
-    def test_every_list_entering_the_merge_is_canonical(self, monkeypatch):
-        # The compiled chain takes the two-pointer pass only on operands
-        # sorted and duplicate-free per column; every producer in src/
-        # guarantees that — in the list's own shape, which is the block's
-        # transposed (products are merged row-major and the merged block
-        # is transposed once).  Checked on every list of a small hipmcl run.
+    def test_every_list_entering_the_merge_is_duplicate_free(
+        self, monkeypatch
+    ):
+        # Stage products enter the merge in the order the kernel wrote
+        # them, and merge outputs in the order the addition wrote them:
+        # the rows of a column are not sorted, and the compiled chain
+        # needs only that no coordinate is stored twice in a column.
+        # Checked on every list of a small hipmcl run, together with the
+        # structure the compiled code trusts without checking.
         import repro.summa.engine as engine
         from repro.mcl.hipmcl import HipMCLConfig, hipmcl
         from repro.mcl.options import MclOptions
-        from repro.nets import planted_network
 
-        seen = []
+        seen, unsorted = [], [0]
 
         def checked(real):
             def merge(lists, **kwargs):
                 for t in lists:
-                    assert t.is_sorted()
+                    key = t.cols * np.int64(t.shape[0]) + t.rows
+                    assert len(np.unique(key)) == len(t)
+                    unsorted[0] += not t.is_sorted()
                     assert t.shape == lists[0].shape
                     assert len(t.indptr) == t.shape[1] + 1
+                    assert np.all(np.diff(t.indptr) >= 0)
                     assert np.all((0 <= t.rows) & (t.rows < t.shape[0]))
                     assert t.indptr[-1] == len(t) == len(t.rows)
                     assert t.rows.dtype == t.indptr.dtype == np.int64
@@ -279,21 +296,60 @@ class TestEngineWiring:
 
         monkeypatch.setattr(engine, "merge_lists", checked(merge_lists))
         monkeypatch.setattr(engine, "spkadd_merge", checked(spkadd_merge))
-        mat = planted_network(
-            240, intra_degree=14.0, inter_degree=2.0, seed=9
-        ).matrix
         res = hipmcl(
-            mat, MclOptions(select_number=20),
+            _planted_matrix(), MclOptions(select_number=20),
             HipMCLConfig(nodes=16, memory_budget_bytes=64 * 1024),
         )
         assert res.converged
         assert len(seen) > 100 and max(seen) >= 2
+        assert unsorted[0] > 0
+
+    @pytest.mark.parametrize("recover", [0, 4], ids=["select", "recover"])
+    def test_every_block_leaving_the_numeric_pass_is_canonical(
+        self, monkeypatch, recover
+    ):
+        # Sorting happens once per block, after the prune: every block of
+        # every multiply's ``dist_c`` and every block handed to the
+        # inflation is sorted, under the §II prune and under the
+        # recovery prune alike.
+        import importlib
+
+        from repro.mcl.options import MclOptions
+
+        driver = importlib.import_module("repro.mcl.hipmcl")
+
+        real_multiply = driver.summa_multiply
+        real_inflate = driver.inflate_block_column
+        counts = {"dist_c": 0, "inflate": 0}
+
+        def multiply(*args, **kwargs):
+            res = real_multiply(*args, **kwargs)
+            for blk in res.dist_c.blocks.values():
+                assert TripleList.from_csc(blk, copy=False).is_sorted()
+                counts["dist_c"] += 1
+            return res
+
+        def inflate(cols, *args):
+            for blk in cols:
+                assert TripleList.from_csc(blk, copy=False).is_sorted()
+                counts["inflate"] += 1
+            return real_inflate(cols, *args)
+
+        monkeypatch.setattr(driver, "summa_multiply", multiply)
+        monkeypatch.setattr(driver, "inflate_block_column", inflate)
+        res = driver.hipmcl(
+            _planted_matrix(),
+            MclOptions(select_number=20, recover_number=recover),
+            driver.HipMCLConfig(nodes=16, memory_budget_bytes=64 * 1024),
+        )
+        assert res.converged
+        assert counts["dist_c"] > 16 and counts["inflate"] > 16
 
     def test_finished_blocks_release_their_merge_state(self, monkeypatch):
-        # The merged row-major accumulator and the output block transposed
-        # from it are different arrays: a state kept after its block is
-        # finished would hold the block twice.  By the time a block column
-        # reaches the prune, none of its states is alive.  The numeric
+        # A merge state holds the lists its schedule has buffered: one
+        # kept after its block is finished would keep them resident.  By
+        # the time a block column reaches the prune, none of its states is
+        # alive.  The numeric
         # pass runs at full block-column width, so a two-phase multiply
         # builds one state per block and prunes each column once.
         import gc
