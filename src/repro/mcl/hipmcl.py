@@ -535,12 +535,15 @@ def prune_block_column(options, grid, iteration, cols, j):
     moment the engine has finished it, inside the column's task (the
     numerics only: :meth:`_Run.charge_column_prune` charges the clocks).
     Bound per iteration with ``functools.partial``; a pool thread may run
-    it concurrently with other columns, so it reads only its arguments."""
+    it concurrently with other columns, so it reads only its arguments.
+    Returns the kept blocks canonical, as the engine's ``prune_column``
+    contract asks: both branches sort, each exactly once."""
     with maybe_span("prune", "mcl", iteration=iteration, column=j) as psp:
         if options.recover_number != 0:
             # Recovery needs the full pre-cutoff column: assemble, prune,
             # split back.  Its column sums add in row order, so the
-            # blocks (in merge order here) are sorted first.
+            # blocks (in merge order here) are sorted first, and the
+            # blocks it splits off a canonical slab are canonical.
             pruned, _stats = prune_columns(
                 _assemble_block_column([sort_rows(blk) for blk in cols]),
                 options,
@@ -550,8 +553,12 @@ def prune_block_column(options, grid, iteration, cols, j):
             # Faithful §II protocol: local top-k candidates → exchanged
             # threshold → local filter.  Identical to the centralized
             # prune (validated in tests), and blind to the order of the
-            # rows within a column.
-            pruned_col = distributed_prune_block_column(cols, options)
+            # rows within a column, which it keeps: what survives is
+            # sorted here.
+            pruned_col = [
+                sort_rows(blk)
+                for blk in distributed_prune_block_column(cols, options)
+            ]
         psp.set(
             nnz_in=sum(b.nnz for b in cols),
             nnz_out=sum(b.nnz for b in pruned_col),

@@ -46,9 +46,9 @@ class TripleList:
                 f"{len(cols)}/{len(rows)}/{len(vals)}"
             )
         self.shape = shape
-        self._cols = np.ascontiguousarray(cols, dtype=_c.INDEX_DTYPE)
+        self._cols = _c.as_index(cols)
         self._indptr = None
-        self.rows = np.ascontiguousarray(rows, dtype=_c.INDEX_DTYPE)
+        self.rows = _c.as_index(rows)
         self.vals = np.ascontiguousarray(vals, dtype=_c.VALUE_DTYPE)
 
     @classmethod

@@ -33,8 +33,9 @@ group sum, which keeps them.
 **Kernel order.**  The pass emits each column's rows in reverse
 discovery order, and that is the order :func:`expand_compress` returns
 them in: C column-major, every column duplicate-free but not sorted, its
-``indptr[-1]`` entries copied out of the bound-sized buffers so those do
-not stay resident while the product waits in a merge.  The SUMMA stage
+bound-sized buffers shrunk in place to the ``indptr[-1]`` entries written
+(:func:`repro.sparse._compressed.trim`), so their tails do not stay
+resident while the product waits in a merge.  The SUMMA stage
 loop adds its products in that order (SciPy's addition sees unsorted
 operands and takes its general path, which sums the same values in the
 same order) and sorts each block once, after the prune has dropped most
@@ -88,6 +89,8 @@ def expand_compress(a: CSCMatrix, b: CSCMatrix):
         bound = _sparsetools.csr_matmat_maxnnz(
             ncols, nrows, b.indptr, b.indices, a.indptr, a.indices
         )
+    # The pass writes int32 column pointers.
+    _c.check_dims(bound)
     indptr = np.empty(ncols + 1, dtype=_c.INDEX_DTYPE)
     rows = np.empty(bound, dtype=_c.INDEX_DTYPE)
     vals = np.empty(bound, dtype=_c.VALUE_DTYPE)
@@ -95,13 +98,12 @@ def expand_compress(a: CSCMatrix, b: CSCMatrix):
         ncols, nrows, b.indptr, b.indices, b.data,
         a.indptr, a.indices, a.data, indptr, rows, vals,
     )
-    nnz = indptr[-1]
+    nnz = int(indptr[-1])
     if not one_phase and nnz != bound:
         c = _compress_sorted((nrows, ncols), *_expand(a, b))
         return c, per_col
-    if nnz != bound:
-        # Only the entries written are kept: the buffers go now.
-        rows, vals = rows[:nnz].copy(), vals[:nnz].copy()
+    # Only the entries written are kept: the buffers' tails go now.
+    _c.trim(nnz, rows, vals)
     return CSCMatrix((nrows, ncols), indptr, rows, vals, check=False), per_col
 
 
@@ -154,5 +156,5 @@ def _compress_sorted(shape, key, prod) -> CSCMatrix:
     vals = _c.groupsum_ordered(prod, boundary)
     bounds = np.arange(shape[1] + 1, dtype=np.int64) * nrows
     indptr = np.searchsorted(ukey, bounds).astype(_c.INDEX_DTYPE)
-    rows = ukey % nrows
+    rows = (ukey % nrows).astype(_c.INDEX_DTYPE)
     return CSCMatrix(shape, indptr, rows, vals, check=False)

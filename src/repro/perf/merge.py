@@ -64,6 +64,7 @@ def _add_chain(lists, shape):
     indptr, rows, vals = first.indptr, first.rows, first.vals
     for t in lists[1:]:
         bound = len(vals) + len(t)
+        _c.check_dims(bound)
         out_indptr = np.empty(ncols + 1, dtype=_c.INDEX_DTYPE)
         out_rows = np.empty(bound, dtype=_c.INDEX_DTYPE)
         out_vals = np.empty(bound, dtype=_c.VALUE_DTYPE)
@@ -71,15 +72,18 @@ def _add_chain(lists, shape):
             ncols, nrows, indptr, rows, vals, t.indptr, t.rows, t.vals,
             out_indptr, out_rows, out_vals,
         )
-        nnz = out_indptr[-1]
-        indptr, rows, vals = out_indptr, out_rows[:nnz], out_vals[:nnz]
+        # Shrunk to what was written: a view would pin the whole buffer
+        # until the block is pruned.
+        _c.trim(int(out_indptr[-1]), out_rows, out_vals)
+        indptr, rows, vals = out_indptr, out_rows, out_vals
     return indptr, rows, vals
 
 
 def _sort_and_sum(lists, shape):
     nrows, ncols = shape
-    key = np.concatenate([t.cols for t in lists])
-    key *= np.int64(nrows)
+    # Widened before the in-place product: int32 ``col·nrows`` would wrap.
+    key = np.concatenate([t.cols for t in lists]).astype(np.int64)
+    key *= nrows
     key += np.concatenate([t.rows for t in lists])
     vals = np.concatenate([t.vals for t in lists])
     # A stable sort keeps colliding entries in concatenation (list) order.
@@ -89,6 +93,10 @@ def _sort_and_sum(lists, shape):
     boundary = np.empty(len(key), dtype=bool)
     boundary[0] = True
     np.not_equal(key[1:], key[:-1], out=boundary[1:])
-    out_cols, out_rows = np.divmod(key[boundary], np.int64(nrows))
+    out_cols, out_rows = np.divmod(key[boundary], nrows)
     out_vals = _c.groupsum_ordered(vals, boundary)
-    return _c.compress_major(out_cols, ncols), out_rows, out_vals
+    return (
+        _c.compress_major(out_cols, ncols),
+        out_rows.astype(_c.INDEX_DTYPE),
+        out_vals,
+    )

@@ -38,11 +38,20 @@ JOB_MODES = ("optimized", "original", "cpu")
 
 
 def graph_fingerprint(matrix) -> str:
-    """Stable content digest of a CSC matrix (shape, dtypes, raw bytes)."""
+    """Stable content digest of a CSC matrix (shape, dtypes, raw bytes).
+
+    The index arrays are digested in their ``int64`` form whatever the
+    host's index dtype, so a key never changes with that dtype and the
+    result cache keeps its hits.
+    """
     h = hashlib.sha256()
     h.update(f"{matrix.nrows}x{matrix.ncols}".encode())
-    for arr in (matrix.indptr, matrix.indices, matrix.data):
-        a = np.ascontiguousarray(arr)
+    for arr, dtype in (
+        (matrix.indptr, np.int64),
+        (matrix.indices, np.int64),
+        (matrix.data, np.float64),
+    ):
+        a = np.ascontiguousarray(arr, dtype=dtype)
         h.update(str(a.dtype).encode())
         h.update(a.tobytes())
     return h.hexdigest()

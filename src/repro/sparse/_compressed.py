@@ -4,26 +4,83 @@
 ``(indptr, indices, data)``; the routines here are written against the
 compressed ("major") axis.
 
-All index arrays are ``int64`` and all value arrays ``float64``; normalizing
-dtypes at the boundary keeps every downstream kernel branch-free.
+All index arrays are ``int32`` and all value arrays ``float64``; normalizing
+dtypes at the boundary keeps every downstream kernel branch-free.  Four
+bytes per index are enough: a matrix's rows, columns and nonzeros each
+stay below 2³¹ (:data:`INDEX_LIMIT`; the constructors check it), and at
+half the width the index arrays cost half the memory and SciPy's
+compiled kernels run their ``int32`` instantiations.  Every array a run
+builds is born ``int32``, so :func:`normalize_arrays` converts only at
+the boundary, where it refuses a value that would wrap.
+
+What can pass 2³¹ stays ``int64``: fused coordinate keys
+(``col·nrows + row``), flops, and any sum over index arrays (NumPy's
+``sum`` / ``cumsum`` widen small integers by themselves; in-place
+arithmetic and ``reduceat`` do not, so code over keys widens first).
+The *simulated* sizes do not follow the host dtype either: they model
+HipMCL's 8-byte indices (:meth:`~repro.sparse.csc.CSCMatrix.memory_bytes`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import FormatError
+from ..errors import FormatError, ShapeError
 
-INDEX_DTYPE = np.int64
+INDEX_DTYPE = np.int32
 VALUE_DTYPE = np.float64
+#: Rows, columns and nonzeros of a matrix stay below this.
+INDEX_LIMIT = 2**31
+
+
+def check_dims(*counts) -> None:
+    """Raise :class:`ShapeError` if a row, column or nonzero count does
+    not fit an index."""
+    for count in counts:
+        if count >= INDEX_LIMIT:
+            raise ShapeError(
+                f"{count} rows, columns or entries do not fit a "
+                f"{np.dtype(INDEX_DTYPE)} index (limit {INDEX_LIMIT})"
+            )
+
+
+def as_index(array) -> np.ndarray:
+    """``array`` as a contiguous ``INDEX_DTYPE`` array, copying only when
+    needed; raises :class:`FormatError` when a value would wrap, which a
+    cast does silently (2³² + 3 becomes 3, a valid-looking index)."""
+    array = np.asarray(array)
+    if array.dtype != INDEX_DTYPE and array.dtype.kind in "iuf" and array.size:
+        lo, hi = array.min(), array.max()
+        if lo < -INDEX_LIMIT or hi >= INDEX_LIMIT:
+            raise FormatError(
+                f"index values [{lo}, {hi}] do not fit "
+                f"{np.dtype(INDEX_DTYPE)} (limit {INDEX_LIMIT})"
+            )
+    return np.ascontiguousarray(array, dtype=INDEX_DTYPE)
 
 
 def normalize_arrays(indptr, indices, data):
     """Cast the triplet to canonical dtypes, copying only when needed."""
-    indptr = np.ascontiguousarray(indptr, dtype=INDEX_DTYPE)
-    indices = np.ascontiguousarray(indices, dtype=INDEX_DTYPE)
+    indptr = as_index(indptr)
+    indices = as_index(indices)
     data = np.ascontiguousarray(data, dtype=VALUE_DTYPE)
     return indptr, indices, data
+
+
+def trim(n: int, *buffers) -> None:
+    """Shrink freshly filled output buffers to their first ``n`` entries,
+    in place.
+
+    A compiled kernel writes its output into buffers sized from a bound;
+    a view of the written prefix would keep the whole buffer alive, and a
+    copy would briefly hold both.  ``resize`` gives the tail back to the
+    allocator instead.  Only for buffers the caller allocated and nothing
+    else references yet (``refcheck=False`` skips the check that would
+    otherwise trip on the caller's own local name).
+    """
+    for buf in buffers:
+        if len(buf) != n:
+            buf.resize(n, refcheck=False)
 
 
 def validate(indptr, indices, data, n_major: int, n_minor: int) -> None:

@@ -21,8 +21,7 @@ def csc_from_triples(shape, rows, cols, vals, *, sum_dup: bool = True) -> CSCMat
     Duplicate coordinates are summed when ``sum_dup`` (the semantics the
     merge layer relies on).  Output has sorted indices.
     """
-    rows = np.asarray(rows, dtype=_c.INDEX_DTYPE)
-    cols = np.asarray(cols, dtype=_c.INDEX_DTYPE)
+    rows, cols = np.asarray(rows), np.asarray(cols)
     vals = np.asarray(vals, dtype=_c.VALUE_DTYPE)
     if not (len(rows) == len(cols) == len(vals)):
         raise ShapeError(
@@ -30,11 +29,16 @@ def csc_from_triples(shape, rows, cols, vals, *, sum_dup: bool = True) -> CSCMat
             f"{len(rows)}/{len(cols)}/{len(vals)}"
         )
     nrows, ncols = int(shape[0]), int(shape[1])
+    _c.check_dims(nrows, ncols, len(vals))
+    # Range-checked in the callers' dtype, before the narrowing cast
+    # (which would wrap an id ≥ 2³¹ into range).
     if len(rows):
         if rows.min() < 0 or rows.max() >= nrows:
             raise ShapeError(f"row ids out of range [0, {nrows})")
         if cols.min() < 0 or cols.max() >= ncols:
             raise ShapeError(f"col ids out of range [0, {ncols})")
+    rows = rows.astype(_c.INDEX_DTYPE, copy=False)
+    cols = cols.astype(_c.INDEX_DTYPE, copy=False)
     # Stable sort of the fused (col, row) key (rows < nrows by the range
     # check above): duplicate coordinates stay in input order.
     order = np.argsort(cols * np.int64(nrows) + rows, kind="stable")
@@ -113,6 +117,7 @@ def hstack_csc(blocks: list[CSCMatrix]) -> CSCMatrix:
                 f"hstack row mismatch: {b.nrows} != {nrows}"
             )
     ncols = sum(b.ncols for b in blocks)
+    _c.check_dims(ncols, sum(b.nnz for b in blocks))
     indptr = np.zeros(ncols + 1, dtype=_c.INDEX_DTYPE)
     col_off = 0
     nnz_off = 0

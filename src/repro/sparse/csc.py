@@ -38,6 +38,7 @@ class CSCMatrix:
         nrows, ncols = int(shape[0]), int(shape[1])
         if nrows < 0 or ncols < 0:
             raise ShapeError(f"negative dimensions in shape {shape}")
+        _c.check_dims(nrows, ncols)
         self.shape = (nrows, ncols)
         self.indptr, self.indices, self.data = _c.normalize_arrays(
             indptr, indices, data
@@ -55,6 +56,7 @@ class CSCMatrix:
     def empty(cls, shape) -> "CSCMatrix":
         """An all-zero matrix of the given shape."""
         ncols = int(shape[1])
+        _c.check_dims(ncols)  # before the ncols + 1 pointers are allocated
         return cls(
             shape,
             np.zeros(ncols + 1, dtype=_c.INDEX_DTYPE),
@@ -206,8 +208,13 @@ class CSCMatrix:
         )
 
     def memory_bytes(self) -> int:
-        """Bytes occupied by the backing arrays (simulator memory unit)."""
-        return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
+        """Bytes the matrix occupies in the simulator's unit: HipMCL's
+        8-byte indices and values, ``8·(ncols + 1) + 16·nnz``.
+
+        A model, not the host's arrays (whose indices are 4 bytes wide),
+        so every simulated size is independent of the host dtype.
+        """
+        return 8 * (self.ncols + 1) + 16 * self.nnz
 
     def copy(self) -> "CSCMatrix":
         return CSCMatrix(
@@ -231,7 +238,8 @@ class CSCMatrix:
         return sums
 
     def scale_columns(self, factors: np.ndarray) -> "CSCMatrix":
-        """Multiply column ``j`` by ``factors[j]`` (returns a new matrix)."""
+        """Multiply column ``j`` by ``factors[j]`` (returns a new matrix
+        that shares this one's read-only ``indptr`` and ``indices``)."""
         factors = np.asarray(factors, dtype=_c.VALUE_DTYPE)
         if factors.shape != (self.ncols,):
             raise ShapeError(
@@ -239,10 +247,7 @@ class CSCMatrix:
             )
         per_entry = np.repeat(factors, self.column_lengths())
         return CSCMatrix(
-            self.shape,
-            self.indptr.copy(),
-            self.indices.copy(),
-            self.data * per_entry,
+            self.shape, self.indptr, self.indices, self.data * per_entry,
             check=False,
         )
 

@@ -34,10 +34,11 @@ class DCSCMatrix:
         nrows, ncols = int(shape[0]), int(shape[1])
         if nrows < 0 or ncols < 0:
             raise ShapeError(f"negative dimensions in shape {shape}")
+        _c.check_dims(nrows, ncols)
         self.shape = (nrows, ncols)
-        self.jc = np.ascontiguousarray(jc, dtype=_c.INDEX_DTYPE)
-        self.cp = np.ascontiguousarray(cp, dtype=_c.INDEX_DTYPE)
-        self.ir = np.ascontiguousarray(ir, dtype=_c.INDEX_DTYPE)
+        self.jc = _c.as_index(jc)
+        self.cp = _c.as_index(cp)
+        self.ir = _c.as_index(ir)
         self.num = np.ascontiguousarray(num, dtype=_c.VALUE_DTYPE)
         if check:
             self._validate()
@@ -83,7 +84,8 @@ class DCSCMatrix:
         """
         lens = mat.column_lengths()
         jc = np.flatnonzero(lens).astype(_c.INDEX_DTYPE)
-        cp = np.concatenate(([0], np.cumsum(lens[jc], dtype=_c.INDEX_DTYPE)))
+        cp = np.zeros(len(jc) + 1, dtype=_c.INDEX_DTYPE)
+        np.cumsum(lens[jc], out=cp[1:])
         return cls(mat.shape, jc, cp, mat.indices, mat.data, check=False)
 
     # -- properties -------------------------------------------------------------
@@ -103,9 +105,13 @@ class DCSCMatrix:
         return self.shape[1]
 
     def memory_bytes(self) -> int:
-        """Bytes of the four backing arrays; for a hypersparse block this is
-        ``O(nnz + nzc)`` versus CSC's ``O(nnz + ncols)``."""
-        return self.jc.nbytes + self.cp.nbytes + self.ir.nbytes + self.num.nbytes
+        """Bytes the four arrays occupy in the simulator's unit (HipMCL's
+        8-byte indices and values): ``8·(2·nzc + 1) + 16·nnz``, for a
+        hypersparse block ``O(nnz + nzc)`` versus CSC's
+        ``O(nnz + ncols)``.  A model independent of the host dtype, equal
+        to :meth:`~repro.summa.distmatrix.DistributedCSC.block_storage_bytes`.
+        """
+        return 8 * (2 * self.nzc + 1) + 16 * self.nnz
 
     # -- conversion ----------------------------------------------------------------
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import FormatError
+from . import _compressed as _c
 from .construct import csc_from_triples
 from .csc import CSCMatrix
 
@@ -24,8 +25,6 @@ HEADER = "%%MatrixMarket matrix coordinate real general"
 def write_matrix_market(mat: CSCMatrix, path) -> None:
     """Write a CSC matrix as 1-indexed MatrixMarket coordinate text."""
     mat = mat.sum_duplicates()
-    from . import _compressed as _c
-
     cols = _c.expand_major(mat.indptr, mat.ncols)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(HEADER + "\n")
@@ -66,6 +65,11 @@ def read_matrix_market(path) -> CSCMatrix:
         if len(parts) != 3:
             raise FormatError(f"{path}: bad size line {line!r}")
         nrows, ncols, nnz = (int(p) for p in parts)
+        if max(nrows, ncols, nnz) >= _c.INDEX_LIMIT:
+            raise FormatError(
+                f"{path}: size line {line.strip()!r} exceeds the index "
+                f"limit {_c.INDEX_LIMIT}"
+            )
         want_cols = 2 if field == "pattern" else 3
         data = np.loadtxt(fh, ndmin=2) if nnz else np.empty((0, want_cols))
     if nnz and data.shape != (nnz, want_cols):

@@ -35,17 +35,15 @@ def add(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
 def hadamard_power(mat: CSCMatrix, exponent: float) -> CSCMatrix:
     """Element-wise power ``A .^ exponent`` (MCL's inflation kernel).
 
-    Only stored entries are touched, so the zero pattern is preserved;
-    requires a positive exponent because MCL matrices are non-negative and
-    ``0^negative`` is undefined.
+    Only stored entries are touched, so the zero pattern is preserved
+    (and the result shares ``mat``'s read-only ``indptr`` and
+    ``indices``); requires a positive exponent because MCL matrices are
+    non-negative and ``0^negative`` is undefined.
     """
     if exponent <= 0:
         raise ValueError(f"inflation exponent must be positive, got {exponent}")
     return CSCMatrix(
-        mat.shape,
-        mat.indptr.copy(),
-        mat.indices.copy(),
-        np.power(mat.data, exponent),
+        mat.shape, mat.indptr, mat.indices, np.power(mat.data, exponent),
         check=False,
     )
 
@@ -156,10 +154,16 @@ def symmetrize_max(mat: CSCMatrix) -> CSCMatrix:
     # Aᵀ at every union coordinate.
     a = mat.sum_duplicates()
     b = t.sum_duplicates()
-    key_u = _c.expand_major(both.indptr, both.ncols) * both.nrows + both.indices
+    key_u = (
+        _c.expand_major(both.indptr, both.ncols) * np.int64(both.nrows)
+        + both.indices
+    )
     vals = np.zeros(both.nnz, dtype=_c.VALUE_DTYPE)
     for m in (a, b):
-        key_m = _c.expand_major(m.indptr, m.ncols) * m.nrows + m.indices
+        key_m = (
+            _c.expand_major(m.indptr, m.ncols) * np.int64(m.nrows)
+            + m.indices
+        )
         pos = np.searchsorted(key_m, key_u)
         pos_c = np.minimum(pos, max(len(key_m) - 1, 0))
         hit = (pos < len(key_m)) & (key_m[pos_c] == key_u) if len(key_m) else None

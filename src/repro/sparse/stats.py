@@ -103,7 +103,9 @@ def block_imbalance(mat: CSCMatrix, processes: int) -> float:
     if mat.nnz == 0:
         return 1.0
     cols = _c.expand_major(mat.indptr, mat.ncols)
-    row_block = np.minimum(mat.indices * q // max(mat.nrows, 1), q - 1)
-    col_block = np.minimum(cols * q // max(mat.ncols, 1), q - 1)
+    # Widened: an index times q can pass 2³¹.
+    q64 = np.int64(q)
+    row_block = np.minimum(mat.indices * q64 // max(mat.nrows, 1), q - 1)
+    col_block = np.minimum(cols * q64 // max(mat.ncols, 1), q - 1)
     counts = np.bincount(row_block * q + col_block, minlength=q * q)
     return float(counts.max() / counts.mean())

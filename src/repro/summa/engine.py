@@ -18,7 +18,8 @@ advances by modeled durations.  A multiply runs in two passes.
   executor batch on a pool.  The task runs the column's q blocks in i
   order (:func:`compute_block`: block i computes the products A_ik·B_kj
   in k order, pushes them through its merge schedule and finishes), then
-  ``prune_column`` prunes the column and each kept block is sorted.
+  ``prune_column`` prunes the column and sorts each block it keeps
+  (without a prune, the task sorts the blocks).
   Products and merges keep the rows of a column in the order the kernel
   and the addition write them, so a block is sorted once, after the
   prune has dropped most of it.  At most one block column of
@@ -473,12 +474,13 @@ def compute_column(j, block_tasks, prune_column):
 
     ``block_tasks`` holds the :func:`compute_block` arguments of the
     column's blocks in i order; once they are finished,
-    ``prune_column(cols, j)`` (None keeps them) prunes the column, so no
-    unpruned block leaves the task.  The prune sees every column's rows
-    in merge order, so it must be an order-independent column-wise
-    filter; each block it keeps is then sorted (:func:`sort_rows`, two
-    counting-sort transposes over what survived), so every block leaves
-    canonical.
+    ``prune_column(cols, j)`` prunes the column, so no unpruned block
+    leaves the task.  The prune sees every column's rows in merge order,
+    so it must be an order-independent column-wise filter, and it
+    returns canonical blocks: it sorts what it keeps (with
+    :func:`sort_rows`, two counting-sort transposes over what survived,
+    or as a by-product of its own work).  Without a prune (None) each
+    block is sorted here, so every block leaves canonical.
 
     Returns ``(records, cols)``: per block, the ``(products, events,
     records)`` :func:`compute_block` returned with it, and the kept
@@ -489,9 +491,9 @@ def compute_column(j, block_tasks, prune_column):
         blk, *block_records = compute_block(*task)
         cols.append(blk)
         records.append(block_records)
-    if prune_column is not None:
-        cols = prune_column(cols, j)
-    return records, [sort_rows(blk) for blk in cols]
+    if prune_column is None:
+        return records, [sort_rows(blk) for blk in cols]
+    return records, prune_column(cols, j)
 
 
 def run_tasks(executor, fn, tasks: list, label: str) -> list:
@@ -617,10 +619,11 @@ class _PricePlan:
         # one reduceat of the per-column flops.
         ncols = np.array([len(arr[0]) for arr in arrays])
         at = points[js]
+        # Widened first: byte counts of these nonzeros can pass 2³¹.
         nnz_d = np.diff(
             np.concatenate([arr[1] for arr in arrays])[
                 at + (np.cumsum(ncols + 1) - ncols - 1)[:, None, None]
-            ],
+            ].astype(np.int64),
             axis=2,
         )
         starts = at[:, :, :-1] + (np.cumsum(ncols) - ncols)[:, None, None]
@@ -678,7 +681,9 @@ class _PricePlan:
             pts[:, 0] = bounds[:-1]
             np.cumsum(dev_w, axis=1, out=pts[:, 1:])
             pts[:, 1:] += bounds[:-1, None]
-            ip = np.stack([dist_b.block(k, j).indptr for k in range(q)])
+            ip = np.stack(
+                [dist_b.block(k, j).indptr for k in range(q)]
+            ).astype(np.int64)
             slab_nnz[:, j] = np.diff(ip[:, bounds], axis=1)
             nzc[:, j] = _range_sums(np.diff(ip, axis=1) > 0, bounds)
             points.append(pts)
@@ -1265,11 +1270,13 @@ def summa_multiply(
     finished: it receives them as a list indexed by block row and returns
     the (pruned) blocks to keep.  The blocks it receives are
     duplicate-free per column but their rows are in merge order, not
-    sorted, so it must be an order-independent column-wise filter; the
-    blocks it returns are sorted afterwards, and every block of the result
-    is canonical.  It must be pure — no clock is charged there, and on a
-    pool it runs on a pool thread concurrently with the other columns'
-    tasks, so it must not mutate state shared between columns.
+    sorted, so it must be an order-independent column-wise filter, and
+    the blocks it returns must be canonical (sorted: :func:`sort_rows`
+    over what it keeps); without one, the blocks are sorted instead, so
+    every block of the result is canonical.  It must be pure — no clock
+    is charged there, and on a pool it runs on a pool thread concurrently
+    with the other columns' tasks, so it must not mutate state shared
+    between columns.
 
     ``charge_column_prune(j, nnz, width)`` runs in the pricing pass, once
     per block column of each phase, with the phase's unpruned per-block

@@ -944,7 +944,8 @@ def lexsort_sum_duplicates(indptr, indices, data, n_major):
     first = np.r_[True, (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])]
     starts = np.flatnonzero(first)
     counts = np.bincount(major[starts], minlength=n_major)
-    return np.r_[0, np.cumsum(counts)], minor[starts], np.add.reduceat(vals, starts)
+    indptr = np.r_[0, np.cumsum(counts)].astype(_c.INDEX_DTYPE)
+    return indptr, minor[starts], np.add.reduceat(vals, starts)
 
 
 @given(
@@ -961,7 +962,8 @@ def test_sum_duplicates_sorts_only_what_is_unsorted(n_major, n_minor, entries):
     # its duplicates, and canonical.  Each must give the lexsort's result —
     # the duplicates summed in stored order — and only the first may sort.
     major, minor, vals = (np.array(x) for x in zip(*entries))
-    major, minor = major % n_major, minor % n_minor
+    major = (major % n_major).astype(_c.INDEX_DTYPE)
+    minor = (minor % n_minor).astype(_c.INDEX_DTYPE)
     vals = vals.astype(np.float64)
     grouped = np.argsort(major, kind="stable")
     indptr = _c.compress_major(major, n_major)

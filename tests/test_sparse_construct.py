@@ -24,12 +24,12 @@ from helpers import assert_matrix_equals_dense
     ([], 0),  # no major slices
 ])
 def test_compress_major_counts_like_add_at(major, n_major):
-    major = np.asarray(major, dtype=np.int64)
-    want = np.zeros(n_major + 1, dtype=np.int64)
+    major = np.asarray(major, dtype=_c.INDEX_DTYPE)
+    want = np.zeros(n_major + 1, dtype=_c.INDEX_DTYPE)
     np.add.at(want, major + 1, 1)
     np.cumsum(want, out=want)
     got = _c.compress_major(major, n_major)
-    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert got.dtype == _c.INDEX_DTYPE and np.array_equal(got, want)
 
 
 class TestFromTriples:

@@ -83,9 +83,10 @@ class TestAccessors:
             square_matrix.column_slab(30, 10)
 
     def test_memory_bytes_counts_arrays(self, square_matrix):
+        # The arrays as HipMCL holds them: 8-byte indices and values.
         expected = (
-            square_matrix.indptr.nbytes
-            + square_matrix.indices.nbytes
+            square_matrix.indptr.astype(np.int64).nbytes
+            + square_matrix.indices.astype(np.int64).nbytes
             + square_matrix.data.nbytes
         )
         assert square_matrix.memory_bytes() == expected

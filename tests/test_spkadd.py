@@ -17,6 +17,7 @@ from repro.merge.spkadd import (
     STRATEGY_LADDER,
     strategy_peak_bytes,
 )
+from repro.sparse import _compressed as _c
 from repro.sparse import random_csc
 from repro.summa.phases import plan_merge_strategy
 
@@ -287,7 +288,7 @@ class TestEngineWiring:
                     assert np.all(np.diff(t.indptr) >= 0)
                     assert np.all((0 <= t.rows) & (t.rows < t.shape[0]))
                     assert t.indptr[-1] == len(t) == len(t.rows)
-                    assert t.rows.dtype == t.indptr.dtype == np.int64
+                    assert t.rows.dtype == t.indptr.dtype == _c.INDEX_DTYPE
                     assert t.vals.dtype == np.float64
                 seen.append(len(lists))
                 return real(lists, **kwargs)
@@ -344,6 +345,106 @@ class TestEngineWiring:
         )
         assert res.converged
         assert counts["dist_c"] > 16 and counts["inflate"] > 16
+
+    @pytest.mark.parametrize("recover", [0, 4], ids=["select", "recover"])
+    def test_each_block_is_sorted_once(self, monkeypatch, recover):
+        # ``prune_column`` returns canonical blocks, so the engine sorts
+        # none of them: the §II prune sorts what it keeps, the recovery
+        # prune sorts its input and splits a canonical slab.  Either way a
+        # multiply sorts each of its q² blocks exactly once.
+        import importlib
+
+        import repro.summa.engine as engine
+        from repro.mcl.options import MclOptions
+
+        hipmcl_mod = importlib.import_module("repro.mcl.hipmcl")
+        calls = {"engine": 0, "prune": 0}
+
+        def counting(where, real):
+            def sort_rows(m):
+                calls[where] += 1
+                return real(m)
+
+            return sort_rows
+
+        monkeypatch.setattr(
+            engine, "sort_rows", counting("engine", engine.sort_rows)
+        )
+        monkeypatch.setattr(
+            hipmcl_mod, "sort_rows", counting("prune", hipmcl_mod.sort_rows)
+        )
+        res = hipmcl_mod.hipmcl(
+            _planted_matrix(),
+            MclOptions(select_number=20, recover_number=recover),
+            hipmcl_mod.HipMCLConfig(nodes=16, memory_budget_bytes=64 * 1024),
+        )
+        assert res.converged
+        assert calls == {"engine": 0, "prune": 16 * res.iterations}
+
+    def test_without_a_prune_the_engine_sorts(self, monkeypatch):
+        import repro.summa.engine as engine
+        from repro.machine.spec import SUMMIT_LIKE
+        from repro.mpi import ProcessGrid, VirtualComm
+        from repro.summa import DistributedCSC, SummaConfig, summa_multiply
+
+        real, calls = engine.sort_rows, [0]
+
+        def sort_rows(m):
+            calls[0] += 1
+            return real(m)
+
+        monkeypatch.setattr(engine, "sort_rows", sort_rows)
+        dist = DistributedCSC.from_global(_planted_matrix(), ProcessGrid(4))
+        res = summa_multiply(
+            dist, dist, VirtualComm(16, SUMMIT_LIKE), SummaConfig()
+        )
+        assert calls == [16]
+        for blk in res.dist_c.blocks.values():
+            assert TripleList.from_csc(blk, copy=False).is_sorted()
+
+    def test_no_block_of_a_run_carries_int64_indices(self, monkeypatch):
+        # Every array a run builds is born int32, so the constructor
+        # converts nothing: the stage products, the blocks leaving the
+        # numeric pass, and the slab and row blocks of the inflation.
+        import importlib
+
+        import repro.summa.engine as engine
+        from repro.mcl.options import MclOptions
+
+        hipmcl_mod = importlib.import_module("repro.mcl.hipmcl")
+        real_pass = engine._numeric_pass
+        real_inflate = hipmcl_mod.inflate_block_column
+        seen = {"pass": 0, "inflate": 0}
+
+        def index_arrays(blk):
+            return (blk.indptr, blk.indices)
+
+        def numeric_pass(*args, **kwargs):
+            kept, products, blocks = real_pass(*args, **kwargs)
+            for blk in kept.values():
+                for arr in index_arrays(blk):
+                    assert arr.dtype == _c.INDEX_DTYPE
+                seen["pass"] += 1
+            for _per_col, c_indptr, _events in products.values():
+                assert c_indptr.dtype == _c.INDEX_DTYPE
+            return kept, products, blocks
+
+        def inflate(cols, *args):
+            slab, blocks = real_inflate(cols, *args)
+            for blk in [slab, *blocks]:
+                for arr in index_arrays(blk):
+                    assert arr.dtype == _c.INDEX_DTYPE
+                seen["inflate"] += 1
+            return slab, blocks
+
+        monkeypatch.setattr(engine, "_numeric_pass", numeric_pass)
+        monkeypatch.setattr(hipmcl_mod, "inflate_block_column", inflate)
+        res = hipmcl_mod.hipmcl(
+            _planted_matrix(), MclOptions(select_number=20),
+            hipmcl_mod.HipMCLConfig(nodes=16, memory_budget_bytes=64 * 1024),
+        )
+        assert res.converged
+        assert seen["pass"] > 16 and seen["inflate"] > 16
 
     def test_finished_blocks_release_their_merge_state(self, monkeypatch):
         # A merge state holds the lists its schedule has buffered: one
